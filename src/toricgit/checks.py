@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import lcm
 
-from .cox import check_free_action, degree_map, irrelevant_ideal, prime_decomposition
+from .cox import _acts_freely, degree_map, irrelevant_ideal, zero_locus_codim
 from .fans import (
     TorusInvariantDivisor,
     blowup_pn_along_linear,
@@ -29,7 +28,7 @@ from .fans import (
     star_subdivision,
     validate,
 )
-from .linalg import matrix_rank
+from .linalg import _clear_denominators, matrix_rank
 from .lp import rational_solve
 from .vgit import (
     MAX_CHAMBER_RANK,
@@ -83,14 +82,6 @@ def _require_projective(fan):
         raise ValueError("check requires a complete projective fan")
 
 
-def _ideal_codim(fan):
-    """Codimension of the irrelevant locus via its prime components."""
-    components = prime_decomposition(irrelevant_ideal(fan))
-    if not components:
-        return fan.n_rays + 1
-    return min(len(p) for p in components)
-
-
 def check_small_unstable_locus(fan) -> CheckResult:
     """Unstable locus of the ample chamber has codimension >= 3."""
     _require_projective(fan)
@@ -108,12 +99,12 @@ def check_two_neighborly_equivalence(fan) -> CheckResult:
     """2-neighborliness decides codim >= 3, by two independent routes.
 
     Neighborliness is tested by pairwise cone containment; the
-    codimension comes from the prime components of the irrelevant
-    ideal.  Neither side touches the GIT layer.
+    codimension is the size of the smallest minimal hitting set of the
+    irrelevant ideal's generators.  Neither side touches the GIT layer.
     """
     _require_projective(fan)
     neighborly = is_m_neighborly(fan, 2)
-    codim = _ideal_codim(fan)
+    codim = zero_locus_codim(irrelevant_ideal(fan))
     return CheckResult(
         "two-neighborly-equivalence",
         neighborly == (codim >= 3),
@@ -125,7 +116,7 @@ def check_neighborly_codim_equivalence(fan, m) -> CheckResult:
     """m-neighborliness is equivalent to unstable codimension >= m+1."""
     _require_projective(fan)
     neighborly = is_m_neighborly(fan, m)
-    codim = _ideal_codim(fan)
+    codim = zero_locus_codim(irrelevant_ideal(fan))
     return CheckResult(
         "neighborly-codim-equivalence",
         neighborly == (codim >= m + 1),
@@ -179,11 +170,11 @@ def _divisor_with_class_multiple(dm, chi):
                 break
     system = [[rows[j][i] for j in range(r)] for i in range(r)]
     solution = rational_solve(system, list(chi))
-    assert solution is not None, "degree vectors span the class lattice"
-    den = lcm(*(f.denominator for f in solution)) if solution else 1
+    if solution is None:
+        raise AssertionError("degree vectors span the class lattice")
     coeffs = [0] * dm.n_rays
-    for j, f in zip(idx, solution):
-        coeffs[j] = int(f * den)
+    for j, c in zip(idx, _clear_denominators(solution)):
+        coeffs[j] = c
     return TorusInvariantDivisor(tuple(coeffs))
 
 
@@ -398,7 +389,8 @@ def check_quotient_properties(fan) -> CheckResult:
 
     Two distinct interior points of the nef cone must give identical
     signatures, the ample unstable codimension is at least 2, and on a
-    smooth fan the torus acts freely on the semistable locus.
+    smooth fan the torus acts freely on the semistable locus, as tested
+    on the grading by the stabiliser of each maximal cone.
     """
     _require_projective(fan)
     dm = degree_map(fan)
@@ -407,7 +399,7 @@ def check_quotient_properties(fan) -> CheckResult:
     amp2 = tuple(a + g for a, g in zip(amp1, nef.generators[0]))
     codim = unstable_codim(dm, amp1)
     same_signature = unstable_supports(dm, amp1) == unstable_supports(dm, amp2)
-    free_ok = (not validate(fan).smooth) or check_free_action(fan)
+    free_ok = (not validate(fan).smooth) or _acts_freely(fan, dm)
     return CheckResult(
         "quotient-properties",
         codim >= 2 and same_signature and free_ok,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (or property true, checks passed), 1 property
-false or check failed, 2 malformed or unsupported input.  All verbs
-accept --json for machine output; the text reports are a rendering of
-the same data.
+false or check failed, 2 malformed or unsupported input or a simplex
+pivot limit.  All verbs accept --json for machine output; the text
+reports are a rendering of the same data.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .fans import (
     projective_space_fan,
     validate,
 )
+from .lp import PivotLimit
 from .vgit import (
     ample_character,
     enumerate_chambers,
@@ -395,7 +396,7 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PivotLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

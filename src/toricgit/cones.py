@@ -12,14 +12,13 @@ containment, intersection and equality reduce to integer dot products.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .linalg import matrix_rank, primitive, saturated_row_basis
+from .linalg import _clear_denominators, _dot
 from .lp import nonneg_combination, rational_solve
 
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+# Prune redundant rays by LP once an intermediate ray set grows past this.
+_PRUNE_THRESHOLD = 24
 
 
 def _combine(u, cu, v, cv):
@@ -60,11 +59,10 @@ def _reduce_mod_lineality(r, lin):
     ]
     if all(p == 0 for p in proj):
         return None
-    den = lcm(*[p.denominator for p in proj])
-    return primitive(tuple(int(p * den) for p in proj))
+    return primitive(_clear_denominators(proj))
 
 
-def duals_from_inequalities(dim, normals, prune_threshold=24):
+def duals_from_inequalities(dim, normals):
     """Generators (lineality basis, extremal rays) of the solution cone
     {x : <a, x> >= 0 for every a in normals}.
 
@@ -106,7 +104,7 @@ def duals_from_inequalities(dim, normals, prune_threshold=24):
                 dn = _dot(a, n)
                 new.append(_combine(p, -dn, n, dp))
         rays = sorted(set(new))
-        if len(rays) > prune_threshold:
+        if len(rays) > _PRUNE_THRESHOLD:
             rays = _prune_rays(rays, lin)
     rays = _prune_rays(rays, lin)
     lin_basis = saturated_row_basis(lin, dim)
@@ -125,24 +123,11 @@ class RationalCone:
 
     __slots__ = ("dim", "rays", "lin", "_dual")
 
-    def __init__(self, dim, rays, lin, _raw=True):
+    def __init__(self, dim, rays, lin):
         self.dim = dim
         self._dual = None
-        if _raw:
-            lin_basis = saturated_row_basis(lin, dim)
-            reduced = sorted(
-                set(
-                    p
-                    for p in (_reduce_mod_lineality(r, lin_basis) for r in rays)
-                    if p is not None
-                )
-            )
-            reduced = _prune_rays(reduced, lin_basis)
-            self.rays = tuple(reduced)
-            self.lin = lin_basis
-        else:
-            self.rays = tuple(rays)
-            self.lin = tuple(lin)
+        self.rays = tuple(rays)
+        self.lin = tuple(lin)
 
     @property
     def generators(self):
@@ -153,14 +138,10 @@ class RationalCone:
             out.append(tuple(-x for x in l))
         return tuple(out)
 
-    @property
-    def lineality_dim(self):
-        return len(self.lin)
-
     def dual(self):
         if self._dual is None:
             lin, rays = duals_from_inequalities(self.dim, self.generators)
-            d = RationalCone(self.dim, rays, lin, _raw=False)
+            d = RationalCone(self.dim, rays, lin)
             d._dual = self
             self._dual = d
         return self._dual
@@ -182,30 +163,15 @@ class RationalCone:
             _dot(l, v) == 0 for l in d.lin
         )
 
-    def is_strictly_convex(self):
-        return not self.lin
-
-    def is_zero(self):
-        return not self.rays and not self.lin
-
     def dim_of(self):
         return matrix_rank(list(self.rays) + list(self.lin))
-
-    def relative_interior_point(self):
-        """Sum of the extremal rays; strictly positive on every
-        non-lineality facet."""
-        if self.is_zero():
-            raise ValueError("the zero cone has no relative interior point")
-        if not self.rays:
-            return tuple(0 for _ in range(self.dim))
-        return tuple(sum(r[i] for r in self.rays) for i in range(self.dim))
 
     def intersect(self, other):
         if self.dim != other.dim:
             raise ValueError("ambient dimension mismatch")
         normals = tuple(self.facet_normals) + tuple(other.facet_normals)
         lin, rays = duals_from_inequalities(self.dim, normals)
-        return RationalCone(self.dim, rays, lin, _raw=False)
+        return RationalCone(self.dim, rays, lin)
 
     def __repr__(self):
         return f"RationalCone(dim={self.dim}, rays={list(self.rays)}, lin={list(self.lin)})"
@@ -216,9 +182,9 @@ def cone_from_generators(dim, gens):
     if any(len(g) != dim for g in gens):
         raise ValueError("generator of wrong dimension")
     lin, rays = duals_from_inequalities(dim, gens)  # this is the dual cone
-    dual = RationalCone(dim, rays, lin, _raw=False)
+    dual = RationalCone(dim, rays, lin)
     lin2, rays2 = duals_from_inequalities(dim, dual.generators)
-    cone = RationalCone(dim, rays2, lin2, _raw=False)
+    cone = RationalCone(dim, rays2, lin2)
     cone._dual = dual
     dual._dual = cone
     return cone
@@ -229,15 +195,11 @@ def cone_from_inequalities(dim, normals):
     if any(len(n) != dim for n in normals):
         raise ValueError("normal of wrong dimension")
     lin, rays = duals_from_inequalities(dim, normals)
-    return RationalCone(dim, rays, lin, _raw=False)
+    return RationalCone(dim, rays, lin)
 
 
 def full_space(dim):
     return cone_from_inequalities(dim, [])
-
-
-def zero_cone(dim):
-    return cone_from_generators(dim, [])
 
 
 def cones_equal(c1, c2):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fans import validate
-from .linalg import IntMatrix, cokernel
+from .linalg import IntMatrix, cokernel, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,6 @@ class FaceComplex:
                     raise ValueError("facets must be an antichain")
         object.__setattr__(self, "facets", facets)
 
-    def is_face(self, subset):
-        s = set(subset)
-        return any(s <= set(f) for f in self.facets)
-
 
 def irrelevant_ideal(fan) -> SquarefreeIdeal:
     """Generators x^(complement of sigma) over the maximal cones.
@@ -220,10 +216,27 @@ def zero_locus_codim(ideal) -> int:
     return min(len(h) for h in hitting)
 
 
-def check_free_action(fan) -> bool:
-    """Torus acts freely on the complement of V(I) iff the fan is smooth.
+def _acts_freely(fan, dm) -> bool:
+    """Does the Cox torus act freely off V(I), judged from the grading?
 
-    Unimodular maximal cones mean trivial finite stabilizers for the
-    Cox torus on semistable points.
+    The largest stabilisers sit at points whose zero coordinates are a
+    maximal cone sigma, and such a stabiliser is trivial iff the degrees
+    of the rays outside sigma generate the class group, torsion
+    included: their rows plus a row t_k * e per torsion factor must
+    have the identity as Smith form.
     """
-    return validate(fan).smooth
+    r, width = dm.cl_free_rank, dm.cl_free_rank + len(dm.torsion)
+    relations = [
+        tuple(tk if j == r + k else 0 for j in range(width))
+        for k, tk in enumerate(dm.torsion)
+    ]
+    for sigma in fan.max_cones:
+        rows = [
+            dm.degrees_free[i] + dm.degrees_torsion[i]
+            for i in range(fan.n_rays)
+            if i not in sigma
+        ]
+        snf = smith_normal_form(IntMatrix.from_rows(rows + relations))
+        if snf.invariant_factors() != (1,) * width:
+            return False
+    return True

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .cones import cone_from_generators, cones_equal
 from .linalg import IntMatrix, matrix_rank, primitive, smith_normal_form
+from .linalg import _clear_denominators, _dot
 from .lp import max_strict_slack, rational_solve
 
 
@@ -210,10 +211,6 @@ def divisor_from_json(data, fan):
 # validation
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _simplicial_facet_normals(rays, dim):
     """Inward facet normals of a full-dimensional simplicial cone.
 
@@ -224,10 +221,19 @@ def _simplicial_facet_normals(rays, dim):
     system = [list(r) for r in rays]
     for i in range(dim):
         rhs = [1 if j == i else 0 for j in range(dim)]
-        sol = rational_solve(system, rhs)
-        den = lcm(*[f.denominator for f in sol])
-        normals.append(primitive(tuple(int(f * den) for f in sol)))
+        normals.append(primitive(_clear_denominators(rational_solve(system, rhs))))
     return normals
+
+
+def _ridges(fan):
+    """Each ridge (a maximal cone minus one ray) mapped to its
+    (maximal cone, dropped ray) pairs, in max_cones order."""
+    by_ridge = {}
+    for c in fan.max_cones:
+        for drop in range(len(c)):
+            ridge = c[:drop] + c[drop + 1 :]
+            by_ridge.setdefault(ridge, []).append((c, c[drop]))
+    return by_ridge
 
 
 def _is_complete(fan):
@@ -236,12 +242,7 @@ def _is_complete(fan):
         return False
     if any(len(c) != d for c in fan.max_cones):
         return False
-    ridge_count = {}
-    for c in fan.max_cones:
-        for drop in range(d):
-            ridge = c[:drop] + c[drop + 1 :]
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-    if any(v != 2 for v in ridge_count.values()):
+    if any(len(sides) != 2 for sides in _ridges(fan).values()):
         return False
     # Deterministic generic probes: with q larger than any facet-normal
     # entry sum, (s_1, s_2 q, ..., s_d q^{d-1}) lies on no cone boundary,
@@ -269,11 +270,7 @@ def _is_complete(fan):
 
 def _walls(fan):
     """One (cone, ridge, opposite ray of the neighbor) triple per wall."""
-    by_ridge = {}
-    for c in fan.max_cones:
-        for drop in range(len(c)):
-            ridge = c[:drop] + c[drop + 1 :]
-            by_ridge.setdefault(ridge, []).append((c, c[drop]))
+    by_ridge = _ridges(fan)
     walls = []
     for ridge in sorted(by_ridge):
         sides = by_ridge[ridge]
@@ -300,8 +297,7 @@ def _is_projective(fan):
         for j, idx in enumerate(cone):
             row[idx] += coords[j]
         row[opp] -= 1
-        den = lcm(*[f.denominator for f in row])
-        rows.append(tuple(int(f * den) for f in row))
+        rows.append(_clear_denominators(row))
     t, _ = max_strict_slack(rows)
     return t > 0
 
@@ -475,11 +471,6 @@ def bundle_o1_divisor(base, divisors, d=1, twist=None) -> TorusInvariantDivisor:
         coeffs = [a + b for a, b in zip(coeffs, twist.coefficients)]
     coeffs += [0] * (k - 1) + [d]
     return TorusInvariantDivisor(tuple(coeffs))
-
-
-def pullback_to_bundle(base, divisors, div) -> TorusInvariantDivisor:
-    """Pullback of a base divisor along the bundle projection."""
-    return TorusInvariantDivisor(tuple(div.coefficients) + (0,) * len(divisors))
 
 
 # ---------------------------------------------------------------------------

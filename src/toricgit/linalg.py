@@ -9,7 +9,18 @@ floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _clear_denominators(vec):
+    """Scale a rational vector by the lcm of its denominators; the
+    result is an integer tuple."""
+    den = lcm(*(x.denominator for x in vec))
+    return tuple(int(x * den) for x in vec)
 
 
 def primitive(vec):
@@ -205,7 +216,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     out = SmithDecomposition(
         IntMatrix.from_rows(left), IntMatrix.from_rows(a), IntMatrix.from_rows(right)
     )
-    assert out.left.mul(m).mul(out.right).entries == out.diag.entries
+    if out.left.mul(m).mul(out.right).entries != out.diag.entries:
+        raise AssertionError("Smith normal form failed its self-check")
     return out
 
 

@@ -185,7 +185,8 @@ def max_strict_slack(rows, cap=1, eq_rows=()):
     b_eq = [_ZERO] * len(eq_rows)
     c = [_ZERO] * n + [_ONE]
     status, x, value = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
-    assert status == "optimal"
+    if status != "optimal":
+        raise AssertionError(f"bounded feasible LP came back {status}")
     return (value, x[:n])
 
 

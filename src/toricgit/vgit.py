@@ -17,20 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
 from .cones import cone_from_generators, full_space
 from .cox import irrelevant_ideal, stanley_reisner
 from .linalg import IntMatrix, kernel_basis, matrix_rank, sign_normalized
+from .linalg import _clear_denominators, _dot
 from .lp import in_cone, max_strict_slack
 
 MAX_CHAMBER_RANK = 4
 MAX_CHAMBER_RAYS = 16
 MAX_DEGREE_CLASSES = 16
-
-
-class BoundaryCharacterError(ValueError):
-    """Character sits on a GIT wall, so its chamber is ambiguous."""
 
 
 @dataclass(frozen=True)
@@ -140,11 +136,6 @@ def unstable_supports(dm, chi) -> ChamberSignature:
     return ChamberSignature(facets=facets)
 
 
-def chamber_signature(dm, chi) -> ChamberSignature:
-    """Alias for unstable_supports: the signature names the chamber."""
-    return unstable_supports(dm, chi)
-
-
 def unstable_codim(dm, chi) -> int:
     """Codimension of the unstable locus in Cox coordinate space."""
     sig = unstable_supports(dm, chi)
@@ -222,22 +213,6 @@ def is_boundary_character(dm, chi) -> bool:
     return False
 
 
-def same_chamber(dm, chi1, chi2) -> bool:
-    """Equality of signatures for two interior characters.
-
-    Boundary characters are refused: their signature is well defined
-    but does not name an open chamber.
-    """
-    for chi in (chi1, chi2):
-        chi = _check_character(dm, chi)
-        sig = unstable_supports(dm, chi)
-        if sig.outside_effective:
-            raise ValueError(f"character {chi} is outside the effective cone")
-        if is_boundary_character(dm, chi):
-            raise BoundaryCharacterError(f"character {chi} lies on a wall")
-    return unstable_supports(dm, chi1) == unstable_supports(dm, chi2)
-
-
 def _arrangement_normals(dm):
     """Hyperplanes spanned by rank-1-deficient subsets of the degrees.
 
@@ -256,11 +231,6 @@ def _arrangement_normals(dm):
             continue
         normals.add(sign_normalized(ker.column(0)))
     return sorted(normals)
-
-
-def _integer_witness(x):
-    den = lcm(*[f.denominator for f in x]) if x else 1
-    return tuple(int(f * den) for f in x)
 
 
 def enumerate_chambers(dm):
@@ -312,17 +282,18 @@ def _enumerate_cells(dm):
     eff_rows = list(effective_cone(dm).facet_normals)
     normals = _crossing_normals(dm)
     t, x0 = max_strict_slack(eff_rows)
-    assert t > 0, "effective cone must be full-dimensional"
+    if t <= 0:
+        raise AssertionError("effective cone must be full-dimensional")
     if not normals:
-        return (((), _integer_witness(x0)),)
+        return (((), _clear_denominators(x0)),)
     cells = []
 
     def rec(signs, rows, witness):
         if len(signs) == len(normals):
-            cells.append((tuple(signs), _integer_witness(witness)))
+            cells.append((tuple(signs), _clear_denominators(witness)))
             return
         n = normals[len(signs)]
-        d = sum(a * b for a, b in zip(n, witness))
+        d = _dot(n, witness)
         first = 1 if d >= 0 else -1
         for s in (first, -first):
             row = tuple(s * v for v in n)

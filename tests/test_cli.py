@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from toricgit import lp
 from toricgit.cli import main
 from toricgit.fans import (
     blowup_pn_along_linear,
@@ -14,6 +15,7 @@ from toricgit.fans import (
     product_fan,
     projective_space_fan,
 )
+from toricgit.vgit import unstable_supports
 
 NON_PROJECTIVE = {
     "dim": 3,
@@ -168,6 +170,17 @@ class TestChambers:
         data = json.loads(out)
         assert data["on_boundary"] is True
         assert data["facets"] == [[0, 1, 2]]
+
+    def test_pivot_limit_exits_two(self, p2_file, capsys, monkeypatch):
+        def stuck(*args):
+            raise lp.PivotLimit("simplex did not terminate")
+
+        monkeypatch.setattr(lp, "_simplex_core", stuck)
+        unstable_supports.cache_clear()  # force a fresh LP
+        code, out, err = run(["chambers", p2_file, "--char", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: simplex did not terminate\n"
 
     def test_character_arity_checked(self, f1_file, capsys):
         code, _, err = run(["chambers", f1_file, "--char", "1"], capsys)

@@ -16,7 +16,7 @@ from toricgit.cox import (
     DegreeMap,
     FaceComplex,
     SquarefreeIdeal,
-    check_free_action,
+    _acts_freely,
     degree_map,
     irrelevant_ideal,
     prime_decomposition,
@@ -29,6 +29,7 @@ from toricgit.fans import (
     is_m_neighborly,
     product_fan,
     projective_space_fan,
+    validate,
 )
 from toricgit.linalg import IntMatrix, smith_normal_form
 
@@ -278,14 +279,28 @@ class TestZeroLocusCodim:
                 assert (codim >= m + 1) == is_m_neighborly(f, m), (f, m)
 
 
+def acts_freely(fan):
+    return _acts_freely(fan, degree_map(fan))
+
+
 class TestFreeAction:
     def test_smooth_fans(self):
-        assert check_free_action(projective_space_fan(3))
-        assert check_free_action(blowup_pn_along_linear(3, 1))
+        assert acts_freely(projective_space_fan(3))
+        assert acts_freely(blowup_pn_along_linear(3, 1))
 
     def test_singular_cone(self):
         f = Fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-        assert not check_free_action(f)
+        assert not validate(f).smooth
+        assert not acts_freely(f)
+
+    def test_torsion_stabiliser(self):
+        # Cl = Z + Z/3 and every free degree is 1: only the torsion rows
+        # see the Z/3 stabiliser of each maximal cone.
+        f = Fan(2, [(2, -1), (-1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        dm = degree_map(f)
+        assert dm.torsion == (3,) and set(dm.degrees_free) == {(1,)}
+        assert not validate(f).smooth
+        assert not acts_freely(f)
 
 
 # ---------------------------------------------------------------------------

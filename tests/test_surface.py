@@ -1,0 +1,87 @@
+"""Source-level rules: no dead public names, no bare asserts.
+
+The public surface follows the rule the benchmark tracer wraps by: every
+name without a leading underscore that a layer module defines, and every
+public method or property of the classes it defines (exceptions aside).
+A public name is live when some expression in src/ refers to it; an
+import alone does not count.  The only exceptions are the independent
+oracles listed below, which the tests compare the library against.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "toricgit"
+LAYERS = ("linalg", "lp", "cones", "fans", "cox", "vgit", "checks", "cli")
+MEMBER_KINDS = (property, classmethod, staticmethod)
+
+TEST_ORACLES = {
+    # test_acceptance.py::test_criterion_9_oracle_suites (minor-gcd oracle)
+    "linalg.det",
+    # test_cox.py::TestRandomIdeals::test_facets_match_brute_force
+    "cox.SquarefreeIdeal.contains_monomial",
+    # test_cox.py::TestPrimeDecomposition::test_membership_equivalence_exhaustive
+    "cox.prime_decomposition",
+    # test_vgit.py::TestChambers::test_cover_certified
+    "vgit.chambers_cover_effective",
+    # test_acceptance.py::test_criterion_8_chamber_machinery
+    "vgit.chamber_closure",
+    # test_acceptance.py::test_criterion_8_chamber_machinery
+    "vgit.ample_signature_matches_irrelevant_ideal",
+}
+
+
+def public_names():
+    """(qualified name, bare name, is a module-level function)."""
+    out = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"toricgit.{layer}")
+        for name, obj in sorted(vars(module).items()):
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                if issubclass(obj, BaseException):
+                    continue
+                for attr, member in sorted(vars(obj).items()):
+                    if attr.startswith("_"):
+                        continue
+                    if inspect.isfunction(member) or isinstance(member, MEMBER_KINDS):
+                        out.append((f"{layer}.{name}.{attr}", attr, False))
+            elif callable(obj):
+                out.append((f"{layer}.{name}", name, True))
+    return out
+
+
+def src_trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def test_every_public_name_is_used_in_src():
+    names, attrs = set(), set()
+    for tree in src_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    surface = public_names()
+    assert len(surface) > 50  # the scan itself found the modules
+    unused = sorted(
+        qual
+        for qual, bare, is_function in surface
+        if bare not in attrs and not (is_function and bare in names)
+    )
+    assert unused == sorted(TEST_ORACLES)
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements; invariants must raise explicitly.
+    found = [
+        (name, node.lineno)
+        for name, tree in src_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

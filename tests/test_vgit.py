@@ -18,19 +18,16 @@ from toricgit.fans import (
     projective_space_fan,
 )
 from toricgit.vgit import (
-    BoundaryCharacterError,
     ChamberSignature,
     ample_character,
     ample_signature_matches_irrelevant_ideal,
     chamber_closure,
-    chamber_signature,
     chambers_cover_effective,
     effective_cone,
     enumerate_chambers,
     is_boundary_character,
     moving_cone,
     nef_cone,
-    same_chamber,
     stable_base_locus_codim,
     unstable_codim,
     unstable_inclusion_forces_nef,
@@ -274,49 +271,14 @@ class TestChambers:
             amp = ample_character(f, dm)
             assert cones_equal(nef_cone(f, dm), chamber_closure(dm, amp))
 
-
-class TestSameChamber:
-    def test_scaling_same(self):
-        f = projective_space_fan(3)
-        dm = degree_map(f)
-        amp = ample_character(f, dm)
-        assert same_chamber(dm, amp, tuple(7 * x for x in amp))
-
-    def test_two_nef_interior_points(self):
-        f = f1()
-        dm = degree_map(f)
-        nef = nef_cone(f, dm)
-        a = tuple(sum(g[i] for g in nef.generators) for i in range(2))
-        b = tuple(x + y for x, y in zip(a, nef.generators[0]))
-        if is_boundary_character(dm, b):
-            pytest.skip("witness landed on a wall")
-        assert same_chamber(dm, a, b)
-
-    def test_distinct_chambers_differ(self):
+    def test_wall_character_is_boundary(self):
         dm = degree_map(f1())
-        chambers = enumerate_chambers(dm)
-        (c1, _), (c2, _) = chambers
-        assert not same_chamber(dm, c1, c2)
-
-    def test_boundary_refused(self):
-        f = f1()
-        dm = degree_map(f)
         H = dm.degrees_free[2]
-        amp = ample_character(f, dm)
         assert is_boundary_character(dm, H)
-        with pytest.raises(BoundaryCharacterError):
-            same_chamber(dm, H, amp)
 
     def test_zero_character_is_boundary(self):
         dm = degree_map(f1())
         assert is_boundary_character(dm, (0, 0))
-
-    def test_outside_effective_refused(self):
-        f = f1()
-        dm = degree_map(f)
-        amp = ample_character(f, dm)
-        with pytest.raises(ValueError, match="outside"):
-            same_chamber(dm, tuple(-x for x in amp), amp)
 
 
 class TestStableBaseLocus:
@@ -394,9 +356,3 @@ class TestStructuralProperties:
         f = fan_builder()
         dm = degree_map(f)
         assert unstable_inclusion_forces_nef(f, dm)
-
-    def test_chamber_signature_alias(self):
-        f = f1()
-        dm = degree_map(f)
-        amp = ample_character(f, dm)
-        assert chamber_signature(dm, amp) == unstable_supports(dm, amp)
