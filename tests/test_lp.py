@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricgit.lp import (
@@ -110,3 +111,89 @@ def test_in_cone_agrees_with_exhaustive_caratheodory(gens, target):
         return False
 
     assert in_cone(gens, target) == by_subsets()
+
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: sympy's simplex, which shares no code with toricgit.lp
+
+entry = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def small_lps(draw):
+    """(a, b, c): 1-4 rows, 1-5 columns, entries in -3..3.  Half the
+    right-hand sides are a.x for a small x >= 0, so that feasible LPs
+    are not rare."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = st.lists(entry, min_size=n, max_size=n)
+    a = draw(st.lists(rows, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+        b = [sum(r * v for r, v in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(entry, min_size=m, max_size=m))
+    return a, b, draw(rows)
+
+
+def sympy_min(a, b, c):
+    """(status, value) of min c.x subject to a.x == b, x >= 0, by sympy.
+
+    sympy's linprog takes a.x <= b only, and its phase 1 (reached when
+    some b < 0) can return a point that breaks a constraint or cycle for
+    ever on degenerate systems.  So both calls below start at a feasible
+    origin, which leaves only its Bland's-rule phase 2 to run: the first
+    maximises sum(a.x) under a.x <= b (with b >= 0), which reaches sum(b)
+    exactly when a.x == b is feasible; the second optimises over moves
+    x0 + u - v from the feasible point x0 it returns.
+    """
+    simplex = pytest.importorskip("sympy.solvers.simplex")
+    a = [row if bb >= 0 else [-v for v in row] for row, bb in zip(a, b)]
+    b = [abs(bb) for bb in b]
+    total, point = simplex.linprog([-sum(col) for col in zip(*a)], A=a, b=b)
+    if -total != sum(b):
+        return ("infeasible", None)
+    x0 = [Fraction(str(v)) for v in point]
+    assert [sum(r * v for r, v in zip(row, x0)) for row in a] == b
+    n = len(c)
+    moves = [[-int(j == i) for j in range(n)] + [int(j == i) for j in range(n)] for i in range(n)]
+    moves += [row + [-v for v in row] for row in a]
+    moves += [[-v for v in row] + row for row in a]
+    try:
+        value, _ = simplex.linprog(
+            c + [-v for v in c], A=moves, b=x0 + [0] * (2 * len(a))
+        )
+    except simplex.UnboundedLPError:
+        return ("unbounded", None)
+    return ("optimal", sum(ci * v for ci, v in zip(c, x0)) + Fraction(str(value)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_lps())
+def test_solve_nonneg_matches_sympy(lp):
+    a, b, c = lp
+    status, x, value = solve_nonneg(a, b, c)
+    assert (status, value) == sympy_min(a, b, c)
+    if status == "optimal":
+        assert all(v >= 0 for v in x)
+        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_lps(), st.integers(min_value=0, max_value=4))
+def test_simplex_max_matches_sympy(lp, n_ub):
+    a, b, c = lp
+    a_ub, b_ub, a_eq, b_eq = a[:n_ub], b[:n_ub], a[n_ub:], b[n_ub:]
+    status, x, value = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
+    # the same LP over x = u - v, u, v >= 0, one slack per inequality
+    k = len(a_ub)
+    std = [
+        row + [-v for v in row] + [int(j == i) for j in range(k)]
+        for i, row in enumerate(a_ub + a_eq)
+    ]
+    expected, best = sympy_min(std, b_ub + b_eq, [-v for v in c] + c + [0] * k)
+    assert (status, value) == (expected, None if best is None else -best)
+    if status == "optimal":
+        assert all(sum(r * v for r, v in zip(row, x)) <= bb for row, bb in zip(a_ub, b_ub))
+        assert all(sum(r * v for r, v in zip(row, x)) == bb for row, bb in zip(a_eq, b_eq))
