@@ -1,29 +1,64 @@
-"""Exact rational linear programming and Gaussian elimination.
+"""Exact linear programming and Gaussian elimination.
 
-A dense two-phase tableau simplex over fractions.Fraction.  Pivoting is
-Dantzig's rule with an automatic switch to Bland's rule after enough
-iterations, which keeps runs fast in practice and terminating in theory.
-Scale here is tiny (dozens of rows), exactness is the whole point.
+A dense two-phase tableau simplex over the integers.  The tableau is
+fraction-free: each row holds the rational tableau row times one common
+positive scale d, the absolute value of the current basis determinant,
+so every entry is a minor of the input and the Bareiss update
+(p*x - f*y) // d divides exactly (Bareiss 1968; lrs, Avis 2000).
+Entries that share the scale d compare as their rational values do, so
+the pivots are those of the rational tableau, and Fraction appears only
+where a solution is read off.  Pivoting is Dantzig's rule with an
+automatic switch to Bland's rule after enough iterations, which keeps
+runs fast in practice and terminating in theory.  Scale here is tiny
+(dozens of rows), exactness is the whole point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+
+from .linalg import _clear_denominators
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class PivotLimit(RuntimeError):
     pass
 
 
-def _simplex_core(tab, basis, cost, n_real):
-    """Minimize over the standard-form tableau in place.
+def _pivot(tab, cost, d, leave, enter):
+    """Fraction-free (Bareiss) pivot on tab[leave][enter], cost row too.
 
-    tab: m rows of length n+1 (last entry the rhs), basis columns already
-    identity.  cost: length n+1 reduced-cost row (last entry = -objective).
-    Returns "optimal" or "unbounded".
+    Rows come in on the scale d and leave on the scale |p| of the pivot
+    entry p: each entry becomes (p*x - f*y) // d, an exact division
+    because every entry is a minor of the input.  A negative pivot
+    negates the whole tableau, which keeps the scale positive.  Returns
+    the new scale.
+    """
+    prow = tab[leave]
+    p = prow[enter]
+    if p < 0:
+        p = -p
+        prow = tab[leave] = [-y for y in prow]
+    for i, row in enumerate(tab):
+        f = row[enter]
+        if i == leave or (not f and p == d):
+            continue
+        tab[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+    f = cost[enter]
+    cost[:] = [(p * x - f * y) // d for x, y in zip(cost, prow)]
+    return p
+
+
+def _simplex_core(tab, basis, cost, d):
+    """Minimize over the fraction-free tableau in place.
+
+    tab: m integer rows of length n+1 (last entry the rhs) on the
+    positive scale d, basis columns d times the identity.  cost: length
+    n+1 reduced-cost row on a positive multiple of d (last entry the
+    negated objective).  Returns (status, d) with status "optimal" or
+    "unbounded" and d the final scale.
     """
     m = len(tab)
     n = len(cost) - 1
@@ -35,73 +70,66 @@ def _simplex_core(tab, basis, cost, n_real):
             raise PivotLimit("simplex did not terminate")
         enter = None
         if pivots <= bland_after:
-            best = _ZERO
+            best = 0
             for j in range(n):
                 if cost[j] < best:
                     best = cost[j]
                     enter = j
         else:
             for j in range(n):
-                if cost[j] < _ZERO:
+                if cost[j] < 0:
                     enter = j
                     break
         if enter is None:
-            return "optimal"
+            return ("optimal", d)
+        # ratio test: rhs_i / a_i < rhs_l / a_l by cross-multiplication
         leave = None
-        best_ratio = None
         for i in range(m):
             a = tab[i][enter]
-            if a > _ZERO:
-                ratio = tab[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+            if a > 0:
+                if leave is None:
+                    leave, num, den = i, tab[i][-1], a
+                    continue
+                lhs = tab[i][-1] * den
+                rhs = num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tab[i][-1], a
         if leave is None:
-            return "unbounded"
-        piv = tab[leave][enter]
-        row = [x / piv for x in tab[leave]]
-        tab[leave] = row
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], row)]
-        if cost[enter] != 0:
-            f = cost[enter]
-            for j in range(len(cost)):
-                cost[j] -= f * row[j]
+            return ("unbounded", d)
+        d = _pivot(tab, cost, d, leave, enter)
         basis[leave] = enter
 
 
 def solve_nonneg(a_rows, b, c=None):
     """min c.x subject to a_rows.x == b, x >= 0 (exact).
 
-    Returns (status, x, value) with status one of "optimal",
-    "infeasible", "unbounded"; x is a list of Fractions on success.
+    Entries are integers or Fractions.  Returns (status, x, value) with
+    status one of "optimal", "infeasible", "unbounded"; x is a list of
+    Fractions on success.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else (len(c) if c else 0)
-    rows = [[Fraction(x) for x in row] for row in a_rows]
-    rhs = [Fraction(x) for x in b]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
+    rows = [
+        list(row) + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs]
+        for row, rhs in zip(a_rows, b)
+    ]
+    # The start is d times the rational tableau [A | I | b]: with s_i
+    # the lcm of row i's denominators, diag(s) is an integral basis of
+    # determinant d = prod(s_i).
+    d = prod(lcm(*(x.denominator for x in row)) for row in rows)
 
     # phase 1: artificial basis
-    tab = [rows[i] + [_ONE if k == i else _ZERO for k in range(m)] + [rhs[i]] for i in range(m)]
+    tab = [
+        [int(x * d) for x in row[:n]]
+        + [d if k == i else 0 for k in range(m)]
+        + [int(row[-1] * d)]
+        for i, row in enumerate(rows)
+    ]
     basis = [n + i for i in range(m)]
-    cost = [_ZERO] * (n + m + 1)
-    for j in range(n + m):
-        cost[j] = _ONE if j >= n else _ZERO
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= tab[i][j]
-    status = _simplex_core(tab, basis, cost, n)
-    if status != "optimal" or -cost[-1] > 0:
+    cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
+    cost.append(-sum(row[-1] for row in tab))
+    status, d = _simplex_core(tab, basis, cost, d)
+    if status != "optimal" or cost[-1] < 0:
         return ("infeasible", None, None)
 
     # drive leftover artificials out of the basis
@@ -110,29 +138,26 @@ def solve_nonneg(a_rows, b, c=None):
             piv = next((j for j in range(n) if tab[i][j] != 0), None)
             if piv is None:
                 continue  # redundant row, harmless
-            f = tab[i][piv]
-            tab[i] = [x / f for x in tab[i]]
-            for k in range(m):
-                if k != i and tab[k][piv] != 0:
-                    g = tab[k][piv]
-                    tab[k] = [x - g * y for x, y in zip(tab[k], tab[i])]
+            d = _pivot(tab, cost, d, i, piv)
             basis[i] = piv
 
-    # phase 2
+    # phase 2: the cost row is d times the reduced costs of obj cleared
+    # to integers
     tab = [row[:n] + [row[-1]] for row in tab]
     obj = [Fraction(x) for x in c] if c is not None else [_ZERO] * n
-    cost = obj + [_ZERO]
+    scaled = _clear_denominators(obj)
+    cost = [d * v for v in scaled] + [0]
     for i in range(m):
-        if basis[i] < n and obj[basis[i]] != 0:
-            f = obj[basis[i]]
+        if basis[i] < n and scaled[basis[i]] != 0:
+            f = scaled[basis[i]]
             cost = [x - f * y for x, y in zip(cost, tab[i])]
-    status = _simplex_core(tab, basis, cost, n)
+    status, d = _simplex_core(tab, basis, cost, d)
     if status == "unbounded":
         return ("unbounded", None, None)
     x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+            x[basis[i]] = Fraction(tab[i][-1], d)
     value = sum(f * v for f, v in zip(obj, x)) if c is not None else _ZERO
     return ("optimal", x, value)
 
@@ -149,17 +174,13 @@ def simplex_max(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     rhs = []
     for row, bb in zip(a_ub, b_ub):
         rows.append(
-            [Fraction(x) for x in row]
-            + [Fraction(-x) for x in row]
-            + [_ONE if k == len(rows) else _ZERO for k in range(n_ub)]
+            list(row) + [-x for x in row] + [int(k == len(rows)) for k in range(n_ub)]
         )
-        rhs.append(Fraction(bb))
+        rhs.append(bb)
     for row, bb in zip(a_eq, b_eq):
-        rows.append(
-            [Fraction(x) for x in row] + [Fraction(-x) for x in row] + [_ZERO] * n_ub
-        )
-        rhs.append(Fraction(bb))
-    obj = [Fraction(-x) for x in c] + [Fraction(x) for x in c] + [_ZERO] * n_ub
+        rows.append(list(row) + [-x for x in row] + [0] * n_ub)
+        rhs.append(bb)
+    obj = [-x for x in c] + list(c) + [0] * n_ub
     status, z, value = solve_nonneg(rows, rhs, obj)
     if status != "optimal":
         return (status, None, None)
@@ -178,12 +199,12 @@ def max_strict_slack(rows, cap=1, eq_rows=()):
         return (Fraction(cap), [])
     n = len(rows[0]) if rows else len(eq_rows[0])
     # variables (x, t): maximize t with t - rows.x <= 0 and t <= cap
-    a_ub = [[-Fraction(v) for v in row] + [_ONE] for row in rows]
-    a_ub.append([_ZERO] * n + [_ONE])
-    b_ub = [_ZERO] * len(rows) + [Fraction(cap)]
-    a_eq = [[Fraction(v) for v in row] + [_ZERO] for row in eq_rows]
-    b_eq = [_ZERO] * len(eq_rows)
-    c = [_ZERO] * n + [_ONE]
+    a_ub = [[-v for v in row] + [1] for row in rows]
+    a_ub.append([0] * n + [1])
+    b_ub = [0] * len(rows) + [cap]
+    a_eq = [list(row) + [0] for row in eq_rows]
+    b_eq = [0] * len(eq_rows)
+    c = [0] * n + [1]
     status, x, value = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
     if status != "optimal":
         raise AssertionError(f"bounded feasible LP came back {status}")
@@ -195,8 +216,8 @@ def nonneg_combination(vectors, target):
     if not vectors:
         return [] if all(x == 0 for x in target) else None
     cols = list(vectors)
-    rows = [[Fraction(v[d]) for v in cols] for d in range(len(target))]
-    status, lam, _ = solve_nonneg(rows, [Fraction(t) for t in target])
+    rows = [[v[d] for v in cols] for d in range(len(target))]
+    status, lam, _ = solve_nonneg(rows, list(target))
     return lam if status == "optimal" else None
 
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricgit import lp
 from toricgit.lp import (
+    PivotLimit,
     in_cone,
     max_strict_slack,
     nonneg_combination,
@@ -121,19 +123,19 @@ entry = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def small_lps(draw):
+def small_lps(draw, entries=entry):
     """(a, b, c): 1-4 rows, 1-5 columns, entries in -3..3.  Half the
     right-hand sides are a.x for a small x >= 0, so that feasible LPs
     are not rare."""
     m = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=5))
-    rows = st.lists(entry, min_size=n, max_size=n)
+    rows = st.lists(entries, min_size=n, max_size=n)
     a = draw(st.lists(rows, min_size=m, max_size=m))
     if draw(st.booleans()):
         x = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
         b = [sum(r * v for r, v in zip(row, x)) for row in a]
     else:
-        b = draw(st.lists(entry, min_size=m, max_size=m))
+        b = draw(st.lists(entries, min_size=m, max_size=m))
     return a, b, draw(rows)
 
 
@@ -197,3 +199,195 @@ def test_simplex_max_matches_sympy(lp, n_ub):
     if status == "optimal":
         assert all(sum(r * v for r, v in zip(row, x)) <= bb for row, bb in zip(a_ub, b_ub))
         assert all(sum(r * v for r, v in zip(row, x)) == bb for row, bb in zip(a_eq, b_eq))
+
+
+# ---------------------------------------------------------------------------
+# pivot-for-pivot oracle: the same two-phase simplex over Fraction, with
+# the same pivot rules.  The integer tableau must make the same pivots,
+# so it returns the same (status, x, value) on every LP.
+
+
+def _reference_core(tab, basis, cost):
+    m = len(tab)
+    n = len(cost) - 1
+    pivots = 0
+    bland_after = 8 * (m + n) + 64
+    while True:
+        pivots += 1
+        if pivots > 100000:
+            raise PivotLimit("simplex did not terminate")
+        enter = None
+        if pivots <= bland_after:
+            best = Fraction(0)
+            for j in range(n):
+                if cost[j] < best:
+                    best = cost[j]
+                    enter = j
+        else:
+            for j in range(n):
+                if cost[j] < 0:
+                    enter = j
+                    break
+        if enter is None:
+            return "optimal"
+        leave = None
+        best_ratio = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded"
+        piv = tab[leave][enter]
+        row = [x / piv for x in tab[leave]]
+        tab[leave] = row
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], row)]
+        if cost[enter] != 0:
+            f = cost[enter]
+            for j in range(len(cost)):
+                cost[j] -= f * row[j]
+        basis[leave] = enter
+
+
+def _reference_solve_nonneg(a_rows, b, c=None):
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else (len(c) if c else 0)
+    rows = [[Fraction(x) for x in row] for row in a_rows]
+    rhs = [Fraction(x) for x in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    one, zero = Fraction(1), Fraction(0)
+    tab = [rows[i] + [one if k == i else zero for k in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    cost = [zero] * (n + m + 1)
+    for j in range(n + m):
+        cost[j] = one if j >= n else zero
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] -= tab[i][j]
+    status = _reference_core(tab, basis, cost)
+    if status != "optimal" or -cost[-1] > 0:
+        return ("infeasible", None, None)
+    for i in range(m):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j] != 0), None)
+            if piv is None:
+                continue
+            f = tab[i][piv]
+            tab[i] = [x / f for x in tab[i]]
+            for k in range(m):
+                if k != i and tab[k][piv] != 0:
+                    g = tab[k][piv]
+                    tab[k] = [x - g * y for x, y in zip(tab[k], tab[i])]
+            basis[i] = piv
+    tab = [row[:n] + [row[-1]] for row in tab]
+    obj = [Fraction(x) for x in c] if c is not None else [zero] * n
+    cost = obj + [zero]
+    for i in range(m):
+        if basis[i] < n and obj[basis[i]] != 0:
+            f = obj[basis[i]]
+            cost = [x - f * y for x, y in zip(cost, tab[i])]
+    status = _reference_core(tab, basis, cost)
+    if status == "unbounded":
+        return ("unbounded", None, None)
+    x = [zero] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    value = sum(f * v for f, v in zip(obj, x)) if c is not None else zero
+    return ("optimal", x, value)
+
+
+def pivot_signs(monkeypatch):
+    """Record the sign of every pivot entry lp._pivot is handed."""
+    signs = []
+    real = lp._pivot
+
+    def recording(tab, cost, d, leave, enter):
+        signs.append(tab[leave][enter] > 0)
+        return real(tab, cost, d, leave, enter)
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    return signs
+
+
+def same_as_reference(a, b, c):
+    got = solve_nonneg(a, b, c)
+    assert got == _reference_solve_nonneg(a, b, c)
+    assert got[1] is None or all(type(v) is Fraction for v in got[1])
+    return got
+
+
+quarter = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps(entries=st.one_of(entry, quarter)), st.booleans())
+def test_same_result_as_rational_tableau(lp_, with_objective):
+    a, b, c = lp_
+    same_as_reference(a, b, c if with_objective else None)
+
+
+def test_redundant_equality_row():
+    # the second row is twice the first, so one artificial stays basic
+    # on a zero row after phase 1
+    got = same_as_reference([[1, 1, 1], [2, 2, 2], [1, 0, -1]], [3, 6, 1], [0, 1, 2])
+    assert got == ("optimal", [Fraction(2), Fraction(0), Fraction(1)], Fraction(2))
+
+
+def test_negative_pivot_driving_out_an_artificial(monkeypatch):
+    # -x1 == 0 keeps its artificial basic at zero; driving it out pivots
+    # on the -1, which negates the tableau to keep its scale positive.
+    # Phase 2 then pivots on that tableau; left on a negative scale, it
+    # would return x = (0, 0, -1).
+    signs = pivot_signs(monkeypatch)
+    got = same_as_reference([[-1, 0, 1], [0, -1, 0]], [-1, 0], [2, -1, -1])
+    assert got == ("optimal", [Fraction(1), Fraction(0), Fraction(0)], Fraction(2))
+    assert False in signs
+
+
+def test_cycling_lp_runs_past_bland_after(monkeypatch):
+    # Beale's example: Dantzig's rule with the smallest-index tie-break
+    # cycles among degenerate bases until the switch to Bland's rule.
+    # Rows in the slack basis, scaled by d = 4 to integers.
+    true_rows = [
+        [Fraction(1, 2), Fraction(-11, 2), Fraction(-5, 2), 9, 1, 0, 0, 0],
+        [Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2), 1, 0, 1, 0, 0],
+        [1, 0, 0, 0, 0, 0, 1, 1],
+    ]
+    objective = [-10, 57, 9, 24, 0, 0, 0, 0]
+    ref_tab = [[Fraction(v) for v in row] for row in true_rows]
+    ref_cost = [Fraction(v) for v in objective]
+    ref_basis = [4, 5, 6]
+    assert _reference_core(ref_tab, ref_basis, ref_cost) == "optimal"
+
+    tab = [[int(4 * v) for v in row] for row in true_rows]
+    cost = [4 * v for v in objective]
+    basis = [4, 5, 6]
+    signs = pivot_signs(monkeypatch)
+    status, d = lp._simplex_core(tab, basis, cost, 4)
+    assert status == "optimal"
+    assert len(signs) > 8 * (3 + 7) + 64
+    assert basis == ref_basis
+    assert [[Fraction(v, d) for v in row] for row in tab] == ref_tab
+    assert [Fraction(v, d) for v in cost] == ref_cost
+    assert ref_cost[-1] == 1  # the optimum of Beale's example
+
+
+def test_pivot_limit_still_raised(monkeypatch):
+    # a pivot that changes nothing makes the simplex choose it for ever
+    monkeypatch.setattr(lp, "_pivot", lambda tab, cost, d, leave, enter: d)
+    with pytest.raises(PivotLimit):
+        solve_nonneg([[1, 1]], [1], [1, 0])

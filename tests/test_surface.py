@@ -85,3 +85,32 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_fraction_in_the_simplex_inner_loop():
+    # The simplex pivots on an integer tableau; Fraction appears only
+    # where solve_nonneg reads off a solution.  A name that is Fraction
+    # itself or a module-level Fraction constant (such as lp._ZERO)
+    # counts as a use.
+    from fractions import Fraction
+
+    lp = importlib.import_module("toricgit.lp")
+    inner = {"_simplex_core", "_pivot"}
+    functions = [
+        node
+        for node in src_trees()["lp.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name in inner
+    ]
+    assert {f.name for f in functions} == inner
+
+    def is_fraction(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "Fraction"
+        return isinstance(node, ast.Name) and (
+            node.id == "Fraction" or isinstance(getattr(lp, node.id, None), Fraction)
+        )
+
+    found = [
+        (f.name, node.lineno) for f in functions for node in ast.walk(f) if is_fraction(node)
+    ]
+    assert found == []
