@@ -298,13 +298,15 @@ def _is_projective(fan):
             row[idx] += coords[j]
         row[opp] -= 1
         rows.append(_clear_denominators(row))
-    t, _ = max_strict_slack(rows)
+    # Walls repeat the same row many times (bl4_1 x bl4_1: 324 rows, 6
+    # distinct); repeats leave the feasible region, and so t > 0, alone.
+    t, _ = max_strict_slack(list(dict.fromkeys(rows)))
     return t > 0
 
 
 @lru_cache(maxsize=None)
 def validate(fan) -> FanReport:
-    """Recompute the four structural flags from scratch.
+    """Recompute the smooth, complete and projective flags from scratch.
 
     Smoothness asks each maximal cone's generators to extend to a basis
     (all Smith invariant factors 1).  Completeness pairs every ridge
@@ -312,9 +314,6 @@ def validate(fan) -> FanReport:
     vectors land in exactly one cone each.  Projectivity is the
     support-function LP, attempted only on complete fans.
     """
-    simplicial = all(
-        matrix_rank([fan.rays[i] for i in c]) == len(c) for c in fan.max_cones
-    )
     smooth = True
     for c in fan.max_cones:
         factors = smith_normal_form(
@@ -326,7 +325,7 @@ def validate(fan) -> FanReport:
     complete = _is_complete(fan)
     projective = _is_projective(fan) if complete else False
     return FanReport(
-        simplicial=simplicial,
+        simplicial=True,  # Fan.__init__ rejects a cone with dependent rays
         smooth=smooth,
         complete=complete,
         projective=projective,

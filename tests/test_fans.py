@@ -200,6 +200,12 @@ class TestValidate:
         rep = validate(f)
         assert rep.simplicial and rep.smooth and rep.complete and rep.projective
 
+    def test_product_of_blowups_projective(self):
+        # 324 wall rows, only 6 of them distinct
+        bl4_1 = blowup_pn_along_linear(4, 1)
+        rep = validate(product_fan(bl4_1, bl4_1))
+        assert rep.simplicial and rep.smooth and rep.complete and rep.projective
+
     def test_product_with_incomplete_factor(self):
         half = Fan(1, [(1,)], [(0,)])
         rep = validate(product_fan(half, p1()))
