@@ -1,16 +1,14 @@
 """Exact linear programming and Gaussian elimination.
 
-A dense two-phase tableau simplex over the integers.  The tableau is
-fraction-free: each row holds the rational tableau row times one common
-positive scale d, the absolute value of the current basis determinant,
-so every entry is a minor of the input and the Bareiss update
-(p*x - f*y) // d divides exactly (Bareiss 1968; lrs, Avis 2000).
-Entries that share the scale d compare as their rational values do, so
-the pivots are those of the rational tableau, and Fraction appears only
-where a solution is read off.  Pivoting is Dantzig's rule with an
-automatic switch to Bland's rule after enough iterations, which keeps
-runs fast in practice and terminating in theory.  Scale here is tiny
-(dozens of rows), exactness is the whole point.
+A dense two-phase tableau simplex on a fraction-free integer tableau:
+each row is the rational row times one positive scale d, the absolute
+value of the basis determinant, so the Bareiss update (p*x - f*y) // d
+is exact (Bareiss 1968; lrs, Avis 2000).  Entries on one scale compare
+as the rational ones do, so the pivots are those of the rational
+tableau; Fraction appears only where a solution is read off.  Pivoting
+is Dantzig's rule with an automatic switch to Bland's rule after enough
+iterations, which keeps runs fast in practice and terminating in theory.
+Scale here is tiny (dozens of rows), exactness is the whole point.
 """
 
 from __future__ import annotations
@@ -28,13 +26,9 @@ class PivotLimit(RuntimeError):
 
 
 def _pivot(tab, cost, d, leave, enter):
-    """Fraction-free (Bareiss) pivot on tab[leave][enter], cost row too.
+    """Bareiss pivot on tab[leave][enter] and the cost row, in place.
 
-    Rows come in on the scale d and leave on the scale |p| of the pivot
-    entry p: each entry becomes (p*x - f*y) // d, an exact division
-    because every entry is a minor of the input.  A negative pivot
-    negates the whole tableau, which keeps the scale positive.  Returns
-    the new scale.
+    Returns the new scale |p|; a negative pivot p negates the tableau.
     """
     prow = tab[leave]
     p = prow[enter]
@@ -52,13 +46,12 @@ def _pivot(tab, cost, d, leave, enter):
 
 
 def _simplex_core(tab, basis, cost, d):
-    """Minimize over the fraction-free tableau in place.
+    """Minimize over the integer tableau in place.
 
-    tab: m integer rows of length n+1 (last entry the rhs) on the
-    positive scale d, basis columns d times the identity.  cost: length
-    n+1 reduced-cost row on a positive multiple of d (last entry the
-    negated objective).  Returns (status, d) with status "optimal" or
-    "unbounded" and d the final scale.
+    tab: m rows of length n+1 (last entry the rhs) on the scale d, basis
+    columns d times identity.  cost: length n+1 reduced-cost row on a
+    positive multiple of d (last entry -objective).  Returns (status, d),
+    status "optimal" or "unbounded", d the final scale.
     """
     m = len(tab)
     n = len(cost) - 1
@@ -82,18 +75,18 @@ def _simplex_core(tab, basis, cost, d):
                     break
         if enter is None:
             return ("optimal", d)
-        # ratio test: rhs_i / a_i < rhs_l / a_l by cross-multiplication
         leave = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
                 if leave is None:
-                    leave, num, den = i, tab[i][-1], a
+                    leave = i
                     continue
-                lhs = tab[i][-1] * den
-                rhs = num * a
+                # ratio test by cross-multiplication
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, tab[i][-1], a
+                    leave = i
         if leave is None:
             return ("unbounded", d)
         d = _pivot(tab, cost, d, leave, enter)
@@ -113,18 +106,12 @@ def solve_nonneg(a_rows, b, c=None):
         list(row) + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs]
         for row, rhs in zip(a_rows, b)
     ]
-    # The start is d times the rational tableau [A | I | b]: with s_i
-    # the lcm of row i's denominators, diag(s) is an integral basis of
-    # determinant d = prod(s_i).
+    # phase 1: artificial basis.  The start is d times [A | I | b], d
+    # the determinant of the integral basis diag(lcm of row denominators).
     d = prod(lcm(*(x.denominator for x in row)) for row in rows)
-
-    # phase 1: artificial basis
-    tab = [
-        [int(x * d) for x in row[:n]]
-        + [d if k == i else 0 for k in range(m)]
-        + [int(row[-1] * d)]
-        for i, row in enumerate(rows)
-    ]
+    tab = [[int(x * d) for x in row] for row in rows]
+    for i, row in enumerate(tab):
+        row[n:n] = [d * (k == i) for k in range(m)]
     basis = [n + i for i in range(m)]
     cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
     cost.append(-sum(row[-1] for row in tab))
@@ -141,8 +128,7 @@ def solve_nonneg(a_rows, b, c=None):
             d = _pivot(tab, cost, d, i, piv)
             basis[i] = piv
 
-    # phase 2: the cost row is d times the reduced costs of obj cleared
-    # to integers
+    # phase 2, with the cost row on d times the obj cleared to integers
     tab = [row[:n] + [row[-1]] for row in tab]
     obj = [Fraction(x) for x in c] if c is not None else [_ZERO] * n
     scaled = _clear_denominators(obj)

@@ -159,7 +159,8 @@ def sympy_min(a, b, c):
     x0 = [Fraction(str(v)) for v in point]
     assert [sum(r * v for r, v in zip(row, x0)) for row in a] == b
     n = len(c)
-    moves = [[-int(j == i) for j in range(n)] + [int(j == i) for j in range(n)] for i in range(n)]
+    unit = [[int(j == i) for j in range(n)] for i in range(n)]
+    moves = [[-v for v in e] + e for e in unit]
     moves += [row + [-v for v in row] for row in a]
     moves += [[-v for v in row] + row for row in a]
     try:
@@ -197,8 +198,9 @@ def test_simplex_max_matches_sympy(lp, n_ub):
     expected, best = sympy_min(std, b_ub + b_eq, [-v for v in c] + c + [0] * k)
     assert (status, value) == (expected, None if best is None else -best)
     if status == "optimal":
-        assert all(sum(r * v for r, v in zip(row, x)) <= bb for row, bb in zip(a_ub, b_ub))
-        assert all(sum(r * v for r, v in zip(row, x)) == bb for row, bb in zip(a_eq, b_eq))
+        ax = [sum(r * v for r, v in zip(row, x)) for row in a]
+        assert all(lhs <= bb for lhs, bb in zip(ax[:n_ub], b_ub))
+        assert ax[n_ub:] == b_eq
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,9 @@ def test_no_fraction_in_the_simplex_inner_loop():
         )
 
     found = [
-        (f.name, node.lineno) for f in functions for node in ast.walk(f) if is_fraction(node)
+        (f.name, node.lineno)
+        for f in functions
+        for node in ast.walk(f)
+        if is_fraction(node)
     ]
     assert found == []
