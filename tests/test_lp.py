@@ -115,7 +115,6 @@ def test_in_cone_agrees_with_exhaustive_caratheodory(gens, target):
     assert in_cone(gens, target) == by_subsets()
 
 
-
 # ---------------------------------------------------------------------------
 # differential oracle: sympy's simplex, which shares no code with toricgit.lp
 
