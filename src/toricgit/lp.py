@@ -130,7 +130,7 @@ def solve_nonneg(a_rows, b, c=None):
 
     # phase 2, with the cost row on d times the obj cleared to integers
     tab = [row[:n] + [row[-1]] for row in tab]
-    obj = c if c is not None else [0] * n
+    obj = list(c) if c is not None else [0] * n
     scaled = _clear_denominators(obj)
     cost = [d * v for v in scaled] + [0]
     for i in range(m):
