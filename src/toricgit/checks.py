@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import gcd
 
 from .cox import _acts_freely, degree_map, irrelevant_ideal, zero_locus_codim
 from .fans import (
@@ -28,8 +29,8 @@ from .fans import (
     star_subdivision,
     validate,
 )
-from .linalg import _clear_denominators, matrix_rank
-from .lp import rational_solve
+from .linalg import _dot, matrix_rank
+from .lp import scaled_inverse
 from .vgit import (
     MAX_CHAMBER_RANK,
     MAX_CHAMBER_RAYS,
@@ -156,9 +157,10 @@ def check_rank_one_unstable_origin(fan) -> CheckResult:
 def _divisor_with_class_multiple(dm, chi):
     """Integer divisor whose class is a positive multiple of chi.
 
-    Picks a spanning subset of degree vectors, solves for rational
-    coefficients there, and clears denominators; all other rays get
-    coefficient zero.
+    Picks a spanning subset of degree vectors and solves for the
+    coefficients there: with (inv, d) their scaled inverse, v = inv . chi
+    is d times the solution and v / gcd(d, v) clears its denominators.
+    All other rays get coefficient zero.
     """
     r = dm.cl_free_rank
     rows, idx = [], []
@@ -168,13 +170,14 @@ def _divisor_with_class_multiple(dm, chi):
             idx.append(j)
             if len(rows) == r:
                 break
-    system = [[rows[j][i] for j in range(r)] for i in range(r)]
-    solution = rational_solve(system, list(chi))
-    if solution is None:
+    if len(rows) < r:
         raise AssertionError("degree vectors span the class lattice")
+    inv, d = scaled_inverse(list(zip(*rows)))
+    v = [_dot(row, chi) for row in inv]
+    g = gcd(d, *v)
     coeffs = [0] * dm.n_rays
-    for j, c in zip(idx, _clear_denominators(solution)):
-        coeffs[j] = c
+    for j, c in zip(idx, v):
+        coeffs[j] = c // g
     return TorusInvariantDivisor(tuple(coeffs))
 
 
@@ -267,6 +270,8 @@ def check_bundle_unstable_locus(base, divisors, m_max=8) -> CheckResult:
     twisted section counts match the direct-image sums for d <= 2.
     The witness records the minimal working m.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
     _require_projective(base)
     k = len(divisors)
     if k < 3:

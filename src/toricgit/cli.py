@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .checks import (
     check_bundle_unstable_locus,
@@ -99,16 +100,7 @@ def _emit(data, as_json):
 
 
 def _cmd_validate(args):
-    report = validate(_load_fan(args.fan))
-    _emit(
-        {
-            "simplicial": report.simplicial,
-            "smooth": report.smooth,
-            "complete": report.complete,
-            "projective": report.projective,
-        },
-        args.json,
-    )
+    _emit(asdict(validate(_load_fan(args.fan))), args.json)
     return 0
 
 
@@ -125,12 +117,7 @@ def _cmd_analyze(args):
     ideal = irrelevant_ideal(fan)
     codim = zero_locus_codim(ideal)
     out = {
-        "validation": {
-            "simplicial": report.simplicial,
-            "smooth": report.smooth,
-            "complete": report.complete,
-            "projective": report.projective,
-        },
+        "validation": asdict(report),
         "dim": fan.dim,
         "n_rays": fan.n_rays,
         "irrelevant_ideal_generators": [list(s) for s in ideal.generator_supports],

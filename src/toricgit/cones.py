@@ -11,11 +11,9 @@ containment, intersection and equality reduce to integer dot products.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import matrix_rank, primitive, saturated_row_basis
-from .linalg import _clear_denominators, _dot
-from .lp import nonneg_combination, rational_solve
+from .linalg import _dot
+from .lp import nonneg_combination, scaled_inverse
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24
@@ -45,21 +43,22 @@ def _prune_rays(rays, lin):
     return kept
 
 
-def _reduce_mod_lineality(r, lin):
-    """Orthogonal projection of r off span(lin), cleared to a primitive
-    integer vector; None if r lies in the span."""
-    if not lin:
-        return primitive(r) if any(r) else None
-    gram = [[_dot(a, b) for b in lin] for a in lin]
-    rhs = [_dot(a, r) for a in lin]
-    coeffs = rational_solve(gram, rhs)
-    proj = [
-        Fraction(x) - sum(c * Fraction(l[i]) for c, l in zip(coeffs, lin))
-        for i, x in enumerate(r)
-    ]
-    if all(p == 0 for p in proj):
-        return None
-    return primitive(_clear_denominators(proj))
+def _reduce_mod_lineality(rays, lin):
+    """The rays projected orthogonally off span(lin) and made primitive:
+    sorted, distinct and nonzero.  With (inv, d) the scaled inverse of
+    the Gram matrix of lin, d times the projection of r is
+    d*r - sum_k (inv . lin . r)_k lin_k."""
+    inv, d = scaled_inverse([[_dot(a, b) for b in lin] for a in lin])
+    out = set()
+    for r in rays:
+        lr = [_dot(a, r) for a in lin]
+        proj = [d * x for x in r]
+        for row, l in zip(inv, lin):
+            c = _dot(row, lr)
+            proj = [p - c * y for p, y in zip(proj, l)]
+        if any(proj):
+            out.add(primitive(proj))
+    return sorted(out)
 
 
 def duals_from_inequalities(dim, normals):
@@ -108,14 +107,7 @@ def duals_from_inequalities(dim, normals):
             rays = _prune_rays(rays, lin)
     rays = _prune_rays(rays, lin)
     lin_basis = saturated_row_basis(lin, dim)
-    reduced = sorted(
-        set(
-            p
-            for p in (_reduce_mod_lineality(r, lin_basis) for r in rays)
-            if p is not None
-        )
-    )
-    return lin_basis, tuple(reduced)
+    return lin_basis, tuple(_reduce_mod_lineality(rays, lin_basis))
 
 
 class RationalCone:

@@ -11,15 +11,14 @@ that any two cones meet in a common face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
 from .cones import cone_from_generators, cones_equal
 from .linalg import IntMatrix, matrix_rank, primitive, smith_normal_form
-from .linalg import _clear_denominators, _dot
-from .lp import max_strict_slack, rational_solve
+from .linalg import _dot
+from .lp import max_strict_slack, scaled_inverse
 
 
 class FanError(ValueError):
@@ -211,18 +210,15 @@ def divisor_from_json(data, fan):
 # validation
 
 
-def _simplicial_facet_normals(rays, dim):
+def _simplicial_facet_normals(rays):
     """Inward facet normals of a full-dimensional simplicial cone.
 
-    Normal i vanishes on every generator but the i-th, where it is
-    positive, so a vector is interior iff all dots are positive.
+    Normal i, the primitive i-th column of the scaled inverse, vanishes
+    on every generator but the i-th, where it is positive, so a vector
+    is interior iff all dots are positive.
     """
-    normals = []
-    system = [list(r) for r in rays]
-    for i in range(dim):
-        rhs = [1 if j == i else 0 for j in range(dim)]
-        normals.append(primitive(_clear_denominators(rational_solve(system, rhs))))
-    return normals
+    inv, _ = scaled_inverse(rays)
+    return [primitive(col) for col in zip(*inv)]
 
 
 def _ridges(fan):
@@ -250,7 +246,7 @@ def _is_complete(fan):
     cone_normals = {}
     bound = 1
     for c in fan.max_cones:
-        ns = _simplicial_facet_normals(fan.cone_rays(c), d)
+        ns = _simplicial_facet_normals(fan.cone_rays(c))
         cone_normals[c] = ns
         for n in ns:
             bound = max(bound, sum(abs(x) for x in n))
@@ -288,23 +284,22 @@ def _is_projective(fan):
     the extension must exceed the h of the opposite ray by a common
     positive slack.  Projective iff the maximal slack is positive.
     """
-    d = fan.dim
     rows = []
     for cone, _ridge, opp in _walls(fan):
-        system = [[fan.rays[j][i] for j in cone] for i in range(d)]
-        coords = rational_solve(system, fan.rays[opp])
-        row = [Fraction(0)] * fan.n_rays
-        for j, idx in enumerate(cone):
-            row[idx] += coords[j]
-        row[opp] -= 1
-        rows.append(_clear_denominators(row))
+        # d times the coordinates of the opposite ray in the cone's basis
+        inv, d = scaled_inverse(fan.cone_rays(cone))
+        row = [0] * fan.n_rays
+        for idx, col in zip(cone, zip(*inv)):
+            row[idx] = _dot(fan.rays[opp], col)
+        row[opp] = -d
+        rows.append(primitive(row))
     # Walls repeat the same row many times (bl4_1 x bl4_1: 324 rows, 6
     # distinct); repeats leave the feasible region, and so t > 0, alone.
     t, _ = max_strict_slack(list(dict.fromkeys(rows)))
     return t > 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def validate(fan) -> FanReport:
     """Recompute the smooth, complete and projective flags from scratch.
 

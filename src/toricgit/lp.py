@@ -1,4 +1,4 @@
-"""Exact linear programming and Gaussian elimination.
+"""Exact linear programming and integer matrix inversion.
 
 A dense two-phase tableau simplex on a fraction-free integer tableau:
 each row is the rational row times one positive scale d, the absolute
@@ -8,7 +8,9 @@ as the rational ones do, so the pivots are those of the rational
 tableau; Fraction appears only where a solution is read off.  Pivoting
 is Dantzig's rule with an automatic switch to Bland's rule after enough
 iterations, which keeps runs fast in practice and terminating in theory.
-Scale here is tiny (dozens of rows), exactness is the whole point.
+Exact solves use scaled_inverse, Gauss-Jordan through the same _pivot,
+so there is no second elimination engine.  Scale here is tiny (dozens
+of rows), exactness is the whole point.
 """
 
 from __future__ import annotations
@@ -211,36 +213,20 @@ def in_cone(vectors, target):
     return nonneg_combination(vectors, target) is not None
 
 
-def rational_solve(rows, rhs):
-    """Solve rows.x == rhs exactly; None if inconsistent.
+def scaled_inverse(rows):
+    """(inv, d) with rows . inv == d * I and d = |det(rows)| > 0.
 
-    Gaussian elimination over Fraction.  When the solution space is
-    positive-dimensional the free variables are set to zero, so the
-    answer is a particular solution.
+    Gauss-Jordan on the integer matrix [rows | I] through _pivot, so the
+    left block ends as d * I and the right block is inv.  Raises
+    ValueError on a singular matrix.
     """
-    m = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    n = len(rows[0]) if m else 0
-    piv_cols = []
-    r = 0
+    n = len(rows)
+    tab = [list(row) + [int(k == i) for k in range(n)] for i, row in enumerate(rows)]
+    d = 1
     for j in range(n):
-        p = next((i for i in range(r, m) if a[i][j] != 0), None)
+        p = next((i for i in range(j, n) if tab[i][j]), None)
         if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][j] for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][j] != 0:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(j)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][-1] != 0:
-            return None
-    x = [_ZERO] * n
-    for i, j in enumerate(piv_cols):
-        x[j] = a[i][-1]
-    return x
+            raise ValueError("singular matrix has no scaled inverse")
+        tab[j], tab[p] = tab[p], tab[j]
+        d = _pivot(tab, [0] * n, d, j, j)
+    return [row[n:] for row in tab], d

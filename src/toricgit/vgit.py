@@ -61,7 +61,7 @@ def _check_character(dm, chi):
     return chi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _degree_classes(dm):
     """Rays grouped by their free degree vector, deterministic order."""
     groups = {}
@@ -107,7 +107,7 @@ def _mask_support(classes, mask):
     return tuple(sorted(idx))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def unstable_supports(dm, chi) -> ChamberSignature:
     """Maximal supports S with chi outside cone(deg over S).
 
@@ -142,12 +142,12 @@ def unstable_codim(dm, chi) -> int:
     return dm.n_rays - sig.max_facet_size()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def effective_cone(dm):
     return cone_from_generators(dm.cl_free_rank, dm.degrees_free)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def moving_cone(dm):
     """Intersection over each variable of the cone omitting its degree.
 
@@ -167,7 +167,7 @@ def moving_cone(dm):
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def nef_cone(fan, dm):
     """Intersection over maximal cones of cone(degrees off the cone).
 
@@ -255,7 +255,7 @@ def enumerate_chambers(dm):
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _crossing_normals(dm):
     """Arrangement normals whose hyperplane meets the interior of
     the effective cone.  Only these can separate chambers; the rest
@@ -269,7 +269,7 @@ def _crossing_normals(dm):
     return tuple(crossing)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _enumerate_cells(dm):
     """All strictly feasible sign vectors over the wall arrangement.
 

@@ -311,6 +311,19 @@ class TestCheck:
         assert code == 0
         assert "PASS bundle-unstable-locus" in out
 
+    @pytest.mark.parametrize("m_max", ["0", "-3"])
+    def test_bundle_check_without_a_scaling_is_an_error(
+        self, p2_file, write, capsys, m_max
+    ):
+        # Trying no scaling at all decides nothing, so it must not exit 1.
+        zero = write({"coefficients": [0, 0, 0]}, "zero.json")
+        code, out, err = run(
+            ["check", "bundle", p2_file, zero, zero, zero, "--m-max", m_max], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "m_max" in err
+
     def test_product_check_via_files(self, p2_file, capsys):
         code, out, _ = run(["check", "product", p2_file, p2_file], capsys)
         assert code == 0

@@ -11,6 +11,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import rational_solve
 from toricgit.cones import (
     RationalCone,
     cone_from_generators,
@@ -18,7 +19,7 @@ from toricgit.cones import (
     cones_equal,
     full_space,
 )
-from toricgit.lp import in_cone, rational_solve
+from toricgit.lp import in_cone
 
 
 def ray_sum(cone):

@@ -3,12 +3,14 @@
 The Smith form is cross-checked against the determinant-divisor
 characterization (k-th divisor = gcd of all k x k minors, computed here
 by brute force with cofactor determinants, independently of the library
-code under test).
+code under test) on tiny matrices, and against sympy's invariant factors
+up to 6 x 8.
 """
 
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricgit.linalg import (
@@ -82,6 +84,18 @@ tiny_matrices = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
+# the largest shapes the sympy oracle below is asked about
+sympy_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda nr: st.integers(min_value=1, max_value=8).flatmap(
+        lambda nc: st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=nc, max_size=nc),
+            min_size=nr,
+            max_size=nr,
+        )
+    )
+)
+
+
 def test_primitive():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((0, 0)) == (0, 0)
@@ -108,6 +122,18 @@ def test_snf_frozen_rectangular_example():
 def test_snf_matches_minor_gcd_oracle(entries):
     snf = smith_normal_form(IntMatrix.from_rows(entries))
     assert snf.invariant_factors() == invariant_factors_by_minor_gcd(entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sympy_matrices)
+def test_snf_matches_sympy_invariant_factors(entries):
+    # sympy's Smith form shares no code with toricgit.linalg and, unlike
+    # the minor-gcd oracle, stays cheap up to 6 x 8.
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    expected = normalforms.invariant_factors(sympy.Matrix(entries), domain=sympy.ZZ)
+    snf = smith_normal_form(IntMatrix.from_rows(entries))
+    assert snf.invariant_factors() == tuple(int(f) for f in expected)
 
 
 @settings(max_examples=150)

@@ -1,4 +1,5 @@
-"""Source-level rules: no dead public names, no bare asserts.
+"""Source-level rules: no dead public names, no bare asserts, no
+unbounded caches.
 
 The public surface follows the rule the benchmark tracer wraps by: every
 name without a leading underscore that a layer module defines, and every
@@ -88,14 +89,14 @@ def test_no_assert_statements_in_src():
 
 
 def test_no_fraction_in_the_simplex_inner_loop():
-    # The simplex pivots on an integer tableau; Fraction appears only
-    # where solve_nonneg reads off a solution.  A name that is Fraction
-    # itself or a module-level Fraction constant (such as lp._ZERO)
-    # counts as a use.
+    # The simplex and the scaled inverse pivot on integer tableaux;
+    # Fraction appears only where solve_nonneg reads off a solution.  A
+    # name that is Fraction itself or a module-level Fraction constant
+    # (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
     lp = importlib.import_module("toricgit.lp")
-    inner = {"_simplex_core", "_pivot"}
+    inner = {"_simplex_core", "_pivot", "scaled_inverse"}
     functions = [
         node
         for node in src_trees()["lp.py"].body
@@ -115,5 +116,32 @@ def test_no_fraction_in_the_simplex_inner_loop():
         for f in functions
         for node in ast.walk(f)
         if is_fraction(node)
+    ]
+    assert found == []
+
+
+def test_every_cache_is_bounded():
+    # functools.cache and lru_cache(maxsize=None) grow without bound in a
+    # long-running process.
+    def named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        )
+
+    def unbounded(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "functools" and any(a.name == "cache" for a in node.names)
+        if isinstance(node, ast.Attribute):
+            return named(node.value, "functools") and node.attr == "cache"
+        if isinstance(node, ast.Call) and named(node.func, "lru_cache"):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+        return False
+
+    found = [
+        (name, node.lineno)
+        for name, tree in src_trees().items()
+        for node in ast.walk(tree)
+        if unbounded(node)
     ]
     assert found == []
