@@ -272,8 +272,6 @@ def _run_named_check(args):
     if name == "rank-one":
         return [check_rank_one_unstable_origin(_load_fan(files[0]))]
     if name == "product":
-        if len(files) != 2:
-            raise ValueError("check product takes two fan files")
         return [check_product_unstable_locus(_load_fan(files[0]), _load_fan(files[1]))]
     if name == "bundle":
         if len(files) < 4:
@@ -292,9 +290,17 @@ def _run_named_check(args):
     raise ValueError(f"unknown check {name!r}")
 
 
+# fan files per check, 1 unless listed; bundle checks its variable count itself
+_CHECK_FILES = {"all": 0, "moving-vs-nef": 0, "product": 2}
+
+
 def _cmd_check(args):
-    if args.name not in {"all", "moving-vs-nef"} and not args.args:
+    want, got = _CHECK_FILES.get(args.name, 1), len(args.args)
+    if want and not got:
         raise ValueError(f"check {args.name} needs input files")
+    if args.name != "bundle" and got != want:
+        files = ("no fan files", "1 fan file", "2 fan files")[want]
+        raise ValueError(f"check {args.name} takes {files}, got {got}")
     results = _run_named_check(args)
     if args.json:
         _emit([r.as_json() for r in results], True)

@@ -6,6 +6,9 @@ constructor is strict: primitive distinct rays, linearly independent
 cone generators, maximal cones forming an antichain, and (unless built
 by an internal constructor that guarantees it) the geometric fan axiom
 that any two cones meet in a common face.
+One wall pass proves the axiom for a complete fan (every ridge joins
+two cones on opposite sides, one generic probe lies in one cone); any
+other input falls back to intersecting every pair of maximal cones.
 """
 
 from __future__ import annotations
@@ -137,7 +140,14 @@ def _subset_cone(fan, idx):
 
 
 def _check_fan_axiom(fan):
-    """Geometric fan condition: cones meet in common faces."""
+    """Geometric fan condition: cones meet in common faces.
+
+    The wall certificate proves it for a complete fan.  Anything else
+    (an incomplete fan, or invalid input) intersects every pair of
+    maximal cones by double description.
+    """
+    if _wall_certificate(fan, _cone_inverses(fan)):
+        return
     for a, b in combinations(fan.max_cones, 2):
         common = tuple(sorted(set(a) & set(b)))
         inter = _subset_cone(fan, a).intersect(_subset_cone(fan, b))
@@ -210,15 +220,11 @@ def divisor_from_json(data, fan):
 # validation
 
 
-def _simplicial_facet_normals(rays):
-    """Inward facet normals of a full-dimensional simplicial cone.
-
-    Normal i, the primitive i-th column of the scaled inverse, vanishes
-    on every generator but the i-th, where it is positive, so a vector
-    is interior iff all dots are positive.
-    """
-    inv, _ = scaled_inverse(rays)
-    return [primitive(col) for col in zip(*inv)]
+def _cone_inverses(fan):
+    """(inv, d) of each full-dimensional maximal cone: column i of inv is
+    the inward normal of the facet opposite ray i, d the cone's index."""
+    cones = [c for c in fan.max_cones if len(c) == fan.dim]
+    return {c: scaled_inverse(fan.cone_rays(c)) for c in cones}
 
 
 def _ridges(fan):
@@ -232,52 +238,34 @@ def _ridges(fan):
     return by_ridge
 
 
-def _is_complete(fan):
-    d = fan.dim
-    if matrix_rank(fan.rays) != d:
+def _wall_certificate(fan, inverses):
+    """Pseudomanifold certificate that the cones form a complete fan.
+
+    Every maximal cone is full-dimensional, every ridge lies in exactly
+    two, on opposite sides of it, and one generic probe lies in exactly
+    one cone (De Loera, Rambau and Santos, Triangulations, 2010, ch. 4).
+    It proves the fan axiom too; False proves nothing.
+    """
+    if len(inverses) != len(fan.max_cones):
         return False
-    if any(len(c) != d for c in fan.max_cones):
-        return False
-    if any(len(sides) != 2 for sides in _ridges(fan).values()):
-        return False
-    # Deterministic generic probes: with q larger than any facet-normal
-    # entry sum, (s_1, s_2 q, ..., s_d q^{d-1}) lies on no cone boundary,
-    # so each probe must land in exactly one maximal cone.
-    cone_normals = {}
-    bound = 1
-    for c in fan.max_cones:
-        ns = _simplicial_facet_normals(fan.cone_rays(c))
-        cone_normals[c] = ns
-        for n in ns:
-            bound = max(bound, sum(abs(x) for x in n))
-    q = bound + 1
-    powers = [q**i for i in range(d)]
-    for mask in range(2**d):
-        w = tuple((1 if (mask >> i) & 1 else -1) * powers[i] for i in range(d))
-        hits = sum(
-            1
-            for c in fan.max_cones
-            if all(_dot(n, w) > 0 for n in cone_normals[c])
-        )
-        if hits != 1:
+    normals = {
+        c: [primitive(n) for n in zip(*inv)] for c, (inv, _) in inverses.items()
+    }
+    for sides in _ridges(fan).values():
+        if len(sides) != 2:
             return False
-    return True
+        (c1, r1), (_, r2) = sides
+        if _dot(normals[c1][c1.index(r1)], fan.rays[r2]) >= 0:
+            return False
+    # With q above every normal's entry sum, w = (1, q, ..., q^(d-1))
+    # lies on no facet hyperplane, so it is interior to each cone it hits.
+    q = 1 + max(sum(abs(x) for x in n) for ns in normals.values() for n in ns)
+    w = [q**i for i in range(fan.dim)]
+    return sum(all(_dot(n, w) > 0 for n in ns) for ns in normals.values()) == 1
 
 
-def _walls(fan):
-    """One (cone, ridge, opposite ray of the neighbor) triple per wall."""
-    by_ridge = _ridges(fan)
-    walls = []
-    for ridge in sorted(by_ridge):
-        sides = by_ridge[ridge]
-        if len(sides) == 2:
-            (c1, _), (_, r2) = sides
-            walls.append((c1, ridge, r2))
-    return walls
-
-
-def _is_projective(fan):
-    """Strictly convex support function LP.
+def _is_projective(fan, inverses):
+    """Strictly convex support function LP on a complete fan.
 
     One unknown h per ray; on each maximal cone the linear extension is
     determined by the h values of its generators, and across each wall
@@ -285,9 +273,9 @@ def _is_projective(fan):
     positive slack.  Projective iff the maximal slack is positive.
     """
     rows = []
-    for cone, _ridge, opp in _walls(fan):
+    for _ridge, ((cone, _), (_, opp)) in sorted(_ridges(fan).items()):
         # d times the coordinates of the opposite ray in the cone's basis
-        inv, d = scaled_inverse(fan.cone_rays(cone))
+        inv, d = inverses[cone]
         row = [0] * fan.n_rays
         for idx, col in zip(cone, zip(*inv)):
             row[idx] = _dot(fan.rays[opp], col)
@@ -303,27 +291,28 @@ def _is_projective(fan):
 def validate(fan) -> FanReport:
     """Recompute the smooth, complete and projective flags from scratch.
 
-    Smoothness asks each maximal cone's generators to extend to a basis
-    (all Smith invariant factors 1).  Completeness pairs every ridge
-    with exactly two maximal cones and then checks deterministic probe
-    vectors land in exactly one cone each.  Projectivity is the
-    support-function LP, attempted only on complete fans.
+    All three flags read one scaled inverse per full-dimensional cone.
+    Such a cone is smooth iff its |det| is 1; a lower-dimensional one
+    iff its Smith invariant factors are all 1.  Complete is the wall
+    certificate, which on a valid fan is exactly completeness.
+    Projectivity is the support-function LP over the same walls,
+    attempted only on complete fans.
     """
-    smooth = True
-    for c in fan.max_cones:
-        factors = smith_normal_form(
-            IntMatrix.from_rows([fan.rays[i] for i in c])
-        ).invariant_factors()
-        if any(f != 1 for f in factors):
-            smooth = False
-            break
-    complete = _is_complete(fan)
-    projective = _is_projective(fan) if complete else False
+    inverses = _cone_inverses(fan)
+
+    def unimodular(c):
+        if c in inverses:
+            return inverses[c][1] == 1
+        snf = smith_normal_form(IntMatrix.from_rows(fan.cone_rays(c)))
+        return set(snf.invariant_factors()) == {1}
+
+    smooth = all(unimodular(c) for c in fan.max_cones)
+    complete = _wall_certificate(fan, inverses)
     return FanReport(
         simplicial=True,  # Fan.__init__ rejects a cone with dependent rays
         smooth=smooth,
         complete=complete,
-        projective=projective,
+        projective=complete and _is_projective(fan, inverses),
     )
 
 

@@ -268,37 +268,39 @@ def cokernel(m: IntMatrix) -> CokernelData:
     )
 
 
+def _bareiss(rows):
+    """Fraction-free (Bareiss 1968) row echelon: (rank, sign, pivot) with
+    sign * pivot the determinant of a square nonsingular input.  Every
+    entry stays a minor of the input, so each division is exact."""
+    a = [list(r) for r in rows]
+    rank, sign, prev = 0, 1, 1
+    for k in range(len(a[0]) if a else 0):
+        p = next((i for i in range(rank, len(a)) if a[i][k]), None)
+        if p is None:
+            continue
+        if p != rank:
+            a[rank], a[p] = a[p], a[rank]
+            sign = -sign
+        piv = a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][k]
+            a[i] = [(x * piv[k] - f * y) // prev for x, y in zip(a[i], piv)]
+        prev = piv[k]
+        rank += 1
+    return rank, sign, prev
+
+
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = m.rows
-    if n != m.cols:
+    if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, sign, pivot = _bareiss(m.entries)
+    return sign * pivot if rank == m.rows else 0
 
 
 def matrix_rank(rows) -> int:
     """Rank over Q of a list of integer row vectors."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return smith_normal_form(IntMatrix.from_rows(rows)).rank()
+    return _bareiss(rows)[0]
 
 
 def row_hnf(rows):

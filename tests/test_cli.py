@@ -333,6 +333,24 @@ class TestCheck:
         assert code == 2
         assert "needs input files" in err
 
+    @pytest.mark.parametrize(
+        "name, n_files, count",
+        [
+            ("two-neighborly", 2, "1 fan file, got 2"),
+            ("quotient-properties", 3, "1 fan file, got 3"),
+            ("product", 3, "2 fan files, got 3"),
+            ("product", 1, "2 fan files, got 1"),
+            ("all", 1, "no fan files, got 1"),
+            ("moving-vs-nef", 1, "no fan files, got 1"),
+        ],
+    )
+    def test_file_count_must_match(self, p2_file, capsys, name, n_files, count):
+        # a surplus file must not be dropped silently with a PASS
+        code, out, err = run(["check", name] + [p2_file] * n_files, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: check {name} takes {count}\n"
+
     def test_unknown_name_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "no-such-check"])

@@ -7,11 +7,14 @@ the classical families.
 
 from fractions import Fraction
 from itertools import product as iproduct
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from toricgit import fans
+from toricgit.checks import PRODUCT_PAIRS, builtin_corpus
 from toricgit.fans import (
     Fan,
     FanError,
@@ -30,6 +33,7 @@ from toricgit.fans import (
     star_subdivision,
     validate,
 )
+from toricgit.linalg import primitive
 from toricgit.lp import simplex_max
 
 
@@ -117,6 +121,18 @@ class TestFanConstructor:
         # by index is just e1, so the overlap violates the fan axiom
         with pytest.raises(FanError, match="overlap"):
             Fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
+
+    def test_rejects_double_cover(self):
+        # A pentagram: every ridge joins two cones on opposite sides of
+        # it, but the cones wind twice around the origin, so the probe
+        # lies in two of them and the pairwise check names the overlap.
+        rays = [(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)]
+        cones = [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)]
+        with pytest.raises(FanError) as exc:
+            Fan(2, rays, cones)
+        assert str(exc.value) == (
+            "cones (0, 2) and (1, 3) overlap beyond their common face ()"
+        )
 
     def test_accepts_proper_subdivision(self):
         f = Fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
@@ -237,6 +253,71 @@ class TestValidate:
         # full-dimensional, but ridges pair up wrong
         f = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (2, 3)])
         assert not validate(f).complete
+
+
+# ---------------------------------------------------------------------------
+# the wall certificate against the pairwise fan-axiom check
+
+
+def complete_fans():
+    corpus = builtin_corpus()
+    by_name = dict(corpus)
+    yield from (fan for _, fan in corpus)
+    yield from (product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS)
+    power = p1()
+    for _ in range(5):
+        power = product_fan(power, p1())
+        yield power  # (P^1)^2 .. (P^1)^6
+
+
+class TestWallCertificate:
+    def test_complete_fans_never_reach_the_pairwise_check(self, monkeypatch):
+        def refuse(fan, idx):
+            raise AssertionError("complete fan reached the pairwise check")
+
+        monkeypatch.setattr(fans, "_subset_cone", refuse)
+        for fan in complete_fans():
+            assert fan_from_json(fan_to_json(fan)) == fan
+
+    def test_incomplete_fan_takes_the_pairwise_check(self, monkeypatch):
+        calls = []
+        subset_cone = fans._subset_cone
+
+        def counting(fan, idx):
+            calls.append(idx)
+            return subset_cone(fan, idx)
+
+        monkeypatch.setattr(fans, "_subset_cone", counting)
+        f = fan_from_json(
+            {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "max_cones": [[0, 1], [1, 2]]}
+        )
+        assert calls
+        assert not validate(f).complete
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_certificate_implies_pairwise_check(self, data):
+        # A perturbed corpus fan may overlap itself; whenever the
+        # certificate accepts one, the pairwise oracle must accept it too.
+        small = [f for _, f in builtin_corpus() if f.dim <= 4]
+        fan = data.draw(st.sampled_from(small))
+        rays = list(fan.rays)
+        index = st.integers(0, fan.n_rays - 1)
+        moved = st.lists(index, min_size=1, max_size=2, unique=True)
+        shift = st.lists(st.integers(-2, 2), min_size=fan.dim, max_size=fan.dim)
+        for i in data.draw(moved):
+            delta = data.draw(shift)
+            rays[i] = primitive(tuple(x + y for x, y in zip(rays[i], delta)))
+        try:
+            f = Fan(fan.dim, rays, fan.max_cones, _trusted=True)
+        except FanError:
+            assume(False)
+        accepted = fans._wall_certificate(f, fans._cone_inverses(f))
+        event(f"certificate accepts: {accepted}")
+        if accepted:
+            # the pairwise check alone: raises FanError if the cones overlap
+            with mock.patch.object(fans, "_wall_certificate", lambda *_: False):
+                fans._check_fan_axiom(f)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,24 @@ sympy_matrices = st.integers(min_value=1, max_value=6).flatmap(
 )
 
 
+@st.composite
+def rank_deficient_matrices(draw):
+    """Up to 6 x 8, some rows integer combinations of earlier rows."""
+    nc = draw(st.integers(min_value=1, max_value=8))
+    entry = st.integers(min_value=-9, max_value=9)
+    coeff = st.integers(min_value=-3, max_value=3)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=1, max_size=5)
+    )
+    for _ in range(draw(st.integers(min_value=1, max_value=6 - len(rows)))):
+        coeffs = draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(nc)])
+    return draw(st.permutations(rows))
+
+
+rank_matrices = st.one_of(sympy_matrices, rank_deficient_matrices())
+
+
 def test_primitive():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((0, 0)) == (0, 0)
@@ -237,6 +255,28 @@ def test_saturated_row_basis():
     assert saturated_row_basis([(1, 0, 0), (0, 2, 2)], 3) == ((1, 0, 0), (0, 1, 1))
     assert saturated_row_basis([], 2) == ()
     assert saturated_row_basis([(1, 0), (0, 1)], 2) == ((1, 0), (0, 1))
+
+
+def test_matrix_rank_frozen_examples():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
+    assert matrix_rank([[0, 2, 4], [0, 1, 2], [3, 0, 0]]) == 2
+    assert matrix_rank([[1, 2], [3, 4], [5, 6]]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_matrices)
+def test_matrix_rank_matches_smith_form(entries):
+    # the Smith form counts nonzero invariant factors by another route
+    snf = smith_normal_form(IntMatrix.from_rows(entries))
+    assert matrix_rank(entries) == snf.rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_matrices)
+def test_matrix_rank_matches_sympy(entries):
+    sympy = pytest.importorskip("sympy")
+    assert matrix_rank(entries) == sympy.Matrix(entries).rank()
 
 
 @settings(max_examples=100)
