@@ -235,6 +235,24 @@ class TestSections:
         assert code == 2
         assert "coefficients" in err
 
+    def test_large_nef_count_on_p8(self, write, capsys):
+        # h^0(P^8, O(40)) = C(48, 8): Brion's formula, no enumeration
+        fan = write(fan_to_json(projective_space_fan(8)), "p8.json")
+        div = write({"coefficients": [0] * 8 + [40]}, "d.json")
+        code, out, _ = run(["sections", fan, div], capsys)
+        assert code == 0
+        assert out.strip() == "377348994"
+
+    def test_enumeration_budget_exits_two(self, write, capsys):
+        # 40 on the far ray and 1 on the exceptional ray of Bl_pt P^8 is
+        # not nef, and its polytope holds about 3.8e8 points
+        fan = write(fan_to_json(blowup_pn_along_linear(8, 0)), "bl8_0.json")
+        div = write({"coefficients": [0] * 8 + [40, 1]}, "d.json")
+        code, out, err = run(["sections", fan, div], capsys)
+        assert code == 2
+        assert out == ""
+        assert "enumeration steps" in err
+
 
 class TestConstruct:
     def test_pn_round_trips(self, capsys):

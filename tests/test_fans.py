@@ -1,20 +1,25 @@
 """Fan construction, validation flags, neighborliness, section counts.
 
-Section counts are checked three ways: the recursive projection counter
-under test, an LP-boxed brute-force scan, and closed-form counts for
-the classical families.
+Section counts are checked four ways: the two engines under test
+(Brion's formula and the recursive projection counter) against each
+other, an LP-boxed brute-force scan, a Cox-ring monomial count, and
+closed-form counts for the classical families.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb, factorial, prod
 from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from oracles import cox_ring_sections
 from toricgit import fans
-from toricgit.checks import PRODUCT_PAIRS, builtin_corpus
+from toricgit.checks import PRODUCT_PAIRS, _divisor_with_class_multiple, builtin_corpus
+from toricgit.cox import degree_map
+from toricgit.vgit import nef_cone
 from toricgit.fans import (
     Fan,
     FanError,
@@ -524,6 +529,139 @@ class TestSectionCounts:
             )
         )
         assert count_sections(f, d1) == count_sections(f, d2)
+
+
+# a weighted projective plane P(1, 2, 1): complete, simplicial, not smooth
+WEIGHTED_P2 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+# P^1 x P^1 divided by Z/2: Cl = Z^2 + Z/2, since the rays span an
+# index-2 sublattice
+TORSION_QUOTIENT = Fan(
+    2, [(1, 1), (-1, 1), (-1, -1), (1, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]
+)
+
+
+class TestBrionPath:
+    """Brion's formula on nef divisors of smooth complete fans, held
+    against the Fourier-Motzkin enumeration, which handles the rest."""
+
+    def test_todd_table(self):
+        # (x / (e^x - 1)) * ((e^x - 1) / x) = 1, (e^x - 1) / x = sum x^j / (j+1)!
+        todd = [Fraction(1)]
+        for k in range(1, 9):
+            todd.append(-sum(t / factorial(k - i + 1) for i, t in enumerate(todd)))
+        assert [Fraction(n, d) for n, d in fans._TODD] == todd
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_nef_counts_match_enumeration(self, data):
+        small = [f for _, f in builtin_corpus() if f.dim <= 4]
+        fan = data.draw(st.sampled_from(small))
+        dm = degree_map(fan)
+        gens = nef_cone(fan, dm).generators
+        weights = data.draw(
+            st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens))
+        )
+        chi = tuple(
+            sum(w * g[i] for w, g in zip(weights, gens))
+            for i in range(dm.cl_free_rank)
+        )
+        div = _divisor_with_class_multiple(dm, chi)
+        brion = fans._brion_count(fans._brion_data(fan), div.coefficients)
+        assert brion is not None
+        assert brion == fans._enumerate(fan.dim, divisor_polytope(fan, div))
+
+    @pytest.mark.parametrize(
+        "n,k", [(1, 7), (2, 9), (3, 5), (4, 12), (5, 3), (6, 10), (7, 20), (8, 40)]
+    )
+    def test_projective_space_binomials(self, n, k):
+        # h^0(P^n, O(k)) = C(n+k, n); P^8 with 40H has 377,348,994 points
+        f = projective_space_fan(n)
+        with mock.patch.object(fans, "_enumerate", side_effect=AssertionError):
+            assert count_sections(f, hyperplane_multiple(f, k)) == comb(n + k, n)
+
+    @pytest.mark.parametrize(
+        "degrees", [(3,), (0, 5), (2, 1, 4), (1, 3, 0, 2), (2,) * 5]
+    )
+    def test_product_of_lines(self, degrees):
+        # h^0 of O(a_1, ..., a_k) on (P^1)^k is the product of a_i + 1
+        f = p1()
+        for _ in degrees[1:]:
+            f = product_fan(f, p1())
+        div = TorusInvariantDivisor(tuple(x for a in degrees for x in (0, a)))
+        with mock.patch.object(fans, "_enumerate", side_effect=AssertionError):
+            assert count_sections(f, div) == prod(a + 1 for a in degrees)
+
+    @pytest.mark.parametrize(
+        "fan,coeffs",
+        [
+            (blowup_pn_along_linear(2, 0), (0, 0, 0, 1)),  # E
+            (blowup_pn_along_linear(2, 0), (0, 0, 1, 3)),  # H + 3E
+            (blowup_pn_along_linear(3, 0), (0, 0, 0, 4, 1)),  # 4H + E
+            (WEIGHTED_P2, (0, 0, 3)),  # not smooth
+            (WEIGHTED_P2, (1, 2, 0)),
+            (TORSION_QUOTIENT, (2, 0, 1, 0)),
+        ],
+    )
+    def test_non_nef_or_non_smooth_enumerates(self, fan, coeffs):
+        div = TorusInvariantDivisor(coeffs)
+        with mock.patch.object(fans, "_enumerate", wraps=fans._enumerate) as walk:
+            count = count_sections(fan, div)
+        walk.assert_called_once()
+        assert count == lattice_points_by_box_scan(fan, div)
+
+    def test_enumeration_budget(self):
+        # 30H + E on Bl_pt P^3 is not nef; its polytope is 30 times the
+        # standard simplex
+        f = blowup_pn_along_linear(3, 0)
+        div = TorusInvariantDivisor((0, 0, 0, 30, 1))
+        assert count_sections(f, div) == comb(33, 3)
+        with mock.patch.object(fans, "_NODE_BUDGET", 50):
+            with pytest.raises(ValueError, match="enumeration steps"):
+                count_sections(f, div)
+
+    def test_cone_inverses_are_shared_and_read_only(self):
+        f = blowup_pn_along_linear(3, 0)
+        inverses = fans._cone_inverses(f)
+        assert fans._cone_inverses(f) is inverses
+        with pytest.raises(TypeError):
+            inverses[f.max_cones[0]] = None
+
+
+class TestCoxRingOracle:
+    """count_sections against monomials of degree [D] in the Cox ring."""
+
+    FANS = [
+        p2(),
+        blowup_pn_along_linear(2, 0),
+        product_fan(p1(), p1()),
+        projective_bundle_fan(
+            p1(), [TorusInvariantDivisor((0, 0)), TorusInvariantDivisor((0, 2))]
+        ),
+        blowup_pn_along_linear(3, 0),
+        WEIGHTED_P2,
+        TORSION_QUOTIENT,
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_count_sections(self, data):
+        fan = data.draw(st.sampled_from(self.FANS))
+        coeffs = data.draw(
+            st.lists(st.integers(-2, 4), min_size=fan.n_rays, max_size=fan.n_rays)
+        )
+        expected = cox_ring_sections(fan.rays, fan.max_cones, coeffs)
+        assert count_sections(fan, TorusInvariantDivisor(tuple(coeffs))) == expected
+
+    def test_torsion_separates_classes(self):
+        # D_0 and D_2 share their free class but differ by torsion, so
+        # x_0 is the only monomial of degree [D_0]
+        f = TORSION_QUOTIENT
+        dm = degree_map(f)
+        assert dm.torsion == (2,)
+        d0, d2 = (1, 0, 0, 0), (0, 0, 1, 0)
+        assert dm.divisor_class(d0)[0] == dm.divisor_class(d2)[0]
+        assert cox_ring_sections(f.rays, f.max_cones, d0) == 1
+        assert count_sections(f, TorusInvariantDivisor(d0)) == 1
 
 
 class TestBundleProjectionFormula:

@@ -1,5 +1,5 @@
 """Source-level rules: no dead public names, no bare asserts, no
-unbounded caches.
+unbounded caches, no floats.
 
 The public surface follows the rule the benchmark tracer wraps by: every
 name without a leading underscore that a layer module defines, and every
@@ -143,5 +143,36 @@ def test_every_cache_is_bounded():
         for name, tree in src_trees().items()
         for node in ast.walk(tree)
         if unbounded(node)
+    ]
+    assert found == []
+
+
+def test_no_floats_in_src():
+    # Every answer is exact: no float literal, no use of the name float,
+    # and none of the transcendental functions that return one.
+    banned = {"exp", "log", "sqrt"}
+
+    def floating(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, (float, complex))
+        if isinstance(node, ast.Name):
+            return node.id == "float"
+        if isinstance(node, ast.Attribute):
+            return (
+                isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr in banned
+            )
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "math" and any(
+                a.name in banned for a in node.names
+            )
+        return False
+
+    found = [
+        (name, node.lineno)
+        for name, tree in src_trees().items()
+        for node in ast.walk(tree)
+        if floating(node)
     ]
     assert found == []
