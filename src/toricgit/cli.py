@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 from .checks import (
     check_bundle_unstable_locus,
@@ -317,6 +318,7 @@ def _cmd_check(args):
     return 0 if all(r.passed for r in results) else 1
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="toricgit",

@@ -1,46 +1,25 @@
 """Rational polyhedral cones with exact dual descriptions.
 
 A cone is stored canonically as (saturated lineality basis, extremal rays
-reduced modulo the lineality space).  Duality is computed by an
-incremental halfspace intersection: each inequality either eats one
-lineality direction or splits the current ray set Fourier-Motzkin style,
-with LP-based redundancy pruning keeping the intermediate sets small.
-Both descriptions of a cone are therefore available exactly, and
-containment, intersection and equality reduce to integer dot products.
+reduced modulo the lineality space).  Duality is computed by the double
+description method: each inequality either eats one lineality direction
+or splits the current ray set Fourier-Motzkin style, combining only
+adjacent positive/negative pairs, so no redundant ray ever appears and
+no LP is needed.  Both descriptions of a cone are therefore available
+exactly, and containment, intersection and equality reduce to integer
+dot products.
 """
 
 from __future__ import annotations
 
 from .linalg import matrix_rank, primitive, saturated_row_basis
 from .linalg import _dot
-from .lp import nonneg_combination, scaled_inverse
-
-# Prune redundant rays by LP once an intermediate ray set grows past this.
-_PRUNE_THRESHOLD = 24
+from .lp import scaled_inverse
 
 
 def _combine(u, cu, v, cv):
     """Integer combination cu*u + cv*v, made primitive."""
     return primitive(tuple(cu * x + cv * y for x, y in zip(u, v)))
-
-
-def _member_with_lineality(rays, lin, v):
-    gens = list(rays) + [l for l in lin] + [tuple(-x for x in l) for l in lin]
-    return nonneg_combination(gens, v) is not None
-
-
-def _prune_rays(rays, lin):
-    """Drop rays expressible from the others (and the lineality)."""
-    kept = sorted(set(rays))
-    i = 0
-    while i < len(kept):
-        r = kept[i]
-        rest = kept[:i] + kept[i + 1 :]
-        if _member_with_lineality(rest, lin, r):
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
 
 
 def _reduce_mod_lineality(rays, lin):
@@ -69,12 +48,18 @@ def duals_from_inequalities(dim, normals):
     lineality direction pairs nontrivially with the new normal, that
     direction is consumed: it becomes a ray and everything else is
     sheared into the hyperplane.  Otherwise the standard positive/zero/
-    negative ray split applies.
+    negative ray split applies, combining a positive ray p with a
+    negative ray n only when they are adjacent: no third ray is tight on
+    every processed normal that both p and n are tight on (Motzkin et
+    al. 1953; Fukuda and Prodon 1996).  Each ray carries that tight set
+    as a bitmask over the normals processed so far.  The intermediate
+    rays are then exactly the extremal ones modulo the lineality.
     """
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    rays = []
+    rays = {}  # ray -> bitmask of the processed normals it is tight on
     todo = sorted(set(primitive(n) for n in normals if any(n)))
-    for a in todo:
+    for k, a in enumerate(todo):
+        bit = 1 << k
         l0 = next((l for l in lin if _dot(a, l) != 0), None)
         if l0 is not None:
             d0 = _dot(a, l0)
@@ -87,25 +72,19 @@ def duals_from_inequalities(dim, normals):
                 for l in lin
                 if l != l0 and l != neg_l0
             ]
-            rays = [_combine(r, d0, l0, -_dot(a, r)) for r in rays]
-            rays.append(l0)
-            rays = sorted(set(rays))
+            rays = {_combine(r, d0, l0, -_dot(a, r)): z | bit for r, z in rays.items()}
+            rays[l0] = bit - 1  # l0 was orthogonal to every earlier normal
             continue
-        pos = [r for r in rays if _dot(a, r) > 0]
-        zero = [r for r in rays if _dot(a, r) == 0]
-        neg = [r for r in rays if _dot(a, r) < 0]
-        if not neg:
-            continue
-        new = pos + zero
-        for p in pos:
-            dp = _dot(a, p)
-            for n in neg:
-                dn = _dot(a, n)
-                new.append(_combine(p, -dn, n, dp))
-        rays = sorted(set(new))
-        if len(rays) > _PRUNE_THRESHOLD:
-            rays = _prune_rays(rays, lin)
-    rays = _prune_rays(rays, lin)
+        signed = [(r, z, _dot(a, r)) for r, z in rays.items()]
+        rays = {r: z | bit if s == 0 else z for r, z, s in signed if s >= 0}
+        masks = [z for _, z, _ in signed]
+        pos = [t for t in signed if t[2] > 0]
+        neg = [t for t in signed if t[2] < 0]
+        for p, zp, dp in pos:
+            for n, zn, dn in neg:
+                common = zp & zn
+                if sum(z & common == common for z in masks) == 2:
+                    rays[_combine(p, -dn, n, dp)] = common | bit
     lin_basis = saturated_row_basis(lin, dim)
     return lin_basis, tuple(_reduce_mod_lineality(rays, lin_basis))
 

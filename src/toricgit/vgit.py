@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .cones import cone_from_generators, full_space
+from .cones import cone_from_generators, cone_from_inequalities, full_space
 from .cox import irrelevant_ideal, stanley_reisner
-from .linalg import IntMatrix, kernel_basis, matrix_rank, sign_normalized
+from .linalg import IntMatrix, kernel_basis, matrix_rank, primitive, sign_normalized
 from .linalg import _clear_denominators, _dot
-from .lp import in_cone, max_strict_slack
+from .lp import in_cone, max_strict_slack, scaled_inverse
 
 MAX_CHAMBER_RANK = 4
 MAX_CHAMBER_RAYS = 16
@@ -70,12 +70,15 @@ def _degree_classes(dm):
     return tuple((vec, tuple(idx)) for vec, idx in sorted(groups.items()))
 
 
+@lru_cache(maxsize=32)
 def _class_membership(dm, chi):
     """For every subset of degree classes: does its cone contain chi?
 
-    Masks are bit sets over the class list.  Membership is monotone
-    (larger mask, larger cone), so known-unstable supersets settle
-    smaller masks without an LP call.
+    Masks are bit sets over the class list, and the answers come back
+    as a tuple indexed by mask.  Membership is monotone (larger mask,
+    larger cone), so known-unstable supersets settle smaller masks
+    without an LP call.  The cache is small because one entry holds up
+    to 2**MAX_DEGREE_CLASSES answers.
     """
     classes = _degree_classes(dm)
     k = len(classes)
@@ -84,7 +87,7 @@ def _class_membership(dm, chi):
             f"too many distinct degree vectors ({k} > {MAX_DEGREE_CLASSES})"
         )
     vectors = [vec for vec, _ in classes]
-    member = {}
+    member = [False] * 2**k
     for mask in sorted(range(2**k), key=lambda m: -bin(m).count("1")):
         unstable_superset = any(
             not member[mask | (1 << c)]
@@ -92,11 +95,10 @@ def _class_membership(dm, chi):
             if not (mask >> c) & 1
         )
         if unstable_superset:
-            member[mask] = False
             continue
         gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
         member[mask] = in_cone(gens, chi)
-    return classes, member
+    return classes, tuple(member)
 
 
 def _mask_support(classes, mask):
@@ -171,16 +173,23 @@ def moving_cone(dm):
 def nef_cone(fan, dm):
     """Intersection over maximal cones of cone(degrees off the cone).
 
-    Full-dimensional exactly for projective fans; anything thinner is
-    reported as an error because no ample character exists.
+    The fan is complete and simplicial, so the degrees off a maximal
+    cone sigma form a basis of Cl (x) Q, and their cone is
+    {chi : inv(M_sigma^T) chi >= 0} with M_sigma^T the matrix whose
+    columns they are.  One scaled inverse per cone gives those rows;
+    the distinct primitive ones cut out the nef cone in a single double
+    description.  Full-dimensional exactly for projective fans; anything
+    thinner is reported as an error because no ample character exists.
     """
-    acc = full_space(dm.cl_free_rank)
+    normals = set()
     for c in fan.max_cones:
         off = [dm.degrees_free[i] for i in range(fan.n_rays) if i not in c]
-        acc = acc.intersect(cone_from_generators(dm.cl_free_rank, off))
-    if acc.dim_of() < dm.cl_free_rank:
+        inv, _ = scaled_inverse(list(zip(*off)))
+        normals.update(primitive(row) for row in inv)
+    nef = cone_from_inequalities(dm.cl_free_rank, normals)
+    if nef.dim_of() < dm.cl_free_rank:
         raise ValueError("nef cone has empty interior; the fan is not projective")
-    return acc
+    return nef
 
 
 def ample_character(fan, dm):

@@ -5,10 +5,21 @@ no code with the fraction-free integer pivot in toricgit.lp.
 cox_ring_sections counts sections in the Cox ring, sharing no code with
 either section engine in toricgit.fans (Brion's formula and the
 Fourier-Motzkin walk), nor with the Smith form behind toricgit.cox.
+duals_from_inequalities is the double description with every pos x neg
+pair combined and redundant rays pruned by one LP each, against which
+the adjacency-filtered toricgit.cones routine is held; the two share
+only the integer helpers and the final projection off the lineality.
 """
 
 from fractions import Fraction
 from math import lcm
+
+from toricgit.cones import _combine, _reduce_mod_lineality
+from toricgit.linalg import _dot, primitive, saturated_row_basis
+from toricgit.lp import nonneg_combination
+
+# Prune redundant rays by LP once an intermediate ray set grows past this.
+_PRUNE_THRESHOLD = 24
 
 _ZERO = Fraction(0)
 
@@ -136,3 +147,71 @@ def _echelon(vectors):
             basis.append((col, pivot if pivot[col] > 0 else [-x for x in pivot]))
         rows = [r for r in rows if any(r)]
     return basis
+
+
+def _member_with_lineality(rays, lin, v):
+    gens = list(rays) + [l for l in lin] + [tuple(-x for x in l) for l in lin]
+    return nonneg_combination(gens, v) is not None
+
+
+def _prune_rays(rays, lin):
+    """Drop rays expressible from the others (and the lineality)."""
+    kept = sorted(set(rays))
+    i = 0
+    while i < len(kept):
+        r = kept[i]
+        rest = kept[:i] + kept[i + 1 :]
+        if _member_with_lineality(rest, lin, r):
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+def duals_from_inequalities(dim, normals):
+    """Generators (lineality basis, extremal rays) of the solution cone
+    {x : <a, x> >= 0 for every a in normals}.
+
+    Starts from all of Q^dim and adds one halfspace at a time.  While a
+    lineality direction pairs nontrivially with the new normal, that
+    direction is consumed: it becomes a ray and everything else is
+    sheared into the hyperplane.  Otherwise the standard positive/zero/
+    negative ray split applies.
+    """
+    lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    todo = sorted(set(primitive(n) for n in normals if any(n)))
+    for a in todo:
+        l0 = next((l for l in lin if _dot(a, l) != 0), None)
+        if l0 is not None:
+            d0 = _dot(a, l0)
+            if d0 < 0:
+                l0 = tuple(-x for x in l0)
+                d0 = -d0
+            neg_l0 = tuple(-x for x in l0)
+            lin = [
+                _combine(l, d0, l0, -_dot(a, l))
+                for l in lin
+                if l != l0 and l != neg_l0
+            ]
+            rays = [_combine(r, d0, l0, -_dot(a, r)) for r in rays]
+            rays.append(l0)
+            rays = sorted(set(rays))
+            continue
+        pos = [r for r in rays if _dot(a, r) > 0]
+        zero = [r for r in rays if _dot(a, r) == 0]
+        neg = [r for r in rays if _dot(a, r) < 0]
+        if not neg:
+            continue
+        new = pos + zero
+        for p in pos:
+            dp = _dot(a, p)
+            for n in neg:
+                dn = _dot(a, n)
+                new.append(_combine(p, -dn, n, dp))
+        rays = sorted(set(new))
+        if len(rays) > _PRUNE_THRESHOLD:
+            rays = _prune_rays(rays, lin)
+    rays = _prune_rays(rays, lin)
+    lin_basis = saturated_row_basis(lin, dim)
+    return lin_basis, tuple(_reduce_mod_lineality(rays, lin_basis))

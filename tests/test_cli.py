@@ -15,7 +15,7 @@ from toricgit.fans import (
     product_fan,
     projective_space_fan,
 )
-from toricgit.vgit import unstable_supports
+from toricgit.vgit import _class_membership, unstable_supports
 
 NON_PROJECTIVE = {
     "dim": 3,
@@ -177,6 +177,7 @@ class TestChambers:
 
         monkeypatch.setattr(lp, "_simplex_core", stuck)
         unstable_supports.cache_clear()  # force a fresh LP
+        _class_membership.cache_clear()
         code, out, err = run(["chambers", p2_file, "--char", "1"], capsys)
         assert code == 2
         assert out == ""

@@ -3,7 +3,9 @@
 Membership has three independent routes here: facet-normal dot products
 (double description), simplex feasibility, and for small instances an
 LP-free exhaustive search over linearly independent generator subsets.
-The property tests hold them against each other.
+The property tests hold them against each other, and hold the
+adjacency-filtered double description against the pairwise-pruned one
+in oracles.py.
 """
 
 from fractions import Fraction
@@ -11,10 +13,12 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import rational_solve
 from toricgit.cones import (
     RationalCone,
     cone_from_generators,
+    duals_from_inequalities,
     cone_from_inequalities,
     cones_equal,
     full_space,
@@ -181,3 +185,30 @@ def test_lineality_from_sign_pairs(gens):
 
     assert len(c.lin) == matrix_rank(gens)
     assert c.rays == ()
+
+
+@st.composite
+def inequality_systems(draw):
+    """(dim, normals): dim 1-5 and up to 9 normals, a few of them
+    replaced by a zero row, a repeat of the previous normal, or its
+    negation, which makes an equality and so leaves lineality behind."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    normals = draw(st.lists(vecs(dim, -3, 3), max_size=9))
+    for i in draw(st.lists(st.integers(min_value=0, max_value=8), max_size=3)):
+        kind = draw(st.sampled_from(("zero", "repeat", "negate")))
+        if i >= len(normals):
+            continue
+        if kind == "zero":
+            normals[i] = (0,) * dim
+        elif kind == "repeat":
+            normals[i] = normals[i - 1]
+        else:
+            normals[i] = tuple(-x for x in normals[i - 1])
+    return dim, normals
+
+
+@settings(max_examples=300, deadline=None)
+@given(inequality_systems())
+def test_duals_match_pairwise_pruned_oracle(system):
+    dim, normals = system
+    assert duals_from_inequalities(dim, normals) == oracles.duals_from_inequalities(dim, normals)

@@ -1,5 +1,5 @@
 """Source-level rules: no dead public names, no bare asserts, no
-unbounded caches, no floats.
+unbounded caches, no floats, no LP in the cone-duality layer.
 
 The public surface follows the rule the benchmark tracer wraps by: every
 name without a leading underscore that a layer module defines, and every
@@ -176,3 +176,25 @@ def test_no_floats_in_src():
         if floating(node)
     ]
     assert found == []
+
+
+def test_cones_uses_no_lp():
+    # Double description decides adjacency from tight sets, so cones
+    # needs no LP; the integer scaled inverse is its only use of lp.
+    trees = src_trees()
+    lp_names = set()
+    for node in trees["lp.py"].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            lp_names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            lp_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert {"solve_nonneg", "nonneg_combination", "in_cone", "max_strict_slack", "simplex_max"} <= lp_names
+    used = set()
+    for node in ast.walk(trees["cones.py"]):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    assert used & lp_names == {"scaled_inverse"}

@@ -5,16 +5,23 @@ enumeration of all 2^n supports with cone membership decided by a
 different route (dual facet inequalities instead of the simplex).
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricgit.cones import cone_from_generators, cones_equal
+from toricgit.checks import PRODUCT_PAIRS
+from toricgit.cones import cone_from_generators, cones_equal, full_space
 from toricgit.cox import degree_map, irrelevant_ideal, stanley_reisner
 from toricgit.fans import (
     Fan,
+    TorusInvariantDivisor,
     blowup_pn_along_linear,
     product_fan,
+    projective_bundle_fan,
     projective_space_fan,
 )
 from toricgit.vgit import (
@@ -42,6 +49,33 @@ def f1():
 
 def p1xp1():
     return product_fan(projective_space_fan(1), projective_space_fan(1))
+
+
+def intersection_chain_nef(fan, dm):
+    """The nef cone as an intersection over maximal cones of the cone
+    the degrees off each one generate: two double descriptions per cone
+    and no inverse."""
+    acc = full_space(dm.cl_free_rank)
+    for c in fan.max_cones:
+        off = [dm.degrees_free[i] for i in range(fan.n_rays) if i not in c]
+        acc = acc.intersect(cone_from_generators(dm.cl_free_rank, off))
+    return acc
+
+
+def analyze_bundle_pool(by_name):
+    """The projective bundles of the analyze-json benchmark pool."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [
+        (name, projective_bundle_fan(by_name[base], [TorusInvariantDivisor(c) for c in summands]))
+        for name, base, summands in workloads.bundle_pool()
+    ]
 
 
 def brute_force_facets(dm, chi):
@@ -194,6 +228,23 @@ class TestCones:
         dm = degree_map(f)
         with pytest.raises(ValueError, match="not projective"):
             nef_cone(f, dm)
+
+    def test_nef_cone_matches_intersection_chain(self, corpus):
+        by_name = dict(corpus)
+        fans = list(corpus)
+        fans += [(f"{a}x{b}", product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS]
+        power = by_name["p1"]
+        for k in range(2, 7):
+            power = product_fan(power, by_name["p1"])
+            fans.append((f"p1^{k}", power))
+        fans += analyze_bundle_pool(by_name)
+        for name, f in fans:
+            dm = degree_map(f)
+            want = intersection_chain_nef(f, dm)
+            got = nef_cone(f, dm)
+            assert (got.rays, got.lin) == (want.rays, want.lin), name
+            amp = tuple(sum(g[i] for g in want.generators) for i in range(dm.cl_free_rank))
+            assert ample_character(f, dm) == amp, name
 
     def test_ample_character_is_interior(self):
         for f in [projective_space_fan(2), f1(), blowup_pn_along_linear(3, 1)]:
