@@ -10,6 +10,7 @@ and the zero locus is only ever touched through codimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fans import validate
 from .linalg import IntMatrix, cokernel, smith_normal_form
@@ -48,6 +49,7 @@ class DegreeMap:
         return free, tors
 
 
+@lru_cache(maxsize=8192)
 def degree_map(fan) -> DegreeMap:
     """Cokernel grading of the fan's ray matrix.
 

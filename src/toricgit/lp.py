@@ -1,16 +1,18 @@
 """Exact linear programming and integer matrix inversion.
 
-A dense two-phase tableau simplex on a fraction-free integer tableau:
-each row is the rational row times one positive scale d, the absolute
-value of the basis determinant, so the Bareiss update (p*x - f*y) // d
-is exact (Bareiss 1968; lrs, Avis 2000).  Entries on one scale compare
-as the rational ones do, so the pivots are those of the rational
-tableau; Fraction appears only where a solution is read off.  Pivoting
-is Dantzig's rule with an automatic switch to Bland's rule after enough
-iterations, which keeps runs fast in practice and terminating in theory.
-Exact solves use scaled_inverse, Gauss-Jordan through the same _pivot,
-so there is no second elimination engine.  Scale here is tiny (dozens
-of rows), exactness is the whole point.
+A dense tableau simplex on a fraction-free integer tableau, two-phase in
+solve_nonneg and started from the feasible slack basis in
+max_strict_slack without equalities.  Each row is the rational row times
+one positive scale d, the absolute value of the basis determinant, so
+the Bareiss update (p*x - f*y) // d is exact (Bareiss 1968; lrs, Avis
+2000).  Entries on one scale compare as the rational ones do, so the
+pivots are those of the rational tableau; Fraction appears only where a
+solution is read off.  Pivoting is Dantzig's rule with an automatic
+switch to Bland's rule after enough iterations, which keeps runs fast in
+practice and terminating in theory.  Exact solves use scaled_inverse,
+Gauss-Jordan through the same _pivot, so there is no second elimination
+engine.  Scale here is tiny (dozens of rows), exactness is the whole
+point.
 """
 
 from __future__ import annotations
@@ -181,22 +183,35 @@ def max_strict_slack(rows, cap=1, eq_rows=()):
 
     The system is homogeneous in x so the optimum is either 0 (only
     degenerate solutions) or cap (an interior witness exists).  Always
-    feasible: x = 0, t = 0.
+    feasible: x = 0, t = 0.  Without eq_rows that origin is the slack
+    basis of t - rows.x + s == 0, t + s == cap over x = x+ - x- and
+    t, s >= 0, so the integer rows enter _simplex_core on the scale
+    d = 1 and no phase 1 runs.  With eq_rows the LP goes through
+    simplex_max.
     """
     if not rows and not eq_rows:
         return (Fraction(cap), [])
     n = len(rows[0]) if rows else len(eq_rows[0])
-    # variables (x, t): maximize t with t - rows.x <= 0 and t <= cap
-    a_ub = [[-v for v in row] + [1] for row in rows]
-    a_ub.append([0] * n + [1])
-    b_ub = [0] * len(rows) + [cap]
-    a_eq = [list(row) + [0] for row in eq_rows]
-    b_eq = [0] * len(eq_rows)
-    c = [0] * n + [1]
-    status, x, value = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
+    if eq_rows:
+        # variables (x, t): maximize t with t - rows.x <= 0 and t <= cap
+        a_ub = [[-v for v in row] + [1] for row in rows] + [[0] * n + [1]]
+        b_ub = [0] * len(rows) + [cap]
+        a_eq = [list(row) + [0] for row in eq_rows]
+        c = [0] * n + [1]
+        status, x, t = simplex_max(c, a_ub, b_ub, a_eq, [0] * len(eq_rows))
+    else:
+        tab = [[-v for v in row] + list(row) + [1] for row in rows] + [[0] * (2 * n) + [1]]
+        m = len(tab)
+        for i, row in enumerate(tab):
+            row += [int(k == i) for k in range(m)] + [cap * (i == m - 1)]
+        basis = list(range(2 * n + 1, 2 * n + 1 + m))
+        status, d = _simplex_core(tab, basis, [0] * (2 * n) + [-1] + [0] * (m + 1), 1)
+        z = {j: Fraction(row[-1], d) for j, row in zip(basis, tab)}
+        x = [z.get(j, _ZERO) - z.get(n + j, _ZERO) for j in range(n)]
+        t = z.get(2 * n, _ZERO)
     if status != "optimal":
         raise AssertionError(f"bounded feasible LP came back {status}")
-    return (value, x[:n])
+    return (t, x[:n])
 
 
 def nonneg_combination(vectors, target):

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .cones import cone_from_generators, cone_from_inequalities, full_space
 from .cox import irrelevant_ideal, stanley_reisner
-from .linalg import IntMatrix, kernel_basis, matrix_rank, primitive, sign_normalized
+from .linalg import primitive, sign_normalized
 from .linalg import _clear_denominators, _dot
 from .lp import in_cone, max_strict_slack, scaled_inverse
 
@@ -223,32 +223,55 @@ def is_boundary_character(dm, chi) -> bool:
 
 
 def _arrangement_normals(dm):
-    """Hyperplanes spanned by rank-1-deficient subsets of the degrees.
+    """Hyperplanes spanned by cl_free_rank - 1 independent degree classes.
 
-    Every wall of every support cone lies on one of these; extra
-    non-wall hyperplanes only split chambers into pieces that merging
-    by signature reassembles.
+    Such a set, plus one class off its span, is a basis T, and the
+    hyperplane is normal to a row of inv(M_T); so the sign-normalized
+    rows of the basis inverses are exactly these normals.  Every wall of
+    every support cone lies on one of them; extra non-wall hyperplanes
+    only split chambers into pieces that merging by signature
+    reassembles.
     """
-    rank = dm.cl_free_rank
-    vectors = [vec for vec, _ in _degree_classes(dm)]
-    normals = set()
-    for sub in combinations(vectors, rank - 1):
-        if matrix_rank(sub) != rank - 1:
-            continue
-        ker = kernel_basis(IntMatrix.from_rows(sub))
-        if ker.cols != 1:
-            continue
-        normals.add(sign_normalized(ker.column(0)))
-    return sorted(normals)
+    return sorted({sign_normalized(n) for inv in _basis_facets(dm) for n in inv})
 
 
+@lru_cache(maxsize=256)
+def _basis_facets(dm):
+    """Facet normals of each cone(T), T a linearly independent set of
+    cl_free_rank degree classes: with M_T the matrix whose columns are
+    T, cone(T) = {chi : inv(M_T) chi >= 0}, rows made primitive."""
+    facets = []
+    for basis in combinations([vec for vec, _ in _degree_classes(dm)], dm.cl_free_rank):
+        try:
+            inv, _ = scaled_inverse(list(zip(*basis)))
+        except ValueError:
+            continue  # dependent classes span no basis cone
+        facets.append(tuple(primitive(row) for row in inv))
+    return tuple(facets)
+
+
+def _chamber_witness(dm, chi):
+    """Sum of the primitive rays of the closure of chi's chamber.
+
+    chi is on no arrangement hyperplane, so chi is in cone(T) exactly
+    when inv(M_T) chi > 0, and the closure is the intersection of those
+    basis cones (Cox, Little and Schenck, ch. 14-15).
+    """
+    rows = [n for inv in _basis_facets(dm) if all(_dot(r, chi) > 0 for r in inv) for n in inv]
+    rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
+    return tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank))
+
+
+@lru_cache(maxsize=8192)
 def enumerate_chambers(dm):
     """One (interior character, signature) pair per chamber.
 
     Cells of the wall arrangement are enumerated by sign-vector search
-    with exact LP pruning, then cells sharing a signature are merged
-    (chambers are convex, so any constituent cell's witness serves).
-    Output is sorted by signature for determinism.
+    with exact LP pruning, then cells sharing a signature are merged.
+    A chamber's character is the sum of the primitive rays of its
+    closure, the rule ample_character uses for the nef cone, so it does
+    not depend on the simplex's pivot path.  Output is a tuple sorted by
+    signature for determinism.
     """
     if dm.cl_free_rank > MAX_CHAMBER_RANK:
         raise ValueError(f"chamber enumeration capped at rank {MAX_CHAMBER_RANK}")
@@ -258,24 +281,25 @@ def enumerate_chambers(dm):
     for _signs, chi in _enumerate_cells(dm):
         sig = unstable_supports(dm, chi)
         chambers.setdefault(sig, chi)
-    return [
-        (chi, sig)
+    return tuple(
+        (_chamber_witness(dm, chi), sig)
         for sig, chi in sorted(chambers.items(), key=lambda kv: kv[0].facets)
-    ]
+    )
 
 
 @lru_cache(maxsize=8192)
 def _crossing_normals(dm):
     """Arrangement normals whose hyperplane meets the interior of
     the effective cone.  Only these can separate chambers; the rest
-    keep a constant sign over the whole cone and never branch."""
-    eff_rows = effective_cone(dm).facet_normals
-    crossing = []
-    for n in _arrangement_normals(dm):
-        t, _ = max_strict_slack(eff_rows, eq_rows=[n])
-        if t > 0:
-            crossing.append(n)
-    return tuple(crossing)
+    keep a constant sign over the whole cone and never branch.  The
+    interior is the degrees' combinations with every weight positive,
+    so n-perp meets it exactly when n.g takes both signs over them."""
+    vectors = [vec for vec, _ in _degree_classes(dm)]
+    return tuple(
+        n
+        for n in _arrangement_normals(dm)
+        if min(_dot(n, g) for g in vectors) < 0 < max(_dot(n, g) for g in vectors)
+    )
 
 
 @lru_cache(maxsize=8192)

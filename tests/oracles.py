@@ -9,14 +9,23 @@ duals_from_inequalities is the double description with every pos x neg
 pair combined and redundant rays pruned by one LP each, against which
 the adjacency-filtered toricgit.cones routine is held; the two share
 only the integer helpers and the final projection off the lineality.
+max_strict_slack is the two-phase formulation through simplex_max and
+solve_nonneg, against which the slack-basis start in toricgit.lp is
+held, and crossing_normals decides by one equality-constrained LP per
+arrangement normal what toricgit.vgit reads off integer dot products.
+arrangement_normals takes one integer kernel per rank-1 subset of the
+degree classes, where toricgit.vgit reads the rows of basis inverses.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from toricgit.cones import _combine, _reduce_mod_lineality
-from toricgit.linalg import _dot, primitive, saturated_row_basis
-from toricgit.lp import nonneg_combination
+from toricgit.linalg import IntMatrix, _dot, kernel_basis, matrix_rank, primitive
+from toricgit.linalg import saturated_row_basis, sign_normalized
+from toricgit import vgit
+from toricgit.lp import nonneg_combination, simplex_max
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24
@@ -215,3 +224,54 @@ def duals_from_inequalities(dim, normals):
     rays = _prune_rays(rays, lin)
     lin_basis = saturated_row_basis(lin, dim)
     return lin_basis, tuple(_reduce_mod_lineality(rays, lin_basis))
+
+
+def max_strict_slack(rows, cap=1, eq_rows=()):
+    """Largest t <= cap with rows.x >= t and eq_rows.x == 0; returns (t, x).
+
+    The system is homogeneous in x so the optimum is either 0 (only
+    degenerate solutions) or cap (an interior witness exists).  Always
+    feasible: x = 0, t = 0.
+    """
+    if not rows and not eq_rows:
+        return (Fraction(cap), [])
+    n = len(rows[0]) if rows else len(eq_rows[0])
+    # variables (x, t): maximize t with t - rows.x <= 0 and t <= cap
+    a_ub = [[-v for v in row] + [1] for row in rows]
+    a_ub.append([0] * n + [1])
+    b_ub = [0] * len(rows) + [cap]
+    a_eq = [list(row) + [0] for row in eq_rows]
+    b_eq = [0] * len(eq_rows)
+    c = [0] * n + [1]
+    status, x, value = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
+    if status != "optimal":
+        raise AssertionError(f"bounded feasible LP came back {status}")
+    return (value, x[:n])
+
+
+def crossing_normals(dm):
+    """Arrangement normals whose hyperplane meets the interior of
+    the effective cone.  Only these can separate chambers; the rest
+    keep a constant sign over the whole cone and never branch."""
+    eff_rows = vgit.effective_cone(dm).facet_normals
+    crossing = []
+    for n in vgit._arrangement_normals(dm):
+        t, _ = max_strict_slack(eff_rows, eq_rows=[n])
+        if t > 0:
+            crossing.append(n)
+    return tuple(crossing)
+
+
+def arrangement_normals(dm):
+    """Hyperplanes spanned by rank-1-deficient subsets of the degrees."""
+    rank = dm.cl_free_rank
+    vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+    normals = set()
+    for sub in combinations(vectors, rank - 1):
+        if matrix_rank(sub) != rank - 1:
+            continue
+        ker = kernel_basis(IntMatrix.from_rows(sub))
+        if ker.cols != 1:
+            continue
+        normals.add(sign_normalized(ker.column(0)))
+    return sorted(normals)

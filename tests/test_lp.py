@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import rational_solve
 from toricgit import lp
 from toricgit.linalg import IntMatrix, det
@@ -57,6 +58,39 @@ def test_max_strict_slack():
     assert x[0] >= 1 and x[1] >= 1
     t, _ = max_strict_slack([(1, 0), (-1, 0)])
     assert t == 0
+
+
+@st.composite
+def slack_rows(draw):
+    """Up to 12 integer rows of dimension 1-5, entries in -3..3, with
+    zero rows and repeated rows mixed in."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vec = st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n)
+    rows = draw(st.lists(vec.map(tuple), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        rows.append((0,) * n)
+    if draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200)
+@given(slack_rows())
+def test_max_strict_slack_slack_start_matches_two_phase(rows):
+    t, x = max_strict_slack(rows)
+    t_ref, _ = oracles.max_strict_slack(rows)
+    assert t == t_ref
+    assert all(sum(r * v for r, v in zip(row, x)) >= t for row in rows)
+
+
+def test_max_strict_slack_runs_no_phase_one(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase 1 ran")
+
+    monkeypatch.setattr(lp, "simplex_max", refuse)
+    monkeypatch.setattr(lp, "solve_nonneg", refuse)
+    assert max_strict_slack([(1, 0), (0, 1), (1, 0)])[0] == 1
+    assert max_strict_slack([(1, 1), (-1, -1), (0, 0)])[0] == 0
 
 
 def test_nonneg_combination():

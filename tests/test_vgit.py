@@ -8,11 +8,14 @@ different route (dual facet inequalities instead of the simplex).
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from toricgit import lp, vgit
 from toricgit.checks import PRODUCT_PAIRS
 from toricgit.cones import cone_from_generators, cones_equal, full_space
 from toricgit.cox import degree_map, irrelevant_ideal, stanley_reisner
@@ -25,6 +28,8 @@ from toricgit.fans import (
     projective_space_fan,
 )
 from toricgit.vgit import (
+    MAX_CHAMBER_RANK,
+    MAX_CHAMBER_RAYS,
     ChamberSignature,
     ample_character,
     ample_signature_matches_irrelevant_ideal,
@@ -41,6 +46,7 @@ from toricgit.vgit import (
     unstable_supports,
 )
 from toricgit.cox import DegreeMap
+from toricgit.linalg import matrix_rank
 
 
 def f1():
@@ -60,6 +66,39 @@ def intersection_chain_nef(fan, dm):
         off = [dm.degrees_free[i] for i in range(fan.n_rays) if i not in c]
         acc = acc.intersect(cone_from_generators(dm.cl_free_rank, off))
     return acc
+
+
+def chamber_fans(corpus):
+    """(name, fan, degree map) for the corpus fans within the chamber caps."""
+    out = []
+    for name, fan in corpus:
+        dm = degree_map(fan)
+        if dm.cl_free_rank <= MAX_CHAMBER_RANK and dm.n_rays <= MAX_CHAMBER_RAYS:
+            out.append((name, fan, dm))
+    return out
+
+
+def small_vectors(r, min_size, max_size, nonzero=False):
+    """Lists of integer r-vectors with entries in -3..3."""
+    vec = st.tuples(*[st.integers(min_value=-3, max_value=3)] * r)
+    return st.lists(vec.filter(any) if nonzero else vec, min_size=min_size, max_size=max_size)
+
+
+def graded_by(gens):
+    """A torsion-free degree map whose degrees are the given vectors."""
+    return DegreeMap(
+        n_rays=len(gens),
+        cl_free_rank=len(gens[0]),
+        torsion=(),
+        degrees_free=tuple(gens),
+        degrees_torsion=tuple(() for _ in gens),
+    )
+
+
+def clear_vgit_caches():
+    for obj in vars(vgit).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
 
 
 def analyze_bundle_pool(by_name):
@@ -407,3 +446,96 @@ class TestStructuralProperties:
         f = fan_builder()
         dm = degree_map(f)
         assert unstable_inclusion_forces_nef(f, dm)
+
+
+class TestCanonicalWitnesses:
+    """A chamber's witness is the sum of the primitive rays of its
+    closure, so it depends on the chamber alone and not on the LP."""
+
+    def test_witness_is_closure_ray_sum(self, corpus):
+        fans = chamber_fans(corpus)
+        assert len(fans) == 65
+        n_chambers = 0
+        for name, fan, dm in fans:
+            for chi, sig in enumerate_chambers(dm):
+                closure = chamber_closure(dm, chi)
+                assert closure.lin == (), name
+                ray_sum = tuple(sum(r[i] for r in closure.rays) for i in range(dm.cl_free_rank))
+                assert chi == ray_sum, name
+                assert not is_boundary_character(dm, chi), name
+                assert unstable_supports(dm, chi) == sig, name
+                n_chambers += 1
+        assert n_chambers == 350
+
+    def test_nef_chamber_witness_is_ample_character(self, corpus):
+        for name, fan, dm in chamber_fans(corpus):
+            amp = ample_character(fan, dm)
+            nef_sig = unstable_supports(dm, amp)
+            assert [chi for chi, sig in enumerate_chambers(dm) if sig == nef_sig] == [amp], name
+
+    def test_output_independent_of_pivot_path(self, corpus):
+        fans = chamber_fans(corpus)
+        clear_vgit_caches()
+        slack_start = [enumerate_chambers(dm) for _, _, dm in fans]
+        clear_vgit_caches()
+        try:
+            with mock.patch.object(vgit, "max_strict_slack", oracles.max_strict_slack):
+                two_phase = [enumerate_chambers(dm) for _, _, dm in fans]
+        finally:
+            clear_vgit_caches()
+        assert two_phase == slack_start
+
+    def test_cell_search_runs_no_phase_one(self, corpus, monkeypatch):
+        calls = {"phase 1": 0, "slack": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lp, "solve_nonneg", counting("phase 1", lp.solve_nonneg))
+        monkeypatch.setattr(lp, "simplex_max", counting("phase 1", lp.simplex_max))
+        monkeypatch.setattr(vgit, "max_strict_slack", counting("slack", vgit.max_strict_slack))
+        clear_vgit_caches()
+        try:
+            for _, _, dm in chamber_fans(corpus):
+                vgit._crossing_normals(dm)
+                vgit._enumerate_cells(dm)
+        finally:
+            clear_vgit_caches()
+        assert calls["phase 1"] == 0
+        assert calls["slack"] > 0
+
+    def test_walls_match_oracles_on_corpus_and_products(self, corpus):
+        by_name = dict(corpus)
+        dms = [degree_map(fan) for _, fan in corpus]
+        dms += [degree_map(product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS]
+        for dm in dms:
+            if dm.cl_free_rank > 1:  # the kernel oracle skips the empty set's normal
+                assert vgit._arrangement_normals(dm) == oracles.arrangement_normals(dm)
+            assert vgit._crossing_normals(dm) == oracles.crossing_normals(dm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda r: st.tuples(
+                small_vectors(r, min_size=r, max_size=r + 4),
+                small_vectors(r, min_size=1, max_size=6, nonzero=True),
+            )
+        )
+    )
+    def test_sign_test_matches_lp(self, data):
+        gens, normals = data
+        assume(matrix_rank(gens) == len(normals[0]))
+        dm = graded_by(gens)
+        with mock.patch.object(vgit, "_arrangement_normals", lambda _dm: tuple(normals)):
+            assert vgit._crossing_normals.__wrapped__(dm) == oracles.crossing_normals(dm)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=4).flatmap(lambda r: small_vectors(r, r, r + 4)))
+    def test_arrangement_normals_match_kernel_oracle(self, gens):
+        assume(matrix_rank(gens) == len(gens[0]))
+        dm = graded_by(gens)
+        assert vgit._arrangement_normals(dm) == oracles.arrangement_normals(dm)
