@@ -1,28 +1,35 @@
 """Exact linear programming and integer matrix inversion.
 
 A dense tableau simplex on a fraction-free integer tableau, two-phase in
-solve_nonneg and started from the feasible slack basis in
-max_strict_slack without equalities.  Each row is the rational row times
-one positive scale d, the absolute value of the basis determinant, so
-the Bareiss update (p*x - f*y) // d is exact (Bareiss 1968; lrs, Avis
-2000).  Entries on one scale compare as the rational ones do, so the
-pivots are those of the rational tableau; Fraction appears only where a
-solution is read off.  Pivoting is Dantzig's rule with an automatic
-switch to Bland's rule after enough iterations, which keeps runs fast in
-practice and terminating in theory.  Exact solves use scaled_inverse,
-Gauss-Jordan through the same _pivot, so there is no second elimination
-engine.  Scale here is tiny (dozens of rows), exactness is the whole
-point.
+solve_nonneg and started from the feasible slack basis in SlackTableau,
+the strict-slack LP behind max_strict_slack without equalities.  Each
+row is the rational row times one positive scale d, the absolute value
+of the basis determinant, so the Bareiss update (p*x - f*y) // d is
+exact (Bareiss 1968; lrs, Avis 2000).  Entries on one scale compare as
+the rational ones do, so the pivots are those of the rational tableau;
+Fraction appears only where a solution is read off.  An optimal
+SlackTableau is warm-started: with_rows adds rows to a copy, each in
+terms of the current basis, and re-optimises it by dual simplex pivots
+through the same _pivot, so a search that adds a row per step solves
+only its first LP from scratch (Avis and Fukuda 1996).  Both the primal
+and the dual loop pivot by Dantzig's rule with an automatic switch to
+Bland's rule after enough iterations, which keeps runs fast in practice
+and terminating in theory, under one iteration cap that raises
+PivotLimit.  Exact solves use scaled_inverse, Gauss-Jordan through the
+same _pivot, so there is no second elimination engine.  Scale here is
+tiny (dozens of rows), exactness is the whole point.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
 from .linalg import _clear_denominators
 
 _ZERO = Fraction(0)
+_MAX_PIVOTS = 100000
 
 
 class PivotLimit(RuntimeError):
@@ -49,6 +56,16 @@ def _pivot(tab, cost, d, leave, enter):
     return p
 
 
+def _pivot_rule(m, n):
+    """One item per simplex iteration on m rows and n columns: True
+    while Dantzig's rule applies, False once Bland's rule takes over.
+    Past _MAX_PIVOTS iterations it raises PivotLimit."""
+    bland_after = 8 * (m + n) + 64
+    for pivots in range(1, _MAX_PIVOTS + 1):
+        yield pivots <= bland_after
+    raise PivotLimit("simplex did not terminate")
+
+
 def _simplex_core(tab, basis, cost, d):
     """Minimize over the integer tableau in place.
 
@@ -59,14 +76,9 @@ def _simplex_core(tab, basis, cost, d):
     """
     m = len(tab)
     n = len(cost) - 1
-    pivots = 0
-    bland_after = 8 * (m + n) + 64
-    while True:
-        pivots += 1
-        if pivots > 100000:
-            raise PivotLimit("simplex did not terminate")
+    for dantzig in _pivot_rule(m, n):
         enter = None
-        if pivots <= bland_after:
+        if dantzig:
             best = 0
             for j in range(n):
                 if cost[j] < best:
@@ -93,6 +105,40 @@ def _simplex_core(tab, basis, cost, d):
                     leave = i
         if leave is None:
             return ("unbounded", d)
+        d = _pivot(tab, cost, d, leave, enter)
+        basis[leave] = enter
+
+
+def _dual_simplex(tab, basis, cost, d):
+    """Restore a nonnegative rhs to a tableau whose cost row is already
+    nonnegative, in place; returns the final scale d.
+
+    The layout is _simplex_core's.  Each pivot leaves on a row with a
+    negative rhs (the most negative, or under Bland's rule the smallest
+    basic index) and enters the column j of least cost[j] / -a_j over
+    that row's negative entries a_j, ties to the smallest j, so the cost
+    row stays nonnegative.  A row with a negative rhs and no negative
+    entry makes the LP infeasible.
+    """
+    m = len(tab)
+    n = len(cost) - 1
+    for dantzig in _pivot_rule(m, n):
+        infeasible = [i for i in range(m) if tab[i][-1] < 0]
+        if not infeasible:
+            return d
+        if dantzig:
+            leave = min(infeasible, key=lambda i: tab[i][-1])
+        else:
+            leave = min(infeasible, key=basis.__getitem__)
+        row = tab[leave]
+        enter = None
+        for j in range(n):
+            a = row[j]
+            # cost[j] / -a < cost[enter] / -row[enter], cross-multiplied
+            if a < 0 and (enter is None or cost[j] * row[enter] > cost[enter] * a):
+                enter = j
+        if enter is None:
+            raise AssertionError("dual simplex found the LP infeasible")
         d = _pivot(tab, cost, d, leave, enter)
         basis[leave] = enter
 
@@ -178,37 +224,96 @@ def simplex_max(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     return ("optimal", x, -value)
 
 
-def max_strict_slack(rows, cap=1, eq_rows=()):
-    """Largest t <= cap with rows.x >= t and eq_rows.x == 0; returns (t, x).
+@dataclass
+class SlackTableau:
+    """Optimal integer tableau of max t <= cap with rows.x >= t.
 
-    The system is homogeneous in x so the optimum is either 0 (only
-    degenerate solutions) or cap (an interior witness exists).  Always
-    feasible: x = 0, t = 0.  Without eq_rows that origin is the slack
-    basis of t - rows.x + s == 0, t + s == cap over x = x+ - x- and
-    t, s >= 0, so the integer rows enter _simplex_core on the scale
-    d = 1 and no phase 1 runs.  With eq_rows the LP goes through
-    simplex_max.
+    Over x = x+ - x-, t and one slack per row, all >= 0, row i reads
+    t - rows_i.x+ + rows_i.x- + s_i == 0 and the cap row t + s == cap.
+    Columns are x+, x-, t, the slacks in row order, then the rhs; rows
+    are on the scale d, basis columns d times identity.  The origin is
+    the slack basis, so solve() starts feasible on d = 1 and runs no
+    phase 1.  with_rows() warm-starts a copy with more rows.
     """
-    if not rows and not eq_rows:
-        return (Fraction(cap), [])
-    n = len(rows[0]) if rows else len(eq_rows[0])
-    if eq_rows:
-        # variables (x, t): maximize t with t - rows.x <= 0 and t <= cap
-        a_ub = [[-v for v in row] + [1] for row in rows] + [[0] * n + [1]]
-        b_ub = [0] * len(rows) + [cap]
-        a_eq = [list(row) + [0] for row in eq_rows]
-        c = [0] * n + [1]
-        status, x, t = simplex_max(c, a_ub, b_ub, a_eq, [0] * len(eq_rows))
-    else:
+
+    n: int
+    tab: list
+    basis: list
+    cost: list
+    d: int
+
+    @classmethod
+    def solve(cls, rows, cap=1):
+        """Solve from the slack basis; rows must be nonempty."""
+        n = len(rows[0])
         tab = [[-v for v in row] + list(row) + [1] for row in rows] + [[0] * (2 * n) + [1]]
         m = len(tab)
         for i, row in enumerate(tab):
             row += [int(k == i) for k in range(m)] + [cap * (i == m - 1)]
         basis = list(range(2 * n + 1, 2 * n + 1 + m))
-        status, d = _simplex_core(tab, basis, [0] * (2 * n) + [-1] + [0] * (m + 1), 1)
-        z = {j: Fraction(row[-1], d) for j, row in zip(basis, tab)}
-        x = [z.get(j, _ZERO) - z.get(n + j, _ZERO) for j in range(n)]
-        t = z.get(2 * n, _ZERO)
+        cost = [0] * (2 * n) + [-1] + [0] * (m + 1)
+        status, d = _simplex_core(tab, basis, cost, 1)
+        if status != "optimal":
+            raise AssertionError(f"bounded feasible LP came back {status}")
+        return cls(n, tab, basis, cost, d)
+
+    def with_rows(self, rows):
+        """A copy with rows.x >= t added, re-optimised by dual simplex.
+
+        Each new row gets its own slack column, basic in that row, and
+        is written in the current basis on the scale d as
+        d*row - sum over basic columns j of row[j] * (j's tableau row);
+        the basis determinant, and so d, is unchanged.  The cost row
+        stays optimal, only the new rhs can be negative, and the dual
+        simplex pivots from there (Avis and Fukuda 1996; lrs).
+        """
+        n, d = self.n, self.d
+        pad = [0] * len(rows)
+        tab = [row[:-1] + pad + row[-1:] for row in self.tab]
+        cost = self.cost[:-1] + pad + self.cost[-1:]
+        basis = list(self.basis)
+        width = len(cost)
+        for row in rows:
+            coeff = [-v for v in row] + list(row) + [1]
+            new = [d * v for v in coeff] + [0] * (width - 2 * n - 1)
+            new[2 * n + 1 + len(tab)] = d
+            for b, trow in zip(basis, tab):
+                f = coeff[b] if b <= 2 * n else 0
+                if f:
+                    new = [x - f * y for x, y in zip(new, trow)]
+            basis.append(2 * n + 1 + len(tab))
+            tab.append(new)
+        d = _dual_simplex(tab, basis, cost, d)
+        return SlackTableau(n, tab, basis, cost, d)
+
+    def solution(self):
+        """(t, x) at the optimum, as Fractions."""
+        n, d = self.n, self.d
+        z = {j: row[-1] for j, row in zip(self.basis, self.tab) if j <= 2 * n}
+        x = [Fraction(z.get(j, 0) - z.get(n + j, 0), d) for j in range(n)]
+        return (Fraction(z.get(2 * n, 0), d), x)
+
+
+def max_strict_slack(rows, cap=1, eq_rows=()):
+    """Largest t <= cap with rows.x >= t and eq_rows.x == 0; returns (t, x).
+
+    The system is homogeneous in x so the optimum is either 0 (only
+    degenerate solutions) or cap (an interior witness exists).  Always
+    feasible: x = 0, t = 0.  Without eq_rows the LP is a SlackTableau,
+    solved from its slack basis; with eq_rows it goes through
+    simplex_max.
+    """
+    if not rows and not eq_rows:
+        return (Fraction(cap), [])
+    if not eq_rows:
+        return SlackTableau.solve(rows, cap).solution()
+    n = len(eq_rows[0])
+    # variables (x, t): maximize t with t - rows.x <= 0 and t <= cap
+    a_ub = [[-v for v in row] + [1] for row in rows] + [[0] * n + [1]]
+    b_ub = [0] * len(rows) + [cap]
+    a_eq = [list(row) + [0] for row in eq_rows]
+    c = [0] * n + [1]
+    status, x, t = simplex_max(c, a_ub, b_ub, a_eq, [0] * len(eq_rows))
     if status != "optimal":
         raise AssertionError(f"bounded feasible LP came back {status}")
     return (t, x[:n])

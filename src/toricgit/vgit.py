@@ -22,7 +22,7 @@ from .cones import cone_from_generators, cone_from_inequalities, full_space
 from .cox import irrelevant_ideal, stanley_reisner
 from .linalg import primitive, sign_normalized
 from .linalg import _clear_denominators, _dot
-from .lp import in_cone, max_strict_slack, scaled_inverse
+from .lp import SlackTableau, in_cone, max_strict_slack, scaled_inverse
 
 MAX_CHAMBER_RANK = 4
 MAX_CHAMBER_RAYS = 16
@@ -308,20 +308,25 @@ def _enumerate_cells(dm):
 
     Each cell is an open region: effective-cone facet normals strict,
     plus a strict sign per crossing hyperplane.  Returns (sign vector,
-    integer interior witness) pairs in DFS order.  The DFS carries an
-    interior witness down each branch so that the child on the
-    witness's own side needs no LP at all.
+    integer interior witness) pairs sorted by sign vector.  The DFS
+    carries an interior witness down each branch, so the child on the
+    witness's own side needs no LP at all.  It also carries the
+    SlackTableau of the nearest ancestor that ran one, with the rows
+    added since; every other child re-optimises that tableau with those
+    rows and its own by dual simplex, so only the root LP is solved from
+    scratch (reverse search, Avis and Fukuda 1996).
     """
     eff_rows = list(effective_cone(dm).facet_normals)
     normals = _crossing_normals(dm)
-    t, x0 = max_strict_slack(eff_rows)
+    root = SlackTableau.solve(eff_rows)
+    t, x0 = root.solution()
     if t <= 0:
         raise AssertionError("effective cone must be full-dimensional")
     if not normals:
         return (((), _clear_denominators(x0)),)
     cells = []
 
-    def rec(signs, rows, witness):
+    def rec(signs, tableau, pending, witness):
         if len(signs) == len(normals):
             cells.append((tuple(signs), _clear_denominators(witness)))
             return
@@ -331,13 +336,14 @@ def _enumerate_cells(dm):
         for s in (first, -first):
             row = tuple(s * v for v in n)
             if s == first and d != 0:
-                rec(signs + [s], rows + [row], witness)
+                rec(signs + [s], tableau, pending + [row], witness)
                 continue
-            t, x = max_strict_slack(rows + [row])
+            child = tableau.with_rows(pending + [row])
+            t, x = child.solution()
             if t > 0:
-                rec(signs + [s], rows + [row], x)
+                rec(signs + [s], child, [], x)
 
-    rec([], eff_rows, x0)
+    rec([], root, [], x0)
     return tuple(sorted(cells))
 
 

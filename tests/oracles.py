@@ -15,6 +15,9 @@ held, and crossing_normals decides by one equality-constrained LP per
 arrangement normal what toricgit.vgit reads off integer dot products.
 arrangement_normals takes one integer kernel per rank-1 subset of the
 degree classes, where toricgit.vgit reads the rows of basis inverses.
+enumerate_cells is the cell search that solves every child LP from
+scratch by that two-phase max_strict_slack, against which the dual
+simplex warm start of toricgit.vgit is held.
 """
 
 from fractions import Fraction
@@ -22,7 +25,8 @@ from itertools import combinations
 from math import lcm
 
 from toricgit.cones import _combine, _reduce_mod_lineality
-from toricgit.linalg import IntMatrix, _dot, kernel_basis, matrix_rank, primitive
+from toricgit.linalg import IntMatrix, _clear_denominators, _dot, kernel_basis
+from toricgit.linalg import matrix_rank, primitive
 from toricgit.linalg import saturated_row_basis, sign_normalized
 from toricgit import vgit
 from toricgit.lp import nonneg_combination, simplex_max
@@ -260,6 +264,39 @@ def crossing_normals(dm):
         if t > 0:
             crossing.append(n)
     return tuple(crossing)
+
+
+def enumerate_cells(dm):
+    """(sign vector, integer interior witness) pairs over the crossing
+    walls, sorted: a DFS that carries an interior witness down each
+    branch and solves every other child's LP from scratch."""
+    eff_rows = list(vgit.effective_cone(dm).facet_normals)
+    normals = vgit._crossing_normals(dm)
+    t, x0 = max_strict_slack(eff_rows)
+    if t <= 0:
+        raise AssertionError("effective cone must be full-dimensional")
+    if not normals:
+        return (((), _clear_denominators(x0)),)
+    cells = []
+
+    def rec(signs, rows, witness):
+        if len(signs) == len(normals):
+            cells.append((tuple(signs), _clear_denominators(witness)))
+            return
+        n = normals[len(signs)]
+        d = _dot(n, witness)
+        first = 1 if d >= 0 else -1
+        for s in (first, -first):
+            row = tuple(s * v for v in n)
+            if s == first and d != 0:
+                rec(signs + [s], rows + [row], witness)
+                continue
+            t, x = max_strict_slack(rows + [row])
+            if t > 0:
+                rec(signs + [s], rows + [row], x)
+
+    rec([], eff_rows, x0)
+    return tuple(sorted(cells))
 
 
 def arrangement_normals(dm):

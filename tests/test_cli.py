@@ -15,7 +15,8 @@ from toricgit.fans import (
     product_fan,
     projective_space_fan,
 )
-from toricgit.vgit import _class_membership, unstable_supports
+from toricgit.vgit import _class_membership, _enumerate_cells, enumerate_chambers
+from toricgit.vgit import unstable_supports
 
 NON_PROJECTIVE = {
     "dim": 3,
@@ -179,6 +180,18 @@ class TestChambers:
         unstable_supports.cache_clear()  # force a fresh LP
         _class_membership.cache_clear()
         code, out, err = run(["chambers", p2_file, "--char", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: simplex did not terminate\n"
+
+    def test_pivot_limit_in_cell_search_exits_two(self, f1_file, capsys, monkeypatch):
+        def stuck(*args):
+            raise lp.PivotLimit("simplex did not terminate")
+
+        monkeypatch.setattr(lp, "_dual_simplex", stuck)
+        enumerate_chambers.cache_clear()  # force a fresh cell search
+        _enumerate_cells.cache_clear()
+        code, out, err = run(["chambers", f1_file], capsys)
         assert code == 2
         assert out == ""
         assert err == "error: simplex did not terminate\n"

@@ -83,6 +83,47 @@ def test_max_strict_slack_slack_start_matches_two_phase(rows):
     assert all(sum(r * v for r, v in zip(row, x)) >= t for row in rows)
 
 
+@st.composite
+def warm_start_rows(draw):
+    """Parent rows of dimension 1-5 and 1-4 added rows, the added ones
+    split into consecutive batches.  Added rows may be zero rows, or
+    repeat or negate a parent row."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vec = st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n).map(tuple)
+    parent = draw(st.lists(vec, min_size=1, max_size=8))
+    old = st.sampled_from(parent)
+    extra = st.one_of(vec, st.just((0,) * n), old, old.map(lambda r: tuple(-v for v in r)))
+    added = draw(st.lists(extra, min_size=1, max_size=4))
+    cuts = draw(st.lists(st.booleans(), min_size=len(added) - 1, max_size=len(added) - 1))
+    batches = [[added[0]]]
+    for row, cut in zip(added[1:], cuts):
+        if cut:
+            batches.append([])
+        batches[-1].append(row)
+    return parent, batches
+
+
+@settings(max_examples=300)
+@given(warm_start_rows())
+def test_dual_simplex_warm_start_matches_two_phase(data):
+    parent, batches = data
+    tableau = lp.SlackTableau.solve(parent)
+    rows = list(parent)
+    for batch in batches:
+        tableau = tableau.with_rows(batch)
+        rows += batch
+    t, x = tableau.solution()
+    assert t == oracles.max_strict_slack(rows)[0]
+    assert all(sum(r * v for r, v in zip(row, x)) >= t for row in rows)
+    d = tableau.d
+    m = len(tableau.tab)
+    assert m == len(rows) + 1 and d > 0
+    for i, b in enumerate(tableau.basis):
+        assert [row[b] for row in tableau.tab] == [d * (k == i) for k in range(m)]
+    assert all(row[-1] >= 0 for row in tableau.tab)
+    assert min(tableau.cost[:-1]) >= 0
+
+
 def test_max_strict_slack_runs_no_phase_one(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("phase 1 ran")
@@ -469,6 +510,10 @@ def test_cycling_lp_runs_past_bland_after(monkeypatch):
 
 def test_pivot_limit_still_raised(monkeypatch):
     # a pivot that changes nothing makes the simplex choose it for ever
+    tableau = lp.SlackTableau.solve([(1, 0), (0, 1)])
     monkeypatch.setattr(lp, "_pivot", lambda tab, cost, d, leave, enter: d)
     with pytest.raises(PivotLimit):
         solve_nonneg([[1, 1]], [1], [1, 0])
+    # and the dual simplex the same: -x1 - x2 >= t leaves t = 1 infeasible
+    with pytest.raises(PivotLimit):
+        tableau.with_rows([(-1, -1)])

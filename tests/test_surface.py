@@ -89,14 +89,14 @@ def test_no_assert_statements_in_src():
 
 
 def test_no_fraction_in_the_simplex_inner_loop():
-    # The simplex and the scaled inverse pivot on integer tableaux;
-    # Fraction appears only where solve_nonneg reads off a solution.  A
-    # name that is Fraction itself or a module-level Fraction constant
-    # (such as lp._ZERO) counts as a use.
+    # The simplex, primal and dual, and the scaled inverse pivot on
+    # integer tableaux; Fraction appears only where a solution is read
+    # off.  A name that is Fraction itself or a module-level Fraction
+    # constant (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
     lp = importlib.import_module("toricgit.lp")
-    inner = {"_simplex_core", "_pivot", "scaled_inverse"}
+    inner = {"_simplex_core", "_dual_simplex", "_pivot", "scaled_inverse"}
     functions = [
         node
         for node in src_trees()["lp.py"].body

@@ -6,6 +6,7 @@ different route (dual facet inequalities instead of the simplex).
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 from unittest import mock
@@ -46,7 +47,7 @@ from toricgit.vgit import (
     unstable_supports,
 )
 from toricgit.cox import DegreeMap
-from toricgit.linalg import matrix_rank
+from toricgit.linalg import _dot, matrix_rank
 
 
 def f1():
@@ -474,19 +475,24 @@ class TestCanonicalWitnesses:
             assert [chi for chi, sig in enumerate_chambers(dm) if sig == nef_sig] == [amp], name
 
     def test_output_independent_of_pivot_path(self, corpus):
+        # the oracle solves every cell LP from scratch in two phases, so
+        # its witnesses come from other vertices than the warm start's
         fans = chamber_fans(corpus)
         clear_vgit_caches()
-        slack_start = [enumerate_chambers(dm) for _, _, dm in fans]
+        warm_start = [enumerate_chambers(dm) for _, _, dm in fans]
         clear_vgit_caches()
         try:
-            with mock.patch.object(vgit, "max_strict_slack", oracles.max_strict_slack):
+            with mock.patch.object(vgit, "_enumerate_cells", oracles.enumerate_cells):
                 two_phase = [enumerate_chambers(dm) for _, _, dm in fans]
         finally:
             clear_vgit_caches()
-        assert two_phase == slack_start
+        assert two_phase == warm_start
 
     def test_cell_search_runs_no_phase_one(self, corpus, monkeypatch):
-        calls = {"phase 1": 0, "slack": 0}
+        # and it solves only the root LP of each fan from scratch; every
+        # other LP is a dual simplex re-optimisation
+        fans = chamber_fans(corpus)
+        calls = {"phase 1": 0, "scratch": 0, "reoptimise": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -497,16 +503,52 @@ class TestCanonicalWitnesses:
 
         monkeypatch.setattr(lp, "solve_nonneg", counting("phase 1", lp.solve_nonneg))
         monkeypatch.setattr(lp, "simplex_max", counting("phase 1", lp.simplex_max))
-        monkeypatch.setattr(vgit, "max_strict_slack", counting("slack", vgit.max_strict_slack))
+        monkeypatch.setattr(lp, "_simplex_core", counting("scratch", lp._simplex_core))
+        monkeypatch.setattr(lp, "_dual_simplex", counting("reoptimise", lp._dual_simplex))
         clear_vgit_caches()
         try:
-            for _, _, dm in chamber_fans(corpus):
+            for _, _, dm in fans:
                 vgit._crossing_normals(dm)
                 vgit._enumerate_cells(dm)
         finally:
             clear_vgit_caches()
         assert calls["phase 1"] == 0
-        assert calls["slack"] > 0
+        assert calls["scratch"] == len({dm for _, _, dm in fans})  # fans may share a grading
+        assert calls["reoptimise"] > 0
+
+    def test_cells_match_from_scratch_oracle(self, corpus):
+        by_name = dict(corpus)
+        fans = [fan for _, fan, _ in chamber_fans(corpus)]
+        fans += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS]
+        n_fans = 0
+        for fan in fans:
+            dm = degree_map(fan)
+            if dm.cl_free_rank > MAX_CHAMBER_RANK or dm.n_rays > MAX_CHAMBER_RAYS:
+                continue
+            want = {signs for signs, _ in oracles.enumerate_cells(dm)}
+            assert {signs for signs, _ in vgit._enumerate_cells(dm)} == want
+            n_fans += 1
+        assert n_fans == 75
+
+    def test_grid_characters_fall_in_enumerated_cells(self, corpus):
+        # Chamber completeness: a lattice point strictly inside the
+        # effective cone and on no crossing wall lies in an open cell,
+        # which the search must have returned.  The samples are
+        # combinations of the degree classes with about half of the
+        # weights zero, so they also reach cells along the boundary.
+        rng = random.Random(9104)
+        for name, _, dm in chamber_fans(corpus):
+            eff_rows = effective_cone(dm).facet_normals
+            normals = vgit._crossing_normals(dm)
+            cells = {signs for signs, _ in vgit._enumerate_cells(dm)}
+            vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+            for _ in range(1500):
+                weights = [rng.randint(1, 20) if rng.random() < 0.5 else 0 for _ in vectors]
+                chi = [sum(w * v[i] for w, v in zip(weights, vectors)) for i in range(dm.cl_free_rank)]
+                dots = [_dot(n, chi) for n in normals]
+                if 0 in dots or any(_dot(e, chi) <= 0 for e in eff_rows):
+                    continue
+                assert tuple(1 if x > 0 else -1 for x in dots) in cells, (name, chi)
 
     def test_walls_match_oracles_on_corpus_and_products(self, corpus):
         by_name = dict(corpus)
