@@ -127,13 +127,6 @@ class RationalCone:
             _dot(l, v) == 0 for l in d.lin
         )
 
-    def strictly_contains(self, v):
-        """Membership in the relative interior."""
-        d = self.dual()
-        return all(_dot(n, v) > 0 for n in d.rays) and all(
-            _dot(l, v) == 0 for l in d.lin
-        )
-
     def dim_of(self):
         return matrix_rank(list(self.rays) + list(self.lin))
 

@@ -1,20 +1,21 @@
 """Exact linear programming and integer matrix inversion.
 
-A dense tableau simplex on a fraction-free integer tableau, two-phase in
-solve_nonneg and started from the feasible slack basis in SlackTableau,
-the strict-slack LP behind max_strict_slack without equalities.  Each
-row is the rational row times one positive scale d, the absolute value
-of the basis determinant, so the Bareiss update (p*x - f*y) // d is
-exact (Bareiss 1968; lrs, Avis 2000).  Entries on one scale compare as
-the rational ones do, so the pivots are those of the rational tableau;
-Fraction appears only where a solution is read off.  An optimal
-SlackTableau is warm-started: with_rows adds rows to a copy, each in
-terms of the current basis, and re-optimises it by dual simplex pivots
-through the same _pivot, so a search that adds a row per step solves
-only its first LP from scratch (Avis and Fukuda 1996).  Both the primal
-and the dual loop pivot by Dantzig's rule with an automatic switch to
-Bland's rule after enough iterations, which keeps runs fast in practice
-and terminating in theory, under one iteration cap that raises
+Two LPs, both on a fraction-free integer tableau.  solve_nonneg is a
+phase-1 feasibility test for a.x == b, x >= 0 from an artificial basis;
+it has no objective.  SlackTableau, behind max_strict_slack, is the
+strict-slack LP max t <= 1 with rows.x >= t, started from its feasible
+slack basis.  Each row is the rational row times one positive scale d,
+the absolute value of the basis determinant, so the Bareiss update
+(p*x - f*y) // d is exact (Bareiss 1968; lrs, Avis 2000).  Entries on
+one scale compare as the rational ones do, so the pivots are those of
+the rational tableau; Fraction appears only where a solution is read
+off.  An optimal SlackTableau is warm-started: with_rows adds rows to a
+copy, each in terms of the current basis, and re-optimises it by dual
+simplex pivots through the same _pivot, so a search that adds a row per
+step solves only its first LP from scratch (Avis and Fukuda 1996).  Both
+the primal and the dual loop pivot by Dantzig's rule with an automatic
+switch to Bland's rule after enough iterations, which keeps runs fast in
+practice and terminating in theory, under one iteration limit that raises
 PivotLimit.  Exact solves use scaled_inverse, Gauss-Jordan through the
 same _pivot, so there is no second elimination engine.  Scale here is
 tiny (dozens of rows), exactness is the whole point.
@@ -25,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-
-from .linalg import _clear_denominators
 
 _ZERO = Fraction(0)
 _MAX_PIVOTS = 100000
@@ -67,12 +66,12 @@ def _pivot_rule(m, n):
 
 
 def _simplex_core(tab, basis, cost, d):
-    """Minimize over the integer tableau in place.
+    """Minimize a bounded LP over the integer tableau in place.
 
     tab: m rows of length n+1 (last entry the rhs) on the scale d, basis
     columns d times identity.  cost: length n+1 reduced-cost row on a
-    positive multiple of d (last entry -objective).  Returns (status, d),
-    status "optimal" or "unbounded", d the final scale.
+    positive multiple of d (last entry -objective).  Returns the final
+    scale d.
     """
     m = len(tab)
     n = len(cost) - 1
@@ -90,7 +89,7 @@ def _simplex_core(tab, basis, cost, d):
                     enter = j
                     break
         if enter is None:
-            return ("optimal", d)
+            return d
         leave = None
         for i in range(m):
             a = tab[i][enter]
@@ -104,7 +103,7 @@ def _simplex_core(tab, basis, cost, d):
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return ("unbounded", d)
+            raise AssertionError("bounded LP came back unbounded")
         d = _pivot(tab, cost, d, leave, enter)
         basis[leave] = enter
 
@@ -143,21 +142,21 @@ def _dual_simplex(tab, basis, cost, d):
         basis[leave] = enter
 
 
-def solve_nonneg(a_rows, b, c=None):
-    """min c.x subject to a_rows.x == b, x >= 0 (exact).
+def solve_nonneg(a_rows, b):
+    """Some x >= 0 with a_rows.x == b (exact), or None if there is none.
 
-    Entries are integers or Fractions.  Returns (status, x, value) with
-    status one of "optimal", "infeasible", "unbounded"; x is a list of
-    Fractions on success.
+    Entries are integers or Fractions; x is a list of Fractions.  This is
+    phase 1 alone: x is the basic solution it ends at, and an artificial
+    left basic at zero (on a redundant row) is ignored.
     """
     m = len(a_rows)
-    n = len(a_rows[0]) if m else (len(c) if c else 0)
+    n = len(a_rows[0]) if m else 0
     rows = [
         list(row) + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs]
         for row, rhs in zip(a_rows, b)
     ]
-    # phase 1: artificial basis.  The start is d times [A | I | b], d
-    # the determinant of the integral basis diag(lcm of row denominators).
+    # artificial basis.  The start is d times [A | I | b], d the
+    # determinant of the integral basis diag(lcm of row denominators).
     d = prod(lcm(*(x.denominator for x in row)) for row in rows)
     tab = [[int(x * d) for x in row] for row in rows]
     for i, row in enumerate(tab):
@@ -165,71 +164,22 @@ def solve_nonneg(a_rows, b, c=None):
     basis = [n + i for i in range(m)]
     cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
     cost.append(-sum(row[-1] for row in tab))
-    status, d = _simplex_core(tab, basis, cost, d)
-    if status != "optimal" or cost[-1] < 0:
-        return ("infeasible", None, None)
-
-    # drive leftover artificials out of the basis
-    for i in range(m):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if tab[i][j] != 0), None)
-            if piv is None:
-                continue  # redundant row, harmless
-            d = _pivot(tab, cost, d, i, piv)
-            basis[i] = piv
-
-    # phase 2, with the cost row on d times the obj cleared to integers
-    tab = [row[:n] + [row[-1]] for row in tab]
-    obj = list(c) if c is not None else [0] * n
-    scaled = _clear_denominators(obj)
-    cost = [d * v for v in scaled] + [0]
-    for i in range(m):
-        if basis[i] < n and scaled[basis[i]] != 0:
-            f = scaled[basis[i]]
-            cost = [x - f * y for x, y in zip(cost, tab[i])]
-    status, d = _simplex_core(tab, basis, cost, d)
-    if status == "unbounded":
-        return ("unbounded", None, None)
+    d = _simplex_core(tab, basis, cost, d)
+    if cost[-1] < 0:
+        return None
     x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(tab[i][-1], d)
-    value = sum(f * v for f, v in zip(obj, x)) if c is not None else _ZERO
-    return ("optimal", x, value)
-
-
-def simplex_max(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """max c.x over free x with a_ub.x <= b_ub and a_eq.x == b_eq.
-
-    Free variables are split into differences of nonnegatives and slacks
-    are appended, then everything goes through solve_nonneg.
-    """
-    n = len(c)
-    n_ub = len(a_ub)
-    rows = []
-    rhs = []
-    for row, bb in zip(a_ub, b_ub):
-        rows.append(
-            list(row) + [-x for x in row] + [int(k == len(rows)) for k in range(n_ub)]
-        )
-        rhs.append(bb)
-    for row, bb in zip(a_eq, b_eq):
-        rows.append(list(row) + [-x for x in row] + [0] * n_ub)
-        rhs.append(bb)
-    obj = [-x for x in c] + list(c) + [0] * n_ub
-    status, z, value = solve_nonneg(rows, rhs, obj)
-    if status != "optimal":
-        return (status, None, None)
-    x = [z[j] - z[n + j] for j in range(n)]
-    return ("optimal", x, -value)
+    return x
 
 
 @dataclass
 class SlackTableau:
-    """Optimal integer tableau of max t <= cap with rows.x >= t.
+    """Optimal integer tableau of max t <= 1 with rows.x >= t.
 
     Over x = x+ - x-, t and one slack per row, all >= 0, row i reads
-    t - rows_i.x+ + rows_i.x- + s_i == 0 and the cap row t + s == cap.
+    t - rows_i.x+ + rows_i.x- + s_i == 0 and the bound row t + s == 1.
     Columns are x+, x-, t, the slacks in row order, then the rhs; rows
     are on the scale d, basis columns d times identity.  The origin is
     the slack basis, so solve() starts feasible on d = 1 and runs no
@@ -243,19 +193,16 @@ class SlackTableau:
     d: int
 
     @classmethod
-    def solve(cls, rows, cap=1):
+    def solve(cls, rows):
         """Solve from the slack basis; rows must be nonempty."""
         n = len(rows[0])
         tab = [[-v for v in row] + list(row) + [1] for row in rows] + [[0] * (2 * n) + [1]]
         m = len(tab)
         for i, row in enumerate(tab):
-            row += [int(k == i) for k in range(m)] + [cap * (i == m - 1)]
+            row += [int(k == i) for k in range(m)] + [int(i == m - 1)]
         basis = list(range(2 * n + 1, 2 * n + 1 + m))
         cost = [0] * (2 * n) + [-1] + [0] * (m + 1)
-        status, d = _simplex_core(tab, basis, cost, 1)
-        if status != "optimal":
-            raise AssertionError(f"bounded feasible LP came back {status}")
-        return cls(n, tab, basis, cost, d)
+        return cls(n, tab, basis, cost, _simplex_core(tab, basis, cost, 1))
 
     def with_rows(self, rows):
         """A copy with rows.x >= t added, re-optimised by dual simplex.
@@ -294,29 +241,17 @@ class SlackTableau:
         return (Fraction(z.get(2 * n, 0), d), x)
 
 
-def max_strict_slack(rows, cap=1, eq_rows=()):
-    """Largest t <= cap with rows.x >= t and eq_rows.x == 0; returns (t, x).
+def max_strict_slack(rows):
+    """Largest t <= 1 with rows.x >= t; returns (t, x).
 
     The system is homogeneous in x so the optimum is either 0 (only
-    degenerate solutions) or cap (an interior witness exists).  Always
-    feasible: x = 0, t = 0.  Without eq_rows the LP is a SlackTableau,
-    solved from its slack basis; with eq_rows it goes through
-    simplex_max.
+    degenerate solutions) or 1 (an interior witness exists).  Always
+    feasible: x = 0, t = 0.  The LP is a SlackTableau, solved from its
+    slack basis.
     """
-    if not rows and not eq_rows:
-        return (Fraction(cap), [])
-    if not eq_rows:
-        return SlackTableau.solve(rows, cap).solution()
-    n = len(eq_rows[0])
-    # variables (x, t): maximize t with t - rows.x <= 0 and t <= cap
-    a_ub = [[-v for v in row] + [1] for row in rows] + [[0] * n + [1]]
-    b_ub = [0] * len(rows) + [cap]
-    a_eq = [list(row) + [0] for row in eq_rows]
-    c = [0] * n + [1]
-    status, x, t = simplex_max(c, a_ub, b_ub, a_eq, [0] * len(eq_rows))
-    if status != "optimal":
-        raise AssertionError(f"bounded feasible LP came back {status}")
-    return (t, x[:n])
+    if not rows:
+        return (Fraction(1), [])
+    return SlackTableau.solve(rows).solution()
 
 
 def nonneg_combination(vectors, target):
@@ -325,8 +260,7 @@ def nonneg_combination(vectors, target):
         return [] if all(x == 0 for x in target) else None
     cols = list(vectors)
     rows = [[v[d] for v in cols] for d in range(len(target))]
-    status, lam, _ = solve_nonneg(rows, list(target))
-    return lam if status == "optimal" else None
+    return solve_nonneg(rows, list(target))
 
 
 def in_cone(vectors, target):

@@ -22,7 +22,7 @@ from .cones import cone_from_generators, cone_from_inequalities, full_space
 from .cox import irrelevant_ideal, stanley_reisner
 from .linalg import primitive, sign_normalized
 from .linalg import _clear_denominators, _dot
-from .lp import SlackTableau, in_cone, max_strict_slack, scaled_inverse
+from .lp import SlackTableau, in_cone, scaled_inverse
 
 MAX_CHAMBER_RANK = 4
 MAX_CHAMBER_RAYS = 16
@@ -203,23 +203,17 @@ def is_boundary_character(dm, chi) -> bool:
     """True when the signature is not locally constant at chi.
 
     That happens exactly when some support cone contains chi without
-    chi being in its topological interior: full-dimensional cones
-    contribute their boundaries, lower-dimensional cones contribute all
-    of themselves.
+    chi being in its topological interior, that is when chi lies in a
+    proper face of a support cone or in a lower-dimensional one.  By
+    Caratheodory chi then lies in the cone of fewer than cl_free_rank
+    independent classes; conversely such a cone is a lower-dimensional
+    support cone containing chi.  So chi is on a wall exactly when some
+    member mask has fewer than cl_free_rank classes.
     """
     chi = _check_character(dm, chi)
-    classes, member = _class_membership(dm, chi)
-    k = len(classes)
+    _, member = _class_membership(dm, chi)
     rank = dm.cl_free_rank
-    vectors = [vec for vec, _ in classes]
-    for mask in range(2**k):
-        if not member[mask]:
-            continue
-        gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
-        cone = cone_from_generators(rank, gens)
-        if cone.dim_of() < rank or not cone.strictly_contains(chi):
-            return True
-    return False
+    return any(m and bin(mask).count("1") < rank for mask, m in enumerate(member))
 
 
 def _arrangement_normals(dm):
@@ -345,34 +339,6 @@ def _enumerate_cells(dm):
 
     rec([], root, [], x0)
     return tuple(sorted(cells))
-
-
-def chambers_cover_effective(dm) -> bool:
-    """Certify the enumerated cells tile the effective cone.
-
-    For every cell and every arrangement hyperplane, if the cell has a
-    facet on that hyperplane interior to the effective cone (an LP with
-    one equality), the sign-flipped neighbor must also have been
-    enumerated.  Any missing neighbor would be an uncovered open
-    region.
-    """
-    eff_rows = list(effective_cone(dm).facet_normals)
-    normals = _crossing_normals(dm)
-    cells = _enumerate_cells(dm)
-    patterns = {signs for signs, _ in cells}
-    for signs, _chi in cells:
-        for i, n in enumerate(normals):
-            rows = eff_rows + [
-                tuple(s * v for v in m)
-                for j, (s, m) in enumerate(zip(signs, normals))
-                if j != i
-            ]
-            t, _ = max_strict_slack(rows, eq_rows=[n])
-            if t > 0:
-                neighbor = signs[:i] + (-signs[i],) + signs[i + 1 :]
-                if neighbor not in patterns:
-                    return False
-    return True
 
 
 def chamber_closure(dm, chi):

@@ -2,6 +2,10 @@
 
 rational_solve is plain Gauss-Jordan elimination over Fraction, sharing
 no code with the fraction-free integer pivot in toricgit.lp.
+rational_solve_nonneg is the two-phase simplex with an objective over
+Fraction, with the pivot rules of toricgit.lp, and simplex_max poses
+free variables and inequalities on it; toricgit.lp itself keeps only
+phase 1 and the strict-slack tableau.
 cox_ring_sections counts sections in the Cox ring, sharing no code with
 either section engine in toricgit.fans (Brion's formula and the
 Fourier-Motzkin walk), nor with the Smith form behind toricgit.cox.
@@ -9,27 +13,32 @@ duals_from_inequalities is the double description with every pos x neg
 pair combined and redundant rays pruned by one LP each, against which
 the adjacency-filtered toricgit.cones routine is held; the two share
 only the integer helpers and the final projection off the lineality.
-max_strict_slack is the two-phase formulation through simplex_max and
-solve_nonneg, against which the slack-basis start in toricgit.lp is
-held, and crossing_normals decides by one equality-constrained LP per
-arrangement normal what toricgit.vgit reads off integer dot products.
+max_strict_slack poses t > 0 as the phase-1 problem rows.x - s == 1,
+eq_rows.x == 0 on toricgit.lp.solve_nonneg, against which the
+slack-basis start in toricgit.lp is held, and crossing_normals decides
+by one such LP with an equality per arrangement normal what
+toricgit.vgit reads off integer dot products.
 arrangement_normals takes one integer kernel per rank-1 subset of the
 degree classes, where toricgit.vgit reads the rows of basis inverses.
 enumerate_cells is the cell search that solves every child LP from
-scratch by that two-phase max_strict_slack, against which the dual
-simplex warm start of toricgit.vgit is held.
+scratch by that phase-1 max_strict_slack, against which the dual
+simplex warm start of toricgit.vgit is held, and
+chambers_cover_effective certifies that its cells tile the effective
+cone.  is_boundary_character builds one cone by double description per
+member mask and tests strictly_contains, relative-interior membership
+read off the dual, where toricgit.vgit counts the classes of the masks.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from toricgit.cones import _combine, _reduce_mod_lineality
+from toricgit.cones import _combine, _reduce_mod_lineality, cone_from_generators
 from toricgit.linalg import IntMatrix, _clear_denominators, _dot, kernel_basis
 from toricgit.linalg import matrix_rank, primitive
 from toricgit.linalg import saturated_row_basis, sign_normalized
 from toricgit import vgit
-from toricgit.lp import nonneg_combination, simplex_max
+from toricgit.lp import PivotLimit, nonneg_combination, solve_nonneg
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24
@@ -230,27 +239,159 @@ def duals_from_inequalities(dim, normals):
     return lin_basis, tuple(_reduce_mod_lineality(rays, lin_basis))
 
 
-def max_strict_slack(rows, cap=1, eq_rows=()):
-    """Largest t <= cap with rows.x >= t and eq_rows.x == 0; returns (t, x).
+def rational_simplex_core(tab, basis, cost):
+    """Minimize over a Fraction tableau in place, with the pivot rules
+    of toricgit.lp: Dantzig's rule, then Bland's after 8 (m + n) + 64
+    iterations, ties in the ratio test to the smallest basic index.
+    Returns "optimal" or "unbounded"."""
+    m = len(tab)
+    n = len(cost) - 1
+    pivots = 0
+    bland_after = 8 * (m + n) + 64
+    while True:
+        pivots += 1
+        if pivots > 100000:
+            raise PivotLimit("simplex did not terminate")
+        enter = None
+        if pivots <= bland_after:
+            best = _ZERO
+            for j in range(n):
+                if cost[j] < best:
+                    best = cost[j]
+                    enter = j
+        else:
+            for j in range(n):
+                if cost[j] < 0:
+                    enter = j
+                    break
+        if enter is None:
+            return "optimal"
+        leave = None
+        best_ratio = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded"
+        piv = tab[leave][enter]
+        row = [x / piv for x in tab[leave]]
+        tab[leave] = row
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], row)]
+        if cost[enter] != 0:
+            f = cost[enter]
+            for j in range(len(cost)):
+                cost[j] -= f * row[j]
+        basis[leave] = enter
 
-    The system is homogeneous in x so the optimum is either 0 (only
-    degenerate solutions) or cap (an interior witness exists).  Always
-    feasible: x = 0, t = 0.
+
+def rational_solve_nonneg(a_rows, b, c=None):
+    """min c.x subject to a_rows.x == b, x >= 0, two-phase over Fraction.
+
+    Returns (status, x, value), status one of "optimal", "infeasible",
+    "unbounded".  Without c, x is the point phase 1 ends at, which is
+    what toricgit.lp.solve_nonneg returns.
+    """
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else (len(c) if c else 0)
+    rows = [[Fraction(x) for x in row] for row in a_rows]
+    rhs = [Fraction(x) for x in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    one = Fraction(1)
+    tab = [rows[i] + [one if k == i else _ZERO for k in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    cost = [_ZERO] * (n + m + 1)
+    for j in range(n + m):
+        cost[j] = one if j >= n else _ZERO
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] -= tab[i][j]
+    status = rational_simplex_core(tab, basis, cost)
+    if status != "optimal" or -cost[-1] > 0:
+        return ("infeasible", None, None)
+    # drive leftover artificials out of the basis
+    for i in range(m):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j] != 0), None)
+            if piv is None:
+                continue  # redundant row
+            f = tab[i][piv]
+            tab[i] = [x / f for x in tab[i]]
+            for k in range(m):
+                if k != i and tab[k][piv] != 0:
+                    g = tab[k][piv]
+                    tab[k] = [x - g * y for x, y in zip(tab[k], tab[i])]
+            basis[i] = piv
+    tab = [row[:n] + [row[-1]] for row in tab]
+    obj = [Fraction(x) for x in c] if c is not None else [_ZERO] * n
+    cost = obj + [_ZERO]
+    for i in range(m):
+        if basis[i] < n and obj[basis[i]] != 0:
+            f = obj[basis[i]]
+            cost = [x - f * y for x, y in zip(cost, tab[i])]
+    status = rational_simplex_core(tab, basis, cost)
+    if status == "unbounded":
+        return ("unbounded", None, None)
+    x = [_ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    return ("optimal", x, sum(f * v for f, v in zip(obj, x)))
+
+
+def simplex_max(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """max c.x over free x with a_ub.x <= b_ub and a_eq.x == b_eq.
+
+    Free variables are split into differences of nonnegatives and slacks
+    are appended, then everything goes through rational_solve_nonneg.
+    Returns (status, x, value) as that does.
+    """
+    n = len(c)
+    n_ub = len(a_ub)
+    rows = [
+        list(row) + [-x for x in row] + [int(k == i) for k in range(n_ub)]
+        for i, row in enumerate(a_ub)
+    ]
+    rows += [list(row) + [-x for x in row] + [0] * n_ub for row in a_eq]
+    obj = [-x for x in c] + list(c) + [0] * n_ub
+    status, z, value = rational_solve_nonneg(rows, list(b_ub) + list(b_eq), obj)
+    if status != "optimal":
+        return (status, None, None)
+    return ("optimal", [z[j] - z[n + j] for j in range(n)], -value)
+
+
+def max_strict_slack(rows, eq_rows=()):
+    """Largest t <= 1 with rows.x >= t and eq_rows.x == 0; returns (t, x).
+
+    The system is homogeneous in x, so t is 1 exactly when some x has
+    rows.x > 0 and eq_rows.x == 0, and then a multiple of it has
+    rows.x >= 1.  That is the phase-1 problem rows.x - s == 1,
+    eq_rows.x == 0 over x = u - v with u, v, s >= 0.  Otherwise t is 0,
+    at x = 0.
     """
     if not rows and not eq_rows:
-        return (Fraction(cap), [])
+        return (Fraction(1), [])
     n = len(rows[0]) if rows else len(eq_rows[0])
-    # variables (x, t): maximize t with t - rows.x <= 0 and t <= cap
-    a_ub = [[-v for v in row] + [1] for row in rows]
-    a_ub.append([0] * n + [1])
-    b_ub = [0] * len(rows) + [cap]
-    a_eq = [list(row) + [0] for row in eq_rows]
-    b_eq = [0] * len(eq_rows)
-    c = [0] * n + [1]
-    status, x, value = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
-    if status != "optimal":
-        raise AssertionError(f"bounded feasible LP came back {status}")
-    return (value, x[:n])
+    m = len(rows)
+    a = [list(r) + [-v for v in r] + [-int(k == i) for k in range(m)] for i, r in enumerate(rows)]
+    a += [list(r) + [-v for v in r] + [0] * m for r in eq_rows]
+    z = solve_nonneg(a, [1] * m + [0] * len(eq_rows))
+    if z is None:
+        return (_ZERO, [_ZERO] * n)
+    return (Fraction(1), [z[j] - z[n + j] for j in range(n)])
 
 
 def crossing_normals(dm):
@@ -312,3 +453,56 @@ def arrangement_normals(dm):
             continue
         normals.add(sign_normalized(ker.column(0)))
     return sorted(normals)
+
+
+def chambers_cover_effective(dm) -> bool:
+    """Certify the enumerated cells tile the effective cone.
+
+    For every cell and every crossing hyperplane, if the cell has a
+    facet on that hyperplane interior to the effective cone (an LP with
+    one equality), the sign-flipped neighbor must also have been
+    enumerated.  Any missing neighbor would be an uncovered open
+    region.
+    """
+    eff_rows = list(vgit.effective_cone(dm).facet_normals)
+    normals = vgit._crossing_normals(dm)
+    cells = vgit._enumerate_cells(dm)
+    patterns = {signs for signs, _ in cells}
+    for signs, _chi in cells:
+        for i, n in enumerate(normals):
+            rows = eff_rows + [
+                tuple(s * v for v in m)
+                for j, (s, m) in enumerate(zip(signs, normals))
+                if j != i
+            ]
+            t, _ = max_strict_slack(rows, eq_rows=[n])
+            if t > 0:
+                neighbor = signs[:i] + (-signs[i],) + signs[i + 1 :]
+                if neighbor not in patterns:
+                    return False
+    return True
+
+
+def strictly_contains(cone, v):
+    """Membership of v in the relative interior of the cone."""
+    d = cone.dual()
+    return all(_dot(n, v) > 0 for n in d.rays) and all(_dot(l, v) == 0 for l in d.lin)
+
+
+def is_boundary_character(dm, chi):
+    """True when some support cone contains chi without chi being in
+    its topological interior: one double description per member mask,
+    full-dimensional cones contributing their boundaries and
+    lower-dimensional ones all of themselves."""
+    classes, member = vgit._class_membership(dm, tuple(chi))
+    k = len(classes)
+    rank = dm.cl_free_rank
+    vectors = [vec for vec, _ in classes]
+    for mask in range(2**k):
+        if not member[mask]:
+            continue
+        gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
+        cone = cone_from_generators(rank, gens)
+        if cone.dim_of() < rank or not strictly_contains(cone, chi):
+            return True
+    return False

@@ -1,8 +1,10 @@
 """Exit codes, output formats, and error reporting of the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from toricgit.fans import (
 )
 from toricgit.vgit import _class_membership, _enumerate_cells, enumerate_chambers
 from toricgit.vgit import unstable_supports
+
+ROOT = Path(__file__).resolve().parents[1]
 
 NON_PROJECTIVE = {
     "dim": 3,
@@ -395,6 +399,19 @@ class TestCheck:
         data = json.loads(out)
         assert len(data) == 476
         assert all(entry["passed"] for entry in data)
+        # byte for byte the certified reference, also with asserts stripped
+        reference = (ROOT / "bench" / "reference" / "check_all.json").read_text(encoding="utf-8")
+        assert out == reference
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "toricgit.cli", "check", "all", "--json"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == reference
 
 
 def test_console_script_installed():

@@ -97,11 +97,11 @@ def test_relative_interior_point():
     quad = cone_from_generators(2, [(1, 0), (0, 1)])
     p = ray_sum(quad)
     assert p == (1, 1)
-    assert quad.strictly_contains(p)
-    assert not quad.strictly_contains((1, 0))
+    assert oracles.strictly_contains(quad, p)
+    assert not oracles.strictly_contains(quad, (1, 0))
     half_line = cone_from_generators(2, [(2, 0)])
     assert ray_sum(half_line) == (1, 0)
-    assert half_line.strictly_contains((1, 0))
+    assert oracles.strictly_contains(half_line, (1, 0))
 
 
 def test_contains_boundary_and_outside():
@@ -173,7 +173,7 @@ def test_relative_interior_is_strict(gens):
         return
     p = ray_sum(c)
     assert c.contains(p)
-    assert c.strictly_contains(p)
+    assert oracles.strictly_contains(c, p)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import cox_ring_sections
+from oracles import cox_ring_sections, simplex_max
 from toricgit import fans
 from toricgit.checks import PRODUCT_PAIRS, _divisor_with_class_multiple, builtin_corpus
 from toricgit.cox import degree_map
@@ -39,7 +39,6 @@ from toricgit.fans import (
     validate,
 )
 from toricgit.linalg import primitive
-from toricgit.lp import simplex_max
 
 
 def p1():

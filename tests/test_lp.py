@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import rational_solve
+from oracles import rational_simplex_core, rational_solve, rational_solve_nonneg, simplex_max
 from toricgit import lp
 from toricgit.linalg import IntMatrix, det
 from toricgit.lp import (
@@ -13,21 +13,21 @@ from toricgit.lp import (
     max_strict_slack,
     nonneg_combination,
     scaled_inverse,
-    simplex_max,
     solve_nonneg,
 )
 
 
 def test_solve_nonneg_feasible():
-    status, x, value = solve_nonneg([[1, 1]], [1], [1, 0])
-    assert status == "optimal"
-    assert value == 0
-    assert x[0] == 0 and x[1] == 1
+    # Dantzig's rule enters the first of the two tied columns
+    assert solve_nonneg([[1, 1]], [1]) == [1, 0]
 
 
 def test_solve_nonneg_infeasible():
-    status, _, _ = solve_nonneg([[1, 1]], [-1])
-    assert status == "infeasible"
+    assert solve_nonneg([[1, 1]], [-1]) is None
+
+
+# the Fraction simplex_max oracle itself, which the box-scan oracle of
+# test_fans.py trusts
 
 
 def test_simplex_max_box():
@@ -128,7 +128,6 @@ def test_max_strict_slack_runs_no_phase_one(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("phase 1 ran")
 
-    monkeypatch.setattr(lp, "simplex_max", refuse)
     monkeypatch.setattr(lp, "solve_nonneg", refuse)
     assert max_strict_slack([(1, 0), (0, 1), (1, 0)])[0] == 1
     assert max_strict_slack([(1, 1), (-1, -1), (0, 0)])[0] == 0
@@ -296,11 +295,18 @@ def sympy_min(a, b, c):
 @given(small_lps())
 def test_solve_nonneg_matches_sympy(lp):
     a, b, c = lp
-    status, x, value = solve_nonneg(a, b, c)
-    assert (status, value) == sympy_min(a, b, c)
+    status, x, value = rational_solve_nonneg(a, b, c)
+    expected = sympy_min(a, b, c)
+    assert (status, value) == expected
     if status == "optimal":
         assert all(v >= 0 for v in x)
         assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+    # the integer phase 1 gives sympy's feasibility verdict
+    point = solve_nonneg(a, b)
+    assert (point is None) == (expected[0] == "infeasible")
+    if point is not None:
+        assert all(v >= 0 for v in point)
+        assert [sum(r * v for r, v in zip(row, point)) for row in a] == b
 
 
 @settings(max_examples=50, deadline=None)
@@ -324,112 +330,9 @@ def test_simplex_max_matches_sympy(lp, n_ub):
 
 
 # ---------------------------------------------------------------------------
-# pivot-for-pivot oracle: the same two-phase simplex over Fraction, with
-# the same pivot rules.  The integer tableau must make the same pivots,
-# so it returns the same (status, x, value) on every LP.
-
-
-def _reference_core(tab, basis, cost):
-    m = len(tab)
-    n = len(cost) - 1
-    pivots = 0
-    bland_after = 8 * (m + n) + 64
-    while True:
-        pivots += 1
-        if pivots > 100000:
-            raise PivotLimit("simplex did not terminate")
-        enter = None
-        if pivots <= bland_after:
-            best = Fraction(0)
-            for j in range(n):
-                if cost[j] < best:
-                    best = cost[j]
-                    enter = j
-        else:
-            for j in range(n):
-                if cost[j] < 0:
-                    enter = j
-                    break
-        if enter is None:
-            return "optimal"
-        leave = None
-        best_ratio = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave is None:
-            return "unbounded"
-        piv = tab[leave][enter]
-        row = [x / piv for x in tab[leave]]
-        tab[leave] = row
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], row)]
-        if cost[enter] != 0:
-            f = cost[enter]
-            for j in range(len(cost)):
-                cost[j] -= f * row[j]
-        basis[leave] = enter
-
-
-def _reference_solve_nonneg(a_rows, b, c=None):
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else (len(c) if c else 0)
-    rows = [[Fraction(x) for x in row] for row in a_rows]
-    rhs = [Fraction(x) for x in b]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    one, zero = Fraction(1), Fraction(0)
-    tab = [rows[i] + [one if k == i else zero for k in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    cost = [zero] * (n + m + 1)
-    for j in range(n + m):
-        cost[j] = one if j >= n else zero
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= tab[i][j]
-    status = _reference_core(tab, basis, cost)
-    if status != "optimal" or -cost[-1] > 0:
-        return ("infeasible", None, None)
-    for i in range(m):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if tab[i][j] != 0), None)
-            if piv is None:
-                continue
-            f = tab[i][piv]
-            tab[i] = [x / f for x in tab[i]]
-            for k in range(m):
-                if k != i and tab[k][piv] != 0:
-                    g = tab[k][piv]
-                    tab[k] = [x - g * y for x, y in zip(tab[k], tab[i])]
-            basis[i] = piv
-    tab = [row[:n] + [row[-1]] for row in tab]
-    obj = [Fraction(x) for x in c] if c is not None else [zero] * n
-    cost = obj + [zero]
-    for i in range(m):
-        if basis[i] < n and obj[basis[i]] != 0:
-            f = obj[basis[i]]
-            cost = [x - f * y for x, y in zip(cost, tab[i])]
-    status = _reference_core(tab, basis, cost)
-    if status == "unbounded":
-        return ("unbounded", None, None)
-    x = [zero] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
-    value = sum(f * v for f, v in zip(obj, x)) if c is not None else zero
-    return ("optimal", x, value)
+# pivot-for-pivot oracle: oracles.rational_solve_nonneg, the same simplex
+# over Fraction with the same pivot rules.  The integer phase 1 must make
+# the same pivots, so it ends at the same point on every LP.
 
 
 def pivot_signs(monkeypatch):
@@ -445,10 +348,10 @@ def pivot_signs(monkeypatch):
     return signs
 
 
-def same_as_reference(a, b, c):
-    got = solve_nonneg(a, b, c)
-    assert got == _reference_solve_nonneg(a, b, c)
-    assert got[1] is None or all(type(v) is Fraction for v in got[1])
+def same_as_reference(a, b):
+    got = solve_nonneg(a, b)
+    assert got == rational_solve_nonneg(a, b)[1]
+    assert got is None or all(type(v) is Fraction for v in got)
     return got
 
 
@@ -456,28 +359,30 @@ quarter = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_lps(entries=st.one_of(entry, quarter)), st.booleans())
-def test_same_result_as_rational_tableau(lp_, with_objective):
-    a, b, c = lp_
-    same_as_reference(a, b, c if with_objective else None)
+@given(small_lps(entries=st.one_of(entry, quarter)))
+def test_same_result_as_rational_tableau(lp_):
+    a, b, _ = lp_
+    same_as_reference(a, b)
 
 
 def test_redundant_equality_row():
     # the second row is twice the first, so one artificial stays basic
     # on a zero row after phase 1
-    got = same_as_reference([[1, 1, 1], [2, 2, 2], [1, 0, -1]], [3, 6, 1], [0, 1, 2])
-    assert got == ("optimal", [Fraction(2), Fraction(0), Fraction(1)], Fraction(2))
+    got = same_as_reference([[1, 1, 1], [2, 2, 2], [1, 0, -1]], [3, 6, 1])
+    assert got == [Fraction(2), Fraction(0), Fraction(1)]
 
 
-def test_negative_pivot_driving_out_an_artificial(monkeypatch):
-    # -x1 == 0 keeps its artificial basic at zero; driving it out pivots
-    # on the -1, which negates the tableau to keep its scale positive.
-    # Phase 2 then pivots on that tableau; left on a negative scale, it
-    # would return x = (0, 0, -1).
+def test_dual_simplex_pivots_on_a_negative_entry(monkeypatch):
+    # The dual simplex enters on a negative entry of the leaving row,
+    # and _pivot negates the tableau to keep its scale positive; left on
+    # a negative scale, the rhs would read off the wrong point.
+    tableau = lp.SlackTableau.solve([(1, 0), (0, 1)])
     signs = pivot_signs(monkeypatch)
-    got = same_as_reference([[-1, 0, 1], [0, -1, 0]], [-1, 0], [2, -1, -1])
-    assert got == ("optimal", [Fraction(1), Fraction(0), Fraction(0)], Fraction(2))
+    child = tableau.with_rows([(-1, 1)])
     assert False in signs
+    t, x = child.solution()
+    assert child.d > 0 and t == 1
+    assert all(sum(r * v for r, v in zip(row, x)) >= 1 for row in [(1, 0), (0, 1), (-1, 1)])
 
 
 def test_cycling_lp_runs_past_bland_after(monkeypatch):
@@ -493,14 +398,13 @@ def test_cycling_lp_runs_past_bland_after(monkeypatch):
     ref_tab = [[Fraction(v) for v in row] for row in true_rows]
     ref_cost = [Fraction(v) for v in objective]
     ref_basis = [4, 5, 6]
-    assert _reference_core(ref_tab, ref_basis, ref_cost) == "optimal"
+    assert rational_simplex_core(ref_tab, ref_basis, ref_cost) == "optimal"
 
     tab = [[int(4 * v) for v in row] for row in true_rows]
     cost = [4 * v for v in objective]
     basis = [4, 5, 6]
     signs = pivot_signs(monkeypatch)
-    status, d = lp._simplex_core(tab, basis, cost, 4)
-    assert status == "optimal"
+    d = lp._simplex_core(tab, basis, cost, 4)
     assert len(signs) > 8 * (3 + 7) + 64
     assert basis == ref_basis
     assert [[Fraction(v, d) for v in row] for row in tab] == ref_tab
@@ -513,7 +417,7 @@ def test_pivot_limit_still_raised(monkeypatch):
     tableau = lp.SlackTableau.solve([(1, 0), (0, 1)])
     monkeypatch.setattr(lp, "_pivot", lambda tab, cost, d, leave, enter: d)
     with pytest.raises(PivotLimit):
-        solve_nonneg([[1, 1]], [1], [1, 0])
+        solve_nonneg([[1, 1]], [1])
     # and the dual simplex the same: -x1 - x2 >= t leaves t = 1 infeasible
     with pytest.raises(PivotLimit):
         tableau.with_rows([(-1, -1)])

@@ -25,8 +25,6 @@ TEST_ORACLES = {
     "cox.SquarefreeIdeal.contains_monomial",
     # test_cox.py::TestPrimeDecomposition::test_membership_equivalence_exhaustive
     "cox.prime_decomposition",
-    # test_vgit.py::TestChambers::test_cover_certified
-    "vgit.chambers_cover_effective",
     # test_acceptance.py::test_criterion_8_chamber_machinery
     "vgit.chamber_closure",
     # test_acceptance.py::test_criterion_8_chamber_machinery
@@ -188,7 +186,7 @@ def test_cones_uses_no_lp():
             lp_names.add(node.name)
         elif isinstance(node, ast.Assign):
             lp_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert {"solve_nonneg", "nonneg_combination", "in_cone", "max_strict_slack", "simplex_max"} <= lp_names
+    assert {"solve_nonneg", "nonneg_combination", "in_cone", "max_strict_slack"} <= lp_names
     used = set()
     for node in ast.walk(trees["cones.py"]):
         if isinstance(node, ast.Name):

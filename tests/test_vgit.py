@@ -35,7 +35,6 @@ from toricgit.vgit import (
     ample_character,
     ample_signature_matches_irrelevant_ideal,
     chamber_closure,
-    chambers_cover_effective,
     effective_cone,
     enumerate_chambers,
     is_boundary_character,
@@ -290,7 +289,7 @@ class TestCones:
         for f in [projective_space_fan(2), f1(), blowup_pn_along_linear(3, 1)]:
             dm = degree_map(f)
             amp = ample_character(f, dm)
-            assert nef_cone(f, dm).strictly_contains(amp)
+            assert oracles.strictly_contains(nef_cone(f, dm), amp)
             assert not is_boundary_character(dm, amp)
 
 
@@ -332,7 +331,13 @@ class TestChambers:
     )
     def test_cover_certified(self, fan_builder):
         dm = degree_map(fan_builder())
-        assert chambers_cover_effective(dm)
+        assert oracles.chambers_cover_effective(dm)
+
+    def test_cover_certified_on_corpus(self, corpus):
+        gradings = {dm for _, _, dm in chamber_fans(corpus)}
+        assert len(gradings) == 54
+        for dm in gradings:
+            assert oracles.chambers_cover_effective(dm)
 
     def test_rank_cap(self):
         dm = DegreeMap(
@@ -370,6 +375,33 @@ class TestChambers:
     def test_zero_character_is_boundary(self):
         dm = degree_map(f1())
         assert is_boundary_character(dm, (0, 0))
+
+    def test_boundary_matches_double_description_oracle(self, corpus):
+        # Seeded characters: sums of degree classes with about half of
+        # the weights zero, which land on walls and faces often, and
+        # small vectors in any direction.
+        by_name = dict(corpus)
+        fans = [fan for _, fan in corpus]
+        fans += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS]
+        rng = random.Random(1010)
+        seen = {True: 0, False: 0}
+        for fan in fans:
+            dm = degree_map(fan)
+            vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+            for trial in range(40):
+                if trial % 4:
+                    weights = [rng.randint(1, 3) if rng.random() < 0.5 else 0 for _ in vectors]
+                    chi = tuple(
+                        sum(w * v[i] for w, v in zip(weights, vectors))
+                        for i in range(dm.cl_free_rank)
+                    )
+                else:
+                    chi = tuple(rng.randint(-3, 3) for _ in range(dm.cl_free_rank))
+                got = is_boundary_character(dm, chi)
+                assert got == oracles.is_boundary_character(dm, chi), (fan, chi)
+                seen[got] += 1
+        assert sum(seen.values()) == 40 * len(fans)
+        assert min(seen.values()) > 500
 
 
 class TestStableBaseLocus:
@@ -475,8 +507,8 @@ class TestCanonicalWitnesses:
             assert [chi for chi, sig in enumerate_chambers(dm) if sig == nef_sig] == [amp], name
 
     def test_output_independent_of_pivot_path(self, corpus):
-        # the oracle solves every cell LP from scratch in two phases, so
-        # its witnesses come from other vertices than the warm start's
+        # the oracle solves every cell LP from scratch by phase 1, so
+        # its witnesses come from other points than the warm start's
         fans = chamber_fans(corpus)
         clear_vgit_caches()
         warm_start = [enumerate_chambers(dm) for _, _, dm in fans]
@@ -502,7 +534,6 @@ class TestCanonicalWitnesses:
             return wrapper
 
         monkeypatch.setattr(lp, "solve_nonneg", counting("phase 1", lp.solve_nonneg))
-        monkeypatch.setattr(lp, "simplex_max", counting("phase 1", lp.simplex_max))
         monkeypatch.setattr(lp, "_simplex_core", counting("scratch", lp._simplex_core))
         monkeypatch.setattr(lp, "_dual_simplex", counting("reoptimise", lp._dual_simplex))
         clear_vgit_caches()
