@@ -318,45 +318,33 @@ def _cmd_check(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-@lru_cache(maxsize=1)
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="toricgit",
-        description="Exact GIT and chamber computations for simplicial toric fans.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _fan_args(p):
+    p.add_argument("fan", help="fan JSON file")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def fan_verb(name, helptext, handler):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("fan", help="fan JSON file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(handler=handler)
-        return p
 
-    fan_verb("validate", "report simplicial/smooth/complete/projective flags", _cmd_validate)
-    fan_verb("analyze", "full combinatorial report for one fan", _cmd_analyze)
-
-    p = fan_verb("neighborly", "test whether any m rays span a cone", _cmd_neighborly)
+def _neighborly_args(p):
+    _fan_args(p)
     p.add_argument("--m", type=int, required=True)
 
-    p = fan_verb("chambers", "enumerate GIT chambers or classify one character", _cmd_chambers)
+
+def _char_args(p):
+    _fan_args(p)
     p.add_argument("--char", help="comma-separated character coordinates")
 
-    p = fan_verb("nef", "nef cone generators, or membership with --char", _cmd_nef)
-    p.add_argument("--char", help="comma-separated character coordinates")
 
-    p = sub.add_parser("sections", help="count global sections of a divisor")
+def _sections_args(p):
     p.add_argument("fan", help="fan JSON file")
     p.add_argument("divisor", help="divisor JSON file with 'coefficients'")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_sections)
 
-    p = sub.add_parser("construct", help="emit a fan built by a named constructor")
+
+def _construct_args(p):
     p.add_argument("kind", choices=["pn", "product", "blowup-linear", "bundle"])
     p.add_argument("params", nargs="*")
-    p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("check", help="run a named verification or the whole suite")
+
+def _check_args(p):
     p.add_argument(
         "name",
         choices=[
@@ -376,13 +364,53 @@ def _build_parser():
     p.add_argument("--m", type=int, help="neighborliness degree")
     p.add_argument("--m-max", type=int, default=8, help="largest scaling to try")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_check)
 
+
+# verb -> (help text, adds the verb's arguments, handler), in help order
+_VERBS = {
+    "validate": ("report simplicial/smooth/complete/projective flags", _fan_args, _cmd_validate),
+    "analyze": ("full combinatorial report for one fan", _fan_args, _cmd_analyze),
+    "neighborly": ("test whether any m rays span a cone", _neighborly_args, _cmd_neighborly),
+    "chambers": ("enumerate GIT chambers or classify one character", _char_args, _cmd_chambers),
+    "nef": ("nef cone generators, or membership with --char", _char_args, _cmd_nef),
+    "sections": ("count global sections of a divisor", _sections_args, _cmd_sections),
+    "construct": ("emit a fan built by a named constructor", _construct_args, _cmd_construct),
+    "check": ("run a named verification or the whole suite", _check_args, _cmd_check),
+}
+
+
+@lru_cache(maxsize=16)
+def _build_parser(verb=None):
+    """The parser for one verb, or for all of them when verb is None.
+
+    A one-verb parser still names every verb in its usage line, which
+    argparse prints for unrecognized arguments.  Only the full parser
+    reports a missing or unknown verb, so only it keeps the default
+    metavar that those messages use.
+    """
+    parser = argparse.ArgumentParser(
+        prog="toricgit",
+        description="Exact GIT and chamber computations for simplicial toric fans.",
+    )
+    if verb is None:
+        sub = parser.add_subparsers(dest="verb", required=True)
+    else:
+        sub = parser.add_subparsers(
+            dest="verb", required=True, metavar="{" + ",".join(_VERBS) + "}"
+        )
+    for name in _VERBS if verb is None else (verb,):
+        helptext, add_args, handler = _VERBS[name]
+        p = sub.add_parser(name, help=helptext)
+        add_args(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _build_parser(verb).parse_args(argv)
     try:
         return args.handler(args)
     except json.JSONDecodeError as exc:

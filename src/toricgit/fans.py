@@ -147,7 +147,7 @@ def _check_fan_axiom(fan):
     (an incomplete fan, or invalid input) intersects every pair of
     maximal cones by double description.
     """
-    if _wall_certificate(fan, _cone_inverses(fan)):
+    if _wall_certificate(fan):
         return
     for a, b in combinations(fan.max_cones, 2):
         common = tuple(sorted(set(a) & set(b)))
@@ -245,14 +245,17 @@ def _ridges(fan):
     return by_ridge
 
 
-def _wall_certificate(fan, inverses):
+@lru_cache(maxsize=1024)
+def _wall_certificate(fan):
     """Pseudomanifold certificate that the cones form a complete fan.
 
     Every maximal cone is full-dimensional, every ridge lies in exactly
     two, on opposite sides of it, and one generic probe lies in exactly
     one cone (De Loera, Rambau and Santos, Triangulations, 2010, ch. 4).
-    It proves the fan axiom too; False proves nothing.
+    It proves the fan axiom too; False proves nothing.  Cached, since
+    the constructor and validate both ask it of a fan read from JSON.
     """
+    inverses = _cone_inverses(fan)
     if len(inverses) != len(fan.max_cones):
         return False
     normals = {
@@ -324,7 +327,7 @@ def validate(fan) -> FanReport:
         return set(snf.invariant_factors()) == {1}
 
     smooth = all(unimodular(c) for c in fan.max_cones)
-    complete = _wall_certificate(fan, inverses)
+    complete = _wall_certificate(fan)
     return FanReport(
         simplicial=True,  # Fan.__init__ rejects a cone with dependent rays
         smooth=smooth,

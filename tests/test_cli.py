@@ -1,14 +1,18 @@
 """Exit codes, output formats, and error reporting of the CLI."""
 
+import argparse
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from toricgit import lp
+import toricgit
+from toricgit import cli, lp
 from toricgit.cli import main
 from toricgit.fans import (
     blowup_pn_along_linear,
@@ -62,6 +66,13 @@ def run(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def package_modules():
+    return [
+        importlib.import_module(f"toricgit.{m.name}")
+        for m in pkgutil.iter_modules(toricgit.__path__)
+    ]
 
 
 class TestValidate:
@@ -136,6 +147,28 @@ class TestAnalyze:
         code, out, _ = run(["analyze", str(path), "--json"], capsys)
         assert code == 0
         assert json.loads(out)["unstable_codim"] == 3
+
+    def test_json_matches_certified_reference(self, tmp_path, capsys):
+        # Every fan of the analyze benchmark, with every cache cleared
+        # first as in a fresh process, byte for byte.
+        reference = json.loads(
+            (ROOT / "bench" / "reference" / "analyze_json.json").read_text(encoding="utf-8")
+        )
+        assert len(reference) == 158
+        caches = [
+            fn
+            for module in package_modules()
+            for fn in vars(module).values()
+            if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == module.__name__
+        ]
+        for i, entry in enumerate(reference.values()):
+            path = tmp_path / f"fan{i}.json"
+            path.write_text(json.dumps(entry["fan"], sort_keys=True), encoding="utf-8")
+            for fn in caches:
+                fn.cache_clear()
+            got = run(["analyze", str(path), "--json"], capsys)
+            want = entry["output"]
+            assert got == (want["rc"], want["stdout"], want["stderr"])
 
 
 class TestNeighborly:
@@ -412,6 +445,79 @@ class TestCheck:
         )
         assert proc.returncode == 0
         assert proc.stdout == reference
+
+
+# {fan} and {div} stand for a P^2 fan file and a divisor file on it
+PARSER_ARGVS = [
+    ["validate", "{fan}"],
+    ["validate", "{fan}", "--json"],
+    ["analyze", "{fan}"],
+    ["analyze", "{fan}", "--json"],
+    ["neighborly", "{fan}", "--m", "2"],
+    ["chambers", "{fan}", "--char", "1", "--json"],
+    ["nef", "{fan}"],
+    ["sections", "{fan}", "{div}", "--json"],
+    ["construct", "pn", "2"],
+    ["check", "two-neighborly", "{fan}", "--json"],
+    *([verb, "--help"] for verb in cli._VERBS),
+    ["analyze"],
+    ["sections", "{fan}"],
+    ["neighborly", "{fan}"],
+    ["construct"],
+    ["check"],
+    ["check", "no-such-check"],
+    ["construct", "cube", "2"],
+    ["neighborly", "{fan}", "--m", "two"],
+    ["analyze", "f.json", "--bogus"],
+    ["validate", "f.json", "g.json"],
+    ["check", "all", "x", "--json"],
+    [],
+    ["--help"],
+    ["-h"],
+    ["bogus"],
+    ["--json", "analyze", "f.json"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_one_verb_parser_matches_full_parser(self, argv, write, capsys, monkeypatch):
+        files = {
+            "{fan}": write(fan_to_json(projective_space_fan(2)), "p2.json"),
+            "{div}": write({"coefficients": [0, 0, 2]}, "div.json"),
+        }
+        argv = [files.get(a, a) for a in argv]
+
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            return (code, *capsys.readouterr())
+
+        pruned = outcome()
+        full = cli._build_parser(None)
+        monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full)
+        assert outcome() == pruned
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "error: the following arguments are required: verb\n"),
+            (["bogus"], "error: argument verb: invalid choice: 'bogus'"),
+        ],
+        ids=["no verb", "unknown verb"],
+    )
+    def test_full_parser_names_the_verb_argument(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_verb_parser_holds_one_verb(self):
+        parser = cli._build_parser("analyze")
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["analyze"]
 
 
 def test_console_script_installed():

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import rational_solve
 from toricgit.cones import (
-    RationalCone,
     cone_from_generators,
     duals_from_inequalities,
     cone_from_inequalities,

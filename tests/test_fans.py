@@ -298,6 +298,15 @@ class TestWallCertificate:
         assert calls
         assert not validate(f).complete
 
+    def test_one_certificate_per_fan(self):
+        # The constructor and validate share one cached certificate.
+        data = fan_to_json(blowup_pn_along_linear(3, 1))
+        fans._wall_certificate.cache_clear()
+        validate.cache_clear()
+        assert validate(fan_from_json(data)).complete
+        info = fans._wall_certificate.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_certificate_implies_pairwise_check(self, data):
@@ -316,7 +325,7 @@ class TestWallCertificate:
             f = Fan(fan.dim, rays, fan.max_cones, _trusted=True)
         except FanError:
             assume(False)
-        accepted = fans._wall_certificate(f, fans._cone_inverses(f))
+        accepted = fans._wall_certificate(f)
         event(f"certificate accepts: {accepted}")
         if accepted:
             # the pairwise check alone: raises FanError if the cones overlap

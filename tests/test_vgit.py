@@ -19,7 +19,7 @@ import oracles
 from toricgit import lp, vgit
 from toricgit.checks import PRODUCT_PAIRS
 from toricgit.cones import cone_from_generators, cones_equal, full_space
-from toricgit.cox import degree_map, irrelevant_ideal, stanley_reisner
+from toricgit.cox import degree_map
 from toricgit.fans import (
     Fan,
     TorusInvariantDivisor,
