@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (or property true, checks passed), 1 property
 false or check failed, 2 malformed or unsupported input or a simplex
-pivot limit.  All verbs accept --json for machine output; the text
-reports are a rendering of the same data.
+pivot limit.  Every verb but construct accepts --json for machine
+output, and the text reports are a rendering of the same data;
+construct always prints its fan as JSON.
 """
 
 from __future__ import annotations

@@ -216,6 +216,22 @@ def is_boundary_character(dm, chi) -> bool:
     return any(m and bin(mask).count("1") < rank for mask, m in enumerate(member))
 
 
+@lru_cache(maxsize=256)
+def _basis_table(dm):
+    """(class mask, facet rows) of each cone(T), T a linearly independent
+    set of cl_free_rank degree classes: with M_T the matrix whose columns
+    are T, cone(T) = {chi : inv(M_T) chi >= 0}, rows made primitive."""
+    vectors = [vec for vec, _ in _degree_classes(dm)]
+    table = []
+    for basis in combinations(range(len(vectors)), dm.cl_free_rank):
+        try:
+            inv, _ = scaled_inverse(list(zip(*(vectors[c] for c in basis))))
+        except ValueError:
+            continue  # dependent classes span no basis cone
+        table.append((sum(1 << c for c in basis), tuple(primitive(row) for row in inv)))
+    return tuple(table)
+
+
 def _arrangement_normals(dm):
     """Hyperplanes spanned by cl_free_rank - 1 independent degree classes.
 
@@ -226,34 +242,41 @@ def _arrangement_normals(dm):
     only split chambers into pieces that merging by signature
     reassembles.
     """
-    return sorted({sign_normalized(n) for inv in _basis_facets(dm) for n in inv})
+    return sorted({sign_normalized(r) for _, rows in _basis_table(dm) for r in rows})
 
 
 @lru_cache(maxsize=256)
-def _basis_facets(dm):
-    """Facet normals of each cone(T), T a linearly independent set of
-    cl_free_rank degree classes: with M_T the matrix whose columns are
-    T, cone(T) = {chi : inv(M_T) chi >= 0}, rows made primitive."""
-    facets = []
-    for basis in combinations([vec for vec, _ in _degree_classes(dm)], dm.cl_free_rank):
-        try:
-            inv, _ = scaled_inverse(list(zip(*basis)))
-        except ValueError:
-            continue  # dependent classes span no basis cone
-        facets.append(tuple(primitive(row) for row in inv))
-    return tuple(facets)
+def _without_class(k, c):
+    """The 2**k-bit set of class masks that leave out class c."""
+    block = (1 << (1 << c)) - 1
+    period = 1 << (c + 1)
+    return block * (((1 << (1 << k)) - 1) // ((1 << period) - 1))
 
 
-def _chamber_witness(dm, chi):
-    """Sum of the primitive rays of the closure of chi's chamber.
+def _key_signature(classes, masks):
+    """Signature of a character off every arrangement hyperplane whose
+    containing basis cones are the given class masks.
 
-    chi is on no arrangement hyperplane, so chi is in cone(T) exactly
-    when inv(M_T) chi > 0, and the closure is the intersection of those
-    basis cones (Cox, Little and Schenck, ch. 14-15).
+    By Caratheodory, such a character is in cone(S) exactly when S holds
+    one of those bases, so the member masks are their superset closure.
+    The closure and the maximal non-members are computed on one int used
+    as a 2**k-bit set, one shift per class.
     """
-    rows = [n for inv in _basis_facets(dm) if all(_dot(r, chi) > 0 for r in inv) for n in inv]
-    rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
-    return tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank))
+    k = len(classes)
+    member = sum(1 << mask for mask in masks)  # distinct bases, distinct masks
+    for c in range(k):
+        member |= (member & _without_class(k, c)) << (1 << c)
+    unstable = ~member & ((1 << (1 << k)) - 1)
+    covered = 0
+    for c in range(k):
+        covered |= (unstable >> (1 << c)) & _without_class(k, c)
+    maximal = unstable & ~covered
+    facets = []
+    while maximal:
+        low = maximal & -maximal
+        facets.append(_mask_support(classes, low.bit_length() - 1))
+        maximal ^= low
+    return ChamberSignature(facets=tuple(facets))
 
 
 @lru_cache(maxsize=8192)
@@ -261,24 +284,45 @@ def enumerate_chambers(dm):
     """One (interior character, signature) pair per chamber.
 
     Cells of the wall arrangement are enumerated by sign-vector search
-    with exact LP pruning, then cells sharing a signature are merged.
-    A chamber's character is the sum of the primitive rays of its
-    closure, the rule ample_character uses for the nef cone, so it does
-    not depend on the simplex's pivot path.  Output is a tuple sorted by
-    signature for determinism.
+    with exact LP pruning; no LP runs after it.  A cell lies on no
+    arrangement hyperplane, so the basis cones that contain it fix its
+    chamber and its signature (Cox, Little and Schenck, ch. 14-15).
+    That set is read off the cell's sign vector alone, and cells sharing
+    it are one chamber.  A chamber's character is the sum of the
+    primitive rays of its closure, the intersection of those basis
+    cones, so it does not depend on the simplex's pivot path; it is the
+    rule ample_character uses for the nef cone.  Output is a tuple
+    sorted by signature for determinism.
     """
     if dm.cl_free_rank > MAX_CHAMBER_RANK:
         raise ValueError(f"chamber enumeration capped at rank {MAX_CHAMBER_RANK}")
     if dm.n_rays > MAX_CHAMBER_RAYS:
         raise ValueError(f"chamber enumeration capped at {MAX_CHAMBER_RAYS} rays")
-    chambers = {}
-    for _signs, chi in _enumerate_cells(dm):
-        sig = unstable_supports(dm, chi)
-        chambers.setdefault(sig, chi)
-    return tuple(
-        (_chamber_witness(dm, chi), sig)
-        for sig, chi in sorted(chambers.items(), key=lambda kv: kv[0].facets)
-    )
+    classes = _degree_classes(dm)
+    # Per basis cone T, the crossing normals of its rows, each with the
+    # sign a cell inside cone(T) has on it.  The other rows need no
+    # test: cone(T) lies in the effective cone, so a row whose normal
+    # does not cross it is positive on its whole interior.
+    index = {n: i for i, n in enumerate(_crossing_normals(dm))}
+    tests = []
+    for mask, rows in _basis_table(dm):
+        normals = [sign_normalized(r) for r in rows]
+        need = [(index[n], 1 if n == r else -1) for n, r in zip(normals, rows) if n in index]
+        tests.append((mask, rows, need))
+    seen = set()
+    chambers = []
+    for signs, _ in _enumerate_cells(dm):
+        key = tuple(
+            b for b, (_, _, need) in enumerate(tests) if all(signs[i] == s for i, s in need)
+        )
+        if key in seen:
+            continue
+        seen.add(key)
+        rows = [r for b in key for r in tests[b][1]]
+        rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
+        chi = tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank))
+        chambers.append((chi, _key_signature(classes, [tests[b][0] for b in key])))
+    return tuple(sorted(chambers, key=lambda c: c[1].facets))
 
 
 @lru_cache(maxsize=8192)
@@ -311,6 +355,8 @@ def _enumerate_cells(dm):
     scratch (reverse search, Avis and Fukuda 1996).
     """
     eff_rows = list(effective_cone(dm).facet_normals)
+    if not eff_rows:
+        raise ValueError("the effective cone is the whole space; it has no chambers to enumerate")
     normals = _crossing_normals(dm)
     root = SlackTableau.solve(eff_rows)
     t, x0 = root.solution()

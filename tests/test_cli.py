@@ -202,6 +202,17 @@ class TestChambers:
             "codim": 1,
         }
 
+    def test_json_pinned_on_corpus(self, corpus, tmp_path, capsys):
+        # byte for byte the output recorded when every chamber signature
+        # still came from LP membership
+        want = json.loads((ROOT / "tests" / "chambers_corpus.json").read_text(encoding="utf-8"))
+        assert sorted(want) == sorted(name for name, _ in corpus)
+        assert len(want) == 65
+        for name, fan in corpus:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(fan_to_json(fan), sort_keys=True), encoding="utf-8")
+            assert run(["chambers", str(path), "--json"], capsys) == (0, want[name], ""), name
+
     def test_character_report(self, f1_file, capsys):
         code, out, _ = run(["chambers", f1_file, "--char", "0,1", "--json"], capsys)
         assert code == 0
@@ -310,6 +321,15 @@ class TestConstruct:
         code, out, _ = run(["construct", "pn", "2"], capsys)
         assert code == 0
         assert fan_from_json(json.loads(out)) == projective_space_fan(2)
+
+    def test_prints_fan_json_without_a_flag(self, capsys):
+        code, out, _ = run(["construct", "pn", "1"], capsys)
+        assert code == 0
+        assert json.loads(out) == fan_to_json(projective_space_fan(1))
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "pn", "1", "--json"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_byte_deterministic(self, capsys):
         _, out1, _ = run(["construct", "blowup-linear", "4", "1"], capsys)

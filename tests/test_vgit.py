@@ -520,6 +520,53 @@ class TestCanonicalWitnesses:
             clear_vgit_caches()
         assert two_phase == warm_start
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda r: st.lists(
+                st.tuples(*[st.integers(min_value=-2, max_value=2)] * r),
+                min_size=r,
+                max_size=6,
+                unique=True,
+            )
+        )
+    )
+    def test_signatures_match_lp_membership(self, gens):
+        # the chamber signatures and witnesses come from basis cones
+        # alone; the LP membership table of unstable_supports and
+        # chamber_closure is the oracle
+        assume(matrix_rank(gens) == len(gens[0]))
+        dm = graded_by(gens)
+        if not effective_cone(dm).facet_normals:
+            with pytest.raises(ValueError, match="whole space"):
+                enumerate_chambers(dm)
+            return
+        chambers = enumerate_chambers(dm)
+        assert chambers
+        for chi, sig in chambers:
+            assert sig == unstable_supports(dm, chi), (gens, chi)
+            rays = chamber_closure(dm, chi).rays
+            assert chi == tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank))
+        assert len({sig for _, sig in chambers}) == len(chambers)
+
+    def test_chambers_run_no_membership_lp(self, corpus, monkeypatch):
+        by_name = dict(corpus)
+        dms = {dm for _, _, dm in chamber_fans(corpus)}
+        dms |= {degree_map(product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS}
+        want = {dm: enumerate_chambers(dm) for dm in dms}
+
+        def refuse(*args):
+            raise AssertionError("enumerate_chambers ran an in_cone LP")
+
+        monkeypatch.setattr(vgit, "in_cone", refuse)
+        clear_vgit_caches()
+        try:
+            for dm in dms:
+                assert enumerate_chambers(dm) == want[dm]
+        finally:
+            clear_vgit_caches()
+        assert len(dms) == 61
+
     def test_cell_search_runs_no_phase_one(self, corpus, monkeypatch):
         # and it solves only the root LP of each fan from scratch; every
         # other LP is a dual simplex re-optimisation
