@@ -356,7 +356,7 @@ def _enumerate_cells(dm):
     """
     eff_rows = list(effective_cone(dm).facet_normals)
     if not eff_rows:
-        raise ValueError("the effective cone is the whole space; it has no chambers to enumerate")
+        raise ValueError("the effective cone is the whole space; the cell search needs a facet")
     normals = _crossing_normals(dm)
     root = SlackTableau.solve(eff_rows)
     t, x0 = root.solution()
