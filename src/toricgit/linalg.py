@@ -9,18 +9,11 @@ floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _clear_denominators(vec):
-    """Scale a rational vector by the lcm of its denominators; the
-    result is an integer tuple."""
-    den = lcm(*(x.denominator for x in vec))
-    return tuple(int(x * den) for x in vec)
 
 
 def primitive(vec):

@@ -1,33 +1,33 @@
 """Exact linear programming and integer matrix inversion.
 
-Two LPs, both on a fraction-free integer tableau.  solve_nonneg is a
-phase-1 feasibility test for a.x == b, x >= 0 from an artificial basis;
-it has no objective.  SlackTableau, behind max_strict_slack, is the
-strict-slack LP max t <= 1 with rows.x >= t, started from its feasible
-slack basis.  Each row is the rational row times one positive scale d,
-the absolute value of the basis determinant, so the Bareiss update
-(p*x - f*y) // d is exact (Bareiss 1968; lrs, Avis 2000).  Entries on
-one scale compare as the rational ones do, so the pivots are those of
-the rational tableau; Fraction appears only where a solution is read
-off.  An optimal SlackTableau is warm-started: with_rows adds rows to a
-copy, each in terms of the current basis, and re-optimises it by dual
-simplex pivots through the same _pivot, so a search that adds a row per
-step solves only its first LP from scratch (Avis and Fukuda 1996).  Both
-the primal and the dual loop pivot by Dantzig's rule with an automatic
-switch to Bland's rule after enough iterations, which keeps runs fast in
-practice and terminating in theory, under one iteration limit that raises
-PivotLimit.  Exact solves use scaled_inverse, Gauss-Jordan through the
-same _pivot, so there is no second elimination engine.  Scale here is
-tiny (dozens of rows), exactness is the whole point.
+Two LPs, both on a fraction-free integer tableau.  in_cone is a phase-1
+feasibility test for A.x == b, x >= 0 on integer data, started from the
+artificial basis of [A | I | b] on scale 1; it reads the verdict off
+the cost row and builds no solution.  SlackTableau, behind max_strict_slack,
+is the strict-slack LP max t <= 1 with rows.x >= t, started from its
+feasible slack basis.  Each row is the rational row times one positive
+scale d, the absolute value of the basis determinant, so the Bareiss
+update (p*x - f*y) // d is exact (Bareiss 1968; lrs, Avis 2000).
+Entries on one scale compare as the rational ones do, so the pivots are
+those of the rational tableau; Fraction appears only where a solution
+is read off.  An optimal SlackTableau is warm-started: with_rows adds
+rows to a copy, each in terms of the current basis, and re-optimises it
+by dual simplex pivots through the same _pivot, so a search that adds a
+row per step solves only its first LP from scratch (Avis and Fukuda
+1996).  Both the primal and the dual loop pivot by Dantzig's rule with
+an automatic switch to Bland's rule after enough iterations, which keeps
+runs fast in practice and terminating in theory, under one iteration
+limit that raises PivotLimit.  Exact solves use scaled_inverse,
+Gauss-Jordan through the same _pivot, so there is no second elimination
+engine.  Scale here is tiny (dozens of rows), exactness is the whole
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
 
-_ZERO = Fraction(0)
 _MAX_PIVOTS = 100000
 
 
@@ -142,38 +142,6 @@ def _dual_simplex(tab, basis, cost, d):
         basis[leave] = enter
 
 
-def solve_nonneg(a_rows, b):
-    """Some x >= 0 with a_rows.x == b (exact), or None if there is none.
-
-    Entries are integers or Fractions; x is a list of Fractions.  This is
-    phase 1 alone: x is the basic solution it ends at, and an artificial
-    left basic at zero (on a redundant row) is ignored.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    rows = [
-        list(row) + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs]
-        for row, rhs in zip(a_rows, b)
-    ]
-    # artificial basis.  The start is d times [A | I | b], d the
-    # determinant of the integral basis diag(lcm of row denominators).
-    d = prod(lcm(*(x.denominator for x in row)) for row in rows)
-    tab = [[int(x * d) for x in row] for row in rows]
-    for i, row in enumerate(tab):
-        row[n:n] = [d * (k == i) for k in range(m)]
-    basis = [n + i for i in range(m)]
-    cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
-    cost.append(-sum(row[-1] for row in tab))
-    d = _simplex_core(tab, basis, cost, d)
-    if cost[-1] < 0:
-        return None
-    x = [_ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(tab[i][-1], d)
-    return x
-
-
 @dataclass
 class SlackTableau:
     """Optimal integer tableau of max t <= 1 with rows.x >= t.
@@ -233,12 +201,16 @@ class SlackTableau:
         d = _dual_simplex(tab, basis, cost, d)
         return SlackTableau(n, tab, basis, cost, d)
 
+    def scaled_solution(self):
+        """(t, x) at the optimum times the scale d, as integers."""
+        n = self.n
+        z = {j: row[-1] for j, row in zip(self.basis, self.tab) if j <= 2 * n}
+        return (z.get(2 * n, 0), [z.get(j, 0) - z.get(n + j, 0) for j in range(n)])
+
     def solution(self):
         """(t, x) at the optimum, as Fractions."""
-        n, d = self.n, self.d
-        z = {j: row[-1] for j, row in zip(self.basis, self.tab) if j <= 2 * n}
-        x = [Fraction(z.get(j, 0) - z.get(n + j, 0), d) for j in range(n)]
-        return (Fraction(z.get(2 * n, 0), d), x)
+        t, x = self.scaled_solution()
+        return (Fraction(t, self.d), [Fraction(v, self.d) for v in x])
 
 
 def max_strict_slack(rows):
@@ -254,17 +226,29 @@ def max_strict_slack(rows):
     return SlackTableau.solve(rows).solution()
 
 
-def nonneg_combination(vectors, target):
-    """Fractions lam >= 0 with sum lam_i vectors_i == target, or None."""
-    if not vectors:
-        return [] if all(x == 0 for x in target) else None
-    cols = list(vectors)
-    rows = [[v[d] for v in cols] for d in range(len(target))]
-    return solve_nonneg(rows, list(target))
-
-
 def in_cone(vectors, target):
-    return nonneg_combination(vectors, target) is not None
+    """Whether the integer target is a nonnegative combination of the
+    integer vectors.
+
+    Phase 1 alone, from the artificial basis of [A | I | b] with the
+    vectors as the columns of A and each row signed so that b >= 0; that
+    basis is the identity, so the scale starts at 1.  The target is in
+    the cone exactly when phase 1 drives the sum of the artificials to
+    zero; the cost row's last entry is minus that sum on the final
+    scale.  The I block is not stored: an artificial that leaves the
+    basis may stay at zero without changing that verdict, so none
+    re-enters, and pivots on the other columns never read it.
+    """
+    if not vectors or not target:
+        return not any(target)
+    tab = [
+        (list(row) if b >= 0 else [-v for v in row]) + [abs(b)]
+        for row, b in zip(zip(*vectors), target)
+    ]
+    n = len(vectors)
+    cost = [-sum(col) for col in zip(*tab)]
+    _simplex_core(tab, list(range(n, n + len(target))), cost, 1)
+    return cost[-1] >= 0
 
 
 def scaled_inverse(rows):

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .cones import cone_from_generators, cone_from_inequalities, full_space
 from .cox import irrelevant_ideal, stanley_reisner
 from .linalg import primitive, sign_normalized
-from .linalg import _clear_denominators, _dot
+from .linalg import _dot
 from .lp import SlackTableau, in_cone, scaled_inverse
 
 MAX_CHAMBER_RANK = 4
@@ -75,10 +76,15 @@ def _class_membership(dm, chi):
     """For every subset of degree classes: does its cone contain chi?
 
     Masks are bit sets over the class list, and the answers come back
-    as a tuple indexed by mask.  Membership is monotone (larger mask,
-    larger cone), so known-unstable supersets settle smaller masks
-    without an LP call.  The cache is small because one entry holds up
-    to 2**MAX_DEGREE_CLASSES answers.
+    as one int used as a 2**k-bit set, bit mask set when cone(mask)
+    contains chi.  By Caratheodory chi is in cone(S) exactly when it is
+    in cone(T) for some linearly independent T within S, and such a T
+    has at most cl_free_rank classes.  So only the masks of at most that
+    many classes are tested, the largest first, and the answers above
+    are the superset closure of their members.  Membership is monotone
+    (larger mask, larger cone), so a mask with a non-member immediate
+    superset is a non-member without an LP call.  The cache is small
+    because one entry holds 2**MAX_DEGREE_CLASSES bits.
     """
     classes = _degree_classes(dm)
     k = len(classes)
@@ -87,18 +93,24 @@ def _class_membership(dm, chi):
             f"too many distinct degree vectors ({k} > {MAX_DEGREE_CLASSES})"
         )
     vectors = [vec for vec, _ in classes]
-    member = [False] * 2**k
-    for mask in sorted(range(2**k), key=lambda m: -bin(m).count("1")):
-        unstable_superset = any(
-            not member[mask | (1 << c)]
-            for c in range(k)
-            if not (mask >> c) & 1
-        )
-        if unstable_superset:
-            continue
-        gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
-        member[mask] = in_cone(gens, chi)
-    return classes, tuple(member)
+    top = min(dm.cl_free_rank, k)
+    members = set()
+    for size in range(top, -1, -1):
+        for subset in combinations(range(k), size):
+            mask = sum(1 << c for c in subset)
+            if size < top and any(
+                mask | (1 << c) not in members for c in range(k) if not (mask >> c) & 1
+            ):
+                continue
+            if in_cone([vectors[c] for c in subset], chi):
+                members.add(mask)
+    return classes, _superset_closure(k, sum(1 << mask for mask in members))
+
+
+def _bits(x):
+    """Positions of the set bits of x, ascending.  The '0b' prefix of
+    bin(x) ends the reversed string and holds no '1'."""
+    return [i for i, b in enumerate(reversed(bin(x))) if b == "1"]
 
 
 def _mask_support(classes, mask):
@@ -120,22 +132,11 @@ def unstable_supports(dm, chi) -> ChamberSignature:
     """
     chi = _check_character(dm, chi)
     classes, member = _class_membership(dm, chi)
-    k = len(classes)
-    full = (1 << k) - 1
-    if not member[full]:
+    if not member:  # up-closed, so empty exactly when the full mask is out
         return ChamberSignature(
             facets=(tuple(range(dm.n_rays)),), outside_effective=True
         )
-    maximal = [
-        mask
-        for mask in range(2**k)
-        if not member[mask]
-        and all(
-            member[mask | (1 << c)] for c in range(k) if not (mask >> c) & 1
-        )
-    ]
-    facets = tuple(_mask_support(classes, m) for m in maximal)
-    return ChamberSignature(facets=facets)
+    return _signature(classes, member)
 
 
 def unstable_codim(dm, chi) -> int:
@@ -208,12 +209,22 @@ def is_boundary_character(dm, chi) -> bool:
     Caratheodory chi then lies in the cone of fewer than cl_free_rank
     independent classes; conversely such a cone is a lower-dimensional
     support cone containing chi.  So chi is on a wall exactly when some
-    member mask has fewer than cl_free_rank classes.
+    member mask has fewer than cl_free_rank classes: one AND of the
+    membership bits with the set of those masks.
     """
     chi = _check_character(dm, chi)
-    _, member = _class_membership(dm, chi)
-    rank = dm.cl_free_rank
-    return any(m and bin(mask).count("1") < rank for mask, m in enumerate(member))
+    classes, member = _class_membership(dm, chi)
+    return bool(member & _masks_below(len(classes), dm.cl_free_rank))
+
+
+@lru_cache(maxsize=256)
+def _masks_below(k, size):
+    """The 2**k-bit set of class masks with fewer than size classes."""
+    return sum(
+        1 << sum(1 << c for c in subset)
+        for n in range(min(size, k + 1))
+        for subset in combinations(range(k), n)
+    )
 
 
 @lru_cache(maxsize=256)
@@ -253,30 +264,27 @@ def _without_class(k, c):
     return block * (((1 << (1 << k)) - 1) // ((1 << period) - 1))
 
 
-def _key_signature(classes, masks):
-    """Signature of a character off every arrangement hyperplane whose
-    containing basis cones are the given class masks.
-
-    By Caratheodory, such a character is in cone(S) exactly when S holds
-    one of those bases, so the member masks are their superset closure.
-    The closure and the maximal non-members are computed on one int used
-    as a 2**k-bit set, one shift per class.
-    """
-    k = len(classes)
-    member = sum(1 << mask for mask in masks)  # distinct bases, distinct masks
+def _superset_closure(k, member):
+    """Every superset of a member, on a 2**k-bit set of class masks:
+    one shift per class moves each mask without the class onto the mask
+    with it."""
     for c in range(k):
         member |= (member & _without_class(k, c)) << (1 << c)
+    return member
+
+
+def _signature(classes, member):
+    """Signature of a character whose member masks are the up-closed
+    2**k-bit set member: its maximal non-members, those with no
+    non-member immediate superset, as supports."""
+    k = len(classes)
     unstable = ~member & ((1 << (1 << k)) - 1)
     covered = 0
     for c in range(k):
         covered |= (unstable >> (1 << c)) & _without_class(k, c)
-    maximal = unstable & ~covered
-    facets = []
-    while maximal:
-        low = maximal & -maximal
-        facets.append(_mask_support(classes, low.bit_length() - 1))
-        maximal ^= low
-    return ChamberSignature(facets=tuple(facets))
+    return ChamberSignature(
+        facets=tuple(_mask_support(classes, mask) for mask in _bits(unstable & ~covered))
+    )
 
 
 @lru_cache(maxsize=8192)
@@ -321,7 +329,10 @@ def enumerate_chambers(dm):
         rows = [r for b in key for r in tests[b][1]]
         rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
         chi = tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank))
-        chambers.append((chi, _key_signature(classes, [tests[b][0] for b in key])))
+        # a character off every hyperplane is in cone(S) exactly when S
+        # holds one of the basis cones that contain it (Caratheodory)
+        member = _superset_closure(len(classes), sum(1 << tests[b][0] for b in key))
+        chambers.append((chi, _signature(classes, member)))
     return tuple(sorted(chambers, key=lambda c: c[1].facets))
 
 
@@ -359,16 +370,18 @@ def _enumerate_cells(dm):
         raise ValueError("the effective cone is the whole space; the cell search needs a facet")
     normals = _crossing_normals(dm)
     root = SlackTableau.solve(eff_rows)
-    t, x0 = root.solution()
+    t, x0 = root.scaled_solution()
     if t <= 0:
         raise AssertionError("effective cone must be full-dimensional")
-    if not normals:
-        return (((), _clear_denominators(x0)),)
     cells = []
 
     def rec(signs, tableau, pending, witness):
+        # witness is the tableau's optimal x times its scale, which is
+        # positive: same signs, and dividing by gcd(scale, *witness)
+        # clears the denominators of x
         if len(signs) == len(normals):
-            cells.append((tuple(signs), _clear_denominators(witness)))
+            g = gcd(tableau.d, *witness)
+            cells.append((tuple(signs), tuple(v // g for v in witness)))
             return
         n = normals[len(signs)]
         d = _dot(n, witness)
@@ -379,7 +392,7 @@ def _enumerate_cells(dm):
                 rec(signs + [s], tableau, pending + [row], witness)
                 continue
             child = tableau.with_rows(pending + [row])
-            t, x = child.solution()
+            t, x = child.scaled_solution()
             if t > 0:
                 rec(signs + [s], child, [], x)
 
@@ -391,13 +404,10 @@ def chamber_closure(dm, chi):
     """Closure of chi's chamber: intersection of its semistable cones."""
     chi = _check_character(dm, chi)
     classes, member = _class_membership(dm, chi)
-    k = len(classes)
     vectors = [vec for vec, _ in classes]
     acc = full_space(dm.cl_free_rank)
-    for mask in range(2**k):
-        if not member[mask]:
-            continue
-        gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
+    for mask in _bits(member):
+        gens = [vectors[c] for c in range(len(classes)) if (mask >> c) & 1]
         acc = acc.intersect(cone_from_generators(dm.cl_free_rank, gens))
     return acc
 
@@ -412,21 +422,14 @@ def stable_base_locus_codim(fan, dm, chi):
     """
     chi = _check_character(dm, chi)
     classes, member = _class_membership(dm, chi)
-    k = len(classes)
-    full = (1 << k) - 1
-    if not member[full]:
+    if not member:
         raise ValueError(f"character {chi} is outside the effective cone")
     ample = ample_character(fan, dm)
     _, ample_member = _class_membership(dm, ample)
-    best = None
-    for mask in range(2**k):
-        if member[mask] or not ample_member[mask]:
-            continue
-        size = len(_mask_support(classes, mask))
-        best = size if best is None else max(best, size)
-    if best is None:
+    sizes = [len(_mask_support(classes, mask)) for mask in _bits(ample_member & ~member)]
+    if not sizes:
         return None
-    return dm.n_rays - best
+    return dm.n_rays - max(sizes)
 
 
 def unstable_inclusion_forces_nef(fan, dm) -> bool:

@@ -5,7 +5,10 @@ no code with the fraction-free integer pivot in toricgit.lp.
 rational_solve_nonneg is the two-phase simplex with an objective over
 Fraction, with the pivot rules of toricgit.lp, and simplex_max poses
 free variables and inequalities on it; toricgit.lp itself keeps only
-phase 1 and the strict-slack tableau.
+the phase-1 verdict in_cone and the strict-slack tableau.  solve_nonneg
+is that phase 1 on integer or Fraction entries with its basic solution
+read off, and nonneg_combination poses cone membership on it, against
+which in_cone is held.
 cox_ring_sections counts sections in the Cox ring, sharing no code with
 either section engine in toricgit.fans (Brion's formula and the
 Fourier-Motzkin walk), nor with the Smith form behind toricgit.cox.
@@ -14,7 +17,7 @@ pair combined and redundant rays pruned by one LP each, against which
 the adjacency-filtered toricgit.cones routine is held; the two share
 only the integer helpers and the final projection off the lineality.
 max_strict_slack poses t > 0 as the phase-1 problem rows.x - s == 1,
-eq_rows.x == 0 on toricgit.lp.solve_nonneg, against which the
+eq_rows.x == 0 on solve_nonneg, against which the
 slack-basis start in toricgit.lp is held, and crossing_normals decides
 by one such LP with an equality per arrangement normal what
 toricgit.vgit reads off integer dot products.
@@ -31,14 +34,14 @@ read off the dual, where toricgit.vgit counts the classes of the masks.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from toricgit.cones import _combine, _reduce_mod_lineality, cone_from_generators
-from toricgit.linalg import IntMatrix, _clear_denominators, _dot, kernel_basis
+from toricgit.linalg import IntMatrix, _dot, kernel_basis
 from toricgit.linalg import matrix_rank, primitive
 from toricgit.linalg import saturated_row_basis, sign_normalized
 from toricgit import vgit
-from toricgit.lp import PivotLimit, nonneg_combination, solve_nonneg
+from toricgit.lp import PivotLimit, _simplex_core
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24
@@ -79,6 +82,13 @@ def rational_solve(rows, rhs):
     for i, j in enumerate(piv_cols):
         x[j] = a[i][-1]
     return x
+
+
+def _clear_denominators(vec):
+    """Scale a rational vector by the lcm of its denominators; the
+    result is an integer tuple."""
+    den = lcm(*(x.denominator for x in vec))
+    return tuple(int(x * den) for x in vec)
 
 
 def cox_ring_sections(rays, max_cones, coefficients):
@@ -352,6 +362,47 @@ def rational_solve_nonneg(a_rows, b, c=None):
     return ("optimal", x, sum(f * v for f, v in zip(obj, x)))
 
 
+def solve_nonneg(a_rows, b):
+    """Some x >= 0 with a_rows.x == b (exact), or None if there is none.
+
+    Entries are integers or Fractions; x is a list of Fractions.  This is
+    phase 1 alone on toricgit.lp's integer simplex: x is the basic
+    solution it ends at, and an artificial left basic at zero (on a
+    redundant row) is ignored.
+    """
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    rows = [
+        list(row) + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs]
+        for row, rhs in zip(a_rows, b)
+    ]
+    # artificial basis.  The start is d times [A | I | b], d the
+    # determinant of the integral basis diag(lcm of row denominators).
+    d = prod(lcm(*(x.denominator for x in row)) for row in rows)
+    tab = [[int(x * d) for x in row] for row in rows]
+    for i, row in enumerate(tab):
+        row[n:n] = [d * (k == i) for k in range(m)]
+    basis = [n + i for i in range(m)]
+    cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
+    cost.append(-sum(row[-1] for row in tab))
+    d = _simplex_core(tab, basis, cost, d)
+    if cost[-1] < 0:
+        return None
+    x = [_ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = Fraction(tab[i][-1], d)
+    return x
+
+
+def nonneg_combination(vectors, target):
+    """Fractions lam >= 0 with sum lam_i vectors_i == target, or None."""
+    if not vectors:
+        return [] if all(x == 0 for x in target) else None
+    rows = [[v[i] for v in vectors] for i in range(len(target))]
+    return solve_nonneg(rows, list(target))
+
+
 def simplex_max(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     """max c.x over free x with a_ub.x <= b_ub and a_eq.x == b_eq.
 
@@ -499,7 +550,7 @@ def is_boundary_character(dm, chi):
     rank = dm.cl_free_rank
     vectors = [vec for vec, _ in classes]
     for mask in range(2**k):
-        if not member[mask]:
+        if not (member >> mask) & 1:
             continue
         gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
         cone = cone_from_generators(rank, gens)

@@ -4,17 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import rational_simplex_core, rational_solve, rational_solve_nonneg, simplex_max
+from oracles import nonneg_combination, rational_simplex_core, rational_solve
+from oracles import rational_solve_nonneg, simplex_max, solve_nonneg
 from toricgit import lp
 from toricgit.linalg import IntMatrix, det
-from toricgit.lp import (
-    PivotLimit,
-    in_cone,
-    max_strict_slack,
-    nonneg_combination,
-    scaled_inverse,
-    solve_nonneg,
-)
+from toricgit.lp import PivotLimit, in_cone, max_strict_slack, scaled_inverse
 
 
 def test_solve_nonneg_feasible():
@@ -128,7 +122,7 @@ def test_max_strict_slack_runs_no_phase_one(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("phase 1 ran")
 
-    monkeypatch.setattr(lp, "solve_nonneg", refuse)
+    monkeypatch.setattr(lp, "in_cone", refuse)
     assert max_strict_slack([(1, 0), (0, 1), (1, 0)])[0] == 1
     assert max_strict_slack([(1, 1), (-1, -1), (0, 0)])[0] == 0
 
@@ -233,6 +227,25 @@ def test_in_cone_agrees_with_exhaustive_caratheodory(gens, target):
         return False
 
     assert in_cone(gens, target) == by_subsets()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_in_cone_matches_phase_one_oracle(data):
+    # in_cone keeps no artificial columns and reads no solution; the
+    # oracle runs phase 1 on the full [A | I | b] and reads one off
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    vec = st.tuples(*[st.integers(min_value=-3, max_value=3)] * m)
+    vectors = data.draw(st.lists(vec, max_size=6))
+    if vectors and data.draw(st.booleans()):
+        weights = data.draw(
+            st.lists(st.integers(min_value=0, max_value=3), min_size=len(vectors), max_size=len(vectors))
+        )
+        target = tuple(sum(w * v[i] for w, v in zip(weights, vectors)) for i in range(m))
+    else:
+        target = data.draw(vec)
+    rows = [[v[i] for v in vectors] for i in range(m)]
+    assert in_cone(vectors, target) == (solve_nonneg(rows, list(target)) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_cones_uses_no_lp():
             lp_names.add(node.name)
         elif isinstance(node, ast.Assign):
             lp_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert {"solve_nonneg", "nonneg_combination", "in_cone", "max_strict_slack"} <= lp_names
+    assert {"in_cone", "max_strict_slack", "SlackTableau", "PivotLimit"} <= lp_names
     used = set()
     for node in ast.walk(trees["cones.py"]):
         if isinstance(node, ast.Name):

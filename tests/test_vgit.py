@@ -5,9 +5,11 @@ enumeration of all 2^n supports with cone membership decided by a
 different route (dual facet inequalities instead of the simplex).
 """
 
+import hashlib
 import importlib.util
 import random
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -94,6 +96,17 @@ def graded_by(gens):
         degrees_torsion=tuple(() for _ in gens),
     )
 
+
+
+def probe_grading(k, seed):
+    """Rank 4 and k distinct nonzero degrees drawn from {0..3}^4."""
+    rng = random.Random(seed)
+    degrees = []
+    while len(degrees) < k:
+        vec = tuple(rng.randint(0, 3) for _ in range(4))
+        if any(vec) and vec not in degrees:
+            degrees.append(vec)
+    return graded_by(degrees)
 
 def clear_vgit_caches():
     for obj in vars(vgit).values():
@@ -221,6 +234,85 @@ class TestUnstableSupports:
     def test_signature_canonical_sorting(self):
         sig = ChamberSignature(facets=((2, 0), (1,)))
         assert sig.facets == ((0, 2), (1,))
+
+
+class TestMembership:
+    """_class_membership runs in_cone on masks of at most cl_free_rank
+    classes only; double description, which runs no LP, decides every
+    bit of the table on its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_bit_matches_double_description(self, data):
+        r = data.draw(st.integers(min_value=1, max_value=4))
+        vec = st.tuples(*[st.integers(min_value=-2, max_value=2)] * r)
+        gens = data.draw(st.lists(vec, min_size=1, max_size=8))
+        if data.draw(st.booleans()):
+            gens.append((0,) * r)
+        if r > 1 and data.draw(st.booleans()):
+            gens = [g[:-1] + (0,) for g in gens]  # every degree in one hyperplane
+        kind = data.draw(st.sampled_from(["zero", "degree", "two degrees", "random"]))
+        if kind == "zero":
+            chi = (0,) * r
+        elif kind == "degree":
+            chi = data.draw(st.sampled_from(gens))
+        elif kind == "two degrees":
+            a, b = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
+            chi = tuple(x + y for x, y in zip(a, b))
+        else:
+            chi = data.draw(vec)
+        classes, member = vgit._class_membership(graded_by(gens), chi)
+        k = len(classes)
+        vectors = [v for v, _ in classes]
+        assert 0 <= member < 1 << (1 << k)
+        for mask in range(1 << k):
+            cone = cone_from_generators(r, [vectors[c] for c in range(k) if (mask >> c) & 1])
+            assert (member >> mask) & 1 == cone.contains(chi), (gens, chi, mask)
+
+    def test_in_cone_sees_at_most_rank_vectors(self, corpus, monkeypatch):
+        seen = []
+        real = vgit.in_cone
+
+        def spy(vectors, target):
+            seen.append((len(vectors), len(target)))
+            return real(vectors, target)
+
+        monkeypatch.setattr(vgit, "in_cone", spy)
+        clear_vgit_caches()
+        try:
+            dms = [(degree_map(fan), fan) for _, fan in corpus]
+            dms.append((probe_grading(10, 2), None))
+            for dm, fan in dms:
+                degrees = [v for v, _ in vgit._degree_classes(dm)]
+                characters = [(0,) * dm.cl_free_rank, tuple(map(sum, zip(*degrees)))]
+                characters += degrees[:3]
+                if fan is not None:
+                    characters.append(ample_character(fan, dm))
+                for chi in characters:
+                    unstable_supports(dm, chi)
+                    is_boundary_character(dm, chi)
+        finally:
+            clear_vgit_caches()
+        assert len(seen) > 1000
+        assert all(n <= rank for n, rank in seen)
+        assert {4} <= {n for n, rank in seen if rank == 4}  # the cap is reached
+
+    def test_k16_probe_within_two_seconds(self):
+        # An LP on every mask whose immediate supersets are members, up
+        # to 2**16 of them, took about 6 s on a 2-core machine; there
+        # are 2,517 masks of at most 4 classes.
+        dm = probe_grading(16, 2)
+        chi = tuple(map(sum, zip(*dm.degrees_free)))
+        clear_vgit_caches()
+        try:
+            start = time.perf_counter()
+            sig = unstable_supports(dm, chi)
+            on_wall = is_boundary_character(dm, chi)
+            elapsed = time.perf_counter() - start
+        finally:
+            clear_vgit_caches()
+        assert not sig.outside_effective and on_wall
+        assert elapsed < 2, elapsed
 
 
 class TestCones:
@@ -580,7 +672,8 @@ class TestCanonicalWitnesses:
 
             return wrapper
 
-        monkeypatch.setattr(lp, "solve_nonneg", counting("phase 1", lp.solve_nonneg))
+        monkeypatch.setattr(lp, "in_cone", counting("phase 1", lp.in_cone))
+        monkeypatch.setattr(vgit, "in_cone", counting("phase 1", vgit.in_cone))
         monkeypatch.setattr(lp, "_simplex_core", counting("scratch", lp._simplex_core))
         monkeypatch.setattr(lp, "_dual_simplex", counting("reoptimise", lp._dual_simplex))
         clear_vgit_caches()
@@ -607,6 +700,33 @@ class TestCanonicalWitnesses:
             assert {signs for signs, _ in vgit._enumerate_cells(dm)} == want
             n_fans += 1
         assert n_fans == 75
+
+    def test_cell_witnesses_pinned(self, corpus):
+        # Witnesses are read off the tableau's integer numerators, as
+        # w // gcd(d, *w); the digest was recorded from the Fraction
+        # read-off w / d with its denominators cleared.  Each witness
+        # also lies strictly inside its cell.
+        by_name = dict(corpus)
+        fans = [fan for _, fan in corpus]
+        fans += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS]
+        digest = hashlib.sha256()
+        n_cells = 0
+        for fan in fans:
+            dm = degree_map(fan)
+            if dm.cl_free_rank > MAX_CHAMBER_RANK or dm.n_rays > MAX_CHAMBER_RAYS:
+                continue
+            cells = vgit._enumerate_cells(dm)
+            eff_rows = effective_cone(dm).facet_normals
+            normals = vgit._crossing_normals(dm)
+            for signs, chi in cells:
+                assert all(_dot(e, chi) > 0 for e in eff_rows)
+                assert all(s * _dot(n, chi) > 0 for s, n in zip(signs, normals))
+            digest.update(repr(cells).encode())
+            n_cells += len(cells)
+        assert n_cells == 647
+        assert digest.hexdigest() == (
+            "26c4a3d5889df6aa454b6376d696419f59f3a99608484b859cccd02cb6e43956"
+        )
 
     def test_grid_characters_fall_in_enumerated_cells(self, corpus):
         # Chamber completeness: a lattice point strictly inside the
