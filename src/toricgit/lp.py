@@ -69,9 +69,10 @@ def _simplex_core(tab, basis, cost, d):
     """Minimize a bounded LP over the integer tableau in place.
 
     tab: m rows of length n+1 (last entry the rhs) on the scale d, basis
-    columns d times identity.  cost: length n+1 reduced-cost row on a
-    positive multiple of d (last entry -objective).  Returns the final
-    scale d.
+    columns d times identity; basis[i] labels row i's basic column, which
+    may lie past n and go unstored, and then never enters again.  cost:
+    length n+1 reduced-cost row on a positive multiple of d (last entry
+    -objective).  Returns the final scale d.
     """
     m = len(tab)
     n = len(cost) - 1

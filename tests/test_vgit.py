@@ -248,7 +248,7 @@ class TestMembership:
         vec = st.tuples(*[st.integers(min_value=-2, max_value=2)] * r)
         gens = data.draw(st.lists(vec, min_size=1, max_size=8))
         if data.draw(st.booleans()):
-            gens.append((0,) * r)
+            gens[-1] = (0,) * r
         if r > 1 and data.draw(st.booleans()):
             gens = [g[:-1] + (0,) for g in gens]  # every degree in one hyperplane
         kind = data.draw(st.sampled_from(["zero", "degree", "two degrees", "random"]))
