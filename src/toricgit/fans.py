@@ -532,9 +532,10 @@ def _eliminate_var(rows, j):
     return _dedupe_rows(out)
 
 
-# Prefixes the Fourier-Motzkin walk may visit before count_sections
-# gives up: over ten times the 132,342 of the largest non-nef divisor in
-# the benchmark's pool, reached in a few seconds.
+# Steps the Fourier-Motzkin walk may take before count_sections gives
+# up, reached in about a second.  A memo hit is no step, and the memo of
+# one call holds at most one entry per step.  The non-nef divisors in
+# the benchmark's pool take at most 3,075 steps (132,342 without it).
 _NODE_BUDGET = 1_500_000
 
 # B_k / k! for k = 0..8 as (numerator, denominator): the Taylor
@@ -554,8 +555,11 @@ def count_sections(fan, div) -> int:
     arithmetic.  Every other input takes an exact recursive enumeration:
     Fourier-Motzkin projects the constraint system down one coordinate
     at a time, then prefixes are walked with the exact integer bounds
-    each level provides.  A walk past _NODE_BUDGET prefixes raises
-    ValueError.  Unbounded polytopes (the fan is not complete) are
+    each level provides.  The subwalks of a level with a loop above and
+    two below are memoized on the constants they still read, in a dict
+    that lives for one call.  A walk past _NODE_BUDGET steps raises
+    ValueError; memo hits are not steps, and the memo holds at most one
+    entry per step.  Unbounded polytopes (the fan is not complete) are
     rejected; an empty polytope counts 0.
     """
     if fan.dim > 8:
@@ -670,6 +674,19 @@ def _enumerate(d, polytope):
                 highs.append(row)
         bounds.append((lows, highs))
     visited = 1
+    # Given the prefix u_0..u_(j-1) and lo..hi from bounds[j], the number
+    # of completions depends only on lo, hi and the residual constants
+    # c + <coeffs[:j], prefix> of the rows that read u_j or a later
+    # coordinate: the other rows are constants the prefix satisfies.  So
+    # count(j, ...) is memoized on them, for the levels 1 <= j <= d - 3
+    # that have a loop above and two below; open_rows[j] holds those rows
+    # as (coeffs[:j], c).  A hit is no step, and only a miss, which
+    # costs at least one step, stores an entry.
+    open_rows = {
+        j: [(coeffs[:j], c) for coeffs, c in systems[d] if any(coeffs[j:])]
+        for j in range(1, d - 2)
+    }
+    memo = {}
 
     def level_rows(j, prefix):
         # rest = p + s * u_(j-1) for each row bounding u_j
@@ -686,6 +703,11 @@ def _enumerate(d, polytope):
         nonlocal visited
         if j == d - 1:
             return hi - lo + 1
+        key = None
+        if j in open_rows:
+            key = (j, lo, hi, *[c + _dot(head, prefix) for head, c in open_rows[j]])
+            if key in memo:
+                return memo[key]
         visited += hi - lo + 1
         if visited > _NODE_BUDGET:
             raise ValueError(
@@ -716,6 +738,8 @@ def _enumerate(d, polytope):
                     total += chi - clo + 1
                 else:
                     total += count(j + 1, prefix + (u,), clo, chi)
+        if key is not None:
+            memo[key] = total
         return total
 
     lows, highs = level_rows(0, ())

@@ -305,11 +305,21 @@ class TestSections:
         assert code == 0
         assert out.strip() == "377348994"
 
-    def test_enumeration_budget_exits_two(self, write, capsys):
+    def test_memoized_walk_counts_non_nef_on_bl8(self, write, capsys):
         # 40 on the far ray and 1 on the exceptional ray of Bl_pt P^8 is
-        # not nef, and its polytope holds about 3.8e8 points
+        # not nef; its polytope is 40 times the standard simplex, whose
+        # C(48, 8) points the memoized walk counts in a few thousand steps
         fan = write(fan_to_json(blowup_pn_along_linear(8, 0)), "bl8_0.json")
         div = write({"coefficients": [0] * 8 + [40, 1]}, "d.json")
+        code, out, _ = run(["sections", fan, div], capsys)
+        assert code == 0
+        assert out.strip() == "377348994"
+
+    def test_enumeration_budget_exits_two(self, write, capsys):
+        # 400H + E on Bl_pt P^8: even memoized, the walk needs more steps
+        # than the budget allows
+        fan = write(fan_to_json(blowup_pn_along_linear(8, 0)), "bl8_0.json")
+        div = write({"coefficients": [0] * 8 + [400, 1]}, "d.json")
         code, out, err = run(["sections", fan, div], capsys)
         assert code == 2
         assert out == ""

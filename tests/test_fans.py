@@ -7,6 +7,7 @@ closed-form counts for the classical families.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from math import comb, factorial, prod
 from unittest import mock
@@ -17,7 +18,12 @@ from hypothesis import strategies as st
 
 from oracles import cox_ring_sections, simplex_max
 from toricgit import fans
-from toricgit.checks import PRODUCT_PAIRS, _divisor_with_class_multiple, builtin_corpus
+from toricgit.checks import (
+    PRODUCT_PAIRS,
+    _divisor_with_class_multiple,
+    builtin_corpus,
+    bundle_over_blowup_fan,
+)
 from toricgit.cox import degree_map
 from toricgit.vgit import nef_cone
 from toricgit.fans import (
@@ -619,13 +625,25 @@ class TestBrionPath:
 
     def test_enumeration_budget(self):
         # 30H + E on Bl_pt P^3 is not nef; its polytope is 30 times the
-        # standard simplex
+        # standard simplex.  A walk of dimension 3 is not memoized, so
+        # every prefix is a step: 1 + 31 values of u_0 + 496 of (u_0, u_1)
         f = blowup_pn_along_linear(3, 0)
         div = TorusInvariantDivisor((0, 0, 0, 30, 1))
         assert count_sections(f, div) == comb(33, 3)
-        with mock.patch.object(fans, "_NODE_BUDGET", 50):
+        with mock.patch.object(fans, "_NODE_BUDGET", 528):
+            assert count_sections(f, div) == comb(33, 3)
+        with mock.patch.object(fans, "_NODE_BUDGET", 527):
             with pytest.raises(ValueError, match="enumeration steps"):
                 count_sections(f, div)
+
+    def test_memo_keeps_heavy_bundle_divisor_in_small_budget(self):
+        # the unmemoized walk takes 132,342 steps on this divisor, the
+        # memoized one under 3,000
+        f = bundle_over_blowup_fan()
+        div = TorusInvariantDivisor((0, 2, 1, 8, 7, 0, 6, 3, 8))
+        assert fans._brion_count(fans._brion_data(f), div.coefficients) is None
+        with mock.patch.object(fans, "_NODE_BUDGET", 10_000):
+            assert count_sections(f, div) == 1511694
 
     def test_cone_inverses_are_shared_and_read_only(self):
         f = blowup_pn_along_linear(3, 0)
@@ -633,6 +651,20 @@ class TestBrionPath:
         assert fans._cone_inverses(f) is inverses
         with pytest.raises(TypeError):
             inverses[f.max_cones[0]] = None
+
+
+@cache
+def walk_fans():
+    """Smooth complete fans of dimension 4 to 6 from the corpus, and
+    products with P^1."""
+    corpus = dict(builtin_corpus())
+    return [
+        corpus["bl4_1"],
+        corpus["bl5_2"],
+        corpus["bundle_over_blowup"],
+        product_fan(p1(), corpus["bl3_0"]),
+        product_fan(p1(), product_fan(p1(), corpus["f1"])),
+    ]
 
 
 class TestCoxRingOracle:
@@ -658,6 +690,20 @@ class TestCoxRingOracle:
             st.lists(st.integers(-2, 4), min_size=fan.n_rays, max_size=fan.n_rays)
         )
         expected = cox_ring_sections(fan.rays, fan.max_cones, coeffs)
+        assert count_sections(fan, TorusInvariantDivisor(tuple(coeffs))) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_memoized_walk(self, data):
+        # non-nef divisors on fans of dimension 4 to 6, where the walk
+        # memoizes the levels 1..d-3
+        fan = data.draw(st.sampled_from(walk_fans()))
+        coeffs = data.draw(
+            st.lists(st.integers(-1, 3), min_size=fan.n_rays, max_size=fan.n_rays)
+        )
+        assume(fans._brion_count(fans._brion_data(fan), coeffs) is None)
+        expected = cox_ring_sections(fan.rays, fan.max_cones, coeffs)
+        event(f"dim {fan.dim}, {'no' if expected == 0 else 'some'} sections")
         assert count_sections(fan, TorusInvariantDivisor(tuple(coeffs))) == expected
 
     def test_torsion_separates_classes(self):
