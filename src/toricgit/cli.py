@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from functools import lru_cache
 
 from .checks import (
     check_bundle_unstable_locus,
@@ -380,7 +379,6 @@ _VERBS = {
 }
 
 
-@lru_cache(maxsize=16)
 def _build_parser(verb=None):
     """The parser for one verb, or for all of them when verb is None.
 

@@ -1,18 +1,20 @@
 """Rational polyhedral cones with exact dual descriptions.
 
-A cone is stored canonically as (saturated lineality basis, extremal rays
-reduced modulo the lineality space).  Duality is computed by the double
-description method: each inequality either eats one lineality direction
-or splits the current ray set Fourier-Motzkin style, combining only
-adjacent positive/negative pairs, so no redundant ray ever appears and
-no LP is needed.  Both descriptions of a cone are therefore available
+A cone is stored canonically as (lineality basis, extremal rays reduced
+modulo the lineality space): the basis is the primitive rows of the
+reduced row echelon form of the lineality space, and each ray is zero on
+its pivot columns.  Duality is computed by the double description
+method: each inequality either eats one lineality direction or splits
+the current ray set Fourier-Motzkin style, combining only adjacent
+positive/negative pairs, so no redundant ray ever appears and no LP is
+needed.  Both descriptions of a cone are therefore available
 exactly, and containment, intersection and equality reduce to integer
 dot products.
 """
 
 from __future__ import annotations
 
-from .linalg import matrix_rank, primitive, saturated_row_basis
+from .linalg import matrix_rank, primitive
 from .linalg import _dot
 from .lp import scaled_inverse
 
@@ -22,22 +24,37 @@ def _combine(u, cu, v, cv):
     return primitive(tuple(cu * x + cv * y for x, y in zip(u, v)))
 
 
-def _reduce_mod_lineality(rays, lin):
-    """The rays projected orthogonally off span(lin) and made primitive:
-    sorted, distinct and nonzero.  With (inv, d) the scaled inverse of
-    the Gram matrix of lin, d times the projection of r is
-    d*r - sum_k (inv . lin . r)_k lin_k."""
-    inv, d = scaled_inverse([[_dot(a, b) for b in lin] for a in lin])
+def _canonical_form(lin, rays):
+    """(basis, rays): a canonical form of the cone rays + span(lin).
+
+    lin must be linearly independent, as double description leaves it.
+    The pivot columns are picked greedily, each the first that raises
+    the rank of lin restricted to the columns picked so far; with
+    (inv, d) the scaled inverse of lin on them, inv . lin is the reduced
+    row echelon form of span(lin) times d, and its primitive rows are
+    the basis: each positive in its own pivot column and zero in the
+    others.  Each ray is reduced by those rows to zero on the pivot
+    columns and made primitive; the rays come back sorted, distinct and
+    nonzero.  Both depend only on the cone, not on the presentation.
+    """
+    piv = []
+    for j in range(len(lin[0]) if lin else 0):
+        if len(piv) == len(lin):
+            break
+        if matrix_rank([[l[c] for c in piv + [j]] for l in lin]) > len(piv):
+            piv.append(j)
+    inv, _ = scaled_inverse([[l[c] for c in piv] for l in lin])
+    basis = tuple(
+        primitive(tuple(_dot(row, col) for col in zip(*lin))) for row in inv
+    )
     out = set()
     for r in rays:
-        lr = [_dot(a, r) for a in lin]
-        proj = [d * x for x in r]
-        for row, l in zip(inv, lin):
-            c = _dot(row, lr)
-            proj = [p - c * y for p, y in zip(proj, l)]
-        if any(proj):
-            out.add(primitive(proj))
-    return sorted(out)
+        for j, b in zip(piv, basis):
+            if r[j]:
+                r = _combine(r, b[j], b, -r[j])
+        if any(r):
+            out.add(primitive(r))
+    return basis, tuple(sorted(out))
 
 
 def duals_from_inequalities(dim, normals):
@@ -85,8 +102,7 @@ def duals_from_inequalities(dim, normals):
                 common = zp & zn
                 if sum(z & common == common for z in masks) == 2:
                     rays[_combine(p, -dn, n, dp)] = common | bit
-    lin_basis = saturated_row_basis(lin, dim)
-    return lin_basis, tuple(_reduce_mod_lineality(rays, lin_basis))
+    return _canonical_form(lin, rays)
 
 
 class RationalCone:

@@ -462,16 +462,14 @@ def projective_bundle_fan(base, divisors) -> Fan:
     return Fan(db + fib, rays, cones, _trusted=True)
 
 
-def bundle_o1_divisor(base, divisors, d=1, twist=None) -> TorusInvariantDivisor:
-    """Divisor on the bundle fan with class d*(relative hyperplane) + p*(twist).
+def bundle_o1_divisor(base, divisors, d=1) -> TorusInvariantDivisor:
+    """Divisor on the bundle fan with class d*(relative hyperplane).
 
     Uses the representative d*(last fiber divisor + pullback of D_k);
     any other index gives a linearly equivalent divisor.
     """
     k = len(divisors)
     coeffs = [d * c for c in divisors[-1].coefficients]
-    if twist is not None:
-        coeffs = [a + b for a, b in zip(coeffs, twist.coefficients)]
     coeffs += [0] * (k - 1) + [d]
     return TorusInvariantDivisor(tuple(coeffs))
 
@@ -489,13 +487,8 @@ def divisor_polytope(fan, div):
 
 def _normalize_row(row):
     coeffs, c = row
-    g = 0
-    for x in coeffs:
-        g = gcd(g, x)
-    g = gcd(g, c)
-    if g > 1:
-        return (tuple(x // g for x in coeffs), c // g)
-    return (tuple(coeffs), c)
+    v = primitive((*coeffs, c))
+    return (v[:-1], v[-1])
 
 
 def _dedupe_rows(rows):
@@ -674,14 +667,16 @@ def _enumerate(d, polytope):
                 highs.append(row)
         bounds.append((lows, highs))
     visited = 1
-    # Given the prefix u_0..u_(j-1) and lo..hi from bounds[j], the number
-    # of completions depends only on lo, hi and the residual constants
-    # c + <coeffs[:j], prefix> of the rows that read u_j or a later
-    # coordinate: the other rows are constants the prefix satisfies.  So
-    # count(j, ...) is memoized on them, for the levels 1 <= j <= d - 3
-    # that have a loop above and two below; open_rows[j] holds those rows
-    # as (coeffs[:j], c).  A hit is no step, and only a miss, which
-    # costs at least one step, stores an entry.
+    # Given the prefix u_0..u_(j-1), the number of completions depends
+    # only on the residual constants c + <coeffs[:j], prefix> of the rows
+    # that read u_j or a later coordinate: the other rows are constants
+    # the prefix satisfies.  lo..hi come from bounds[j], rows that are
+    # fixed nonnegative combinations of those rows, so they are
+    # functions of the residuals too.  So count(j, ...) is memoized on
+    # the residuals, for the levels 1 <= j <= d - 3 that have a loop
+    # above and two below; open_rows[j] holds those rows as
+    # (coeffs[:j], c).  A hit is no step, and only a miss, which costs
+    # at least one step, stores an entry.
     open_rows = {
         j: [(coeffs[:j], c) for coeffs, c in systems[d] if any(coeffs[j:])]
         for j in range(1, d - 2)
@@ -705,7 +700,7 @@ def _enumerate(d, polytope):
             return hi - lo + 1
         key = None
         if j in open_rows:
-            key = (j, lo, hi, *[c + _dot(head, prefix) for head, c in open_rows[j]])
+            key = (j, *[c + _dot(head, prefix) for head, c in open_rows[j]])
             if key in memo:
                 return memo[key]
         visited += hi - lo + 1

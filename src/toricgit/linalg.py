@@ -1,9 +1,9 @@
 """Exact integer linear algebra on arbitrary-precision integers.
 
 Everything here works over Z with Python ints.  The Smith normal form
-carries its unimodular transforms so that kernels come out saturated and
-cokernels come with an explicit projection onto the free part.  No
-floating point anywhere.
+carries its unimodular transforms so that cokernels come with an
+explicit projection onto the free part; ranks and determinants come from
+fraction-free (Bareiss) elimination.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ def primitive(vec):
     The zero vector is returned unchanged.  Sign is preserved (no
     normalization), so (-2, 4) -> (-1, 2).
     """
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)
@@ -71,9 +69,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def transpose(self):
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -83,9 +78,6 @@ class IntMatrix:
             for row in self.entries
         )
         return IntMatrix(out)
-
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
 
     def row(self, i):
         return self.entries[i]
@@ -214,22 +206,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return out
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturated integer kernel, as matrix columns.
-
-    The kernel columns are columns of the right transform sitting over
-    zero diagonal entries, hence automatically a basis of the full
-    lattice ker(m) cap Z^cols (unimodularity of the transform gives
-    saturation for free).
-    """
-    snf = smith_normal_form(m)
-    rank = snf.rank()
-    cols = [snf.right.column(j) for j in range(rank, m.cols)]
-    if not cols:
-        return IntMatrix.from_rows(tuple(() for _ in range(m.cols)))
-    return IntMatrix.from_rows(tuple(zip(*cols)))
-
-
 @dataclass(frozen=True)
 class CokernelData:
     """coker(m) = Z^rows / column-span, split into free and torsion parts.
@@ -294,65 +270,3 @@ def det(m: IntMatrix) -> int:
 def matrix_rank(rows) -> int:
     """Rank over Q of a list of integer row vectors."""
     return _bareiss(rows)[0]
-
-
-def row_hnf(rows):
-    """Canonical (Hermite) basis of the lattice spanned by integer rows.
-
-    Row-style: pivots positive, entries above each pivot reduced into
-    [0, pivot).  Zero rows are dropped, so redundant spanning sets are
-    fine as input.  The output is the unique canonical basis of the row
-    lattice, which makes it usable as a dictionary key.
-    """
-    h = [list(r) for r in rows if any(r)]
-    if not h:
-        return ()
-    width = len(h[0])
-    r = 0
-    for j in range(width):
-        k = None
-        for i in range(r, len(h)):
-            if h[i][j]:
-                k = i
-                break
-        if k is None:
-            continue
-        # gcd-reduce column j among rows r..end
-        while True:
-            nz = [i for i in range(r, len(h)) if h[i][j]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(h[i][j]))
-            p = nz[0]
-            for i in nz[1:]:
-                q = h[i][j] // h[p][j]
-                h[i] = [x - q * y for x, y in zip(h[i], h[p])]
-            h[r], h[p] = h[p], h[r]
-        nz = [i for i in range(r, len(h)) if h[i][j]]
-        if not nz:
-            continue
-        h[r], h[nz[0]] = h[nz[0]], h[r]
-        if h[r][j] < 0:
-            h[r] = [-x for x in h[r]]
-        for i in range(r):
-            q = h[i][j] // h[r][j]
-            if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-        r += 1
-    return tuple(tuple(row) for row in h[:r] if any(row))
-
-
-def saturated_row_basis(rows, width):
-    """Canonical basis of (Q-span of rows) intersected with Z^width.
-
-    Computed by two kernel passes: the integer kernel of the rows gives
-    the orthogonal complement, whose kernel in turn is the saturation.
-    """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return ()
-    comp = kernel_basis(IntMatrix.from_rows(rows))  # columns span the complement
-    if comp.cols == 0:
-        return row_hnf([tuple(1 if i == j else 0 for j in range(width)) for i in range(width)])
-    sat = kernel_basis(comp.transpose())
-    return row_hnf([sat.column(j) for j in range(sat.cols)])

@@ -150,7 +150,6 @@ def effective_cone(dm):
     return cone_from_generators(dm.cl_free_rank, dm.degrees_free)
 
 
-@lru_cache(maxsize=8192)
 def moving_cone(dm):
     """Intersection over each variable of the cone omitting its degree.
 
@@ -351,7 +350,6 @@ def _crossing_normals(dm):
     )
 
 
-@lru_cache(maxsize=8192)
 def _enumerate_cells(dm):
     """All strictly feasible sign vectors over the wall arrangement.
 

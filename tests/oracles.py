@@ -15,14 +15,15 @@ Fourier-Motzkin walk), nor with the Smith form behind toricgit.cox.
 duals_from_inequalities is the double description with every pos x neg
 pair combined and redundant rays pruned by one LP each, against which
 the adjacency-filtered toricgit.cones routine is held; the two share
-only the integer helpers and the final projection off the lineality.
+only the integer helpers and the final canonical form of the result.
 max_strict_slack poses t > 0 as the phase-1 problem rows.x - s == 1,
 eq_rows.x == 0 on solve_nonneg, against which the
 slack-basis start in toricgit.lp is held, and crossing_normals decides
 by one such LP with an equality per arrangement normal what
 toricgit.vgit reads off integer dot products.
-arrangement_normals takes one integer kernel per rank-1 subset of the
-degree classes, where toricgit.vgit reads the rows of basis inverses.
+arrangement_normals takes one integer kernel, from the Smith form's
+right transform, per rank-1 subset of the degree classes, where
+toricgit.vgit reads the rows of basis inverses.
 enumerate_cells is the cell search that solves every child LP from
 scratch by that phase-1 max_strict_slack, against which the dual
 simplex warm start of toricgit.vgit is held, and
@@ -36,10 +37,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from toricgit.cones import _combine, _reduce_mod_lineality, cone_from_generators
-from toricgit.linalg import IntMatrix, _dot, kernel_basis
-from toricgit.linalg import matrix_rank, primitive
-from toricgit.linalg import saturated_row_basis, sign_normalized
+from toricgit.cones import _canonical_form, _combine, cone_from_generators
+from toricgit.linalg import IntMatrix, _dot, matrix_rank, primitive
+from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import vgit
 from toricgit.lp import PivotLimit, _simplex_core
 
@@ -244,9 +244,7 @@ def duals_from_inequalities(dim, normals):
         rays = sorted(set(new))
         if len(rays) > _PRUNE_THRESHOLD:
             rays = _prune_rays(rays, lin)
-    rays = _prune_rays(rays, lin)
-    lin_basis = saturated_row_basis(lin, dim)
-    return lin_basis, tuple(_reduce_mod_lineality(rays, lin_basis))
+    return _canonical_form(lin, _prune_rays(rays, lin))
 
 
 def rational_simplex_core(tab, basis, cost):
@@ -491,6 +489,17 @@ def enumerate_cells(dm):
     return tuple(sorted(cells))
 
 
+def kernel_basis(m):
+    """Basis of the saturated integer kernel of m, as a list of vectors.
+
+    They are the columns of the Smith form's right transform over zero
+    diagonal entries; unimodularity of the transform makes them a basis
+    of the full lattice ker(m) cap Z^cols.
+    """
+    snf = smith_normal_form(m)
+    return [tuple(row[j] for row in snf.right.entries) for j in range(snf.rank(), m.cols)]
+
+
 def arrangement_normals(dm):
     """Hyperplanes spanned by rank-1-deficient subsets of the degrees."""
     rank = dm.cl_free_rank
@@ -500,9 +509,9 @@ def arrangement_normals(dm):
         if matrix_rank(sub) != rank - 1:
             continue
         ker = kernel_basis(IntMatrix.from_rows(sub))
-        if ker.cols != 1:
+        if len(ker) != 1:
             continue
-        normals.add(sign_normalized(ker.column(0)))
+        normals.add(sign_normalized(ker[0]))
     return sorted(normals)
 
 

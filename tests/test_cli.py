@@ -21,7 +21,7 @@ from toricgit.fans import (
     product_fan,
     projective_space_fan,
 )
-from toricgit.vgit import _class_membership, _enumerate_cells, enumerate_chambers
+from toricgit.vgit import _class_membership, enumerate_chambers
 from toricgit.vgit import unstable_supports
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -238,7 +238,6 @@ class TestChambers:
 
         monkeypatch.setattr(lp, "_dual_simplex", stuck)
         enumerate_chambers.cache_clear()  # force a fresh cell search
-        _enumerate_cells.cache_clear()
         code, out, err = run(["chambers", f1_file], capsys)
         assert code == 2
         assert out == ""

@@ -16,12 +16,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import rational_solve
 from toricgit.cones import (
+    _canonical_form,
     cone_from_generators,
     duals_from_inequalities,
     cone_from_inequalities,
     cones_equal,
     full_space,
 )
+from toricgit.linalg import IntMatrix, det, matrix_rank
 from toricgit.lp import in_cone
 
 
@@ -180,8 +182,6 @@ def test_relative_interior_is_strict(gens):
 def test_lineality_from_sign_pairs(gens):
     doubled = gens + [tuple(-x for x in g) for g in gens]
     c = cone_from_generators(3, doubled)
-    from toricgit.linalg import matrix_rank
-
     assert len(c.lin) == matrix_rank(gens)
     assert c.rays == ()
 
@@ -211,3 +211,53 @@ def inequality_systems(draw):
 def test_duals_match_pairwise_pruned_oracle(system):
     dim, normals = system
     assert duals_from_inequalities(dim, normals) == oracles.duals_from_inequalities(dim, normals)
+
+
+@st.composite
+def lineality_presentations(draw):
+    """(lin, rays, lin2, rays2): an independent list lin and a second
+    basis lin2 of its span, an invertible recombination of it; rays2
+    are the rays shifted by integer combinations of lin, scaled by
+    positive integers and reordered."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    lin = []
+    for v in draw(st.lists(vecs(dim, -3, 3), max_size=4)):
+        if matrix_rank(lin + [v]) > len(lin):
+            lin.append(v)
+    k = len(lin)
+    mix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=k, max_size=k))
+    if det(IntMatrix.from_rows(mix)) == 0:
+        mix = [[int(i == j) for j in range(k)] for i in range(k)]
+    lin2 = [tuple(sum(c * l[i] for c, l in zip(row, lin)) for i in range(dim)) for row in mix]
+    rays = draw(st.lists(vecs(dim, -3, 3), max_size=5))
+    rays2 = []
+    for r in rays:
+        scale = draw(st.integers(min_value=1, max_value=3))
+        shift = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        rays2.append(
+            tuple(scale * x + sum(c * l[i] for c, l in zip(shift, lin)) for i, x in enumerate(r))
+        )
+    return lin, rays, lin2, draw(st.permutations(rays2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lineality_presentations())
+def test_canonical_form_ignores_presentation(case):
+    lin, rays, lin2, rays2 = case
+    assert _canonical_form(lin, rays) == _canonical_form(lin2, rays2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lineality_presentations())
+def test_canonical_basis_is_echelon_and_spans(case):
+    lin, rays, _, _ = case
+    basis, reduced = _canonical_form(lin, rays)
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    assert pivots == sorted(set(pivots))
+    for b, p in zip(basis, pivots):
+        assert b[p] > 0
+        assert all(other[p] == 0 for other in basis if other is not b)
+    assert len(basis) == len(lin) == matrix_rank(list(basis) + lin)
+    for r in reduced:
+        assert all(r[p] == 0 for p in pivots)
+        assert matrix_rank(lin + [r]) > len(lin)

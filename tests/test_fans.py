@@ -770,7 +770,9 @@ class TestBundleProjectionFormula:
         divs = [TorusInvariantDivisor((0, d)) for d in degs]
         f = projective_bundle_fan(base, divs)
         L = TorusInvariantDivisor((0, 2))
-        twisted = bundle_o1_divisor(base, divs, d=1, twist=L)
+        twisted = bundle_o1_divisor(base, divs).plus(
+            TorusInvariantDivisor(L.coefficients + (0,) * len(divs))
+        )
         # O(1) + p*O(2) pushes to O(2) + O(3)
         assert count_sections(f, twisted) == 3 + 4
 

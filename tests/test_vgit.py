@@ -676,15 +676,16 @@ class TestCanonicalWitnesses:
         monkeypatch.setattr(vgit, "in_cone", counting("phase 1", vgit.in_cone))
         monkeypatch.setattr(lp, "_simplex_core", counting("scratch", lp._simplex_core))
         monkeypatch.setattr(lp, "_dual_simplex", counting("reoptimise", lp._dual_simplex))
+        dms = {dm for _, _, dm in fans}  # fans may share a grading
         clear_vgit_caches()
         try:
-            for _, _, dm in fans:
+            for dm in dms:
                 vgit._crossing_normals(dm)
                 vgit._enumerate_cells(dm)
         finally:
             clear_vgit_caches()
         assert calls["phase 1"] == 0
-        assert calls["scratch"] == len({dm for _, _, dm in fans})  # fans may share a grading
+        assert calls["scratch"] == len(dms)
         assert calls["reoptimise"] > 0
 
     def test_cells_match_from_scratch_oracle(self, corpus):
