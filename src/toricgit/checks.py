@@ -297,7 +297,7 @@ def check_bundle_unstable_locus(base, divisors, m_max=8) -> CheckResult:
         sections_ok = True
         counts = []
         for d in range(3):
-            left = count_sections(bundle, bundle_o1_divisor(base, scaled, d))
+            left = count_sections(bundle, bundle_o1_divisor(scaled, d))
             right = sum(
                 count_sections(base, _divisor_combination(scaled, a))
                 for a in _compositions(d, k)
@@ -364,7 +364,7 @@ def check_moving_vs_nef_example() -> CheckResult:
     scaled = [d.scale(m) for d in divisors]
     bundle = projective_bundle_fan(base, scaled)
     dm = degree_map(bundle)
-    chi = dm.divisor_class(bundle_o1_divisor(base, scaled).coefficients)[0]
+    chi = dm.divisor_class(bundle_o1_divisor(scaled).coefficients)[0]
     locus_codim = stable_base_locus_codim(bundle, dm, chi)
     nef = nef_cone(bundle, dm)
     moving = moving_cone(dm)

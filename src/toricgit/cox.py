@@ -1,7 +1,8 @@
 """Cox presentation data: grading, irrelevant ideal, zero-locus geometry.
 
 The degree map realizes the class group as the cokernel of the ray
-matrix, one degree per coordinate variable.  The irrelevant ideal and
+matrix, read off the left Smith transform of the rays as plain integer
+rows, one degree per coordinate variable.  The irrelevant ideal and
 its Stanley-Reisner complex are kept purely combinatorial: squarefree
 ideals are lists of generator supports, complexes are lists of facets,
 and the zero locus is only ever touched through codimensions.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fans import validate
-from .linalg import IntMatrix, cokernel, smith_normal_form
+from .linalg import cokernel, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,14 @@ def degree_map(fan) -> DegreeMap:
     """
     if not validate(fan).complete:
         raise ValueError("degree map needs a complete fan")
-    data = cokernel(IntMatrix.from_rows(fan.rays))
+    data = cokernel(fan.rays)
     degrees_free = tuple(
-        tuple(data.projection.entries[k][i] for k in range(data.free_rank))
+        tuple(data.projection[k][i] for k in range(data.free_rank))
         for i in range(fan.n_rays)
     )
     degrees_torsion = tuple(
         tuple(
-            data.torsion_projection.entries[k][i] % data.torsion[k]
+            data.torsion_projection[k][i] % data.torsion[k]
             for k in range(len(data.torsion))
         )
         for i in range(fan.n_rays)
@@ -238,7 +239,6 @@ def _acts_freely(fan, dm) -> bool:
             for i in range(fan.n_rays)
             if i not in sigma
         ]
-        snf = smith_normal_form(IntMatrix.from_rows(rows + relations))
-        if snf.invariant_factors() != (1,) * width:
+        if smith_normal_form(rows + relations)[1] != (1,) * width:
             return False
     return True

@@ -20,7 +20,7 @@ from math import factorial, gcd, lcm, perm, prod
 from types import MappingProxyType
 
 from .cones import cone_from_generators, cones_equal
-from .linalg import IntMatrix, matrix_rank, primitive, smith_normal_form
+from .linalg import matrix_rank, primitive, smith_normal_form
 from .linalg import _dot
 from .lp import max_strict_slack, scaled_inverse
 
@@ -323,8 +323,7 @@ def validate(fan) -> FanReport:
     def unimodular(c):
         if c in inverses:
             return inverses[c][1] == 1
-        snf = smith_normal_form(IntMatrix.from_rows(fan.cone_rays(c)))
-        return set(snf.invariant_factors()) == {1}
+        return set(smith_normal_form(fan.cone_rays(c))[1]) == {1}
 
     smooth = all(unimodular(c) for c in fan.max_cones)
     complete = _wall_certificate(fan)
@@ -462,7 +461,7 @@ def projective_bundle_fan(base, divisors) -> Fan:
     return Fan(db + fib, rays, cones, _trusted=True)
 
 
-def bundle_o1_divisor(base, divisors, d=1) -> TorusInvariantDivisor:
+def bundle_o1_divisor(divisors, d=1) -> TorusInvariantDivisor:
     """Divisor on the bundle fan with class d*(relative hyperplane).
 
     Uses the representative d*(last fiber divisor + pullback of D_k);

@@ -1,9 +1,11 @@
 """Exact integer linear algebra on arbitrary-precision integers.
 
-Everything here works over Z with Python ints.  The Smith normal form
-carries its unimodular transforms so that cokernels come with an
-explicit projection onto the free part; ranks and determinants come from
-fraction-free (Bareiss) elimination.  No floating point anywhere.
+Everything here works over Z with Python ints, on plain lists of integer
+rows.  The Smith normal form returns its unimodular transforms, so that
+cokernels come with an explicit projection onto the free part.  One
+fraction-free (Bareiss) pivot, _pivot, is the only elimination step in
+the package: it gives ranks and determinants here, and the scaled
+inverse and both simplex loops in lp.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -39,68 +41,30 @@ def sign_normalized(vec):
     return v
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+def _pivot(rows, d, leave, enter):
+    """Bareiss pivot on rows[leave][enter], in place (Bareiss 1968).
 
-    entries: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def from_rows(cls, rows):
-        return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        bt = tuple(zip(*other.entries)) if other.entries else ()
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.entries
-        )
-        return IntMatrix(out)
-
-    def row(self, i):
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """left * matrix * right == diag, with left and right unimodular.
-
-    diag has the same shape as the input; its diagonal entries are
-    nonnegative and each divides the next.
+    Every other row becomes (p*x - f*y) // d, with p the pivot, f the
+    row's entry in the pivot column and y the pivot row; when each entry
+    is a minor on the scale d, the division is exact.  A negative pivot
+    first negates its row.  Returns the new scale |p|.
     """
+    prow = rows[leave]
+    p = prow[enter]
+    if p < 0:
+        p = -p
+        prow[:] = [-y for y in prow]
+    for i, row in enumerate(rows):
+        f = row[enter]
+        if i == leave or (not f and p == d):
+            continue
+        row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+    return p
 
-    left: IntMatrix
-    diag: IntMatrix
-    right: IntMatrix
 
-    def invariant_factors(self):
-        n = min(self.diag.rows, self.diag.cols)
-        return tuple(self.diag.entries[i][i] for i in range(n))
-
-    def rank(self):
-        return sum(1 for d in self.invariant_factors() if d != 0)
+def _mul(a, b):
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def _swap_rows(a, i, j):
@@ -121,19 +85,21 @@ def _add_col(a, dst, src, q):
         row[dst] = row[dst] - q * row[src]
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with tracked unimodular transforms.
+def smith_normal_form(rows):
+    """(left, factors, right) with left . rows . right diagonal.
 
-    Classic pivoting: bring the absolutely smallest nonzero entry of the
-    working submatrix to the pivot, clear its row and column by division
-    with remainder, then repair divisibility by folding in any offending
-    entry.  Terminates because the pivot's absolute value strictly drops
-    whenever a remainder survives.
+    left and right are unimodular, as lists of rows; factors is the
+    diagonal, one entry per min(rows, cols), nonnegative and each
+    dividing the next.  Classic pivoting: bring the absolutely smallest
+    nonzero entry of the working submatrix to the pivot, clear its row
+    and column by division with remainder, then repair divisibility by
+    folding in any offending entry.  Terminates because the pivot's
+    absolute value strictly drops whenever a remainder survives.
     """
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    left = [list(row) for row in IntMatrix.identity(nr).entries]
-    right = [list(row) for row in IntMatrix.identity(nc).entries]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    a = [list(row) for row in rows]
+    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def pivot_search(t):
         best = None
@@ -198,51 +164,48 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             a[t] = [-x for x in a[t]]
             left[t] = [-x for x in left[t]]
 
-    out = SmithDecomposition(
-        IntMatrix.from_rows(left), IntMatrix.from_rows(a), IntMatrix.from_rows(right)
-    )
-    if out.left.mul(m).mul(out.right).entries != out.diag.entries:
+    if _mul(_mul(left, rows), right) != a:
         raise AssertionError("Smith normal form failed its self-check")
-    return out
+    return left, tuple(a[i][i] for i in range(min(nr, nc))), right
 
 
 @dataclass(frozen=True)
 class CokernelData:
-    """coker(m) = Z^rows / column-span, split into free and torsion parts.
+    """coker(rows) = Z^len(rows) / column-span, split into free and
+    torsion parts.
 
-    projection maps Z^rows onto Z^free_rank (rows of the left transform
-    over zero invariant factors).  torsion lists the invariant factors
-    > 1; torsion_projection holds the matching left-transform rows, to
-    be read modulo the factor.
+    projection maps Z^len(rows) onto Z^free_rank (rows of the left
+    transform over zero invariant factors).  torsion lists the invariant
+    factors > 1; torsion_projection holds the matching left-transform
+    rows, to be read modulo the factor.  Both are tuples of row tuples.
     """
 
     free_rank: int
     torsion: tuple
-    projection: IntMatrix
-    torsion_projection: IntMatrix
+    projection: tuple
+    torsion_projection: tuple
 
 
-def cokernel(m: IntMatrix) -> CokernelData:
-    snf = smith_normal_form(m)
-    rank = snf.rank()
-    facs = snf.invariant_factors()
-    free_rows = [snf.left.row(i) for i in range(rank, m.rows)]
-    tor = tuple(facs[i] for i in range(rank) if facs[i] > 1)
-    tor_rows = [snf.left.row(i) for i in range(rank) if facs[i] > 1]
+def cokernel(rows) -> CokernelData:
+    left, factors, _ = smith_normal_form(rows)
+    rank = sum(1 for f in factors if f)
     return CokernelData(
-        free_rank=m.rows - rank,
-        torsion=tor,
-        projection=IntMatrix.from_rows(free_rows),
-        torsion_projection=IntMatrix.from_rows(tor_rows),
+        free_rank=len(rows) - rank,
+        torsion=tuple(f for f in factors[:rank] if f > 1),
+        projection=tuple(tuple(row) for row in left[rank:]),
+        torsion_projection=tuple(
+            tuple(row) for row, f in zip(left, factors[:rank]) if f > 1
+        ),
     )
 
 
 def _bareiss(rows):
-    """Fraction-free (Bareiss 1968) row echelon: (rank, sign, pivot) with
-    sign * pivot the determinant of a square nonsingular input.  Every
-    entry stays a minor of the input, so each division is exact."""
+    """Fraction-free row echelon through _pivot: (rank, sign, pivot)
+    with sign * pivot the determinant of a square nonsingular input.
+    sign flips on each row swap and each negative pivot, which _pivot
+    negates."""
     a = [list(r) for r in rows]
-    rank, sign, prev = 0, 1, 1
+    rank, sign, d = 0, 1, 1
     for k in range(len(a[0]) if a else 0):
         p = next((i for i in range(rank, len(a)) if a[i][k]), None)
         if p is None:
@@ -250,21 +213,19 @@ def _bareiss(rows):
         if p != rank:
             a[rank], a[p] = a[p], a[rank]
             sign = -sign
-        piv = a[rank]
-        for i in range(rank + 1, len(a)):
-            f = a[i][k]
-            a[i] = [(x * piv[k] - f * y) // prev for x, y in zip(a[i], piv)]
-        prev = piv[k]
+        if a[rank][k] < 0:
+            sign = -sign
+        d = _pivot(a[rank:], d, 0, k)
         rank += 1
-    return rank, sign, prev
+    return rank, sign, d
 
 
-def det(m: IntMatrix) -> int:
+def det(rows) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    rank, sign, pivot = _bareiss(m.entries)
-    return sign * pivot if rank == m.rows else 0
+    rank, sign, pivot = _bareiss(rows)
+    return sign * pivot if rank == len(rows) else 0
 
 
 def matrix_rank(rows) -> int:

@@ -7,20 +7,21 @@ the cost row and builds no solution.  SlackTableau, behind max_strict_slack,
 is the strict-slack LP max t <= 1 with rows.x >= t, started from its
 feasible slack basis.  Each row is the rational row times one positive
 scale d, the absolute value of the basis determinant, so the Bareiss
-update (p*x - f*y) // d is exact (Bareiss 1968; lrs, Avis 2000).
+update (p*x - f*y) // d of linalg._pivot is exact (Bareiss 1968; lrs,
+Avis 2000); the cost row goes to _pivot as one more row of the tableau.
 Entries on one scale compare as the rational ones do, so the pivots are
 those of the rational tableau; Fraction appears only where a solution
 is read off.  An optimal SlackTableau is warm-started: with_rows adds
 rows to a copy, each in terms of the current basis, and re-optimises it
-by dual simplex pivots through the same _pivot, so a search that adds a
-row per step solves only its first LP from scratch (Avis and Fukuda
-1996).  Both the primal and the dual loop pivot by Dantzig's rule with
-an automatic switch to Bland's rule after enough iterations, which keeps
-runs fast in practice and terminating in theory, under one iteration
-limit that raises PivotLimit.  Exact solves use scaled_inverse,
-Gauss-Jordan through the same _pivot, so there is no second elimination
-engine.  Scale here is tiny (dozens of rows), exactness is the whole
-point.
+by dual simplex pivots, so a search that adds a row per step solves
+only its first LP from scratch (Avis and Fukuda 1996).  Both the primal
+and the dual loop pivot by Dantzig's rule with an automatic switch to
+Bland's rule after enough iterations, which keeps runs fast in practice
+and terminating in theory, under one iteration limit that raises
+PivotLimit.  Exact solves use scaled_inverse, Gauss-Jordan through the
+same _pivot, which also gives linalg its ranks and determinants, so
+there is no second elimination engine.  Scale here is tiny (dozens of
+rows), exactness is the whole point.
 """
 
 from __future__ import annotations
@@ -28,31 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import _pivot
+
 _MAX_PIVOTS = 100000
 
 
 class PivotLimit(RuntimeError):
     pass
-
-
-def _pivot(tab, cost, d, leave, enter):
-    """Bareiss pivot on tab[leave][enter] and the cost row, in place.
-
-    Returns the new scale |p|; a negative pivot p negates the tableau.
-    """
-    prow = tab[leave]
-    p = prow[enter]
-    if p < 0:
-        p = -p
-        prow = tab[leave] = [-y for y in prow]
-    for i, row in enumerate(tab):
-        f = row[enter]
-        if i == leave or (not f and p == d):
-            continue
-        tab[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
-    f = cost[enter]
-    cost[:] = [(p * x - f * y) // d for x, y in zip(cost, prow)]
-    return p
 
 
 def _pivot_rule(m, n):
@@ -72,10 +55,12 @@ def _simplex_core(tab, basis, cost, d):
     columns d times identity; basis[i] labels row i's basic column, which
     may lie past n and go unstored, and then never enters again.  cost:
     length n+1 reduced-cost row on a positive multiple of d (last entry
-    -objective).  Returns the final scale d.
+    -objective), pivoted with the tableau as its last row.  Returns the
+    final scale d.
     """
     m = len(tab)
     n = len(cost) - 1
+    rows = tab + [cost]
     for dantzig in _pivot_rule(m, n):
         enter = None
         if dantzig:
@@ -105,7 +90,7 @@ def _simplex_core(tab, basis, cost, d):
                     leave = i
         if leave is None:
             raise AssertionError("bounded LP came back unbounded")
-        d = _pivot(tab, cost, d, leave, enter)
+        d = _pivot(rows, d, leave, enter)
         basis[leave] = enter
 
 
@@ -122,6 +107,7 @@ def _dual_simplex(tab, basis, cost, d):
     """
     m = len(tab)
     n = len(cost) - 1
+    rows = tab + [cost]
     for dantzig in _pivot_rule(m, n):
         infeasible = [i for i in range(m) if tab[i][-1] < 0]
         if not infeasible:
@@ -139,7 +125,7 @@ def _dual_simplex(tab, basis, cost, d):
                 enter = j
         if enter is None:
             raise AssertionError("dual simplex found the LP infeasible")
-        d = _pivot(tab, cost, d, leave, enter)
+        d = _pivot(rows, d, leave, enter)
         basis[leave] = enter
 
 
@@ -267,5 +253,5 @@ def scaled_inverse(rows):
         if p is None:
             raise ValueError("singular matrix has no scaled inverse")
         tab[j], tab[p] = tab[p], tab[j]
-        d = _pivot(tab, [0] * n, d, j, j)
+        d = _pivot(tab, d, j, j)
     return [row[n:] for row in tab], d

@@ -145,7 +145,6 @@ def unstable_codim(dm, chi) -> int:
     return dm.n_rays - sig.max_facet_size()
 
 
-@lru_cache(maxsize=8192)
 def effective_cone(dm):
     return cone_from_generators(dm.cl_free_rank, dm.degrees_free)
 

@@ -15,7 +15,8 @@ Fourier-Motzkin walk), nor with the Smith form behind toricgit.cox.
 duals_from_inequalities is the double description with every pos x neg
 pair combined and redundant rays pruned by one LP each, against which
 the adjacency-filtered toricgit.cones routine is held; the two share
-only the integer helpers and the final canonical form of the result.
+only the integer helpers, and canonical_form is this file's own, by
+Gauss-Jordan over Fraction.
 max_strict_slack poses t > 0 as the phase-1 problem rows.x - s == 1,
 eq_rows.x == 0 on solve_nonneg, against which the
 slack-basis start in toricgit.lp is held, and crossing_normals decides
@@ -37,8 +38,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from toricgit.cones import _canonical_form, _combine, cone_from_generators
-from toricgit.linalg import IntMatrix, _dot, matrix_rank, primitive
+from toricgit.cones import _combine, cone_from_generators
+from toricgit.linalg import _dot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import vgit
 from toricgit.lp import PivotLimit, _simplex_core
@@ -244,7 +245,42 @@ def duals_from_inequalities(dim, normals):
         rays = sorted(set(new))
         if len(rays) > _PRUNE_THRESHOLD:
             rays = _prune_rays(rays, lin)
-    return _canonical_form(lin, _prune_rays(rays, lin))
+    return canonical_form(lin, _prune_rays(rays, lin))
+
+
+def canonical_form(lin, rays):
+    """(basis, rays) in the canonical form of toricgit.cones, by
+    Gauss-Jordan over Fraction.
+
+    The basis is the reduced row echelon form of span(lin), each row
+    made a primitive integer row.  Each ray is zeroed on the pivot
+    columns by those rows and made primitive; the nonzero ones come back
+    sorted and distinct.
+    """
+    a = [[Fraction(x) for x in row] for row in lin]
+    piv = []
+    for j in range(len(a[0]) if a else 0):
+        r = len(piv)
+        p = next((i for i in range(r, len(a)) if a[i][j]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][j] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][j]:
+                f = a[i][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv.append(j)
+    echelon = a[: len(piv)]
+    out = set()
+    for ray in rays:
+        v = [Fraction(x) for x in ray]
+        for j, row in zip(piv, echelon):
+            v = [x - v[j] * y for x, y in zip(v, row)]
+        if any(v):
+            out.add(primitive(_clear_denominators(v)))
+    basis = tuple(primitive(_clear_denominators(row)) for row in echelon)
+    return basis, tuple(sorted(out))
 
 
 def rational_simplex_core(tab, basis, cost):
@@ -496,8 +532,9 @@ def kernel_basis(m):
     diagonal entries; unimodularity of the transform makes them a basis
     of the full lattice ker(m) cap Z^cols.
     """
-    snf = smith_normal_form(m)
-    return [tuple(row[j] for row in snf.right.entries) for j in range(snf.rank(), m.cols)]
+    _, factors, right = smith_normal_form(m)
+    rank = sum(1 for f in factors if f)
+    return [tuple(row[j] for row in right) for j in range(rank, len(right))]
 
 
 def arrangement_normals(dm):
@@ -508,7 +545,7 @@ def arrangement_normals(dm):
     for sub in combinations(vectors, rank - 1):
         if matrix_rank(sub) != rank - 1:
             continue
-        ker = kernel_basis(IntMatrix.from_rows(sub))
+        ker = kernel_basis(sub)
         if len(ker) != 1:
             continue
         normals.add(sign_normalized(ker[0]))

@@ -23,7 +23,7 @@ from toricgit.cones import (
     cones_equal,
     full_space,
 )
-from toricgit.linalg import IntMatrix, det, matrix_rank
+from toricgit.linalg import det, matrix_rank
 from toricgit.lp import in_cone
 
 
@@ -226,7 +226,7 @@ def lineality_presentations(draw):
             lin.append(v)
     k = len(lin)
     mix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=k, max_size=k))
-    if det(IntMatrix.from_rows(mix)) == 0:
+    if det(mix) == 0:
         mix = [[int(i == j) for j in range(k)] for i in range(k)]
     lin2 = [tuple(sum(c * l[i] for c, l in zip(row, lin)) for i in range(dim)) for row in mix]
     rays = draw(st.lists(vecs(dim, -3, 3), max_size=5))

@@ -742,7 +742,7 @@ class TestBundleProjectionFormula:
         base = p1()
         divs = [TorusInvariantDivisor((0, d)) for d in degs]
         f = projective_bundle_fan(base, divs)
-        o1 = bundle_o1_divisor(base, divs)
+        o1 = bundle_o1_divisor(divs)
         expected = sum(self.h0_pn(1, d) for d in degs)
         assert count_sections(f, o1) == expected
 
@@ -751,7 +751,7 @@ class TestBundleProjectionFormula:
         base = p2()
         divs = [hyperplane_multiple(base, d) for d in degs]
         f = projective_bundle_fan(base, divs)
-        o1 = bundle_o1_divisor(base, divs)
+        o1 = bundle_o1_divisor(divs)
         expected = sum(self.h0_pn(2, d) for d in degs)
         assert count_sections(f, o1) == expected
 
@@ -760,7 +760,7 @@ class TestBundleProjectionFormula:
         degs = (0, 1)
         divs = [TorusInvariantDivisor((0, d)) for d in degs]
         f = projective_bundle_fan(base, divs)
-        o2 = bundle_o1_divisor(base, divs, d=2)
+        o2 = bundle_o1_divisor(divs, d=2)
         # Sym^2(O + O(1)) = O + O(1) + O(2)
         assert count_sections(f, o2) == 1 + 2 + 3
 
@@ -770,7 +770,7 @@ class TestBundleProjectionFormula:
         divs = [TorusInvariantDivisor((0, d)) for d in degs]
         f = projective_bundle_fan(base, divs)
         L = TorusInvariantDivisor((0, 2))
-        twisted = bundle_o1_divisor(base, divs).plus(
+        twisted = bundle_o1_divisor(divs).plus(
             TorusInvariantDivisor(L.coefficients + (0,) * len(divs))
         )
         # O(1) + p*O(2) pushes to O(2) + O(3)

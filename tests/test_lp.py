@@ -7,7 +7,7 @@ import oracles
 from oracles import nonneg_combination, rational_simplex_core, rational_solve
 from oracles import rational_solve_nonneg, simplex_max, solve_nonneg
 from toricgit import lp
-from toricgit.linalg import IntMatrix, det
+from toricgit.linalg import det
 from toricgit.lp import PivotLimit, in_cone, max_strict_slack, scaled_inverse
 
 
@@ -171,7 +171,7 @@ square = st.integers(min_value=1, max_value=4).flatmap(
 @given(square)
 def test_scaled_inverse_matches_fraction_oracle(rows):
     n = len(rows)
-    determinant = det(IntMatrix.from_rows(rows))
+    determinant = det(rows)
     if determinant == 0:
         with pytest.raises(ValueError):
             scaled_inverse(rows)
@@ -349,13 +349,13 @@ def test_simplex_max_matches_sympy(lp, n_ub):
 
 
 def pivot_signs(monkeypatch):
-    """Record the sign of every pivot entry lp._pivot is handed."""
+    """Record the sign of every pivot entry lp hands linalg._pivot."""
     signs = []
     real = lp._pivot
 
-    def recording(tab, cost, d, leave, enter):
-        signs.append(tab[leave][enter] > 0)
-        return real(tab, cost, d, leave, enter)
+    def recording(rows, d, leave, enter):
+        signs.append(rows[leave][enter] > 0)
+        return real(rows, d, leave, enter)
 
     monkeypatch.setattr(lp, "_pivot", recording)
     return signs
@@ -428,7 +428,7 @@ def test_cycling_lp_runs_past_bland_after(monkeypatch):
 def test_pivot_limit_still_raised(monkeypatch):
     # a pivot that changes nothing makes the simplex choose it for ever
     tableau = lp.SlackTableau.solve([(1, 0), (0, 1)])
-    monkeypatch.setattr(lp, "_pivot", lambda tab, cost, d, leave, enter: d)
+    monkeypatch.setattr(lp, "_pivot", lambda rows, d, leave, enter: d)
     with pytest.raises(PivotLimit):
         solve_nonneg([[1, 1]], [1])
     # and the dual simplex the same: -x1 - x2 >= t leaves t = 1 infeasible

@@ -1,5 +1,6 @@
 """Source-level rules: no dead public names, no bare asserts, no
-unbounded caches, no floats, no LP in the cone-duality layer.
+unbounded caches, no floats, no LP in the cone-duality layer, one
+Bareiss update.
 
 The public surface follows the rule the benchmark tracer wraps by: every
 name without a leading underscore that a layer module defines, and every
@@ -88,34 +89,69 @@ def test_no_assert_statements_in_src():
 
 def test_no_fraction_in_the_simplex_inner_loop():
     # The simplex, primal and dual, and the scaled inverse pivot on
-    # integer tableaux; Fraction appears only where a solution is read
-    # off.  A name that is Fraction itself or a module-level Fraction
-    # constant (such as lp._ZERO) counts as a use.
+    # integer tableaux through linalg._pivot; Fraction appears only where
+    # a solution is read off.  A name that is Fraction itself or a
+    # module-level Fraction constant (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
-    lp = importlib.import_module("toricgit.lp")
-    inner = {"_simplex_core", "_dual_simplex", "_pivot", "scaled_inverse"}
+    inner = {"linalg": {"_pivot"}, "lp": {"_simplex_core", "_dual_simplex", "scaled_inverse"}}
+    trees = src_trees()
     functions = [
-        node
-        for node in src_trees()["lp.py"].body
-        if isinstance(node, ast.FunctionDef) and node.name in inner
+        (importlib.import_module(f"toricgit.{layer}"), node)
+        for layer, names in inner.items()
+        for node in trees[f"{layer}.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name in names
     ]
-    assert {f.name for f in functions} == inner
+    assert {f.name for _, f in functions} == set().union(*inner.values())
 
-    def is_fraction(node):
+    def is_fraction(module, node):
         if isinstance(node, ast.Attribute):
             return node.attr == "Fraction"
         return isinstance(node, ast.Name) and (
-            node.id == "Fraction" or isinstance(getattr(lp, node.id, None), Fraction)
+            node.id == "Fraction" or isinstance(getattr(module, node.id, None), Fraction)
         )
 
     found = [
         (f.name, node.lineno)
-        for f in functions
+        for module, f in functions
         for node in ast.walk(f)
-        if is_fraction(node)
+        if is_fraction(module, node)
     ]
     assert found == []
+
+
+def test_one_bareiss_update():
+    # The fraction-free update (p * x - f * y) // d, a floor division of
+    # a difference of two products, is written once: in linalg._pivot,
+    # behind ranks, determinants, the scaled inverse and both simplex
+    # loops.
+    def is_update(node):
+        diff = getattr(node, "left", None)
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.FloorDiv)
+            and isinstance(diff, ast.BinOp)
+            and isinstance(diff.op, ast.Sub)
+            and all(
+                isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
+                for t in (diff.left, diff.right)
+            )
+        )
+
+    trees = src_trees()
+    found = [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if is_update(node)
+    ]
+    pivot = next(
+        node
+        for node in trees["linalg.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_pivot"
+    )
+    inside = [("linalg.py", node.lineno) for node in ast.walk(pivot) if is_update(node)]
+    assert inside and found == inside
 
 
 def test_every_cache_is_bounded():
