@@ -29,7 +29,7 @@ from .fans import (
     star_subdivision,
     validate,
 )
-from .linalg import _dot, matrix_rank
+from .linalg import _bareiss, _dot
 from .lp import scaled_inverse
 from .vgit import (
     MAX_CHAMBER_RANK,
@@ -157,22 +157,17 @@ def check_rank_one_unstable_origin(fan) -> CheckResult:
 def _divisor_with_class_multiple(dm, chi):
     """Integer divisor whose class is a positive multiple of chi.
 
-    Picks a spanning subset of degree vectors and solves for the
+    Picks the first spanning subset of degree vectors in order, the
+    pivot columns of the transposed degree matrix, and solves for the
     coefficients there: with (inv, d) their scaled inverse, v = inv . chi
     is d times the solution and v / gcd(d, v) clears its denominators.
     All other rays get coefficient zero.
     """
-    r = dm.cl_free_rank
-    rows, idx = [], []
-    for j, deg in enumerate(dm.degrees_free):
-        if matrix_rank(rows + [list(deg)]) > len(rows):
-            rows.append(list(deg))
-            idx.append(j)
-            if len(rows) == r:
-                break
-    if len(rows) < r:
+    degrees = list(zip(*dm.degrees_free))  # one column per ray
+    idx = _bareiss(degrees)[0]
+    if len(idx) < dm.cl_free_rank:
         raise AssertionError("degree vectors span the class lattice")
-    inv, d = scaled_inverse(list(zip(*rows)))
+    inv, d = scaled_inverse([[row[j] for j in idx] for row in degrees])
     v = [_dot(row, chi) for row in inv]
     g = gcd(d, *v)
     coeffs = [0] * dm.n_rays

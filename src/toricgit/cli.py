@@ -257,52 +257,53 @@ def _cmd_construct(args):
     return 0
 
 
-def _run_named_check(args):
-    name = args.name
+def _on_fans(check):
+    """Runner that loads each file argument as a fan and runs one check."""
+    return lambda args: [check(*map(_load_fan, args.args))]
+
+
+def _run_neighborly_codim(args):
+    if args.m is None:
+        raise ValueError("check neighborly-codim requires --m")
+    return [check_neighborly_codim_equivalence(_load_fan(args.args[0]), args.m)]
+
+
+def _run_bundle(args):
     files = args.args
-    if name == "all":
-        return run_all()
-    if name == "small-unstable-locus":
-        return [check_small_unstable_locus(_load_fan(files[0]))]
-    if name == "two-neighborly":
-        return [check_two_neighborly_equivalence(_load_fan(files[0]))]
-    if name == "neighborly-codim":
-        if args.m is None:
-            raise ValueError("check neighborly-codim requires --m")
-        return [check_neighborly_codim_equivalence(_load_fan(files[0]), args.m)]
-    if name == "rank-one":
-        return [check_rank_one_unstable_origin(_load_fan(files[0]))]
-    if name == "product":
-        return [check_product_unstable_locus(_load_fan(files[0]), _load_fan(files[1]))]
-    if name == "bundle":
-        if len(files) < 4:
-            raise ValueError(
-                "check bundle takes a base fan file and at least three divisor files"
-            )
-        base = _load_fan(files[0])
-        divisors = [divisor_from_json(_load_json(p), base) for p in files[1:]]
-        return [check_bundle_unstable_locus(base, divisors, m_max=args.m_max)]
-    if name == "moving-vs-nef":
-        return [check_moving_vs_nef_example()]
-    if name == "quotient-properties":
-        return [check_quotient_properties(_load_fan(files[0]))]
-    if name == "forces-nef":
-        return [check_unstable_inclusion_forces_nef(_load_fan(files[0]))]
-    raise ValueError(f"unknown check {name!r}")
+    if len(files) < 4:
+        raise ValueError(
+            "check bundle takes a base fan file and at least three divisor files"
+        )
+    base = _load_fan(files[0])
+    divisors = [divisor_from_json(_load_json(p), base) for p in files[1:]]
+    return [check_bundle_unstable_locus(base, divisors, m_max=args.m_max)]
 
 
-# fan files per check, 1 unless listed; bundle checks its variable count itself
-_CHECK_FILES = {"all": 0, "moving-vs-nef": 0, "product": 2}
+# check name -> (fan files it takes, None when it counts its own; runner
+# from the parsed arguments to a list of results), in help order
+_CHECKS = {
+    "all": (0, lambda args: run_all()),
+    "small-unstable-locus": (1, _on_fans(check_small_unstable_locus)),
+    "two-neighborly": (1, _on_fans(check_two_neighborly_equivalence)),
+    "neighborly-codim": (1, _run_neighborly_codim),
+    "rank-one": (1, _on_fans(check_rank_one_unstable_origin)),
+    "product": (2, _on_fans(check_product_unstable_locus)),
+    "bundle": (None, _run_bundle),
+    "moving-vs-nef": (0, _on_fans(check_moving_vs_nef_example)),
+    "quotient-properties": (1, _on_fans(check_quotient_properties)),
+    "forces-nef": (1, _on_fans(check_unstable_inclusion_forces_nef)),
+}
 
 
 def _cmd_check(args):
-    want, got = _CHECK_FILES.get(args.name, 1), len(args.args)
-    if want and not got:
+    want, run = _CHECKS[args.name]
+    got = len(args.args)
+    if want != 0 and not got:
         raise ValueError(f"check {args.name} needs input files")
-    if args.name != "bundle" and got != want:
+    if want is not None and got != want:
         files = ("no fan files", "1 fan file", "2 fan files")[want]
         raise ValueError(f"check {args.name} takes {files}, got {got}")
-    results = _run_named_check(args)
+    results = run(args)
     if args.json:
         _emit([r.as_json() for r in results], True)
     else:
@@ -345,21 +346,7 @@ def _construct_args(p):
 
 
 def _check_args(p):
-    p.add_argument(
-        "name",
-        choices=[
-            "all",
-            "small-unstable-locus",
-            "two-neighborly",
-            "neighborly-codim",
-            "rank-one",
-            "product",
-            "bundle",
-            "moving-vs-nef",
-            "quotient-properties",
-            "forces-nef",
-        ],
-    )
+    p.add_argument("name", choices=list(_CHECKS))
     p.add_argument("args", nargs="*", help="input files for the chosen check")
     p.add_argument("--m", type=int, help="neighborliness degree")
     p.add_argument("--m-max", type=int, default=8, help="largest scaling to try")

@@ -14,7 +14,7 @@ dot products.
 
 from __future__ import annotations
 
-from .linalg import matrix_rank, primitive
+from .linalg import _bareiss, matrix_rank, primitive
 from .linalg import _dot
 from .lp import scaled_inverse
 
@@ -28,21 +28,16 @@ def _canonical_form(lin, rays):
     """(basis, rays): a canonical form of the cone rays + span(lin).
 
     lin must be linearly independent, as double description leaves it.
-    The pivot columns are picked greedily, each the first that raises
-    the rank of lin restricted to the columns picked so far; with
-    (inv, d) the scaled inverse of lin on them, inv . lin is the reduced
+    The pivot columns are those of lin's row echelon form, each the
+    first that raises the rank of the columns before it; with (inv, d)
+    the scaled inverse of lin on them, inv . lin is the reduced
     row echelon form of span(lin) times d, and its primitive rows are
     the basis: each positive in its own pivot column and zero in the
     others.  Each ray is reduced by those rows to zero on the pivot
     columns and made primitive; the rays come back sorted, distinct and
     nonzero.  Both depend only on the cone, not on the presentation.
     """
-    piv = []
-    for j in range(len(lin[0]) if lin else 0):
-        if len(piv) == len(lin):
-            break
-        if matrix_rank([[l[c] for c in piv + [j]] for l in lin]) > len(piv):
-            piv.append(j)
+    piv = _bareiss(lin)[0]
     inv, _ = scaled_inverse([[l[c] for c in piv] for l in lin])
     basis = tuple(
         primitive(tuple(_dot(row, col) for col in zip(*lin))) for row in inv

@@ -1,14 +1,17 @@
 """Simplicial fans: construction, validation, divisors, section counts.
 
 A Fan stores primitive ray vectors and maximal cones as index tuples.
-Everything downstream assumes the constructor checks passed, so the
-constructor is strict: primitive distinct rays, linearly independent
-cone generators, maximal cones forming an antichain, and (unless built
-by an internal constructor that guarantees it) the geometric fan axiom
-that any two cones meet in a common face.
-One wall pass proves the axiom for a complete fan (every ridge joins
-two cones on opposite sides, one generic probe lies in one cone); any
-other input falls back to intersecting every pair of maximal cones.
+The constructor checks the structure: primitive distinct rays, maximal
+cones forming an antichain, every ray used.  A fan from any other
+source (fan_from_json, a direct call) is then certified: its cones must
+be simplicial and meet in common faces.  The trusted constructors skip
+that certification, since their cones are independent and form a fan by
+construction.  Each full-dimensional maximal cone is eliminated once,
+into the scaled inverse that the certificate, validate and Brion's
+formula all read.  One cached wall pass over the ridges proves a
+complete fan (every ridge joins two cones on opposite sides, one
+generic probe lies in one cone) and gives the projectivity LP its rows;
+any other input falls back to intersecting every pair of maximal cones.
 """
 
 from __future__ import annotations
@@ -92,8 +95,6 @@ class Fan:
                 raise FanError(f"repeated ray index in cone {c}")
             if c[0] < 0 or c[-1] >= len(rays):
                 raise FanError(f"cone {c} references a missing ray")
-            if matrix_rank([rays[i] for i in c]) != len(c):
-                raise FanError(f"cone {c} is not simplicial (dependent rays)")
         for a in cones:
             for b in cones:
                 if a != b and set(a) <= set(b):
@@ -141,13 +142,19 @@ def _subset_cone(fan, idx):
 
 
 def _check_fan_axiom(fan):
-    """Geometric fan condition: cones meet in common faces.
+    """Certify a fan that no trusted constructor built: simplicial
+    cones meeting in common faces.
 
-    The wall certificate proves it for a complete fan.  Anything else
-    (an incomplete fan, or invalid input) intersects every pair of
-    maximal cones by double description.
+    A cone that is not full-dimensional takes a rank test; the others
+    take their one elimination, _cone_inverses, which rejects dependent
+    rays.  The wall pass then proves the axiom for a complete fan.
+    Anything else (an incomplete fan, or invalid input) intersects every
+    pair of maximal cones by double description.
     """
-    if _wall_certificate(fan):
+    for c in fan.max_cones:
+        if len(c) != fan.dim and matrix_rank(fan.cone_rays(c)) != len(c):
+            raise FanError(f"cone {c} is not simplicial (dependent rays)")
+    if _walls(fan) is not None:
         return
     for a, b in combinations(fan.max_cones, 2):
         common = tuple(sorted(set(a) & set(b)))
@@ -225,52 +232,68 @@ def divisor_from_json(data, fan):
 def _cone_inverses(fan):
     """(inv, d) of each full-dimensional maximal cone: column i of inv is
     the inward normal of the facet opposite ray i, d the cone's index.
-    Read-only, since validate and the section counts share it."""
+
+    This is the one elimination of each such cone, and its simplicial
+    test: a cone with dependent rays raises FanError.  Read-only, since
+    the wall pass, validate and the section counts share it.
+    """
     out = {}
     for c in fan.max_cones:
         if len(c) == fan.dim:
-            inv, d = scaled_inverse(fan.cone_rays(c))
+            try:
+                inv, d = scaled_inverse(fan.cone_rays(c))
+            except ValueError:
+                msg = f"cone {c} is not simplicial (dependent rays)"
+                raise FanError(msg) from None
             out[c] = (tuple(map(tuple, inv)), d)
     return MappingProxyType(out)
 
 
-def _ridges(fan):
-    """Each ridge (a maximal cone minus one ray) mapped to its
-    (maximal cone, dropped ray) pairs, in max_cones order."""
-    by_ridge = {}
-    for c in fan.max_cones:
-        for drop in range(len(c)):
-            ridge = c[:drop] + c[drop + 1 :]
-            by_ridge.setdefault(ridge, []).append((c, c[drop]))
-    return by_ridge
-
-
 @lru_cache(maxsize=1024)
-def _wall_certificate(fan):
-    """Pseudomanifold certificate that the cones form a complete fan.
+def _walls(fan):
+    """The distinct wall rows of a complete fan, or None when this one
+    pass over the ridges does not prove the fan complete.
 
-    Every maximal cone is full-dimensional, every ridge lies in exactly
-    two, on opposite sides of it, and one generic probe lies in exactly
-    one cone (De Loera, Rambau and Santos, Triangulations, 2010, ch. 4).
-    It proves the fan axiom too; False proves nothing.  Cached, since
-    the constructor and validate both ask it of a fan read from JSON.
+    The proof is a pseudomanifold certificate: every maximal cone is
+    full-dimensional, every ridge lies in exactly two, on opposite sides
+    of it, and one generic probe lies in exactly one cone (De Loera,
+    Rambau and Santos, Triangulations, 2010, ch. 4).  It proves the fan
+    axiom too; None proves nothing.  A ridge with sides (c1, r1) and
+    (c2, r2) gives the row d * (coordinates of v_r2 in the basis of c1)
+    with -d at r2, the strict convexity of a support function across
+    the wall (Cox, Little and Schenck, Toric Varieties, ch. 6); its
+    entry at r1 is negative iff the sides are opposite.  Walls repeat
+    rows (bl4_1 x bl4_1: 324 rows, 6 distinct), which leave the LP
+    alone.  Cached: the constructor and validate both ask it of a fan
+    read from JSON.
     """
     inverses = _cone_inverses(fan)
     if len(inverses) != len(fan.max_cones):
-        return False
-    normals = {
-        c: [primitive(n) for n in zip(*inv)] for c, (inv, _) in inverses.items()
-    }
-    for sides in _ridges(fan).values():
+        return None
+    by_ridge = {}
+    for c in fan.max_cones:
+        for drop in range(len(c)):
+            by_ridge.setdefault(c[:drop] + c[drop + 1 :], []).append((c, c[drop]))
+    rows = []
+    for _ridge, sides in sorted(by_ridge.items()):
         if len(sides) != 2:
-            return False
+            return None
         (c1, r1), (_, r2) = sides
-        if _dot(normals[c1][c1.index(r1)], fan.rays[r2]) >= 0:
-            return False
+        inv, d = inverses[c1]
+        row = [0] * fan.n_rays
+        for idx, col in zip(c1, zip(*inv)):
+            row[idx] = _dot(fan.rays[r2], col)
+        row[r2] = -d
+        if row[r1] >= 0:
+            return None
+        rows.append(primitive(row))
     # The probe lies on no facet hyperplane, so it is interior to each
     # cone it hits.
-    w = _probe(fan.dim, normals.values())
-    return sum(all(_dot(n, w) > 0 for n in ns) for ns in normals.values()) == 1
+    normals = [list(zip(*inv)) for inv, _ in inverses.values()]
+    w = _probe(fan.dim, normals)
+    if sum(all(_dot(n, w) > 0 for n in ns) for ns in normals) != 1:
+        return None
+    return tuple(dict.fromkeys(rows))
 
 
 def _probe(dim, normals):
@@ -284,39 +307,19 @@ def _probe(dim, normals):
     return [q**i for i in range(dim)]
 
 
-def _is_projective(fan, inverses):
-    """Strictly convex support function LP on a complete fan.
-
-    One unknown h per ray; on each maximal cone the linear extension is
-    determined by the h values of its generators, and across each wall
-    the extension must exceed the h of the opposite ray by a common
-    positive slack.  Projective iff the maximal slack is positive.
-    """
-    rows = []
-    for _ridge, ((cone, _), (_, opp)) in sorted(_ridges(fan).items()):
-        # d times the coordinates of the opposite ray in the cone's basis
-        inv, d = inverses[cone]
-        row = [0] * fan.n_rays
-        for idx, col in zip(cone, zip(*inv)):
-            row[idx] = _dot(fan.rays[opp], col)
-        row[opp] = -d
-        rows.append(primitive(row))
-    # Walls repeat the same row many times (bl4_1 x bl4_1: 324 rows, 6
-    # distinct); repeats leave the feasible region, and so t > 0, alone.
-    t, _ = max_strict_slack(list(dict.fromkeys(rows)))
-    return t > 0
-
-
 @lru_cache(maxsize=8192)
 def validate(fan) -> FanReport:
     """Recompute the smooth, complete and projective flags from scratch.
 
-    All three flags read one scaled inverse per full-dimensional cone.
-    Such a cone is smooth iff its |det| is 1; a lower-dimensional one
-    iff its Smith invariant factors are all 1.  Complete is the wall
-    certificate, which on a valid fan is exactly completeness.
-    Projectivity is the support-function LP over the same walls,
-    attempted only on complete fans.
+    All three flags read the one scaled inverse of each
+    full-dimensional cone.  Such a cone is smooth iff its |det| is 1; a
+    lower-dimensional one iff its Smith invariant factors are all 1.
+    Complete is the wall pass, which on a valid fan is exactly
+    completeness.  Projective is the support-function LP on the pass's
+    rows: one unknown h per ray, and across each wall a common positive
+    slack, which exists iff the fan is projective.  Every cone is
+    simplicial: fan_from_json certifies it, and a trusted constructor
+    builds only independent cones.
     """
     inverses = _cone_inverses(fan)
 
@@ -326,12 +329,13 @@ def validate(fan) -> FanReport:
         return set(smith_normal_form(fan.cone_rays(c))[1]) == {1}
 
     smooth = all(unimodular(c) for c in fan.max_cones)
-    complete = _wall_certificate(fan)
+    walls = _walls(fan)
+    complete = walls is not None
     return FanReport(
-        simplicial=True,  # Fan.__init__ rejects a cone with dependent rays
+        simplicial=True,
         smooth=smooth,
         complete=complete,
-        projective=complete and _is_projective(fan, inverses),
+        projective=complete and max_strict_slack(list(walls))[0] > 0,
     )
 
 
@@ -571,7 +575,7 @@ def _brion_data(fan):
 
     For D = sum a_rho D_rho the vertex of cone sigma is u = -inv.a_sigma,
     its tangent cone is spanned by the columns w_j of inv, and lam, the
-    wall certificate's probe, has b_j = <lam, w_j> != 0.  With
+    wall pass's probe, has b_j = <lam, w_j> != 0.  With
     alpha = <lam, u> the cone contributes the constant term at t = 0 of
     e^(t alpha) / prod_j (1 - e^(t b_j))
       = (-1)^d / prod_j b_j * sum_k s_k alpha^(d-k) / (d-k)!,

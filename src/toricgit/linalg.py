@@ -200,13 +200,16 @@ def cokernel(rows) -> CokernelData:
 
 
 def _bareiss(rows):
-    """Fraction-free row echelon through _pivot: (rank, sign, pivot)
-    with sign * pivot the determinant of a square nonsingular input.
-    sign flips on each row swap and each negative pivot, which _pivot
-    negates."""
+    """Fraction-free row echelon through _pivot: (pivots, sign, pivot).
+
+    pivots are the pivot columns, each the first that raises the rank of
+    the columns before it.  sign * pivot is the determinant of a square
+    nonsingular input; sign flips on each row swap and each negative
+    pivot, which _pivot negates."""
     a = [list(r) for r in rows]
-    rank, sign, d = 0, 1, 1
+    pivots, sign, d = [], 1, 1
     for k in range(len(a[0]) if a else 0):
+        rank = len(pivots)
         p = next((i for i in range(rank, len(a)) if a[i][k]), None)
         if p is None:
             continue
@@ -216,18 +219,18 @@ def _bareiss(rows):
         if a[rank][k] < 0:
             sign = -sign
         d = _pivot(a[rank:], d, 0, k)
-        rank += 1
-    return rank, sign, d
+        pivots.append(k)
+    return pivots, sign, d
 
 
 def det(rows) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    rank, sign, pivot = _bareiss(rows)
-    return sign * pivot if rank == len(rows) else 0
+    pivots, sign, pivot = _bareiss(rows)
+    return sign * pivot if len(pivots) == len(rows) else 0
 
 
 def matrix_rank(rows) -> int:
     """Rank over Q of a list of integer row vectors."""
-    return _bareiss(rows)[0]
+    return len(_bareiss(rows)[0])

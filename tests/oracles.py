@@ -32,6 +32,9 @@ chambers_cover_effective certifies that its cells tile the effective
 cone.  is_boundary_character builds one cone by double description per
 member mask and tests strictly_contains, relative-interior membership
 read off the dual, where toricgit.vgit counts the classes of the masks.
+greedy_pivot_columns picks each column that raises the rank of the
+columns picked so far, one matrix_rank per column, where
+toricgit.linalg._bareiss reads them off one elimination.
 """
 
 from fractions import Fraction
@@ -180,6 +183,16 @@ def _echelon(vectors):
             basis.append((col, pivot if pivot[col] > 0 else [-x for x in pivot]))
         rows = [r for r in rows if any(r)]
     return basis
+
+
+def greedy_pivot_columns(rows):
+    """The first basis of the column space in order: each column that
+    raises the rank of the columns picked before it."""
+    piv = []
+    for j in range(len(rows[0]) if rows else 0):
+        if matrix_rank([[r[c] for c in piv + [j]] for r in rows]) > len(piv):
+            piv.append(j)
+    return piv
 
 
 def _member_with_lineality(rays, lin, v):

@@ -6,6 +6,8 @@ other, an LP-boxed brute-force scan, a Cox-ring monomial count, and
 closed-form counts for the classical families.
 """
 
+import contextlib
+import random
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -193,6 +195,25 @@ class TestJson:
 # validation flags
 
 
+def twisted_cube_fan():
+    """A complete fan that is not projective.
+
+    Face fan over the cube with vertex (1,1,1) moved to (1,2,3) and
+    face diagonals chosen in a twisted pattern, found by exhaustive
+    search over diagonal patterns.
+    """
+    rays = [
+        (-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),
+        (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 2, 3),
+    ]
+    cones = [
+        (0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 4, 5),
+        (1, 2, 3), (1, 3, 5), (2, 3, 6), (2, 4, 6),
+        (3, 5, 7), (3, 6, 7), (4, 5, 7), (4, 6, 7),
+    ]
+    return Fan(3, rays, cones)
+
+
 class TestValidate:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_projective_space_all_flags(self, n):
@@ -238,21 +259,9 @@ class TestValidate:
         assert not rep.complete
 
     def test_complete_non_projective_instance(self):
-        # Face fan over the cube with vertex (1,1,1) moved to (1,2,3)
-        # and face diagonals chosen in a twisted pattern.  Found by
-        # exhaustive search over diagonal patterns; both the wall LP
-        # here and an independent per-cone-functional LP agree that no
-        # strictly convex support function exists.
-        rays = [
-            (-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),
-            (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 2, 3),
-        ]
-        cones = [
-            (0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 4, 5),
-            (1, 2, 3), (1, 3, 5), (2, 3, 6), (2, 4, 6),
-            (3, 5, 7), (3, 6, 7), (4, 5, 7), (4, 6, 7),
-        ]
-        f = Fan(3, rays, cones)
+        # Both the wall LP here and an independent per-cone-functional
+        # LP agree that no strictly convex support function exists.
+        f = twisted_cube_fan()
         rep = validate(f)
         assert rep.simplicial
         assert rep.complete
@@ -307,10 +316,10 @@ class TestWallCertificate:
     def test_one_certificate_per_fan(self):
         # The constructor and validate share one cached certificate.
         data = fan_to_json(blowup_pn_along_linear(3, 1))
-        fans._wall_certificate.cache_clear()
+        fans._walls.cache_clear()
         validate.cache_clear()
         assert validate(fan_from_json(data)).complete
-        info = fans._wall_certificate.cache_info()
+        info = fans._walls.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     @settings(max_examples=80, deadline=None)
@@ -329,14 +338,112 @@ class TestWallCertificate:
             rays[i] = primitive(tuple(x + y for x, y in zip(rays[i], delta)))
         try:
             f = Fan(fan.dim, rays, fan.max_cones, _trusted=True)
-        except FanError:
+            accepted = fans._walls(f) is not None
+        except FanError:  # a zero or repeated ray, or dependent rays
             assume(False)
-        accepted = fans._wall_certificate(f)
         event(f"certificate accepts: {accepted}")
         if accepted:
             # the pairwise check alone: raises FanError if the cones overlap
-            with mock.patch.object(fans, "_wall_certificate", lambda *_: False):
+            with mock.patch.object(fans, "_walls", lambda *_: None):
                 fans._check_fan_axiom(f)
+
+
+class TestOneElimination:
+    """Each full-dimensional maximal cone is eliminated once: its scaled
+    inverse is also its simplicial test."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        # the cached passes would hide calls made for an equal fan earlier
+        for cached in (fans._cone_inverses, fans._walls, validate):
+            cached.cache_clear()
+        ranks, inverses = [], []
+        rank, inverse = fans.matrix_rank, fans.scaled_inverse
+
+        def spy_rank(rows):
+            ranks.append(len(rows))
+            return rank(rows)
+
+        def spy_inverse(rows):
+            inverses.append(len(rows))
+            return inverse(rows)
+
+        monkeypatch.setattr(fans, "matrix_rank", spy_rank)
+        monkeypatch.setattr(fans, "scaled_inverse", spy_inverse)
+        return ranks, inverses
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            fan_to_json(blowup_pn_along_linear(3, 1)),
+            # incomplete, with a cone of dimension 2 in Z^3
+            {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]],
+             "max_cones": [[0, 1, 2], [1, 3]]},
+        ],
+    )
+    def test_json_fan_inverts_each_full_cone_once(self, monkeypatch, data):
+        ranks, inverses = self.spy(monkeypatch)
+        f = fan_from_json(data)
+        validate(f)
+        assert ranks == [len(c) for c in f.max_cones if len(c) < f.dim]
+        assert inverses == [f.dim for c in f.max_cones if len(c) == f.dim]
+
+    def test_trusted_constructor_eliminates_nothing_until_validated(self, monkeypatch):
+        ranks, inverses = self.spy(monkeypatch)
+        f = projective_space_fan(6)
+        assert ranks == inverses == []
+        assert validate(f).projective
+        assert ranks == [] and inverses == [6] * len(f.max_cones)
+
+    def test_dependent_full_cone_is_rejected_by_its_inverse(self):
+        # (1, 0) and (-1, 0) span a line, not a cone of dimension 2
+        data = {"dim": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "max_cones": [[0, 1], [0, 2]]}
+        with pytest.raises(FanError) as exc:
+            fan_from_json(data)
+        assert str(exc.value) == "cone (0, 1) is not simplicial (dependent rays)"
+
+
+def nef_cone_is_full(fan):
+    """The Gale-dual route to projectivity: the nef cone in Cl(X) (x) Q
+    has an interior exactly when the fan is projective."""
+    try:
+        nef_cone(fan, degree_map(fan))
+    except ValueError as exc:
+        if "empty interior" not in str(exc):
+            raise
+        return False
+    return True
+
+
+class TestProjectivityOracle:
+    """validate's support-function LP on the wall rows against the nef
+    cone, cut out by one inverse per cone in the class group."""
+
+    def test_complete_fans(self):
+        for fan in complete_fans():
+            rep = validate(fan)
+            assert rep.complete
+            assert rep.projective == nef_cone_is_full(fan)
+
+    def test_twisted_cube(self):
+        f = twisted_cube_fan()
+        assert validate(f).complete
+        assert not validate(f).projective
+        assert not nef_cone_is_full(f)
+
+    # seeds 0, 1 and 5 subdivide it into a projective fan
+    @pytest.mark.parametrize("seed", range(12))
+    def test_star_subdivisions_of_the_twisted_cube(self, seed):
+        rng = random.Random(seed)
+        f = twisted_cube_fan()
+        for _ in range(rng.randint(1, 3)):
+            cone = rng.choice(f.max_cones)
+            face = rng.sample(cone, rng.randint(2, len(cone)))
+            with contextlib.suppress(ValueError):  # barycenter already a ray
+                f = star_subdivision(f, face)
+        rep = validate(f)
+        assert rep.complete
+        assert rep.projective == nef_cone_is_full(f)
 
 
 # ---------------------------------------------------------------------------

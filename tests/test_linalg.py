@@ -13,8 +13,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import kernel_basis
+from oracles import greedy_pivot_columns, kernel_basis
 from toricgit.linalg import (
+    _bareiss,
     _dot,
     cokernel,
     det,
@@ -237,6 +238,16 @@ def test_matrix_rank_matches_smith_form(entries):
     # the Smith form counts nonzero invariant factors by another route
     _, factors, _ = smith_normal_form(entries)
     assert matrix_rank(entries) == sum(1 for f in factors if f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_matrices)
+def test_bareiss_pivots_are_the_greedy_columns(entries):
+    # the pivot columns of one elimination are the first basis of the
+    # column space in order, which one rank test per column also finds
+    assert _bareiss(entries)[0] == greedy_pivot_columns(entries)
+    transposed = [list(col) for col in zip(*entries)]
+    assert _bareiss(transposed)[0] == greedy_pivot_columns(transposed)
 
 
 @settings(max_examples=100, deadline=None)

@@ -232,3 +232,34 @@ def test_cones_uses_no_lp():
         elif isinstance(node, ast.alias):
             used.add(node.name)
     assert used & lp_names == {"scaled_inverse"}
+
+
+def test_only_the_four_constructors_trust_their_fans():
+    # A fan built with _trusted=True skips the simplicial test and the
+    # fan axiom, so only constructors whose cones are independent and
+    # form a fan by construction may pass it: products and bundles are
+    # block-triangular, and a star subdivision swaps a face ray for a
+    # barycenter with a nonzero coefficient on that ray.
+    def enclosing(tree):
+        parent = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                parent[child] = node
+        return parent
+
+    found = []
+    for name, tree in src_trees().items():
+        parent = enclosing(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "_trusted":
+                outer = node
+                while not isinstance(outer, (ast.FunctionDef, ast.Module)):
+                    outer = parent[outer]
+                value = ast.literal_eval(node.value)
+                found.append((name, getattr(outer, "name", None), value))
+    assert sorted(found) == [
+        ("fans.py", "product_fan", True),
+        ("fans.py", "projective_bundle_fan", True),
+        ("fans.py", "projective_space_fan", True),
+        ("fans.py", "star_subdivision", True),
+    ]
