@@ -100,8 +100,9 @@ def check_two_neighborly_equivalence(fan) -> CheckResult:
     """2-neighborliness decides codim >= 3, by two independent routes.
 
     Neighborliness is tested by pairwise cone containment; the
-    codimension is the size of the smallest minimal hitting set of the
-    irrelevant ideal's generators.  Neither side touches the GIT layer.
+    codimension is the size of a smallest set of rays meeting every
+    generator support of the irrelevant ideal (a smallest hitting set).
+    Neither side touches the GIT layer.
     """
     _require_projective(fan)
     neighborly = is_m_neighborly(fan, 2)

@@ -6,6 +6,13 @@ rows, one degree per coordinate variable.  The irrelevant ideal and
 its Stanley-Reisner complex are kept purely combinatorial: squarefree
 ideals are lists of generator supports, complexes are lists of facets,
 and the zero locus is only ever touched through codimensions.
+
+Two hitting-set routines serve two jobs, both capped at
+MAX_HITTING_SET_VARS variables.  zero_locus_codim needs only the size
+of a smallest set meeting every support, and finds it by a
+depth-bounded search on bitmasks.  _minimal_hitting_sets lists every
+inclusion-minimal such set, which stanley_reisner and
+prime_decomposition need; the tests hold the codimension against it.
 """
 
 from __future__ import annotations
@@ -15,6 +22,9 @@ from functools import lru_cache
 
 from .fans import validate
 from .linalg import cokernel, smith_normal_form
+
+# Both hitting-set routines branch over subsets of the variables.
+MAX_HITTING_SET_VARS = 20
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,37 @@ def degree_map(fan) -> DegreeMap:
     )
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in set(indices))
+
+
+def _check_antichain(sets, message):
+    """Raise ValueError(message) if one set lies inside another.
+
+    Distinct sets of one size never contain each other, so each set is
+    tested only against the smaller ones, as bitmasks grouped by size.
+    Two tuples over the same set contain each other.
+    """
+    by_size = {}
+    for m in {_mask(s) for s in sets}:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    if sum(map(len, by_size.values())) < len(sets):
+        raise ValueError(message)
+    smaller = []
+    for size in sorted(by_size):
+        group = by_size[size]
+        if any(m & b == b for m in group for b in smaller):
+            raise ValueError(message)
+        smaller.extend(group)
+
+
+def _check_hitting_cap(n_vars):
+    if n_vars > MAX_HITTING_SET_VARS:
+        raise ValueError(
+            f"hitting-set search is capped at {MAX_HITTING_SET_VARS} variables"
+        )
+
+
 @dataclass(frozen=True)
 class SquarefreeIdeal:
     """Squarefree monomial ideal given by its generator supports.
@@ -101,10 +142,7 @@ class SquarefreeIdeal:
                 raise ValueError("empty generator support")
             if s[0] < 0 or s[-1] >= self.n_vars:
                 raise ValueError(f"support {s} out of range")
-        for a in supports:
-            for b in supports:
-                if a != b and set(a) <= set(b):
-                    raise ValueError("generator supports must be an antichain")
+        _check_antichain(supports, "generator supports must be an antichain")
         object.__setattr__(self, "generator_supports", supports)
 
     def contains_monomial(self, support):
@@ -122,10 +160,7 @@ class FaceComplex:
 
     def __post_init__(self):
         facets = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
-        for a in facets:
-            for b in facets:
-                if a != b and set(a) <= set(b):
-                    raise ValueError("facets must be an antichain")
+        _check_antichain(facets, "facets must be an antichain")
         object.__setattr__(self, "facets", facets)
 
 
@@ -150,10 +185,12 @@ def _minimal_hitting_sets(supports, n_vars):
 
     Branch on the elements of the first unhit support, smallest first;
     prune revisited partial selections, reduce to an antichain at the
-    end.  Exact and fast at the scale of fan data (n_vars <= 20).
+    end.  Exact and fast at the scale of fan data (n_vars <= 20).  This
+    lists the facets behind stanley_reisner and prime_decomposition;
+    zero_locus_codim, which needs only the smallest size, does not call
+    it, and the tests use it as that search's oracle.
     """
-    if n_vars > 20:
-        raise ValueError("hitting-set search is capped at 20 variables")
+    _check_hitting_cap(n_vars)
     supports = sorted(supports, key=len)
     found = set()
     seen = set()
@@ -209,14 +246,37 @@ def prime_decomposition(ideal):
 def zero_locus_codim(ideal) -> int:
     """Codimension of V(ideal) in affine space.
 
-    Equals the smallest prime-component size (the smallest minimal
-    hitting set).  The no-generator ideal has empty zero locus; that is
-    reported with the sentinel n_vars + 1 rather than an error.
+    Equals the smallest prime-component size, the size of a smallest
+    set meeting every support.  For k = 1, 2, ... a depth-first search
+    on bitmasks branches on the elements of the first support the
+    chosen set misses, smallest supports first, with at most k picks.
+    Every hitting set of size <= k contains one of those elements, so
+    the first k that succeeds is the answer; a chosen set met before at
+    this k is not searched again.  The no-generator ideal has empty
+    zero locus; that is reported with the sentinel n_vars + 1 rather
+    than an error.
     """
+    n = ideal.n_vars
     if not ideal.generator_supports:
-        return ideal.n_vars + 1
-    hitting = _minimal_hitting_sets(ideal.generator_supports, ideal.n_vars)
-    return min(len(h) for h in hitting)
+        return n + 1
+    _check_hitting_cap(n)
+    masks = sorted(map(_mask, ideal.generator_supports), key=int.bit_count)
+
+    def hits(chosen, budget, seen):
+        missed = next((m for m in masks if not chosen & m), 0)
+        if not missed:
+            return True
+        if not budget or chosen in seen:
+            return False
+        seen.add(chosen)
+        while missed:
+            bit = missed & -missed
+            missed ^= bit
+            if hits(chosen | bit, budget - 1, seen):
+                return True
+        return False
+
+    return next(k for k in range(1, n + 1) if hits(0, k, set()))
 
 
 def _acts_freely(fan, dm) -> bool:

@@ -35,6 +35,10 @@ read off the dual, where toricgit.vgit counts the classes of the masks.
 greedy_pivot_columns picks each column that raises the rank of the
 columns picked so far, one matrix_rank per column, where
 toricgit.linalg._bareiss reads them off one elimination.
+smallest_hitting_set_size scans the subsets of the variables by
+increasing size for one that meets every generator support, sharing no
+code with the bitmask search of toricgit.cox.zero_locus_codim nor with
+its listing of all minimal hitting sets.
 """
 
 from fractions import Fraction
@@ -616,3 +620,19 @@ def is_boundary_character(dm, chi):
         if cone.dim_of() < rank or not strictly_contains(cone, chi):
             return True
     return False
+
+
+def smallest_hitting_set_size(ideal):
+    """Size of a smallest set of variables meeting every support.
+
+    The unit ideal (no supports) keeps the library's sentinel n + 1.
+    """
+    n = ideal.n_vars
+    supports = [set(s) for s in ideal.generator_supports]
+    if not supports:
+        return n + 1
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            if all(s.intersection(subset) for s in supports):
+                return size
+    raise AssertionError("the set of all variables meets every support")

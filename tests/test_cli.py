@@ -139,6 +139,17 @@ class TestAnalyze:
         assert data["validation"]["complete"] is False
         assert data["class_group"] is None
 
+    def test_more_than_twenty_rays_exits_two(self, write, capsys):
+        # A complete polygon fan on 21 rays, over the hitting-set cap.
+        rays = [[1, j] for j in range(-4, 6)] + [[0, 1]]
+        rays += [[-1, j] for j in range(4, -5, -1)] + [[0, -1]]
+        cones = [[i, (i + 1) % len(rays)] for i in range(len(rays))]
+        path = write({"dim": 2, "rays": rays, "max_cones": cones}, "polygon21.json")
+        code, out, err = run(["analyze", path, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "capped at 20 variables" in err
+
     def test_round_trip_from_construct(self, capsys, tmp_path):
         code, out, _ = run(["construct", "blowup-linear", "4", "1"], capsys)
         assert code == 0

@@ -6,17 +6,23 @@ statements (relations, ranks, spans) since the Smith basis is free to
 twist coordinates.
 """
 
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import smallest_hitting_set_size
+from toricgit import cox
+from toricgit.checks import PRODUCT_PAIRS
 from toricgit.cox import (
+    MAX_HITTING_SET_VARS,
     DegreeMap,
     FaceComplex,
     SquarefreeIdeal,
     _acts_freely,
+    _minimal_hitting_sets,
     degree_map,
     irrelevant_ideal,
     prime_decomposition,
@@ -153,6 +159,45 @@ class TestIrrelevantIdeal:
         with pytest.raises(ValueError, match="empty"):
             SquarefreeIdeal(3, ((),))
 
+    def test_containment_across_sizes_beside_a_same_size_pair(self):
+        # (0, 1) and (2, 3) share a size and are fine; (0, 1) lies in
+        # (0, 1, 2), one size up.
+        with pytest.raises(ValueError, match="antichain"):
+            SquarefreeIdeal(4, ((0, 1), (2, 3), (0, 1, 2)))
+        with pytest.raises(ValueError, match="antichain"):
+            SquarefreeIdeal(4, ((0, 1, 2), (3,), (1, 2, 3)))
+
+    def test_distinct_supports_of_one_size_accepted(self):
+        pairs = tuple(combinations(range(5), 2))
+        ideal = SquarefreeIdeal(5, tuple(reversed(pairs)))
+        assert ideal.generator_supports == pairs
+
+    def test_repeated_index_is_the_same_set(self):
+        # (0, 0, 1) is the set {0, 1}: it equals (1, 0) and lies in
+        # (0, 1, 2), although the tuples have the same length.
+        with pytest.raises(ValueError, match="antichain"):
+            SquarefreeIdeal(3, ((0, 0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="antichain"):
+            SquarefreeIdeal(3, ((0, 0, 1), (0, 1, 2)))
+
+    @given(
+        raw=st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=6), max_size=7
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_antichain_check_matches_every_pair(self, raw):
+        supports = {tuple(sorted(s)) for s in raw}
+        nested = any(
+            a != b and set(a) <= set(b) for a in supports for b in supports
+        )
+        if nested:
+            with pytest.raises(ValueError, match="antichain"):
+                SquarefreeIdeal(6, tuple(raw))
+        else:
+            ideal = SquarefreeIdeal(6, tuple(raw))
+            assert ideal.generator_supports == tuple(sorted(supports))
+
 
 def brute_force_facets(ideal):
     """Maximal subsets not containing any generator support."""
@@ -277,6 +322,70 @@ class TestZeroLocusCodim:
                 assert (codim >= m + 1) == is_m_neighborly(f, m), (f, m)
 
 
+def p1_power(k):
+    power = projective_space_fan(1)
+    for _ in range(k - 1):
+        power = product_fan(power, projective_space_fan(1))
+    return power
+
+
+def oracle_fans(corpus):
+    by_name = dict(corpus)
+    yield from corpus
+    for a, b in PRODUCT_PAIRS:
+        yield f"{a}x{b}", product_fan(by_name[a], by_name[b])
+    for k in range(2, 8):
+        yield f"(P1)^{k}", p1_power(k)
+
+
+class TestSmallestHittingSet:
+    def test_fans_match_subset_scan(self, corpus):
+        for name, f in oracle_fans(corpus):
+            ideal = irrelevant_ideal(f)
+            assert zero_locus_codim(ideal) == smallest_hitting_set_size(ideal), name
+
+    def test_fans_match_minimal_hitting_sets(self, corpus):
+        for name, f in oracle_fans(corpus):
+            ideal = irrelevant_ideal(f)
+            hitting = _minimal_hitting_sets(ideal.generator_supports, ideal.n_vars)
+            assert zero_locus_codim(ideal) == min(map(len, hitting)), name
+
+    def test_never_lists_the_minimal_hitting_sets(self, corpus, monkeypatch):
+        def listing(*args):
+            raise AssertionError("zero_locus_codim listed minimal hitting sets")
+
+        monkeypatch.setattr(cox, "_minimal_hitting_sets", listing)
+        for _, f in corpus:
+            zero_locus_codim(irrelevant_ideal(f))
+
+    def test_p1_power_10_within_one_second(self):
+        # 20 variables and 1,024 supports of size 10: listing every
+        # minimal hitting set took about 7 s on a 2-core machine.
+        f = p1_power(10)
+        start = time.perf_counter()
+        codim = zero_locus_codim(irrelevant_ideal(f))
+        elapsed = time.perf_counter() - start
+        assert codim == 2
+        assert elapsed < 1, elapsed
+
+    def test_cap_rejects_more_variables(self):
+        ideal = SquarefreeIdeal(21, tuple((i,) for i in range(21)))
+        with pytest.raises(ValueError, match="capped at 20 variables"):
+            zero_locus_codim(ideal)
+        with pytest.raises(ValueError, match="capped at 20 variables"):
+            stanley_reisner(ideal)
+        assert zero_locus_codim(SquarefreeIdeal(21, ())) == 22
+
+    def test_cap_is_one_constant(self, monkeypatch):
+        assert MAX_HITTING_SET_VARS == 20
+        monkeypatch.setattr(cox, "MAX_HITTING_SET_VARS", 3)
+        ideal = SquarefreeIdeal(4, ((0, 1), (2, 3)))
+        with pytest.raises(ValueError, match="capped at 3 variables"):
+            zero_locus_codim(ideal)
+        with pytest.raises(ValueError, match="capped at 3 variables"):
+            stanley_reisner(ideal)
+
+
 def acts_freely(fan):
     return _acts_freely(fan, degree_map(fan))
 
@@ -325,6 +434,20 @@ def antichain_ideals(draw):
 ideals = st.composite(antichain_ideals)()
 
 
+@st.composite
+def small_ideals(draw):
+    """Antichain ideals on at most 10 variables, the unit ideal included."""
+    n = draw(st.integers(1, 10))
+    raw = draw(
+        st.lists(
+            st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n),
+            max_size=8,
+        )
+    )
+    minimal = {tuple(sorted(s)) for s in raw if not any(o < s for o in raw)}
+    return SquarefreeIdeal(n, tuple(minimal))
+
+
 class TestRandomIdeals:
     @given(ideal=ideals)
     @settings(max_examples=60, deadline=None)
@@ -348,3 +471,8 @@ class TestRandomIdeals:
         comps = prime_decomposition(ideal)
         if comps:
             assert zero_locus_codim(ideal) == min(len(c) for c in comps)
+
+    @given(ideal=small_ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_codim_matches_subset_scan(self, ideal):
+        assert zero_locus_codim(ideal) == smallest_hitting_set_size(ideal)
