@@ -7,12 +7,10 @@ its Stanley-Reisner complex are kept purely combinatorial: squarefree
 ideals are lists of generator supports, complexes are lists of facets,
 and the zero locus is only ever touched through codimensions.
 
-Two hitting-set routines serve two jobs, both capped at
-MAX_HITTING_SET_VARS variables.  zero_locus_codim needs only the size
-of a smallest set meeting every support, and finds it by a
-depth-bounded search on bitmasks.  _minimal_hitting_sets lists every
-inclusion-minimal such set, which stanley_reisner and
-prime_decomposition need; the tests hold the codimension against it.
+zero_locus_codim searches for one smallest hitting set of the
+generator supports; _minimal_hitting_sets lists all minimal ones for
+stanley_reisner and prime_decomposition.  Both are capped at
+MAX_HITTING_SET_VARS variables.
 """
 
 from __future__ import annotations
@@ -185,10 +183,8 @@ def _minimal_hitting_sets(supports, n_vars):
 
     Branch on the elements of the first unhit support, smallest first;
     prune revisited partial selections, reduce to an antichain at the
-    end.  Exact and fast at the scale of fan data (n_vars <= 20).  This
-    lists the facets behind stanley_reisner and prime_decomposition;
-    zero_locus_codim, which needs only the smallest size, does not call
-    it, and the tests use it as that search's oracle.
+    end.  Exact and fast at the scale of fan data (n_vars <= 20).
+    zero_locus_codim does not call it; the tests hold it against this.
     """
     _check_hitting_cap(n_vars)
     supports = sorted(supports, key=len)
@@ -246,15 +242,12 @@ def prime_decomposition(ideal):
 def zero_locus_codim(ideal) -> int:
     """Codimension of V(ideal) in affine space.
 
-    Equals the smallest prime-component size, the size of a smallest
-    set meeting every support.  For k = 1, 2, ... a depth-first search
-    on bitmasks branches on the elements of the first support the
-    chosen set misses, smallest supports first, with at most k picks.
-    Every hitting set of size <= k contains one of those elements, so
-    the first k that succeeds is the answer; a chosen set met before at
-    this k is not searched again.  The no-generator ideal has empty
-    zero locus; that is reported with the sentinel n_vars + 1 rather
-    than an error.
+    Equals the size of a smallest set meeting every support.  For
+    k = 1, 2, ... a search on bitmasks with at most k picks branches on
+    the elements of the first (smallest) support it misses; every
+    hitting set of size <= k holds one of them, so the first k found is
+    exact.  The no-generator ideal has empty zero locus; that is
+    reported with the sentinel n_vars + 1 rather than an error.
     """
     n = ideal.n_vars
     if not ideal.generator_supports:
