@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fans import validate
-from .linalg import cokernel, smith_normal_form
+from .fans import _is_antichain, _mask, validate
+from .linalg import cokernel, det
 
 # Both hitting-set routines branch over subsets of the variables.
 MAX_HITTING_SET_VARS = 20
@@ -88,30 +88,6 @@ def degree_map(fan) -> DegreeMap:
     )
 
 
-def _mask(indices) -> int:
-    return sum(1 << i for i in set(indices))
-
-
-def _check_antichain(sets, message):
-    """Raise ValueError(message) if one set lies inside another.
-
-    Distinct sets of one size never contain each other, so each set is
-    tested only against the smaller ones, as bitmasks grouped by size.
-    Two tuples over the same set contain each other.
-    """
-    by_size = {}
-    for m in {_mask(s) for s in sets}:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    if sum(map(len, by_size.values())) < len(sets):
-        raise ValueError(message)
-    smaller = []
-    for size in sorted(by_size):
-        group = by_size[size]
-        if any(m & b == b for m in group for b in smaller):
-            raise ValueError(message)
-        smaller.extend(group)
-
-
 def _check_hitting_cap(n_vars):
     if n_vars > MAX_HITTING_SET_VARS:
         raise ValueError(
@@ -140,7 +116,8 @@ class SquarefreeIdeal:
                 raise ValueError("empty generator support")
             if s[0] < 0 or s[-1] >= self.n_vars:
                 raise ValueError(f"support {s} out of range")
-        _check_antichain(supports, "generator supports must be an antichain")
+        if not _is_antichain(supports):
+            raise ValueError("generator supports must be an antichain")
         object.__setattr__(self, "generator_supports", supports)
 
     def contains_monomial(self, support):
@@ -158,7 +135,8 @@ class FaceComplex:
 
     def __post_init__(self):
         facets = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
-        _check_antichain(facets, "facets must be an antichain")
+        if not _is_antichain(facets):
+            raise ValueError("facets must be an antichain")
         object.__setattr__(self, "facets", facets)
 
 
@@ -279,7 +257,11 @@ def _acts_freely(fan, dm) -> bool:
     maximal cone sigma, and such a stabiliser is trivial iff the degrees
     of the rays outside sigma generate the class group, torsion
     included: their rows plus a row t_k * e per torsion factor must
-    have the identity as Smith form.
+    generate Z^(r + t).  On a complete simplicial fan those are
+    n - dim = r degree rows and t torsion rows, a square matrix, which
+    generates exactly when its determinant is +-1.  This reads the
+    grading, not the rays, so it stays independent of validate's
+    smoothness test.
     """
     r, width = dm.cl_free_rank, dm.cl_free_rank + len(dm.torsion)
     relations = [
@@ -292,6 +274,6 @@ def _acts_freely(fan, dm) -> bool:
             for i in range(fan.n_rays)
             if i not in sigma
         ]
-        if smith_normal_form(rows + relations)[1] != (1,) * width:
+        if abs(det(rows + relations)) != 1:
             return False
     return True

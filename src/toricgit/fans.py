@@ -10,8 +10,9 @@ construction.  Each full-dimensional maximal cone is eliminated once,
 into the scaled inverse that the certificate, validate and Brion's
 formula all read.  One cached wall pass over the ridges proves a
 complete fan (every ridge joins two cones on opposite sides, one
-generic probe lies in one cone) and gives the projectivity LP its rows;
-any other input falls back to intersecting every pair of maximal cones.
+generic probe lies in one cone) and gives its wall rows to the
+projectivity LP, to Brion's nef test and to vgit.nef_cone; any other
+input falls back to intersecting every pair of maximal cones.
 """
 
 from __future__ import annotations
@@ -95,10 +96,12 @@ class Fan:
                 raise FanError(f"repeated ray index in cone {c}")
             if c[0] < 0 or c[-1] >= len(rays):
                 raise FanError(f"cone {c} references a missing ray")
-        for a in cones:
-            for b in cones:
-                if a != b and set(a) <= set(b):
-                    raise FanError(f"cone {a} is contained in cone {b}")
+        if not _is_antichain(cones):
+            # name the first nested pair in the order of the pair loop
+            a, b = next(
+                (a, b) for a in cones for b in cones if a != b and set(a) <= set(b)
+            )
+            raise FanError(f"cone {a} is contained in cone {b}")
         used = set(i for c in cones for i in c)
         if used != set(range(len(rays))):
             raise FanError("every ray must appear in some maximal cone")
@@ -134,6 +137,32 @@ class Fan:
             f"Fan(dim={self.dim}, n_rays={self.n_rays}, "
             f"n_max_cones={len(self.max_cones)})"
         )
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in set(indices))
+
+
+def _is_antichain(sets) -> bool:
+    """Does no set lie inside another?
+
+    Distinct sets of one size never contain each other, so each set is
+    tested only against the smaller ones, as bitmasks grouped by size.
+    Two tuples over the same set contain each other.  Fan and the
+    squarefree ideals and complexes of cox share it.
+    """
+    by_size = {}
+    for m in {_mask(s) for s in sets}:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    if sum(map(len, by_size.values())) < len(sets):
+        return False
+    smaller = []
+    for size in sorted(by_size):
+        group = by_size[size]
+        if any(m & b == b for m in group for b in smaller):
+            return False
+        smaller.extend(group)
+    return True
 
 
 @lru_cache(maxsize=8192)
@@ -264,8 +293,11 @@ def _walls(fan):
     the wall (Cox, Little and Schenck, Toric Varieties, ch. 6); its
     entry at r1 is negative iff the sides are opposite.  Walls repeat
     rows (bl4_1 x bl4_1: 324 rows, 6 distinct), which leave the LP
-    alone.  Cached: the constructor and validate both ask it of a fan
-    read from JSON.
+    alone.  A row vanishes on principal divisors, and a divisor D with
+    coefficients a is nef exactly when w.a <= 0 for every row w.
+    Cached, since four callers read it: the fan-axiom certificate and
+    validate (completeness and the projectivity LP), Brion's nef test
+    in _brion_data, and vgit.nef_cone.
     """
     inverses = _cone_inverses(fan)
     if len(inverses) != len(fan.max_cones):
@@ -580,9 +612,9 @@ def _brion_data(fan):
     e^(t alpha) / prod_j (1 - e^(t b_j))
       = (-1)^d / prod_j b_j * sum_k s_k alpha^(d-k) / (d-k)!,
     s_k the coefficients of the Todd series prod_j T(t b_j).  Returns
-    (den, cones): each cone as (ray indices, b, outside rays as (rho,
-    coordinates of v_rho in the cone's basis), integer Horner
-    coefficients), and den the one denominator they share.
+    (den, walls, cones): the wall rows of _walls for the nef test, each
+    cone as (ray indices, b, integer Horner coefficients), and den the
+    one denominator they share.
     """
     report = validate(fan)
     if not (report.smooth and report.complete):
@@ -606,33 +638,26 @@ def _brion_data(fan):
         num = [(-1) ** d * s * perm(d, k) for k, s in enumerate(series)]
         den = scale**d * factorial(d) * prod(b)
         g = gcd(den, *num) * (1 if den > 0 else -1)
-        outside = tuple(
-            (rho, tuple(_dot(w, fan.rays[rho]) for w in ws))
-            for rho in range(fan.n_rays)
-            if rho not in cone
-        )
-        cones.append((cone, tuple(b), outside, [x // g for x in num], den // g))
+        cones.append((cone, tuple(b), [x // g for x in num], den // g))
     common = lcm(*(den for *_, den in cones))
-    return common, tuple(
-        (cone, b, outside, tuple(x * (common // den) for x in num))
-        for cone, b, outside, num, den in cones
+    return common, _walls(fan), tuple(
+        (cone, b, tuple(x * (common // den) for x in num))
+        for cone, b, num, den in cones
     )
 
 
 def _brion_count(brion, coefficients):
     """Brion's sum for the divisor, or None when it is not nef.
 
-    D is nef exactly when every vertex u_sigma lies in P_D, that is
-    <u_sigma, v_rho> >= -a_rho for each ray rho outside sigma.
+    D is nef exactly when its support function is convex across every
+    wall, that is w.a <= 0 for each wall row w; tested before any sum.
     """
-    den, cones = brion
+    den, walls, cones = brion
+    if any(_dot(w, coefficients) > 0 for w in walls):
+        return None
     total = 0
-    for cone, b, outside, poly in cones:
-        a = [coefficients[i] for i in cone]
-        for rho, coords in outside:
-            if _dot(a, coords) > coefficients[rho]:
-                return None
-        alpha = -_dot(a, b)
+    for cone, b, poly in cones:
+        alpha = -_dot([coefficients[i] for i in cone], b)
         acc = 0
         for c in poly:
             acc = acc * alpha + c

@@ -21,6 +21,7 @@ from math import gcd
 
 from .cones import cone_from_generators, cone_from_inequalities, full_space
 from .cox import irrelevant_ideal, stanley_reisner
+from .fans import _walls
 from .linalg import primitive, sign_normalized
 from .linalg import _dot
 from .lp import SlackTableau, in_cone, scaled_inverse
@@ -170,21 +171,29 @@ def moving_cone(dm):
 
 @lru_cache(maxsize=8192)
 def nef_cone(fan, dm):
-    """Intersection over maximal cones of cone(degrees off the cone).
+    """The classes chi whose divisors pass every wall row of the fan.
 
-    The fan is complete and simplicial, so the degrees off a maximal
-    cone sigma form a basis of Cl (x) Q, and their cone is
-    {chi : inv(M_sigma^T) chi >= 0} with M_sigma^T the matrix whose
-    columns they are.  One scaled inverse per cone gives those rows;
-    the distinct primitive ones cut out the nef cone in a single double
-    description.  Full-dimensional exactly for projective fans; anything
-    thinner is reported as an error because no ample character exists.
+    A wall row w of fans._walls vanishes on principal divisors, so it is
+    a function on Cl (x) Q, and D is nef exactly when w.a <= 0 for each
+    row.  The degrees of the rays off sigma0 = max_cones[0] form a basis
+    of Cl (x) Q; with (inv, d) the one scaled inverse of the matrix whose
+    columns they are, chi lifts to a = inv.chi / d on those rays and 0
+    on sigma0.  So the nef cone is {chi : -(w_off . inv) chi >= 0}, cut
+    out from the distinct primitive rows in one double description.
+    Full-dimensional exactly for projective fans; anything thinner is
+    reported as an error because no ample character exists, and so is
+    a fan that the wall pass does not prove complete.
     """
+    walls = _walls(fan)
+    if walls is None:
+        raise ValueError("nef cone needs a complete fan")
+    off = [i for i in range(fan.n_rays) if i not in fan.max_cones[0]]
+    inv, _ = scaled_inverse(list(zip(*(dm.degrees_free[i] for i in off))))
+    cols = list(zip(*inv))
     normals = set()
-    for c in fan.max_cones:
-        off = [dm.degrees_free[i] for i in range(fan.n_rays) if i not in c]
-        inv, _ = scaled_inverse(list(zip(*off)))
-        normals.update(primitive(row) for row in inv)
+    for w in walls:
+        w_off = [w[i] for i in off]
+        normals.add(primitive(tuple(-_dot(w_off, col) for col in cols)))
     nef = cone_from_inequalities(dm.cl_free_rank, normals)
     if nef.dim_of() < dm.cl_free_rank:
         raise ValueError("nef cone has empty interior; the fan is not projective")

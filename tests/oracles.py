@@ -39,17 +39,25 @@ smallest_hitting_set_size scans the subsets of the variables by
 increasing size for one that meets every generator support, sharing no
 code with the bitmask search of toricgit.cox.zero_locus_codim nor with
 its listing of all minimal hitting sets.
+nef_cone_by_cones intersects, over the maximal cones, the cone the
+degrees off each one generate, one scaled inverse per cone, where
+toricgit.vgit.nef_cone reads the wall rows through one inverse per fan.
+vertex_nef solves for each vertex u_sigma over Fraction and tests it
+against every ray outside sigma, where toricgit.fans tests the wall
+rows.  acts_freely_by_smith asks that the Smith form of each cone's
+degree and torsion rows be the identity, where toricgit.cox takes one
+determinant.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from toricgit.cones import _combine, cone_from_generators
+from toricgit.cones import _combine, cone_from_generators, cone_from_inequalities
 from toricgit.linalg import _dot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import vgit
-from toricgit.lp import PivotLimit, _simplex_core
+from toricgit.lp import PivotLimit, _simplex_core, scaled_inverse
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24
@@ -636,3 +644,51 @@ def smallest_hitting_set_size(ideal):
             if all(s.intersection(subset) for s in supports):
                 return size
     raise AssertionError("the set of all variables meets every support")
+
+
+def nef_cone_by_cones(fan, dm):
+    """The nef cone as the intersection over maximal cones sigma of
+    cone(degrees off sigma) = {chi : inv(M_sigma) chi >= 0}, M_sigma the
+    matrix whose columns are those degrees: one scaled inverse per cone,
+    and ValueError when the result has no interior."""
+    normals = set()
+    for c in fan.max_cones:
+        off = [dm.degrees_free[i] for i in range(fan.n_rays) if i not in c]
+        inv, _ = scaled_inverse(list(zip(*off)))
+        normals.update(primitive(row) for row in inv)
+    nef = cone_from_inequalities(dm.cl_free_rank, normals)
+    if nef.dim_of() < dm.cl_free_rank:
+        raise ValueError("nef cone has empty interior; the fan is not projective")
+    return nef
+
+
+def vertex_nef(fan, coefficients):
+    """Is D nef on a complete simplicial fan?  Exactly when every vertex
+    u_sigma, the solution of <u, v_i> = -a_i over the rays of sigma, lies
+    in P_D: <u_sigma, v_rho> >= -a_rho for every ray rho outside sigma."""
+    for cone in fan.max_cones:
+        u = rational_solve([fan.rays[i] for i in cone], [-coefficients[i] for i in cone])
+        for rho in range(fan.n_rays):
+            if rho not in cone and _dot(u, fan.rays[rho]) < -coefficients[rho]:
+                return False
+    return True
+
+
+def acts_freely_by_smith(fan, dm):
+    """For every maximal cone, do the degree rows of the rays outside it,
+    with a row t_k * e per torsion factor, have the identity as Smith
+    form?"""
+    r, width = dm.cl_free_rank, dm.cl_free_rank + len(dm.torsion)
+    relations = [
+        tuple(tk if j == r + k else 0 for j in range(width))
+        for k, tk in enumerate(dm.torsion)
+    ]
+    for sigma in fan.max_cones:
+        rows = [
+            dm.degrees_free[i] + dm.degrees_torsion[i]
+            for i in range(fan.n_rays)
+            if i not in sigma
+        ]
+        if smith_normal_form(rows + relations)[1] != (1,) * width:
+            return False
+    return True

@@ -8,13 +8,14 @@ twist coordinates.
 
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import smallest_hitting_set_size
-from toricgit import cox
+from oracles import acts_freely_by_smith, smallest_hitting_set_size
+from toricgit import cox, linalg
 from toricgit.checks import PRODUCT_PAIRS
 from toricgit.cox import (
     MAX_HITTING_SET_VARS,
@@ -390,7 +391,49 @@ def acts_freely(fan):
     return _acts_freely(fan, degree_map(fan))
 
 
+@st.composite
+def gradings_with_cones(draw):
+    """A stand-in fan (n_rays, max_cones of dim rays each) and a grading
+    with r = n - dim free coordinates and up to two torsion factors, so
+    each cone's degree and torsion rows form a square matrix."""
+    r, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = r + dim
+    torsion = tuple(draw(st.lists(st.integers(2, 5), max_size=2)))
+    free = tuple(
+        tuple(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))) for _ in range(n)
+    )
+    residues = tuple(tuple(draw(st.integers(0, t - 1)) for t in torsion) for _ in range(n))
+    cones = draw(
+        st.lists(st.sampled_from(list(combinations(range(n), dim))), min_size=1, max_size=3)
+    )
+    fan = SimpleNamespace(n_rays=n, max_cones=tuple(cones))
+    return fan, DegreeMap(n, r, torsion, free, residues)
+
+
 class TestFreeAction:
+    @settings(max_examples=300, deadline=None)
+    @given(gradings_with_cones())
+    def test_determinant_matches_smith_form(self, case):
+        fan, dm = case
+        free = acts_freely_by_smith(fan, dm)
+        event("free" if free else "not free")
+        assert _acts_freely(fan, dm) == free
+
+    def test_fans_match_smith_form(self, corpus):
+        for name, f in oracle_fans(corpus):
+            dm = degree_map(f)
+            assert _acts_freely(f, dm) == acts_freely_by_smith(f, dm), name
+
+    def test_takes_no_smith_form(self, corpus, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("_acts_freely ran a Smith form")
+
+        dms = [(f, degree_map(f)) for _, f in oracle_fans(corpus)]
+        assert not hasattr(cox, "smith_normal_form")
+        monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+        for f, dm in dms:
+            _acts_freely(f, dm)
+
     def test_smooth_fans(self):
         assert acts_freely(projective_space_fan(3))
         assert acts_freely(blowup_pn_along_linear(3, 1))

@@ -8,6 +8,7 @@ closed-form counts for the classical families.
 
 import contextlib
 import random
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import cox_ring_sections, simplex_max
+from oracles import cox_ring_sections, nef_cone_by_cones, simplex_max, vertex_nef
 from toricgit import fans
 from toricgit.checks import (
     PRODUCT_PAIRS,
@@ -146,6 +147,25 @@ class TestFanConstructor:
             "cones (0, 2) and (1, 3) overlap beyond their common face ()"
         )
 
+    def test_p1_power_10_builds_within_budget(self):
+        # 1,024 maximal cones: testing every pair for containment took
+        # about 1.3 s on a 2-core machine, the bitmask check by size
+        # about 0.02 s
+        start = time.perf_counter()
+        f = p1()
+        for _ in range(9):
+            f = product_fan(f, p1())
+        elapsed = time.perf_counter() - start
+        assert len(f.max_cones) == 1024
+        assert elapsed < 0.3, elapsed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 5), min_size=1), min_size=1, max_size=8, unique=True))
+    def test_antichain_check_matches_pair_loop(self, sets):
+        cones = [tuple(sorted(c)) for c in sets]
+        nested = any(a != b and set(a) <= set(b) for a in cones for b in cones)
+        assert fans._is_antichain(cones) == (not nested)
+
     def test_accepts_proper_subdivision(self):
         f = Fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
         assert f.n_rays == 3
@@ -181,6 +201,22 @@ class TestJson:
     def test_rejects_non_list_rays(self):
         with pytest.raises(FanError, match="list"):
             fan_from_json({"dim": 2, "rays": "nope", "max_cones": []})
+
+    @pytest.mark.parametrize(
+        "cones,message",
+        [
+            ([[0, 1], [1], [1, 2], [0, 2]], "cone (1,) is contained in cone (0, 1)"),
+            ([[0, 1, 2], [0, 1], [1, 2]], "cone (0, 1) is contained in cone (0, 1, 2)"),
+            ([[0, 2], [0, 1], [1, 2], [2]], "cone (2,) is contained in cone (0, 2)"),
+        ],
+    )
+    def test_nested_cones_name_the_first_pair(self, cones, message):
+        # the first (a, b) with a inside b, a over the cones as listed
+        # and b within a
+        data = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": cones}
+        with pytest.raises(FanError) as exc:
+            fan_from_json(data)
+        assert str(exc.value) == message
 
     def test_divisor_length_checked(self):
         with pytest.raises(FanError, match="coefficients"):
@@ -405,14 +441,22 @@ class TestOneElimination:
 
 def nef_cone_is_full(fan):
     """The Gale-dual route to projectivity: the nef cone in Cl(X) (x) Q
-    has an interior exactly when the fan is projective."""
-    try:
-        nef_cone(fan, degree_map(fan))
-    except ValueError as exc:
-        if "empty interior" not in str(exc):
-            raise
-        return False
-    return True
+    has an interior exactly when the fan is projective.  The library's
+    nef cone, from the wall rows, and the oracle's, one inverse per
+    cone, must agree: both canonical cones equal, or both raising."""
+    dm = degree_map(fan)
+    verdicts = []
+    for build in (nef_cone, nef_cone_by_cones):
+        try:
+            nef = build(fan, dm)
+        except ValueError as exc:
+            if "empty interior" not in str(exc):
+                raise
+            verdicts.append(None)
+        else:
+            verdicts.append((nef.rays, nef.lin))
+    assert verdicts[0] == verdicts[1]
+    return verdicts[0] is not None
 
 
 class TestProjectivityOracle:
@@ -752,12 +796,42 @@ class TestBrionPath:
         with mock.patch.object(fans, "_NODE_BUDGET", 10_000):
             assert count_sections(f, div) == 1511694
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_wall_nef_test_matches_vertices(self, data):
+        fan = data.draw(st.sampled_from(smooth_complete_fans()))
+        coeffs = tuple(
+            data.draw(st.lists(st.integers(-3, 8), min_size=fan.n_rays, max_size=fan.n_rays))
+        )
+        nef = vertex_nef(fan, coeffs)
+        event("nef" if nef else "not nef")
+        assert (fans._brion_count(fans._brion_data(fan), coeffs) is not None) == nef
+
+    def test_non_nef_divisor_on_p3_takes_the_walk(self):
+        # -H + 0 on P^3: the wall rows reject it, and the walk finds the
+        # empty polytope of O(-1)
+        f = projective_space_fan(3)
+        div = TorusInvariantDivisor((1, 0, 0, -2))
+        assert fans._brion_count(fans._brion_data(f), div.coefficients) is None
+        with mock.patch.object(fans, "_enumerate", wraps=fans._enumerate) as walk:
+            assert count_sections(f, div) == 0
+        walk.assert_called_once()
+
     def test_cone_inverses_are_shared_and_read_only(self):
         f = blowup_pn_along_linear(3, 0)
         inverses = fans._cone_inverses(f)
         assert fans._cone_inverses(f) is inverses
         with pytest.raises(TypeError):
             inverses[f.max_cones[0]] = None
+
+
+@cache
+def smooth_complete_fans():
+    """The smooth complete corpus fans of dimension at most 4, and two
+    products."""
+    corpus = dict(builtin_corpus())
+    out = [f for f in corpus.values() if f.dim <= 4 and validate(f).smooth and validate(f).complete]
+    return out + [product_fan(p1(), corpus["f1"]), product_fan(p1(), p1())]
 
 
 @cache

@@ -20,8 +20,6 @@ LAYERS = ("linalg", "lp", "cones", "fans", "cox", "vgit", "checks", "cli")
 MEMBER_KINDS = (property, classmethod, staticmethod)
 
 TEST_ORACLES = {
-    # test_acceptance.py::test_criterion_9_oracle_suites (minor-gcd oracle)
-    "linalg.det",
     # test_cox.py::TestRandomIdeals::test_facets_match_brute_force
     "cox.SquarefreeIdeal.contains_monomial",
     # test_cox.py::TestPrimeDecomposition::test_membership_equivalence_exhaustive

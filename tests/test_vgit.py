@@ -130,6 +130,19 @@ def analyze_bundle_pool(by_name):
     ]
 
 
+def nef_fans(corpus):
+    """(name, fan) for the corpus, the PRODUCT_PAIRS products, (P^1)^2
+    to (P^1)^6 and the projective bundles of the analyze-json pool."""
+    by_name = dict(corpus)
+    fans = list(corpus)
+    fans += [(f"{a}x{b}", product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS]
+    power = by_name["p1"]
+    for k in range(2, 7):
+        power = product_fan(power, by_name["p1"])
+        fans.append((f"p1^{k}", power))
+    return fans + analyze_bundle_pool(by_name)
+
+
 def brute_force_facets(dm, chi):
     """Maximal unstable supports by scanning all 2^n subsets.
 
@@ -361,21 +374,36 @@ class TestCones:
             nef_cone(f, dm)
 
     def test_nef_cone_matches_intersection_chain(self, corpus):
-        by_name = dict(corpus)
-        fans = list(corpus)
-        fans += [(f"{a}x{b}", product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS]
-        power = by_name["p1"]
-        for k in range(2, 7):
-            power = product_fan(power, by_name["p1"])
-            fans.append((f"p1^{k}", power))
-        fans += analyze_bundle_pool(by_name)
-        for name, f in fans:
+        for name, f in nef_fans(corpus):
             dm = degree_map(f)
             want = intersection_chain_nef(f, dm)
             got = nef_cone(f, dm)
             assert (got.rays, got.lin) == (want.rays, want.lin), name
             amp = tuple(sum(g[i] for g in want.generators) for i in range(dm.cl_free_rank))
             assert ample_character(f, dm) == amp, name
+            per_cone = oracles.nef_cone_by_cones(f, dm)
+            assert (got.rays, got.lin) == (per_cone.rays, per_cone.lin), name
+
+    def test_nef_cone_takes_one_inverse_per_fan(self, corpus, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return lp.scaled_inverse(rows)
+
+        monkeypatch.setattr(vgit, "scaled_inverse", counting)
+        for name, f in nef_fans(corpus):
+            dm = degree_map(f)
+            before = len(calls)
+            nef_cone.cache_clear()
+            nef_cone(f, dm)
+            assert calls[before:] == [dm.cl_free_rank], name
+
+    def test_nef_cone_of_an_incomplete_fan_is_a_value_error(self):
+        f = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+        dm = DegreeMap(3, 1, (), ((1,), (1,), (1,)), ((), (), ()))
+        with pytest.raises(ValueError, match="complete fan"):
+            nef_cone(f, dm)
 
     def test_ample_character_is_interior(self):
         for f in [projective_space_fan(2), f1(), blowup_pn_along_linear(3, 1)]:
