@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success (or property true, checks passed), 1 property
-false or check failed, 2 malformed or unsupported input or a simplex
-pivot limit.  Every verb but construct accepts --json for machine
-output, and the text reports are a rendering of the same data;
-construct always prints its fan as JSON.
+false or check failed, 2 malformed or unsupported input, a simplex
+pivot limit, or a search past its budget (the lattice walk of a section
+count, the chamber cell search).  Every verb but construct accepts
+--json for machine output, and the text reports are a rendering of the
+same data; construct always prints its fan as JSON.
 """
 
 from __future__ import annotations
@@ -366,37 +367,43 @@ _VERBS = {
 }
 
 
-def _build_parser(verb=None):
-    """The parser for one verb, or for all of them when verb is None.
-
-    A one-verb parser still names every verb in its usage line, which
-    argparse prints for unrecognized arguments.  Only the full parser
-    reports a missing or unknown verb, so only it keeps the default
-    metavar that those messages use.
-    """
+def _build_parser():
+    """The full parser, with every verb as a subparser."""
     parser = argparse.ArgumentParser(
         prog="toricgit",
         description="Exact GIT and chamber computations for simplicial toric fans.",
     )
-    if verb is None:
-        sub = parser.add_subparsers(dest="verb", required=True)
-    else:
-        sub = parser.add_subparsers(
-            dest="verb", required=True, metavar="{" + ",".join(_VERBS) + "}"
-        )
-    for name in _VERBS if verb is None else (verb,):
-        helptext, add_args, handler = _VERBS[name]
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (helptext, add_args, handler) in _VERBS.items():
         p = sub.add_parser(name, help=helptext)
         add_args(p)
         p.set_defaults(handler=handler)
     return parser
 
 
+def _parse(argv):
+    """Parsed arguments, with the verb's handler as args.handler.
+
+    A known verb gets one plain parser named like its subparser, so its
+    errors and --help read the same.  The full parser runs only for what
+    that parser cannot report alone: no verb, an unknown verb, --help
+    before the verb, or arguments the verb parser leaves unrecognized.
+    """
+    if argv and argv[0] in _VERBS:
+        _, add_args, handler = _VERBS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"toricgit {argv[0]}")
+        add_args(parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.handler = handler
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = _build_parser(verb).parse_args(argv)
+    args = _parse(argv)
     try:
         return args.handler(args)
     except json.JSONDecodeError as exc:

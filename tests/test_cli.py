@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import toricgit
-from toricgit import cli, lp
+from toricgit import cli, lp, vgit
 from toricgit.cli import main
 from toricgit.fans import (
     blowup_pn_along_linear,
@@ -253,6 +253,17 @@ class TestChambers:
         assert code == 2
         assert out == ""
         assert err == "error: simplex did not terminate\n"
+
+    def test_cell_budget_exits_two(self, f1_file, capsys, monkeypatch):
+        monkeypatch.setattr(vgit, "_REOPT_BUDGET", 0)
+        enumerate_chambers.cache_clear()  # force a fresh cell search
+        try:
+            code, out, err = run(["chambers", f1_file, "--json"], capsys)
+        finally:
+            enumerate_chambers.cache_clear()
+        assert code == 2
+        assert out == ""
+        assert err == "error: chamber cell search needs more than 0 simplex re-optimisations\n"
 
     def test_character_arity_checked(self, f1_file, capsys):
         code, _, err = run(["chambers", f1_file, "--char", "1"], capsys)
@@ -535,10 +546,10 @@ class TestParser:
                 code = ("exit", exc.code)
             return (code, *capsys.readouterr())
 
-        pruned = outcome()
-        full = cli._build_parser(None)
-        monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full)
-        assert outcome() == pruned
+        plain = outcome()
+        # force the full parser, as main used for every argv before
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+        assert outcome() == plain
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -554,10 +565,19 @@ class TestParser:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_verb_parser_holds_one_verb(self):
-        parser = cli._build_parser("analyze")
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == ["analyze"]
+    def test_known_verb_builds_one_parser(self, p2_file, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for _ in range(2):
+            assert main(["analyze", p2_file, "--json"]) == 0
+        assert built == ["toricgit analyze"] * 2
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["dim"] == 2
 
 
 def test_console_script_installed():
