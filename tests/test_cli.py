@@ -547,7 +547,7 @@ class TestParser:
             return (code, *capsys.readouterr())
 
         plain = outcome()
-        # force the full parser, as main used for every argv before
+        # the full parser alone, on every argv
         monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
         assert outcome() == plain
 

@@ -327,20 +327,6 @@ class TestMembership:
         assert not sig.outside_effective and on_wall
         assert elapsed < 2, elapsed
 
-    def test_k8_probe_stops_at_cell_budget(self):
-        # 40 crossing walls: the whole search took 19 s on a 2-core
-        # machine; the budget stops it in about 7 s
-        dm = probe_grading(8, 1)
-        clear_vgit_caches()
-        try:
-            start = time.perf_counter()
-            with pytest.raises(ValueError, match="more than 10000 simplex re-optimisations"):
-                enumerate_chambers(dm)
-            elapsed = time.perf_counter() - start
-        finally:
-            clear_vgit_caches()
-        assert elapsed < 15, elapsed
-
 
 class TestCones:
     def test_projective_space_all_cones_agree(self):
@@ -536,6 +522,20 @@ class TestChambers:
                 seen[got] += 1
         assert sum(seen.values()) == 40 * len(fans)
         assert min(seen.values()) > 500
+
+    def test_k8_probe_stops_at_cell_budget(self):
+        # 40 crossing walls: the whole search took 19 s on a 2-core
+        # machine; the budget stops it in about 7 s
+        dm = probe_grading(8, 1)
+        clear_vgit_caches()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="more than 10000 simplex re-optimisations"):
+                enumerate_chambers(dm)
+            elapsed = time.perf_counter() - start
+        finally:
+            clear_vgit_caches()
+        assert elapsed < 15, elapsed
 
 
 class TestStableBaseLocus:
