@@ -35,7 +35,7 @@ from .vgit import (
     MAX_CHAMBER_RANK,
     MAX_CHAMBER_RAYS,
     ample_character,
-    enumerate_chambers,
+    chamber_signatures,
     moving_cone,
     nef_cone,
     stable_base_locus_codim,
@@ -420,7 +420,7 @@ def check_unstable_inclusion_forces_nef(fan) -> CheckResult:
     return CheckResult(
         "unstable-inclusion-forces-nef",
         forced,
-        {"n_chambers": len(enumerate_chambers(dm))},
+        {"n_chambers": len(chamber_signatures(dm))},
     )
 
 

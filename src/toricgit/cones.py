@@ -173,10 +173,6 @@ def cone_from_inequalities(dim, normals):
     return RationalCone(dim, rays, lin)
 
 
-def full_space(dim):
-    return cone_from_inequalities(dim, [])
-
-
 def cones_equal(c1, c2):
     """Equality as point sets, via mutual containment of generators."""
     if c1.dim != c2.dim:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .cones import cone_from_generators, cone_from_inequalities, full_space
+from .cones import cone_from_generators, cone_from_inequalities
 from .cox import irrelevant_ideal, stanley_reisner
 from .fans import _walls
 from .linalg import primitive, sign_normalized
@@ -295,19 +295,16 @@ def _signature(classes, member):
 
 
 @lru_cache(maxsize=8192)
-def enumerate_chambers(dm):
-    """One (interior character, signature) pair per chamber.
+def _chamber_keys(dm):
+    """(key, signature) per chamber, sorted by signature.
 
     Cells of the wall arrangement are enumerated by sign-vector search
     with exact LP pruning; no LP runs after it.  A cell lies on no
     arrangement hyperplane, so the basis cones that contain it fix its
     chamber and its signature (Cox, Little and Schenck, ch. 14-15).
-    That set is read off the cell's sign vector alone, and cells sharing
-    it are one chamber.  A chamber's character is the sum of the
-    primitive rays of its closure, the intersection of those basis
-    cones, so it does not depend on the simplex's pivot path; it is the
-    rule ample_character uses for the nef cone.  Output is a tuple
-    sorted by signature for determinism.
+    That set is read off the cell's sign vector alone, as the key: the
+    indices of those basis cones in _basis_table.  Cells sharing a key
+    are one chamber.
     """
     if dm.cl_free_rank > MAX_CHAMBER_RANK:
         raise ValueError(f"chamber enumeration capped at rank {MAX_CHAMBER_RANK}")
@@ -323,24 +320,45 @@ def enumerate_chambers(dm):
     for mask, rows in _basis_table(dm):
         normals = [sign_normalized(r) for r in rows]
         need = [(index[n], 1 if n == r else -1) for n, r in zip(normals, rows) if n in index]
-        tests.append((mask, rows, need))
+        tests.append((mask, need))
     seen = set()
     chambers = []
     for signs, _ in _enumerate_cells(dm):
         key = tuple(
-            b for b, (_, _, need) in enumerate(tests) if all(signs[i] == s for i, s in need)
+            b for b, (_, need) in enumerate(tests) if all(signs[i] == s for i, s in need)
         )
         if key in seen:
             continue
         seen.add(key)
-        rows = [r for b in key for r in tests[b][1]]
-        rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
-        chi = tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank))
         # a character off every hyperplane is in cone(S) exactly when S
         # holds one of the basis cones that contain it (Caratheodory)
         member = _superset_closure(len(classes), sum(1 << tests[b][0] for b in key))
-        chambers.append((chi, _signature(classes, member)))
+        chambers.append((key, _signature(classes, member)))
     return tuple(sorted(chambers, key=lambda c: c[1].facets))
+
+
+def chamber_signatures(dm):
+    """The signature of each chamber, sorted."""
+    return tuple(sig for _, sig in _chamber_keys(dm))
+
+
+def enumerate_chambers(dm):
+    """One (interior character, signature) pair per chamber, in the
+    order of chamber_signatures.
+
+    A chamber's character is the sum of the primitive rays of its
+    closure, the intersection of the basis cones of its key, so it does
+    not depend on the simplex's pivot path; it is the rule
+    ample_character uses for the nef cone.  It takes one double
+    description per chamber, so it is built only where it is printed.
+    """
+    table = _basis_table(dm)
+    chambers = []
+    for key, sig in _chamber_keys(dm):
+        rows = [r for b in key for r in table[b][1]]
+        rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
+        chambers.append((tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank)), sig))
+    return tuple(chambers)
 
 
 @lru_cache(maxsize=8192)
@@ -421,18 +439,6 @@ def _enumerate_cells(dm):
     return tuple(sorted(cells))
 
 
-def chamber_closure(dm, chi):
-    """Closure of chi's chamber: intersection of its semistable cones."""
-    chi = _check_character(dm, chi)
-    classes, member = _class_membership(dm, chi)
-    vectors = [vec for vec, _ in classes]
-    acc = full_space(dm.cl_free_rank)
-    for mask in _bits(member):
-        gens = [vectors[c] for c in range(len(classes)) if (mask >> c) & 1]
-        acc = acc.intersect(cone_from_generators(dm.cl_free_rank, gens))
-    return acc
-
-
 def stable_base_locus_codim(fan, dm, chi):
     """Codimension in X of the stable base locus of the class chi.
 
@@ -456,14 +462,14 @@ def stable_base_locus_codim(fan, dm, chi):
 def unstable_inclusion_forces_nef(fan, dm) -> bool:
     """Unstable-locus inclusion pins the nef chamber.
 
-    For every chamber representative: containing the ample unstable
+    For every chamber signature: containing the ample unstable
     locus is only allowed for the nef chamber itself.  This is the
     one-chamber-at-a-time content of the descent argument for
     restriction maps; a single counterexample falsifies it.
     """
     ample = ample_character(fan, dm)
     nef_sig = unstable_supports(dm, ample)
-    for chi, sig in enumerate_chambers(dm):
+    for sig in chamber_signatures(dm):
         contains_ample_unstable = all(
             any(set(af) <= set(f) for f in sig.facets) for af in nef_sig.facets
         )

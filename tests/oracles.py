@@ -29,9 +29,12 @@ enumerate_cells is the cell search that solves every child LP from
 scratch by that phase-1 max_strict_slack, against which the dual
 simplex warm start of toricgit.vgit is held, and
 chambers_cover_effective certifies that its cells tile the effective
-cone.  is_boundary_character builds one cone by double description per
-member mask and tests strictly_contains, relative-interior membership
-read off the dual, where toricgit.vgit counts the classes of the masks.
+cone.  chamber_closure intersects the cones of every member mask of the
+LP membership table, against which the witness toricgit.vgit reads off
+the basis cones of a chamber is held.  is_boundary_character builds one
+cone by double description per member mask and tests strictly_contains,
+relative-interior membership read off the dual, where toricgit.vgit
+counts the classes of the masks.
 greedy_pivot_columns picks each column that raises the rank of the
 columns picked so far, one matrix_rank per column, where
 toricgit.linalg._bareiss reads them off one elimination.
@@ -603,6 +606,22 @@ def chambers_cover_effective(dm) -> bool:
                 if neighbor not in patterns:
                     return False
     return True
+
+
+def chamber_closure(dm, chi):
+    """Closure of chi's chamber: the intersection of the cones of every
+    set of degree classes that contains chi, one double description per
+    member mask of the LP membership table, where toricgit.vgit
+    intersects the basis cones of a chamber's key."""
+    classes, member = vgit._class_membership(dm, tuple(chi))
+    k = len(classes)
+    vectors = [vec for vec, _ in classes]
+    acc = cone_from_inequalities(dm.cl_free_rank, [])
+    for mask in range(2**k):
+        if (member >> mask) & 1:
+            gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
+            acc = acc.intersect(cone_from_generators(dm.cl_free_rank, gens))
+    return acc
 
 
 def strictly_contains(cone, v):

@@ -1,9 +1,11 @@
 """The named verification suite and its built-in corpus."""
 
+import importlib
 import json
 
 import pytest
 
+from toricgit import checks, cones, vgit
 from toricgit.checks import (
     CheckResult,
     builtin_corpus,
@@ -22,11 +24,19 @@ from toricgit.checks import (
 )
 from toricgit.cox import degree_map
 from toricgit.fans import Fan, TorusInvariantDivisor, validate
-from toricgit.vgit import moving_cone, nef_cone
+from toricgit.vgit import MAX_CHAMBER_RANK, MAX_CHAMBER_RAYS, chamber_signatures, moving_cone, nef_cone
 
 
 def by_name(corpus):
     return dict(corpus)
+
+
+def clear_caches():
+    for layer in ("linalg", "lp", "cones", "fans", "cox", "vgit", "checks", "cli"):
+        module = importlib.import_module(f"toricgit.{layer}")
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == module.__name__:
+                fn.cache_clear()
 
 
 class TestCorpus:
@@ -248,6 +258,48 @@ class TestForcesNef:
         r = check_unstable_inclusion_forces_nef(by_name(corpus)[name])
         assert r.passed
         assert r.witness["n_chambers"] >= 1
+
+    def test_reads_signatures_without_witnesses(self, corpus, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the chamber check built chamber witnesses")
+
+        monkeypatch.setattr(vgit, "enumerate_chambers", refuse)
+        monkeypatch.setattr(checks, "enumerate_chambers", refuse, raising=False)
+        n_fans = 0
+        for name, fan in corpus:
+            dm = degree_map(fan)
+            if dm.cl_free_rank <= MAX_CHAMBER_RANK and dm.n_rays <= MAX_CHAMBER_RAYS:
+                r = check_unstable_inclusion_forces_nef(fan)
+                assert r.passed, name
+                assert r.witness["n_chambers"] == len(chamber_signatures(dm)), name
+                n_fans += 1
+        assert n_fans == 65
+
+    def test_run_all_builds_no_chamber_witness(self, corpus, monkeypatch):
+        # Building each chamber's interior point took one double
+        # description per chamber of the 54 distinct corpus gradings:
+        # 467 calls per cold run_all when every chamber had one.
+        calls = []
+        counted = cones.duals_from_inequalities
+
+        def counting(*args):
+            calls.append(args)
+            return counted(*args)
+
+        monkeypatch.setattr(cones, "duals_from_inequalities", counting)
+        clear_caches()
+        try:
+            run_all()
+            n_calls = len(calls)
+        finally:
+            clear_caches()
+        n_chambers = sum(
+            len(chamber_signatures(dm))
+            for dm in {degree_map(fan) for _, fan in corpus}
+            if dm.cl_free_rank <= MAX_CHAMBER_RANK and dm.n_rays <= MAX_CHAMBER_RAYS
+        )
+        assert n_chambers == 287
+        assert n_calls == 467 - n_chambers
 
 
 class TestRunAll:

@@ -1,6 +1,7 @@
 """Exit codes, output formats, and error reporting of the CLI."""
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -21,7 +22,7 @@ from toricgit.fans import (
     product_fan,
     projective_space_fan,
 )
-from toricgit.vgit import _class_membership, enumerate_chambers
+from toricgit.vgit import _chamber_keys, _class_membership
 from toricgit.vgit import unstable_supports
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,14 +216,22 @@ class TestChambers:
 
     def test_json_pinned_on_corpus(self, corpus, tmp_path, capsys):
         # byte for byte the output recorded when every chamber signature
-        # still came from LP membership
+        # still came from LP membership; the digest of the outputs in
+        # corpus order was recorded before the witnesses moved out of
+        # the cached chamber pass
         want = json.loads((ROOT / "tests" / "chambers_corpus.json").read_text(encoding="utf-8"))
         assert sorted(want) == sorted(name for name, _ in corpus)
         assert len(want) == 65
+        digest = hashlib.sha256()
         for name, fan in corpus:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(fan_to_json(fan), sort_keys=True), encoding="utf-8")
-            assert run(["chambers", str(path), "--json"], capsys) == (0, want[name], ""), name
+            code, out, err = run(["chambers", str(path), "--json"], capsys)
+            assert (code, out, err) == (0, want[name], ""), name
+            digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "dc6a561c3cfae02ff6effa9ffd6afa63c135c7e2dd0cf20741d6bede6d9e2022"
+        )
 
     def test_character_report(self, f1_file, capsys):
         code, out, _ = run(["chambers", f1_file, "--char", "0,1", "--json"], capsys)
@@ -248,7 +257,7 @@ class TestChambers:
             raise lp.PivotLimit("simplex did not terminate")
 
         monkeypatch.setattr(lp, "_dual_simplex", stuck)
-        enumerate_chambers.cache_clear()  # force a fresh cell search
+        _chamber_keys.cache_clear()  # force a fresh cell search
         code, out, err = run(["chambers", f1_file], capsys)
         assert code == 2
         assert out == ""
@@ -256,11 +265,11 @@ class TestChambers:
 
     def test_cell_budget_exits_two(self, f1_file, capsys, monkeypatch):
         monkeypatch.setattr(vgit, "_REOPT_BUDGET", 0)
-        enumerate_chambers.cache_clear()  # force a fresh cell search
+        _chamber_keys.cache_clear()  # force a fresh cell search
         try:
             code, out, err = run(["chambers", f1_file, "--json"], capsys)
         finally:
-            enumerate_chambers.cache_clear()
+            _chamber_keys.cache_clear()
         assert code == 2
         assert out == ""
         assert err == "error: chamber cell search needs more than 0 simplex re-optimisations\n"

@@ -21,7 +21,6 @@ from toricgit.cones import (
     duals_from_inequalities,
     cone_from_inequalities,
     cones_equal,
-    full_space,
 )
 from toricgit.linalg import det, matrix_rank
 from toricgit.lp import in_cone
@@ -79,7 +78,7 @@ def test_zero_cone_and_full_space():
     assert z.rays == () and z.lin == ()
     assert len(z.facet_normals) == 4  # both signs of both axes
     assert z.contains((0, 0)) and not z.contains((1, 0))
-    f = full_space(3)
+    f = cone_from_inequalities(3, [])
     assert len(f.lin) == 3
     assert f.contains((5, -7, 2))
     assert f.facet_normals == ()

@@ -25,8 +25,6 @@ TEST_ORACLES = {
     # test_cox.py::TestPrimeDecomposition::test_membership_equivalence_exhaustive
     "cox.prime_decomposition",
     # test_acceptance.py::test_criterion_8_chamber_machinery
-    "vgit.chamber_closure",
-    # test_acceptance.py::test_criterion_8_chamber_machinery
     "vgit.ample_signature_matches_irrelevant_ideal",
 }
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from toricgit import lp, vgit
 from toricgit.checks import PRODUCT_PAIRS
-from toricgit.cones import cone_from_generators, cones_equal, full_space
+from toricgit.cones import cone_from_generators, cone_from_inequalities, cones_equal
 from toricgit.cox import degree_map
 from toricgit.fans import (
     Fan,
@@ -35,8 +35,8 @@ from toricgit.vgit import (
     MAX_CHAMBER_RAYS,
     ChamberSignature,
     ample_character,
+    chamber_signatures,
     ample_signature_matches_irrelevant_ideal,
-    chamber_closure,
     effective_cone,
     enumerate_chambers,
     is_boundary_character,
@@ -63,7 +63,7 @@ def intersection_chain_nef(fan, dm):
     """The nef cone as an intersection over maximal cones of the cone
     the degrees off each one generate: two double descriptions per cone
     and no inverse."""
-    acc = full_space(dm.cl_free_rank)
+    acc = cone_from_inequalities(dm.cl_free_rank, [])
     for c in fan.max_cones:
         off = [dm.degrees_free[i] for i in range(fan.n_rays) if i not in c]
         acc = acc.intersect(cone_from_generators(dm.cl_free_rank, off))
@@ -485,7 +485,7 @@ class TestChambers:
         for f in [projective_space_fan(2), f1(), p1xp1(), blowup_pn_along_linear(3, 1)]:
             dm = degree_map(f)
             amp = ample_character(f, dm)
-            assert cones_equal(nef_cone(f, dm), chamber_closure(dm, amp))
+            assert cones_equal(nef_cone(f, dm), oracles.chamber_closure(dm, amp))
 
     def test_wall_character_is_boundary(self):
         dm = degree_map(f1())
@@ -625,7 +625,7 @@ class TestCanonicalWitnesses:
         n_chambers = 0
         for name, fan, dm in fans:
             for chi, sig in enumerate_chambers(dm):
-                closure = chamber_closure(dm, chi)
+                closure = oracles.chamber_closure(dm, chi)
                 assert closure.lin == (), name
                 ray_sum = tuple(sum(r[i] for r in closure.rays) for i in range(dm.cl_free_rank))
                 assert chi == ray_sum, name
@@ -668,7 +668,8 @@ class TestCanonicalWitnesses:
     def test_signatures_match_lp_membership(self, gens):
         # the chamber signatures and witnesses come from basis cones
         # alone; the LP membership table of unstable_supports and
-        # chamber_closure is the oracle
+        # oracles.chamber_closure is the oracle.  The signature pass
+        # alone gives the same signatures in the same order.
         assume(matrix_rank(gens) == len(gens[0]))
         dm = graded_by(gens)
         if not effective_cone(dm).facet_normals:
@@ -679,9 +680,10 @@ class TestCanonicalWitnesses:
         assert chambers
         for chi, sig in chambers:
             assert sig == unstable_supports(dm, chi), (gens, chi)
-            rays = chamber_closure(dm, chi).rays
+            rays = oracles.chamber_closure(dm, chi).rays
             assert chi == tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank))
         assert len({sig for _, sig in chambers}) == len(chambers)
+        assert list(chamber_signatures(dm)) == [sig for _, sig in chambers]
 
     def test_chambers_run_no_membership_lp(self, corpus, monkeypatch):
         by_name = dict(corpus)
