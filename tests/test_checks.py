@@ -24,7 +24,13 @@ from toricgit.checks import (
 )
 from toricgit.cox import degree_map
 from toricgit.fans import Fan, TorusInvariantDivisor, validate
-from toricgit.vgit import MAX_CHAMBER_RANK, MAX_CHAMBER_RAYS, chamber_signatures, moving_cone, nef_cone
+from toricgit.vgit import (
+    MAX_CHAMBER_RANK,
+    MAX_CHAMBER_RAYS,
+    chamber_signatures,
+    moving_cone,
+    nef_cone,
+)
 
 
 def by_name(corpus):
