@@ -1,27 +1,27 @@
 """Exact linear programming and integer matrix inversion.
 
-Two LPs, both on a fraction-free integer tableau.  in_cone is a phase-1
-feasibility test for A.x == b, x >= 0 on integer data, started from the
-artificial basis of [A | I | b] on scale 1; it reads the verdict off
-the cost row and builds no solution.  SlackTableau, behind max_strict_slack,
-is the strict-slack LP max t <= 1 with rows.x >= t, started from its
-feasible slack basis.  Each row is the rational row times one positive
-scale d, the absolute value of the basis determinant, so the Bareiss
-update (p*x - f*y) // d of linalg._pivot is exact (Bareiss 1968; lrs,
-Avis 2000); the cost row goes to _pivot as one more row of the tableau.
-Entries on one scale compare as the rational ones do, so the pivots are
-those of the rational tableau; Fraction appears only where a solution
-is read off.  An optimal SlackTableau is warm-started: with_rows adds
-rows to a copy, each in terms of the current basis, and re-optimises it
-by dual simplex pivots, so a search that adds a row per step solves
-only its first LP from scratch (Avis and Fukuda 1996).  Both the primal
-and the dual loop pivot by Dantzig's rule with an automatic switch to
-Bland's rule after enough iterations, which keeps runs fast in practice
-and terminating in theory, under one iteration limit that raises
-PivotLimit.  Exact solves use scaled_inverse, Gauss-Jordan through the
-same _pivot, which also gives linalg its ranks and determinants, so
-there is no second elimination engine.  Scale here is tiny (dozens of
-rows), exactness is the whole point.
+One LP, on a fraction-free integer tableau: SlackTableau, behind
+max_strict_slack, is the strict-slack LP max t <= 1 with rows.x >= t,
+started from its feasible slack basis.  Each row is the rational row
+times one positive scale d, the absolute value of the basis
+determinant, so the Bareiss update (p*x - f*y) // d of linalg._pivot is
+exact (Bareiss 1968; lrs, Avis 2000); the cost row goes to _pivot as one
+more row of the tableau.  Entries on one scale compare as the rational
+ones do, so the pivots are those of the rational tableau; Fraction
+appears only where a solution is read off.  An optimal SlackTableau is
+warm-started: with_rows adds rows to a copy, each in terms of the
+current basis, and re-optimises it by dual simplex pivots, so a search
+that adds a row per step solves only its first LP from scratch (Avis
+and Fukuda 1996).  Both the primal and the dual loop pivot by Dantzig's
+rule with an automatic switch to Bland's rule after enough iterations,
+which keeps runs fast in practice and terminating in theory, under one
+iteration limit that raises PivotLimit.  Exact solves use
+scaled_inverse, Gauss-Jordan through the same _pivot, which also gives
+linalg its ranks and determinants, so there is no second elimination
+engine.  basis_inverses pivots the simplex's tableau to invert every
+basis of a set of vectors in one search; by Caratheodory that is all
+cone membership needs, so no LP decides it.  Scale here is tiny (dozens
+of rows), exactness is the whole point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _pivot
+from .linalg import _pivot, matrix_rank
 
 _MAX_PIVOTS = 100000
 
@@ -213,31 +213,6 @@ def max_strict_slack(rows):
     return SlackTableau.solve(rows).solution()
 
 
-def in_cone(vectors, target):
-    """Whether the integer target is a nonnegative combination of the
-    integer vectors.
-
-    Phase 1 alone, from the artificial basis of [A | I | b] with the
-    vectors as the columns of A and each row signed so that b >= 0; that
-    basis is the identity, so the scale starts at 1.  The target is in
-    the cone exactly when phase 1 drives the sum of the artificials to
-    zero; the cost row's last entry is minus that sum on the final
-    scale.  The I block is not stored: an artificial that leaves the
-    basis may stay at zero without changing that verdict, so none
-    re-enters, and pivots on the other columns never read it.
-    """
-    if not vectors or not target:
-        return not any(target)
-    tab = [
-        (list(row) if b >= 0 else [-v for v in row]) + [abs(b)]
-        for row, b in zip(zip(*vectors), target)
-    ]
-    n = len(vectors)
-    cost = [-sum(col) for col in zip(*tab)]
-    _simplex_core(tab, list(range(n, n + len(target))), cost, 1)
-    return cost[-1] >= 0
-
-
 def scaled_inverse(rows):
     """(inv, d) with rows . inv == d * I and d = |det(rows)| > 0.
 
@@ -255,3 +230,59 @@ def scaled_inverse(rows):
         tab[j], tab[p] = tab[p], tab[j]
         d = _pivot(tab, d, j, j)
     return [row[n:] for row in tab], d
+
+
+def basis_inverses(vectors, dim):
+    """(normals, bases) of the span of the integer dim-vectors, from one
+    fraction-free search.
+
+    bases lists (indices, rows), one per linearly independent set of the
+    vectors that spans their span, the index sets in lexicographic
+    order: rows[i] . vectors[indices[j]] is d if i == j and 0 otherwise,
+    with d > 0 the scale of that basis.  normals is a basis of the rows
+    orthogonal to every vector.  So a vector chi is in the span when
+    every normal vanishes on it, and then chi is the sum over i of
+    (rows[i] . chi / d) vectors[indices[i]].
+
+    The search runs on the tableau [A | I] with the vectors as the
+    columns of A, pivoted by _pivot as in the simplex, so each row is on
+    the scale d of the basis picked so far.  Adding a vector pivots its
+    column on the first row not yet pivoted where it is nonzero; a
+    column that is zero on all of them lies in the span of the vectors
+    picked, and the branch ends there without an inverse.  Each child
+    keeps only the columns of the later vectors and the I block, and the
+    last vector of a basis pivots only its own column and the I block.
+    Then the I block of a pivoted row is that vector's row of the
+    inverse, and the I block of each other row is a normal.
+    """
+    k = len(vectors)
+    rank = matrix_rank(vectors)
+    identity = [[int(j == i) for j in range(dim)] for i in range(dim)]
+    if rank == 0:
+        return identity, [((), [])]
+    bases = []
+    normals = []
+
+    def rec(lo, tab, d, free, picked):
+        # tab's columns: vectors lo..k-1, then the I block; vector lo is
+        # the last one picked, if any
+        depth = len(picked)
+        for c in range(lo + bool(picked), k - rank + depth + 1):
+            j = c - lo
+            p = next((i for i in free if tab[i][j]), None)
+            if p is None:
+                continue  # vectors[c] lies in the span of those picked
+            rest = [i for i in free if i != p]
+            if depth + 1 < rank:
+                child = [row[j:] for row in tab]
+                rec(c, child, _pivot(child, d, p, 0), rest, picked + [(c, p)])
+                continue
+            leaf = [row[j : j + 1] + row[k - lo :] for row in tab]
+            _pivot(leaf, d, p, 0)
+            rows = [leaf[q][1:] for _, q in picked] + [leaf[p][1:]]
+            bases.append((tuple(v for v, _ in picked) + (c,), rows))
+            if len(bases) == 1:
+                normals.extend(leaf[q][1:] for q in rest)
+
+    rec(0, [[v[i] for v in vectors] + identity[i] for i in range(dim)], 1, list(range(dim)), [])
+    return normals, bases

@@ -24,7 +24,7 @@ from .cox import irrelevant_ideal, stanley_reisner
 from .fans import _walls
 from .linalg import primitive, sign_normalized
 from .linalg import _dot
-from .lp import SlackTableau, in_cone, scaled_inverse
+from .lp import SlackTableau, basis_inverses, scaled_inverse
 
 MAX_CHAMBER_RANK = 4
 MAX_CHAMBER_RAYS = 16
@@ -79,13 +79,14 @@ def _class_membership(dm, chi):
     Masks are bit sets over the class list, and the answers come back
     as one int used as a 2**k-bit set, bit mask set when cone(mask)
     contains chi.  By Caratheodory chi is in cone(S) exactly when it is
-    in cone(T) for some linearly independent T within S, and such a T
-    has at most cl_free_rank classes.  So only the masks of at most that
-    many classes are tested, the largest first, and the answers above
-    are the superset closure of their members.  Membership is monotone
-    (larger mask, larger cone), so a mask with a non-member immediate
-    superset is a non-member without an LP call.  The cache is small
-    because one entry holds 2**MAX_DEGREE_CLASSES bits.
+    in cone(T) for some linearly independent T within S, and T extends
+    to a basis B of the span of the classes; the coordinates of chi in
+    B are then nonnegative and vanish off T.  So, for chi in that span,
+    the members are the supersets of the supports of the nonnegative
+    coordinate vectors over the bases of _basis_table, each found by a
+    sign test on the rows of one inverse, and one superset closure sets
+    them all.  A chi off the span is in no cone.  No LP runs.  The cache
+    is small because one entry holds 2**MAX_DEGREE_CLASSES bits.
     """
     classes = _degree_classes(dm)
     k = len(classes)
@@ -93,19 +94,15 @@ def _class_membership(dm, chi):
         raise ValueError(
             f"too many distinct degree vectors ({k} > {MAX_DEGREE_CLASSES})"
         )
-    vectors = [vec for vec, _ in classes]
-    top = min(dm.cl_free_rank, k)
-    members = set()
-    for size in range(top, -1, -1):
-        for subset in combinations(range(k), size):
-            mask = sum(1 << c for c in subset)
-            if size < top and any(
-                mask | (1 << c) not in members for c in range(k) if not (mask >> c) & 1
-            ):
-                continue
-            if in_cone([vectors[c] for c in subset], chi):
-                members.add(mask)
-    return classes, _superset_closure(k, sum(1 << mask for mask in members))
+    normals, table = _basis_table(dm)
+    if any(_dot(n, chi) for n in normals):
+        return classes, 0
+    least = 0
+    for mask, rows in table:
+        coords = [_dot(row, chi) for row in rows]
+        if min(coords, default=0) >= 0:
+            least |= 1 << sum(1 << c for c, x in zip(_bits(mask), coords) if x)
+    return classes, _superset_closure(k, least)
 
 
 def _bits(x):
@@ -236,18 +233,21 @@ def _masks_below(k, size):
 
 @lru_cache(maxsize=256)
 def _basis_table(dm):
-    """(class mask, facet rows) of each cone(T), T a linearly independent
-    set of cl_free_rank degree classes: with M_T the matrix whose columns
-    are T, cone(T) = {chi : inv(M_T) chi >= 0}, rows made primitive."""
+    """(normals, table) for the degree classes, from lp.basis_inverses.
+
+    normals span the rows orthogonal to every class, none when the
+    classes span Cl (x) Q.  table holds (class mask, facet rows) per basis
+    T of the span of the classes, masks in lexicographic order: for chi
+    in that span, cone(T) = {chi : rows . chi >= 0}, rows made
+    primitive.  When the classes span, these are the rows of inv(M_T),
+    with M_T the matrix whose columns are T."""
     vectors = [vec for vec, _ in _degree_classes(dm)]
-    table = []
-    for basis in combinations(range(len(vectors)), dm.cl_free_rank):
-        try:
-            inv, _ = scaled_inverse(list(zip(*(vectors[c] for c in basis))))
-        except ValueError:
-            continue  # dependent classes span no basis cone
-        table.append((sum(1 << c for c in basis), tuple(primitive(row) for row in inv)))
-    return tuple(table)
+    normals, bases = basis_inverses(vectors, dm.cl_free_rank)
+    table = tuple(
+        (sum(1 << c for c in basis), tuple(primitive(row) for row in rows))
+        for basis, rows in bases
+    )
+    return tuple(map(tuple, normals)), table
 
 
 def _arrangement_normals(dm):
@@ -260,7 +260,7 @@ def _arrangement_normals(dm):
     only split chambers into pieces that merging by signature
     reassembles.
     """
-    return sorted({sign_normalized(r) for _, rows in _basis_table(dm) for r in rows})
+    return sorted({sign_normalized(r) for _, rows in _basis_table(dm)[1] for r in rows})
 
 
 @lru_cache(maxsize=256)
@@ -317,7 +317,7 @@ def _chamber_keys(dm):
     # does not cross it is positive on its whole interior.
     index = {n: i for i, n in enumerate(_crossing_normals(dm))}
     tests = []
-    for mask, rows in _basis_table(dm):
+    for mask, rows in _basis_table(dm)[1]:
         normals = [sign_normalized(r) for r in rows]
         need = [(index[n], 1 if n == r else -1) for n, r in zip(normals, rows) if n in index]
         tests.append((mask, need))
@@ -352,7 +352,7 @@ def enumerate_chambers(dm):
     ample_character uses for the nef cone.  It takes one double
     description per chamber, so it is built only where it is printed.
     """
-    table = _basis_table(dm)
+    table = _basis_table(dm)[1]
     chambers = []
     for key, sig in _chamber_keys(dm):
         rows = [r for b in key for r in table[b][1]]

@@ -5,10 +5,10 @@ no code with the fraction-free integer pivot in toricgit.lp.
 rational_solve_nonneg is the two-phase simplex with an objective over
 Fraction, with the pivot rules of toricgit.lp, and simplex_max poses
 free variables and inequalities on it; toricgit.lp itself keeps only
-the phase-1 verdict in_cone and the strict-slack tableau.  solve_nonneg
-is that phase 1 on integer or Fraction entries with its basic solution
-read off, and nonneg_combination poses cone membership on it, against
-which in_cone is held.
+the strict-slack tableau.  in_cone is a phase-1 verdict on its integer
+simplex core, and solve_nonneg is that phase 1 on integer or
+Fraction entries with its basic solution read off; nonneg_combination
+poses cone membership on it, against which in_cone is held.
 cox_ring_sections counts sections in the Cox ring, sharing no code with
 either section engine in toricgit.fans (Brion's formula and the
 Fourier-Motzkin walk), nor with the Smith form behind toricgit.cox.
@@ -29,12 +29,14 @@ enumerate_cells is the cell search that solves every child LP from
 scratch by that phase-1 max_strict_slack, against which the dual
 simplex warm start of toricgit.vgit is held, and
 chambers_cover_effective certifies that its cells tile the effective
-cone.  chamber_closure intersects the cones of every member mask of the
-LP membership table, against which the witness toricgit.vgit reads off
-the basis cones of a chamber is held.  is_boundary_character builds one
-cone by double description per member mask and tests strictly_contains,
-relative-interior membership read off the dual, where toricgit.vgit
-counts the classes of the masks.
+cone.  lp_membership decides which sets of degree classes have a cone
+containing a character by one in_cone LP per set of at most rank
+classes, where toricgit.vgit runs a sign test on the basis inverses.
+chamber_closure intersects the cones of its member masks, against which
+the witness toricgit.vgit reads off the basis cones of a chamber is
+held.  is_boundary_character builds one cone by double description per
+member mask and tests strictly_contains, relative-interior membership
+read off the dual, where toricgit.vgit counts the classes of the masks.
 greedy_pivot_columns picks each column that raises the rank of the
 columns picked so far, one matrix_rank per column, where
 toricgit.linalg._bareiss reads them off one elimination.
@@ -457,6 +459,31 @@ def solve_nonneg(a_rows, b):
     return x
 
 
+def in_cone(vectors, target):
+    """Whether the integer target is a nonnegative combination of the
+    integer vectors.
+
+    Phase 1 alone, from the artificial basis of [A | I | b] with the
+    vectors as the columns of A and each row signed so that b >= 0; that
+    basis is the identity, so the scale starts at 1.  The target is in
+    the cone exactly when phase 1 drives the sum of the artificials to
+    zero; the cost row's last entry is minus that sum on the final
+    scale.  The I block is not stored: an artificial that leaves the
+    basis may stay at zero without changing that verdict, so none
+    re-enters, and pivots on the other columns never read it.
+    """
+    if not vectors or not target:
+        return not any(target)
+    tab = [
+        (list(row) if b >= 0 else [-v for v in row]) + [abs(b)]
+        for row, b in zip(zip(*vectors), target)
+    ]
+    n = len(vectors)
+    cost = [-sum(col) for col in zip(*tab)]
+    _simplex_core(tab, list(range(n, n + len(target))), cost, 1)
+    return cost[-1] >= 0
+
+
 def nonneg_combination(vectors, target):
     """Fractions lam >= 0 with sum lam_i vectors_i == target, or None."""
     if not vectors:
@@ -608,19 +635,42 @@ def chambers_cover_effective(dm) -> bool:
     return True
 
 
+def lp_membership(dm, chi):
+    """(classes, member masks) of the degree classes whose cone contains
+    chi, each decided by an in_cone LP on a mask of at most
+    cl_free_rank classes (Caratheodory), the largest first, where
+    toricgit.vgit reads signs off the basis inverses.  A mask with a
+    non-member immediate superset is a non-member without an LP, and
+    every superset of a member is a member."""
+    classes = vgit._degree_classes(dm)
+    k = len(classes)
+    vectors = [vec for vec, _ in classes]
+    top = min(dm.cl_free_rank, k)
+    tested = set()
+    for size in range(top, -1, -1):
+        for subset in combinations(range(k), size):
+            mask = sum(1 << c for c in subset)
+            if size < top and any(
+                mask | (1 << c) not in tested for c in range(k) if not (mask >> c) & 1
+            ):
+                continue
+            if in_cone([vectors[c] for c in subset], tuple(chi)):
+                tested.add(mask)
+    members = {m for m in range(2**k) if any(m & t == t for t in tested)}
+    return classes, members
+
+
 def chamber_closure(dm, chi):
     """Closure of chi's chamber: the intersection of the cones of every
     set of degree classes that contains chi, one double description per
-    member mask of the LP membership table, where toricgit.vgit
-    intersects the basis cones of a chamber's key."""
-    classes, member = vgit._class_membership(dm, tuple(chi))
-    k = len(classes)
+    member mask of lp_membership, where toricgit.vgit intersects the
+    basis cones of a chamber's key."""
+    classes, members = lp_membership(dm, chi)
     vectors = [vec for vec, _ in classes]
     acc = cone_from_inequalities(dm.cl_free_rank, [])
-    for mask in range(2**k):
-        if (member >> mask) & 1:
-            gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
-            acc = acc.intersect(cone_from_generators(dm.cl_free_rank, gens))
+    for mask in sorted(members):
+        gens = [vectors[c] for c in range(len(classes)) if (mask >> c) & 1]
+        acc = acc.intersect(cone_from_generators(dm.cl_free_rank, gens))
     return acc
 
 
@@ -632,17 +682,14 @@ def strictly_contains(cone, v):
 
 def is_boundary_character(dm, chi):
     """True when some support cone contains chi without chi being in
-    its topological interior: one double description per member mask,
-    full-dimensional cones contributing their boundaries and
-    lower-dimensional ones all of themselves."""
-    classes, member = vgit._class_membership(dm, tuple(chi))
-    k = len(classes)
+    its topological interior: one double description per member mask
+    of lp_membership, full-dimensional cones contributing their
+    boundaries and lower-dimensional ones all of themselves."""
+    classes, members = lp_membership(dm, chi)
     rank = dm.cl_free_rank
     vectors = [vec for vec, _ in classes]
-    for mask in range(2**k):
-        if not (member >> mask) & 1:
-            continue
-        gens = [vectors[c] for c in range(k) if (mask >> c) & 1]
+    for mask in sorted(members):
+        gens = [vectors[c] for c in range(len(classes)) if (mask >> c) & 1]
         cone = cone_from_generators(rank, gens)
         if cone.dim_of() < rank or not strictly_contains(cone, chi):
             return True

@@ -21,9 +21,9 @@ from toricgit.fans import (
     fan_to_json,
     product_fan,
     projective_space_fan,
+    validate,
 )
-from toricgit.vgit import _chamber_keys, _class_membership
-from toricgit.vgit import unstable_supports
+from toricgit.vgit import _chamber_keys
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -241,13 +241,14 @@ class TestChambers:
         assert data["facets"] == [[0, 1, 2]]
 
     def test_pivot_limit_exits_two(self, p2_file, capsys, monkeypatch):
+        # a --char query runs no simplex; the projectivity LP of a
+        # fresh validate does
         def stuck(*args):
             raise lp.PivotLimit("simplex did not terminate")
 
         monkeypatch.setattr(lp, "_simplex_core", stuck)
-        unstable_supports.cache_clear()  # force a fresh LP
-        _class_membership.cache_clear()
-        code, out, err = run(["chambers", p2_file, "--char", "1"], capsys)
+        validate.cache_clear()  # force a fresh LP
+        code, out, err = run(["validate", p2_file], capsys)
         assert code == 2
         assert out == ""
         assert err == "error: simplex did not terminate\n"

@@ -14,7 +14,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import rational_solve
+from oracles import in_cone, rational_solve
 from toricgit.cones import (
     _canonical_form,
     cone_from_generators,
@@ -23,7 +23,6 @@ from toricgit.cones import (
     cones_equal,
 )
 from toricgit.linalg import det, matrix_rank
-from toricgit.lp import in_cone
 
 
 def ray_sum(cone):

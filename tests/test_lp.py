@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import nonneg_combination, rational_simplex_core, rational_solve
+from oracles import in_cone, nonneg_combination, rational_simplex_core, rational_solve
 from oracles import rational_solve_nonneg, simplex_max, solve_nonneg
 from toricgit import lp
 from toricgit.linalg import det
-from toricgit.lp import PivotLimit, in_cone, max_strict_slack, scaled_inverse
+from toricgit.lp import PivotLimit, max_strict_slack, scaled_inverse
 
 
 def test_solve_nonneg_feasible():
@@ -119,12 +119,20 @@ def test_dual_simplex_warm_start_matches_two_phase(data):
 
 
 def test_max_strict_slack_runs_no_phase_one(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("phase 1 ran")
+    # one primal solve per LP, from the slack basis on scale 1: no
+    # artificial column and no second phase
+    starts = []
+    real = lp._simplex_core
 
-    monkeypatch.setattr(lp, "in_cone", refuse)
+    def spy(tab, basis, cost, d):
+        starts.append((list(basis), d))
+        return real(tab, basis, cost, d)
+
+    monkeypatch.setattr(lp, "_simplex_core", spy)
+    assert not hasattr(lp, "in_cone")
     assert max_strict_slack([(1, 0), (0, 1), (1, 0)])[0] == 1
     assert max_strict_slack([(1, 1), (-1, -1), (0, 0)])[0] == 0
+    assert starts == [([5, 6, 7, 8], 1), ([5, 6, 7, 8], 1)]
 
 
 def test_nonneg_combination():

@@ -84,13 +84,16 @@ def test_no_assert_statements_in_src():
 
 
 def test_no_fraction_in_the_simplex_inner_loop():
-    # The simplex, primal and dual, and the scaled inverse pivot on
-    # integer tableaux through linalg._pivot; Fraction appears only where
+    # The simplex, primal and dual, the scaled inverse and the basis
+    # inverses pivot on integer tableaux through linalg._pivot; Fraction appears only where
     # a solution is read off.  A name that is Fraction itself or a
     # module-level Fraction constant (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
-    inner = {"linalg": {"_pivot"}, "lp": {"_simplex_core", "_dual_simplex", "scaled_inverse"}}
+    inner = {
+        "linalg": {"_pivot"},
+        "lp": {"_simplex_core", "_dual_simplex", "scaled_inverse", "basis_inverses"},
+    }
     trees = src_trees()
     functions = [
         (importlib.import_module(f"toricgit.{layer}"), node)
@@ -218,7 +221,7 @@ def test_cones_uses_no_lp():
             lp_names.add(node.name)
         elif isinstance(node, ast.Assign):
             lp_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert {"in_cone", "max_strict_slack", "SlackTableau", "PivotLimit"} <= lp_names
+    assert {"basis_inverses", "max_strict_slack", "SlackTableau", "PivotLimit"} <= lp_names
     used = set()
     for node in ast.walk(trees["cones.py"]):
         if isinstance(node, ast.Name):

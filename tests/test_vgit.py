@@ -10,6 +10,7 @@ import importlib.util
 import random
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -98,12 +99,12 @@ def graded_by(gens):
 
 
 
-def probe_grading(k, seed):
-    """Rank 4 and k distinct nonzero degrees drawn from {0..3}^4."""
+def probe_grading(k, seed, rank=4):
+    """k distinct nonzero degrees drawn from {0..3}^rank."""
     rng = random.Random(seed)
     degrees = []
     while len(degrees) < k:
-        vec = tuple(rng.randint(0, 3) for _ in range(4))
+        vec = tuple(rng.randint(0, 3) for _ in range(rank))
         if any(vec) and vec not in degrees:
             degrees.append(vec)
     return graded_by(degrees)
@@ -250,9 +251,9 @@ class TestUnstableSupports:
 
 
 class TestMembership:
-    """_class_membership runs in_cone on masks of at most cl_free_rank
-    classes only; double description, which runs no LP, decides every
-    bit of the table on its own."""
+    """_class_membership reads signs off the inverses of the bases of
+    the span of the degree classes and runs no LP; double description
+    decides every bit of the table on its own."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -282,33 +283,77 @@ class TestMembership:
             cone = cone_from_generators(r, [vectors[c] for c in range(k) if (mask >> c) & 1])
             assert (member >> mask) & 1 == cone.contains(chi), (gens, chi, mask)
 
-    def test_in_cone_sees_at_most_rank_vectors(self, corpus, monkeypatch):
-        seen = []
-        real = vgit.in_cone
+    def test_bases_have_at_most_rank_classes(self, corpus):
+        # The table lists every independent set of as many classes as
+        # their rank, in lexicographic order, each with the rows of its
+        # inverse; that rank is at most cl_free_rank.
+        dms = [degree_map(fan) for _, fan in corpus] + [probe_grading(10, 2)]
+        sizes = []
+        for dm in dms:
+            vectors = [v for v, _ in vgit._degree_classes(dm)]
+            rank = matrix_rank(vectors)
+            normals, table = vgit._basis_table(dm)
+            assert len(normals) == dm.cl_free_rank - rank
+            assert [mask for mask, _ in table] == [
+                sum(1 << c for c in subset)
+                for subset in combinations(range(len(vectors)), rank)
+                if matrix_rank([vectors[c] for c in subset]) == rank
+            ]
+            for mask, rows in table:
+                basis = [vectors[c] for c in range(len(vectors)) if (mask >> c) & 1]
+                for i, row in enumerate(rows):
+                    assert [_dot(row, v) > 0 for v in basis] == [j == i for j in range(rank)]
+                    assert all(_dot(row, v) >= 0 for v in basis)
+                sizes.append((len(rows), dm.cl_free_rank))
+        assert len(sizes) == 653
+        assert all(n <= rank for n, rank in sizes)
+        assert {4} <= {n for n, rank in sizes if rank == 4}  # the cap is reached
 
-        def spy(vectors, target):
-            seen.append((len(vectors), len(target)))
-            return real(vectors, target)
+    def test_queries_run_no_simplex(self, corpus, monkeypatch, inverse_raises):
+        # The 65 corpus gradings, the k = 10 probe and gradings whose
+        # degrees do not span: no membership query pivots a simplex
+        # tableau, and no integer inverse raises on a dependent set.
+        dms = [(degree_map(fan), fan) for _, fan in corpus]
+        dms.append((probe_grading(10, 2), None))
+        for gens in (
+            [(1, 0), (2, 0), (3, 0)],
+            [(1, 1, 0), (0, 1, 0), (1, 2, 0), (0, 0, 0)],
+            [(0, 0)],
+            [(1, -1, 2), (-2, 2, -4)],
+        ):
+            dms.append((graded_by(gens), None))
+        amples = {dm: ample_character(fan, dm) for dm, fan in dms if fan is not None}
+        pivots = []
 
-        monkeypatch.setattr(vgit, "in_cone", spy)
+        def refuse(name):
+            def wrapper(*args):
+                pivots.append(name)
+                raise AssertionError(f"a membership query ran {name}")
+
+            return wrapper
+
+        monkeypatch.setattr(lp, "_simplex_core", refuse("_simplex_core"))
+        monkeypatch.setattr(lp, "_dual_simplex", refuse("_dual_simplex"))
         clear_vgit_caches()
+        n_queries = n_codims = 0
         try:
-            dms = [(degree_map(fan), fan) for _, fan in corpus]
-            dms.append((probe_grading(10, 2), None))
             for dm, fan in dms:
                 degrees = [v for v, _ in vgit._degree_classes(dm)]
                 characters = [(0,) * dm.cl_free_rank, tuple(map(sum, zip(*degrees)))]
-                characters += degrees[:3]
+                characters += degrees[:3] + [tuple(range(-1, dm.cl_free_rank - 1))]
                 if fan is not None:
-                    characters.append(ample_character(fan, dm))
+                    characters.append(amples[dm])
                 for chi in characters:
-                    unstable_supports(dm, chi)
+                    sig = unstable_supports(dm, chi)
                     is_boundary_character(dm, chi)
+                    n_queries += 1
+                    if fan is not None and not sig.outside_effective:
+                        stable_base_locus_codim(fan, dm, chi)
+                        n_codims += 1
         finally:
             clear_vgit_caches()
-        assert len(seen) > 1000
-        assert all(n <= rank for n, rank in seen)
-        assert {4} <= {n for n, rank in seen if rank == 4}  # the cap is reached
+        assert pivots == [] and inverse_raises == []
+        assert len(dms) == 70 and n_queries > 400 and n_codims > 300
 
     def test_k16_probe_within_two_seconds(self):
         # An LP on every mask whose immediate supersets are members, up
@@ -326,6 +371,30 @@ class TestMembership:
             clear_vgit_caches()
         assert not sig.outside_effective and on_wall
         assert elapsed < 2, elapsed
+
+    def test_rank8_k16_within_the_lp_cost(self):
+        # The most bases the caps accept: 16 distinct classes in rank 8,
+        # C(16, 8) = 12,870 sets, 12,776 of them bases here.  On a 2-core
+        # machine the first character took 1.5-1.8 s, nearly all of it
+        # building the table, against 2.5-2.9 s with one LP per mask; the
+        # next took 0.11-0.17 s, against 2.0-2.5 s.
+        dm = probe_grading(16, 2, rank=8)
+        chi = tuple(map(sum, zip(*dm.degrees_free)))
+        clear_vgit_caches()
+        try:
+            start = time.perf_counter()
+            sig = unstable_supports(dm, chi)
+            first = time.perf_counter() - start
+            start = time.perf_counter()
+            nxt = unstable_supports(dm, tuple(x + 1 for x in chi))
+            on_wall = is_boundary_character(dm, chi)
+            second = time.perf_counter() - start
+            n_bases = len(vgit._basis_table(dm)[1])
+        finally:
+            clear_vgit_caches()
+        assert n_bases == 12776
+        assert not sig.outside_effective and not nxt.outside_effective and not on_wall
+        assert first < 6 and second < 1.5, (first, second)
 
 
 class TestCones:
@@ -666,9 +735,10 @@ class TestCanonicalWitnesses:
         )
     )
     def test_signatures_match_lp_membership(self, gens):
-        # the chamber signatures and witnesses come from basis cones
-        # alone; the LP membership table of unstable_supports and
-        # oracles.chamber_closure is the oracle.  The signature pass
+        # the chamber signatures and witnesses come from the cell
+        # search and basis cones; the membership table of
+        # unstable_supports and the LP membership of
+        # oracles.chamber_closure are the oracles.  The signature pass
         # alone gives the same signatures in the same order.
         assume(matrix_rank(gens) == len(gens[0]))
         dm = graded_by(gens)
@@ -692,9 +762,9 @@ class TestCanonicalWitnesses:
         want = {dm: enumerate_chambers(dm) for dm in dms}
 
         def refuse(*args):
-            raise AssertionError("enumerate_chambers ran an in_cone LP")
+            raise AssertionError("enumerate_chambers ran a membership query")
 
-        monkeypatch.setattr(vgit, "in_cone", refuse)
+        monkeypatch.setattr(vgit, "_class_membership", refuse)
         clear_vgit_caches()
         try:
             for dm in dms:
@@ -704,10 +774,12 @@ class TestCanonicalWitnesses:
         assert len(dms) == 61
 
     def test_cell_search_runs_no_phase_one(self, corpus, monkeypatch):
-        # and it solves only the root LP of each fan from scratch; every
-        # other LP is a dual simplex re-optimisation
+        # lp has no phase-1 LP left, and the search solves only the root
+        # LP of each fan from scratch; every other LP is a dual simplex
+        # re-optimisation
+        assert not hasattr(lp, "in_cone") and not hasattr(vgit, "in_cone")
         fans = chamber_fans(corpus)
-        calls = {"phase 1": 0, "scratch": 0, "reoptimise": 0}
+        calls = {"scratch": 0, "reoptimise": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -716,8 +788,6 @@ class TestCanonicalWitnesses:
 
             return wrapper
 
-        monkeypatch.setattr(lp, "in_cone", counting("phase 1", lp.in_cone))
-        monkeypatch.setattr(vgit, "in_cone", counting("phase 1", vgit.in_cone))
         monkeypatch.setattr(lp, "_simplex_core", counting("scratch", lp._simplex_core))
         monkeypatch.setattr(lp, "_dual_simplex", counting("reoptimise", lp._dual_simplex))
         dms = {dm for _, _, dm in fans}  # fans may share a grading
@@ -728,7 +798,6 @@ class TestCanonicalWitnesses:
                 vgit._enumerate_cells(dm)
         finally:
             clear_vgit_caches()
-        assert calls["phase 1"] == 0
         assert calls["scratch"] == len(dms)
         assert calls["reoptimise"] > 0
 
