@@ -356,9 +356,9 @@ class TestMembership:
         assert len(dms) == 70 and n_queries > 400 and n_codims > 300
 
     def test_k16_probe_within_two_seconds(self):
-        # An LP on every mask whose immediate supersets are members, up
-        # to 2**16 of them, took about 6 s on a 2-core machine; there
-        # are 2,517 masks of at most 4 classes.
+        # The sign test reads at most C(16, 4) = 1,820 bases here; an
+        # LP on every mask whose immediate supersets are members, up to
+        # 2**16 of them, took about 6 s on a 2-core machine.
         dm = probe_grading(16, 2)
         chi = tuple(map(sum, zip(*dm.degrees_free)))
         clear_vgit_caches()
