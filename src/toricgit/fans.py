@@ -10,8 +10,8 @@ construction.  Each full-dimensional maximal cone is eliminated once,
 into the scaled inverse that the certificate, validate and Brion's
 formula all read.  One cached wall pass over the ridges proves a
 complete fan (every ridge joins two cones on opposite sides, one
-generic probe lies in one cone) and gives its wall rows to the
-projectivity LP, to Brion's nef test and to vgit.nef_cone; any other
+generic probe lies in one cone), and its wall rows cut out Brion's nef
+test and the nef cone that validate and vgit.nef_cone read; any other
 input falls back to intersecting every pair of maximal cones.
 """
 
@@ -23,10 +23,10 @@ from itertools import combinations
 from math import factorial, gcd, lcm, perm, prod
 from types import MappingProxyType
 
-from .cones import cone_from_generators, cones_equal
+from .cones import cone_from_generators, cone_from_inequalities, cones_equal
 from .linalg import matrix_rank, primitive, smith_normal_form
 from .linalg import _dot
-from .lp import max_strict_slack, scaled_inverse
+from .lp import scaled_inverse
 
 
 class FanError(ValueError):
@@ -292,12 +292,12 @@ def _walls(fan):
     with -d at r2, the strict convexity of a support function across
     the wall (Cox, Little and Schenck, Toric Varieties, ch. 6); its
     entry at r1 is negative iff the sides are opposite.  Walls repeat
-    rows (bl4_1 x bl4_1: 324 rows, 6 distinct), which leave the LP
-    alone.  A row vanishes on principal divisors, and a divisor D with
-    coefficients a is nef exactly when w.a <= 0 for every row w.
-    Cached, since four callers read it: the fan-axiom certificate and
-    validate (completeness and the projectivity LP), Brion's nef test
-    in _brion_data, and vgit.nef_cone.
+    rows (bl4_1 x bl4_1: 324 rows, 6 distinct), so only distinct rows
+    are kept.  A row vanishes on principal divisors, and a divisor D
+    with coefficients a is nef exactly when w.a <= 0 for every row w.
+    Cached, since three callers read it: the fan-axiom certificate,
+    Brion's nef test in _brion_data, and _nef_off, the nef cone that
+    validate and vgit.nef_cone read.
     """
     inverses = _cone_inverses(fan)
     if len(inverses) != len(fan.max_cones):
@@ -328,6 +328,28 @@ def _walls(fan):
     return tuple(dict.fromkeys(rows))
 
 
+@lru_cache(maxsize=1024)
+def _nef_off(fan):
+    """The nef cone of a complete fan on the rays off max_cones[0], or
+    None when _walls is None.
+
+    A wall row w vanishes on principal divisors, which take any values
+    on the rays of the full-dimensional sigma0 = max_cones[0]; so each
+    class has one representative h that is 0 on sigma0, and it is nef
+    exactly when w_off.h <= 0 for every row, w_off the row on the rays
+    off sigma0.  No w_off is zero and the cone is pointed in
+    Q^(n_rays - dim); it is full-dimensional exactly when the fan is
+    projective.  One double description, read by validate and
+    vgit.nef_cone.
+    """
+    walls = _walls(fan)
+    if walls is None:
+        return None
+    off = [i for i in range(fan.n_rays) if i not in fan.max_cones[0]]
+    normals = {primitive(tuple(-w[i] for i in off)) for w in walls}
+    return cone_from_inequalities(len(off), normals)
+
+
 def _probe(dim, normals):
     """w = (1, q, ..., q^(dim-1)) with q above every normal's entry sum.
 
@@ -347,11 +369,11 @@ def validate(fan) -> FanReport:
     full-dimensional cone.  Such a cone is smooth iff its |det| is 1; a
     lower-dimensional one iff its Smith invariant factors are all 1.
     Complete is the wall pass, which on a valid fan is exactly
-    completeness.  Projective is the support-function LP on the pass's
-    rows: one unknown h per ray, and across each wall a common positive
-    slack, which exists iff the fan is projective.  Every cone is
-    simplicial: fan_from_json certifies it, and a trusted constructor
-    builds only independent cones.
+    completeness.  Projective is an interior of the nef cone _nef_off,
+    cut out by the pass's rows: an ample divisor is strictly convex
+    across every wall.  Every cone is simplicial: fan_from_json
+    certifies it, and a trusted constructor builds only independent
+    cones.
     """
     inverses = _cone_inverses(fan)
 
@@ -361,13 +383,13 @@ def validate(fan) -> FanReport:
         return set(smith_normal_form(fan.cone_rays(c))[1]) == {1}
 
     smooth = all(unimodular(c) for c in fan.max_cones)
-    walls = _walls(fan)
-    complete = walls is not None
+    nef = _nef_off(fan)
+    complete = nef is not None
     return FanReport(
         simplicial=True,
         smooth=smooth,
         complete=complete,
-        projective=complete and max_strict_slack(list(walls))[0] > 0,
+        projective=complete and nef.dim_of() == nef.dim,
     )
 
 

@@ -1,33 +1,32 @@
 """Exact linear programming and integer matrix inversion.
 
-One LP, on a fraction-free integer tableau: SlackTableau, behind
-max_strict_slack, is the strict-slack LP max t <= 1 with rows.x >= t,
-started from its feasible slack basis.  Each row is the rational row
-times one positive scale d, the absolute value of the basis
-determinant, so the Bareiss update (p*x - f*y) // d of linalg._pivot is
-exact (Bareiss 1968; lrs, Avis 2000); the cost row goes to _pivot as one
-more row of the tableau.  Entries on one scale compare as the rational
-ones do, so the pivots are those of the rational tableau; Fraction
-appears only where a solution is read off.  An optimal SlackTableau is
-warm-started: with_rows adds rows to a copy, each in terms of the
-current basis, and re-optimises it by dual simplex pivots, so a search
-that adds a row per step solves only its first LP from scratch (Avis
-and Fukuda 1996).  Both the primal and the dual loop pivot by Dantzig's
-rule with an automatic switch to Bland's rule after enough iterations,
-which keeps runs fast in practice and terminating in theory, under one
-iteration limit that raises PivotLimit.  Exact solves use
-scaled_inverse, Gauss-Jordan through the same _pivot, which also gives
-linalg its ranks and determinants, so there is no second elimination
-engine.  basis_inverses pivots the simplex's tableau to invert every
-basis of a set of vectors in one search; by Caratheodory that is all
-cone membership needs, so no LP decides it.  Scale here is tiny (dozens
-of rows), exactness is the whole point.
+One LP, on a fraction-free integer tableau: SlackTableau is the
+strict-slack LP max t <= 1 with rows.x >= t, started from its feasible
+slack basis; its one caller is vgit's chamber cell search.  Each row is
+the rational row times one positive scale d, the absolute value of the
+basis determinant, so the Bareiss update (p*x - f*y) // d of
+linalg._pivot is exact (Bareiss 1968; lrs, Avis 2000); the cost row
+goes to _pivot as one more row of the tableau.  Entries on one scale
+compare as the rational ones do, so the pivots are those of the
+rational tableau, and a solution is read off scaled, as integers.  An
+optimal SlackTableau is warm-started: with_rows adds rows to a copy,
+each in terms of the current basis, and re-optimises it by dual simplex
+pivots, so a search that adds a row per step solves only its first LP
+from scratch (Avis and Fukuda 1996).  Both the primal and the dual loop
+pivot by Dantzig's rule with an automatic switch to Bland's rule after
+enough iterations, which keeps runs fast in practice and terminating in
+theory, under one iteration limit that raises PivotLimit.  Exact solves
+use scaled_inverse, Gauss-Jordan through the same _pivot, which also
+gives linalg its ranks and determinants, so there is no second
+elimination engine.  basis_inverses pivots the simplex's tableau to
+invert every basis of a set of vectors in one search; by Caratheodory
+that is all cone membership needs, so no LP decides it.  Projectivity
+is no LP either: fans reads it off the nef cone's double description.
+Scale here is tiny (dozens of rows), exactness is the whole point.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import _pivot, matrix_rank
 
@@ -193,24 +192,6 @@ class SlackTableau:
         n = self.n
         z = {j: row[-1] for j, row in zip(self.basis, self.tab) if j <= 2 * n}
         return (z.get(2 * n, 0), [z.get(j, 0) - z.get(n + j, 0) for j in range(n)])
-
-    def solution(self):
-        """(t, x) at the optimum, as Fractions."""
-        t, x = self.scaled_solution()
-        return (Fraction(t, self.d), [Fraction(v, self.d) for v in x])
-
-
-def max_strict_slack(rows):
-    """Largest t <= 1 with rows.x >= t; returns (t, x).
-
-    The system is homogeneous in x so the optimum is either 0 (only
-    degenerate solutions) or 1 (an interior witness exists).  Always
-    feasible: x = 0, t = 0.  The LP is a SlackTableau, solved from its
-    slack basis.
-    """
-    if not rows:
-        return (Fraction(1), [])
-    return SlackTableau.solve(rows).solution()
 
 
 def scaled_inverse(rows):

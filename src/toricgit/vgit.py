@@ -19,12 +19,12 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .cones import cone_from_generators, cone_from_inequalities
+from .cones import RationalCone, cone_from_generators, cone_from_inequalities
 from .cox import irrelevant_ideal, stanley_reisner
-from .fans import _walls
+from .fans import _nef_off
 from .linalg import primitive, sign_normalized
 from .linalg import _dot
-from .lp import SlackTableau, basis_inverses, scaled_inverse
+from .lp import SlackTableau, basis_inverses
 
 MAX_CHAMBER_RANK = 4
 MAX_CHAMBER_RAYS = 16
@@ -170,31 +170,24 @@ def moving_cone(dm):
 def nef_cone(fan, dm):
     """The classes chi whose divisors pass every wall row of the fan.
 
-    A wall row w of fans._walls vanishes on principal divisors, so it is
-    a function on Cl (x) Q, and D is nef exactly when w.a <= 0 for each
-    row.  The degrees of the rays off sigma0 = max_cones[0] form a basis
-    of Cl (x) Q; with (inv, d) the one scaled inverse of the matrix whose
-    columns they are, chi lifts to a = inv.chi / d on those rays and 0
-    on sigma0.  So the nef cone is {chi : -(w_off . inv) chi >= 0}, cut
-    out from the distinct primitive rows in one double description.
-    Full-dimensional exactly for projective fans; anything thinner is
-    reported as an error because no ample character exists, and so is
-    a fan that the wall pass does not prove complete.
+    fans._nef_off is the nef cone on the divisors that vanish on
+    sigma0 = max_cones[0], one per class.  The degrees of the rays off
+    sigma0 form a basis of Cl (x) Q, so the class of such a divisor h
+    is the sum of h_i deg(off_i), an isomorphism: it maps the extremal
+    rays of that cone onto those of the nef cone in Cl (x) Q, and no
+    double description runs here.  Full-dimensional exactly for
+    projective fans; anything thinner is reported as an error because
+    no ample character exists, and so is a fan that the wall pass does
+    not prove complete.
     """
-    walls = _walls(fan)
-    if walls is None:
+    nef = _nef_off(fan)
+    if nef is None:
         raise ValueError("nef cone needs a complete fan")
-    off = [i for i in range(fan.n_rays) if i not in fan.max_cones[0]]
-    inv, _ = scaled_inverse(list(zip(*(dm.degrees_free[i] for i in off))))
-    cols = list(zip(*inv))
-    normals = set()
-    for w in walls:
-        w_off = [w[i] for i in off]
-        normals.add(primitive(tuple(-_dot(w_off, col) for col in cols)))
-    nef = cone_from_inequalities(dm.cl_free_rank, normals)
-    if nef.dim_of() < dm.cl_free_rank:
+    if nef.dim_of() < nef.dim:
         raise ValueError("nef cone has empty interior; the fan is not projective")
-    return nef
+    off = [dm.degrees_free[i] for i in range(fan.n_rays) if i not in fan.max_cones[0]]
+    rays = sorted(primitive(tuple(_dot(r, col) for col in zip(*off))) for r in nef.rays)
+    return RationalCone(dm.cl_free_rank, rays, ())
 
 
 def ample_character(fan, dm):
@@ -403,7 +396,7 @@ def _enumerate_cells(dm):
     root = SlackTableau.solve(eff_rows)
     t, x0 = root.scaled_solution()
     if t <= 0:
-        raise AssertionError("effective cone must be full-dimensional")
+        raise ValueError("degrees do not span the class group; the effective cone has no interior")
     cells = []
     reopts = 0
 

@@ -18,8 +18,9 @@ the adjacency-filtered toricgit.cones routine is held; the two share
 only the integer helpers, and canonical_form is this file's own, by
 Gauss-Jordan over Fraction.
 max_strict_slack poses t > 0 as the phase-1 problem rows.x - s == 1,
-eq_rows.x == 0 on solve_nonneg, against which the
-slack-basis start in toricgit.lp is held, and crossing_normals decides
+eq_rows.x == 0 on solve_nonneg, against which the slack-basis start in
+toricgit.lp and the projectivity that toricgit.fans.validate reads off
+the nef cone's double description are held, and crossing_normals decides
 by one such LP with an equality per arrangement normal what
 toricgit.vgit reads off integer dot products.
 arrangement_normals takes one integer kernel, from the Smith form's
@@ -46,7 +47,8 @@ code with the bitmask search of toricgit.cox.zero_locus_codim nor with
 its listing of all minimal hitting sets.
 nef_cone_by_cones intersects, over the maximal cones, the cone the
 degrees off each one generate, one scaled inverse per cone, where
-toricgit.vgit.nef_cone reads the wall rows through one inverse per fan.
+toricgit.vgit.nef_cone maps the rays of one double description of the
+wall rows.
 vertex_nef solves for each vertex u_sigma over Fraction and tests it
 against every ray outside sigma, where toricgit.fans tests the wall
 rows.  acts_freely_by_smith asks that the Smith form of each cone's

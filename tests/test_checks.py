@@ -311,10 +311,10 @@ class TestForcesNef:
 class TestRunAll:
     def test_one_scratch_solve_per_root_and_fan(self, monkeypatch, inverse_raises):
         # The only primal solves of a cold run_all are the root LP of
-        # each chamber cell search and the projectivity LP of each
-        # validated fan: membership runs no LP, and no integer inverse
-        # raises on a dependent set of degree classes.
-        calls = {"scratch": 0, "roots": 0, "fans": 0}
+        # each chamber cell search, one per distinct grading: membership
+        # and projectivity run no LP, and no integer inverse raises on a
+        # dependent set of degree classes.
+        calls = {"scratch": 0, "roots": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -325,14 +325,13 @@ class TestRunAll:
 
         monkeypatch.setattr(lp, "_simplex_core", counting("scratch", lp._simplex_core))
         monkeypatch.setattr(vgit, "_enumerate_cells", counting("roots", vgit._enumerate_cells))
-        monkeypatch.setattr("toricgit.fans.max_strict_slack", counting("fans", lp.max_strict_slack))
         clear_caches()
         try:
             assert not [r.name for r in run_all() if not r.passed]
         finally:
             clear_caches()
         assert inverse_raises == []
-        assert calls["scratch"] == calls["roots"] + calls["fans"] == 115
+        assert calls["scratch"] == calls["roots"] == 54
 
     def test_everything_passes(self):
         results = run_all()

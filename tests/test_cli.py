@@ -21,7 +21,6 @@ from toricgit.fans import (
     fan_to_json,
     product_fan,
     projective_space_fan,
-    validate,
 )
 from toricgit.vgit import _chamber_keys
 
@@ -239,19 +238,6 @@ class TestChambers:
         data = json.loads(out)
         assert data["on_boundary"] is True
         assert data["facets"] == [[0, 1, 2]]
-
-    def test_pivot_limit_exits_two(self, p2_file, capsys, monkeypatch):
-        # a --char query runs no simplex; the projectivity LP of a
-        # fresh validate does
-        def stuck(*args):
-            raise lp.PivotLimit("simplex did not terminate")
-
-        monkeypatch.setattr(lp, "_simplex_core", stuck)
-        validate.cache_clear()  # force a fresh LP
-        code, out, err = run(["validate", p2_file], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: simplex did not terminate\n"
 
     def test_pivot_limit_in_cell_search_exits_two(self, f1_file, capsys, monkeypatch):
         def stuck(*args):

@@ -295,8 +295,8 @@ class TestValidate:
         assert not rep.complete
 
     def test_complete_non_projective_instance(self):
-        # Both the wall LP here and an independent per-cone-functional
-        # LP agree that no strictly convex support function exists.
+        # No strictly convex support function exists: the nef cone of
+        # the wall rows has no interior.
         f = twisted_cube_fan()
         rep = validate(f)
         assert rep.simplicial
@@ -352,8 +352,8 @@ class TestWallCertificate:
     def test_one_certificate_per_fan(self):
         # The constructor and validate share one cached certificate.
         data = fan_to_json(blowup_pn_along_linear(3, 1))
-        fans._walls.cache_clear()
-        validate.cache_clear()
+        for cached in (fans._walls, fans._nef_off, validate):
+            cached.cache_clear()
         assert validate(fan_from_json(data)).complete
         info = fans._walls.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -391,7 +391,7 @@ class TestOneElimination:
     @staticmethod
     def spy(monkeypatch):
         # the cached passes would hide calls made for an equal fan earlier
-        for cached in (fans._cone_inverses, fans._walls, validate):
+        for cached in (fans._cone_inverses, fans._walls, fans._nef_off, validate):
             cached.cache_clear()
         ranks, inverses = [], []
         rank, inverse = fans.matrix_rank, fans.scaled_inverse
@@ -460,8 +460,8 @@ def nef_cone_is_full(fan):
 
 
 class TestProjectivityOracle:
-    """validate's support-function LP on the wall rows against the nef
-    cone, cut out by one inverse per cone in the class group."""
+    """validate's nef cone of the wall rows against the nef cone cut
+    out by one inverse per cone in the class group."""
 
     def test_complete_fans(self):
         for fan in complete_fans():

@@ -8,7 +8,19 @@ from oracles import in_cone, nonneg_combination, rational_simplex_core, rational
 from oracles import rational_solve_nonneg, simplex_max, solve_nonneg
 from toricgit import lp
 from toricgit.linalg import det
-from toricgit.lp import PivotLimit, max_strict_slack, scaled_inverse
+from toricgit.lp import PivotLimit, SlackTableau, scaled_inverse
+
+
+def solution(tableau):
+    """(t, x) at the tableau's optimum, as Fractions: its scaled
+    solution over its scale d."""
+    t, x = tableau.scaled_solution()
+    return (Fraction(t, tableau.d), [Fraction(v, tableau.d) for v in x])
+
+
+def strict_slack(rows):
+    """Largest t <= 1 with rows.x >= t, as (t, x), from the slack basis."""
+    return solution(SlackTableau.solve(rows))
 
 
 def test_solve_nonneg_feasible():
@@ -47,10 +59,10 @@ def test_simplex_max_with_equalities():
 
 
 def test_max_strict_slack():
-    t, x = max_strict_slack([(1, 0), (0, 1)])
+    t, x = strict_slack([(1, 0), (0, 1)])
     assert t == 1
     assert x[0] >= 1 and x[1] >= 1
-    t, _ = max_strict_slack([(1, 0), (-1, 0)])
+    t, _ = strict_slack([(1, 0), (-1, 0)])
     assert t == 0
 
 
@@ -71,7 +83,7 @@ def slack_rows(draw):
 @settings(max_examples=200)
 @given(slack_rows())
 def test_max_strict_slack_slack_start_matches_two_phase(rows):
-    t, x = max_strict_slack(rows)
+    t, x = strict_slack(rows)
     t_ref, _ = oracles.max_strict_slack(rows)
     assert t == t_ref
     assert all(sum(r * v for r, v in zip(row, x)) >= t for row in rows)
@@ -106,7 +118,7 @@ def test_dual_simplex_warm_start_matches_two_phase(data):
     for batch in batches:
         tableau = tableau.with_rows(batch)
         rows += batch
-    t, x = tableau.solution()
+    t, x = solution(tableau)
     assert t == oracles.max_strict_slack(rows)[0]
     assert all(sum(r * v for r, v in zip(row, x)) >= t for row in rows)
     d = tableau.d
@@ -129,9 +141,9 @@ def test_max_strict_slack_runs_no_phase_one(monkeypatch):
         return real(tab, basis, cost, d)
 
     monkeypatch.setattr(lp, "_simplex_core", spy)
-    assert not hasattr(lp, "in_cone")
-    assert max_strict_slack([(1, 0), (0, 1), (1, 0)])[0] == 1
-    assert max_strict_slack([(1, 1), (-1, -1), (0, 0)])[0] == 0
+    assert not hasattr(lp, "in_cone") and not hasattr(lp, "max_strict_slack")
+    assert strict_slack([(1, 0), (0, 1), (1, 0)])[0] == 1
+    assert strict_slack([(1, 1), (-1, -1), (0, 0)])[0] == 0
     assert starts == [([5, 6, 7, 8], 1), ([5, 6, 7, 8], 1)]
 
 
@@ -401,7 +413,7 @@ def test_dual_simplex_pivots_on_a_negative_entry(monkeypatch):
     signs = pivot_signs(monkeypatch)
     child = tableau.with_rows([(-1, 1)])
     assert False in signs
-    t, x = child.solution()
+    t, x = solution(child)
     assert child.d > 0 and t == 1
     assert all(sum(r * v for r, v in zip(row, x)) >= 1 for row in [(1, 0), (0, 1), (-1, 1)])
 

@@ -85,9 +85,10 @@ def test_no_assert_statements_in_src():
 
 def test_no_fraction_in_the_simplex_inner_loop():
     # The simplex, primal and dual, the scaled inverse and the basis
-    # inverses pivot on integer tableaux through linalg._pivot; Fraction appears only where
-    # a solution is read off.  A name that is Fraction itself or a
-    # module-level Fraction constant (such as lp._ZERO) counts as a use.
+    # inverses pivot on integer tableaux through linalg._pivot, and a
+    # solution is read off scaled, so lp names no Fraction at all.  A
+    # name that is Fraction itself or a module-level Fraction constant
+    # (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
     inner = {
@@ -117,6 +118,8 @@ def test_no_fraction_in_the_simplex_inner_loop():
         if is_fraction(module, node)
     ]
     assert found == []
+    lp = importlib.import_module("toricgit.lp")
+    assert not [node.lineno for node in ast.walk(trees["lp.py"]) if is_fraction(lp, node)]
 
 
 def test_one_bareiss_update():
@@ -221,7 +224,7 @@ def test_cones_uses_no_lp():
             lp_names.add(node.name)
         elif isinstance(node, ast.Assign):
             lp_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert {"basis_inverses", "max_strict_slack", "SlackTableau", "PivotLimit"} <= lp_names
+    assert {"basis_inverses", "scaled_inverse", "SlackTableau", "PivotLimit"} <= lp_names
     used = set()
     for node in ast.walk(trees["cones.py"]):
         if isinstance(node, ast.Name):
@@ -231,6 +234,30 @@ def test_cones_uses_no_lp():
         elif isinstance(node, ast.alias):
             used.add(node.name)
     assert used & lp_names == {"scaled_inverse"}
+
+
+def test_projectivity_runs_no_lp():
+    # validate and vgit.nef_cone read one double description of the
+    # wall rows, fans._nef_off: no module names the strict-slack LP's
+    # old entry point, fans takes only the scaled inverse from lp, and
+    # vgit reads neither the wall rows nor an inverse of its own.
+    trees = src_trees()
+    names = {
+        name: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        | {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.alias))}
+        for name, tree in trees.items()
+    }
+    assert not [name for name, used in names.items() if "max_strict_slack" in used]
+    imports = {
+        (name, node.module): {a.name for a in node.names}
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert imports[("fans.py", "lp")] == {"scaled_inverse"}
+    assert imports[("vgit.py", "fans")] == {"_nef_off"}
+    assert "scaled_inverse" not in imports[("vgit.py", "lp")]
 
 
 def test_only_the_four_constructors_trust_their_fans():

@@ -5,9 +5,12 @@ enumeration of all 2^n supports with cone membership decided by a
 different route (dual facet inequalities instead of the simplex).
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import os
 import random
+import subprocess
 import sys
 import time
 from itertools import combinations
@@ -19,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from toricgit import lp, vgit
+from toricgit import cones, fans, lp, vgit
 from toricgit.checks import PRODUCT_PAIRS
 from toricgit.cones import cone_from_generators, cone_from_inequalities, cones_equal
 from toricgit.cox import degree_map
@@ -30,6 +33,8 @@ from toricgit.fans import (
     product_fan,
     projective_bundle_fan,
     projective_space_fan,
+    star_subdivision,
+    validate,
 )
 from toricgit.vgit import (
     MAX_CHAMBER_RANK,
@@ -142,6 +147,37 @@ def nef_fans(corpus):
         power = product_fan(power, by_name["p1"])
         fans.append((f"p1^{k}", power))
     return fans + analyze_bundle_pool(by_name)
+
+
+def twisted_cube():
+    """A complete fan that is not projective: the face fan of a cube
+    with one vertex moved and its faces split along twisted diagonals."""
+    rays = [
+        (-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),
+        (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 2, 3),
+    ]
+    cones = [
+        (0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 4, 5),
+        (1, 2, 3), (1, 3, 5), (2, 3, 6), (2, 4, 6),
+        (3, 5, 7), (3, 6, 7), (4, 5, 7), (4, 6, 7),
+    ]
+    return Fan(3, rays, cones)
+
+
+def projectivity_fans(corpus):
+    """(name, fan) for nef_fans, the twisted cube and its star
+    subdivisions by seeds 0-11 (seeds 0, 1 and 5 make it projective)."""
+    out = nef_fans(corpus) + [("twisted", twisted_cube())]
+    for seed in range(12):
+        rng = random.Random(seed)
+        f = twisted_cube()
+        for _ in range(rng.randint(1, 3)):
+            cone = rng.choice(f.max_cones)
+            face = rng.sample(cone, rng.randint(2, len(cone)))
+            with contextlib.suppress(ValueError):  # barycenter already a ray
+                f = star_subdivision(f, face)
+        out.append((f"twisted/{seed}", f))
+    return out
 
 
 def brute_force_facets(dm, chi):
@@ -428,16 +464,7 @@ class TestCones:
         assert nef.dim_of() == dm.cl_free_rank
 
     def test_non_projective_fan_rejected(self):
-        rays = [
-            (-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),
-            (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 2, 3),
-        ]
-        cones = [
-            (0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 4, 5),
-            (1, 2, 3), (1, 3, 5), (2, 3, 6), (2, 4, 6),
-            (3, 5, 7), (3, 6, 7), (4, 5, 7), (4, 6, 7),
-        ]
-        f = Fan(3, rays, cones)
+        f = twisted_cube()
         dm = degree_map(f)
         with pytest.raises(ValueError, match="not projective"):
             nef_cone(f, dm)
@@ -453,20 +480,72 @@ class TestCones:
             per_cone = oracles.nef_cone_by_cones(f, dm)
             assert (got.rays, got.lin) == (per_cone.rays, per_cone.lin), name
 
-    def test_nef_cone_takes_one_inverse_per_fan(self, corpus, monkeypatch):
+    def test_nef_cone_takes_no_inverse(self, corpus, monkeypatch):
+        # nef_cone maps the rays of the fan's one nef double description,
+        # fans._nef_off, into the class group: no inverse of the degrees
+        assert not hasattr(vgit, "scaled_inverse")
         calls = []
+        real = lp.scaled_inverse
 
         def counting(rows):
-            calls.append(len(rows))
-            return lp.scaled_inverse(rows)
+            calls.append(rows)
+            return real(rows)
 
-        monkeypatch.setattr(vgit, "scaled_inverse", counting)
+        for module in (lp, cones, fans, vgit):
+            if vars(module).get("scaled_inverse") is real:
+                monkeypatch.setattr(module, "scaled_inverse", counting)
         for name, f in nef_fans(corpus):
             dm = degree_map(f)
-            before = len(calls)
+            validate(f)
             nef_cone.cache_clear()
+            before = len(calls)
             nef_cone(f, dm)
-            assert calls[before:] == [dm.cl_free_rank], name
+            assert calls[before:] == [], name
+
+    def test_projectivity_matches_phase_one_lp(self, corpus):
+        # validate reads the double description that nef_cone reads, so
+        # the phase-1 LP of the oracles decides it independently: some x
+        # has w.x > 0 on every wall row w exactly when the fan is
+        # projective
+        fans_ = projectivity_fans(corpus)
+        verdicts = []
+        for name, f in fans_:
+            rows = list(fans._walls(f))
+            want = oracles.max_strict_slack(rows)[0] > 0
+            rep = validate(f)
+            assert rep.complete, name
+            assert rep.projective == want, name
+            verdicts.append(want)
+        assert (len(verdicts), verdicts.count(False)) == (173, 10)
+
+    def test_one_double_description_decides_projectivity(self, corpus, monkeypatch):
+        # A cold validate and ample_character share one double
+        # description of the wall rows and run no simplex.
+        fans_ = [(name, f, degree_map(f)) for name, f in projectivity_fans(corpus)]
+        dds, scratch = [], []
+        real_dd, real_core = cones.duals_from_inequalities, lp._simplex_core
+
+        def counting_dd(*args):
+            dds.append(args)
+            return real_dd(*args)
+
+        def counting_core(*args):
+            scratch.append(args)
+            return real_core(*args)
+
+        monkeypatch.setattr(cones, "duals_from_inequalities", counting_dd)
+        monkeypatch.setattr(lp, "_simplex_core", counting_core)
+        for name, f, dm in fans_:
+            for cached in (fans._cone_inverses, fans._walls, fans._nef_off, validate, nef_cone):
+                cached.cache_clear()
+            before = len(dds)
+            if validate(f).projective:
+                ample_character(f, dm)
+            else:
+                with pytest.raises(ValueError, match="not projective"):
+                    ample_character(f, dm)
+            assert len(dds) - before == 1, name
+        assert scratch == []
 
     def test_nef_cone_of_an_incomplete_fan_is_a_value_error(self):
         f = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
@@ -527,6 +606,31 @@ class TestChambers:
         assert len(gradings) == 54
         for dm in gradings:
             assert oracles.chambers_cover_effective(dm)
+
+    def test_non_spanning_grading_is_a_value_error(self):
+        # degrees on one line: the effective cone has no interior
+        dm = DegreeMap(3, 2, (), ((1, 0), (2, 0), (3, 0)), ((), (), ()))
+        for search in (chamber_signatures, enumerate_chambers):
+            with pytest.raises(ValueError, match="do not span the class group"):
+                search(dm)
+        # the same with asserts stripped
+        code = (
+            "from toricgit.cox import DegreeMap\n"
+            "from toricgit.vgit import chamber_signatures\n"
+            "dm = DegreeMap(3, 2, (), ((1, 0), (2, 0), (3, 0)), ((), (), ()))\n"
+            "try:\n"
+            "    chamber_signatures(dm)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "do not span the class group" in proc.stdout
 
     def test_rank_cap(self):
         dm = DegreeMap(
