@@ -24,6 +24,7 @@ that is all cone membership needs, so no LP decides it.  Projectivity
 is no LP either: fans reads it off the nef cone's double description.
 Scale here is tiny (dozens of rows), exactness is the whole point.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass

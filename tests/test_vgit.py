@@ -491,7 +491,7 @@ class TestCones:
             calls.append(rows)
             return real(rows)
 
-        for module in (lp, cones, fans, vgit):
+        for module in (lp, cones, fans):
             if vars(module).get("scaled_inverse") is real:
                 monkeypatch.setattr(module, "scaled_inverse", counting)
         for name, f in nef_fans(corpus):
@@ -507,9 +507,8 @@ class TestCones:
         # the phase-1 LP of the oracles decides it independently: some x
         # has w.x > 0 on every wall row w exactly when the fan is
         # projective
-        fans_ = projectivity_fans(corpus)
         verdicts = []
-        for name, f in fans_:
+        for name, f in projectivity_fans(corpus):
             rows = list(fans._walls(f))
             want = oracles.max_strict_slack(rows)[0] > 0
             rep = validate(f)
@@ -521,7 +520,7 @@ class TestCones:
     def test_one_double_description_decides_projectivity(self, corpus, monkeypatch):
         # A cold validate and ample_character share one double
         # description of the wall rows and run no simplex.
-        fans_ = [(name, f, degree_map(f)) for name, f in projectivity_fans(corpus)]
+        family = [(name, f, degree_map(f)) for name, f in projectivity_fans(corpus)]
         dds, scratch = [], []
         real_dd, real_core = cones.duals_from_inequalities, lp._simplex_core
 
@@ -535,7 +534,7 @@ class TestCones:
 
         monkeypatch.setattr(cones, "duals_from_inequalities", counting_dd)
         monkeypatch.setattr(lp, "_simplex_core", counting_core)
-        for name, f, dm in fans_:
+        for name, f, dm in family:
             for cached in (fans._cone_inverses, fans._walls, fans._nef_off, validate, nef_cone):
                 cached.cache_clear()
             before = len(dds)
