@@ -140,11 +140,14 @@ class FaceComplex:
         object.__setattr__(self, "facets", facets)
 
 
+@lru_cache(maxsize=1024)
 def irrelevant_ideal(fan) -> SquarefreeIdeal:
     """Generators x^(complement of sigma) over the maximal cones.
 
     A maximal cone using every ray would contribute the monomial 1; that
-    degenerate case collapses to the no-generator (unit) ideal.
+    degenerate case collapses to the no-generator (unit) ideal.  Cached,
+    like zero_locus_codim, since check all asks for the codimension of
+    each fan's ideal once per neighborliness check.
     """
     n = fan.n_rays
     complements = set()
@@ -217,6 +220,7 @@ def prime_decomposition(ideal):
     return sorted(c for c in comps if c)
 
 
+@lru_cache(maxsize=1024)
 def zero_locus_codim(ideal) -> int:
     """Codimension of V(ideal) in affine space.
 

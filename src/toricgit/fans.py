@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd, lcm, perm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 from types import MappingProxyType
 
 from .cones import cone_from_generators, cone_from_inequalities, cones_equal
@@ -291,13 +291,14 @@ def _walls(fan):
     (c2, r2) gives the row d * (coordinates of v_r2 in the basis of c1)
     with -d at r2, the strict convexity of a support function across
     the wall (Cox, Little and Schenck, Toric Varieties, ch. 6); its
-    entry at r1 is negative iff the sides are opposite.  Walls repeat
-    rows (bl4_1 x bl4_1: 324 rows, 6 distinct), so only distinct rows
-    are kept.  A row vanishes on principal divisors, and a divisor D
-    with coefficients a is nef exactly when w.a <= 0 for every row w.
-    Cached, since three callers read it: the fan-axiom certificate,
-    Brion's nef test in _brion_data, and _nef_off, the nef cone that
-    validate and vgit.nef_cone read.
+    entry at r1 is negative iff the sides are opposite.  Those
+    coordinates are summed sparsely, v_k * (row k of inv) over the
+    nonzero v_k of v_r2.  Walls repeat rows (bl4_1 x bl4_1: 324 rows, 6
+    distinct), so only distinct rows are kept.  A row vanishes on
+    principal divisors, and a divisor D with coefficients a is nef
+    exactly when w.a <= 0 for every row w.  Cached, since three callers
+    read it: the fan-axiom certificate, Brion's nef test in _brion_data,
+    and _nef_off, the nef cone that validate and vgit.nef_cone read.
     """
     inverses = _cone_inverses(fan)
     if len(inverses) != len(fan.max_cones):
@@ -306,15 +307,19 @@ def _walls(fan):
     for c in fan.max_cones:
         for drop in range(len(c)):
             by_ridge.setdefault(c[:drop] + c[drop + 1 :], []).append((c, c[drop]))
+    sparse = [[(k, x) for k, x in enumerate(r) if x] for r in fan.rays]
     rows = []
     for _ridge, sides in sorted(by_ridge.items()):
         if len(sides) != 2:
             return None
         (c1, r1), (_, r2) = sides
         inv, d = inverses[c1]
+        coords = [0] * fan.dim
+        for k, vk in sparse[r2]:
+            coords = [c + vk * x for c, x in zip(coords, inv[k])]
         row = [0] * fan.n_rays
-        for idx, col in zip(c1, zip(*inv)):
-            row[idx] = _dot(fan.rays[r2], col)
+        for idx, c in zip(c1, coords):
+            row[idx] = c
         row[r2] = -d
         if row[r1] >= 0:
             return None
@@ -357,7 +362,7 @@ def _probe(dim, normals):
     last nonzero term outweighs all the earlier ones together.  normals
     is an iterable of lists of vectors.
     """
-    q = 1 + max(sum(abs(x) for x in n) for ns in normals for n in ns)
+    q = 1 + max(sum(map(abs, n)) for ns in normals for n in ns)
     return [q**i for i in range(dim)]
 
 
@@ -588,11 +593,12 @@ def _eliminate_var(rows, j):
 # the benchmark's pool take at most 3,075 steps (132,342 without it).
 _NODE_BUDGET = 1_500_000
 
-# B_k / k! for k = 0..8 as (numerator, denominator): the Taylor
-# coefficients of the Todd function x / (e^x - 1) up to the dimension cap.
-_TODD = (
-    (1, 1), (-1, 2), (1, 12), (0, 1), (-1, 720),
-    (0, 1), (1, 30240), (0, 1), (-1, 1209600),
+# l_k for k = 1..8 as (numerator, denominator): the Taylor coefficients
+# of log(x / (e^x - 1)) = -x/2 - x^2/24 + x^4/2880 - x^6/181440
+# + x^8/9676800 + ..., up to the dimension cap.
+_LOG_TODD = (
+    (-1, 2), (-1, 24), (0, 1), (1, 2880),
+    (0, 1), (-1, 181440), (0, 1), (1, 9676800),
 )
 
 
@@ -633,10 +639,13 @@ def _brion_data(fan):
     alpha = <lam, u> the cone contributes the constant term at t = 0 of
     e^(t alpha) / prod_j (1 - e^(t b_j))
       = (-1)^d / prod_j b_j * sum_k s_k alpha^(d-k) / (d-k)!,
-    s_k the coefficients of the Todd series prod_j T(t b_j).  Returns
-    (den, walls, cones): the wall rows of _walls for the nef test, each
-    cone as (ray indices, b, integer Horner coefficients), and den the
-    one denominator they share.
+    s_k the coefficients of the Todd series prod_j T(t b_j)
+    = exp(sum_k l_k p_k t^k), l_k those of log T and p_k = sum_j b_j^k.
+    So n s_n = sum_k k l_k p_k s_(n-k), kept in integers as
+    S_n = n! scale^n s_n: O(d^2) per cone, against O(d^3) to multiply
+    out the d factors.  Returns (den, walls, cones): the wall rows of
+    _walls for the nef test, each cone as (ray indices, b, integer Horner
+    coefficients), and den the one denominator they share, all reduced.
     """
     report = validate(fan)
     if not (report.smooth and report.complete):
@@ -645,19 +654,23 @@ def _brion_data(fan):
     inverses = _cone_inverses(fan)
     edges = {c: list(zip(*inv)) for c, (inv, _) in inverses.items()}
     lam = _probe(d, edges.values())
-    scale = lcm(*(den for _, den in _TODD[: d + 1]))
-    todd = [num * (scale // den) for num, den in _TODD[: d + 1]]
+    scale = lcm(*(den for _, den in _LOG_TODD[:d]))
+    # S_n = sum_k weights[n - 1][k - 1] p_k S_(n-k), the weight
+    # (n-1)!/(n-k)! * scale^k * k * l_k an integer
+    lead = [scale**k * k * num // den for k, (num, den) in enumerate(_LOG_TODD[:d], 1)]
+    weights = [[perm(n - 1, k) * w for k, w in enumerate(lead[:n])] for n in range(1, d + 1)]
+    horner = [(-1) ** d * comb(d, k) * scale ** (d - k) for k in range(d + 1)]
     cones = []
     for cone, ws in edges.items():
         b = [_dot(lam, w) for w in ws]
-        series = [1] + [0] * d  # scale^j times the product of j factors
-        for bj in b:
-            factor = [t * bj**k for k, t in enumerate(todd)]
-            series = [
-                sum(series[i] * factor[k - i] for i in range(k + 1))
-                for k in range(d + 1)
-            ]
-        num = [(-1) ** d * s * perm(d, k) for k, s in enumerate(series)]
+        power_sums, powers = [], b
+        for _ in range(d):
+            power_sums.append(sum(powers))
+            powers = [x * y for x, y in zip(powers, b)]
+        series = [1]  # S_0, S_1, ...
+        for row in weights:
+            series.append(sum(w * p * s for w, p, s in zip(row, power_sums, reversed(series))))
+        num = [h * s for h, s in zip(horner, series)]
         den = scale**d * factorial(d) * prod(b)
         g = gcd(den, *num) * (1 if den > 0 else -1)
         cones.append((cone, tuple(b), [x // g for x in num], den // g))

@@ -308,7 +308,7 @@ def _chamber_keys(dm):
     # sign a cell inside cone(T) has on it.  The other rows need no
     # test: cone(T) lies in the effective cone, so a row whose normal
     # does not cross it is positive on its whole interior.
-    index = {n: i for i, n in enumerate(_crossing_normals(dm))}
+    index = {n: i for i, n in enumerate(_split_normals(dm)[1])}
     tests = []
     for mask, rows in _basis_table(dm)[1]:
         normals = [sign_normalized(r) for r in rows]
@@ -355,53 +355,63 @@ def enumerate_chambers(dm):
 
 
 @lru_cache(maxsize=8192)
-def _crossing_normals(dm):
-    """Arrangement normals whose hyperplane meets the interior of
-    the effective cone.  Only these can separate chambers; the rest
-    keep a constant sign over the whole cone and never branch.  The
-    interior is the degrees' combinations with every weight positive,
-    so n-perp meets it exactly when n.g takes both signs over them."""
+def _split_normals(dm):
+    """(facets, crossing): the arrangement normals split by the signs of
+    n.g over the degree classes g, from one pass of dot products.
+
+    crossing holds those taking both signs, whose hyperplane meets the
+    interior of the effective cone (the degrees' combinations with all
+    weights positive); only these can separate chambers.  facets holds
+    the rest, signed so that n.g >= 0, sorted.  When the classes span,
+    these are the effective cone's facet normals: each such hyperplane
+    holds cl_free_rank - 1 independent classes with the cone on one
+    side, and every facet is spanned by such classes."""
     vectors = [vec for vec, _ in _degree_classes(dm)]
-    return tuple(
-        n
-        for n in _arrangement_normals(dm)
-        if min(_dot(n, g) for g in vectors) < 0 < max(_dot(n, g) for g in vectors)
-    )
+    facets, crossing = [], []
+    for n in _arrangement_normals(dm):
+        dots = [_dot(n, g) for g in vectors]
+        if min(dots) < 0 < max(dots):
+            crossing.append(n)
+        else:
+            facets.append(n if min(dots) >= 0 else tuple(-v for v in n))
+    return tuple(sorted(facets)), tuple(crossing)
 
 
-# Dual-simplex re-optimisations one cell search may make.  The corpus
-# peaks at 185 per grading; the k = 8 probe of the tests reaches the
-# budget in about 7 s and the k = 10 probe in about 20 s on 2 cores.
-_REOPT_BUDGET = 10_000
+# Tableau entries one cell search may charge: rows times columns of
+# each tableau it re-optimises, counted with the added rows before they
+# are added.  The corpus peaks at 62,036 per grading; the k = 8 to 16
+# probes of the tests reach the budget in 6-8 s on 2 cores.
+_TABLEAU_BUDGET = 20_000_000
 
 
 def _enumerate_cells(dm):
     """All strictly feasible sign vectors over the wall arrangement.
 
     Each cell is an open region: effective-cone facet normals strict,
-    plus a strict sign per crossing hyperplane.  Returns (sign vector,
-    integer interior witness) pairs sorted by sign vector.  The DFS
-    carries an interior witness down each branch, so the child on the
-    witness's own side needs no LP at all.  It also carries the
+    plus a strict sign per crossing hyperplane.  Both lists come from
+    _split_normals, so no double description runs.  Returns (sign
+    vector, integer interior witness) pairs sorted by sign vector.  The
+    DFS carries an interior witness down each branch, so the child on
+    the witness's own side needs no LP at all.  It also carries the
     SlackTableau of the nearest ancestor that ran one, with the rows
     added since; every other child re-optimises that tableau with those
     rows and its own by dual simplex, so only the root LP is solved from
-    scratch (reverse search, Avis and Fukuda 1996).  A search past
-    _REOPT_BUDGET re-optimisations raises ValueError.
+    scratch (reverse search, Avis and Fukuda 1996).  Each
+    re-optimisation charges the entries of the tableau it pivots, and a
+    search past _TABLEAU_BUDGET entries raises ValueError, so the budget
+    bounds time even as the tableaux grow.
     """
-    eff_rows = list(effective_cone(dm).facet_normals)
+    if _basis_table(dm)[0]:
+        raise ValueError("degrees do not span the class group; the effective cone has no interior")
+    eff_rows, normals = _split_normals(dm)
     if not eff_rows:
         raise ValueError("the effective cone is the whole space; the cell search needs a facet")
-    normals = _crossing_normals(dm)
     root = SlackTableau.solve(eff_rows)
-    t, x0 = root.scaled_solution()
-    if t <= 0:
-        raise ValueError("degrees do not span the class group; the effective cone has no interior")
     cells = []
-    reopts = 0
+    entries = 0
 
     def rec(signs, tableau, pending, witness):
-        nonlocal reopts
+        nonlocal entries
         # witness is the tableau's optimal x times its scale, which is
         # positive: same signs, and dividing by gcd(scale, *witness)
         # clears the denominators of x
@@ -417,18 +427,19 @@ def _enumerate_cells(dm):
             if s == first and d != 0:
                 rec(signs + [s], tableau, pending + [row], witness)
                 continue
-            reopts += 1
-            if reopts > _REOPT_BUDGET:
+            rows = pending + [row]
+            entries += (len(tableau.tab) + len(rows)) * (len(tableau.cost) + len(rows))
+            if entries > _TABLEAU_BUDGET:
                 raise ValueError(
-                    f"chamber cell search needs more than {_REOPT_BUDGET} "
-                    "simplex re-optimisations"
+                    f"chamber cell search needs more than {_TABLEAU_BUDGET} "
+                    "simplex tableau entries"
                 )
-            child = tableau.with_rows(pending + [row])
+            child = tableau.with_rows(rows)
             t, x = child.scaled_solution()
             if t > 0:
                 rec(signs + [s], child, [], x)
 
-    rec([], root, [], x0)
+    rec([], root, [], root.scaled_solution()[1])
     return tuple(sorted(cells))
 
 

@@ -554,7 +554,7 @@ def enumerate_cells(dm):
     walls, sorted: a DFS that carries an interior witness down each
     branch and solves every other child's LP from scratch."""
     eff_rows = list(vgit.effective_cone(dm).facet_normals)
-    normals = vgit._crossing_normals(dm)
+    normals = vgit._split_normals(dm)[1]
     t, x0 = max_strict_slack(eff_rows)
     if t <= 0:
         raise AssertionError("effective cone must be full-dimensional")
@@ -619,7 +619,7 @@ def chambers_cover_effective(dm) -> bool:
     region.
     """
     eff_rows = list(vgit.effective_cone(dm).facet_normals)
-    normals = vgit._crossing_normals(dm)
+    normals = vgit._split_normals(dm)[1]
     cells = vgit._enumerate_cells(dm)
     patterns = {signs for signs, _ in cells}
     for signs, _chi in cells:

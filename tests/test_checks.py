@@ -22,7 +22,7 @@ from toricgit.checks import (
     run_all,
     _bundle_over_blowup_data,
 )
-from toricgit.cox import degree_map
+from toricgit.cox import degree_map, irrelevant_ideal, zero_locus_codim
 from toricgit.fans import Fan, TorusInvariantDivisor, validate
 from toricgit.vgit import (
     MAX_CHAMBER_RANK,
@@ -284,7 +284,9 @@ class TestForcesNef:
     def test_run_all_builds_no_chamber_witness(self, corpus, monkeypatch):
         # Building each chamber's interior point took one double
         # description per chamber of the 54 distinct corpus gradings:
-        # 467 calls per cold run_all when every chamber had one.
+        # 467 calls per cold run_all when every chamber had one.  The
+        # cell search's effective cone took two more per grading, until
+        # its facets came from the arrangement normals.
         calls = []
         counted = cones.duals_from_inequalities
 
@@ -299,16 +301,36 @@ class TestForcesNef:
             n_calls = len(calls)
         finally:
             clear_caches()
-        n_chambers = sum(
-            len(chamber_signatures(dm))
+        dms = [
+            dm
             for dm in {degree_map(fan) for _, fan in corpus}
             if dm.cl_free_rank <= MAX_CHAMBER_RANK and dm.n_rays <= MAX_CHAMBER_RAYS
-        )
+        ]
+        n_chambers = sum(len(chamber_signatures(dm)) for dm in dms)
         assert n_chambers == 287
-        assert n_calls == 467 - n_chambers
+        assert len(dms) == 54
+        assert n_calls == 467 - n_chambers - 2 * len(dms) == 72
 
 
 class TestRunAll:
+    def test_one_irrelevant_ideal_per_fan(self, corpus):
+        # the two-neighborly check and the four m-neighborly checks of
+        # each corpus entry read one cached ideal and codimension per
+        # distinct fan (some entries build equal fans)
+        clear_caches()
+        try:
+            run_all()
+            ideals = irrelevant_ideal.cache_info()
+            codims = zero_locus_codim.cache_info()
+        finally:
+            clear_caches()
+        n_fans = len({fan for _, fan in corpus})
+        assert (len(corpus), n_fans) == (65, 54)
+        assert ideals.misses == n_fans
+        assert ideals.hits + ideals.misses == 5 * len(corpus)
+        assert codims.misses <= n_fans
+        assert codims.hits + codims.misses == 5 * len(corpus)
+
     def test_one_scratch_solve_per_root_and_fan(self, monkeypatch, inverse_raises):
         # The only primal solves of a cold run_all are the root LP of
         # each chamber cell search, one per distinct grading: membership

@@ -251,7 +251,7 @@ class TestChambers:
         assert err == "error: simplex did not terminate\n"
 
     def test_cell_budget_exits_two(self, f1_file, capsys, monkeypatch):
-        monkeypatch.setattr(vgit, "_REOPT_BUDGET", 0)
+        monkeypatch.setattr(vgit, "_TABLEAU_BUDGET", 0)
         _chamber_keys.cache_clear()  # force a fresh cell search
         try:
             code, out, err = run(["chambers", f1_file, "--json"], capsys)
@@ -259,7 +259,7 @@ class TestChambers:
             _chamber_keys.cache_clear()
         assert code == 2
         assert out == ""
-        assert err == "error: chamber cell search needs more than 0 simplex re-optimisations\n"
+        assert err == "error: chamber cell search needs more than 0 simplex tableau entries\n"
 
     def test_character_arity_checked(self, f1_file, capsys):
         code, _, err = run(["chambers", f1_file, "--char", "1"], capsys)

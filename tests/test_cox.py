@@ -356,6 +356,7 @@ class TestSmallestHittingSet:
             raise AssertionError("zero_locus_codim listed minimal hitting sets")
 
         monkeypatch.setattr(cox, "_minimal_hitting_sets", listing)
+        zero_locus_codim.cache_clear()  # a cached answer would run no search
         for _, f in corpus:
             zero_locus_codim(irrelevant_ideal(f))
 
@@ -363,6 +364,7 @@ class TestSmallestHittingSet:
         # 20 variables and 1,024 supports of size 10: listing every
         # minimal hitting set took about 7 s on a 2-core machine.
         f = p1_power(10)
+        zero_locus_codim.cache_clear()
         start = time.perf_counter()
         codim = zero_locus_codim(irrelevant_ideal(f))
         elapsed = time.perf_counter() - start
@@ -370,6 +372,7 @@ class TestSmallestHittingSet:
         assert elapsed < 1, elapsed
 
     def test_cap_rejects_more_variables(self):
+        zero_locus_codim.cache_clear()  # a cached answer would hide the cap
         ideal = SquarefreeIdeal(21, tuple((i,) for i in range(21)))
         with pytest.raises(ValueError, match="capped at 20 variables"):
             zero_locus_codim(ideal)
@@ -379,6 +382,7 @@ class TestSmallestHittingSet:
 
     def test_cap_is_one_constant(self, monkeypatch):
         assert MAX_HITTING_SET_VARS == 20
+        zero_locus_codim.cache_clear()  # a cached answer would hide the cap
         monkeypatch.setattr(cox, "MAX_HITTING_SET_VARS", 3)
         ideal = SquarefreeIdeal(4, ((0, 1), (2, 3)))
         with pytest.raises(ValueError, match="capped at 3 variables"):

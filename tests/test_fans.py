@@ -12,14 +12,14 @@ import time
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import cox_ring_sections, nef_cone_by_cones, simplex_max, vertex_nef
+from oracles import cox_ring_sections, nef_cone_by_cones, rational_solve, simplex_max, vertex_nef
 from toricgit import fans
 from toricgit.checks import (
     PRODUCT_PAIRS,
@@ -348,6 +348,48 @@ class TestWallCertificate:
         )
         assert calls
         assert not validate(f).complete
+
+    def test_wall_rows_match_rational_coordinates(self):
+        # a ridge's row is the relation v_r2 = sum x_i v_i over the rays
+        # of one side c1, with -1 at r2; the other side gives a positive
+        # multiple of it, so the rows are read here from every side, by
+        # Fraction elimination on the dense columns of each cone
+        for fan in complete_fans():
+            want = set()
+            for c in fan.max_cones:
+                columns = [list(col) for col in zip(*fan.cone_rays(c))]
+                for r1 in c:
+                    ridge = set(c) - {r1}
+                    (other,) = [o for o in fan.max_cones if o != c and ridge < set(o)]
+                    (r2,) = set(other) - ridge
+                    x = rational_solve(columns, list(fan.rays[r2]))
+                    row = [0] * fan.n_rays
+                    for idx, xi in zip(c, x):
+                        row[idx] = xi
+                    row[r2] = -1
+                    scale = lcm(*(v.denominator for v in row if v))
+                    want.add(primitive(tuple(int(v * scale) for v in row)))
+            assert set(fans._walls(fan)) == want
+
+    def test_p1_power_12_from_json_within_budget(self):
+        # 4,096 cones and 24,576 ridges: each wall row is read off the
+        # rows of the cone's inverse that the opposite ray reads, one
+        # here, where dense dot products with the inverse's columns took
+        # about 1.4 s on a 2-core machine.  Best of three cold runs, so
+        # a busy host does not decide it.
+        f = p1()
+        for _ in range(11):
+            f = product_fan(f, p1())
+        data = fan_to_json(f)
+        best = float("inf")
+        for _ in range(3):
+            for cached in (fans._cone_inverses, fans._walls, fans._nef_off, validate):
+                cached.cache_clear()
+            start = time.perf_counter()
+            report = validate(fan_from_json(data))
+            best = min(best, time.perf_counter() - start)
+        assert report == fans.FanReport(True, True, True, True)
+        assert best < 1.2, best
 
     def test_one_certificate_per_fan(self):
         # The constructor and validate share one cached certificate.
@@ -714,7 +756,14 @@ class TestBrionPath:
         todd = [Fraction(1)]
         for k in range(1, 9):
             todd.append(-sum(t / factorial(k - i + 1) for i, t in enumerate(todd)))
-        assert [Fraction(n, d) for n, d in fans._TODD] == todd
+        # the table is log(x / (e^x - 1)) = sum l_k x^k: its exponential,
+        # sum_m (sum l_k x^k)^m / m! truncated at x^8, is that series
+        log = [Fraction(0)] + [Fraction(n, d) for n, d in fans._LOG_TODD]
+        exp, power = [Fraction(0)] * 9, [Fraction(1)] + [Fraction(0)] * 8
+        for m in range(9):
+            exp = [e + p / factorial(m) for e, p in zip(exp, power)]
+            power = [sum(power[i] * log[k - i] for i in range(k + 1)) for k in range(9)]
+        assert exp == todd
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

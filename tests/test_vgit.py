@@ -702,12 +702,28 @@ class TestChambers:
         clear_vgit_caches()
         try:
             start = time.perf_counter()
-            with pytest.raises(ValueError, match="more than 10000 simplex re-optimisations"):
+            with pytest.raises(ValueError, match="more than 20000000 simplex tableau entries"):
                 enumerate_chambers(dm)
             elapsed = time.perf_counter() - start
         finally:
             clear_vgit_caches()
         assert elapsed < 15, elapsed
+
+    def test_k12_probe_stops_at_cell_budget(self):
+        # each re-optimisation carries a row per wall decided on its
+        # branch, so a budget of 10,000 re-optimisations let this probe
+        # run for about 40 s on a 2-core machine; the tableau entries
+        # charged stop it in about 7 s
+        dm = probe_grading(12, 1)
+        clear_vgit_caches()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="more than 20000000 simplex tableau entries"):
+                chamber_signatures(dm)
+            elapsed = time.perf_counter() - start
+        finally:
+            clear_vgit_caches()
+        assert elapsed < 20, elapsed
 
 
 class TestStableBaseLocus:
@@ -897,7 +913,7 @@ class TestCanonicalWitnesses:
         clear_vgit_caches()
         try:
             for dm in dms:
-                vgit._crossing_normals(dm)
+                vgit._split_normals(dm)[1]
                 vgit._enumerate_cells(dm)
         finally:
             clear_vgit_caches()
@@ -934,7 +950,7 @@ class TestCanonicalWitnesses:
                 continue
             cells = vgit._enumerate_cells(dm)
             eff_rows = effective_cone(dm).facet_normals
-            normals = vgit._crossing_normals(dm)
+            normals = vgit._split_normals(dm)[1]
             for signs, chi in cells:
                 assert all(_dot(e, chi) > 0 for e in eff_rows)
                 assert all(s * _dot(n, chi) > 0 for s, n in zip(signs, normals))
@@ -954,7 +970,7 @@ class TestCanonicalWitnesses:
         rng = random.Random(9104)
         for name, _, dm in chamber_fans(corpus):
             eff_rows = effective_cone(dm).facet_normals
-            normals = vgit._crossing_normals(dm)
+            normals = vgit._split_normals(dm)[1]
             cells = {signs for signs, _ in vgit._enumerate_cells(dm)}
             vectors = [vec for vec, _ in vgit._degree_classes(dm)]
             for _ in range(1500):
@@ -972,7 +988,45 @@ class TestCanonicalWitnesses:
         for dm in dms:
             if dm.cl_free_rank > 1:  # the kernel oracle skips the empty set's normal
                 assert vgit._arrangement_normals(dm) == oracles.arrangement_normals(dm)
-            assert vgit._crossing_normals(dm) == oracles.crossing_normals(dm)
+            assert vgit._split_normals(dm)[1] == oracles.crossing_normals(dm)
+
+    def test_effective_facets_match_double_description(self, corpus):
+        # the cell search reads the effective cone's facets off the
+        # arrangement normals, each signed so that every class is on
+        # its nonnegative side; the double description of cone(degrees)
+        # is the oracle
+        by_name = dict(corpus)
+        dms = {degree_map(fan) for _, fan in corpus}
+        dms |= {degree_map(product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS}
+        for rank in range(2, 6):
+            for k in range(rank, rank + 6):
+                dms |= {probe_grading(k, seed, rank) for seed in range(1, 11)}
+        dms.add(graded_by([(1, 0), (-1, 0), (0, 1)]))  # a half-plane
+        n_spanning = n_flipped = 0
+        for dm in dms:
+            if vgit._basis_table(dm)[0]:
+                continue  # no interior, and the cell search refuses it first
+            facets = vgit._split_normals(dm)[0]
+            assert facets == effective_cone(dm).facet_normals, dm
+            n_spanning += 1
+            n_flipped += any(f not in vgit._arrangement_normals(dm) for f in facets)
+        assert (n_spanning, n_flipped) == (298, 188)
+
+    def test_signatures_run_no_double_description(self, corpus, monkeypatch):
+        dms = {dm for _, _, dm in chamber_fans(corpus)}
+        want = {dm: chamber_signatures(dm) for dm in dms}
+
+        def refuse(*args):
+            raise AssertionError("the signature pass ran a double description")
+
+        clear_vgit_caches()
+        monkeypatch.setattr(cones, "duals_from_inequalities", refuse)
+        try:
+            for dm in dms:
+                assert chamber_signatures(dm) == want[dm]
+        finally:
+            clear_vgit_caches()
+        assert len(dms) == 54
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -988,7 +1042,7 @@ class TestCanonicalWitnesses:
         assume(matrix_rank(gens) == len(normals[0]))
         dm = graded_by(gens)
         with mock.patch.object(vgit, "_arrangement_normals", lambda _dm: tuple(normals)):
-            assert vgit._crossing_normals.__wrapped__(dm) == oracles.crossing_normals(dm)
+            assert vgit._split_normals.__wrapped__(dm)[1] == oracles.crossing_normals(dm)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=4).flatmap(lambda r: small_vectors(r, r, r + 4)))
