@@ -10,10 +10,10 @@ same data; construct always prints its fan as JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from .checks import (
     check_bundle_unstable_locus,
@@ -320,90 +320,108 @@ def _cmd_check(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-def _fan_args(p):
-    p.add_argument("fan", help="fan JSON file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+_FAN = ("fan", "fan JSON file", None, False)
+_DIVISOR = ("divisor", "divisor JSON file with 'coefficients'", None, False)
+_JSON = ("--json", bool, False, False, "machine-readable output")
+_BARE_JSON = ("--json", bool, False, False, None)
+_CHAR = ("--char", str, None, False, "comma-separated character coordinates")
+_REQUIRED_M = ("--m", int, None, True, None)
 
-
-def _neighborly_args(p):
-    _fan_args(p)
-    p.add_argument("--m", type=int, required=True)
-
-
-def _char_args(p):
-    _fan_args(p)
-    p.add_argument("--char", help="comma-separated character coordinates")
-
-
-def _sections_args(p):
-    p.add_argument("fan", help="fan JSON file")
-    p.add_argument("divisor", help="divisor JSON file with 'coefficients'")
-    p.add_argument("--json", action="store_true")
-
-
-def _construct_args(p):
-    p.add_argument("kind", choices=["pn", "product", "blowup-linear", "bundle"])
-    p.add_argument("params", nargs="*")
-
-
-def _check_args(p):
-    p.add_argument("name", choices=list(_CHECKS))
-    p.add_argument("args", nargs="*", help="input files for the chosen check")
-    p.add_argument("--m", type=int, help="neighborliness degree")
-    p.add_argument("--m-max", type=int, default=8, help="largest scaling to try")
-    p.add_argument("--json", action="store_true")
-
-
-# verb -> (help text, adds the verb's arguments, handler), in help order
+# verb -> (help text, handler, positionals, *options), in help order.  A
+# positional is (name, help, choices, takes any number: the last only);
+# an option is (flag, type or bool for a bare flag, default, required,
+# help), stored as argparse does under the flag less "--", "-" as "_".
 _VERBS = {
-    "validate": ("report simplicial/smooth/complete/projective flags", _fan_args, _cmd_validate),
-    "analyze": ("full combinatorial report for one fan", _fan_args, _cmd_analyze),
-    "neighborly": ("test whether any m rays span a cone", _neighborly_args, _cmd_neighborly),
-    "chambers": ("enumerate GIT chambers or classify one character", _char_args, _cmd_chambers),
-    "nef": ("nef cone generators, or membership with --char", _char_args, _cmd_nef),
-    "sections": ("count global sections of a divisor", _sections_args, _cmd_sections),
-    "construct": ("emit a fan built by a named constructor", _construct_args, _cmd_construct),
-    "check": ("run a named verification or the whole suite", _check_args, _cmd_check),
+    "validate": ("report simplicial/smooth/complete/projective flags", _cmd_validate, [_FAN], _JSON),
+    "analyze": ("full combinatorial report for one fan", _cmd_analyze, [_FAN], _JSON),
+    "neighborly": ("test whether any m rays span a cone", _cmd_neighborly, [_FAN], _JSON, _REQUIRED_M),
+    "chambers": ("enumerate GIT chambers or classify one character", _cmd_chambers, [_FAN], _JSON, _CHAR),
+    "nef": ("nef cone generators, or membership with --char", _cmd_nef, [_FAN], _JSON, _CHAR),
+    "sections": ("count global sections of a divisor", _cmd_sections, [_FAN, _DIVISOR], _BARE_JSON),
+    "construct": (
+        "emit a fan built by a named constructor",
+        _cmd_construct,
+        [("kind", None, ("pn", "product", "blowup-linear", "bundle"), False), ("params", None, None, True)],
+    ),
+    "check": (
+        "run a named verification or the whole suite",
+        _cmd_check,
+        [("name", None, tuple(_CHECKS), False), ("args", "input files for the chosen check", None, True)],
+        ("--m", int, None, False, "neighborliness degree"),
+        ("--m-max", int, 8, False, "largest scaling to try"),
+        _BARE_JSON,
+    ),
 }
 
 
+def _parse(argv):
+    """argv's arguments read from _VERBS, with the verb's handler as
+    args.handler, or None for the full parser.  Read are a known verb,
+    exact option names once each, values that pass their type and one
+    run of positionals, where no value or positional starts with "-"."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, handler, positionals, *options = _VERBS[argv[0]]
+    kinds = {opt[0]: opt[1] for opt in options}
+    given, places = {}, []
+    tokens = enumerate(argv[1:])
+    for i, token in tokens:
+        if not token.startswith("-"):
+            places.append(i)
+        elif token in given or token not in kinds:
+            return None
+        elif kinds[token] is bool:
+            given[token] = True
+        else:
+            value = next(tokens, (i, "-"))[1]  # "-" when none follows
+            if value.startswith("-"):
+                return None
+            try:
+                given[token] = kinds[token](value)
+            except ValueError:
+                return None
+    n, many = len(places), positionals[-1][3]
+    fits = n == len(positionals) or many and n + 1 >= len(positionals)
+    if not n or not fits or places[-1] - places[0] >= n:
+        return None  # no positionals, a wrong count, or a split run
+    words = argv[1 + places[0] : 1 + places[0] + n]
+    args = SimpleNamespace(handler=handler)
+    for k, (name, _, choices, many) in enumerate(positionals):
+        if choices is not None and words[k] not in choices:
+            return None
+        setattr(args, name, words[k:] if many else words[k])
+    for flag, _, default, required, _ in options:
+        if required and flag not in given:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def _build_parser():
-    """The full parser, with every verb as a subparser."""
+    """The full argparse parser, a subparser per verb of _VERBS; it runs
+    only on what _parse declines: every help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="toricgit",
         description="Exact GIT and chamber computations for simplicial toric fans.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (helptext, add_args, handler) in _VERBS.items():
+    for name, (helptext, handler, positionals, *options) in _VERBS.items():
         p = sub.add_parser(name, help=helptext)
-        add_args(p)
+        for pos, text, choices, many in positionals:
+            p.add_argument(pos, help=text, choices=choices, nargs="*" if many else None)
+        for flag, kind, default, required, text in options:
+            how = {"action": "store_true"} if kind is bool else {"type": kind}
+            p.add_argument(flag, default=default, required=required, help=text, **how)
         p.set_defaults(handler=handler)
     return parser
-
-
-def _parse(argv):
-    """Parsed arguments, with the verb's handler as args.handler.
-
-    A known verb gets one plain parser named like its subparser, so its
-    errors and --help read the same.  The full parser runs only for what
-    that parser cannot report alone: no verb, an unknown verb, --help
-    before the verb, or arguments the verb parser leaves unrecognized.
-    """
-    if argv and argv[0] in _VERBS:
-        _, add_args, handler = _VERBS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"toricgit {argv[0]}")
-        add_args(parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.handler = handler
-            return args
-    return _build_parser().parse_args(argv)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse(argv)
+    args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except json.JSONDecodeError as exc:

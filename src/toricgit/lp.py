@@ -28,6 +28,7 @@ Scale here is tiny (dozens of rows), exactness is the whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linalg import _pivot, matrix_rank
 
@@ -195,6 +196,12 @@ class SlackTableau:
         return (z.get(2 * n, 0), [z.get(j, 0) - z.get(n + j, 0) for j in range(n)])
 
 
+@lru_cache(maxsize=64)
+def _identity(n):
+    """The n x n identity as a tuple of rows; callers copy what they pivot."""
+    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+
+
 def scaled_inverse(rows):
     """(inv, d) with rows . inv == d * I and d = |det(rows)| > 0.
 
@@ -203,7 +210,7 @@ def scaled_inverse(rows):
     ValueError on a singular matrix.
     """
     n = len(rows)
-    tab = [list(row) + [int(k == i) for k in range(n)] for i, row in enumerate(rows)]
+    tab = [[*row, *unit] for row, unit in zip(rows, _identity(n))]
     d = 1
     for j in range(n):
         p = next((i for i in range(j, n) if tab[i][j]), None)
@@ -239,9 +246,9 @@ def basis_inverses(vectors, dim):
     """
     k = len(vectors)
     rank = matrix_rank(vectors)
-    identity = [[int(j == i) for j in range(dim)] for i in range(dim)]
+    identity = _identity(dim)
     if rank == 0:
-        return identity, [((), [])]
+        return [list(unit) for unit in identity], [((), [])]
     bases = []
     normals = []
 
@@ -266,5 +273,5 @@ def basis_inverses(vectors, dim):
             if len(bases) == 1:
                 normals.extend(leaf[q][1:] for q in rest)
 
-    rec(0, [[v[i] for v in vectors] + identity[i] for i in range(dim)], 1, list(range(dim)), [])
+    rec(0, [[*(v[i] for v in vectors), *identity[i]] for i in range(dim)], 1, list(range(dim)), [])
     return normals, bases

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import toricgit
 from toricgit import cli, lp, vgit
@@ -523,29 +525,155 @@ PARSER_ARGVS = [
     ["-h"],
     ["bogus"],
     ["--json", "analyze", "f.json"],
+    # forms the verb table's reader leaves to the full parser
+    ["analyze", "{fan}", "--js"],
+    ["chambers", "{fan}", "--char=1"],
+    ["chambers", "{fan}", "--char", "-1", "--json"],
+    ["analyze", "--", "{fan}"],
+    ["analyze", "{fan}", "--json", "--json"],
+    ["neighborly", "--m", "2", "{fan}", "--m", "3"],
+    ["neighborly", "{fan}", "--m", "-1"],
+    ["neighborly", "{fan}", "--m"],
+    ["sections", "{fan}", "--json", "{div}"],
+    ["check", "product", "a.json", "--json", "b.json"],
+    ["analyze", "{fan}", "--json", "extra"],
+    ["construct", "pn"],
 ]
+
+# every token the property test draws argv from: verbs, option names,
+# abbreviations, help, --, --opt=value, integer-looking and negative
+# values, file names, check and construct names, valid and invalid
+ARGV_TOKENS = [
+    *cli._VERBS, "bogus",
+    "--json", "--m", "--m-max", "--char", "--js", "--m-", "--ch", "--bogus",
+    "-h", "--help", "--", "-", "", "--char=1,2", "--json=1",
+    "2", "two", "-1", "1,0", "-1,0",
+    "f.json", "g.json",
+    *cli._CHECKS, "pn", "product", "blowup-linear", "bundle", "cube",
+]
+
+
+@st.composite
+def table_argv(draw):
+    """A verb with words for its positionals and some of its options, in
+    any order, often with one token of ARGV_TOKENS thrown in."""
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    _, _, positionals, *options = cli._VERBS[verb]
+    words = [draw(st.sampled_from(choices or ["f.json", "g.json"])) for _, _, choices, _ in positionals]
+    if positionals[-1][3]:
+        words[-1:] = draw(st.lists(st.sampled_from(["f.json", "2"]), max_size=2))
+    units = [words]
+    for flag, kind, *_ in options:
+        if draw(st.booleans()):
+            units.append([flag] if kind is bool else [flag, draw(st.sampled_from(["2", "1,0", "two", "-1"]))])
+    units += draw(st.lists(st.sampled_from(ARGV_TOKENS).map(lambda token: [token]), max_size=1))
+    return [verb, *(token for unit in draw(st.permutations(units)) for token in unit)]
+
+
+TEXTS = ROOT / "tests" / "cli_texts.json"
+
+
+def parser_outcome(argv, write, capsys):
+    """("returned" or "exit", code, stdout, stderr) of main on argv, with
+    {fan} and {div} written out."""
+    files = {
+        "{fan}": write(fan_to_json(projective_space_fan(2)), "p2.json"),
+        "{div}": write({"coefficients": [0, 0, 2]}, "div.json"),
+    }
+    try:
+        code = ["returned", main([files.get(a, a) for a in argv])]
+    except SystemExit as exc:
+        code = ["exit", exc.code]
+    return [*code, *capsys.readouterr()]
 
 
 class TestParser:
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
     def test_one_verb_parser_matches_full_parser(self, argv, write, capsys, monkeypatch):
-        files = {
-            "{fan}": write(fan_to_json(projective_space_fan(2)), "p2.json"),
-            "{div}": write({"coefficients": [0, 0, 2]}, "div.json"),
-        }
-        argv = [files.get(a, a) for a in argv]
-
-        def outcome():
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = ("exit", exc.code)
-            return (code, *capsys.readouterr())
-
-        plain = outcome()
+        plain = parser_outcome(argv, write, capsys)
         # the full parser alone, on every argv
-        monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
-        assert outcome() == plain
+        monkeypatch.setattr(cli, "_parse", lambda argv: None)
+        assert parser_outcome(argv, write, capsys) == plain
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_texts_pinned(self, argv, write, capsys, monkeypatch):
+        # exit code, stdout and stderr at 80 columns, taken from a front
+        # end that ran argparse on every command line, so a change to the
+        # verb table cannot move both sides as it can in the test above;
+        # argparse words its help and errors differently across Python
+        # versions, so the texts hold for the version they were taken on
+        pinned = json.loads(TEXTS.read_text(encoding="utf-8"))
+        if pinned["python"] != "%d.%d" % sys.version_info[:2]:
+            pytest.skip(f"texts recorded under Python {pinned['python']}")
+        monkeypatch.setenv("COLUMNS", "80")
+        assert parser_outcome(argv, write, capsys) == pinned["outcomes"][" ".join(argv)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "f", "--js"],
+            ["analyze", "f", "--json=1"],
+            ["chambers", "f", "--char=1,0"],
+            ["analyze", "--", "f"],
+            ["analyze", "f", "--json", "--json"],
+            ["neighborly", "f", "--m", "-1"],
+            ["chambers", "f", "--char", "-1,0"],
+            ["neighborly", "f", "--m", "two"],
+            ["neighborly", "f", "--m"],
+            ["neighborly", "f"],
+            ["sections", "f", "--json", "d"],
+            ["check", "product", "a", "--json", "b"],
+            ["check", "cube", "a"],
+            ["validate", "f", "g"],
+            ["analyze", "-"],
+            ["analyze", "f", "-h"],
+            ["bogus", "f"],
+            [],
+        ],
+        ids=" ".join,
+    )
+    def test_reader_declines(self, argv):
+        assert cli._parse(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (["analyze", "f", "--json"], {"fan": "f", "json": True}),
+            (["analyze", "--json", "f"], {"fan": "f", "json": True}),
+            (["neighborly", "--m", "2", "f"], {"fan": "f", "json": False, "m": 2}),
+            (["chambers", "f", "--char", "1,0"], {"fan": "f", "json": False, "char": "1,0"}),
+            (["construct", "pn"], {"kind": "pn", "params": []}),
+            (["check", "all", "--json"], {"name": "all", "args": [], "m": None, "m_max": 8, "json": True}),
+            (
+                ["check", "--m", "3", "product", "a", "b"],
+                {"name": "product", "args": ["a", "b"], "m": 3, "m_max": 8, "json": False},
+            ),
+        ],
+    )
+    def test_reader_accepts(self, argv, fields):
+        args = cli._parse(argv)
+        assert args.handler is cli._VERBS[argv[0]][1]
+        assert {k: v for k, v in vars(args).items() if k != "handler"} == fields
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6), table_argv()))
+    @example(["check", "product", "a", "--json", "b"])
+    @example(["check", "all", "--json", "x"])
+    def test_reader_agrees_with_full_parser(self, argv):
+        # whatever the table reader accepts, the full parser accepts and
+        # reads the same
+        args = cli._parse(list(argv))
+        event("read" if args else "declined")
+        if args is None:
+            return
+        try:
+            full = cli._build_parser().parse_args(list(argv))
+        except SystemExit:
+            raise AssertionError(f"the reader accepts {argv}, the full parser rejects it")
+        assert args.handler is full.handler
+        assert {k: v for k, v in vars(full).items() if k not in ("verb", "handler")} == {
+            k: v for k, v in vars(args).items() if k != "handler"
+        }
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -561,7 +689,7 @@ class TestParser:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_known_verb_builds_one_parser(self, p2_file, capsys, monkeypatch):
+    def test_plain_argv_builds_no_parser(self, p2_file, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -572,8 +700,31 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
         for _ in range(2):
             assert main(["analyze", p2_file, "--json"]) == 0
-        assert built == ["toricgit analyze"] * 2
+        assert built == []
         assert json.loads(capsys.readouterr().out.splitlines()[0])["dim"] == 2
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        assert built[0] == "toricgit" and "toricgit analyze" in built
+
+    def test_plain_argv_imports_no_argparse(self, p2_file):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from toricgit import cli\n"
+            f"code = cli.main(['analyze', {p2_file!r}, '--json'])\n"
+            "print(code, 'argparse' in sys.modules)\n"
+            "try:\n"
+            "    cli.main(['analyze', '--help'])\n"
+            "except SystemExit:\n"
+            "    print('argparse' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert json.loads(lines[0])["dim"] == 2
+        # argparse is left out for the plain argv, and loaded for --help
+        assert (lines[1], lines[-1]) == ("0 False", "True")
 
 
 def test_console_script_installed():
