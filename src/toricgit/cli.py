@@ -277,33 +277,38 @@ def _run_bundle(args):
         )
     base = _load_fan(files[0])
     divisors = [divisor_from_json(_load_json(p), base) for p in files[1:]]
-    return [check_bundle_unstable_locus(base, divisors, m_max=args.m_max)]
+    options = {} if args.m_max is None else {"m_max": args.m_max}
+    return [check_bundle_unstable_locus(base, divisors, **options)]
 
 
 # check name -> (fan files it takes, None when it counts its own; runner
-# from the parsed arguments to a list of results), in help order
+# from the parsed arguments to a list of results; the options of check
+# it reads), in help order
 _CHECKS = {
-    "all": (0, lambda args: run_all()),
-    "small-unstable-locus": (1, _on_fans(check_small_unstable_locus)),
-    "two-neighborly": (1, _on_fans(check_two_neighborly_equivalence)),
-    "neighborly-codim": (1, _run_neighborly_codim),
-    "rank-one": (1, _on_fans(check_rank_one_unstable_origin)),
-    "product": (2, _on_fans(check_product_unstable_locus)),
-    "bundle": (None, _run_bundle),
-    "moving-vs-nef": (0, _on_fans(check_moving_vs_nef_example)),
-    "quotient-properties": (1, _on_fans(check_quotient_properties)),
-    "forces-nef": (1, _on_fans(check_unstable_inclusion_forces_nef)),
+    "all": (0, lambda args: run_all(), ()),
+    "small-unstable-locus": (1, _on_fans(check_small_unstable_locus), ()),
+    "two-neighborly": (1, _on_fans(check_two_neighborly_equivalence), ()),
+    "neighborly-codim": (1, _run_neighborly_codim, ("--m",)),
+    "rank-one": (1, _on_fans(check_rank_one_unstable_origin), ()),
+    "product": (2, _on_fans(check_product_unstable_locus), ()),
+    "bundle": (None, _run_bundle, ("--m-max",)),
+    "moving-vs-nef": (0, _on_fans(check_moving_vs_nef_example), ()),
+    "quotient-properties": (1, _on_fans(check_quotient_properties), ()),
+    "forces-nef": (1, _on_fans(check_unstable_inclusion_forces_nef), ()),
 }
 
 
 def _cmd_check(args):
-    want, run = _CHECKS[args.name]
+    want, run, reads = _CHECKS[args.name]
     got = len(args.args)
     if want != 0 and not got:
         raise ValueError(f"check {args.name} needs input files")
     if want is not None and got != want:
         files = ("no fan files", "1 fan file", "2 fan files")[want]
         raise ValueError(f"check {args.name} takes {files}, got {got}")
+    for flag, value in (("--m", args.m), ("--m-max", args.m_max)):
+        if value is not None and flag not in reads:
+            raise ValueError(f"check {args.name} does not take {flag}")
     results = run(args)
     if args.json:
         _emit([r.as_json() for r in results], True)
@@ -348,7 +353,7 @@ _VERBS = {
         _cmd_check,
         [("name", None, tuple(_CHECKS), False), ("args", "input files for the chosen check", None, True)],
         ("--m", int, None, False, "neighborliness degree"),
-        ("--m-max", int, 8, False, "largest scaling to try"),
+        ("--m-max", int, None, False, "largest scaling to try"),
         _BARE_JSON,
     ),
 }

@@ -2,15 +2,11 @@
 
 The degree map realizes the class group as the cokernel of the ray
 matrix, read off the left Smith transform of the rays as plain integer
-rows, one degree per coordinate variable.  The irrelevant ideal and
-its Stanley-Reisner complex are kept purely combinatorial: squarefree
-ideals are lists of generator supports, complexes are lists of facets,
-and the zero locus is only ever touched through codimensions.
-
-zero_locus_codim searches for one smallest hitting set of the
-generator supports; _minimal_hitting_sets lists all minimal ones for
-stanley_reisner and prime_decomposition.  Both are capped at
-MAX_HITTING_SET_VARS variables.
+rows, one degree per coordinate variable.  The irrelevant ideal is kept
+purely combinatorial, as a list of generator supports, and its zero
+locus is only ever touched through its codimension: zero_locus_codim
+searches for one smallest hitting set of the generator supports, capped
+at MAX_HITTING_SET_VARS variables.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from functools import lru_cache
 from .fans import _is_antichain, _mask, validate
 from .linalg import cokernel, det
 
-# Both hitting-set routines branch over subsets of the variables.
+# The hitting-set search branches over subsets of the variables.
 MAX_HITTING_SET_VARS = 20
 
 
@@ -88,13 +84,6 @@ def degree_map(fan) -> DegreeMap:
     )
 
 
-def _check_hitting_cap(n_vars):
-    if n_vars > MAX_HITTING_SET_VARS:
-        raise ValueError(
-            f"hitting-set search is capped at {MAX_HITTING_SET_VARS} variables"
-        )
-
-
 @dataclass(frozen=True)
 class SquarefreeIdeal:
     """Squarefree monomial ideal given by its generator supports.
@@ -120,25 +109,6 @@ class SquarefreeIdeal:
             raise ValueError("generator supports must be an antichain")
         object.__setattr__(self, "generator_supports", supports)
 
-    def contains_monomial(self, support):
-        """Is the squarefree monomial with this support in the ideal?"""
-        s = set(support)
-        return any(set(g) <= s for g in self.generator_supports)
-
-
-@dataclass(frozen=True)
-class FaceComplex:
-    """Simplicial complex on n_verts vertices, stored by its facets."""
-
-    n_verts: int
-    facets: tuple
-
-    def __post_init__(self):
-        facets = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
-        if not _is_antichain(facets):
-            raise ValueError("facets must be an antichain")
-        object.__setattr__(self, "facets", facets)
-
 
 @lru_cache(maxsize=1024)
 def irrelevant_ideal(fan) -> SquarefreeIdeal:
@@ -159,67 +129,6 @@ def irrelevant_ideal(fan) -> SquarefreeIdeal:
     return SquarefreeIdeal(n, tuple(sorted(complements)))
 
 
-def _minimal_hitting_sets(supports, n_vars):
-    """All inclusion-minimal sets meeting every support.
-
-    Branch on the elements of the first unhit support, smallest first;
-    prune revisited partial selections, reduce to an antichain at the
-    end.  Exact and fast at the scale of fan data (n_vars <= 20).
-    zero_locus_codim does not call it; the tests hold it against this.
-    """
-    _check_hitting_cap(n_vars)
-    supports = sorted(supports, key=len)
-    found = set()
-    seen = set()
-
-    def rec(chosen):
-        if chosen in seen:
-            return
-        seen.add(chosen)
-        for s in supports:
-            if not chosen & set(s):
-                for v in s:
-                    rec(chosen | {v})
-                return
-        found.add(tuple(sorted(chosen)))
-
-    rec(frozenset())
-    minimal = [
-        h
-        for h in found
-        if not any(set(o) < set(h) for o in found)
-    ]
-    return sorted(minimal)
-
-
-def stanley_reisner(ideal) -> FaceComplex:
-    """Faces are the supports whose monomial avoids the ideal.
-
-    Facets are computed as complements of the minimal hitting sets of
-    the generator supports.  The no-generator ideal gets the full
-    simplex (single facet = everything).
-    """
-    n = ideal.n_vars
-    hitting = _minimal_hitting_sets(ideal.generator_supports, n)
-    facets = [tuple(sorted(set(range(n)) - set(h))) for h in hitting]
-    return FaceComplex(n, tuple(facets))
-
-
-def prime_decomposition(ideal):
-    """Components are the coordinate primes over complements of facets.
-
-    Squarefree monomial ideals decompose into the primes generated by
-    the variables outside each facet of the Stanley-Reisner complex.
-    The no-generator ideal yields no components.
-    """
-    complex_ = stanley_reisner(ideal)
-    n = ideal.n_vars
-    comps = [
-        tuple(sorted(set(range(n)) - set(f))) for f in complex_.facets
-    ]
-    return sorted(c for c in comps if c)
-
-
 @lru_cache(maxsize=1024)
 def zero_locus_codim(ideal) -> int:
     """Codimension of V(ideal) in affine space.
@@ -234,7 +143,10 @@ def zero_locus_codim(ideal) -> int:
     n = ideal.n_vars
     if not ideal.generator_supports:
         return n + 1
-    _check_hitting_cap(n)
+    if n > MAX_HITTING_SET_VARS:
+        raise ValueError(
+            f"hitting-set search is capped at {MAX_HITTING_SET_VARS} variables"
+        )
     masks = sorted(map(_mask, ideal.generator_supports), key=int.bit_count)
 
     def hits(chosen, budget, seen):

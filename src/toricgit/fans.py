@@ -149,7 +149,7 @@ def _is_antichain(sets) -> bool:
     Distinct sets of one size never contain each other, so each set is
     tested only against the smaller ones, as bitmasks grouped by size.
     Two tuples over the same set contain each other.  Fan and the
-    squarefree ideals and complexes of cox share it.
+    squarefree ideals of cox share it.
     """
     by_size = {}
     for m in {_mask(s) for s in sets}:

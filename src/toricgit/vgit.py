@@ -20,7 +20,6 @@ from itertools import combinations
 from math import gcd
 
 from .cones import RationalCone, cone_from_generators, cone_from_inequalities
-from .cox import irrelevant_ideal, stanley_reisner
 from .fans import _nef_off
 from .linalg import primitive, sign_normalized
 from .linalg import _dot
@@ -481,15 +480,3 @@ def unstable_inclusion_forces_nef(fan, dm) -> bool:
             return False
     return True
 
-
-def ample_signature_matches_irrelevant_ideal(fan, dm) -> bool:
-    """Cox consistency: ample unstable facets are the SR facets.
-
-    The semistable locus of an ample character must be the complement
-    of the irrelevant ideal's zero set, so the maximal unstable
-    supports coincide with the Stanley-Reisner facets.
-    """
-    ample = ample_character(fan, dm)
-    sig = unstable_supports(dm, ample)
-    sr = stanley_reisner(irrelevant_ideal(fan))
-    return sig.facets == sr.facets and not sig.outside_effective

@@ -43,8 +43,19 @@ columns picked so far, one matrix_rank per column, where
 toricgit.linalg._bareiss reads them off one elimination.
 smallest_hitting_set_size scans the subsets of the variables by
 increasing size for one that meets every generator support, sharing no
-code with the bitmask search of toricgit.cox.zero_locus_codim nor with
-its listing of all minimal hitting sets.
+code with the bitmask search of toricgit.cox.zero_locus_codim.
+_minimal_hitting_sets lists every minimal hitting set by branching on
+the first unhit support; stanley_reisner takes their complements as the
+facets of the Stanley-Reisner complex (a FaceComplex),
+prime_decomposition the complements of those facets as the coordinate
+primes, and contains_monomial tests a monomial against the generators.
+ample_signature_matches_irrelevant_ideal holds the ample character's
+unstable facets from toricgit.vgit against those Stanley-Reisner facets.
+chamber_fan builds the fan whose maximal cones are the complements of
+the minimal hitting sets of the complements of a chamber signature's
+facets, and moving_chamber_is_a_fan asks that a chamber inside the
+moving cone be that fan's nef cone, read off its wall rows, where
+toricgit.vgit finds the chamber by its cell search and membership table.
 nef_cone_by_cones intersects, over the maximal cones, the cone the
 degrees off each one generate, one scaled inverse per cone, where
 toricgit.vgit.nef_cone maps the rays of one double description of the
@@ -56,14 +67,16 @@ degree and torsion rows be the identity, where toricgit.cox takes one
 determinant.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from toricgit.cones import _combine, cone_from_generators, cone_from_inequalities
+from toricgit.cones import _combine, cone_from_generators, cone_from_inequalities, cones_equal
 from toricgit.linalg import _dot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
-from toricgit import vgit
+from toricgit import cox, vgit
+from toricgit.fans import Fan, _is_antichain, validate
 from toricgit.lp import PivotLimit, _simplex_core, scaled_inverse
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
@@ -712,6 +725,135 @@ def smallest_hitting_set_size(ideal):
             if all(s.intersection(subset) for s in supports):
                 return size
     raise AssertionError("the set of all variables meets every support")
+
+
+def contains_monomial(ideal, support):
+    """Is the squarefree monomial with this support in the ideal?"""
+    s = set(support)
+    return any(set(g) <= s for g in ideal.generator_supports)
+
+
+@dataclass(frozen=True)
+class FaceComplex:
+    """Simplicial complex on n_verts vertices, stored by its facets."""
+
+    n_verts: int
+    facets: tuple
+
+    def __post_init__(self):
+        facets = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
+        if not _is_antichain(facets):
+            raise ValueError("facets must be an antichain")
+        object.__setattr__(self, "facets", facets)
+
+
+def _minimal_hitting_sets(supports, n_vars):
+    """All inclusion-minimal sets meeting every support.
+
+    Branch on the elements of the first unhit support, smallest first;
+    prune revisited partial selections, reduce to an antichain at the
+    end.  Capped by toricgit.cox.MAX_HITTING_SET_VARS, read at call
+    time, with the message of zero_locus_codim.
+    """
+    if n_vars > cox.MAX_HITTING_SET_VARS:
+        raise ValueError(
+            f"hitting-set search is capped at {cox.MAX_HITTING_SET_VARS} variables"
+        )
+    supports = sorted(supports, key=len)
+    found = set()
+    seen = set()
+
+    def rec(chosen):
+        if chosen in seen:
+            return
+        seen.add(chosen)
+        for s in supports:
+            if not chosen & set(s):
+                for v in s:
+                    rec(chosen | {v})
+                return
+        found.add(tuple(sorted(chosen)))
+
+    rec(frozenset())
+    minimal = [
+        h
+        for h in found
+        if not any(set(o) < set(h) for o in found)
+    ]
+    return sorted(minimal)
+
+
+def stanley_reisner(ideal) -> FaceComplex:
+    """Faces are the supports whose monomial avoids the ideal.
+
+    Facets are computed as complements of the minimal hitting sets of
+    the generator supports.  The no-generator ideal gets the full
+    simplex (single facet = everything).
+    """
+    n = ideal.n_vars
+    hitting = _minimal_hitting_sets(ideal.generator_supports, n)
+    facets = [tuple(sorted(set(range(n)) - set(h))) for h in hitting]
+    return FaceComplex(n, tuple(facets))
+
+
+def prime_decomposition(ideal):
+    """Components are the coordinate primes over complements of facets.
+
+    Squarefree monomial ideals decompose into the primes generated by
+    the variables outside each facet of the Stanley-Reisner complex.
+    The no-generator ideal yields no components.
+    """
+    complex_ = stanley_reisner(ideal)
+    n = ideal.n_vars
+    comps = [
+        tuple(sorted(set(range(n)) - set(f))) for f in complex_.facets
+    ]
+    return sorted(c for c in comps if c)
+
+
+def ample_signature_matches_irrelevant_ideal(fan, dm) -> bool:
+    """Cox consistency: ample unstable facets are the SR facets.
+
+    The semistable locus of an ample character must be the complement
+    of the irrelevant ideal's zero set, so the maximal unstable
+    supports coincide with the Stanley-Reisner facets.
+    """
+    ample = vgit.ample_character(fan, dm)
+    sig = vgit.unstable_supports(dm, ample)
+    sr = stanley_reisner(cox.irrelevant_ideal(fan))
+    return sig.facets == sr.facets and not sig.outside_effective
+
+
+def chamber_fan(fan, sig):
+    """The fan on fan's rays whose maximal cones are the complements of
+    the minimal semistable ray sets of a chamber signature.  A set is
+    semistable when it lies in no unstable facet, that is when it meets
+    the complement of each, so the minimal ones are the minimal hitting
+    sets of those complements.  Built untrusted, so the wall pass and
+    the fan axiom certify it; FanError when the cones are no fan."""
+    n = fan.n_rays
+    complements = [tuple(sorted(set(range(n)) - set(f))) for f in sig.facets]
+    semistable = _minimal_hitting_sets(complements, n)
+    cones = [tuple(sorted(set(range(n)) - set(h))) for h in semistable]
+    return Fan(fan.dim, fan.rays, cones)
+
+
+def moving_chamber_is_a_fan(fan, dm, chi, sig):
+    """Is the chamber of chi, with signature sig, the nef cone of
+    chamber_fan(fan, sig)?  For a chamber inside the moving cone of a
+    complete simplicial projective fan it must be (Cox, Little and
+    Schenck, ch. 15; Hu and Keel 2000): that fan is complete and
+    projective, has fan's grading, and its nef cone, read off its own
+    wall rows, is the chamber's closure from lp_membership.  False when
+    any of this fails, a ValueError included."""
+    try:
+        small = chamber_fan(fan, sig)
+        report = validate(small)
+        if not (report.complete and report.projective) or cox.degree_map(small) != dm:
+            return False
+        return cones_equal(vgit.nef_cone(small, dm), chamber_closure(dm, chi))
+    except ValueError:
+        return False
 
 
 def nef_cone_by_cones(fan, dm):

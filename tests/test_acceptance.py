@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from oracles import chamber_closure
+from oracles import ample_signature_matches_irrelevant_ideal, chamber_closure
 from toricgit.checks import (
     PRODUCT_PAIRS,
     check_bundle_unstable_locus,
@@ -32,7 +32,6 @@ from toricgit.vgit import (
     MAX_CHAMBER_RANK,
     MAX_CHAMBER_RAYS,
     ample_character,
-    ample_signature_matches_irrelevant_ideal,
     enumerate_chambers,
     nef_cone,
     unstable_codim,

@@ -442,6 +442,33 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:") and "m_max" in err
 
+    @pytest.mark.parametrize(
+        "name, options, flag",
+        [
+            ("two-neighborly", ["--m", "7", "--m-max", "0"], "--m"),
+            ("two-neighborly", ["--m-max", "0"], "--m-max"),
+            ("rank-one", ["--m-max", "0"], "--m-max"),
+            ("neighborly-codim", ["--m", "2", "--m-max", "3"], "--m-max"),
+        ],
+    )
+    def test_option_the_check_does_not_read_is_an_error(
+        self, p2_file, capsys, name, options, flag
+    ):
+        code, out, err = run(["check", name, p2_file, *options], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: check {name} does not take {flag}\n"
+
+    def test_bundle_takes_no_m(self, p2_file, write, capsys):
+        zero = write({"coefficients": [0, 0, 0]}, "zero.json")
+        code, out, err = run(["check", "bundle", p2_file, zero, zero, zero, "--m", "2"], capsys)
+        assert (code, out, err) == (2, "", "error: check bundle does not take --m\n")
+
+    def test_neighborly_codim_reads_m(self, p2_file, capsys):
+        # test_bundle_check_via_files runs bundle with --m-max 2
+        code, out, _ = run(["check", "neighborly-codim", p2_file, "--m", "2"], capsys)
+        assert code == 0 and out.startswith("PASS neighborly-codim")
+
     def test_product_check_via_files(self, p2_file, capsys):
         code, out, _ = run(["check", "product", p2_file, p2_file], capsys)
         assert code == 0
@@ -643,10 +670,10 @@ class TestParser:
             (["neighborly", "--m", "2", "f"], {"fan": "f", "json": False, "m": 2}),
             (["chambers", "f", "--char", "1,0"], {"fan": "f", "json": False, "char": "1,0"}),
             (["construct", "pn"], {"kind": "pn", "params": []}),
-            (["check", "all", "--json"], {"name": "all", "args": [], "m": None, "m_max": 8, "json": True}),
+            (["check", "all", "--json"], {"name": "all", "args": [], "m": None, "m_max": None, "json": True}),
             (
                 ["check", "--m", "3", "product", "a", "b"],
-                {"name": "product", "args": ["a", "b"], "m": 3, "m_max": 8, "json": False},
+                {"name": "product", "args": ["a", "b"], "m": 3, "m_max": None, "json": False},
             ),
         ],
     )

@@ -1,13 +1,15 @@
-"""Source-level rules: no dead public names, no bare asserts, no
-unbounded caches, no floats, no LP in the cone-duality layer, one
-Bareiss update.
+"""Source-level rules: no dead public names, nothing unreachable from
+cli.main, no bare asserts, no unbounded caches, no floats, no LP in the
+cone-duality layer, one Bareiss update.
 
 The public surface follows the rule the benchmark tracer wraps by: every
 name without a leading underscore that a layer module defines, and every
 public method or property of the classes it defines (exceptions aside).
 A public name is live when some expression in src/ refers to it; an
-import alone does not count.  The only exceptions are the independent
-oracles listed below, which the tests compare the library against.
+import alone does not count.  Reachability from cli.main is the same
+rule made transitive, so a routine that only a test-only routine calls
+is dead too.  The independent oracles the tests compare the library
+against live in tests/oracles.py, not in src/.
 """
 
 import ast
@@ -18,15 +20,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "toricgit"
 LAYERS = ("linalg", "lp", "cones", "fans", "cox", "vgit", "checks", "cli")
 MEMBER_KINDS = (property, classmethod, staticmethod)
-
-TEST_ORACLES = {
-    # test_cox.py::TestRandomIdeals::test_facets_match_brute_force
-    "cox.SquarefreeIdeal.contains_monomial",
-    # test_cox.py::TestPrimeDecomposition::test_membership_equivalence_exhaustive
-    "cox.prime_decomposition",
-    # test_acceptance.py::test_criterion_8_chamber_machinery
-    "vgit.ample_signature_matches_irrelevant_ideal",
-}
 
 
 def public_names():
@@ -54,14 +47,20 @@ def src_trees():
     return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
-def test_every_public_name_is_used_in_src():
+def references(nodes):
+    """(bare names, attribute names) referred to anywhere in nodes."""
     names, attrs = set(), set()
-    for tree in src_trees().values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+    return names, attrs
+
+
+def test_every_public_name_is_used_in_src():
+    names, attrs = references(src_trees().values())
     surface = public_names()
     assert len(surface) > 50  # the scan itself found the modules
     unused = sorted(
@@ -69,7 +68,56 @@ def test_every_public_name_is_used_in_src():
         for qual, bare, is_function in surface
         if bare not in attrs and not (is_function and bare in names)
     )
-    assert unused == sorted(TEST_ORACLES)
+    assert unused == []
+
+
+def test_every_definition_is_reachable_from_main():
+    # A definition is reached when cli.main, a module-level statement
+    # other than an import, or the body of a reached definition names it,
+    # bare or as an attribute; a method only as an attribute.  A reached
+    # class reaches its dunder methods, which Python calls for it.  Every
+    # top-level function and class, private or public, and every public
+    # method must be reached: a routine in src/ that only the tests call,
+    # and whatever only it calls, is not.
+    defs = {}  # qualified name -> (bare name, is a method, references of its body)
+    roots = []
+    for file, tree in src_trees().items():
+        layer = file[: -len(".py")]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{layer}.{node.name}"] = (node.name, False, [node])
+            elif isinstance(node, ast.ClassDef):
+                qual = f"{layer}.{node.name}"
+                own = node.decorator_list + node.bases + node.keywords
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef) or m.name.startswith("__"):
+                        own.append(m)
+                    else:
+                        defs[f"{qual}.{m.name}"] = (m.name, True, [m])
+                defs[qual] = (node.name, False, own)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.append(node)
+    assert len(defs) > 150  # the scan itself found the modules
+    names, attrs = references(roots + defs["cli.main"][2])
+    reached = {"cli.main"}
+    while True:
+        new = [
+            qual
+            for qual, (bare, is_method, _) in defs.items()
+            if qual not in reached and bare in (attrs if is_method else names | attrs)
+        ]
+        if not new:
+            break
+        reached.update(new)
+        more_names, more_attrs = references(n for qual in new for n in defs[qual][2])
+        names |= more_names
+        attrs |= more_attrs
+    unreached = sorted(
+        qual
+        for qual, (bare, is_method, _) in defs.items()
+        if qual not in reached and not (is_method and bare.startswith("_"))
+    )
+    assert unreached == []
 
 
 def test_no_assert_statements_in_src():

@@ -42,7 +42,6 @@ from toricgit.vgit import (
     ChamberSignature,
     ample_character,
     chamber_signatures,
-    ample_signature_matches_irrelevant_ideal,
     effective_cone,
     enumerate_chambers,
     is_boundary_character,
@@ -785,13 +784,13 @@ class TestStructuralProperties:
     def test_cox_consistency(self, fan_builder):
         f = fan_builder()
         dm = degree_map(f)
-        assert ample_signature_matches_irrelevant_ideal(f, dm)
+        assert oracles.ample_signature_matches_irrelevant_ideal(f, dm)
 
     def test_cox_consistency_with_torsion(self):
         f = Fan(2, [(1, 2), (1, -2), (-1, 0)], [(0, 1), (0, 2), (1, 2)])
         dm = degree_map(f)
         assert dm.torsion == (2,)
-        assert ample_signature_matches_irrelevant_ideal(f, dm)
+        assert oracles.ample_signature_matches_irrelevant_ideal(f, dm)
 
     @pytest.mark.parametrize(
         "fan_builder",
@@ -801,6 +800,63 @@ class TestStructuralProperties:
         f = fan_builder()
         dm = degree_map(f)
         assert unstable_inclusion_forces_nef(f, dm)
+
+
+def moving_chambers(corpus):
+    """(fan, degree map, witness, signature, every witness of the
+    grading) per chamber whose witness is interior to the moving cone,
+    over the corpus and the PRODUCT_PAIRS products within the caps.  The
+    moving cone holds the full-dimensional nef cone, so its relative
+    interior is its interior."""
+    by_name = dict(corpus)
+    fans = [fan for _, fan, _ in chamber_fans(corpus)]
+    fans += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS]
+    out = []
+    n_chambers = 0
+    for fan in fans:
+        dm = degree_map(fan)
+        if dm.cl_free_rank > MAX_CHAMBER_RANK or dm.n_rays > MAX_CHAMBER_RAYS:
+            continue
+        moving = moving_cone(dm)
+        chambers = enumerate_chambers(dm)
+        n_chambers += len(chambers)
+        witnesses = [chi for chi, _ in chambers]
+        for chi, sig in chambers:
+            if oracles.strictly_contains(moving, chi):
+                out.append((fan, dm, chi, sig, witnesses))
+    assert n_chambers == 369
+    return out
+
+
+class TestMovingChambersAreFans:
+    """Each chamber inside the moving cone is the nef cone of the fan
+    its signature names, certified by that fan's own wall pass: the
+    oracle shares neither the cell search nor the membership table."""
+
+    def test_every_moving_chamber_is_a_fan(self, corpus):
+        cases = moving_chambers(corpus)
+        assert len(cases) == 95
+        for fan, dm, chi, sig, _ in cases:
+            assert oracles.moving_chamber_is_a_fan(fan, dm, chi, sig), (fan, chi)
+
+    def test_a_signature_missing_a_facet_fails(self, corpus):
+        n_mutants = 0
+        for fan, dm, chi, sig, _ in moving_chambers(corpus):
+            for k in range(len(sig.facets)):
+                dropped = ChamberSignature(sig.facets[:k] + sig.facets[k + 1 :])
+                assert not oracles.moving_chamber_is_a_fan(fan, dm, chi, dropped), (fan, chi, k)
+                n_mutants += 1
+        assert n_mutants == 400
+
+    def test_another_chambers_witness_fails(self, corpus):
+        # the witness of the next chamber of the same grading
+        n_mutants = 0
+        for fan, dm, chi, sig, witnesses in moving_chambers(corpus):
+            other = witnesses[(witnesses.index(chi) + 1) % len(witnesses)]
+            if other != chi:
+                assert not oracles.moving_chamber_is_a_fan(fan, dm, other, sig), (fan, chi)
+                n_mutants += 1
+        assert n_mutants == 82
 
 
 class TestCanonicalWitnesses:
