@@ -6,13 +6,16 @@ cones forming an antichain, every ray used.  A fan from any other
 source (fan_from_json, a direct call) is then certified: its cones must
 be simplicial and meet in common faces.  The trusted constructors skip
 that certification, since their cones are independent and form a fan by
-construction.  Each full-dimensional maximal cone is eliminated once,
-into the scaled inverse that the certificate, validate and Brion's
-formula all read.  One cached wall pass over the ridges proves a
-complete fan (every ridge joins two cones on opposite sides, one
-generic probe lies in one cone), and its wall rows cut out Brion's nef
-test and the nef cone that validate and vgit.nef_cone read; any other
-input falls back to intersecting every pair of maximal cones.
+construction.  Each full-dimensional cone is eliminated once, into the
+scaled inverse that the certificate, validate and Brion's formula read.
+One cached wall pass over the ridges proves a complete fan (every ridge
+joins two cones on opposite sides, one generic probe lies in one cone),
+and its wall rows cut out Brion's nef test and the nef cone that
+validate and vgit.nef_cone read; any other input falls back to
+intersecting every pair of maximal cones.  Brion's formula is the one
+section count: on the fan for a nef divisor, else on the chamber fan
+that a lexicographic walk over the vertices of the divisor's polytope
+finds and Fan certifies.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, perm, prod
+from operator import mul
 from types import MappingProxyType
 
-from .cones import cone_from_generators, cone_from_inequalities, cones_equal
+from .cones import cone_from_generators, cone_from_inequalities, cones_equal, duals_from_inequalities
 from .linalg import matrix_rank, primitive, smith_normal_form
 from .linalg import _dot
 from .lp import scaled_inverse
@@ -64,7 +68,7 @@ class TorusInvariantDivisor:
 class Fan:
     """Immutable simplicial fan in Z^dim."""
 
-    __slots__ = ("dim", "rays", "max_cones")
+    __slots__ = ("dim", "rays", "max_cones", "_hash")
 
     def __init__(self, dim, rays, max_cones, _trusted=False):
         dim = int(dim)
@@ -108,6 +112,7 @@ class Fan:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", tuple(sorted(cones)))
+        object.__setattr__(self, "_hash", hash((dim, rays, self.max_cones)))
         if not _trusted:
             _check_fan_axiom(self)
 
@@ -130,7 +135,7 @@ class Fan:
         )
 
     def __hash__(self):
-        return hash((self.dim, self.rays, self.max_cones))
+        return self._hash
 
     def __repr__(self):
         return (
@@ -270,12 +275,19 @@ def _cone_inverses(fan):
     for c in fan.max_cones:
         if len(c) == fan.dim:
             try:
-                inv, d = scaled_inverse(fan.cone_rays(c))
+                out[c] = _inverse(fan.cone_rays(c))
             except ValueError:
                 msg = f"cone {c} is not simplicial (dependent rays)"
                 raise FanError(msg) from None
-            out[c] = (tuple(map(tuple, inv)), d)
     return MappingProxyType(out)
+
+
+@lru_cache(maxsize=8192)
+def _inverse(rays):
+    """lp.scaled_inverse of a tuple of rays, as tuples: one elimination
+    per cone however many fans and section counts meet it."""
+    inv, d = scaled_inverse(rays)
+    return tuple(map(tuple, inv)), d
 
 
 @lru_cache(maxsize=1024)
@@ -540,58 +552,9 @@ def bundle_o1_divisor(divisors, d=1) -> TorusInvariantDivisor:
 # divisors and sections
 
 
-def divisor_polytope(fan, div):
-    """Half-space list for {u : <u, v_rho> >= -a_rho}, one row per ray."""
-    if len(div.coefficients) != fan.n_rays:
-        raise ValueError("divisor does not match the fan")
-    return tuple((r, a) for r, a in zip(fan.rays, div.coefficients))
-
-
-def _normalize_row(row):
-    coeffs, c = row
-    v = primitive((*coeffs, c))
-    return (v[:-1], v[-1])
-
-
-def _dedupe_rows(rows):
-    """Keep only the binding constant for each coefficient pattern."""
-    best = {}
-    for coeffs, c in rows:
-        if coeffs in best:
-            best[coeffs] = min(best[coeffs], c)
-        else:
-            best[coeffs] = c
-    return [(k, v) for k, v in sorted(best.items())]
-
-
-def _eliminate_var(rows, j):
-    """Fourier-Motzkin step removing variable j from (coeffs, c) rows."""
-    passthrough = []
-    pos = []
-    neg = []
-    for row in rows:
-        a = row[0][j]
-        if a == 0:
-            passthrough.append(row)
-        elif a > 0:
-            pos.append(row)
-        else:
-            neg.append(row)
-    out = list(passthrough)
-    for p in pos:
-        ap = p[0][j]
-        for q in neg:
-            aq = q[0][j]
-            coeffs = tuple(-aq * x + ap * y for x, y in zip(p[0], q[0]))
-            out.append(_normalize_row((coeffs, -aq * p[1] + ap * q[1])))
-    return _dedupe_rows(out)
-
-
-# Steps the Fourier-Motzkin walk may take before count_sections gives
-# up, reached in about a second.  A memo hit is no step, and the memo of
-# one call holds at most one entry per step.  The non-nef divisors in
-# the benchmark's pool take at most 3,075 steps (132,342 without it).
-_NODE_BUDGET = 1_500_000
+# Lattice points that the half-open parallelepipeds of one fan's maximal
+# cones may hold in all, their summed index; a smooth cone holds one.
+_INDEX_BUDGET = 200_000
 
 # l_k for k = 1..8 as (numerator, denominator): the Taylor coefficients
 # of log(x / (e^x - 1)) = -x/2 - x^2/24 + x^4/2880 - x^6/181440
@@ -603,82 +566,228 @@ _LOG_TODD = (
 
 
 def count_sections(fan, div) -> int:
-    """Number of lattice points of the divisor polytope P_D.
+    """Number of lattice points of P_D = {u : <u, v_rho> >= -a_rho}.
 
-    On a smooth complete fan with D nef this is Brion's formula: every
-    tangent cone of P_D is unimodular, so the count is a sum over the
-    maximal cones of a constant term of a Todd series, in exact integer
-    arithmetic.  Every other input takes an exact recursive enumeration:
-    Fourier-Motzkin projects the constraint system down one coordinate
-    at a time, then prefixes are walked with the exact integer bounds
-    each level provides.  The subwalks of a level with a loop above and
-    two below are memoized on the constants they still read, in a dict
-    that lives for one call.  A walk past _NODE_BUDGET steps raises
-    ValueError; memo hits are not steps, and the memo holds at most one
-    entry per step.  Unbounded polytopes (the fan is not complete) are
-    rejected; an empty polytope counts 0.
+    One engine counts: Brion's formula, on a complete fan on which D is
+    nef.  A divisor nef on the fan counts there.  Any other, and any
+    divisor of an incomplete fan, takes _chamber_bases: D less its fixed
+    part counts on the fan if it is nef there, and D counts on the fan
+    of the bases otherwise, certified by Fan.  An empty P_D counts 0.
+    ValueError for a divisor of the wrong length, a fan above dimension
+    8, an unbounded P_D and cone indices past _INDEX_BUDGET.
     """
+    a = div.coefficients
+    if len(a) != fan.n_rays:
+        raise ValueError("divisor does not match the fan")
     if fan.dim > 8:
         raise ValueError("section counting is capped at ambient dimension 8")
-    polytope = divisor_polytope(fan, div)
     brion = _brion_data(fan)
-    if brion is not None:
-        count = _brion_count(brion, div.coefficients)
-        if count is not None:
-            return count
-    return _enumerate(fan.dim, polytope)
+    count = brion and _brion_count(brion, a)
+    if count is None:
+        walk = _chamber_bases(fan, a)
+        if walk is None:
+            return 0
+        bases, fixed = walk
+        count = brion and _brion_count(brion, tuple(x - f for x, f in zip(a, fixed)))
+    if count is None:
+        used = sorted({i for c in bases for i in c})
+        pos = {i: k for k, i in enumerate(used)}
+        sub = Fan(fan.dim, [fan.rays[i] for i in used], [[pos[i] for i in c] for c in bases])
+        data = _brion_data(sub, brion and brion[2])
+        count = data and _brion_count(data, tuple(a[i] for i in used))
+        if count is None:
+            raise AssertionError("a divisor is not nef on its chamber fan")
+    return count
+
+
+@lru_cache(maxsize=8192)
+def _basis(fan, cone):
+    """(det, coords) of dim independent rays: coords[r][j] = <v_r, w_j>
+    over the columns w_j of their scaled inverse, v_r's coordinates in
+    the basis times det."""
+    inv, det = _inverse(fan.cone_rays(cone))
+    cols = list(zip(*inv))
+    return det, tuple(tuple(_dot(v, w) for w in cols) for v in fan.rays)
+
+
+def _chamber_bases(fan, a):
+    """(bases, fixed) for a nonempty P_D, else None.
+
+    bases are the vertices of P_(a + eps), eps_rho = eps^(rho + 1) -> 0,
+    a simple polytope whose normal fan refines P_D's: the GIT chamber
+    fan of D's class nudged into a chamber (Hu and Keel, 2000).  Rays it
+    leaves out bound P_D by implied inequalities.  At basis sigma the
+    slack of r times det is det * (a_r + eps_r) - sum_j <v_r, w_j>
+    (a_j + eps_j), ordered lexicographically.  The walk starts at a
+    maximal cone with no negative slack, or at a vertex of P_D from a
+    double description of {(u, t) : <u, v_rho> + a_rho t >= 0, t >= 0}
+    on its tight rays taken greedily in descending index, then follows
+    the lexicographic rule (Dantzig, Orden and Wolfe, 1955).  fixed[r]
+    is the least ceiling of r's slack at a vertex: every lattice point
+    of P_D meets a_r - fixed[r], which strips D's fixed part.
+    """
+    n, d = fan.n_rays, fan.dim
+
+    def vertex(cone):
+        det, coords = _basis(fan, cone)
+        ac = [a[i] for i in cone]
+        return det, coords, [det * ar - sum(map(mul, x, ac)) for ar, x in zip(a, coords)]
+
+    def eps(cone, det, x, r):
+        # the coefficients of eps_0, eps_1, ... in r's slack times det
+        e = [0] * n
+        e[r] = det
+        for i, xi in zip(cone, x):
+            e[i] -= xi
+        return e
+
+    def feasible(cone):
+        det, coords, slack = vertex(cone)
+        zero = [0] * n
+        return all(s > 0 or s == 0 and eps(cone, det, coords[r], r) >= zero for r, s in enumerate(slack))
+
+    start = next((c for c in fan.max_cones if len(c) == d and feasible(c)), None)
+    if start is None:
+        rows = [(*r, c) for r, c in zip(fan.rays, a)]
+        lin, rays = duals_from_inequalities(d + 1, rows + [(0,) * d + (1,)])
+        x = next((x for x in rays if x[-1] > 0), None)
+        if x is None:
+            return None
+        if lin:
+            raise ValueError("unbounded divisor polytope; is the fan complete?")
+        start = []
+        for i in reversed(range(n)):
+            if _dot(rows[i], x) == 0 and matrix_rank(fan.cone_rays(start + [i])) > len(start):
+                start.append(i)
+        start = tuple(sorted(start))
+    fixed = [None] * n
+    seen, todo = {start}, [start]
+    while todo:
+        cone = todo.pop()
+        det, coords, slack = vertex(cone)
+        fixed = [-(-s // det) if f is None else min(f, -(-s // det)) for f, s in zip(fixed, slack)]
+        for k in range(d):
+            best = None
+            for r, x in enumerate(coords):
+                c = x[k]
+                if c >= 0:
+                    continue
+                if best is not None:
+                    diff = slack[r] * bc - slack[best] * c
+                    if diff < 0 or diff == 0 and [v * bc for v in eps(cone, det, x, r)] < [
+                        v * c for v in eps(cone, det, coords[best], best)
+                    ]:
+                        continue
+                best, bc = r, c
+            if best is None:
+                raise ValueError("unbounded divisor polytope; is the fan complete?")
+            nxt = tuple(sorted(cone[:k] + cone[k + 1 :] + (best,)))
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen, fixed
 
 
 @lru_cache(maxsize=256)
-def _brion_data(fan):
-    """Per-fan data of Brion's formula, or None unless smooth and complete.
+def _brion_data(fan, lam=None):
+    """(den, walls, lam, cones) of Brion's formula, or None when _walls
+    does not prove the fan complete.
 
-    For D = sum a_rho D_rho the vertex of cone sigma is u = -inv.a_sigma,
-    its tangent cone is spanned by the columns w_j of inv, and lam, the
-    wall pass's probe, has b_j = <lam, w_j> != 0.  With
-    alpha = <lam, u> the cone contributes the constant term at t = 0 of
-    e^(t alpha) / prod_j (1 - e^(t b_j))
-      = (-1)^d / prod_j b_j * sum_k s_k alpha^(d-k) / (d-k)!,
+    Every cone's term (_cone_term) is taken along the probe lam: the one
+    given unless an edge is orthogonal to it, so that a chamber fan
+    shares the terms of its host's cones, else the wall pass's.  The
+    cone indices, det^(d-1) over the edge contents, sum to at most
+    _INDEX_BUDGET.
+    """
+    walls = _walls(fan)
+    if walls is None:
+        return None
+    inverses = _cone_inverses(fan).values()
+    index = sum(det ** (fan.dim - 1) // prod(gcd(*w) for w in zip(*inv)) for inv, det in inverses)
+    if index > _INDEX_BUDGET:
+        raise ValueError(
+            f"section count needs more than {_INDEX_BUDGET} parallelepiped "
+            "points, the budget on the summed cone index of Brion's formula"
+        )
+    terms = lam and [_cone_term(fan.cone_rays(c), lam) for c in fan.max_cones]
+    if not terms or None in terms:
+        lam = tuple(_probe(fan.dim, [list(zip(*inv)) for inv, _ in inverses]))
+        terms = [_cone_term(fan.cone_rays(c), lam) for c in fan.max_cones]
+    common = lcm(*(t[-1] for t in terms))
+    return common, walls, lam, tuple(
+        (cone, b, m, points, tuple(x * (common // den) for x in num))
+        for cone, (b, m, points, num, den) in zip(fan.max_cones, terms)
+    )
+
+
+@lru_cache(maxsize=8192)
+def _cone_term(rays, lam):
+    """Brion's term of the simplicial cone on rays along lam, or None if
+    an edge of the cone is orthogonal to lam.
+
+    For D = sum a_i D_i the vertex u solves <u, v_i> = -a_i, and the
+    tangent cone is spanned by the primitive edges g_j of the columns w_j
+    of the scaled inverse (inv, det).  Its lattice points split over the
+    points p of the half-open parallelepiped of the g_j at u (Brion,
+    1988; Beck and Robins, Computing the Continuous Discretely, ch. 3).
+    With b_j = <lam, g_j> and alpha = <lam, p> the term is the constant
+    term at t = 0 of sum_p e^(t alpha) / prod_j (1 - e^(t b_j))
+      = (-1)^d / prod_j b_j * sum_p sum_k s_k alpha^(d-k) / (d-k)!,
     s_k the coefficients of the Todd series prod_j T(t b_j)
     = exp(sum_k l_k p_k t^k), l_k those of log T and p_k = sum_j b_j^k.
     So n s_n = sum_k k l_k p_k s_(n-k), kept in integers as
-    S_n = n! scale^n s_n: O(d^2) per cone, against O(d^3) to multiply
-    out the d factors.  Returns (den, walls, cones): the wall rows of
-    _walls for the nef test, each cone as (ray indices, b, integer Horner
-    coefficients), and den the one denominator they share, all reduced.
+    S_n = n! scale^n s_n: O(d^2), against O(d^3) to multiply out the
+    factors.  Returns (b, m, points, num, den), the term being
+    sum_p sum_k num_k alpha^(d-k) / den.  With m_j = <g_j, v_j>, the
+    integers k_j = <p, v_j> + a_j run over 0..m_j - 1, and k - a lies in
+    the lattice L of the columns of the rays' matrix; so
+    k = (a + h) mod m over the subgroup H of L in prod_j Z/m_j, of order
+    prod(m) / det, the cone's index.  Then
+    alpha = beta_h - sum_j b_j floor((a_j + h_j) / m_j), beta_h its
+    value at a = 0, and points holds the pairs (h, beta_h).  A
+    unimodular cone has m = points = None: alpha = -sum_j b_j a_j.
     """
-    report = validate(fan)
-    if not (report.smooth and report.complete):
+    d = len(rays)
+    inv, det = _inverse(rays)
+    gs = [primitive(w) for w in zip(*inv)]
+    b = [_dot(lam, g) for g in gs]
+    if 0 in b:
         return None
-    d = fan.dim
-    inverses = _cone_inverses(fan)
-    edges = {c: list(zip(*inv)) for c, (inv, _) in inverses.items()}
-    lam = _probe(d, edges.values())
+    m = points = None
+    if det > 1:
+        m = [_dot(g, r) for g, r in zip(gs, rays)]
+        lw = [_dot(lam, w) for w in zip(*inv)]
+        gens = [tuple(r[t] % mj for r, mj in zip(rays, m)) for t in range(d)]
+        points = tuple((h, _dot(h, lw) // det) for h in _subgroup(gens, m))
     scale = lcm(*(den for _, den in _LOG_TODD[:d]))
     # S_n = sum_k weights[n - 1][k - 1] p_k S_(n-k), the weight
     # (n-1)!/(n-k)! * scale^k * k * l_k an integer
     lead = [scale**k * k * num // den for k, (num, den) in enumerate(_LOG_TODD[:d], 1)]
     weights = [[perm(n - 1, k) * w for k, w in enumerate(lead[:n])] for n in range(1, d + 1)]
-    horner = [(-1) ** d * comb(d, k) * scale ** (d - k) for k in range(d + 1)]
-    cones = []
-    for cone, ws in edges.items():
-        b = [_dot(lam, w) for w in ws]
-        power_sums, powers = [], b
-        for _ in range(d):
-            power_sums.append(sum(powers))
-            powers = [x * y for x, y in zip(powers, b)]
-        series = [1]  # S_0, S_1, ...
-        for row in weights:
-            series.append(sum(w * p * s for w, p, s in zip(row, power_sums, reversed(series))))
-        num = [h * s for h, s in zip(horner, series)]
-        den = scale**d * factorial(d) * prod(b)
-        g = gcd(den, *num) * (1 if den > 0 else -1)
-        cones.append((cone, tuple(b), [x // g for x in num], den // g))
-    common = lcm(*(den for *_, den in cones))
-    return common, _walls(fan), tuple(
-        (cone, b, tuple(x * (common // den) for x in num))
-        for cone, b, num, den in cones
-    )
+    power_sums, powers = [], b
+    for _ in range(d):
+        power_sums.append(sum(powers))
+        powers = [x * y for x, y in zip(powers, b)]
+    series = [1]  # S_0, S_1, ...
+    for row in weights:
+        series.append(sum(w * p * s for w, p, s in zip(row, power_sums, reversed(series))))
+    num = [(-1) ** d * comb(d, k) * scale ** (d - k) * s for k, s in enumerate(series)]
+    den = scale**d * factorial(d) * prod(b)
+    g = gcd(den, *num) * (1 if den > 0 else -1)
+    return tuple(b), m, points, tuple(x // g for x in num), den // g
+
+
+def _subgroup(gens, m):
+    """The subgroup of prod_j Z/m_j that gens generate, in the box
+    0 <= h_j < m_j: each generator adds cosets until one repeats."""
+    group = [(0,) * len(m)]
+    for g in gens:
+        members, step = set(group), g
+        while step not in members:
+            members.update(tuple((x + y) % k for x, y, k in zip(h, step, m)) for h in group)
+            step = tuple((x + y) % k for x, y, k in zip(step, g, m))
+        group = list(members)
+    return group
 
 
 def _brion_count(brion, coefficients):
@@ -687,120 +796,25 @@ def _brion_count(brion, coefficients):
     D is nef exactly when its support function is convex across every
     wall, that is w.a <= 0 for each wall row w; tested before any sum.
     """
-    den, walls, cones = brion
+    den, walls, _, cones = brion
     if any(_dot(w, coefficients) > 0 for w in walls):
         return None
     total = 0
-    for cone, b, poly in cones:
-        alpha = -_dot([coefficients[i] for i in cone], b)
-        acc = 0
-        for c in poly:
-            acc = acc * alpha + c
-        total += acc
+    for cone, b, m, points, poly in cones:
+        a = [coefficients[i] for i in cone]
+        if points is None:
+            alphas = (-_dot(a, b),)
+        else:
+            alphas = [
+                beta - sum(bj * ((aj + hj) // mj) for bj, aj, hj, mj in zip(b, a, h, m))
+                for h, beta in points
+            ]
+        for alpha in alphas:
+            acc = 0
+            for c in poly:
+                acc = acc * alpha + c
+            total += acc
     count, rem = divmod(total, den)
     if rem:
         raise AssertionError("Brion's sum is not an integer")
     return count
-
-
-def _enumerate(d, polytope):
-    """Lattice points of the polytope by the Fourier-Motzkin walk."""
-    rows = [_normalize_row((tuple(r), int(a))) for r, a in polytope]
-    systems = [None] * (d + 1)
-    systems[d] = _dedupe_rows(rows)
-    for j in range(d, 1, -1):
-        systems[j - 1] = _eliminate_var(systems[j], j - 1)
-    # constant rows either prove emptiness or are vacuous
-    for sys_rows in systems[1:]:
-        for coeffs, c in sys_rows:
-            if not any(coeffs) and c < 0:
-                return 0
-    # bounds[j]: the rows of systems[j + 1] that bound u_j, each split
-    # as (|a|, coefficients of u_0..u_(j-2), coefficient of u_(j-1), c)
-    # for the constraint a * u_j + (rest) >= 0; lower bounds have a > 0.
-    bounds = []
-    for j in range(d):
-        lows, highs = [], []
-        for coeffs, c in systems[j + 1]:
-            a = coeffs[j]
-            row = (abs(a), coeffs[: max(j - 1, 0)], coeffs[j - 1] if j else 0, c)
-            if a > 0:
-                lows.append(row)
-            elif a < 0:
-                highs.append(row)
-        bounds.append((lows, highs))
-    visited = 1
-    # Given the prefix u_0..u_(j-1), the number of completions depends
-    # only on the residual constants c + <coeffs[:j], prefix> of the rows
-    # that read u_j or a later coordinate: the other rows are constants
-    # the prefix satisfies.  lo..hi come from bounds[j], rows that are
-    # fixed nonnegative combinations of those rows, so they are
-    # functions of the residuals too.  So count(j, ...) is memoized on
-    # the residuals, for the levels 1 <= j <= d - 3 that have a loop
-    # above and two below; open_rows[j] holds those rows as
-    # (coeffs[:j], c).  A hit is no step, and only a miss, which costs
-    # at least one step, stores an entry.
-    open_rows = {
-        j: [(coeffs[:j], c) for coeffs, c in systems[d] if any(coeffs[j:])]
-        for j in range(1, d - 2)
-    }
-    memo = {}
-
-    def level_rows(j, prefix):
-        # rest = p + s * u_(j-1) for each row bounding u_j
-        lows, highs = bounds[j]
-        if not lows or not highs:
-            raise ValueError("unbounded divisor polytope; is the fan complete?")
-        return (
-            [(a, c + _dot(head, prefix), s) for a, head, s, c in lows],
-            [(a, c + _dot(head, prefix), s) for a, head, s, c in highs],
-        )
-
-    def count(j, prefix, lo, hi):
-        # points with u_0..u_(j-1) = prefix and lo <= u_j <= hi
-        nonlocal visited
-        if j == d - 1:
-            return hi - lo + 1
-        key = None
-        if j in open_rows:
-            key = (j, *[c + _dot(head, prefix) for head, c in open_rows[j]])
-            if key in memo:
-                return memo[key]
-        visited += hi - lo + 1
-        if visited > _NODE_BUDGET:
-            raise ValueError(
-                f"section count needs more than {_NODE_BUDGET} enumeration "
-                "steps; Brion's formula covers only nef divisors on smooth "
-                "complete fans"
-            )
-        lows, highs = level_rows(j + 1, prefix)
-        # plain loops seeded by the first row: twice as fast as max/min
-        # over a generator on the few rows a level has
-        (la, lp, ls), lows = lows[0], lows[1:]
-        (ha, hp, hs), highs = highs[0], highs[1:]
-        leaf = j + 2 == d
-        total = 0
-        for u in range(lo, hi + 1):
-            clo = -((lp + ls * u) // la)
-            for a, p, s in lows:
-                v = -((p + s * u) // a)
-                if v > clo:
-                    clo = v
-            chi = (hp + hs * u) // ha
-            for a, p, s in highs:
-                v = (p + s * u) // a
-                if v < chi:
-                    chi = v
-            if clo <= chi:
-                if leaf:
-                    total += chi - clo + 1
-                else:
-                    total += count(j + 1, prefix + (u,), clo, chi)
-        if key is not None:
-            memo[key] = total
-        return total
-
-    lows, highs = level_rows(0, ())
-    lo = max(-(p // a) for a, p, _ in lows)
-    hi = min(p // a for a, p, _ in highs)
-    return count(0, (), lo, hi) if lo <= hi else 0

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,22 +328,35 @@ class TestSections:
     def test_memoized_walk_counts_non_nef_on_bl8(self, write, capsys):
         # 40 on the far ray and 1 on the exceptional ray of Bl_pt P^8 is
         # not nef; its polytope is 40 times the standard simplex, whose
-        # C(48, 8) points the memoized walk counts in a few thousand steps
+        # C(48, 8) points Brion's formula counts once the fixed part E is
+        # stripped
         fan = write(fan_to_json(blowup_pn_along_linear(8, 0)), "bl8_0.json")
         div = write({"coefficients": [0] * 8 + [40, 1]}, "d.json")
         code, out, _ = run(["sections", fan, div], capsys)
         assert code == 0
         assert out.strip() == "377348994"
 
-    def test_enumeration_budget_exits_two(self, write, capsys):
-        # 400H + E on Bl_pt P^8: even memoized, the walk needs more steps
-        # than the budget allows
+    def test_non_nef_count_on_bl8_does_not_grow_with_the_divisor(self, write, capsys):
+        # 400H + E, which the lattice walk could not finish: C(408, 8)
         fan = write(fan_to_json(blowup_pn_along_linear(8, 0)), "bl8_0.json")
         div = write({"coefficients": [0] * 8 + [400, 1]}, "d.json")
+        start = time.perf_counter()
+        code, out, _ = run(["sections", fan, div], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert out.strip() == "17773458424095231"
+
+    def test_enumeration_budget_exits_two(self, write, capsys):
+        # a cone of index 200,001 holds more parallelepiped points than
+        # the budget on the summed cone index allows
+        k = 200_001
+        fan = write({"dim": 2, "rays": [[0, 1], [k, -1], [-1, 0]],
+                     "max_cones": [[0, 1], [1, 2], [0, 2]]}, "f.json")
+        div = write({"coefficients": [0, 0, 1]}, "d.json")
         code, out, err = run(["sections", fan, div], capsys)
         assert code == 2
         assert out == ""
-        assert "enumeration steps" in err
+        assert "200000" in err and "budget" in err
 
 
 class TestConstruct:

@@ -1,9 +1,9 @@
 """Fan construction, validation flags, neighborliness, section counts.
 
-Section counts are checked four ways: the two engines under test
-(Brion's formula and the recursive projection counter) against each
-other, an LP-boxed brute-force scan, a Cox-ring monomial count, and
-closed-form counts for the classical families.
+Section counts are checked four ways: Brion's formula, on the fan or on
+a chamber fan, against the Fourier-Motzkin walk of the oracles, an
+LP-boxed brute-force scan, a Cox-ring monomial count, and closed-form
+counts for the classical families.
 """
 
 import contextlib
@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cache
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb, factorial, lcm, prod
 from unittest import mock
 
@@ -19,7 +19,9 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import cox_ring_sections, nef_cone_by_cones, rational_solve, simplex_max, vertex_nef
+import oracles
+from oracles import cox_ring_sections, divisor_polytope, nef_cone_by_cones, rational_solve
+from oracles import simplex_max, vertex_nef, walk_sections
 from toricgit import fans
 from toricgit.checks import (
     PRODUCT_PAIRS,
@@ -37,7 +39,6 @@ from toricgit.fans import (
     bundle_o1_divisor,
     count_sections,
     divisor_from_json,
-    divisor_polytope,
     fan_from_json,
     fan_to_json,
     is_m_neighborly,
@@ -66,7 +67,7 @@ def hyperplane_multiple(fan, m):
 def lattice_points_by_box_scan(fan, div):
     """Oracle: LP-determined exact bounding box, then brute-force scan.
 
-    Independent of the recursive projection counter: coordinate bounds
+    Independent of Brion's formula and of the walk: coordinate bounds
     come from 2d rational LPs, membership from direct dot products.
     """
     d = fan.dim
@@ -383,7 +384,7 @@ class TestWallCertificate:
         data = fan_to_json(f)
         best = float("inf")
         for _ in range(3):
-            for cached in (fans._cone_inverses, fans._walls, fans._nef_off, validate):
+            for cached in (fans._inverse, fans._cone_inverses, fans._walls, fans._nef_off, validate):
                 cached.cache_clear()
             start = time.perf_counter()
             report = validate(fan_from_json(data))
@@ -433,7 +434,7 @@ class TestOneElimination:
     @staticmethod
     def spy(monkeypatch):
         # the cached passes would hide calls made for an equal fan earlier
-        for cached in (fans._cone_inverses, fans._walls, fans._nef_off, validate):
+        for cached in (fans._inverse, fans._cone_inverses, fans._walls, fans._nef_off, validate):
             cached.cache_clear()
         ranks, inverses = [], []
         rank, inverse = fans.matrix_rank, fans.scaled_inverse
@@ -698,6 +699,36 @@ class TestSectionCounts:
         with pytest.raises(ValueError, match="unbounded"):
             count_sections(f, TorusInvariantDivisor((1, 1)))
 
+    def test_empty_polytope_of_an_unbounded_fan_counts_zero(self):
+        # the upper half plane: u_1 >= 1 and -u_1 >= 1 meet nowhere
+        f = Fan(2, [(1, 0), (-1, 0), (0, 1)], [(0, 2), (1, 2)])
+        d = TorusInvariantDivisor((-1, -1, 0))
+        assert count_sections(f, d) == 0 == walk_sections(f, d)
+
+    def test_incomplete_fan_whose_rays_span_counts(self):
+        # two of the three cones of P^2: the polytope is bounded all the
+        # same, the triangle of O(3)
+        f = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+        assert not validate(f).complete
+        d = TorusInvariantDivisor((1, 1, 1))
+        assert count_sections(f, d) == 10 == lattice_points_by_box_scan(f, d)
+
+    def test_divisor_length_checked(self):
+        with pytest.raises(ValueError, match="does not match"):
+            count_sections(p2(), TorusInvariantDivisor((1, 1)))
+
+    def test_many_degree_classes_count_a_non_nef_divisor(self):
+        # P^2 blown up 17 times along the rays (1, j): 20 rays, 20
+        # distinct degree classes.  The count reads no class group.
+        f = p2()
+        for j in range(17):
+            f = star_subdivision(f, (f.rays.index((1, j)), f.rays.index((0, 1))))
+        assert len(set(degree_map(f).degrees_free)) == 20
+        coeffs = (0, 0, 3) + (2,) * 17
+        assert fans._brion_count(fans._brion_data(f), coeffs) is None
+        d = TorusInvariantDivisor(coeffs)
+        assert count_sections(f, d) == lattice_points_by_box_scan(f, d) == walk_sections(f, d)
+
     def test_dimension_cap(self):
         f = projective_space_fan(9)
         with pytest.raises(ValueError, match="capped"):
@@ -748,8 +779,9 @@ TORSION_QUOTIENT = Fan(
 
 
 class TestBrionPath:
-    """Brion's formula on nef divisors of smooth complete fans, held
-    against the Fourier-Motzkin enumeration, which handles the rest."""
+    """Brion's formula, the one counting engine: on the fan for a nef
+    divisor, on a chamber fan for any other, held against the
+    Fourier-Motzkin walk of the oracles."""
 
     def test_todd_table(self):
         # (x / (e^x - 1)) * ((e^x - 1) / x) = 1, (e^x - 1) / x = sum x^j / (j+1)!
@@ -782,7 +814,7 @@ class TestBrionPath:
         div = _divisor_with_class_multiple(dm, chi)
         brion = fans._brion_count(fans._brion_data(fan), div.coefficients)
         assert brion is not None
-        assert brion == fans._enumerate(fan.dim, divisor_polytope(fan, div))
+        assert brion == walk_sections(fan, div)
 
     @pytest.mark.parametrize(
         "n,k", [(1, 7), (2, 9), (3, 5), (4, 12), (5, 3), (6, 10), (7, 20), (8, 40)]
@@ -790,7 +822,7 @@ class TestBrionPath:
     def test_projective_space_binomials(self, n, k):
         # h^0(P^n, O(k)) = C(n+k, n); P^8 with 40H has 377,348,994 points
         f = projective_space_fan(n)
-        with mock.patch.object(fans, "_enumerate", side_effect=AssertionError):
+        with mock.patch.object(fans, "_chamber_bases", side_effect=AssertionError):
             assert count_sections(f, hyperplane_multiple(f, k)) == comb(n + k, n)
 
     @pytest.mark.parametrize(
@@ -802,7 +834,7 @@ class TestBrionPath:
         for _ in degrees[1:]:
             f = product_fan(f, p1())
         div = TorusInvariantDivisor(tuple(x for a in degrees for x in (0, a)))
-        with mock.patch.object(fans, "_enumerate", side_effect=AssertionError):
+        with mock.patch.object(fans, "_chamber_bases", side_effect=AssertionError):
             assert count_sections(f, div) == prod(a + 1 for a in degrees)
 
     @pytest.mark.parametrize(
@@ -817,33 +849,41 @@ class TestBrionPath:
         ],
     )
     def test_non_nef_or_non_smooth_enumerates(self, fan, coeffs):
+        # a divisor that is not nef takes the walk over the vertices of
+        # its polytope; a nef one on a non-smooth fan counts on the fan,
+        # by the parallelepipeds of its cones
         div = TorusInvariantDivisor(coeffs)
-        with mock.patch.object(fans, "_enumerate", wraps=fans._enumerate) as walk:
+        nef = fans._brion_count(fans._brion_data(fan), coeffs) is not None
+        with mock.patch.object(fans, "_chamber_bases", wraps=fans._chamber_bases) as walk:
             count = count_sections(fan, div)
-        walk.assert_called_once()
-        assert count == lattice_points_by_box_scan(fan, div)
+        assert walk.call_count == (not nef)
+        assert count == lattice_points_by_box_scan(fan, div) == walk_sections(fan, div)
 
     def test_enumeration_budget(self):
         # 30H + E on Bl_pt P^3 is not nef; its polytope is 30 times the
-        # standard simplex.  A walk of dimension 3 is not memoized, so
-        # every prefix is a step: 1 + 31 values of u_0 + 496 of (u_0, u_1)
+        # standard simplex.  The oracle walk of dimension 3 is not
+        # memoized, so every prefix is a step: 1 + 31 values of u_0 + 496
+        # of (u_0, u_1).  count_sections strips E, the fixed part, and
+        # counts 30H on the fan without a step.
         f = blowup_pn_along_linear(3, 0)
         div = TorusInvariantDivisor((0, 0, 0, 30, 1))
         assert count_sections(f, div) == comb(33, 3)
-        with mock.patch.object(fans, "_NODE_BUDGET", 528):
-            assert count_sections(f, div) == comb(33, 3)
-        with mock.patch.object(fans, "_NODE_BUDGET", 527):
+        with mock.patch.object(oracles, "_NODE_BUDGET", 528):
+            assert walk_sections(f, div) == comb(33, 3)
+        with mock.patch.object(oracles, "_NODE_BUDGET", 527):
             with pytest.raises(ValueError, match="enumeration steps"):
-                count_sections(f, div)
+                walk_sections(f, div)
+            assert count_sections(f, div) == comb(33, 3)
 
     def test_memo_keeps_heavy_bundle_divisor_in_small_budget(self):
-        # the unmemoized walk takes 132,342 steps on this divisor, the
-        # memoized one under 3,000
+        # the unmemoized oracle walk takes 132,342 steps on this divisor,
+        # the memoized one under 3,000
         f = bundle_over_blowup_fan()
         div = TorusInvariantDivisor((0, 2, 1, 8, 7, 0, 6, 3, 8))
         assert fans._brion_count(fans._brion_data(f), div.coefficients) is None
-        with mock.patch.object(fans, "_NODE_BUDGET", 10_000):
-            assert count_sections(f, div) == 1511694
+        with mock.patch.object(oracles, "_NODE_BUDGET", 10_000):
+            assert walk_sections(f, div) == 1511694
+        assert count_sections(f, div) == 1511694
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -858,13 +898,14 @@ class TestBrionPath:
 
     def test_non_nef_divisor_on_p3_takes_the_walk(self):
         # -H + 0 on P^3: the wall rows reject it, and the walk finds the
-        # empty polytope of O(-1)
+        # empty polytope of O(-1), as the oracle walk does
         f = projective_space_fan(3)
         div = TorusInvariantDivisor((1, 0, 0, -2))
         assert fans._brion_count(fans._brion_data(f), div.coefficients) is None
-        with mock.patch.object(fans, "_enumerate", wraps=fans._enumerate) as walk:
+        with mock.patch.object(fans, "_chamber_bases", wraps=fans._chamber_bases) as walk:
             assert count_sections(f, div) == 0
         walk.assert_called_once()
+        assert walk_sections(f, div) == 0
 
     def test_cone_inverses_are_shared_and_read_only(self):
         f = blowup_pn_along_linear(3, 0)
@@ -934,7 +975,8 @@ class TestCoxRingOracle:
         assume(fans._brion_count(fans._brion_data(fan), coeffs) is None)
         expected = cox_ring_sections(fan.rays, fan.max_cones, coeffs)
         event(f"dim {fan.dim}, {'no' if expected == 0 else 'some'} sections")
-        assert count_sections(fan, TorusInvariantDivisor(tuple(coeffs))) == expected
+        div = TorusInvariantDivisor(tuple(coeffs))
+        assert count_sections(fan, div) == expected == walk_sections(fan, div)
 
     def test_torsion_separates_classes(self):
         # D_0 and D_2 share their free class but differ by torsion, so
@@ -946,6 +988,60 @@ class TestCoxRingOracle:
         assert dm.divisor_class(d0)[0] == dm.divisor_class(d2)[0]
         assert cox_ring_sections(f.rays, f.max_cones, d0) == 1
         assert count_sections(f, TorusInvariantDivisor(d0)) == 1
+
+
+# weighted projective planes P(1, q1, q2), P(1, 1, 1, 2), and a fan with
+# torsion in dimension 3: complete, simplicial, not smooth
+NON_SMOOTH = [
+    WEIGHTED_P2,
+    TORSION_QUOTIENT,
+    Fan(2, [(1, 0), (0, 1), (-2, -3)], [(0, 1), (1, 2), (0, 2)]),
+    Fan(2, [(1, 0), (0, 1), (-3, -5)], [(0, 1), (1, 2), (0, 2)]),
+    Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)], list(combinations(range(4), 3))),
+    product_fan(TORSION_QUOTIENT, projective_space_fan(1)),
+]
+
+
+class TestChamberRoute:
+    """Divisors that are not nef, and non-smooth fans, against the
+    oracle walk, the box scan and the Cox ring."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_non_smooth_fans(self, data):
+        fan = data.draw(st.sampled_from(NON_SMOOTH))
+        coeffs = data.draw(st.lists(st.integers(-2, 5), min_size=fan.n_rays, max_size=fan.n_rays))
+        div = TorusInvariantDivisor(tuple(coeffs))
+        nef = fans._brion_count(fans._brion_data(fan), coeffs) is not None
+        event("nef" if nef else "not nef")
+        count = count_sections(fan, div)
+        assert count == walk_sections(fan, div) == lattice_points_by_box_scan(fan, div)
+        assert count == cox_ring_sections(fan.rays, fan.max_cones, coeffs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_non_nef_divisors_on_smooth_fans(self, data):
+        fan = data.draw(st.sampled_from(smooth_complete_fans()))
+        coeffs = data.draw(st.lists(st.integers(-2, 6), min_size=fan.n_rays, max_size=fan.n_rays))
+        assume(fans._brion_count(fans._brion_data(fan), coeffs) is None)
+        div = TorusInvariantDivisor(tuple(coeffs))
+        count = count_sections(fan, div)
+        event("no sections" if count == 0 else "sections")
+        assert count == walk_sections(fan, div) == lattice_points_by_box_scan(fan, div)
+        assert count == cox_ring_sections(fan.rays, fan.max_cones, coeffs)
+
+    def test_chamber_fan_is_certified(self, corpus):
+        # D_3 on subdivision15 is not nef, has no fixed part, and its
+        # polytope's normal fan is not refined by the fan: it counts on a
+        # chamber fan that Fan certifies as it would any other input
+        f = dict(corpus)["subdivision15"]
+        coeffs = (0, 0, 0, 1, 0, 0, 0)
+        with mock.patch.object(fans, "_check_fan_axiom", wraps=fans._check_fan_axiom) as cert:
+            count = count_sections(f, TorusInvariantDivisor(coeffs))
+        cert.assert_called_once()
+        chamber = cert.call_args.args[0]
+        assert validate(chamber).complete and len(chamber.max_cones) == 6
+        assert count == 2 == cox_ring_sections(f.rays, f.max_cones, coeffs)
 
 
 class TestBundleProjectionFormula:

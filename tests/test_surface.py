@@ -120,6 +120,35 @@ def test_every_definition_is_reachable_from_main():
     assert unreached == []
 
 
+def test_imports_reach_only_earlier_layers():
+    # A layer imports only layers before it in LAYERS, at module level or
+    # inside a function, so no lazy import reaches up: the section counts
+    # of fans read no class group from cox or vgit.
+    def imported(node):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and node.module.startswith("toricgit"):
+                rest = node.module.split(".")[1:]
+            elif node.level > 0:
+                rest = node.module.split(".") if node.module else []
+            else:
+                return []
+            return rest[:1] or [a.name for a in node.names]
+        if isinstance(node, ast.Import):
+            return [a.name.split(".")[1] for a in node.names if a.name.startswith("toricgit.")]
+        return []
+
+    found, upward = 0, []
+    for file, tree in src_trees().items():
+        layer = file[: -len(".py")]
+        for node in ast.walk(tree):
+            for target in imported(node):
+                found += 1
+                if layer not in LAYERS or LAYERS.index(target) >= LAYERS.index(layer):
+                    upward.append((file, node.lineno, target))
+    assert found > 20  # the scan itself found the imports
+    assert upward == []
+
+
 def test_no_assert_statements_in_src():
     # python -O strips assert statements; invariants must raise explicitly.
     found = [
