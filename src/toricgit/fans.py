@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 from .cones import cone_from_generators, cone_from_inequalities, cones_equal, duals_from_inequalities
 from .linalg import matrix_rank, primitive, smith_normal_form
-from .linalg import _dot
+from .linalg import _dot, _pivot
 from .lp import scaled_inverse
 
 
@@ -600,53 +600,48 @@ def count_sections(fan, div) -> int:
     return count
 
 
-@lru_cache(maxsize=8192)
-def _basis(fan, cone):
-    """(det, coords) of dim independent rays: coords[r][j] = <v_r, w_j>
-    over the columns w_j of their scaled inverse, v_r's coordinates in
-    the basis times det."""
-    inv, det = _inverse(fan.cone_rays(cone))
-    cols = list(zip(*inv))
-    return det, tuple(tuple(_dot(v, w) for w in cols) for v in fan.rays)
-
-
 def _chamber_bases(fan, a):
     """(bases, fixed) for a nonempty P_D, else None.
 
     bases are the vertices of P_(a + eps), eps_rho = eps^(rho + 1) -> 0,
     a simple polytope whose normal fan refines P_D's: the GIT chamber
     fan of D's class nudged into a chamber (Hu and Keel, 2000).  Rays it
-    leaves out bound P_D by implied inequalities.  At basis sigma the
-    slack of r times det is det * (a_r + eps_r) - sum_j <v_r, w_j>
-    (a_j + eps_j), ordered lexicographically.  The walk starts at a
-    maximal cone with no negative slack, or at a vertex of P_D from a
-    double description of {(u, t) : <u, v_rho> + a_rho t >= 0, t >= 0}
-    on its tight rays taken greedily in descending index, then follows
-    the lexicographic rule (Dantzig, Orden and Wolfe, 1955).  fixed[r]
-    is the least ceiling of r's slack at a vertex: every lattice point
-    of P_D meets a_r - fixed[r], which strips D's fixed part.
+    leaves out bound P_D by implied inequalities.  A basis sigma keeps a
+    tableau on the scale det of its scaled inverse (columns w_k): row k
+    holds <v_r, w_k> for every ray r, and the last row the slacks
+    det * a_r - sum_k <v_r, w_k> a_k.  In P_(a + eps) the slack of r
+    gains det * eps_r - sum_k <v_r, w_k> eps_k, and slacks compare
+    lexicographically.  The walk starts at a maximal cone with no
+    negative slack, or else at a vertex of P_D from a double description
+    of {(u, t) : <u, v_rho> + a_rho t >= 0, t >= 0}, on its tight rays
+    taken greedily in descending index.  Leaving slot k moves to the ray
+    of least slack ratio, the lexicographic rule of Dantzig, Orden and
+    Wolfe (1955), by one linalg._pivot of the tableau.  fixed[r] is the
+    least ceiling of r's slack at a vertex: every lattice point of P_D
+    meets a_r - fixed[r], which strips D's fixed part.
     """
     n, d = fan.n_rays, fan.dim
+    zero = [0] * n
 
-    def vertex(cone):
-        det, coords = _basis(fan, cone)
-        ac = [a[i] for i in cone]
-        return det, coords, [det * ar - sum(map(mul, x, ac)) for ar, x in zip(a, coords)]
-
-    def eps(cone, det, x, r):
-        # the coefficients of eps_0, eps_1, ... in r's slack times det
+    def eps(cone, col, det, r):
+        # the coefficients of eps_0, eps_1, ... in r's slack times det,
+        # col[k] = <v_r, w_k>
         e = [0] * n
         e[r] = det
-        for i, xi in zip(cone, x):
-            e[i] -= xi
+        for i, x in zip(cone, col):
+            e[i] -= x
         return e
 
-    def feasible(cone):
-        det, coords, slack = vertex(cone)
-        zero = [0] * n
-        return all(s > 0 or s == 0 and eps(cone, det, coords[r], r) >= zero for r, s in enumerate(slack))
+    def feasible(cone, inv, det):
+        # slack_r = det * a_r - <v_r, inv . a_sigma>, one ray at a time
+        u = [_dot(row, [a[i] for i in cone]) for row in inv]
+        for r, v in enumerate(fan.rays):
+            s = det * a[r] - _dot(v, u)
+            if s < 0 or s == 0 and r not in cone and eps(cone, [_dot(v, w) for w in zip(*inv)], det, r) < zero:
+                return False
+        return True
 
-    start = next((c for c in fan.max_cones if len(c) == d and feasible(c)), None)
+    start = next((c for c, (inv, det) in _cone_inverses(fan).items() if feasible(c, inv, det)), None)
     if start is None:
         rows = [(*r, c) for r, c in zip(fan.rays, a)]
         lin, rays = duals_from_inequalities(d + 1, rows + [(0,) * d + (1,)])
@@ -659,33 +654,36 @@ def _chamber_bases(fan, a):
         for i in reversed(range(n)):
             if _dot(rows[i], x) == 0 and matrix_rank(fan.cone_rays(start + [i])) > len(start):
                 start.append(i)
-        start = tuple(sorted(start))
-    fixed = [None] * n
-    seen, todo = {start}, [start]
+        start = tuple(start)
+    inv, det = _inverse(fan.cone_rays(start))
+    tab = [[_dot(v, w) for v in fan.rays] for w in zip(*inv)]
+    tab.append([det * ar - sum(map(mul, col, [a[i] for i in start])) for ar, col in zip(a, zip(*tab))])
+    fixed = [-(-s // det) for s in tab[d]]
+    seen, todo = {frozenset(start)}, [(start, det, tab)]
     while todo:
-        cone = todo.pop()
-        det, coords, slack = vertex(cone)
-        fixed = [-(-s // det) if f is None else min(f, -(-s // det)) for f, s in zip(fixed, slack)]
+        cone, det, tab = todo.pop()
+        slack = tab[d]
+        fixed = [min(f, -(-s // det)) for f, s in zip(fixed, slack)]
         for k in range(d):
             best = None
-            for r, x in enumerate(coords):
-                c = x[k]
+            for r, c in enumerate(tab[k]):
                 if c >= 0:
                     continue
                 if best is not None:
                     diff = slack[r] * bc - slack[best] * c
-                    if diff < 0 or diff == 0 and [v * bc for v in eps(cone, det, x, r)] < [
-                        v * c for v in eps(cone, det, coords[best], best)
-                    ]:
+                    if diff < 0 or diff == 0 and [
+                        v * bc for v in eps(cone, [row[r] for row in tab[:d]], det, r)
+                    ] < [v * c for v in eps(cone, [row[best] for row in tab[:d]], det, best)]:
                         continue
                 best, bc = r, c
             if best is None:
                 raise ValueError("unbounded divisor polytope; is the fan complete?")
-            nxt = tuple(sorted(cone[:k] + cone[k + 1 :] + (best,)))
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return seen, fixed
+            nxt = cone[:k] + (best,) + cone[k + 1 :]
+            if frozenset(nxt) not in seen:
+                seen.add(frozenset(nxt))
+                new = [list(row) for row in tab]
+                todo.append((nxt, _pivot(new, det, k, best), new))
+    return [tuple(sorted(c)) for c in seen], fixed
 
 
 @lru_cache(maxsize=256)
@@ -703,7 +701,7 @@ def _brion_data(fan, lam=None):
     if walls is None:
         return None
     inverses = _cone_inverses(fan).values()
-    index = sum(det ** (fan.dim - 1) // prod(gcd(*w) for w in zip(*inv)) for inv, det in inverses)
+    index = sum(det > 1 and det ** (fan.dim - 1) // prod(map(gcd, *inv)) or 1 for inv, det in inverses)
     if index > _INDEX_BUDGET:
         raise ValueError(
             f"section count needs more than {_INDEX_BUDGET} parallelepiped "
@@ -749,7 +747,7 @@ def _cone_term(rays, lam):
     """
     d = len(rays)
     inv, det = _inverse(rays)
-    gs = [primitive(w) for w in zip(*inv)]
+    gs = list(zip(*inv)) if det == 1 else [primitive(w) for w in zip(*inv)]
     b = [_dot(lam, g) for g in gs]
     if 0 in b:
         return None
@@ -759,11 +757,7 @@ def _cone_term(rays, lam):
         lw = [_dot(lam, w) for w in zip(*inv)]
         gens = [tuple(r[t] % mj for r, mj in zip(rays, m)) for t in range(d)]
         points = tuple((h, _dot(h, lw) // det) for h in _subgroup(gens, m))
-    scale = lcm(*(den for _, den in _LOG_TODD[:d]))
-    # S_n = sum_k weights[n - 1][k - 1] p_k S_(n-k), the weight
-    # (n-1)!/(n-k)! * scale^k * k * l_k an integer
-    lead = [scale**k * k * num // den for k, (num, den) in enumerate(_LOG_TODD[:d], 1)]
-    weights = [[perm(n - 1, k) * w for k, w in enumerate(lead[:n])] for n in range(1, d + 1)]
+    scale, weights, horner = _todd(d)
     power_sums, powers = [], b
     for _ in range(d):
         power_sums.append(sum(powers))
@@ -771,10 +765,21 @@ def _cone_term(rays, lam):
     series = [1]  # S_0, S_1, ...
     for row in weights:
         series.append(sum(w * p * s for w, p, s in zip(row, power_sums, reversed(series))))
-    num = [(-1) ** d * comb(d, k) * scale ** (d - k) * s for k, s in enumerate(series)]
+    num = [h * s for h, s in zip(horner, series)]
     den = scale**d * factorial(d) * prod(b)
     g = gcd(den, *num) * (1 if den > 0 else -1)
     return tuple(b), m, points, tuple(x // g for x in num), den // g
+
+
+@lru_cache(maxsize=16)
+def _todd(d):
+    """(scale, weights, horner) of dimension d: S_n = sum_k
+    weights[n - 1][k - 1] p_k S_(n-k), the weight (n-1)!/(n-k)! * scale^k
+    * k * l_k an integer, and the term's numerator is horner_k * S_k."""
+    scale = lcm(*(den for _, den in _LOG_TODD[:d]))
+    lead = [scale**k * k * num // den for k, (num, den) in enumerate(_LOG_TODD[:d], 1)]
+    weights = [[perm(n - 1, k) * w for k, w in enumerate(lead[:n])] for n in range(1, d + 1)]
+    return scale, weights, [(-1) ** d * comb(d, k) * scale ** (d - k) for k in range(d + 1)]
 
 
 def _subgroup(gens, m):
