@@ -634,7 +634,8 @@ def _chamber_bases(fan, a):
 
     def feasible(cone, inv, det):
         # slack_r = det * a_r - <v_r, inv . a_sigma>, one ray at a time
-        u = [_dot(row, [a[i] for i in cone]) for row in inv]
+        ac = [a[i] for i in cone]
+        u = [_dot(row, ac) for row in inv]
         for r, v in enumerate(fan.rays):
             s = det * a[r] - _dot(v, u)
             if s < 0 or s == 0 and r not in cone and eps(cone, [_dot(v, w) for w in zip(*inv)], det, r) < zero:
@@ -720,30 +721,28 @@ def _brion_data(fan, lam=None):
 
 @lru_cache(maxsize=8192)
 def _cone_term(rays, lam):
-    """Brion's term of the simplicial cone on rays along lam, or None if
-    an edge of the cone is orthogonal to lam.
+    """(b, m, points, num, den): Brion's term of the simplicial cone on
+    rays along lam, or None if an edge of the cone is orthogonal to lam.
 
-    For D = sum a_i D_i the vertex u solves <u, v_i> = -a_i, and the
-    tangent cone is spanned by the primitive edges g_j of the columns w_j
-    of the scaled inverse (inv, det).  Its lattice points split over the
+    For D = sum a_i D_i the vertex u solves <u, v_i> = -a_i, the tangent
+    cone is spanned by the primitive edges g_j of the columns w_j of the
+    scaled inverse (inv, det), and its lattice points split over the
     points p of the half-open parallelepiped of the g_j at u (Brion,
     1988; Beck and Robins, Computing the Continuous Discretely, ch. 3).
     With b_j = <lam, g_j> and alpha = <lam, p> the term is the constant
     term at t = 0 of sum_p e^(t alpha) / prod_j (1 - e^(t b_j))
-      = (-1)^d / prod_j b_j * sum_p sum_k s_k alpha^(d-k) / (d-k)!,
+      = (-1)^d / prod_j b_j * sum_p sum_k s_k alpha^(d-k) / (d-k)!
+      = sum_p sum_k num_k alpha^(d-k) / den,
     s_k the coefficients of the Todd series prod_j T(t b_j)
-    = exp(sum_k l_k p_k t^k), l_k those of log T and p_k = sum_j b_j^k.
-    So n s_n = sum_k k l_k p_k s_(n-k), kept in integers as
-    S_n = n! scale^n s_n: O(d^2), against O(d^3) to multiply out the
-    factors.  Returns (b, m, points, num, den), the term being
-    sum_p sum_k num_k alpha^(d-k) / den.  With m_j = <g_j, v_j>, the
-    integers k_j = <p, v_j> + a_j run over 0..m_j - 1, and k - a lies in
-    the lattice L of the columns of the rays' matrix; so
-    k = (a + h) mod m over the subgroup H of L in prod_j Z/m_j, of order
-    prod(m) / det, the cone's index.  Then
-    alpha = beta_h - sum_j b_j floor((a_j + h_j) / m_j), beta_h its
-    value at a = 0, and points holds the pairs (h, beta_h).  A
-    unimodular cone has m = points = None: alpha = -sum_j b_j a_j.
+    = exp(sum_k l_k p_k t^k), p_k = sum_j b_j^k: so n s_n =
+    sum_k k l_k p_k s_(n-k), O(d^2) in integers (_todd).  With
+    m_j = <g_j, v_j>, the k_j = <p, v_j> + a_j run over 0..m_j - 1 and
+    k - a lies in the lattice L of the columns of the rays' matrix: k =
+    (a + h) mod m over the subgroup H that L makes in prod_j Z/m_j, of
+    order prod(m) / det, the cone's index.  Then alpha = beta_h -
+    sum_j b_j floor((a_j + h_j) / m_j), beta_h its value at a = 0, and
+    points holds the pairs (h, beta_h); a unimodular cone has m = points
+    = None and alpha = -sum_j b_j a_j.
     """
     d = len(rays)
     inv, det = _inverse(rays)
@@ -773,9 +772,9 @@ def _cone_term(rays, lam):
 
 @lru_cache(maxsize=16)
 def _todd(d):
-    """(scale, weights, horner) of dimension d: S_n = sum_k
-    weights[n - 1][k - 1] p_k S_(n-k), the weight (n-1)!/(n-k)! * scale^k
-    * k * l_k an integer, and the term's numerator is horner_k * S_k."""
+    """(scale, weights, horner) in dimension d: S_n = n! scale^n s_n =
+    sum_k weights[n - 1][k - 1] p_k S_(n-k), each weight (n-1)!/(n-k)!
+    scale^k k l_k an integer, and num_k = horner_k * S_k."""
     scale = lcm(*(den for _, den in _LOG_TODD[:d]))
     lead = [scale**k * k * num // den for k, (num, den) in enumerate(_LOG_TODD[:d], 1)]
     weights = [[perm(n - 1, k) * w for k, w in enumerate(lead[:n])] for n in range(1, d + 1)]
