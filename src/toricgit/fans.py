@@ -606,19 +606,20 @@ def _chamber_bases(fan, a):
     bases are the vertices of P_(a + eps), eps_rho = eps^(rho + 1) -> 0,
     a simple polytope whose normal fan refines P_D's: the GIT chamber
     fan of D's class nudged into a chamber (Hu and Keel, 2000).  Rays it
-    leaves out bound P_D by implied inequalities.  A basis sigma keeps a
+    leaves out bound P_D by implied inequalities.  A basis keeps a
     tableau on the scale det of its scaled inverse (columns w_k): row k
-    holds <v_r, w_k> for every ray r, and the last row the slacks
-    det * a_r - sum_k <v_r, w_k> a_k.  In P_(a + eps) the slack of r
-    gains det * eps_r - sum_k <v_r, w_k> eps_k, and slacks compare
-    lexicographically.  The walk starts at a maximal cone with no
-    negative slack, or else at a vertex of P_D from a double description
-    of {(u, t) : <u, v_rho> + a_rho t >= 0, t >= 0}, on its tight rays
-    taken greedily in descending index.  Leaving slot k moves to the ray
-    of least slack ratio, the lexicographic rule of Dantzig, Orden and
-    Wolfe (1955), by one linalg._pivot of the tableau.  fixed[r] is the
-    least ceiling of r's slack at a vertex: every lattice point of P_D
-    meets a_r - fixed[r], which strips D's fixed part.
+    holds <v_r, w_k> for every ray r, the last row the slacks det * a_r
+    - sum_k <v_r, w_k> a_k, to which P_(a + eps) adds det * eps_r -
+    sum_k <v_r, w_k> eps_k, compared lexicographically; each step is one
+    linalg._pivot.  From a full-dimensional cone, the dual simplex with
+    Bland's rule keeps the sum of that cone's rays in the cone of the
+    basis and lets a ray of negative slack in at the slot of least
+    ratio, until no slack is negative, or no slot can take the ray and
+    P_D is empty.  Then leaving slot k moves to the ray of least slack
+    ratio (the lexicographic rule of Dantzig, Orden and Wolfe, 1955)
+    until every vertex is found.  fixed[r] is the least ceiling of r's
+    slack at a vertex: every lattice point of P_D meets a_r - fixed[r],
+    which strips D's fixed part.
     """
     n, d = fan.n_rays, fan.dim
     zero = [0] * n
@@ -632,33 +633,38 @@ def _chamber_bases(fan, a):
             e[i] -= x
         return e
 
-    def feasible(cone, inv, det):
-        # slack_r = det * a_r - <v_r, inv . a_sigma>, one ray at a time
-        ac = [a[i] for i in cone]
-        u = [_dot(row, ac) for row in inv]
-        for r, v in enumerate(fan.rays):
-            s = det * a[r] - _dot(v, u)
-            if s < 0 or s == 0 and r not in cone and eps(cone, [_dot(v, w) for w in zip(*inv)], det, r) < zero:
-                return False
-        return True
-
-    start = next((c for c, (inv, det) in _cone_inverses(fan).items() if feasible(c, inv, det)), None)
-    if start is None:
-        rows = [(*r, c) for r, c in zip(fan.rays, a)]
-        lin, rays = duals_from_inequalities(d + 1, rows + [(0,) * d + (1,)])
-        x = next((x for x in rays if x[-1] > 0), None)
-        if x is None:
-            return None
-        if lin:
+    cone = next((c for c in fan.max_cones if len(c) == d), ())
+    for i in range(n):  # only a fan with no full-dimensional cone
+        if len(cone) < d and matrix_rank(fan.cone_rays(cone + (i,))) > len(cone):
+            cone += (i,)
+    if len(cone) < d:
+        # the rays do not span, so P_D holds a line: empty or unbounded
+        rows = [(*r, c) for r, c in zip(fan.rays, a)] + [(0,) * d + (1,)]
+        if any(x[-1] > 0 for x in duals_from_inequalities(d + 1, rows)[1]):
             raise ValueError("unbounded divisor polytope; is the fan complete?")
-        start = []
-        for i in reversed(range(n)):
-            if _dot(rows[i], x) == 0 and matrix_rank(fan.cone_rays(start + [i])) > len(start):
-                start.append(i)
-        start = tuple(start)
-    inv, det = _inverse(fan.cone_rays(start))
-    tab = [[_dot(v, w) for v in fan.rays] for w in zip(*inv)]
-    tab.append([det * ar - sum(map(mul, col, [a[i] for i in start])) for ar, col in zip(a, zip(*tab))])
+        return None
+    inv, det = _inverse(fan.cone_rays(cone))
+    vecs = fan.rays + (tuple(map(sum, zip(*fan.cone_rays(cone)))),)
+    tab = [[_dot(v, w) for v in vecs] for w in zip(*inv)]
+    tab.append([det * ar - sum(map(mul, col, [a[i] for i in cone])) for ar, col in zip(a + (0,), zip(*tab))])
+    cone = list(cone)
+    while True:
+        r = next((r for r, s in enumerate(tab[d][:n]) if s < 0 or s == 0 and r not in cone
+                  and eps(cone, [row[r] for row in tab[:d]], det, r) < zero), None)
+        if r is None:
+            break
+        best = None
+        for k in range(d):
+            t = tab[k][r]
+            if t > 0 and (best is None or tab[k][n] * bt < tab[best][n] * t or (
+                tab[k][n] * bt == tab[best][n] * t and cone[k] < cone[best]
+            )):
+                best, bt = k, t
+        if best is None:
+            return None
+        det = _pivot(tab, det, best, r)
+        cone[best] = r
+    start, tab = tuple(cone), [row[:n] for row in tab]
     fixed = [-(-s // det) for s in tab[d]]
     seen, todo = {frozenset(start)}, [(start, det, tab)]
     while todo:

@@ -1044,6 +1044,18 @@ class TestChamberRoute:
         assert count == 2 == cox_ring_sections(f.rays, f.max_cones, coeffs)
 
 
+    def test_degenerate_start_is_lexicographic(self, corpus):
+        # the first cone's vertex is a degenerate vertex of P_D for this
+        # divisor: the walk must leave it unless it is feasible for the
+        # enlarged polytope too, or the chamber fan's cones overlap
+        f = dict(corpus)["subdivision13"]
+        coeffs = (2, 3, 1, 1, 1, 0)
+        assert fans._brion_count(fans._brion_data(f), coeffs) is None
+        count = count_sections(f, TorusInvariantDivisor(coeffs))
+        assert count == 32 == walk_sections(f, TorusInvariantDivisor(coeffs))
+        assert count == cox_ring_sections(f.rays, f.max_cones, coeffs)
+
+
 class TestBundleProjectionFormula:
     """Section counts of the relative hyperplane class.
 
