@@ -643,6 +643,7 @@ def _chamber_bases(fan, a):
         if any(x[-1] > 0 for x in duals_from_inequalities(d + 1, rows)[1]):
             raise ValueError("unbounded divisor polytope; is the fan complete?")
         return None
+    # column n: the sum of the start's rays, the dual simplex's objective
     inv, det = _inverse(fan.cone_rays(cone))
     vecs = fan.rays + (tuple(map(sum, zip(*fan.cone_rays(cone)))),)
     tab = [[_dot(v, w) for v in vecs] for w in zip(*inv)]
