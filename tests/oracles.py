@@ -10,8 +10,11 @@ simplex core, and solve_nonneg is that phase 1 on integer or
 Fraction entries with its basic solution read off; nonneg_combination
 poses cone membership on it, against which in_cone is held.
 cox_ring_sections counts sections in the Cox ring, sharing no code with
-either section engine in toricgit.fans (Brion's formula and the
-Fourier-Motzkin walk), nor with the Smith form behind toricgit.cox.
+Brion's formula in toricgit.fans, nor with the Smith form behind
+toricgit.cox.  walk_sections counts the lattice points of the divisor
+polytope by a Fourier-Motzkin projection and a memoized walk over the
+prefixes, under _NODE_BUDGET steps; divisor_polytope gives its rows and
+those of the box scan in the tests.
 duals_from_inequalities is the double description with every pos x neg
 pair combined and redundant rays pruned by one LP each, against which
 the adjacency-filtered toricgit.cones routine is held; the two share
