@@ -598,7 +598,7 @@ def count_sections(fan, div) -> int:
         data = _brion_data(sub, brion and brion[2])
         count = data and _brion_count(data, tuple(a[i] for i in used))
         if count is None:
-            raise AssertionError("a divisor is not nef on its chamber fan")
+            raise AssertionError("a chamber fan is not complete, or the divisor not nef on it")
     return count
 
 
