@@ -691,6 +691,7 @@ def _chamber_bases(fan, a):
             nxt = cone[:k] + (best,) + cone[k + 1 :]
             if frozenset(nxt) not in seen:
                 seen.add(frozenset(nxt))
+                _charge(len(seen))  # each basis is a cone of the chamber fan
                 new = [list(row) for row in tab]
                 todo.append((nxt, _pivot(new, det, k, best), new))
     return [tuple(sorted(c)) for c in seen], fixed
@@ -712,11 +713,7 @@ def _brion_data(fan, lam=None):
         return None
     inverses = _cone_inverses(fan).values()
     index = sum(det > 1 and det ** (fan.dim - 1) // prod(map(gcd, *inv)) or 1 for inv, det in inverses)
-    if index > _INDEX_BUDGET:
-        raise ValueError(
-            f"section count needs more than {_INDEX_BUDGET} parallelepiped "
-            "points, the budget on the summed cone index of Brion's formula"
-        )
+    _charge(index)
     terms = lam and [_cone_term(fan.cone_rays(c), lam) for c in fan.max_cones]
     if not terms or None in terms:
         lam = tuple(_probe(fan.dim, [list(zip(*inv)) for inv, _ in inverses]))
@@ -726,6 +723,14 @@ def _brion_data(fan, lam=None):
         (cone, b, m, points, tuple(x * (common // den) for x in num))
         for cone, (b, m, points, num, den) in zip(fan.max_cones, terms)
     )
+
+
+def _charge(index):
+    if index > _INDEX_BUDGET:
+        raise ValueError(
+            f"section count needs more than {_INDEX_BUDGET} parallelepiped "
+            "points, the budget on the summed cone index of Brion's formula"
+        )
 
 
 @lru_cache(maxsize=8192)

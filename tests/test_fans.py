@@ -1044,6 +1044,16 @@ class TestChamberRoute:
         assert count == 2 == cox_ring_sections(f.rays, f.max_cones, coeffs)
 
 
+    def test_walk_is_charged_to_the_budget(self):
+        # every basis the walk visits is a cone Brion's formula will sum
+        f = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+        d = TorusInvariantDivisor((1, 1, 1))
+        with mock.patch.object(fans, "_INDEX_BUDGET", 2):
+            with pytest.raises(ValueError, match="more than 2 parallelepiped points"):
+                fans._chamber_bases(f, d.coefficients)
+        with mock.patch.object(fans, "_INDEX_BUDGET", 3):
+            assert count_sections(f, d) == 10
+
     def test_degenerate_start_is_lexicographic(self, corpus):
         # the first cone's vertex is a degenerate vertex of P_D for this
         # divisor: the walk must leave it unless it is feasible for the
