@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success (or property true, checks passed), 1 property
-false or check failed, 2 malformed or unsupported input (a section
-count's unbounded polytope or fan above dimension 8), a simplex pivot
-limit, or a computation past its budget (the summed cone index of a
-section count, the chamber cell search).  Every verb but construct accepts
---json for machine output, and the text reports are a rendering of the
-same data; construct always prints its fan as JSON.
+false or check failed, 2 malformed or unsupported input (an unbounded
+section polytope), a simplex pivot limit, or a computation past its
+budget (a section count's cone index, the chamber cell search).  Every
+verb but construct accepts --json for machine output, and the text
+reports are a rendering of the same data; construct always prints its
+fan as JSON.
 """
 
 from __future__ import annotations

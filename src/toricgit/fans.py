@@ -6,16 +6,14 @@ cones forming an antichain, every ray used.  A fan from any other
 source (fan_from_json, a direct call) is then certified: its cones must
 be simplicial and meet in common faces.  The trusted constructors skip
 that certification, since their cones are independent and form a fan by
-construction.  Each full-dimensional cone is eliminated once, into the
-scaled inverse that the certificate, validate and Brion's formula read.
-One cached wall pass over the ridges proves a complete fan (every ridge
-joins two cones on opposite sides, one generic probe lies in one cone),
-and its wall rows cut out Brion's nef test and the nef cone that
-validate and vgit.nef_cone read; any other input falls back to
-intersecting every pair of maximal cones.  Brion's formula is the one
-section count: on the fan for a nef divisor, else on the chamber fan
-that a lexicographic walk over the vertices of the divisor's polytope
-finds and Fan certifies.
+construction.  Each full-dimensional maximal cone is eliminated once,
+into the scaled inverse that the certificate, validate and Brion's
+formula all read.  One cached wall pass over the ridges proves a
+complete fan (every ridge joins two cones on opposite sides, one
+generic probe lies in one cone), and its wall rows cut out Brion's nef
+test and the nef cone that validate and vgit.nef_cone read; any other
+input falls back to intersecting every pair of maximal cones.  Brion's
+formula counts every section, on the fan or on a chamber fan.
 """
 
 from __future__ import annotations
@@ -24,13 +22,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import mul
 from types import MappingProxyType
 
 from .cones import cone_from_generators, cone_from_inequalities, cones_equal, duals_from_inequalities
 from .linalg import matrix_rank, primitive, smith_normal_form
 from .linalg import _dot, _pivot
-from .lp import scaled_inverse
+from .lp import _simplex_core, scaled_inverse
 
 
 class FanError(ValueError):
@@ -68,7 +65,7 @@ class TorusInvariantDivisor:
 class Fan:
     """Immutable simplicial fan in Z^dim."""
 
-    __slots__ = ("dim", "rays", "max_cones", "_hash")
+    __slots__ = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones, _trusted=False):
         dim = int(dim)
@@ -112,7 +109,6 @@ class Fan:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", tuple(sorted(cones)))
-        object.__setattr__(self, "_hash", hash((dim, rays, self.max_cones)))
         if not _trusted:
             _check_fan_axiom(self)
 
@@ -135,7 +131,7 @@ class Fan:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.dim, self.rays, self.max_cones))
 
     def __repr__(self):
         return (
@@ -275,19 +271,12 @@ def _cone_inverses(fan):
     for c in fan.max_cones:
         if len(c) == fan.dim:
             try:
-                out[c] = _inverse(fan.cone_rays(c))
+                inv, d = scaled_inverse(fan.cone_rays(c))
             except ValueError:
                 msg = f"cone {c} is not simplicial (dependent rays)"
                 raise FanError(msg) from None
+            out[c] = (tuple(map(tuple, inv)), d)
     return MappingProxyType(out)
-
-
-@lru_cache(maxsize=8192)
-def _inverse(rays):
-    """lp.scaled_inverse of a tuple of rays, as tuples: one elimination
-    per cone however many fans and section counts meet it."""
-    inv, d = scaled_inverse(rays)
-    return tuple(map(tuple, inv)), d
 
 
 @lru_cache(maxsize=1024)
@@ -553,9 +542,9 @@ def bundle_o1_divisor(divisors, d=1) -> TorusInvariantDivisor:
 
 
 # Lattice points that the half-open parallelepipeds of one fan's maximal
-# cones may hold in all, their summed index; a smooth cone holds one.  A
-# fan at the budget takes about 0.6 s to build its Brion data and 0.25 s
-# per count (Python 3.11, 2 cores).
+# cones may hold in all, their summed index (a smooth cone holds one),
+# and bases the chamber walk may visit.  A count on a fan at the budget
+# takes about 0.85 s (Python 3.11, 2 cores).
 _INDEX_BUDGET = 200_000
 
 # l_k for k = 1..8 as (numerator, denominator): the Taylor coefficients
@@ -571,12 +560,11 @@ def count_sections(fan, div) -> int:
     """Number of lattice points of P_D = {u : <u, v_rho> >= -a_rho}.
 
     One engine counts: Brion's formula, on a complete fan on which D is
-    nef.  A divisor nef on the fan counts there.  Any other, and any
-    divisor of an incomplete fan, takes _chamber_bases: D less its fixed
-    part counts on the fan if it is nef there, and D counts on the fan
-    of the bases otherwise, certified by Fan.  An empty P_D counts 0.
-    ValueError for a divisor of the wrong length, a fan above dimension
-    8, an unbounded P_D and cone indices past _INDEX_BUDGET.
+    nef: the fan itself, or with D less the fixed part that
+    _chamber_bases finds, or else its chamber fan, which Fan certifies.
+    An empty P_D counts 0.  ValueError for a divisor of the wrong
+    length, a fan above dimension 8, an unbounded P_D and a count past
+    _INDEX_BUDGET.
     """
     a = div.coefficients
     if len(a) != fan.n_rays:
@@ -594,47 +582,33 @@ def count_sections(fan, div) -> int:
     if count is None:
         used = sorted({i for c in bases for i in c})
         pos = {i: k for k, i in enumerate(used)}
-        sub = Fan(fan.dim, [fan.rays[i] for i in used], [[pos[i] for i in c] for c in bases])
-        data = _brion_data(sub, brion and brion[2])
-        count = data and _brion_count(data, tuple(a[i] for i in used))
-        if count is None:
-            raise AssertionError("a chamber fan is not complete, or the divisor not nef on it")
+        chamber = Fan(fan.dim, [fan.rays[i] for i in used], [[pos[i] for i in c] for c in bases])
+        brion = _brion_data(chamber)
+        count = brion and _brion_count(brion, tuple(a[i] for i in used))
+    if count is None:
+        raise AssertionError("a chamber fan is not complete, or the divisor not nef on it")
     return count
 
 
 def _chamber_bases(fan, a):
-    """(bases, fixed) for a nonempty P_D, else None.
+    """(bases, fixed) of D's chamber fan, or None when P_D is empty.
 
-    bases are the vertices of P_(a + eps), eps_rho = eps^(rho + 1) -> 0,
-    a simple polytope whose normal fan refines P_D's: the GIT chamber
-    fan of D's class nudged into a chamber (Hu and Keel, 2000).  Rays it
-    leaves out bound P_D by implied inequalities.  A basis keeps a
-    tableau on the scale det of its scaled inverse (columns w_k): row k
-    holds <v_r, w_k> for every ray r, the last row the slacks det * a_r
-    - sum_k <v_r, w_k> a_k, to which P_(a + eps) adds det * eps_r -
-    sum_k <v_r, w_k> eps_k, compared lexicographically; each step is one
-    linalg._pivot.  From a full-dimensional cone, the dual simplex with
-    Bland's rule keeps the sum of that cone's rays in the cone of the
-    basis and lets a ray of negative slack in at the slot of least
-    ratio, until no slack is negative, or no slot can take the ray and
-    P_D is empty.  Then leaving slot k moves to the ray of least slack
-    ratio (the lexicographic rule of Dantzig, Orden and Wolfe, 1955)
-    until every vertex is found.  fixed[r] is the least ceiling of r's
-    slack at a vertex: every lattice point of P_D meets a_r - fixed[r],
-    which strips D's fixed part.
+    bases span the vertices of P_a', a' = Q^n a + (Q^(n-1), ..., Q, 1),
+    Q above twice every maximal minor of the rays: each slack is Q^n
+    times D's plus a nonzero term below Q^n / 2, so P_a' is simple, its
+    vertices' bases are vertices of P_D, and D is nef on their fan, the
+    normal fan of P_a' (the GIT chamber of D's class, nudged; Hu and
+    Keel, 2000).  Rays no basis holds bound P_D by implied inequalities.
+    A basis keeps a tableau on the scale det of its scaled inverse
+    (columns w_k): row k holds <v_r, w_k>, the last row the slacks
+    det * a'_r - sum_k <v_r, w_k> a'_k.  Phase 1 is lp._simplex_core on
+    the dual LP, min a'.y over y >= 0 with sum_r y_r v_r the sum of a
+    full-dimensional cone's rays, whose reduced costs are those slacks.
+    Then each edge, leaving slot k for the ray of least slack ratio, is
+    one linalg._pivot.  fixed[r] is the least ceiling of D's slack at r
+    over the vertices, which every lattice point of P_D meets.
     """
     n, d = fan.n_rays, fan.dim
-    zero = [0] * n
-
-    def eps(cone, col, det, r):
-        # the coefficients of eps_0, eps_1, ... in r's slack times det,
-        # col[k] = <v_r, w_k>
-        e = [0] * n
-        e[r] = det
-        for i, x in zip(cone, col):
-            e[i] -= x
-        return e
-
     cone = next((c for c in fan.max_cones if len(c) == d), ())
     for i in range(n):  # only a fan with no full-dimensional cone
         if len(cone) < d and matrix_rank(fan.cone_rays(cone + (i,))) > len(cone):
@@ -645,84 +619,41 @@ def _chamber_bases(fan, a):
         if any(x[-1] > 0 for x in duals_from_inequalities(d + 1, rows)[1]):
             raise ValueError("unbounded divisor polytope; is the fan complete?")
         return None
-    # column n: the sum of the start's rays, the dual simplex's objective
-    inv, det = _inverse(fan.cone_rays(cone))
+    q = 1 + 2 * max(sum(map(abs, r)) for r in fan.rays) ** d  # Hadamard's bound
+    big = q**n
+    a = [x * big + q ** (n - 1 - r) for r, x in enumerate(a)] + [0]
+    inv, det = _cone_inverses(fan).get(cone) or scaled_inverse(fan.cone_rays(cone))
+    # column n: the sum of the start's rays, the dual LP's right-hand side
     vecs = fan.rays + (tuple(map(sum, zip(*fan.cone_rays(cone)))),)
     tab = [[_dot(v, w) for v in vecs] for w in zip(*inv)]
-    tab.append([det * ar - sum(map(mul, col, [a[i] for i in cone])) for ar, col in zip(a + (0,), zip(*tab))])
-    cone = list(cone)
-    while True:
-        r = next((r for r, s in enumerate(tab[d][:n]) if s < 0 or s == 0 and r not in cone
-                  and eps(cone, [row[r] for row in tab[:d]], det, r) < zero), None)
-        if r is None:
-            break
-        best = None
-        for k in range(d):
-            t = tab[k][r]
-            if t > 0 and (best is None or tab[k][n] * bt < tab[best][n] * t or (
-                tab[k][n] * bt == tab[best][n] * t and cone[k] < cone[best]
-            )):
-                best, bt = k, t
-        if best is None:
-            return None
-        det = _pivot(tab, det, best, r)
-        cone[best] = r
-    start, tab = tuple(cone), [row[:n] for row in tab]
-    fixed = [-(-s // det) for s in tab[d]]
-    seen, todo = {frozenset(start)}, [(start, det, tab)]
+    start = [a[i] for i in cone]
+    slack = [det * x - _dot(col, start) for x, col in zip(a, zip(*tab))]
+    basis = list(cone)
+    det = _simplex_core(tab, basis, slack, det)
+    if det is None:
+        return None
+    half = big // 2
+    fixed = [-(-((s + half) // big) // det) for s in slack[:n]]
+    seen, todo = {frozenset(basis)}, [(tuple(basis), det, [row[:n] for row in tab] + [slack[:n]])]
     while todo:
         cone, det, tab = todo.pop()
         slack = tab[d]
-        fixed = [min(f, -(-s // det)) for f, s in zip(fixed, slack)]
+        fixed = [min(f, -(-((s + half) // big) // det)) for f, s in zip(fixed, slack)]
         for k in range(d):
             best = None
             for r, c in enumerate(tab[k]):
-                if c >= 0:
-                    continue
-                if best is not None:
-                    diff = slack[r] * bc - slack[best] * c
-                    if diff < 0 or diff == 0 and [
-                        v * bc for v in eps(cone, [row[r] for row in tab[:d]], det, r)
-                    ] < [v * c for v in eps(cone, [row[best] for row in tab[:d]], det, best)]:
-                        continue
-                best, bc = r, c
+                if c < 0 and (best is None or slack[r] * bc > sb * c):
+                    best, bc, sb = r, c, slack[r]
             if best is None:
                 raise ValueError("unbounded divisor polytope; is the fan complete?")
             nxt = cone[:k] + (best,) + cone[k + 1 :]
-            if frozenset(nxt) not in seen:
-                seen.add(frozenset(nxt))
+            key = frozenset(nxt)
+            if key not in seen:
+                seen.add(key)
                 _charge(len(seen))  # each basis is a cone of the chamber fan
                 new = [list(row) for row in tab]
                 todo.append((nxt, _pivot(new, det, k, best), new))
     return [tuple(sorted(c)) for c in seen], fixed
-
-
-@lru_cache(maxsize=256)
-def _brion_data(fan, lam=None):
-    """(den, walls, lam, cones) of Brion's formula, or None when _walls
-    does not prove the fan complete.
-
-    Every cone's term (_cone_term) is taken along the probe lam: the one
-    given unless an edge is orthogonal to it, so that a chamber fan
-    shares the terms of its host's cones, else the wall pass's.  The
-    cone indices, det^(d-1) over the edge contents, sum to at most
-    _INDEX_BUDGET.
-    """
-    walls = _walls(fan)
-    if walls is None:
-        return None
-    inverses = _cone_inverses(fan).values()
-    index = sum(det > 1 and det ** (fan.dim - 1) // prod(map(gcd, *inv)) or 1 for inv, det in inverses)
-    _charge(index)
-    terms = lam and [_cone_term(fan.cone_rays(c), lam) for c in fan.max_cones]
-    if not terms or None in terms:
-        lam = tuple(_probe(fan.dim, [list(zip(*inv)) for inv, _ in inverses]))
-        terms = [_cone_term(fan.cone_rays(c), lam) for c in fan.max_cones]
-    common = lcm(*(t[-1] for t in terms))
-    return common, walls, lam, tuple(
-        (cone, b, m, points, tuple(x * (common // den) for x in num))
-        for cone, (b, m, points, num, den) in zip(fan.max_cones, terms)
-    )
 
 
 def _charge(index):
@@ -733,55 +664,60 @@ def _charge(index):
         )
 
 
-@lru_cache(maxsize=8192)
-def _cone_term(rays, lam):
-    """(b, m, points, num, den): Brion's term of the simplicial cone on
-    rays along lam, or None if an edge of the cone is orthogonal to lam.
+@lru_cache(maxsize=256)
+def _brion_data(fan):
+    """(den, walls, cones) of Brion's formula, or None when _walls does
+    not prove the fan complete.
 
-    For D = sum a_i D_i the vertex u solves <u, v_i> = -a_i, the tangent
-    cone is spanned by the primitive edges g_j of the columns w_j of the
-    scaled inverse (inv, det), and its lattice points split over the
-    points p of the half-open parallelepiped of the g_j at u (Brion,
-    1988; Beck and Robins, Computing the Continuous Discretely, ch. 3).
-    With b_j = <lam, g_j> and alpha = <lam, p> the term is the constant
-    term at t = 0 of sum_p e^(t alpha) / prod_j (1 - e^(t b_j))
-      = (-1)^d / prod_j b_j * sum_p sum_k s_k alpha^(d-k) / (d-k)!
-      = sum_p sum_k num_k alpha^(d-k) / den,
-    s_k the coefficients of the Todd series prod_j T(t b_j)
-    = exp(sum_k l_k p_k t^k), p_k = sum_j b_j^k: so n s_n =
-    sum_k k l_k p_k s_(n-k), O(d^2) in integers (_todd).  With
-    m_j = <g_j, v_j>, the k_j = <p, v_j> + a_j run over 0..m_j - 1 and
-    k - a lies in the lattice L of the columns of the rays' matrix: k =
-    (a + h) mod m over the subgroup H that L makes in prod_j Z/m_j, of
-    order prod(m) / det, the cone's index.  Then alpha = beta_h -
-    sum_j b_j floor((a_j + h_j) / m_j), beta_h its value at a = 0, and
-    points holds the pairs (h, beta_h); a unimodular cone has m = points
-    = None and alpha = -sum_j b_j a_j.
+    A cone's vertex u solves <u, v_i> = -a_i, its tangent cone is
+    spanned by the primitive edges g_j of the columns w_j of its scaled
+    inverse (inv, det), and its lattice points are u plus the points p
+    of the half-open parallelepiped of the g_j (Brion, 1988; Beck and
+    Robins, Computing the Continuous Discretely, ch. 3).  With lam the
+    wall pass's probe, b_j = <lam, g_j> and alpha = <lam, p>, the cone
+    adds the constant term at t = 0 of sum_p e^(t alpha) / prod_j
+    (1 - e^(t b_j)) = (-1)^d / prod_j b_j * sum_p sum_k s_k
+    alpha^(d-k) / (d-k)!, s_k those of the Todd series prod_j T(t b_j)
+    = exp(sum_k l_k p_k t^k), p_k = sum_j b_j^k, so n s_n = sum_k k l_k
+    p_k s_(n-k) (_todd).  A cone is kept as (ray indices, b, Horner
+    coefficients over the common den, group).  A unimodular one has
+    group None and alpha = -sum_j b_j a_j.  Otherwise, m_j = <g_j, v_j>,
+    the k_j = <p, v_j> + a_j run over 0..m_j - 1, k - a lies in the
+    lattice of the rays' columns, so k = (a + h) mod m over the subgroup
+    H it makes in prod_j Z/m_j, whose order is the cone's index, and
+    alpha = <h, lw> / det - sum_j b_j floor((a_j + h_j) / m_j), lw_j =
+    <lam, w_j>.  group is (m, generators of H, lw, det): each count
+    lists H afresh, so an entry holds O(d^2) per cone at any index.
     """
-    d = len(rays)
-    inv, det = _inverse(rays)
-    gs = list(zip(*inv)) if det == 1 else [primitive(w) for w in zip(*inv)]
-    b = [_dot(lam, g) for g in gs]
-    if 0 in b:
+    walls = _walls(fan)
+    if walls is None:
         return None
-    m = points = None
-    if det > 1:
-        m = [_dot(g, r) for g, r in zip(gs, rays)]
-        lw = [_dot(lam, w) for w in zip(*inv)]
-        gens = [tuple(r[t] % mj for r, mj in zip(rays, m)) for t in range(d)]
-        points = tuple((h, _dot(h, lw) // det) for h in _subgroup(gens, m))
+    d, inverses = fan.dim, _cone_inverses(fan)
+    _charge(sum(det > 1 and det ** (d - 1) // prod(map(gcd, *inv)) or 1 for inv, det in inverses.values()))
+    lam = _probe(d, [list(zip(*inv)) for inv, _ in inverses.values()])
     scale, weights, horner = _todd(d)
-    power_sums, powers = [], b
-    for _ in range(d):
-        power_sums.append(sum(powers))
-        powers = [x * y for x, y in zip(powers, b)]
-    series = [1]  # S_0, S_1, ...
-    for row in weights:
-        series.append(sum(w * p * s for w, p, s in zip(row, power_sums, reversed(series))))
-    num = [h * s for h, s in zip(horner, series)]
-    den = scale**d * factorial(d) * prod(b)
-    g = gcd(den, *num) * (1 if den > 0 else -1)
-    return tuple(b), m, points, tuple(x // g for x in num), den // g
+    cones = []
+    for cone, (inv, det) in inverses.items():
+        gs = list(zip(*inv)) if det == 1 else [primitive(w) for w in zip(*inv)]
+        b = [_dot(lam, g) for g in gs]
+        group = None
+        if det > 1:
+            m = [_dot(g, fan.rays[i]) for g, i in zip(gs, cone)]
+            gens = [tuple(fan.rays[i][t] % mj for i, mj in zip(cone, m)) for t in range(d)]
+            group = (m, gens, [_dot(lam, w) for w in zip(*inv)], det)
+        power_sums = [sum(x**k for x in b) for k in range(1, d + 1)]
+        series = [1]  # S_0, S_1, ...
+        for row in weights:
+            series.append(sum(w * p * s for w, p, s in zip(row, power_sums, reversed(series))))
+        num = [h * s for h, s in zip(horner, series)]
+        den = scale**d * factorial(d) * prod(b)
+        g = gcd(den, *num) * (1 if den > 0 else -1)
+        cones.append((cone, tuple(b), [x // g for x in num], den // g, group))
+    common = lcm(*(den for _, _, _, den, _ in cones))
+    return common, walls, tuple(
+        (cone, b, tuple(x * (common // den) for x in num), group)
+        for cone, b, num, den, group in cones
+    )
 
 
 @lru_cache(maxsize=16)
@@ -814,19 +750,20 @@ def _brion_count(brion, coefficients):
     D is nef exactly when its support function is convex across every
     wall, that is w.a <= 0 for each wall row w; tested before any sum.
     """
-    den, walls, _, cones = brion
+    den, walls, cones = brion
     if any(_dot(w, coefficients) > 0 for w in walls):
         return None
     total = 0
-    for cone, b, m, points, poly in cones:
+    for cone, b, poly, group in cones:
         a = [coefficients[i] for i in cone]
-        if points is None:
+        if group is None:
             alphas = (-_dot(a, b),)
         else:
-            alphas = [
-                beta - sum(bj * ((aj + hj) // mj) for bj, aj, hj, mj in zip(b, a, h, m))
-                for h, beta in points
-            ]
+            m, gens, lw, det = group
+            alphas = (
+                _dot(h, lw) // det - sum(bj * ((aj + hj) // mj) for bj, aj, hj, mj in zip(b, a, h, m))
+                for h in _subgroup(gens, m)
+            )
         for alpha in alphas:
             acc = 0
             for c in poly:

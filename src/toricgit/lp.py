@@ -50,14 +50,14 @@ def _pivot_rule(m, n):
 
 
 def _simplex_core(tab, basis, cost, d):
-    """Minimize a bounded LP over the integer tableau in place.
+    """Minimize an LP over the integer tableau in place.
 
     tab: m rows of length n+1 (last entry the rhs) on the scale d, basis
     columns d times identity; basis[i] labels row i's basic column, which
     may lie past n and go unstored, and then never enters again.  cost:
     length n+1 reduced-cost row on a positive multiple of d (last entry
     -objective), pivoted with the tableau as its last row.  Returns the
-    final scale d.
+    final scale d, or None when the LP is unbounded.
     """
     m = len(tab)
     n = len(cost) - 1
@@ -90,7 +90,7 @@ def _simplex_core(tab, basis, cost, d):
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            raise AssertionError("bounded LP came back unbounded")
+            return None
         d = _pivot(rows, d, leave, enter)
         basis[leave] = enter
 

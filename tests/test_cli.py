@@ -328,8 +328,7 @@ class TestSections:
     def test_memoized_walk_counts_non_nef_on_bl8(self, write, capsys):
         # 40 on the far ray and 1 on the exceptional ray of Bl_pt P^8 is
         # not nef; its polytope is 40 times the standard simplex, whose
-        # C(48, 8) points Brion's formula counts once the fixed part E is
-        # stripped
+        # C(48, 8) points Brion's formula counts on the chamber fan
         fan = write(fan_to_json(blowup_pn_along_linear(8, 0)), "bl8_0.json")
         div = write({"coefficients": [0] * 8 + [40, 1]}, "d.json")
         code, out, _ = run(["sections", fan, div], capsys)

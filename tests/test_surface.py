@@ -316,7 +316,8 @@ def test_cones_uses_no_lp():
 def test_projectivity_runs_no_lp():
     # validate and vgit.nef_cone read one double description of the
     # wall rows, fans._nef_off: no module names the strict-slack LP's
-    # old entry point, fans takes only the scaled inverse from lp, and
+    # old entry point, fans takes from lp only the scaled inverse and the
+    # simplex loop that starts the section count's chamber walk, and
     # vgit reads neither the wall rows nor an inverse of its own.
     trees = src_trees()
     names = {
@@ -332,7 +333,7 @@ def test_projectivity_runs_no_lp():
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
     }
-    assert imports[("fans.py", "lp")] == {"scaled_inverse"}
+    assert imports[("fans.py", "lp")] == {"_simplex_core", "scaled_inverse"}
     assert imports[("vgit.py", "fans")] == {"_nef_off"}
     assert "scaled_inverse" not in imports[("vgit.py", "lp")]
 
