@@ -602,44 +602,36 @@ def _chamber_bases(fan, a):
     A basis keeps a tableau on the scale det of its scaled inverse
     (columns w_k): row k holds <v_r, w_k>, the last row the slacks
     det * a'_r - sum_k <v_r, w_k> a'_k.  Phase 1 is lp._simplex_core on
-    the dual LP, min a'.y over y >= 0 with sum_r y_r v_r the sum of a
-    full-dimensional cone's rays, whose reduced costs are those slacks.
-    Then each edge, leaving slot k for the ray of least slack ratio, is
-    one linalg._pivot.  fixed[r] is the least ceiling of D's slack at r
-    over the vertices, which every lattice point of P_D meets.
+    the dual LP, min a'.y over y >= 0 with sum_r y_r v_r the sum of the
+    rays of _start's cone, whose reduced costs are those slacks.  Then
+    each edge, leaving slot k for the ray of least slack ratio, is one
+    linalg._pivot.  fixed[r] is the least ceiling of D's slack at r over
+    the vertices, which every lattice point of P_D meets.
     """
-    n, d = fan.n_rays, fan.dim
-    cone = next((c for c in fan.max_cones if len(c) == d), ())
-    for i in range(n):  # only a fan with no full-dimensional cone
-        if len(cone) < d and matrix_rank(fan.cone_rays(cone + (i,))) > len(cone):
-            cone += (i,)
-    if len(cone) < d:
+    n, d, start = fan.n_rays, fan.dim, _start(fan)
+    if start is None:
         # the rays do not span, so P_D holds a line: empty or unbounded
         rows = [(*r, c) for r, c in zip(fan.rays, a)] + [(0,) * d + (1,)]
         if any(x[-1] > 0 for x in duals_from_inequalities(d + 1, rows)[1]):
             raise ValueError("unbounded divisor polytope; is the fan complete?")
         return None
-    q = 1 + 2 * max(sum(map(abs, r)) for r in fan.rays) ** d  # Hadamard's bound
-    big = q**n
-    a = [x * big + q ** (n - 1 - r) for r, x in enumerate(a)] + [0]
-    inv, det = _cone_inverses(fan).get(cone) or scaled_inverse(fan.cone_rays(cone))
-    # column n: the sum of the start's rays, the dual LP's right-hand side
-    vecs = fan.rays + (tuple(map(sum, zip(*fan.cone_rays(cone)))),)
-    tab = [[_dot(v, w) for v in vecs] for w in zip(*inv)]
-    start = [a[i] for i in cone]
-    slack = [det * x - _dot(col, start) for x, col in zip(a, zip(*tab))]
+    cone, big, pows, det, rows = start
+    a = [x * big + p for x, p in zip(a, pows)] + [0]
+    tab, ac = [list(row) for row in rows], [a[i] for i in cone]
+    slack = [det * x - _dot(col, ac) for x, col in zip(a, zip(*tab))]
     basis = list(cone)
     det = _simplex_core(tab, basis, slack, det)
     if det is None:
         return None
-    half = big // 2
-    fixed = [-(-((s + half) // big) // det) for s in slack[:n]]
-    seen, todo = {frozenset(basis)}, [(tuple(basis), det, [row[:n] for row in tab] + [slack[:n]])]
+    seen, slacks = {frozenset(basis)}, []
+    todo = [(tuple(basis), det, [row[:n] for row in tab] + [slack[:n]], d)]
     while todo:
-        cone, det, tab = todo.pop()
+        cone, det, tab, back = todo.pop()  # leaving slot back returns to the parent
         slack = tab[d]
-        fixed = [min(f, -(-((s + half) // big) // det)) for f, s in zip(fixed, slack)]
+        slacks.append((det, slack))
         for k in range(d):
+            if k == back:
+                continue
             best = None
             for r, c in enumerate(tab[k]):
                 if c < 0 and (best is None or slack[r] * bc > sb * c):
@@ -652,8 +644,34 @@ def _chamber_bases(fan, a):
                 seen.add(key)
                 _charge(len(seen))  # each basis is a cone of the chamber fan
                 new = [list(row) for row in tab]
-                todo.append((nxt, _pivot(new, det, k, best), new))
+                todo.append((nxt, _pivot(new, det, k, best), new, k))
+    # D's slack at a vertex is its slack over big, rounded; a ray tight
+    # at a vertex has fixed 0
+    used, half = set().union(*seen), big // 2
+    fixed = [0 if r in used else min(-(-((s[r] + half) // big) // t) for t, s in slacks) for r in range(n)]
     return [tuple(sorted(c)) for c in seen], fixed
+
+
+@lru_cache(maxsize=1024)
+def _start(fan):
+    """(cone, Q^n, (Q^(n-1), ..., Q, 1), det, rows) that start the
+    chamber walk, or None when the rays do not span: the first
+    full-dimensional cone (else d independent rays), the perturbation,
+    Q 1 plus twice Hadamard's bound on the maximal minors, and the
+    tableau rows without the slacks."""
+    n, d = fan.n_rays, fan.dim
+    cone = next((c for c in fan.max_cones if len(c) == d), ())
+    for i in range(n):  # only a fan with no full-dimensional cone
+        if len(cone) < d and matrix_rank(fan.cone_rays(cone + (i,))) > len(cone):
+            cone += (i,)
+    if len(cone) < d:
+        return None
+    inv, det = _cone_inverses(fan).get(cone) or scaled_inverse(fan.cone_rays(cone))
+    q = 1 + 2 * max(sum(map(abs, r)) for r in fan.rays) ** d
+    # column n: the sum of the start's rays, the dual LP's right-hand side
+    vecs = fan.rays + (tuple(map(sum, zip(*fan.cone_rays(cone)))),)
+    rows = tuple(tuple(_dot(v, w) for v in vecs) for w in zip(*inv))
+    return cone, q**n, tuple(q ** (n - 1 - r) for r in range(n)), det, rows
 
 
 def _charge(index):
