@@ -1045,12 +1045,11 @@ class TestChamberRoute:
         assert validate(chamber).complete and len(chamber.max_cones) == 6
         assert count == 2 == cox_ring_sections(f.rays, f.max_cones, coeffs)
 
-
     def test_cached_brion_data_does_not_grow_with_the_index(self):
         # A non-unimodular cone keeps the generators of its subgroup, not
         # its parallelepiped points: nef and non-nef counts on three
         # fans of summed index 120,006 leave under 1 MB in the caches,
-        # where their points would take tens of MB.
+        # where a cache of their points would hold all 120,006 of them.
         for fn in (fans._brion_data, fans._cone_inverses, fans._walls, validate):
             fn.cache_clear()
         gc.collect()
