@@ -1,18 +1,18 @@
 """Exact linear programming and integer matrix inversion.
 
-One LP, on a fraction-free integer tableau: SlackTableau is the
-strict-slack LP max t <= 1 with rows.x >= t, started from its feasible
-slack basis; its one caller is vgit's chamber cell search.  Each row is
+Two simplex loops on fraction-free integer tableaux.  SlackTableau,
+the feasibility LP rows.x >= 1 with no objective, serves only vgit's
+chamber cell search.  with_rows adds rows to a copy, each in terms of
+the current basis, and restores a nonnegative rhs by dual simplex
+pivots; solve() is with_rows on the empty tableau, so the search runs
+no primal solve, its root included (Avis and Fukuda 1996).  The primal
+loop, _simplex_core, is the phase 1 of fans' chamber walk.  Each row is
 the rational row times one positive scale d, the absolute value of the
 basis determinant, so the Bareiss update (p*x - f*y) // d of
-linalg._pivot is exact (Bareiss 1968; lrs, Avis 2000); the cost row
-goes to _pivot as one more row of the tableau.  Entries on one scale
-compare as the rational ones do, so the pivots are those of the
-rational tableau, and a solution is read off scaled, as integers.  An
-optimal SlackTableau is warm-started: with_rows adds rows to a copy,
-each in terms of the current basis, and re-optimises it by dual simplex
-pivots, so a search that adds a row per step solves only its first LP
-from scratch (Avis and Fukuda 1996).  Both the primal and the dual loop
+linalg._pivot is exact (Bareiss 1968; lrs, Avis 2000); a cost row goes
+to _pivot as one more row of the tableau.  Entries on one scale compare
+as the rational ones do, so the pivots are those of the rational
+tableau, and a solution is read off scaled, as integers.  Both loops
 pivot by Dantzig's rule with an automatic switch to Bland's rule after
 enough iterations, which keeps runs fast in practice and terminating in
 theory, under one iteration limit that raises PivotLimit.  Exact solves
@@ -57,7 +57,8 @@ def _simplex_core(tab, basis, cost, d):
     may lie past n and go unstored, and then never enters again.  cost:
     length n+1 reduced-cost row on a positive multiple of d (last entry
     -objective), pivoted with the tableau as its last row.  Returns the
-    final scale d, or None when the LP is unbounded.
+    final scale d, or None when the LP is unbounded.  Its one caller is
+    fans._chamber_bases, the phase 1 of the chamber walk.
     """
     m = len(tab)
     n = len(cost) - 1
@@ -95,20 +96,19 @@ def _simplex_core(tab, basis, cost, d):
         basis[leave] = enter
 
 
-def _dual_simplex(tab, basis, cost, d):
-    """Restore a nonnegative rhs to a tableau whose cost row is already
-    nonnegative, in place; returns the final scale d.
+def _dual_simplex(tab, basis, d):
+    """Restore a nonnegative rhs to a tableau with no objective, in
+    place; returns the final scale d, or None when the rows are
+    infeasible.
 
-    The layout is _simplex_core's.  Each pivot leaves on a row with a
-    negative rhs (the most negative, or under Bland's rule the smallest
-    basic index) and enters the column j of least cost[j] / -a_j over
-    that row's negative entries a_j, ties to the smallest j, so the cost
-    row stays nonnegative.  A row with a negative rhs and no negative
-    entry makes the LP infeasible.
+    The layout is _simplex_core's, with no cost row.  With no objective
+    every basis is dual feasible and every ratio test ties, so each
+    pivot leaves on a row with a negative rhs (the most negative, or
+    under Bland's rule the smallest basic index) and enters that row's
+    first negative entry.  A row with a negative rhs and no negative
+    entry proves the rows infeasible (Farkas).
     """
-    m = len(tab)
-    n = len(cost) - 1
-    rows = tab + [cost]
+    m, n = len(tab), len(tab[0]) - 1
     for dantzig in _pivot_rule(m, n):
         infeasible = [i for i in range(m) if tab[i][-1] < 0]
         if not infeasible:
@@ -118,82 +118,67 @@ def _dual_simplex(tab, basis, cost, d):
         else:
             leave = min(infeasible, key=basis.__getitem__)
         row = tab[leave]
-        enter = None
-        for j in range(n):
-            a = row[j]
-            # cost[j] / -a < cost[enter] / -row[enter], cross-multiplied
-            if a < 0 and (enter is None or cost[j] * row[enter] > cost[enter] * a):
-                enter = j
+        enter = next((j for j in range(n) if row[j] < 0), None)
         if enter is None:
-            raise AssertionError("dual simplex found the LP infeasible")
-        d = _pivot(rows, d, leave, enter)
+            return None
+        d = _pivot(tab, d, leave, enter)
         basis[leave] = enter
 
 
 @dataclass
 class SlackTableau:
-    """Optimal integer tableau of max t <= 1 with rows.x >= t.
+    """Feasible integer tableau of rows.x >= 1.
 
-    Over x = x+ - x-, t and one slack per row, all >= 0, row i reads
-    t - rows_i.x+ + rows_i.x- + s_i == 0 and the bound row t + s == 1.
-    Columns are x+, x-, t, the slacks in row order, then the rhs; rows
-    are on the scale d, basis columns d times identity.  The origin is
-    the slack basis, so solve() starts feasible on d = 1 and runs no
-    phase 1.  with_rows() warm-starts a copy with more rows.
+    Over x = x+ - x- and one slack per row, all >= 0, row i reads
+    -rows_i.x+ + rows_i.x- + s_i == -1.  Columns are x+, x-, the slacks
+    in row order, then the rhs; rows are on the scale d, basis columns d
+    times identity, and every rhs is >= 0.  By scaling, the rows have a
+    point exactly when the open cell rows.x > 0 has one.
     """
 
     n: int
     tab: list
     basis: list
-    cost: list
     d: int
 
     @classmethod
     def solve(cls, rows):
-        """Solve from the slack basis; rows must be nonempty."""
-        n = len(rows[0])
-        tab = [[-v for v in row] + list(row) + [1] for row in rows] + [[0] * (2 * n) + [1]]
-        m = len(tab)
-        for i, row in enumerate(tab):
-            row += [int(k == i) for k in range(m)] + [int(i == m - 1)]
-        basis = list(range(2 * n + 1, 2 * n + 1 + m))
-        cost = [0] * (2 * n) + [-1] + [0] * (m + 1)
-        return cls(n, tab, basis, cost, _simplex_core(tab, basis, cost, 1))
+        """with_rows(rows) on the empty tableau; rows must be nonempty."""
+        return cls(len(rows[0]), [], [], 1).with_rows(rows)
 
     def with_rows(self, rows):
-        """A copy with rows.x >= t added, re-optimised by dual simplex.
+        """A copy with rows.x >= 1 added, or None when they are infeasible.
 
         Each new row gets its own slack column, basic in that row, and
         is written in the current basis on the scale d as
         d*row - sum over basic columns j of row[j] * (j's tableau row);
-        the basis determinant, and so d, is unchanged.  The cost row
-        stays optimal, only the new rhs can be negative, and the dual
-        simplex pivots from there (Avis and Fukuda 1996; lrs).
+        the basis determinant, and so d, is unchanged.  Only the new rhs
+        can be negative, and the dual simplex pivots from there (Avis
+        and Fukuda 1996; lrs).
         """
         n, d = self.n, self.d
         pad = [0] * len(rows)
         tab = [row[:-1] + pad + row[-1:] for row in self.tab]
-        cost = self.cost[:-1] + pad + self.cost[-1:]
         basis = list(self.basis)
-        width = len(cost)
+        slacks = len(tab) + len(rows)
         for row in rows:
-            coeff = [-v for v in row] + list(row) + [1]
-            new = [d * v for v in coeff] + [0] * (width - 2 * n - 1)
-            new[2 * n + 1 + len(tab)] = d
+            coeff = [-v for v in row] + list(row)
+            new = [d * v for v in coeff] + [0] * slacks + [-d]
+            new[2 * n + len(tab)] = d
             for b, trow in zip(basis, tab):
-                f = coeff[b] if b <= 2 * n else 0
+                f = coeff[b] if b < 2 * n else 0
                 if f:
                     new = [x - f * y for x, y in zip(new, trow)]
-            basis.append(2 * n + 1 + len(tab))
+            basis.append(2 * n + len(tab))
             tab.append(new)
-        d = _dual_simplex(tab, basis, cost, d)
-        return SlackTableau(n, tab, basis, cost, d)
+        d = _dual_simplex(tab, basis, d)
+        return None if d is None else SlackTableau(n, tab, basis, d)
 
     def scaled_solution(self):
-        """(t, x) at the optimum times the scale d, as integers."""
+        """x at the basic point times the scale d, as integers."""
         n = self.n
-        z = {j: row[-1] for j, row in zip(self.basis, self.tab) if j <= 2 * n}
-        return (z.get(2 * n, 0), [z.get(j, 0) - z.get(n + j, 0) for j in range(n)])
+        z = {j: row[-1] for j, row in zip(self.basis, self.tab) if j < 2 * n}
+        return [z.get(j, 0) - z.get(n + j, 0) for j in range(n)]
 
 
 @lru_cache(maxsize=64)

@@ -378,8 +378,8 @@ def _split_normals(dm):
 
 # Tableau entries one cell search may charge: rows times columns of
 # each tableau it re-optimises, counted with the added rows before they
-# are added.  The corpus peaks at 62,036 per grading; the k = 8 to 16
-# probes of the tests reach the budget in 6-8 s on 2 cores.
+# are added.  The corpus peaks at 52,934 per grading; the k = 8 to 16
+# probes of the tests reach the budget in 3.5-4.5 s on 2 cores.
 _TABLEAU_BUDGET = 20_000_000
 
 
@@ -392,13 +392,14 @@ def _enumerate_cells(dm):
     vector, integer interior witness) pairs sorted by sign vector.  The
     DFS carries an interior witness down each branch, so the child on
     the witness's own side needs no LP at all.  It also carries the
-    SlackTableau of the nearest ancestor that ran one, with the rows
-    added since; every other child re-optimises that tableau with those
-    rows and its own by dual simplex, so only the root LP is solved from
-    scratch (reverse search, Avis and Fukuda 1996).  Each
-    re-optimisation charges the entries of the tableau it pivots, and a
-    search past _TABLEAU_BUDGET entries raises ValueError, so the budget
-    bounds time even as the tableaux grow.
+    SlackTableau of rows.x >= 1 of the nearest ancestor that ran one,
+    with the rows added since; every other child adds those rows and its
+    own to that tableau by dual simplex, and is an empty cell when they
+    have no point.  No LP runs the primal simplex, the root's included
+    (reverse search, Avis and Fukuda 1996).  Each re-optimisation
+    charges the entries of the tableau it pivots, and a search past
+    _TABLEAU_BUDGET entries raises ValueError, so the budget bounds time
+    even as the tableaux grow.
     """
     if _basis_table(dm)[0]:
         raise ValueError("degrees do not span the class group; the effective cone has no interior")
@@ -411,9 +412,9 @@ def _enumerate_cells(dm):
 
     def rec(signs, tableau, pending, witness):
         nonlocal entries
-        # witness is the tableau's optimal x times its scale, which is
-        # positive: same signs, and dividing by gcd(scale, *witness)
-        # clears the denominators of x
+        # witness is the tableau's x times its scale, which is positive:
+        # same signs, and dividing by gcd(scale, *witness) clears the
+        # denominators of x
         if len(signs) == len(normals):
             g = gcd(tableau.d, *witness)
             cells.append((tuple(signs), tuple(v // g for v in witness)))
@@ -427,18 +428,18 @@ def _enumerate_cells(dm):
                 rec(signs + [s], tableau, pending + [row], witness)
                 continue
             rows = pending + [row]
-            entries += (len(tableau.tab) + len(rows)) * (len(tableau.cost) + len(rows))
+            m = len(tableau.tab) + len(rows)
+            entries += m * (2 * tableau.n + m + 1)
             if entries > _TABLEAU_BUDGET:
                 raise ValueError(
                     f"chamber cell search needs more than {_TABLEAU_BUDGET} "
                     "simplex tableau entries"
                 )
             child = tableau.with_rows(rows)
-            t, x = child.scaled_solution()
-            if t > 0:
-                rec(signs + [s], child, [], x)
+            if child is not None:
+                rec(signs + [s], child, [], child.scaled_solution())
 
-    rec([], root, [], root.scaled_solution()[1])
+    rec([], root, [], root.scaled_solution())
     return tuple(sorted(cells))
 
 

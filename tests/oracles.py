@@ -5,9 +5,10 @@ no code with the fraction-free integer pivot in toricgit.lp.
 rational_solve_nonneg is the two-phase simplex with an objective over
 Fraction, with the pivot rules of toricgit.lp, and simplex_max poses
 free variables and inequalities on it; toricgit.lp itself keeps only
-the strict-slack tableau.  in_cone is a phase-1 verdict on its integer
-simplex core, and solve_nonneg is that phase 1 on integer or
-Fraction entries with its basic solution read off; nonneg_combination
+the feasibility tableau and the primal loop of the chamber walk.
+in_cone is a phase-1 verdict on its integer simplex core, and
+solve_nonneg is that phase 1 on integer or Fraction entries with its
+basic solution read off; nonneg_combination
 poses cone membership on it, against which in_cone is held.
 cox_ring_sections counts sections in the Cox ring, sharing no code with
 Brion's formula in toricgit.fans, nor with the Smith form behind
@@ -21,8 +22,8 @@ the adjacency-filtered toricgit.cones routine is held; the two share
 only the integer helpers, and canonical_form is this file's own, by
 Gauss-Jordan over Fraction.
 max_strict_slack poses t > 0 as the phase-1 problem rows.x - s == 1,
-eq_rows.x == 0 on solve_nonneg, against which the slack-basis start in
-toricgit.lp and the projectivity that toricgit.fans.validate reads off
+eq_rows.x == 0 on solve_nonneg, against which the feasibility tableau
+of toricgit.lp and the projectivity that toricgit.fans.validate reads off
 the nef cone's double description are held, and crossing_normals decides
 by one such LP with an equality per arrangement normal what
 toricgit.vgit reads off integer dot products.

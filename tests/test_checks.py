@@ -332,11 +332,12 @@ class TestRunAll:
         assert codims.hits + codims.misses == 5 * len(corpus)
 
     def test_one_scratch_solve_per_root_and_fan(self, monkeypatch, inverse_raises):
-        # The only primal solves of a cold run_all are the root LP of
-        # each chamber cell search, one per distinct grading: membership
+        # The only LPs a cold run_all solves from the empty tableau are
+        # the roots of the chamber cell searches, one per distinct
+        # grading, and none of them runs the primal simplex: membership
         # and projectivity run no LP, and no integer inverse raises on a
         # dependent set of degree classes.
-        calls = {"scratch": 0, "roots": 0}
+        calls = {"scratch": 0, "roots": 0, "primal": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -345,7 +346,9 @@ class TestRunAll:
 
             return wrapper
 
-        monkeypatch.setattr(lp, "_simplex_core", counting("scratch", lp._simplex_core))
+        scratch = staticmethod(counting("scratch", lp.SlackTableau.solve))
+        monkeypatch.setattr(lp.SlackTableau, "solve", scratch)
+        monkeypatch.setattr(lp, "_simplex_core", counting("primal", lp._simplex_core))
         monkeypatch.setattr(vgit, "_enumerate_cells", counting("roots", vgit._enumerate_cells))
         clear_caches()
         try:
@@ -354,6 +357,7 @@ class TestRunAll:
             clear_caches()
         assert inverse_raises == []
         assert calls["scratch"] == calls["roots"] == 54
+        assert calls["primal"] == 0
 
     def test_everything_passes(self):
         results = run_all()

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,25 @@ from toricgit.lp import PivotLimit, SlackTableau, scaled_inverse
 
 
 def solution(tableau):
-    """(t, x) at the tableau's optimum, as Fractions: its scaled
-    solution over its scale d."""
-    t, x = tableau.scaled_solution()
-    return (Fraction(t, tableau.d), [Fraction(v, tableau.d) for v in x])
+    """x at the tableau's basic point, as Fractions: its scaled solution
+    over its scale d."""
+    return [Fraction(v, tableau.d) for v in tableau.scaled_solution()]
 
 
-def strict_slack(rows):
-    """Largest t <= 1 with rows.x >= t, as (t, x), from the slack basis."""
-    return solution(SlackTableau.solve(rows))
+def check_against_oracle(tableau, rows):
+    """The tableau is None exactly when the oracle's largest t <= 1 with
+    rows.x >= t is 0.  Otherwise its scaled point meets rows.x >= d
+    exactly, on a basis whose columns are d times identity, with every
+    rhs >= 0 and no column but x+, x-, the slacks and the rhs."""
+    assert (tableau is None) == (oracles.max_strict_slack(rows)[0] == 0)
+    if tableau is None:
+        return
+    d, x, m = tableau.d, tableau.scaled_solution(), len(tableau.tab)
+    assert d > 0 and m == len(rows)
+    assert all(sum(r * v for r, v in zip(row, x)) >= d for row in rows)
+    for i, b in enumerate(tableau.basis):
+        assert [row[b] for row in tableau.tab] == [d * (k == i) for k in range(m)]
+    assert all(row[-1] >= 0 and len(row) == 2 * tableau.n + m + 1 for row in tableau.tab)
 
 
 def test_solve_nonneg_feasible():
@@ -59,17 +70,17 @@ def test_simplex_max_with_equalities():
 
 
 def test_max_strict_slack():
-    t, x = strict_slack([(1, 0), (0, 1)])
-    assert t == 1
+    # the tableau of rows.x >= 1 has a point exactly when the oracle's
+    # largest t <= 1 with rows.x >= t is positive
+    x = solution(SlackTableau.solve([(1, 0), (0, 1)]))
     assert x[0] >= 1 and x[1] >= 1
-    t, _ = strict_slack([(1, 0), (-1, 0)])
-    assert t == 0
+    assert SlackTableau.solve([(1, 0), (-1, 0)]) is None
 
 
 @st.composite
 def slack_rows(draw):
-    """Up to 12 integer rows of dimension 1-5, entries in -3..3, with
-    zero rows and repeated rows mixed in."""
+    """Up to 13 integer rows of dimension 1-5, entries in -3..3, with
+    zero, repeated and negated rows mixed in."""
     n = draw(st.integers(min_value=1, max_value=5))
     vec = st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n)
     rows = draw(st.lists(vec.map(tuple), min_size=1, max_size=10))
@@ -77,16 +88,15 @@ def slack_rows(draw):
         rows.append((0,) * n)
     if draw(st.booleans()):
         rows.append(draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        rows.append(tuple(-v for v in draw(st.sampled_from(rows))))
     return draw(st.permutations(rows))
 
 
 @settings(max_examples=200)
 @given(slack_rows())
 def test_max_strict_slack_slack_start_matches_two_phase(rows):
-    t, x = strict_slack(rows)
-    t_ref, _ = oracles.max_strict_slack(rows)
-    assert t == t_ref
-    assert all(sum(r * v for r, v in zip(row, x)) >= t for row in rows)
+    check_against_oracle(SlackTableau.solve(rows), rows)
 
 
 @st.composite
@@ -112,39 +122,40 @@ def warm_start_rows(draw):
 @settings(max_examples=300)
 @given(warm_start_rows())
 def test_dual_simplex_warm_start_matches_two_phase(data):
+    # each batch is checked as it lands; an infeasible one ends the
+    # chain, as it ends a branch of the cell search
     parent, batches = data
-    tableau = lp.SlackTableau.solve(parent)
     rows = list(parent)
+    tableau = SlackTableau.solve(parent)
+    check_against_oracle(tableau, rows)
     for batch in batches:
+        if tableau is None:
+            break
         tableau = tableau.with_rows(batch)
         rows += batch
-    t, x = solution(tableau)
-    assert t == oracles.max_strict_slack(rows)[0]
-    assert all(sum(r * v for r, v in zip(row, x)) >= t for row in rows)
-    d = tableau.d
-    m = len(tableau.tab)
-    assert m == len(rows) + 1 and d > 0
-    for i, b in enumerate(tableau.basis):
-        assert [row[b] for row in tableau.tab] == [d * (k == i) for k in range(m)]
-    assert all(row[-1] >= 0 for row in tableau.tab)
-    assert min(tableau.cost[:-1]) >= 0
+        check_against_oracle(tableau, rows)
 
 
 def test_max_strict_slack_runs_no_phase_one(monkeypatch):
-    # one primal solve per LP, from the slack basis on scale 1: no
-    # artificial column and no second phase
+    # no primal solve at all: solve() is one dual simplex from the slack
+    # basis of the empty tableau on scale 1, with no objective
     starts = []
-    real = lp._simplex_core
+    real = lp._dual_simplex
 
-    def spy(tab, basis, cost, d):
+    def spy(tab, basis, d):
         starts.append((list(basis), d))
-        return real(tab, basis, cost, d)
+        return real(tab, basis, d)
 
-    monkeypatch.setattr(lp, "_simplex_core", spy)
+    def refuse(*args):
+        raise AssertionError("SlackTableau ran the primal simplex")
+
+    monkeypatch.setattr(lp, "_simplex_core", refuse)
+    monkeypatch.setattr(lp, "_dual_simplex", spy)
     assert not hasattr(lp, "in_cone") and not hasattr(lp, "max_strict_slack")
-    assert strict_slack([(1, 0), (0, 1), (1, 0)])[0] == 1
-    assert strict_slack([(1, 1), (-1, -1), (0, 0)])[0] == 0
-    assert starts == [([5, 6, 7, 8], 1), ([5, 6, 7, 8], 1)]
+    assert [f.name for f in fields(SlackTableau)] == ["n", "tab", "basis", "d"]
+    assert SlackTableau.solve([(1, 0), (0, 1), (1, 0)]) is not None
+    assert SlackTableau.solve([(1, 1), (-1, -1), (0, 0)]) is None
+    assert starts == [([4, 5, 6], 1), ([4, 5, 6], 1)]
 
 
 def test_nonneg_combination():
@@ -409,12 +420,12 @@ def test_dual_simplex_pivots_on_a_negative_entry(monkeypatch):
     # The dual simplex enters on a negative entry of the leaving row,
     # and _pivot negates the tableau to keep its scale positive; left on
     # a negative scale, the rhs would read off the wrong point.
-    tableau = lp.SlackTableau.solve([(1, 0), (0, 1)])
+    tableau = SlackTableau.solve([(1, 0), (0, 1)])
     signs = pivot_signs(monkeypatch)
     child = tableau.with_rows([(-1, 1)])
-    assert False in signs
-    t, x = solution(child)
-    assert child.d > 0 and t == 1
+    assert signs and not any(signs)
+    x = solution(child)
+    assert child.d > 0
     assert all(sum(r * v for r, v in zip(row, x)) >= 1 for row in [(1, 0), (0, 1), (-1, 1)])
 
 
@@ -447,10 +458,13 @@ def test_cycling_lp_runs_past_bland_after(monkeypatch):
 
 def test_pivot_limit_still_raised(monkeypatch):
     # a pivot that changes nothing makes the simplex choose it for ever
-    tableau = lp.SlackTableau.solve([(1, 0), (0, 1)])
+    tableau = SlackTableau.solve([(1, 0), (0, 1)])
     monkeypatch.setattr(lp, "_pivot", lambda rows, d, leave, enter: d)
     with pytest.raises(PivotLimit):
         solve_nonneg([[1, 1]], [1])
-    # and the dual simplex the same: -x1 - x2 >= t leaves t = 1 infeasible
+    # -x - y >= 1 is refuted (Farkas) with no pivot at all, but after
+    # x >= 1 and y >= 1, -x + y >= 1 is feasible and needs a pivot, so
+    # the dual simplex raises the same
+    assert tableau.with_rows([(-1, -1)]) is None
     with pytest.raises(PivotLimit):
-        tableau.with_rows([(-1, -1)])
+        tableau.with_rows([(-1, 1)])

@@ -97,7 +97,8 @@ def test_every_definition_is_reachable_from_main():
                 defs[qual] = (node.name, False, own)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots.append(node)
-    assert len(defs) > 150  # the scan itself found the modules
+    # the scan itself found every module
+    assert {qual.split(".")[0] for qual in defs} >= set(LAYERS)
     names, attrs = references(roots + defs["cli.main"][2])
     reached = {"cli.main"}
     while True:
@@ -336,6 +337,33 @@ def test_projectivity_runs_no_lp():
     assert imports[("fans.py", "lp")] == {"_simplex_core", "scaled_inverse"}
     assert imports[("vgit.py", "fans")] == {"_nef_off"}
     assert "scaled_inverse" not in imports[("vgit.py", "lp")]
+
+
+def test_only_the_chamber_walk_runs_the_primal_simplex():
+    # lp._simplex_core is the phase 1 of fans' chamber walk and nothing
+    # else: no other module outside lp names it, and no SlackTableau
+    # method does, so the chamber cell search stays a dual simplex from
+    # the slack basis and cannot drift back to a primal phase.
+    def named(node):
+        return any(
+            (isinstance(n, ast.Name) and n.id == "_simplex_core")
+            or (isinstance(n, ast.Attribute) and n.attr == "_simplex_core")
+            or (isinstance(n, ast.alias) and n.name == "_simplex_core")
+            for n in ast.walk(node)
+        )
+
+    trees = src_trees()
+    assert sorted(name for name, tree in trees.items() if name != "lp.py" and named(tree)) == [
+        "fans.py"
+    ]
+    tableau = next(
+        node
+        for node in trees["lp.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "SlackTableau"
+    )
+    methods = [m for m in tableau.body if isinstance(m, ast.FunctionDef)]
+    assert {"solve", "with_rows", "scaled_solution"} <= {m.name for m in methods}
+    assert [m.name for m in methods if named(m)] == []
 
 
 def test_only_the_four_constructors_trust_their_fans():

@@ -696,7 +696,7 @@ class TestChambers:
 
     def test_k8_probe_stops_at_cell_budget(self):
         # 40 crossing walls: the whole search took 19 s on a 2-core
-        # machine; the budget stops it in about 7 s
+        # machine; the budget stops it in about 4 s
         dm = probe_grading(8, 1)
         clear_vgit_caches()
         try:
@@ -712,7 +712,7 @@ class TestChambers:
         # each re-optimisation carries a row per wall decided on its
         # branch, so a budget of 10,000 re-optimisations let this probe
         # run for about 40 s on a 2-core machine; the tableau entries
-        # charged stop it in about 7 s
+        # charged stop it in about 4 s
         dm = probe_grading(12, 1)
         clear_vgit_caches()
         try:
@@ -949,9 +949,9 @@ class TestCanonicalWitnesses:
         assert len(dms) == 61
 
     def test_cell_search_runs_no_phase_one(self, corpus, monkeypatch):
-        # lp has no phase-1 LP left, and the search solves only the root
-        # LP of each fan from scratch; every other LP is a dual simplex
-        # re-optimisation
+        # lp has no phase-1 LP left, and the search runs no primal
+        # simplex at all: the root LP of each fan, like every other, is
+        # a dual simplex from the slack basis
         assert not hasattr(lp, "in_cone") and not hasattr(vgit, "in_cone")
         fans = chamber_fans(corpus)
         calls = {"scratch": 0, "reoptimise": 0}
@@ -973,8 +973,9 @@ class TestCanonicalWitnesses:
                 vgit._enumerate_cells(dm)
         finally:
             clear_vgit_caches()
-        assert calls["scratch"] == len(dms)
-        assert calls["reoptimise"] > 0
+        assert len(dms) == 54
+        assert calls["scratch"] == 0
+        assert calls["reoptimise"] > len(dms)
 
     def test_cells_match_from_scratch_oracle(self, corpus):
         by_name = dict(corpus)
