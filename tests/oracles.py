@@ -8,8 +8,8 @@ free variables and inequalities on it; toricgit.lp itself keeps only
 the feasibility tableau and the primal loop of the chamber walk.
 in_cone is a phase-1 verdict on its integer simplex core, and
 solve_nonneg is that phase 1 on integer or Fraction entries with its
-basic solution read off; nonneg_combination
-poses cone membership on it, against which in_cone is held.
+basic solution read off; nonneg_combination poses cone membership on
+it, against which in_cone is held.
 cox_ring_sections counts sections in the Cox ring, sharing no code with
 Brion's formula in toricgit.fans, nor with the Smith form behind
 toricgit.cox.  walk_sections counts the lattice points of the divisor
@@ -23,8 +23,8 @@ only the integer helpers, and canonical_form is this file's own, by
 Gauss-Jordan over Fraction.
 max_strict_slack poses t > 0 as the phase-1 problem rows.x - s == 1,
 eq_rows.x == 0 on solve_nonneg, against which the feasibility tableau
-of toricgit.lp and the projectivity that toricgit.fans.validate reads off
-the nef cone's double description are held, and crossing_normals decides
+of toricgit.lp and the projectivity that toricgit.fans.validate reads
+off the nef cone's double description are held, and crossing_normals decides
 by one such LP with an equality per arrangement normal what
 toricgit.vgit reads off integer dot products.
 arrangement_normals takes one integer kernel, from the Smith form's

@@ -70,8 +70,7 @@ def test_simplex_max_with_equalities():
 
 
 def test_max_strict_slack():
-    # the tableau of rows.x >= 1 has a point exactly when the oracle's
-    # largest t <= 1 with rows.x >= t is positive
+    # rows.x >= 1 has a point exactly when the open cell rows.x > 0 does
     x = solution(SlackTableau.solve([(1, 0), (0, 1)]))
     assert x[0] >= 1 and x[1] >= 1
     assert SlackTableau.solve([(1, 0), (-1, 0)]) is None

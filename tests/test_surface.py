@@ -345,12 +345,8 @@ def test_only_the_chamber_walk_runs_the_primal_simplex():
     # method does, so the chamber cell search stays a dual simplex from
     # the slack basis and cannot drift back to a primal phase.
     def named(node):
-        return any(
-            (isinstance(n, ast.Name) and n.id == "_simplex_core")
-            or (isinstance(n, ast.Attribute) and n.attr == "_simplex_core")
-            or (isinstance(n, ast.alias) and n.name == "_simplex_core")
-            for n in ast.walk(node)
-        )
+        names, attrs = references([node])
+        return "_simplex_core" in names | attrs
 
     trees = src_trees()
     assert sorted(name for name, tree in trees.items() if name != "lp.py" and named(tree)) == [
