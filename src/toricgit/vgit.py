@@ -82,10 +82,10 @@ def _class_membership(dm, chi):
     to a basis B of the span of the classes; the coordinates of chi in
     B are then nonnegative and vanish off T.  So, for chi in that span,
     the members are the supersets of the supports of the nonnegative
-    coordinate vectors over the bases of _basis_table, each found by a
-    sign test on the rows of one inverse, and one superset closure sets
-    them all.  A chi off the span is in no cone.  No LP runs.  The cache
-    is small because one entry holds 2**MAX_DEGREE_CLASSES bits.
+    coordinate vectors over the bases of _basis_table, read by index off
+    one dot product per normal, and one superset closure sets them all.
+    A chi off the span is in no cone.  No LP runs.  The cache is small
+    because one entry holds 2**MAX_DEGREE_CLASSES bits.
     """
     classes = _degree_classes(dm)
     k = len(classes)
@@ -93,14 +93,17 @@ def _class_membership(dm, chi):
         raise ValueError(
             f"too many distinct degree vectors ({k} > {MAX_DEGREE_CLASSES})"
         )
-    normals, table = _basis_table(dm)
-    if any(_dot(n, chi) for n in normals):
+    orthogonal, normals, table = _basis_table(dm)
+    if any(_dot(n, chi) for n in orthogonal):
         return classes, 0
+    dots = [_dot(n, chi) for n in normals]
+    signed = dots + [-x for x in dots]
     least = 0
-    for mask, rows in table:
-        coords = [_dot(row, chi) for row in rows]
-        if min(coords, default=0) >= 0:
-            least |= 1 << sum(1 << c for c, x in zip(_bits(mask), coords) if x)
+    for mask, idx in table:
+        coords = [signed[i] for i in idx]
+        if min(coords, default=0) >= 0:  # all nonzero: the support is the mask
+            support = mask if all(coords) else sum(1 << c for c, x in zip(_bits(mask), coords) if x)
+            least |= 1 << support
     return classes, _superset_closure(k, least)
 
 
@@ -225,21 +228,30 @@ def _masks_below(k, size):
 
 @lru_cache(maxsize=256)
 def _basis_table(dm):
-    """(normals, table) for the degree classes, from lp.basis_inverses.
+    """(orthogonal, normals, table) of the classes, from lp.basis_inverses.
 
-    normals span the rows orthogonal to every class, none when the
-    classes span Cl (x) Q.  table holds (class mask, facet rows) per basis
-    T of the span of the classes, masks in lexicographic order: for chi
-    in that span, cone(T) = {chi : rows . chi >= 0}, rows made
-    primitive.  When the classes span, these are the rows of inv(M_T),
-    with M_T the matrix whose columns are T."""
+    orthogonal spans the rows orthogonal to every class, none when the
+    classes span Cl (x) Q.  normals holds the N distinct sign-normalized
+    rows of the inverses, sorted.  table holds (class mask, signed
+    indices) per basis T of the span of the classes, masks in
+    lexicographic order: for chi in that span, cone(T) = {chi : rows .
+    chi >= 0}, index j standing for the row normals[j] and N + j for
+    -normals[j].  When the classes span, these are the primitive rows of
+    inv(M_T), with M_T the matrix whose columns are T."""
     vectors = [vec for vec, _ in _degree_classes(dm)]
-    normals, bases = basis_inverses(vectors, dm.cl_free_rank)
+    orthogonal, bases = basis_inverses(vectors, dm.cl_free_rank)
+    zero, seen = [0] * dm.cl_free_rank, {}  # each row normalized once, numbered as first seen
+    first = [
+        [2 * seen.setdefault(sign_normalized(r), len(seen)) + (r < zero) for r in rows] for _, rows in bases
+    ]
+    normals = tuple(sorted(seen))
+    order = {n: i for i, n in enumerate(normals)}
+    final = [v for n in seen for v in (order[n], order[n] + len(normals))]
     table = tuple(
-        (sum(1 << c for c in basis), tuple(primitive(row) for row in rows))
-        for basis, rows in bases
+        (sum(1 << c for c in basis), tuple(map(final.__getitem__, idx)))
+        for (basis, _), idx in zip(bases, first)
     )
-    return tuple(map(tuple, normals)), table
+    return tuple(map(tuple, orthogonal)), normals, table
 
 
 def _arrangement_normals(dm):
@@ -252,7 +264,7 @@ def _arrangement_normals(dm):
     only split chambers into pieces that merging by signature
     reassembles.
     """
-    return sorted({sign_normalized(r) for _, rows in _basis_table(dm)[1] for r in rows})
+    return _basis_table(dm)[1]
 
 
 @lru_cache(maxsize=256)
@@ -272,18 +284,21 @@ def _superset_closure(k, member):
     return member
 
 
-def _signature(classes, member):
-    """Signature of a character whose member masks are the up-closed
-    2**k-bit set member: its maximal non-members, those with no
-    non-member immediate superset, as supports."""
-    k = len(classes)
-    unstable = ~member & ((1 << (1 << k)) - 1)
+def _maximal(k, masks):
+    """The masks of a 2**k-bit set with no immediate superset in it: its
+    maximal ones when it holds every mask between two of its masks."""
     covered = 0
     for c in range(k):
-        covered |= (unstable >> (1 << c)) & _without_class(k, c)
-    return ChamberSignature(
-        facets=tuple(_mask_support(classes, mask) for mask in _bits(unstable & ~covered))
-    )
+        covered |= (masks >> (1 << c)) & _without_class(k, c)
+    return masks & ~covered
+
+
+def _signature(classes, member):
+    """Signature of a character whose member masks are the up-closed
+    2**k-bit set member: its maximal non-members, as supports."""
+    k = len(classes)
+    unstable = _maximal(k, ~member & ((1 << (1 << k)) - 1))
+    return ChamberSignature(facets=tuple(_mask_support(classes, mask) for mask in _bits(unstable)))
 
 
 @lru_cache(maxsize=8192)
@@ -303,28 +318,25 @@ def _chamber_keys(dm):
     if dm.n_rays > MAX_CHAMBER_RAYS:
         raise ValueError(f"chamber enumeration capped at {MAX_CHAMBER_RAYS} rays")
     classes = _degree_classes(dm)
-    # Per basis cone T, the crossing normals of its rows, each with the
-    # sign a cell inside cone(T) has on it.  The other rows need no
-    # test: cone(T) lies in the effective cone, so a row whose normal
-    # does not cross it is positive on its whole interior.
-    index = {n: i for i, n in enumerate(_split_normals(dm)[1])}
-    tests = []
-    for mask, rows in _basis_table(dm)[1]:
-        normals = [sign_normalized(r) for r in rows]
-        need = [(index[n], 1 if n == r else -1) for n, r in zip(normals, rows) if n in index]
-        tests.append((mask, need))
+    _, normals, table = _basis_table(dm)
+    # A cell's signs, +-1 on the crossing normals and 0 on the others,
+    # read through the signed indices: cone(T) holds the cell when no row
+    # is negative on it.  A non-crossing row needs no test: cone(T) lies
+    # in the effective cone, so it is positive on its whole interior.
+    crossing = _split_normals(dm)[1]
+    slots = [crossing.index(n) if n in crossing else len(crossing) for n in normals]
     seen = set()
     chambers = []
     for signs, _ in _enumerate_cells(dm):
-        key = tuple(
-            b for b, (_, need) in enumerate(tests) if all(signs[i] == s for i, s in need)
-        )
+        values = list(map((signs + (0,)).__getitem__, slots))
+        signed = values + [-x for x in values]
+        key = tuple(b for b, (_, idx) in enumerate(table) if min(map(signed.__getitem__, idx)) >= 0)
         if key in seen:
             continue
         seen.add(key)
         # a character off every hyperplane is in cone(S) exactly when S
         # holds one of the basis cones that contain it (Caratheodory)
-        member = _superset_closure(len(classes), sum(1 << tests[b][0] for b in key))
+        member = _superset_closure(len(classes), sum(1 << table[b][0] for b in key))
         chambers.append((key, _signature(classes, member)))
     return tuple(sorted(chambers, key=lambda c: c[1].facets))
 
@@ -344,10 +356,11 @@ def enumerate_chambers(dm):
     ample_character uses for the nef cone.  It takes one double
     description per chamber, so it is built only where it is printed.
     """
-    table = _basis_table(dm)[1]
+    _, normals, table = _basis_table(dm)
+    signed = normals + tuple(tuple(-v for v in n) for n in normals)
     chambers = []
     for key, sig in _chamber_keys(dm):
-        rows = [r for b in key for r in table[b][1]]
+        rows = [signed[i] for b in key for i in table[b][1]]
         rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
         chambers.append((tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank)), sig))
     return tuple(chambers)
@@ -457,7 +470,9 @@ def stable_base_locus_codim(fan, dm, chi):
         raise ValueError(f"character {chi} is outside the effective cone")
     ample = ample_character(fan, dm)
     _, ample_member = _class_membership(dm, ample)
-    sizes = [len(_mask_support(classes, mask)) for mask in _bits(ample_member & ~member)]
+    # the largest support lies on a maximal mask, weighed by class sizes
+    top = _bits(_maximal(len(classes), ample_member & ~member))
+    sizes = [sum(len(classes[c][1]) for c in _bits(mask)) for mask in top]
     if not sizes:
         return None
     return dm.n_rays - max(sizes)

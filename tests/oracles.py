@@ -37,6 +37,9 @@ chambers_cover_effective certifies that its cells tile the effective
 cone.  lp_membership decides which sets of degree classes have a cone
 containing a character by one in_cone LP per set of at most rank
 classes, where toricgit.vgit runs a sign test on the basis inverses.
+stable_base_locus_codim takes the support of every mask that the ample
+character's membership has and chi's lacks, where toricgit.vgit weighs
+only the maximal ones.
 chamber_closure intersects the cones of its member masks, against which
 the witness toricgit.vgit reads off the basis cones of a chamber is
 held.  is_boundary_character builds one cone by double description per
@@ -623,7 +626,7 @@ def arrangement_normals(dm):
         if len(ker) != 1:
             continue
         normals.add(sign_normalized(ker[0]))
-    return sorted(normals)
+    return tuple(sorted(normals))
 
 
 def chambers_cover_effective(dm) -> bool:
@@ -677,6 +680,21 @@ def lp_membership(dm, chi):
                 tested.add(mask)
     members = {m for m in range(2**k) if any(m & t == t for t in tested)}
     return classes, members
+
+
+def stable_base_locus_codim(fan, dm, chi):
+    """n_rays minus the largest support over every mask that is a member
+    for the ample character and not for chi, None when there is none,
+    where toricgit.vgit weighs only the maximal such masks by the sizes
+    of their degree classes."""
+    classes, member = vgit._class_membership(dm, tuple(chi))
+    _, ample_member = vgit._class_membership(dm, vgit.ample_character(fan, dm))
+    sizes = [
+        len(vgit._mask_support(classes, mask))
+        for mask in range(1 << len(classes))
+        if (ample_member & ~member) >> mask & 1
+    ]
+    return dm.n_rays - max(sizes) if sizes else None
 
 
 def chamber_closure(dm, chi):

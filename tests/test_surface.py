@@ -60,9 +60,12 @@ def references(nodes):
 
 
 def test_every_public_name_is_used_in_src():
-    names, attrs = references(src_trees().values())
+    trees = src_trees()
+    names, attrs = references(trees.values())
     surface = public_names()
-    assert len(surface) > 50  # the scan itself found the modules
+    # the scans themselves found every module
+    assert {f"{layer}.py" for layer in LAYERS} <= set(trees)
+    assert {qual.split(".")[0] for qual, _, _ in surface} == set(LAYERS)
     unused = sorted(
         qual
         for qual, bare, is_function in surface

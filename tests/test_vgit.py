@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -53,7 +54,7 @@ from toricgit.vgit import (
     unstable_supports,
 )
 from toricgit.cox import DegreeMap
-from toricgit.linalg import _dot, matrix_rank
+from toricgit.linalg import _dot, matrix_rank, primitive, sign_normalized
 
 
 def f1():
@@ -321,20 +322,29 @@ class TestMembership:
     def test_bases_have_at_most_rank_classes(self, corpus):
         # The table lists every independent set of as many classes as
         # their rank, in lexicographic order, each with the rows of its
-        # inverse; that rank is at most cl_free_rank.
+        # inverse as signed indices into the sorted arrangement normals;
+        # that rank is at most cl_free_rank.  The rows they stand for are
+        # the primitive rows of lp.basis_inverses.
         dms = [degree_map(fan) for _, fan in corpus] + [probe_grading(10, 2)]
         sizes = []
         for dm in dms:
             vectors = [v for v, _ in vgit._degree_classes(dm)]
             rank = matrix_rank(vectors)
-            normals, table = vgit._basis_table(dm)
-            assert len(normals) == dm.cl_free_rank - rank
+            orthogonal, normals, table = vgit._basis_table(dm)
+            assert len(orthogonal) == dm.cl_free_rank - rank
+            assert list(normals) == sorted({sign_normalized(n) for n in normals})
             assert [mask for mask, _ in table] == [
                 sum(1 << c for c in subset)
                 for subset in combinations(range(len(vectors)), rank)
                 if matrix_rank([vectors[c] for c in subset]) == rank
             ]
-            for mask, rows in table:
+            signed = normals + tuple(tuple(-v for v in n) for n in normals)
+            inverses = lp.basis_inverses(vectors, dm.cl_free_rank)[1]
+            assert [[signed[i] for i in idx] for _, idx in table] == [
+                [primitive(row) for row in inv] for _, inv in inverses
+            ]
+            for mask, idx in table:
+                rows = [signed[i] for i in idx]
                 basis = [vectors[c] for c in range(len(vectors)) if (mask >> c) & 1]
                 for i, row in enumerate(rows):
                     assert [_dot(row, v) > 0 for v in basis] == [j == i for j in range(rank)]
@@ -409,10 +419,11 @@ class TestMembership:
 
     def test_rank8_k16_within_the_lp_cost(self):
         # The most bases the caps accept: 16 distinct classes in rank 8,
-        # C(16, 8) = 12,870 sets, 12,776 of them bases here.  On a 2-core
-        # machine the first character took 1.5-1.8 s, nearly all of it
-        # building the table, against 2.5-2.9 s with one LP per mask; the
-        # next took 0.11-0.17 s, against 2.0-2.5 s.
+        # C(16, 8) = 12,870 sets, 12,776 of them bases here, over 10,898
+        # arrangement normals.  On a 2-core machine the first character
+        # took BUILD s, nearly all of it building the table, against
+        # 2.5-2.9 s with one LP per mask; the next took NEXT s, against
+        # 2.0-2.5 s.
         dm = probe_grading(16, 2, rank=8)
         chi = tuple(map(sum, zip(*dm.degrees_free)))
         clear_vgit_caches()
@@ -424,12 +435,34 @@ class TestMembership:
             nxt = unstable_supports(dm, tuple(x + 1 for x in chi))
             on_wall = is_boundary_character(dm, chi)
             second = time.perf_counter() - start
-            n_bases = len(vgit._basis_table(dm)[1])
+            n_bases = len(vgit._basis_table(dm)[2])
         finally:
             clear_vgit_caches()
         assert n_bases == 12776
         assert not sig.outside_effective and not nxt.outside_effective and not on_wall
         assert first < 6 and second < 1.5, (first, second)
+
+    def test_rank8_k16_table_is_small(self):
+        # The cache keeps up to 256 tables, so one table bounds a long
+        # session.  Measured with tracemalloc: with a tuple of rows per
+        # basis the table held 25.9 MB after a 50.8 MB build peak; as
+        # signed indices into 10,898 normals it holds 6.0 MB after a
+        # 43.2 MB peak.
+        dm = probe_grading(16, 2, rank=8)
+        clear_vgit_caches()
+        vgit._degree_classes(dm)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            n_bases = len(vgit._basis_table(dm)[2])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            clear_vgit_caches()
+        assert n_bases == 12776
+        assert held - before < 10_000_000, held - before
+        assert peak - before <= 48_000_000, peak - before
 
 
 class TestCones:
@@ -751,6 +784,49 @@ class TestStableBaseLocus:
         amp = ample_character(f, dm)
         with pytest.raises(ValueError, match="outside"):
             stable_base_locus_codim(f, dm, tuple(-x for x in amp))
+
+    def test_maximal_masks_match_all_masks_oracle(self, corpus):
+        # stable_base_locus_codim weighs only the maximal masks that the
+        # ample character has and chi lacks; the oracle takes the support
+        # of every such mask.  The probe gradings have no fan, so each of
+        # a few positive combinations of their degrees stands in for the
+        # ample character, and a copy with repeated degrees weighs classes
+        # of several rays.
+        rng = random.Random(30)
+
+        def combinations_of(dm, n):
+            vectors = [v for v, _ in vgit._degree_classes(dm)]
+            out = []
+            for _ in range(n):
+                w = [rng.randint(0, 2) for _ in vectors]
+                out.append(tuple(_dot(w, col) for col in zip(*vectors)))
+            return out
+
+        cases = []
+        for _, fan in corpus:
+            dm = degree_map(fan)
+            cases.append((fan, dm, None, combinations_of(dm, 6)))
+        for k, seed, rank in [(6, 1, 3), (8, 2, 4), (10, 2, 4), (12, 3, 5)]:
+            dm = probe_grading(k, seed, rank)
+            repeated = graded_by(list(dm.degrees_free) + list(dm.degrees_free[: k // 2]))
+            for grading in (dm, repeated):
+                for ample in combinations_of(grading, 3):
+                    cases.append((None, grading, ample, combinations_of(grading, 6)))
+        n_compared = n_loci = 0
+        for fan, dm, ample, characters in cases:
+            if fan is None:
+                patch = mock.patch.object(vgit, "ample_character", lambda f, d: ample)
+            else:
+                patch = contextlib.nullcontext()
+            with patch:
+                for chi in characters:
+                    if unstable_supports(dm, chi).outside_effective:
+                        continue
+                    want = oracles.stable_base_locus_codim(fan, dm, chi)
+                    assert stable_base_locus_codim(fan, dm, chi) == want, (dm, chi, ample)
+                    n_compared += 1
+                    n_loci += want is not None
+        assert n_compared > 400 and n_loci > 100, (n_compared, n_loci)
 
 
 class TestStructuralProperties:
