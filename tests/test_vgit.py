@@ -6,6 +6,7 @@ different route (dual facet inequalities instead of the simplex).
 """
 
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import os
@@ -421,9 +422,10 @@ class TestMembership:
         # The most bases the caps accept: 16 distinct classes in rank 8,
         # C(16, 8) = 12,870 sets, 12,776 of them bases here, over 10,898
         # arrangement normals.  On a 2-core machine the first character
-        # took BUILD s, nearly all of it building the table, against
-        # 2.5-2.9 s with one LP per mask; the next took NEXT s, against
-        # 2.0-2.5 s.
+        # took 1.3-1.6 s, nearly all of it building the table, against
+        # 2.5-2.9 s with one LP per mask; the next took 0.12-0.20 s,
+        # against 2.0-2.5 s, its membership test 0.03-0.06 s against
+        # 0.11-0.17 s with one dot product per row of every basis.
         dm = probe_grading(16, 2, rank=8)
         chi = tuple(map(sum, zip(*dm.degrees_free)))
         clear_vgit_caches()
@@ -445,9 +447,9 @@ class TestMembership:
     def test_rank8_k16_table_is_small(self):
         # The cache keeps up to 256 tables, so one table bounds a long
         # session.  Measured with tracemalloc: with a tuple of rows per
-        # basis the table held 25.9 MB after a 50.8 MB build peak; as
-        # signed indices into 10,898 normals it holds 6.0 MB after a
-        # 43.2 MB peak.
+        # basis the table held 25.5 MB after a 50.8 MB build peak; as
+        # signed indices into 10,898 normals it holds 5.7 MB after a
+        # peak of about 43 MB.
         dm = probe_grading(16, 2, rank=8)
         clear_vgit_caches()
         vgit._degree_classes(dm)
@@ -456,7 +458,11 @@ class TestMembership:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             n_bases = len(vgit._basis_table(dm)[2])
-            held, peak = tracemalloc.get_traced_memory()
+            peak = tracemalloc.get_traced_memory()[1]
+            # the recursive closure of lp.basis_inverses is a reference
+            # cycle that keeps the raw inverse rows until a collection
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
             clear_vgit_caches()
