@@ -32,8 +32,6 @@ from .fans import (
 from .linalg import _bareiss, _dot
 from .lp import scaled_inverse
 from .vgit import (
-    MAX_CHAMBER_RANK,
-    MAX_CHAMBER_RAYS,
     ample_character,
     chamber_signatures,
     moving_cone,
@@ -501,14 +499,12 @@ def run_all():
         results.append(
             _renamed(check_quotient_properties(fan), f"quotient-properties[{name}]")
         )
-        dm = degree_map(fan)
-        if dm.cl_free_rank <= MAX_CHAMBER_RANK and dm.n_rays <= MAX_CHAMBER_RAYS:
-            results.append(
-                _renamed(
-                    check_unstable_inclusion_forces_nef(fan),
-                    f"unstable-inclusion-forces-nef[{name}]",
-                )
+        results.append(
+            _renamed(
+                check_unstable_inclusion_forces_nef(fan),
+                f"unstable-inclusion-forces-nef[{name}]",
             )
+        )
     results.append(
         _renamed(check_small_unstable_locus(by_name["bl4_1"]), "small-unstable-locus[bl4_1]")
     )

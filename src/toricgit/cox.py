@@ -163,7 +163,9 @@ def zero_locus_codim(ideal) -> int:
                 return True
         return False
 
-    return next(k for k in range(1, n + 1) if hits(0, k, set()))
+    codim = next(k for k in range(1, n + 1) if hits(0, k, set()))
+    del hits  # hits' closure holds hits, a cycle that would keep masks alive until a collection
+    return codim
 
 
 def _acts_freely(fan, dm) -> bool:

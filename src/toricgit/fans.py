@@ -547,14 +547,6 @@ def bundle_o1_divisor(divisors, d=1) -> TorusInvariantDivisor:
 # takes about 0.85 s (Python 3.11, 2 cores).
 _INDEX_BUDGET = 200_000
 
-# l_k for k = 1..8 as (numerator, denominator): the Taylor coefficients
-# of log(x / (e^x - 1)) = -x/2 - x^2/24 + x^4/2880 - x^6/181440
-# + x^8/9676800 + ..., up to the dimension cap.
-_LOG_TODD = (
-    (-1, 2), (-1, 24), (0, 1), (1, 2880),
-    (0, 1), (-1, 181440), (0, 1), (1, 9676800),
-)
-
 
 def count_sections(fan, div) -> int:
     """Number of lattice points of P_D = {u : <u, v_rho> >= -a_rho}.
@@ -563,14 +555,12 @@ def count_sections(fan, div) -> int:
     nef: the fan itself, or with D less the fixed part that
     _chamber_bases finds, or else its chamber fan, which Fan certifies.
     An empty P_D counts 0.  ValueError for a divisor of the wrong
-    length, a fan above dimension 8, an unbounded P_D and a count past
-    _INDEX_BUDGET.
+    length, an unbounded P_D and a count past _INDEX_BUDGET, which
+    bounds the work in every dimension.
     """
     a = div.coefficients
     if len(a) != fan.n_rays:
         raise ValueError("divisor does not match the fan")
-    if fan.dim > 8:
-        raise ValueError("section counting is capped at ambient dimension 8")
     brion = _brion_data(fan)
     count = brion and _brion_count(brion, a)
     if count is None:
@@ -742,9 +732,18 @@ def _brion_data(fan):
 def _todd(d):
     """(scale, weights, horner) in dimension d: S_n = n! scale^n s_n =
     sum_k weights[n - 1][k - 1] p_k S_(n-k), each weight (n-1)!/(n-k)!
-    scale^k k l_k an integer, and num_k = horner_k * S_k."""
-    scale = lcm(*(den for _, den in _LOG_TODD[:d]))
-    lead = [scale**k * k * num // den for k, (num, den) in enumerate(_LOG_TODD[:d], 1)]
+    scale^k k l_k an integer, and num_k = horner_k * S_k.
+
+    l_k is the x^k coefficient of log(x / (e^x - 1)) = -x/2 - x^2/24 + ...:
+    k l_k = -B_k / k!, B_1 = 1/2, from sum_(j<=m) C(m+1, j) B_j = m + 1,
+    each Bernoulli number kept as the integer f B_k, f = (d+1)! (von
+    Staudt-Clausen); scale is the lcm of the denominators of the l_k."""
+    f, bern = factorial(d + 1), []
+    for m in range(d + 1):
+        bern.append(f - sum(comb(m + 1, j) * b for j, b in enumerate(bern)) // (m + 1))
+    log = [(-b, f * k * factorial(k)) for k, b in enumerate(bern[1:], 1)]  # l_k as (num, den)
+    scale = lcm(*(den // gcd(num, den) for num, den in log))
+    lead = [scale**k * k * num // den for k, (num, den) in enumerate(log, 1)]
     weights = [[perm(n - 1, k) * w for k, w in enumerate(lead[:n])] for n in range(1, d + 1)]
     return scale, weights, [(-1) ** d * comb(d, k) * scale ** (d - k) for k in range(d + 1)]
 

@@ -259,4 +259,5 @@ def basis_inverses(vectors, dim):
                 normals.extend(leaf[q][1:] for q in rest)
 
     rec(0, [[*(v[i] for v in vectors), *identity[i]] for i in range(dim)], 1, list(range(dim)), [])
+    del rec  # rec's closure holds rec, a cycle that would keep bases alive past the caller until a collection
     return normals, bases

@@ -25,8 +25,6 @@ from .linalg import primitive, sign_normalized
 from .linalg import _dot
 from .lp import SlackTableau, basis_inverses
 
-MAX_CHAMBER_RANK = 4
-MAX_CHAMBER_RAYS = 16
 MAX_DEGREE_CLASSES = 16
 
 
@@ -85,14 +83,10 @@ def _class_membership(dm, chi):
     coordinate vectors over the bases of _basis_table, read by index off
     one dot product per normal, and one superset closure sets them all.
     A chi off the span is in no cone.  No LP runs.  The cache is small
-    because one entry holds 2**MAX_DEGREE_CLASSES bits.
+    because one entry holds up to 2**MAX_DEGREE_CLASSES bits.
     """
     classes = _degree_classes(dm)
     k = len(classes)
-    if k > MAX_DEGREE_CLASSES:
-        raise ValueError(
-            f"too many distinct degree vectors ({k} > {MAX_DEGREE_CLASSES})"
-        )
     orthogonal, normals, table = _basis_table(dm)
     if any(_dot(n, chi) for n in orthogonal):
         return classes, 0
@@ -237,8 +231,12 @@ def _basis_table(dm):
     lexicographic order: for chi in that span, cone(T) = {chi : rows .
     chi >= 0}, index j standing for the row normals[j] and N + j for
     -normals[j].  When the classes span, these are the primitive rows of
-    inv(M_T), with M_T the matrix whose columns are T."""
+    inv(M_T), with M_T the matrix whose columns are T.  Membership and
+    chamber keys, both read from here, are sets of 2**k bits over the k
+    classes: ValueError past MAX_DEGREE_CLASSES classes."""
     vectors = [vec for vec, _ in _degree_classes(dm)]
+    if len(vectors) > MAX_DEGREE_CLASSES:
+        raise ValueError(f"too many distinct degree vectors ({len(vectors)} > {MAX_DEGREE_CLASSES})")
     orthogonal, bases = basis_inverses(vectors, dm.cl_free_rank)
     zero, seen = [0] * dm.cl_free_rank, {}  # each row normalized once, numbered as first seen
     first = [
@@ -313,10 +311,6 @@ def _chamber_keys(dm):
     indices of those basis cones in _basis_table.  Cells sharing a key
     are one chamber.
     """
-    if dm.cl_free_rank > MAX_CHAMBER_RANK:
-        raise ValueError(f"chamber enumeration capped at rank {MAX_CHAMBER_RANK}")
-    if dm.n_rays > MAX_CHAMBER_RAYS:
-        raise ValueError(f"chamber enumeration capped at {MAX_CHAMBER_RAYS} rays")
     classes = _degree_classes(dm)
     _, normals, table = _basis_table(dm)
     # A cell's signs, +-1 on the crossing normals and 0 on the others,
@@ -452,7 +446,10 @@ def _enumerate_cells(dm):
             if child is not None:
                 rec(signs + [s], child, [], child.scaled_solution())
 
-    rec([], root, [], root.scaled_solution())
+    try:
+        rec([], root, [], root.scaled_solution())
+    finally:
+        del rec  # rec's closure holds rec, a cycle that would keep cells alive until a collection
     return tuple(sorted(cells))
 
 

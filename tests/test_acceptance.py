@@ -29,8 +29,6 @@ from toricgit.cones import cone_from_generators, cones_equal
 from toricgit.cox import degree_map
 from toricgit.linalg import det, smith_normal_form
 from toricgit.vgit import (
-    MAX_CHAMBER_RANK,
-    MAX_CHAMBER_RAYS,
     ample_character,
     enumerate_chambers,
     nef_cone,
@@ -133,8 +131,6 @@ def test_criterion_8_chamber_machinery(corpus):
         for name, fan in corpus:
             dm = degree_map(fan)
             assert ample_signature_matches_irrelevant_ideal(fan, dm), name
-            if dm.cl_free_rank > MAX_CHAMBER_RANK or dm.n_rays > MAX_CHAMBER_RAYS:
-                continue
             amp = ample_character(fan, dm)
             nef_sig = unstable_supports(dm, amp)
             reps = [chi for chi, sig in enumerate_chambers(dm) if sig == nef_sig]

@@ -8,13 +8,14 @@ counts for the classical families.
 
 import contextlib
 import gc
+import json
 import random
 import time
 import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as iproduct
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 from unittest import mock
 
 import pytest
@@ -25,6 +26,7 @@ import oracles
 from oracles import cox_ring_sections, divisor_polytope, nef_cone_by_cones, rational_solve
 from oracles import simplex_max, vertex_nef, walk_sections
 from toricgit import fans
+from toricgit.cli import main
 from toricgit.checks import (
     PRODUCT_PAIRS,
     _divisor_with_class_multiple,
@@ -731,10 +733,33 @@ class TestSectionCounts:
         d = TorusInvariantDivisor(coeffs)
         assert count_sections(f, d) == lattice_points_by_box_scan(f, d) == walk_sections(f, d)
 
-    def test_dimension_cap(self):
-        f = projective_space_fan(9)
-        with pytest.raises(ValueError, match="capped"):
-            count_sections(f, hyperplane_multiple(f, 1))
+    def test_dimension_nine_stops_at_index_budget(self, tmp_path, capsys):
+        # P(1, ..., 1, 300000): the cone off the last ray has index
+        # 300,000, past the budget, which bounds the work in any dimension
+        rays = [[int(i == j) for j in range(9)] for i in range(9)] + [[-1] * 8 + [-300_000]]
+        fan = {"dim": 9, "rays": rays, "max_cones": [[i for i in range(10) if i != k] for k in range(10)]}
+        (tmp_path / "fan.json").write_text(json.dumps(fan), encoding="utf-8")
+        (tmp_path / "div.json").write_text(json.dumps({"coefficients": [0] * 9 + [1]}), encoding="utf-8")
+        code = main(["sections", str(tmp_path / "fan.json"), str(tmp_path / "div.json")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: section count needs more than 200000 parallelepiped points, "
+            "the budget on the summed cone index of Brion's formula\n"
+        )
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_counts_past_dimension_eight(self, n):
+        # 3H on P^n, and aH + bE on Bl_pt P^n: nef for b <= 0, and for
+        # b > 0 counted on a chamber fan
+        f = projective_space_fan(n)
+        assert count_sections(f, hyperplane_multiple(f, 3)) == comb(n + 3, 3)
+        bl = blowup_pn_along_linear(n, 0)
+        for a, b, nef in ((2, -1, True), (3, 2, False), (1, 3, False)):
+            coeffs = (0,) * n + (a, b)
+            assert (fans._brion_count(fans._brion_data(bl), coeffs) is not None) == nef
+            count = count_sections(bl, TorusInvariantDivisor(coeffs))
+            assert count == cox_ring_sections(bl.rays, bl.max_cones, coeffs), (a, b)
 
     @given(
         coeffs=st.lists(st.integers(-2, 4), min_size=3, max_size=3),
@@ -788,16 +813,22 @@ class TestBrionPath:
     def test_todd_table(self):
         # (x / (e^x - 1)) * ((e^x - 1) / x) = 1, (e^x - 1) / x = sum x^j / (j+1)!
         todd = [Fraction(1)]
-        for k in range(1, 9):
+        for k in range(1, 13):
             todd.append(-sum(t / factorial(k - i + 1) for i, t in enumerate(todd)))
-        # the table is log(x / (e^x - 1)) = sum l_k x^k: its exponential,
-        # sum_m (sum l_k x^k)^m / m! truncated at x^8, is that series
-        log = [Fraction(0)] + [Fraction(n, d) for n, d in fans._LOG_TODD]
-        exp, power = [Fraction(0)] * 9, [Fraction(1)] + [Fraction(0)] * 8
-        for m in range(9):
-            exp = [e + p / factorial(m) for e, p in zip(exp, power)]
-            power = [sum(power[i] * log[k - i] for i in range(k + 1)) for k in range(9)]
-        assert exp == todd
+        for d in range(1, 13):
+            scale, weights, _ = fans._todd(d)
+            # weights[n - 1][k - 1] = (n-1)!/(n-k)! scale^k k l_k, so the
+            # last of row n is n! scale^n l_n
+            log = [Fraction(0)] + [Fraction(row[-1], factorial(n) * scale**n) for n, row in enumerate(weights, 1)]
+            for n, row in enumerate(weights, 1):
+                assert row == [perm(n - 1, k - 1) * k * scale**k * log[k] for k in range(1, n + 1)]
+            # log(x / (e^x - 1)) = sum l_k x^k: its exponential, sum_m
+            # (sum l_k x^k)^m / m! truncated at x^d, is that series
+            exp, power = [Fraction(0)] * (d + 1), [Fraction(1)] + [Fraction(0)] * d
+            for m in range(d + 1):
+                exp = [e + p / factorial(m) for e, p in zip(exp, power)]
+                power = [sum(power[i] * log[k - i] for i in range(k + 1)) for k in range(d + 1)]
+            assert exp == todd[: d + 1], d
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

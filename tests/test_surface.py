@@ -1,6 +1,6 @@
 """Source-level rules: no dead public names, nothing unreachable from
 cli.main, no bare asserts, no unbounded caches, no floats, no LP in the
-cone-duality layer, one Bareiss update.
+cone-duality layer, one Bareiss update, every limit named.
 
 The public surface follows the rule the benchmark tracer wraps by: every
 name without a leading underscore that a layer module defines, and every
@@ -394,3 +394,49 @@ def test_only_the_four_constructors_trust_their_fans():
         ("fans.py", "projective_space_fan", True),
         ("fans.py", "star_subdivision", True),
     ]
+
+
+def test_every_limit_is_named():
+    # The inventory of what refuses input: the work budgets, the pivot
+    # limit, the class-count guard on the 2**k-bit membership sets and
+    # the hitting-set cap.  Each is a module-level int that exactly one
+    # function of src/ reads, so a new cap fails here until it is named;
+    # an inline one, a size compared with a literal, fails below.
+    trees = src_trees()
+    limits = [
+        node.targets[0].id
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+    ]
+    readers = {
+        limit: [
+            f"{name}:{node.name}"
+            for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and limit in set.union(*references([node]))
+        ]
+        for limit in limits
+    }
+    assert readers == {
+        "_INDEX_BUDGET": ["fans.py:_charge"],
+        "_TABLEAU_BUDGET": ["vgit.py:_enumerate_cells"],
+        "_MAX_PIVOTS": ["lp.py:_pivot_rule"],
+        "MAX_DEGREE_CLASSES": ["vgit.py:_basis_table"],
+        "MAX_HITTING_SET_VARS": ["cox.py:zero_locus_codim"],
+    }
+
+    def literal(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int and node.value > 1
+
+    found = [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators)
+        if (isinstance(op, ast.Gt) and literal(right)) or (isinstance(op, ast.Lt) and literal(left))
+    ]
+    assert found == []

@@ -9,6 +9,7 @@ import contextlib
 import gc
 import hashlib
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -24,14 +25,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from toricgit import cones, fans, lp, vgit
+from toricgit import cones, cox, fans, lp, vgit
 from toricgit.checks import PRODUCT_PAIRS
+from toricgit.cli import main
 from toricgit.cones import cone_from_generators, cone_from_inequalities, cones_equal
 from toricgit.cox import degree_map
 from toricgit.fans import (
     Fan,
     TorusInvariantDivisor,
     blowup_pn_along_linear,
+    fan_to_json,
     product_fan,
     projective_bundle_fan,
     projective_space_fan,
@@ -39,8 +42,6 @@ from toricgit.fans import (
     validate,
 )
 from toricgit.vgit import (
-    MAX_CHAMBER_RANK,
-    MAX_CHAMBER_RAYS,
     ChamberSignature,
     ample_character,
     chamber_signatures,
@@ -78,13 +79,8 @@ def intersection_chain_nef(fan, dm):
 
 
 def chamber_fans(corpus):
-    """(name, fan, degree map) for the corpus fans within the chamber caps."""
-    out = []
-    for name, fan in corpus:
-        dm = degree_map(fan)
-        if dm.cl_free_rank <= MAX_CHAMBER_RANK and dm.n_rays <= MAX_CHAMBER_RAYS:
-            out.append((name, fan, dm))
-    return out
+    """(name, fan, degree map) for every corpus fan."""
+    return [(name, fan, degree_map(fan)) for name, fan in corpus]
 
 
 def small_vectors(r, min_size, max_size, nonzero=False):
@@ -119,6 +115,37 @@ def clear_vgit_caches():
     for obj in vars(vgit).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
+
+
+def blowup_points(n, k):
+    """P^n blown up at the torus-fixed points of its first k maximal cones."""
+    fan = projective_space_fan(n)
+    for cone in fan.max_cones[:k]:
+        fan = star_subdivision(fan, cone)
+    return fan
+
+
+def weighted_projective_space(weights):
+    """The fan of P(weights): rays e_1..e_n and -(w_1, ..., w_n), w_0 = 1."""
+    n = len(weights) - 1
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [tuple(-w for w in weights[1:])]
+    return Fan(n, rays, [tuple(i for i in range(n + 1) if i != k) for k in range(n + 1)])
+
+
+def run_chambers(fan, tmp_path, capsys):
+    """(exit code, stdout, stderr, seconds) of `toricgit chambers FAN
+    --json`, run on cold vgit caches and leaving them cold."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan_to_json(fan)), encoding="utf-8")
+    clear_vgit_caches()
+    try:
+        start = time.perf_counter()
+        code = main(["chambers", str(path), "--json"])
+        elapsed = time.perf_counter() - start
+    finally:
+        clear_vgit_caches()
+    out, err = capsys.readouterr()
+    return code, out, err, elapsed
 
 
 def analyze_bundle_pool(by_name):
@@ -669,27 +696,28 @@ class TestChambers:
         assert proc.returncode == 0, proc.stderr
         assert "do not span the class group" in proc.stdout
 
-    def test_rank_cap(self):
-        dm = DegreeMap(
-            n_rays=6,
-            cl_free_rank=5,
-            torsion=(),
-            degrees_free=tuple((1, 0, 0, 0, 0) for _ in range(6)),
-            degrees_torsion=tuple(() for _ in range(6)),
-        )
-        with pytest.raises(ValueError, match="rank"):
-            enumerate_chambers(dm)
+    def test_rank_six_stops_at_cell_budget(self, tmp_path, capsys):
+        # P^4 blown up at its five fixed points: 30 crossing walls; the
+        # budget stops the search in about 2 s on a 2-core machine
+        fan = blowup_points(4, 5)
+        assert degree_map(fan).cl_free_rank == 6
+        code, out, err, elapsed = run_chambers(fan, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: chamber cell search needs more than 20000000 simplex tableau entries\n"
+        assert elapsed < 15, elapsed
 
-    def test_ray_cap(self):
-        dm = DegreeMap(
-            n_rays=17,
-            cl_free_rank=2,
-            torsion=(),
-            degrees_free=tuple((1, 0) for _ in range(17)),
-            degrees_torsion=tuple(() for _ in range(17)),
-        )
-        with pytest.raises(ValueError, match="rays"):
-            enumerate_chambers(dm)
+    def test_seventeen_classes_refused(self, tmp_path, capsys):
+        # P(1, ..., 17): 17 distinct degrees, whose membership sets would
+        # be ints of 2**17 bits; refused before any basis is inverted
+        fan = weighted_projective_space(range(1, 18))
+        code, out, err, _ = run_chambers(fan, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: too many distinct degree vectors (17 > 16)\n"
+        dm = degree_map(fan)
+        with mock.patch.object(vgit, "basis_inverses", side_effect=AssertionError("a basis was inverted")):
+            for query in (unstable_supports, is_boundary_character):
+                with pytest.raises(ValueError, match="too many distinct degree vectors"):
+                    query(dm, (1,))
 
     def test_nef_cone_equals_ample_chamber_closure(self):
         for f in [projective_space_fan(2), f1(), p1xp1(), blowup_pn_along_linear(3, 1)]:
@@ -887,18 +915,16 @@ class TestStructuralProperties:
 def moving_chambers(corpus):
     """(fan, degree map, witness, signature, every witness of the
     grading) per chamber whose witness is interior to the moving cone,
-    over the corpus and the PRODUCT_PAIRS products within the caps.  The
+    over the corpus and the PRODUCT_PAIRS products.  The
     moving cone holds the full-dimensional nef cone, so its relative
     interior is its interior."""
     by_name = dict(corpus)
-    fans = [fan for _, fan, _ in chamber_fans(corpus)]
+    fans = [fan for _, fan in corpus]
     fans += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS]
     out = []
     n_chambers = 0
     for fan in fans:
         dm = degree_map(fan)
-        if dm.cl_free_rank > MAX_CHAMBER_RANK or dm.n_rays > MAX_CHAMBER_RAYS:
-            continue
         moving = moving_cone(dm)
         chambers = enumerate_chambers(dm)
         n_chambers += len(chambers)
@@ -939,6 +965,59 @@ class TestMovingChambersAreFans:
                 assert not oracles.moving_chamber_is_a_fan(fan, dm, other, sig), (fan, chi)
                 n_mutants += 1
         assert n_mutants == 82
+
+
+class TestPastRankFour:
+    """Rank-5 fans built the way the paper builds new Mori dream spaces,
+    from blowups and products, checked against oracles that share no
+    code with the cell search: the cells against a search that solves
+    every LP from scratch, every chamber inside the moving cone against
+    the nef cone of the fan its signature names, and the products' cells
+    against the cover certificate."""
+
+    def check_against_oracles(self, fan, dm, chambers):
+        """The number of chambers inside the moving cone, each of which
+        must pass the moving-chamber oracle."""
+        assert {signs for signs, _ in vgit._enumerate_cells(dm)} == {
+            signs for signs, _ in oracles.enumerate_cells(dm)
+        }
+        moving = moving_cone(dm)
+        inside = [(chi, sig) for chi, sig in chambers if oracles.strictly_contains(moving, chi)]
+        for chi, sig in inside:
+            assert oracles.moving_chamber_is_a_fan(fan, dm, chi, sig), chi
+        return len(inside)
+
+    def test_bl4pts_p3_from_the_cli(self, tmp_path, capsys):
+        # about 0.15 s on a 2-core machine
+        fan = blowup_points(3, 4)
+        dm = degree_map(fan)
+        assert dm.cl_free_rank == 5
+        code, out, err, elapsed = run_chambers(fan, tmp_path, capsys)
+        assert (code, err) == (0, "")
+        assert elapsed < 1, elapsed
+        chambers = [
+            (tuple(c["interior_point"]), ChamberSignature(tuple(map(tuple, c["facets"]))))
+            for c in json.loads(out)
+        ]
+        assert len(chambers) == 148
+        for chi, sig in chambers:
+            assert not is_boundary_character(dm, chi)
+            assert unstable_supports(dm, chi) == sig
+        assert self.check_against_oracles(fan, dm, chambers) == 46
+
+    @pytest.mark.parametrize(
+        ("base", "blown_up", "n_chambers", "n_moving"),
+        [(1, (3, 3), 19, 8), (2, (2, 3), 18, 1)],
+    )
+    def test_product_with_a_blowup(self, base, blown_up, n_chambers, n_moving):
+        # P^1 x Bl_3pts P^3 and P^2 x Bl_3pts P^2
+        fan = product_fan(projective_space_fan(base), blowup_points(*blown_up))
+        dm = degree_map(fan)
+        assert dm.cl_free_rank == 5
+        chambers = enumerate_chambers(dm)
+        assert len(chambers) == n_chambers
+        assert self.check_against_oracles(fan, dm, chambers) == n_moving
+        assert oracles.chambers_cover_effective(dm)
 
 
 class TestCanonicalWitnesses:
@@ -1061,13 +1140,11 @@ class TestCanonicalWitnesses:
 
     def test_cells_match_from_scratch_oracle(self, corpus):
         by_name = dict(corpus)
-        fans = [fan for _, fan, _ in chamber_fans(corpus)]
+        fans = [fan for _, fan in corpus]
         fans += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS]
         n_fans = 0
         for fan in fans:
             dm = degree_map(fan)
-            if dm.cl_free_rank > MAX_CHAMBER_RANK or dm.n_rays > MAX_CHAMBER_RAYS:
-                continue
             want = {signs for signs, _ in oracles.enumerate_cells(dm)}
             assert {signs for signs, _ in vgit._enumerate_cells(dm)} == want
             n_fans += 1
@@ -1085,8 +1162,6 @@ class TestCanonicalWitnesses:
         n_cells = 0
         for fan in fans:
             dm = degree_map(fan)
-            if dm.cl_free_rank > MAX_CHAMBER_RANK or dm.n_rays > MAX_CHAMBER_RAYS:
-                continue
             cells = vgit._enumerate_cells(dm)
             eff_rows = effective_cone(dm).facet_normals
             normals = vgit._split_normals(dm)[1]
@@ -1189,3 +1264,41 @@ class TestCanonicalWitnesses:
         assume(matrix_rank(gens) == len(gens[0]))
         dm = graded_by(gens)
         assert vgit._arrangement_normals(dm) == oracles.arrangement_normals(dm)
+
+
+def test_recursive_searches_leave_no_reference_cycles(corpus):
+    # A recursive closure holds itself through its own cell, so unless
+    # the search frees it, every list it closes over waits for the cyclic
+    # collector; on the rank-8, 16-class probe that was about 31 MB of
+    # basis rows.  With automatic collection off, each call must leave
+    # the collector nothing, the cell search also when its budget stops it.
+    fan = dict(corpus)["bl4_1"]
+    dm = degree_map(fan)
+    vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+    ideal = cox.irrelevant_ideal(fan)
+
+    def stopped_cell_search():
+        with mock.patch.object(vgit, "_TABLEAU_BUDGET", 0):
+            try:
+                vgit._enumerate_cells(dm)
+            except ValueError:
+                return
+        raise AssertionError("the cell search ran past a budget of 0")
+
+    calls = {
+        "basis_inverses": lambda: lp.basis_inverses(vectors, dm.cl_free_rank),
+        "cell search": lambda: vgit._enumerate_cells(dm),
+        "stopped cell search": stopped_cell_search,
+        "zero_locus_codim": lambda: cox.zero_locus_codim(ideal),
+    }
+    vgit._split_normals(dm)  # the cached tables the cell search reads
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, call in calls.items():
+            call()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(calls, 0)
