@@ -4,8 +4,9 @@ Everything here works over Z with Python ints, on plain lists of integer
 rows.  The Smith normal form returns its unimodular transforms, so that
 cokernels come with an explicit projection onto the free part.  One
 fraction-free (Bareiss) pivot, _pivot, is the only elimination step in
-the package: it gives ranks and determinants here, and the scaled
-inverse and both simplex loops in lp.  No floating point anywhere.
+the package: it gives ranks and determinants here, the scaled inverse
+and both simplex loops in lp, and the hyperplane search of vgit's basis
+table.  No floating point anywhere.
 """
 
 from __future__ import annotations

@@ -17,12 +17,12 @@ pivot by Dantzig's rule with an automatic switch to Bland's rule after
 enough iterations, which keeps runs fast in practice and terminating in
 theory, under one iteration limit that raises PivotLimit.  Exact solves
 use scaled_inverse, Gauss-Jordan through the same _pivot, which also
-gives linalg its ranks and determinants, so there is no second
-elimination engine.  basis_inverses pivots the simplex's tableau to
-invert every basis of a set of vectors in one search; by Caratheodory
-that is all cone membership needs, so no LP decides it.  Projectivity
-is no LP either: fans reads it off the nef cone's double description.
-Scale here is tiny (dozens of rows), exactness is the whole point.
+gives linalg its ranks and determinants and vgit its arrangement
+normals, so there is no second elimination engine.  No LP decides cone
+membership (vgit reads it off the signs of those normals, by
+Caratheodory) or projectivity (fans reads it off the nef cone's double
+description).  Scale here is tiny (dozens of rows), exactness is the
+whole point.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import _pivot, matrix_rank
+from .linalg import _pivot
 
 _MAX_PIVOTS = 100000
 
@@ -204,60 +204,3 @@ def scaled_inverse(rows):
         tab[j], tab[p] = tab[p], tab[j]
         d = _pivot(tab, d, j, j)
     return [row[n:] for row in tab], d
-
-
-def basis_inverses(vectors, dim):
-    """(normals, bases) of the span of the integer dim-vectors, from one
-    fraction-free search.
-
-    bases lists (indices, rows), one per linearly independent set of the
-    vectors that spans their span, the index sets in lexicographic
-    order: rows[i] . vectors[indices[j]] is d if i == j and 0 otherwise,
-    with d > 0 the scale of that basis.  normals is a basis of the rows
-    orthogonal to every vector.  So a vector chi is in the span when
-    every normal vanishes on it, and then chi is the sum over i of
-    (rows[i] . chi / d) vectors[indices[i]].
-
-    The search runs on the tableau [A | I] with the vectors as the
-    columns of A, pivoted by _pivot as in the simplex, so each row is on
-    the scale d of the basis picked so far.  Adding a vector pivots its
-    column on the first row not yet pivoted where it is nonzero; a
-    column that is zero on all of them lies in the span of the vectors
-    picked, and the branch ends there without an inverse.  Each child
-    keeps only the columns of the later vectors and the I block, and the
-    last vector of a basis pivots only its own column and the I block.
-    Then the I block of a pivoted row is that vector's row of the
-    inverse, and the I block of each other row is a normal.
-    """
-    k = len(vectors)
-    rank = matrix_rank(vectors)
-    identity = _identity(dim)
-    if rank == 0:
-        return [list(unit) for unit in identity], [((), [])]
-    bases = []
-    normals = []
-
-    def rec(lo, tab, d, free, picked):
-        # tab's columns: vectors lo..k-1, then the I block; vector lo is
-        # the last one picked, if any
-        depth = len(picked)
-        for c in range(lo + bool(picked), k - rank + depth + 1):
-            j = c - lo
-            p = next((i for i in free if tab[i][j]), None)
-            if p is None:
-                continue  # vectors[c] lies in the span of those picked
-            rest = [i for i in free if i != p]
-            if depth + 1 < rank:
-                child = [row[j:] for row in tab]
-                rec(c, child, _pivot(child, d, p, 0), rest, picked + [(c, p)])
-                continue
-            leaf = [row[j : j + 1] + row[k - lo :] for row in tab]
-            _pivot(leaf, d, p, 0)
-            rows = [leaf[q][1:] for _, q in picked] + [leaf[p][1:]]
-            bases.append((tuple(v for v, _ in picked) + (c,), rows))
-            if len(bases) == 1:
-                normals.extend(leaf[q][1:] for q in rest)
-
-    rec(0, [[*(v[i] for v in vectors), *identity[i]] for i in range(dim)], 1, list(range(dim)), [])
-    del rec  # rec's closure holds rec, a cycle that would keep bases alive past the caller until a collection
-    return normals, bases

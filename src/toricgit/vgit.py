@@ -21,9 +21,8 @@ from math import gcd
 
 from .cones import RationalCone, cone_from_generators, cone_from_inequalities
 from .fans import _nef_off
-from .linalg import primitive, sign_normalized
-from .linalg import _dot
-from .lp import SlackTableau, basis_inverses
+from .linalg import _bareiss, _dot, _pivot, matrix_rank, primitive, sign_normalized
+from .lp import SlackTableau, _identity
 
 MAX_DEGREE_CLASSES = 16
 
@@ -82,13 +81,13 @@ def _class_membership(dm, chi):
     the members are the supersets of the supports of the nonnegative
     coordinate vectors over the bases of _basis_table, read by index off
     one dot product per normal, and one superset closure sets them all.
-    A chi off the span is in no cone.  No LP runs.  The cache is small
-    because one entry holds up to 2**MAX_DEGREE_CLASSES bits.
+    A chi off the span (one rank test) is in no cone.  No LP runs.  The
+    cache is small because one entry holds up to 2**MAX_DEGREE_CLASSES bits.
     """
     classes = _degree_classes(dm)
     k = len(classes)
-    orthogonal, normals, table = _basis_table(dm)
-    if any(_dot(n, chi) for n in orthogonal):
+    normals, table = _basis_table(dm)
+    if not _spans(dm) and matrix_rank([*(v for v, _ in classes), chi]) > len(table[0][1]):
         return classes, 0
     dots = [_dot(n, chi) for n in normals]
     signed = dots + [-x for x in dots]
@@ -222,47 +221,89 @@ def _masks_below(k, size):
 
 @lru_cache(maxsize=256)
 def _basis_table(dm):
-    """(orthogonal, normals, table) of the classes, from lp.basis_inverses.
+    """(normals, table) of the classes, their chirotope (Bjorner, Las
+    Vergnas, Sturmfels, White and Ziegler, Oriented Matroids, ch. 3).
 
-    orthogonal spans the rows orthogonal to every class, none when the
-    classes span Cl (x) Q.  normals holds the N distinct sign-normalized
-    rows of the inverses, sorted.  table holds (class mask, signed
-    indices) per basis T of the span of the classes, masks in
-    lexicographic order: for chi in that span, cone(T) = {chi : rows .
-    chi >= 0}, index j standing for the row normals[j] and N + j for
-    -normals[j].  When the classes span, these are the primitive rows of
-    inv(M_T), with M_T the matrix whose columns are T.  Membership and
-    chamber keys, both read from here, are sets of 2**k bits over the k
-    classes: ValueError past MAX_DEGREE_CLASSES classes."""
+    normals holds the N distinct normals of _hyperplanes, sorted.  table
+    holds (class mask, signed indices) per basis T of the span of the
+    classes, masks in lexicographic order: for chi in that span, cone(T)
+    = {chi : rows . chi >= 0}, index j standing for the row normals[j]
+    and N + j for -normals[j].  The row of class c is the normal of T
+    less c, signed positive on c; a zero there, or a dependent T less c,
+    means T is no basis.  When the classes span, these are the primitive
+    rows of inv(M_T), with M_T the matrix whose columns are T.
+    Membership and chamber keys, both read from here, are sets of 2**k
+    bits over the k classes: ValueError past MAX_DEGREE_CLASSES."""
     vectors = [vec for vec, _ in _degree_classes(dm)]
     if len(vectors) > MAX_DEGREE_CLASSES:
         raise ValueError(f"too many distinct degree vectors ({len(vectors)} > {MAX_DEGREE_CLASSES})")
-    orthogonal, bases = basis_inverses(vectors, dm.cl_free_rank)
-    zero, seen = [0] * dm.cl_free_rank, {}  # each row normalized once, numbered as first seen
-    first = [
-        [2 * seen.setdefault(sign_normalized(r), len(seen)) + (r < zero) for r in rows] for _, rows in bases
-    ]
-    normals = tuple(sorted(seen))
-    order = {n: i for i, n in enumerate(normals)}
-    final = [v for n in seen for v in (order[n], order[n] + len(normals))]
-    table = tuple(
-        (sum(1 << c for c in basis), tuple(map(final.__getitem__, idx)))
-        for (basis, _), idx in zip(bases, first)
-    )
-    return tuple(map(tuple, orthogonal)), normals, table
+    hyperplanes = _hyperplanes(vectors, dm.cl_free_rank)
+    normals = tuple(sorted(set(hyperplanes.values())))
+    ids = list(range(2 * len(normals)))  # one shared int per signed index
+    # per normal, each class's signed index, None on the hyperplane
+    sides = {
+        n: [ids[j] if x > 0 else ids[j + len(normals)] if x < 0 else None for x in (_dot(n, v) for v in vectors)]
+        for j, n in enumerate(normals)
+    }
+    rows = {mask: sides[n] for mask, n in hyperplanes.items()}
+    absent = [None] * len(vectors)
+    table = []
+    for basis in combinations(range(len(vectors)), matrix_rank(vectors)):
+        mask = sum(1 << c for c in basis)
+        idx = tuple(rows.get(mask ^ 1 << c, absent)[c] for c in basis)
+        if None not in idx:
+            table.append((mask, idx))
+    return normals, tuple(table)
+
+
+def _hyperplanes(vectors, dim):
+    """{mask: normal} over the independent sets of rank - 1 of the
+    integer dim-vectors, rank being theirs: the sign-normalized primitive
+    normal, within their span, of the hyperplane that the set spans.
+
+    One fraction-free search on the tableau [A | I], pivoted by _pivot,
+    with the vectors as the columns of A and one row per coordinate that
+    _bareiss picks as independent on their span, so each normal is zero
+    off those coordinates.  Adding a vector pivots its column on the
+    first free row where it is nonzero; a column zero on all of them lies
+    in the span of those picked, and the branch ends.  Each child keeps
+    only the columns of the later vectors and the I block.  After rank -
+    1 pivots the one free row vanishes on the picked vectors, so its I
+    block is the normal."""
+    coords = _bareiss(vectors)[0]
+    k = len(vectors)
+    hyperplanes = {}
+
+    def rec(lo, tab, d, free, mask):
+        # tab's columns: vectors lo..k-1, then the I block; vector lo is
+        # the last one picked, if any
+        if len(free) == 1:
+            hyperplanes[mask] = sign_normalized(tab[free[0]][k - lo :])
+            return
+        for c in range(lo + bool(mask), k - len(free) + 2):
+            j = c - lo
+            p = next((i for i in free if tab[i][j]), None)
+            if p is None:
+                continue  # vectors[c] lies in the span of those picked
+            child = [row[j:] for row in tab]
+            rec(c, child, _pivot(child, d, p, 0), [i for i in free if i != p], mask | 1 << c)
+
+    identity = _identity(dim)
+    rec(0, [[*(v[i] for v in vectors), *identity[i]] for i in coords], 1, list(range(len(coords))), 0)
+    del rec  # rec's closure holds rec, a cycle that would keep its tableaux alive until a collection
+    return hyperplanes
+
+
+def _spans(dm):
+    """Whether the degree classes span Cl (x) Q, by the size of a basis."""
+    return len(_basis_table(dm)[1][0][1]) == dm.cl_free_rank
 
 
 def _arrangement_normals(dm):
-    """Hyperplanes spanned by cl_free_rank - 1 independent degree classes.
-
-    Such a set, plus one class off its span, is a basis T, and the
-    hyperplane is normal to a row of inv(M_T); so the sign-normalized
-    rows of the basis inverses are exactly these normals.  Every wall of
-    every support cone lies on one of them; extra non-wall hyperplanes
-    only split chambers into pieces that merging by signature
-    reassembles.
-    """
-    return _basis_table(dm)[1]
+    """The normals of _basis_table.  Every wall of every support cone
+    lies on one of their hyperplanes; extra non-wall hyperplanes only
+    split chambers into pieces that merging by signature reassembles."""
+    return _basis_table(dm)[0]
 
 
 @lru_cache(maxsize=256)
@@ -312,7 +353,7 @@ def _chamber_keys(dm):
     are one chamber.
     """
     classes = _degree_classes(dm)
-    _, normals, table = _basis_table(dm)
+    normals, table = _basis_table(dm)
     # A cell's signs, +-1 on the crossing normals and 0 on the others,
     # read through the signed indices: cone(T) holds the cell when no row
     # is negative on it.  A non-crossing row needs no test: cone(T) lies
@@ -350,7 +391,7 @@ def enumerate_chambers(dm):
     ample_character uses for the nef cone.  It takes one double
     description per chamber, so it is built only where it is printed.
     """
-    _, normals, table = _basis_table(dm)
+    normals, table = _basis_table(dm)
     signed = normals + tuple(tuple(-v for v in n) for n in normals)
     chambers = []
     for key, sig in _chamber_keys(dm):
@@ -408,7 +449,7 @@ def _enumerate_cells(dm):
     _TABLEAU_BUDGET entries raises ValueError, so the budget bounds time
     even as the tableaux grow.
     """
-    if _basis_table(dm)[0]:
+    if not _spans(dm):
         raise ValueError("degrees do not span the class group; the effective cone has no interior")
     eff_rows, normals = _split_normals(dm)
     if not eff_rows:

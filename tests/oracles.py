@@ -29,7 +29,11 @@ by one such LP with an equality per arrangement normal what
 toricgit.vgit reads off integer dot products.
 arrangement_normals takes one integer kernel, from the Smith form's
 right transform, per rank-1 subset of the degree classes, where
-toricgit.vgit reads the rows of basis inverses.
+toricgit.vgit reads the free row of a search stopped one pivot short of
+a basis.  basis_inverses inverts every basis of the classes in one
+fraction-free search, and basis_table sign-normalizes and numbers every
+row of every inverse, against which the table toricgit.vgit reads off
+one normal per hyperplane is held.
 enumerate_cells is the cell search that solves every child LP from
 scratch by that phase-1 max_strict_slack, against which the dual
 simplex warm start of toricgit.vgit is held, and
@@ -80,11 +84,11 @@ from itertools import combinations
 from math import lcm, prod
 
 from toricgit.cones import _combine, cone_from_generators, cone_from_inequalities, cones_equal
-from toricgit.linalg import _dot, matrix_rank, primitive
+from toricgit.linalg import _dot, _pivot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import cox, vgit
 from toricgit.fans import Fan, _is_antichain, validate
-from toricgit.lp import PivotLimit, _simplex_core, scaled_inverse
+from toricgit.lp import PivotLimit, _identity, _simplex_core, scaled_inverse
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24
@@ -627,6 +631,86 @@ def arrangement_normals(dm):
             continue
         normals.add(sign_normalized(ker[0]))
     return tuple(sorted(normals))
+
+
+def basis_inverses(vectors, dim):
+    """(normals, bases) of the span of the integer dim-vectors, from one
+    fraction-free search.
+
+    bases lists (indices, rows), one per linearly independent set of the
+    vectors that spans their span, the index sets in lexicographic
+    order: rows[i] . vectors[indices[j]] is d if i == j and 0 otherwise,
+    with d > 0 the scale of that basis.  normals is a basis of the rows
+    orthogonal to every vector.  So a vector chi is in the span when
+    every normal vanishes on it, and then chi is the sum over i of
+    (rows[i] . chi / d) vectors[indices[i]].
+
+    The search runs on the tableau [A | I] with the vectors as the
+    columns of A, pivoted by _pivot as in the simplex, so each row is on
+    the scale d of the basis picked so far.  Adding a vector pivots its
+    column on the first row not yet pivoted where it is nonzero; a
+    column that is zero on all of them lies in the span of the vectors
+    picked, and the branch ends there without an inverse.  Each child
+    keeps only the columns of the later vectors and the I block, and the
+    last vector of a basis pivots only its own column and the I block.
+    Then the I block of a pivoted row is that vector's row of the
+    inverse, and the I block of each other row is a normal.
+    """
+    k = len(vectors)
+    rank = matrix_rank(vectors)
+    identity = _identity(dim)
+    if rank == 0:
+        return [list(unit) for unit in identity], [((), [])]
+    bases = []
+    normals = []
+
+    def rec(lo, tab, d, free, picked):
+        # tab's columns: vectors lo..k-1, then the I block; vector lo is
+        # the last one picked, if any
+        depth = len(picked)
+        for c in range(lo + bool(picked), k - rank + depth + 1):
+            j = c - lo
+            p = next((i for i in free if tab[i][j]), None)
+            if p is None:
+                continue  # vectors[c] lies in the span of those picked
+            rest = [i for i in free if i != p]
+            if depth + 1 < rank:
+                child = [row[j:] for row in tab]
+                rec(c, child, _pivot(child, d, p, 0), rest, picked + [(c, p)])
+                continue
+            leaf = [row[j : j + 1] + row[k - lo :] for row in tab]
+            _pivot(leaf, d, p, 0)
+            rows = [leaf[q][1:] for _, q in picked] + [leaf[p][1:]]
+            bases.append((tuple(v for v, _ in picked) + (c,), rows))
+            if len(bases) == 1:
+                normals.extend(leaf[q][1:] for q in rest)
+
+    rec(0, [[*(v[i] for v in vectors), *identity[i]] for i in range(dim)], 1, list(range(dim)), [])
+    del rec  # rec's closure holds rec, a cycle that would keep bases alive past the caller until a collection
+    return normals, bases
+
+
+def basis_table(dm):
+    """(orthogonal, normals, table) of the degree classes from
+    basis_inverses: orthogonal spans the rows orthogonal to every class,
+    normals holds the distinct sign-normalized rows of the inverses,
+    sorted, and table holds (class mask, signed indices) per basis, j
+    standing for normals[j] and N + j for -normals[j]."""
+    vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+    orthogonal, bases = basis_inverses(vectors, dm.cl_free_rank)
+    normals = tuple(sorted({sign_normalized(row) for _, rows in bases for row in rows}))
+    index = {n: j for j, n in enumerate(normals)}
+    table = tuple(
+        (
+            sum(1 << c for c in basis),
+            tuple(
+                index[sign_normalized(row)] + (len(normals) if sign_normalized(row) != primitive(row) else 0)
+                for row in rows
+            ),
+        )
+        for basis, rows in bases
+    )
+    return tuple(map(tuple, orthogonal)), normals, table
 
 
 def chambers_cover_effective(dm) -> bool:

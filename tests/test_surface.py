@@ -165,16 +165,17 @@ def test_no_assert_statements_in_src():
 
 
 def test_no_fraction_in_the_simplex_inner_loop():
-    # The simplex, primal and dual, the scaled inverse and the basis
-    # inverses pivot on integer tableaux through linalg._pivot, and a
-    # solution is read off scaled, so lp names no Fraction at all.  A
-    # name that is Fraction itself or a module-level Fraction constant
-    # (such as lp._ZERO) counts as a use.
+    # The simplex, primal and dual, the scaled inverse and the
+    # hyperplane search of the basis table pivot on integer tableaux
+    # through linalg._pivot, and a solution is read off scaled, so none
+    # of them names a Fraction.  A name that is Fraction itself or a
+    # module-level Fraction constant (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
     inner = {
         "linalg": {"_pivot"},
-        "lp": {"_simplex_core", "_dual_simplex", "scaled_inverse", "basis_inverses"},
+        "lp": {"_simplex_core", "_dual_simplex", "scaled_inverse"},
+        "vgit": {"_hyperplanes"},
     }
     trees = src_trees()
     functions = [
@@ -305,7 +306,7 @@ def test_cones_uses_no_lp():
             lp_names.add(node.name)
         elif isinstance(node, ast.Assign):
             lp_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert {"basis_inverses", "scaled_inverse", "SlackTableau", "PivotLimit"} <= lp_names
+    assert {"scaled_inverse", "SlackTableau", "PivotLimit"} <= lp_names
     used = set()
     for node in ast.walk(trees["cones.py"]):
         if isinstance(node, ast.Name):

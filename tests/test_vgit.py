@@ -352,14 +352,14 @@ class TestMembership:
         # their rank, in lexicographic order, each with the rows of its
         # inverse as signed indices into the sorted arrangement normals;
         # that rank is at most cl_free_rank.  The rows they stand for are
-        # the primitive rows of lp.basis_inverses.
+        # the primitive rows of oracles.basis_inverses.
         dms = [degree_map(fan) for _, fan in corpus] + [probe_grading(10, 2)]
         sizes = []
         for dm in dms:
             vectors = [v for v, _ in vgit._degree_classes(dm)]
             rank = matrix_rank(vectors)
-            orthogonal, normals, table = vgit._basis_table(dm)
-            assert len(orthogonal) == dm.cl_free_rank - rank
+            normals, table = vgit._basis_table(dm)
+            assert vgit._spans(dm) == (rank == dm.cl_free_rank)
             assert list(normals) == sorted({sign_normalized(n) for n in normals})
             assert [mask for mask, _ in table] == [
                 sum(1 << c for c in subset)
@@ -367,7 +367,7 @@ class TestMembership:
                 if matrix_rank([vectors[c] for c in subset]) == rank
             ]
             signed = normals + tuple(tuple(-v for v in n) for n in normals)
-            inverses = lp.basis_inverses(vectors, dm.cl_free_rank)[1]
+            inverses = oracles.basis_inverses(vectors, dm.cl_free_rank)[1]
             assert [[signed[i] for i in idx] for _, idx in table] == [
                 [primitive(row) for row in inv] for _, inv in inverses
             ]
@@ -381,6 +381,57 @@ class TestMembership:
         assert len(sizes) == 653
         assert all(n <= rank for n, rank in sizes)
         assert {4} <= {n for n, rank in sizes if rank == 4}  # the cap is reached
+
+    def test_table_equals_the_inverse_rows_oracle(self, corpus):
+        # One normal per hyperplane gives the same normals and signed
+        # indices as sign-normalizing and numbering every row of every
+        # basis inverse, on the 54 corpus gradings and five probes up to
+        # 16 classes in rank 8.
+        dms = {degree_map(fan) for _, fan in corpus}
+        assert len(dms) == 54
+        dms |= {
+            probe_grading(16, 2, rank=8),
+            probe_grading(14, 1, 6),
+            probe_grading(12, 1, 4),
+            probe_grading(16, 3, 5),
+            probe_grading(10, 2),
+        }
+        try:
+            for dm in dms:
+                orthogonal, normals, table = oracles.basis_table(dm)
+                assert orthogonal == () and vgit._spans(dm)
+                assert vgit._basis_table(dm) == (normals, table), dm
+        finally:
+            clear_vgit_caches()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_table_matches_inverse_rows_on_drawn_gradings(self, data):
+        # Spanning or not, the table lists the bases of the inverse
+        # search; when the classes span, its rows are the primitive
+        # inverse rows, and when they do not, each row takes the signs
+        # of the inverse row on every class.
+        r = data.draw(st.integers(min_value=1, max_value=4))
+        vec = st.tuples(*[st.integers(min_value=-2, max_value=2)] * r)
+        gens = data.draw(st.lists(vec, min_size=1, max_size=8))
+        if r > 1 and data.draw(st.booleans()):
+            gens = [g[:-1] + (0,) for g in gens]  # every degree in one hyperplane
+        dm = graded_by(gens)
+        vectors = [v for v, _ in vgit._degree_classes(dm)]
+        orthogonal, inverses = oracles.basis_inverses(vectors, r)
+        normals, table = vgit._basis_table(dm)
+        assert vgit._spans(dm) == (not orthogonal)
+        assert [mask for mask, _ in table] == [sum(1 << c for c in basis) for basis, _ in inverses]
+        signed = normals + tuple(tuple(-v for v in n) for n in normals)
+        rows = [[signed[i] for i in idx] for _, idx in table]
+        want = [[primitive(row) for row in inv] for _, inv in inverses]
+        if not orthogonal:
+            assert rows == want
+
+        def signs(row):
+            return [(x > 0) - (x < 0) for x in (_dot(row, v) for v in vectors)]
+
+        assert [list(map(signs, b)) for b in rows] == [list(map(signs, b)) for b in want]
 
     def test_queries_run_no_simplex(self, corpus, monkeypatch, inverse_raises):
         # The 65 corpus gradings, the k = 10 probe and gradings whose
@@ -449,10 +500,12 @@ class TestMembership:
         # The most bases the caps accept: 16 distinct classes in rank 8,
         # C(16, 8) = 12,870 sets, 12,776 of them bases here, over 10,898
         # arrangement normals.  On a 2-core machine the first character
-        # took 1.3-1.6 s, nearly all of it building the table, against
-        # 2.5-2.9 s with one LP per mask; the next took 0.12-0.20 s,
-        # against 2.0-2.5 s, its membership test 0.03-0.06 s against
-        # 0.11-0.17 s with one dot product per row of every basis.
+        # takes 0.55-0.75 s, nearly all of it building the table from one
+        # normal per hyperplane, against 1.3-1.6 s from every row of every
+        # basis inverse and 2.5-2.9 s with one LP per mask; the next takes
+        # 0.08-0.17 s, against 2.0-2.5 s with one LP per mask, its
+        # membership test 0.03-0.06 s against 0.11-0.17 s with one dot
+        # product per row of every basis.
         dm = probe_grading(16, 2, rank=8)
         chi = tuple(map(sum, zip(*dm.degrees_free)))
         clear_vgit_caches()
@@ -464,7 +517,7 @@ class TestMembership:
             nxt = unstable_supports(dm, tuple(x + 1 for x in chi))
             on_wall = is_boundary_character(dm, chi)
             second = time.perf_counter() - start
-            n_bases = len(vgit._basis_table(dm)[2])
+            n_bases = len(vgit._basis_table(dm)[1])
         finally:
             clear_vgit_caches()
         assert n_bases == 12776
@@ -475,8 +528,11 @@ class TestMembership:
         # The cache keeps up to 256 tables, so one table bounds a long
         # session.  Measured with tracemalloc: with a tuple of rows per
         # basis the table held 25.5 MB after a 50.8 MB build peak; as
-        # signed indices into 10,898 normals it holds 5.7 MB after a
-        # peak of about 43 MB.
+        # signed indices into 10,898 normals, built from every row of
+        # every basis inverse, it held 5.7 MB after a peak of about
+        # 43 MB; built from one normal per hyperplane, with the signed
+        # indices shared from one list, it holds 5.8 MB after a peak of
+        # about 10 MB.
         dm = probe_grading(16, 2, rank=8)
         clear_vgit_caches()
         vgit._degree_classes(dm)
@@ -484,18 +540,14 @@ class TestMembership:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            n_bases = len(vgit._basis_table(dm)[2])
-            peak = tracemalloc.get_traced_memory()[1]
-            # the recursive closure of lp.basis_inverses is a reference
-            # cycle that keeps the raw inverse rows until a collection
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
+            n_bases = len(vgit._basis_table(dm)[1])
+            peak, held = tracemalloc.get_traced_memory()[::-1]
         finally:
             tracemalloc.stop()
             clear_vgit_caches()
         assert n_bases == 12776
         assert held - before < 10_000_000, held - before
-        assert peak - before <= 48_000_000, peak - before
+        assert peak - before <= 15_000_000, peak - before
 
 
 class TestCones:
@@ -708,13 +760,13 @@ class TestChambers:
 
     def test_seventeen_classes_refused(self, tmp_path, capsys):
         # P(1, ..., 17): 17 distinct degrees, whose membership sets would
-        # be ints of 2**17 bits; refused before any basis is inverted
+        # be ints of 2**17 bits; refused before the hyperplane search
         fan = weighted_projective_space(range(1, 18))
         code, out, err, _ = run_chambers(fan, tmp_path, capsys)
         assert (code, out) == (2, "")
         assert err == "error: too many distinct degree vectors (17 > 16)\n"
         dm = degree_map(fan)
-        with mock.patch.object(vgit, "basis_inverses", side_effect=AssertionError("a basis was inverted")):
+        with mock.patch.object(vgit, "_hyperplanes", side_effect=AssertionError("the hyperplanes were searched")):
             for query in (unstable_supports, is_boundary_character):
                 with pytest.raises(ValueError, match="too many distinct degree vectors"):
                     query(dm, (1,))
@@ -1218,7 +1270,7 @@ class TestCanonicalWitnesses:
         dms.add(graded_by([(1, 0), (-1, 0), (0, 1)]))  # a half-plane
         n_spanning = n_flipped = 0
         for dm in dms:
-            if vgit._basis_table(dm)[0]:
+            if not vgit._spans(dm):
                 continue  # no interior, and the cell search refuses it first
             facets = vgit._split_normals(dm)[0]
             assert facets == effective_cone(dm).facet_normals, dm
@@ -1286,7 +1338,8 @@ def test_recursive_searches_leave_no_reference_cycles(corpus):
         raise AssertionError("the cell search ran past a budget of 0")
 
     calls = {
-        "basis_inverses": lambda: lp.basis_inverses(vectors, dm.cl_free_rank),
+        "basis_inverses": lambda: oracles.basis_inverses(vectors, dm.cl_free_rank),
+        "hyperplane search": lambda: vgit._hyperplanes(vectors, dm.cl_free_rank),
         "cell search": lambda: vgit._enumerate_cells(dm),
         "stopped cell search": stopped_cell_search,
         "zero_locus_codim": lambda: cox.zero_locus_codim(ideal),
