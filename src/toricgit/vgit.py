@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
 
 from .cones import RationalCone, cone_from_generators, cone_from_inequalities
 from .fans import _nef_off
@@ -79,25 +78,36 @@ def _class_membership(dm, chi):
     to a basis B of the span of the classes; the coordinates of chi in
     B are then nonnegative and vanish off T.  So, for chi in that span,
     the members are the supersets of the supports of the nonnegative
-    coordinate vectors over the bases of _basis_table, read by index off
-    one dot product per normal, and one superset closure sets them all.
-    A chi off the span (one rank test) is in no cone.  No LP runs.  The
-    cache is small because one entry holds up to 2**MAX_DEGREE_CLASSES bits.
+    coordinate vectors over the bases of _basis_table, which
+    _least_members reads off one dot product per normal, and one
+    superset closure sets them all.  A chi off the span (one rank test)
+    is in no cone.  No LP runs.  The cache is small because one entry
+    holds up to 2**MAX_DEGREE_CLASSES bits.
     """
     classes = _degree_classes(dm)
-    k = len(classes)
-    normals, table = _basis_table(dm)
+    normals, _, table = _basis_table(dm)
     if not _spans(dm) and matrix_rank([*(v for v, _ in classes), chi]) > len(table[0][1]):
         return classes, 0
-    dots = [_dot(n, chi) for n in normals]
-    signed = dots + [-x for x in dots]
+    return classes, _superset_closure(len(classes), _least_members(table, [_dot(n, chi) for n in normals]))
+
+
+def _least_members(table, dots):
+    """The 2**k-bit set of the supports of the nonnegative coordinate
+    vectors of a point over the bases of table, given its dot product
+    dots[j] with each normal j of _basis_table: for a point in the span
+    of the classes, cone(S) holds it exactly when S holds one of them.
+    The signed indices negative on the point, and those zero on it, are
+    two sets, so a basis whose cone holds it off its walls costs two
+    isdisjoint tests."""
+    n = len(dots)
+    negative = {j if x < 0 else j + n for j, x in enumerate(dots) if x}
+    zero = {j + h for j, x in enumerate(dots) if not x for h in (0, n)}
     least = 0
     for mask, idx in table:
-        coords = [signed[i] for i in idx]
-        if min(coords, default=0) >= 0:  # all nonzero: the support is the mask
-            support = mask if all(coords) else sum(1 << c for c, x in zip(_bits(mask), coords) if x)
+        if negative.isdisjoint(idx):  # no coordinate is negative
+            support = mask if zero.isdisjoint(idx) else sum(1 << c for c, i in zip(_bits(mask), idx) if i not in zero)
             least |= 1 << support
-    return classes, _superset_closure(k, least)
+    return least
 
 
 def _bits(x):
@@ -221,19 +231,25 @@ def _masks_below(k, size):
 
 @lru_cache(maxsize=256)
 def _basis_table(dm):
-    """(normals, table) of the classes, their chirotope (Bjorner, Las
-    Vergnas, Sturmfels, White and Ziegler, Oriented Matroids, ch. 3).
+    """(normals, side, table) of the classes, their chirotope (Bjorner,
+    Las Vergnas, Sturmfels, White and Ziegler, Oriented Matroids, ch. 3).
 
-    normals holds the N distinct normals of _hyperplanes, sorted.  table
-    holds (class mask, signed indices) per basis T of the span of the
-    classes, masks in lexicographic order: for chi in that span, cone(T)
-    = {chi : rows . chi >= 0}, index j standing for the row normals[j]
-    and N + j for -normals[j].  The row of class c is the normal of T
-    less c, signed positive on c; a zero there, or a dependent T less c,
-    means T is no basis.  When the classes span, these are the primitive
-    rows of inv(M_T), with M_T the matrix whose columns are T.
-    Membership and chamber keys, both read from here, are sets of 2**k
-    bits over the k classes: ValueError past MAX_DEGREE_CLASSES."""
+    normals holds the N distinct normals of _hyperplanes, sorted; every
+    wall of every support cone lies on one of their hyperplanes.  side[j]
+    is 0 when classes lie on both sides of normals[j], whose hyperplane
+    then crosses the effective cone, and else the sign of the side that
+    holds them: signed by it, the others are the effective cone's facet
+    normals when the classes span, as every facet is spanned by rank - 1
+    independent classes.  table holds (class mask, signed indices) per
+    basis T of the span of the classes, masks in lexicographic order:
+    for chi in that span, cone(T) = {chi : rows . chi >= 0}, index j
+    standing for the row normals[j] and N + j for -normals[j].  The row
+    of class c is the normal of T less c, signed positive on c; a zero
+    there, or a dependent T less c, means T is no basis.  When the
+    classes span, these are the primitive rows of inv(M_T), with M_T the
+    matrix whose columns are T.  Membership and chamber keys, both read
+    from here by _least_members, are sets of 2**k bits over the k
+    classes: ValueError past MAX_DEGREE_CLASSES."""
     vectors = [vec for vec, _ in _degree_classes(dm)]
     if len(vectors) > MAX_DEGREE_CLASSES:
         raise ValueError(f"too many distinct degree vectors ({len(vectors)} > {MAX_DEGREE_CLASSES})")
@@ -245,6 +261,7 @@ def _basis_table(dm):
         n: [ids[j] if x > 0 else ids[j + len(normals)] if x < 0 else None for x in (_dot(n, v) for v in vectors)]
         for j, n in enumerate(normals)
     }
+    side = tuple((j + len(normals) not in s) - (j not in s) for j, s in enumerate(sides.values()))
     rows = {mask: sides[n] for mask, n in hyperplanes.items()}
     absent = [None] * len(vectors)
     table = []
@@ -253,7 +270,7 @@ def _basis_table(dm):
         idx = tuple(rows.get(mask ^ 1 << c, absent)[c] for c in basis)
         if None not in idx:
             table.append((mask, idx))
-    return normals, tuple(table)
+    return normals, side, tuple(table)
 
 
 def _hyperplanes(vectors, dim):
@@ -296,14 +313,7 @@ def _hyperplanes(vectors, dim):
 
 def _spans(dm):
     """Whether the degree classes span Cl (x) Q, by the size of a basis."""
-    return len(_basis_table(dm)[1][0][1]) == dm.cl_free_rank
-
-
-def _arrangement_normals(dm):
-    """The normals of _basis_table.  Every wall of every support cone
-    lies on one of their hyperplanes; extra non-wall hyperplanes only
-    split chambers into pieces that merging by signature reassembles."""
-    return _basis_table(dm)[0]
+    return len(_basis_table(dm)[2][0][1]) == dm.cl_free_rank
 
 
 @lru_cache(maxsize=256)
@@ -347,33 +357,23 @@ def _chamber_keys(dm):
     Cells of the wall arrangement are enumerated by sign-vector search
     with exact LP pruning; no LP runs after it.  A cell lies on no
     arrangement hyperplane, so the basis cones that contain it fix its
-    chamber and its signature (Cox, Little and Schenck, ch. 14-15).
-    That set is read off the cell's sign vector alone, as the key: the
-    indices of those basis cones in _basis_table.  Cells sharing a key
-    are one chamber.
+    chamber and its signature (Cox, Little and Schenck, ch. 14-15).  Its
+    sign on each normal, from its sign vector on the crossing normals
+    and side on the others, is nonzero, so _least_members reads that set
+    as whole bases: the key is the 2**k-bit set of their class masks.
+    Cells sharing a key are one chamber.
     """
     classes = _degree_classes(dm)
-    normals, table = _basis_table(dm)
-    # A cell's signs, +-1 on the crossing normals and 0 on the others,
-    # read through the signed indices: cone(T) holds the cell when no row
-    # is negative on it.  A non-crossing row needs no test: cone(T) lies
-    # in the effective cone, so it is positive on its whole interior.
-    crossing = _split_normals(dm)[1]
-    slots = [crossing.index(n) if n in crossing else len(crossing) for n in normals]
-    seen = set()
-    chambers = []
-    for signs, _ in _enumerate_cells(dm):
-        values = list(map((signs + (0,)).__getitem__, slots))
-        signed = values + [-x for x in values]
-        key = tuple(b for b, (_, idx) in enumerate(table) if min(map(signed.__getitem__, idx)) >= 0)
-        if key in seen:
-            continue
-        seen.add(key)
-        # a character off every hyperplane is in cone(S) exactly when S
-        # holds one of the basis cones that contain it (Caratheodory)
-        member = _superset_closure(len(classes), sum(1 << table[b][0] for b in key))
-        chambers.append((key, _signature(classes, member)))
-    return tuple(sorted(chambers, key=lambda c: c[1].facets))
+    _, side, table = _basis_table(dm)
+    chambers = {}
+    for signs in _enumerate_cells(dm):
+        crossing = iter(signs)
+        key = _least_members(table, [s or next(crossing) for s in side])
+        if key not in chambers:
+            # a character off every hyperplane is in cone(S) exactly when S
+            # holds one of the basis cones that contain it (Caratheodory)
+            chambers[key] = _signature(classes, _superset_closure(len(classes), key))
+    return tuple(sorted(chambers.items(), key=lambda c: c[1].facets))
 
 
 def chamber_signatures(dm):
@@ -386,42 +386,21 @@ def enumerate_chambers(dm):
     order of chamber_signatures.
 
     A chamber's character is the sum of the primitive rays of its
-    closure, the intersection of the basis cones of its key, so it does
+    closure, the intersection of the basis cones whose masks are the
+    bits of its key, so it does
     not depend on the simplex's pivot path; it is the rule
     ample_character uses for the nef cone.  It takes one double
     description per chamber, so it is built only where it is printed.
     """
-    normals, table = _basis_table(dm)
+    normals, _, table = _basis_table(dm)
     signed = normals + tuple(tuple(-v for v in n) for n in normals)
+    indices = dict(table)
     chambers = []
     for key, sig in _chamber_keys(dm):
-        rows = [signed[i] for b in key for i in table[b][1]]
+        rows = [signed[i] for mask in _bits(key) for i in indices[mask]]
         rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
         chambers.append((tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank)), sig))
     return tuple(chambers)
-
-
-@lru_cache(maxsize=8192)
-def _split_normals(dm):
-    """(facets, crossing): the arrangement normals split by the signs of
-    n.g over the degree classes g, from one pass of dot products.
-
-    crossing holds those taking both signs, whose hyperplane meets the
-    interior of the effective cone (the degrees' combinations with all
-    weights positive); only these can separate chambers.  facets holds
-    the rest, signed so that n.g >= 0, sorted.  When the classes span,
-    these are the effective cone's facet normals: each such hyperplane
-    holds cl_free_rank - 1 independent classes with the cone on one
-    side, and every facet is spanned by such classes."""
-    vectors = [vec for vec, _ in _degree_classes(dm)]
-    facets, crossing = [], []
-    for n in _arrangement_normals(dm):
-        dots = [_dot(n, g) for g in vectors]
-        if min(dots) < 0 < max(dots):
-            crossing.append(n)
-        else:
-            facets.append(n if min(dots) >= 0 else tuple(-v for v in n))
-    return tuple(sorted(facets)), tuple(crossing)
 
 
 # Tableau entries one cell search may charge: rows times columns of
@@ -432,26 +411,28 @@ _TABLEAU_BUDGET = 20_000_000
 
 
 def _enumerate_cells(dm):
-    """All strictly feasible sign vectors over the wall arrangement.
+    """All strictly feasible sign vectors over the crossing normals of
+    _basis_table, sorted.
 
-    Each cell is an open region: effective-cone facet normals strict,
-    plus a strict sign per crossing hyperplane.  Both lists come from
-    _split_normals, so no double description runs.  Returns (sign
-    vector, integer interior witness) pairs sorted by sign vector.  The
-    DFS carries an interior witness down each branch, so the child on
-    the witness's own side needs no LP at all.  It also carries the
-    SlackTableau of rows.x >= 1 of the nearest ancestor that ran one,
-    with the rows added since; every other child adds those rows and its
-    own to that tableau by dual simplex, and is an empty cell when they
-    have no point.  No LP runs the primal simplex, the root's included
-    (reverse search, Avis and Fukuda 1996).  Each re-optimisation
-    charges the entries of the tableau it pivots, and a search past
-    _TABLEAU_BUDGET entries raises ValueError, so the budget bounds time
-    even as the tableaux grow.
+    Each cell is an open region: the effective cone's facet normals,
+    read off the table's side and sorted, strict, plus a strict sign per
+    crossing hyperplane, so no double description runs.  The DFS carries
+    an interior witness down each branch, so the child on the witness's
+    own side needs no LP at all.  It also carries the SlackTableau of
+    rows.x >= 1 of the nearest ancestor that ran one, with the rows
+    added since; every other child adds those rows and its own to that
+    tableau by dual simplex, and is an empty cell when they have no
+    point.  No LP runs the primal simplex, the root's included (reverse
+    search, Avis and Fukuda 1996).  Each re-optimisation charges the
+    entries of the tableau it pivots, and a search past _TABLEAU_BUDGET
+    entries raises ValueError, so the budget bounds time even as the
+    tableaux grow.
     """
     if not _spans(dm):
         raise ValueError("degrees do not span the class group; the effective cone has no interior")
-    eff_rows, normals = _split_normals(dm)
+    arrangement, side, _ = _basis_table(dm)
+    eff_rows = sorted(n if s > 0 else tuple(-v for v in n) for n, s in zip(arrangement, side) if s)
+    normals = [n for n, s in zip(arrangement, side) if not s]
     if not eff_rows:
         raise ValueError("the effective cone is the whole space; the cell search needs a facet")
     root = SlackTableau.solve(eff_rows)
@@ -460,12 +441,10 @@ def _enumerate_cells(dm):
 
     def rec(signs, tableau, pending, witness):
         nonlocal entries
-        # witness is the tableau's x times its scale, which is positive:
-        # same signs, and dividing by gcd(scale, *witness) clears the
-        # denominators of x
+        # witness is the tableau's x times its scale, which is positive,
+        # so it has the signs of x
         if len(signs) == len(normals):
-            g = gcd(tableau.d, *witness)
-            cells.append((tuple(signs), tuple(v // g for v in witness)))
+            cells.append(tuple(signs))
             return
         n = normals[len(signs)]
         d = _dot(n, witness)

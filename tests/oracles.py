@@ -26,7 +26,7 @@ eq_rows.x == 0 on solve_nonneg, against which the feasibility tableau
 of toricgit.lp and the projectivity that toricgit.fans.validate reads
 off the nef cone's double description are held, and crossing_normals decides
 by one such LP with an equality per arrangement normal what
-toricgit.vgit reads off integer dot products.
+toricgit.vgit reads off the signs of integer dot products.
 arrangement_normals takes one integer kernel, from the Smith form's
 right transform, per rank-1 subset of the degree classes, where
 toricgit.vgit reads the free row of a search stopped one pivot short of
@@ -34,9 +34,10 @@ a basis.  basis_inverses inverts every basis of the classes in one
 fraction-free search, and basis_table sign-normalizes and numbers every
 row of every inverse, against which the table toricgit.vgit reads off
 one normal per hyperplane is held.
-enumerate_cells is the cell search that solves every child LP from
-scratch by that phase-1 max_strict_slack, against which the dual
-simplex warm start of toricgit.vgit is held, and
+enumerate_cells is the cell search over the walls of crossing_normals
+that solves every child LP from scratch by that phase-1
+max_strict_slack, against which the dual simplex warm start of
+toricgit.vgit is held, and
 chambers_cover_effective certifies that its cells tile the effective
 cone.  lp_membership decides which sets of degree classes have a cone
 containing a character by one in_cone LP per set of at most rank
@@ -561,34 +562,34 @@ def max_strict_slack(rows, eq_rows=()):
 
 
 def crossing_normals(dm):
-    """Arrangement normals whose hyperplane meets the interior of
-    the effective cone.  Only these can separate chambers; the rest
-    keep a constant sign over the whole cone and never branch."""
-    eff_rows = vgit.effective_cone(dm).facet_normals
+    """Arrangement normals whose hyperplane meets the relative interior
+    of the effective cone: the points of its span strictly inside its
+    facets, so the dual's lineality rows are equalities.  Only these can
+    separate chambers; the rest keep a constant sign over the whole cone
+    and never branch."""
+    dual = vgit.effective_cone(dm).dual()
     crossing = []
-    for n in vgit._arrangement_normals(dm):
-        t, _ = max_strict_slack(eff_rows, eq_rows=[n])
+    for n in vgit._basis_table(dm)[0]:
+        t, _ = max_strict_slack(list(dual.rays), eq_rows=[n, *dual.lin])
         if t > 0:
             crossing.append(n)
     return tuple(crossing)
 
 
 def enumerate_cells(dm):
-    """(sign vector, integer interior witness) pairs over the crossing
-    walls, sorted: a DFS that carries an interior witness down each
-    branch and solves every other child's LP from scratch."""
+    """The sign vectors over the walls of crossing_normals, sorted: a
+    DFS that carries an interior witness down each branch and solves
+    every other child's LP from scratch."""
     eff_rows = list(vgit.effective_cone(dm).facet_normals)
-    normals = vgit._split_normals(dm)[1]
+    normals = crossing_normals(dm)
     t, x0 = max_strict_slack(eff_rows)
     if t <= 0:
         raise AssertionError("effective cone must be full-dimensional")
-    if not normals:
-        return (((), _clear_denominators(x0)),)
     cells = []
 
     def rec(signs, rows, witness):
         if len(signs) == len(normals):
-            cells.append((tuple(signs), _clear_denominators(witness)))
+            cells.append(tuple(signs))
             return
         n = normals[len(signs)]
         d = _dot(n, witness)
@@ -723,10 +724,10 @@ def chambers_cover_effective(dm) -> bool:
     region.
     """
     eff_rows = list(vgit.effective_cone(dm).facet_normals)
-    normals = vgit._split_normals(dm)[1]
+    normals = crossing_normals(dm)
     cells = vgit._enumerate_cells(dm)
-    patterns = {signs for signs, _ in cells}
-    for signs, _chi in cells:
+    patterns = set(cells)
+    for signs in cells:
         for i, n in enumerate(normals):
             rows = eff_rows + [
                 tuple(s * v for v in m)

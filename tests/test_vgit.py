@@ -111,6 +111,15 @@ def probe_grading(k, seed, rank=4):
             degrees.append(vec)
     return graded_by(degrees)
 
+def split_normals(dm):
+    """(facets, crossing) read off the basis table's side: the normals
+    it puts every class on one side of, signed so they are nonnegative
+    on the classes and sorted, and those its hyperplane crosses."""
+    normals, side, _ = vgit._basis_table(dm)
+    facets = sorted(n if s > 0 else tuple(-v for v in n) for n, s in zip(normals, side) if s)
+    return tuple(facets), tuple(n for n, s in zip(normals, side) if not s)
+
+
 def clear_vgit_caches():
     for obj in vars(vgit).values():
         if hasattr(obj, "cache_clear"):
@@ -358,7 +367,7 @@ class TestMembership:
         for dm in dms:
             vectors = [v for v, _ in vgit._degree_classes(dm)]
             rank = matrix_rank(vectors)
-            normals, table = vgit._basis_table(dm)
+            normals, _, table = vgit._basis_table(dm)
             assert vgit._spans(dm) == (rank == dm.cl_free_rank)
             assert list(normals) == sorted({sign_normalized(n) for n in normals})
             assert [mask for mask, _ in table] == [
@@ -400,7 +409,8 @@ class TestMembership:
             for dm in dms:
                 orthogonal, normals, table = oracles.basis_table(dm)
                 assert orthogonal == () and vgit._spans(dm)
-                assert vgit._basis_table(dm) == (normals, table), dm
+                got_normals, _, got_table = vgit._basis_table(dm)
+                assert (got_normals, got_table) == (normals, table), dm
         finally:
             clear_vgit_caches()
 
@@ -419,7 +429,7 @@ class TestMembership:
         dm = graded_by(gens)
         vectors = [v for v, _ in vgit._degree_classes(dm)]
         orthogonal, inverses = oracles.basis_inverses(vectors, r)
-        normals, table = vgit._basis_table(dm)
+        normals, _, table = vgit._basis_table(dm)
         assert vgit._spans(dm) == (not orthogonal)
         assert [mask for mask, _ in table] == [sum(1 << c for c in basis) for basis, _ in inverses]
         signed = normals + tuple(tuple(-v for v in n) for n in normals)
@@ -517,7 +527,7 @@ class TestMembership:
             nxt = unstable_supports(dm, tuple(x + 1 for x in chi))
             on_wall = is_boundary_character(dm, chi)
             second = time.perf_counter() - start
-            n_bases = len(vgit._basis_table(dm)[1])
+            n_bases = len(vgit._basis_table(dm)[2])
         finally:
             clear_vgit_caches()
         assert n_bases == 12776
@@ -540,7 +550,7 @@ class TestMembership:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            n_bases = len(vgit._basis_table(dm)[1])
+            n_bases = len(vgit._basis_table(dm)[2])
             peak, held = tracemalloc.get_traced_memory()[::-1]
         finally:
             tracemalloc.stop()
@@ -1030,9 +1040,7 @@ class TestPastRankFour:
     def check_against_oracles(self, fan, dm, chambers):
         """The number of chambers inside the moving cone, each of which
         must pass the moving-chamber oracle."""
-        assert {signs for signs, _ in vgit._enumerate_cells(dm)} == {
-            signs for signs, _ in oracles.enumerate_cells(dm)
-        }
+        assert vgit._enumerate_cells(dm) == oracles.enumerate_cells(dm)
         moving = moving_cone(dm)
         inside = [(chi, sig) for chi, sig in chambers if oracles.strictly_contains(moving, chi)]
         for chi, sig in inside:
@@ -1099,7 +1107,7 @@ class TestCanonicalWitnesses:
 
     def test_output_independent_of_pivot_path(self, corpus):
         # the oracle solves every cell LP from scratch by phase 1, so
-        # its witnesses come from other points than the warm start's
+        # its search carries other witnesses than the warm start's
         fans = chamber_fans(corpus)
         clear_vgit_caches()
         warm_start = [enumerate_chambers(dm) for _, _, dm in fans]
@@ -1182,7 +1190,6 @@ class TestCanonicalWitnesses:
         clear_vgit_caches()
         try:
             for dm in dms:
-                vgit._split_normals(dm)[1]
                 vgit._enumerate_cells(dm)
         finally:
             clear_vgit_caches()
@@ -1197,34 +1204,25 @@ class TestCanonicalWitnesses:
         n_fans = 0
         for fan in fans:
             dm = degree_map(fan)
-            want = {signs for signs, _ in oracles.enumerate_cells(dm)}
-            assert {signs for signs, _ in vgit._enumerate_cells(dm)} == want
+            assert vgit._enumerate_cells(dm) == oracles.enumerate_cells(dm)
             n_fans += 1
         assert n_fans == 75
 
-    def test_cell_witnesses_pinned(self, corpus):
-        # Witnesses are read off the tableau's integer numerators, as
-        # w // gcd(d, *w); the digest was recorded from the Fraction
-        # read-off w / d with its denominators cleared.  Each witness
-        # also lies strictly inside its cell.
+    def test_cell_sign_vectors_pinned(self, corpus):
+        # The digest was recorded from the cells of the search that also
+        # returned an integer witness per cell, with the witnesses dropped.
         by_name = dict(corpus)
         fans = [fan for _, fan in corpus]
         fans += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS]
         digest = hashlib.sha256()
         n_cells = 0
         for fan in fans:
-            dm = degree_map(fan)
-            cells = vgit._enumerate_cells(dm)
-            eff_rows = effective_cone(dm).facet_normals
-            normals = vgit._split_normals(dm)[1]
-            for signs, chi in cells:
-                assert all(_dot(e, chi) > 0 for e in eff_rows)
-                assert all(s * _dot(n, chi) > 0 for s, n in zip(signs, normals))
+            cells = vgit._enumerate_cells(degree_map(fan))
             digest.update(repr(cells).encode())
             n_cells += len(cells)
         assert n_cells == 647
         assert digest.hexdigest() == (
-            "26c4a3d5889df6aa454b6376d696419f59f3a99608484b859cccd02cb6e43956"
+            "ed4db05b23b3c954efee6d52ba9de517309b62011bc55de38a7ba046ef346966"
         )
 
     def test_grid_characters_fall_in_enumerated_cells(self, corpus):
@@ -1236,8 +1234,8 @@ class TestCanonicalWitnesses:
         rng = random.Random(9104)
         for name, _, dm in chamber_fans(corpus):
             eff_rows = effective_cone(dm).facet_normals
-            normals = vgit._split_normals(dm)[1]
-            cells = {signs for signs, _ in vgit._enumerate_cells(dm)}
+            normals = split_normals(dm)[1]
+            cells = set(vgit._enumerate_cells(dm))
             vectors = [vec for vec, _ in vgit._degree_classes(dm)]
             for _ in range(1500):
                 weights = [rng.randint(1, 20) if rng.random() < 0.5 else 0 for _ in vectors]
@@ -1253,14 +1251,14 @@ class TestCanonicalWitnesses:
         dms += [degree_map(product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS]
         for dm in dms:
             if dm.cl_free_rank > 1:  # the kernel oracle skips the empty set's normal
-                assert vgit._arrangement_normals(dm) == oracles.arrangement_normals(dm)
-            assert vgit._split_normals(dm)[1] == oracles.crossing_normals(dm)
+                assert vgit._basis_table(dm)[0] == oracles.arrangement_normals(dm)
+            assert split_normals(dm)[1] == oracles.crossing_normals(dm)
 
     def test_effective_facets_match_double_description(self, corpus):
         # the cell search reads the effective cone's facets off the
-        # arrangement normals, each signed so that every class is on
-        # its nonnegative side; the double description of cone(degrees)
-        # is the oracle
+        # basis table's side, each normal signed so that every class is
+        # on its nonnegative side; the double description of
+        # cone(degrees) is the oracle
         by_name = dict(corpus)
         dms = {degree_map(fan) for _, fan in corpus}
         dms |= {degree_map(product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS}
@@ -1272,10 +1270,10 @@ class TestCanonicalWitnesses:
         for dm in dms:
             if not vgit._spans(dm):
                 continue  # no interior, and the cell search refuses it first
-            facets = vgit._split_normals(dm)[0]
+            facets = split_normals(dm)[0]
             assert facets == effective_cone(dm).facet_normals, dm
             n_spanning += 1
-            n_flipped += any(f not in vgit._arrangement_normals(dm) for f in facets)
+            n_flipped += any(f not in vgit._basis_table(dm)[0] for f in facets)
         assert (n_spanning, n_flipped) == (298, 188)
 
     def test_signatures_run_no_double_description(self, corpus, monkeypatch):
@@ -1295,27 +1293,28 @@ class TestCanonicalWitnesses:
         assert len(dms) == 54
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=4).flatmap(
-            lambda r: st.tuples(
-                small_vectors(r, min_size=r, max_size=r + 4),
-                small_vectors(r, min_size=1, max_size=6, nonzero=True),
-            )
-        )
-    )
-    def test_sign_test_matches_lp(self, data):
-        gens, normals = data
-        assume(matrix_rank(gens) == len(normals[0]))
+    @given(st.data())
+    def test_side_matches_lp_and_double_description(self, data):
+        # Spanning or not, the normals that side marks crossing are
+        # those an LP finds crossing the effective cone's relative
+        # interior; when the classes span, the others, signed by side,
+        # are the facet normals of its double description.
+        r = data.draw(st.integers(min_value=1, max_value=4))
+        gens = data.draw(small_vectors(r, min_size=1, max_size=r + 4))
+        if r > 1 and data.draw(st.booleans()):
+            gens = [g[:-1] + (0,) for g in gens]  # every degree in one hyperplane
         dm = graded_by(gens)
-        with mock.patch.object(vgit, "_arrangement_normals", lambda _dm: tuple(normals)):
-            assert vgit._split_normals.__wrapped__(dm)[1] == oracles.crossing_normals(dm)
+        facets, crossing = split_normals(dm)
+        assert crossing == oracles.crossing_normals(dm), gens
+        if vgit._spans(dm):
+            assert facets == effective_cone(dm).facet_normals, gens
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=4).flatmap(lambda r: small_vectors(r, r, r + 4)))
     def test_arrangement_normals_match_kernel_oracle(self, gens):
         assume(matrix_rank(gens) == len(gens[0]))
         dm = graded_by(gens)
-        assert vgit._arrangement_normals(dm) == oracles.arrangement_normals(dm)
+        assert vgit._basis_table(dm)[0] == oracles.arrangement_normals(dm)
 
 
 def test_recursive_searches_leave_no_reference_cycles(corpus):
@@ -1344,7 +1343,7 @@ def test_recursive_searches_leave_no_reference_cycles(corpus):
         "stopped cell search": stopped_cell_search,
         "zero_locus_codim": lambda: cox.zero_locus_codim(ideal),
     }
-    vgit._split_normals(dm)  # the cached tables the cell search reads
+    vgit._basis_table(dm)  # the cached table the cell search reads
     gc.collect()
     gc.disable()
     try:
