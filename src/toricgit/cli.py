@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict
 from types import SimpleNamespace
 
 from .checks import (
@@ -103,15 +102,8 @@ def _emit(data, as_json):
 
 
 def _cmd_validate(args):
-    _emit(asdict(validate(_load_fan(args.fan))), args.json)
+    _emit(vars(validate(_load_fan(args.fan))), args.json)
     return 0
-
-
-def _max_neighborly(fan):
-    m = 1
-    while m < fan.n_rays and is_m_neighborly(fan, m + 1):
-        m += 1
-    return m
 
 
 def _cmd_analyze(args):
@@ -119,13 +111,15 @@ def _cmd_analyze(args):
     report = validate(fan)
     ideal = irrelevant_ideal(fan)
     codim = zero_locus_codim(ideal)
+    # An m-set of rays lies in no maximal cone iff it meets every generator
+    # support: m-neighborly iff codim >= m + 1 (the unit ideal's n_rays + 1 gives n_rays).
     out = {
-        "validation": asdict(report),
+        "validation": vars(report),
         "dim": fan.dim,
         "n_rays": fan.n_rays,
         "irrelevant_ideal_generators": [list(s) for s in ideal.generator_supports],
         "unstable_codim": codim,
-        "max_neighborly_m": _max_neighborly(fan),
+        "max_neighborly_m": codim - 1,
         "small_unstable_locus": codim >= 3,
         "class_group": None,
     }

@@ -7,9 +7,9 @@ source (fan_from_json, a direct call) is then certified: its cones must
 be simplicial and meet in common faces.  The trusted constructors skip
 that certification, since their cones are independent and form a fan by
 construction.  Each full-dimensional maximal cone is eliminated once,
-into the scaled inverse that the certificate, validate and Brion's
-formula all read.  One cached wall pass over the ridges proves a
-complete fan (every ridge joins two cones on opposite sides, one
+into the facet normals that the certificate, validate, Brion's formula
+and the chamber walk read.  One cached wall pass over the ridges proves
+a complete fan (every ridge joins two cones on opposite sides, one
 generic probe lies in one cone), and its wall rows cut out Brion's nef
 test and the nef cone that validate and vgit.nef_cone read; any other
 input falls back to intersecting every pair of maximal cones.  Brion's
@@ -71,7 +71,7 @@ class Fan:
         dim = int(dim)
         if dim < 1:
             raise FanError("fan dimension must be at least 1")
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        rays = tuple(tuple(map(int, r)) for r in rays)
         if not rays:
             raise FanError("a fan needs at least one ray")
         for r in rays:
@@ -79,7 +79,7 @@ class Fan:
                 raise FanError(f"ray {r} has wrong dimension")
             if not any(r):
                 raise FanError("zero vector is not a ray")
-            if primitive(r) != r:
+            if gcd(*r) != 1:
                 raise FanError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise FanError("duplicate rays")
@@ -141,7 +141,10 @@ class Fan:
 
 
 def _mask(indices) -> int:
-    return sum(1 << i for i in set(indices))
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 def _is_antichain(sets) -> bool:
@@ -176,8 +179,8 @@ def _check_fan_axiom(fan):
     cones meeting in common faces.
 
     A cone that is not full-dimensional takes a rank test; the others
-    take their one elimination, _cone_inverses, which rejects dependent
-    rays.  The wall pass then proves the axiom for a complete fan.
+    take their one elimination into facet normals, _cone_inverses, which
+    rejects dependent rays.  The wall pass proves the axiom for a complete fan.
     Anything else (an incomplete fan, or invalid input) intersects every
     pair of maximal cones by double description.
     """
@@ -220,11 +223,11 @@ def fan_from_json(data):
         raise FanError(f"fan JSON missing keys: {sorted(missing)}")
     dim = as_int(data["dim"], "dim")
     rays = [
-        [as_int(x, "ray entry") for x in as_list(r, "ray")]
+        [x if type(x) is int else as_int(x, "ray entry") for x in as_list(r, "ray")]
         for r in as_list(data["rays"], "rays")
     ]
     cones = [
-        [as_int(i, "cone index") for i in as_list(c, "cone")]
+        [i if type(i) is int else as_int(i, "cone index") for i in as_list(c, "cone")]
         for c in as_list(data["max_cones"], "max_cones")
     ]
     return Fan(dim, rays, cones)
@@ -260,8 +263,8 @@ def divisor_from_json(data, fan):
 
 @lru_cache(maxsize=1024)
 def _cone_inverses(fan):
-    """(inv, d) of each full-dimensional maximal cone: column i of inv is
-    the inward normal of the facet opposite ray i, d the cone's index.
+    """(normals, d) of each full-dimensional maximal cone, d its index:
+    <normals[i], v_j> is d if i == j else 0, the facets' inward normals.
 
     This is the one elimination of each such cone, and its simplicial
     test: a cone with dependent rays raises FanError.  Read-only, since
@@ -271,12 +274,17 @@ def _cone_inverses(fan):
     for c in fan.max_cones:
         if len(c) == fan.dim:
             try:
-                inv, d = scaled_inverse(fan.cone_rays(c))
+                out[c] = _facet_normals(fan.cone_rays(c))
             except ValueError:
                 msg = f"cone {c} is not simplicial (dependent rays)"
                 raise FanError(msg) from None
-            out[c] = (tuple(map(tuple, inv)), d)
     return MappingProxyType(out)
+
+
+def _facet_normals(rays):
+    """(normals, |det|) of independent rays, the scaled inverse's columns."""
+    inv, d = scaled_inverse(rays)
+    return tuple(zip(*inv)), d
 
 
 @lru_cache(maxsize=1024)
@@ -292,9 +300,10 @@ def _walls(fan):
     (c2, r2) gives the row d * (coordinates of v_r2 in the basis of c1)
     with -d at r2, the strict convexity of a support function across
     the wall (Cox, Little and Schenck, Toric Varieties, ch. 6); its
-    entry at r1 is negative iff the sides are opposite.  Those
-    coordinates are summed sparsely, v_k * (row k of inv) over the
-    nonzero v_k of v_r2.  Walls repeat rows (bl4_1 x bl4_1: 324 rows, 6
+    entry at r1 is negative iff the sides are opposite.  Its entry at
+    the i-th ray of c1 is <u_i, v_r2>, u_i the i-th facet normal of c1.
+    The ridges are taken in any order, since no reader depends on the
+    order of the rows.  Walls repeat rows (bl4_1 x bl4_1: 324 rows, 6
     distinct), so only distinct rows are kept.  A row vanishes on
     principal divisors, and a divisor D with coefficients a is nef
     exactly when w.a <= 0 for every row w.  Cached, since three callers
@@ -308,26 +317,22 @@ def _walls(fan):
     for c in fan.max_cones:
         for drop in range(len(c)):
             by_ridge.setdefault(c[:drop] + c[drop + 1 :], []).append((c, c[drop]))
-    sparse = [[(k, x) for k, x in enumerate(r) if x] for r in fan.rays]
     rows = []
-    for _ridge, sides in sorted(by_ridge.items()):
+    for sides in by_ridge.values():
         if len(sides) != 2:
             return None
         (c1, r1), (_, r2) = sides
-        inv, d = inverses[c1]
-        coords = [0] * fan.dim
-        for k, vk in sparse[r2]:
-            coords = [c + vk * x for c, x in zip(coords, inv[k])]
+        (normals, d), v = inverses[c1], fan.rays[r2]
         row = [0] * fan.n_rays
-        for idx, c in zip(c1, coords):
-            row[idx] = c
+        for idx, u in zip(c1, normals):
+            row[idx] = _dot(u, v)
         row[r2] = -d
         if row[r1] >= 0:
             return None
         rows.append(primitive(row))
     # The probe lies on no facet hyperplane, so it is interior to each
     # cone it hits.
-    normals = [list(zip(*inv)) for inv, _ in inverses.values()]
+    normals = [ns for ns, _ in inverses.values()]
     w = _probe(fan.dim, normals)
     if sum(all(_dot(n, w) > 0 for n in ns) for ns in normals) != 1:
         return None
@@ -648,7 +653,7 @@ def _start(fan):
     chamber walk, or None when the rays do not span: the first
     full-dimensional cone (else d independent rays), the perturbation,
     Q 1 plus twice Hadamard's bound on the maximal minors, and the
-    tableau rows without the slacks."""
+    tableau rows without the slacks, facet normal w_k on every ray."""
     n, d = fan.n_rays, fan.dim
     cone = next((c for c in fan.max_cones if len(c) == d), ())
     for i in range(n):  # only a fan with no full-dimensional cone
@@ -656,11 +661,11 @@ def _start(fan):
             cone += (i,)
     if len(cone) < d:
         return None
-    inv, det = _cone_inverses(fan).get(cone) or scaled_inverse(fan.cone_rays(cone))
+    normals, det = _cone_inverses(fan).get(cone) or _facet_normals(fan.cone_rays(cone))
     q = 1 + 2 * max(sum(map(abs, r)) for r in fan.rays) ** d
     # column n: the sum of the start's rays, the dual LP's right-hand side
     vecs = fan.rays + (tuple(map(sum, zip(*fan.cone_rays(cone)))),)
-    rows = tuple(tuple(_dot(v, w) for v in vecs) for w in zip(*inv))
+    rows = tuple(tuple(_dot(v, w) for v in vecs) for w in normals)
     return cone, q**n, tuple(q ** (n - 1 - r) for r in range(n)), det, rows
 
 
@@ -678,9 +683,9 @@ def _brion_data(fan):
     not prove the fan complete.
 
     A cone's vertex u solves <u, v_i> = -a_i, its tangent cone is
-    spanned by the primitive edges g_j of the columns w_j of its scaled
-    inverse (inv, det), and its lattice points are u plus the points p
-    of the half-open parallelepiped of the g_j (Brion, 1988; Beck and
+    spanned by the primitive edges g_j of its facet normals w_j (index
+    det), and its lattice points are u plus the points p of the
+    half-open parallelepiped of the g_j (Brion, 1988; Beck and
     Robins, Computing the Continuous Discretely, ch. 3).  With lam the
     wall pass's probe, b_j = <lam, g_j> and alpha = <lam, p>, the cone
     adds the constant term at t = 0 of sum_p e^(t alpha) / prod_j
@@ -701,18 +706,18 @@ def _brion_data(fan):
     if walls is None:
         return None
     d, inverses = fan.dim, _cone_inverses(fan)
-    _charge(sum(det > 1 and det ** (d - 1) // prod(map(gcd, *inv)) or 1 for inv, det in inverses.values()))
-    lam = _probe(d, [list(zip(*inv)) for inv, _ in inverses.values()])
+    _charge(sum(det > 1 and det ** (d - 1) // prod(gcd(*w) for w in ws) or 1 for ws, det in inverses.values()))
+    lam = _probe(d, [ws for ws, _ in inverses.values()])
     scale, weights, horner = _todd(d)
     cones = []
-    for cone, (inv, det) in inverses.items():
-        gs = list(zip(*inv)) if det == 1 else [primitive(w) for w in zip(*inv)]
+    for cone, (ws, det) in inverses.items():
+        gs = ws if det == 1 else [primitive(w) for w in ws]
         b = [_dot(lam, g) for g in gs]
         group = None
         if det > 1:
             m = [_dot(g, fan.rays[i]) for g, i in zip(gs, cone)]
             gens = [tuple(fan.rays[i][t] % mj for i, mj in zip(cone, m)) for t in range(d)]
-            group = (m, gens, [_dot(lam, w) for w in zip(*inv)], det)
+            group = (m, gens, [_dot(lam, w) for w in ws], det)
         power_sums = [sum(x**k for x in b) for k in range(1, d + 1)]
         series = [1]  # S_0, S_1, ...
         for row in weights:

@@ -56,6 +56,9 @@ toricgit.linalg._bareiss reads them off one elimination.
 smallest_hitting_set_size scans the subsets of the variables by
 increasing size for one that meets every generator support, sharing no
 code with the bitmask search of toricgit.cox.zero_locus_codim.
+_max_neighborly raises m while every (m + 1)-set of rays lies in a
+maximal cone, against which the max_neighborly_m that toricgit.cli
+reads off that codimension is held.
 _minimal_hitting_sets lists every minimal hitting set by branching on
 the first unhit support; stanley_reisner takes their complements as the
 facets of the Stanley-Reisner complex (a FaceComplex),
@@ -88,7 +91,7 @@ from toricgit.cones import _combine, cone_from_generators, cone_from_inequalitie
 from toricgit.linalg import _dot, _pivot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import cox, vgit
-from toricgit.fans import Fan, _is_antichain, validate
+from toricgit.fans import Fan, _is_antichain, is_m_neighborly, validate
 from toricgit.lp import PivotLimit, _identity, _simplex_core, scaled_inverse
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
@@ -832,6 +835,13 @@ def smallest_hitting_set_size(ideal):
             if all(s.intersection(subset) for s in supports):
                 return size
     raise AssertionError("the set of all variables meets every support")
+
+
+def _max_neighborly(fan):
+    m = 1
+    while m < fan.n_rays and is_m_neighborly(fan, m + 1):
+        m += 1
+    return m
 
 
 def contains_monomial(ideal, support):

@@ -16,7 +16,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import toricgit
+from oracles import _max_neighborly
 from toricgit import cli, lp, vgit
+from toricgit.checks import PRODUCT_PAIRS
 from toricgit.cli import main
 from toricgit.fans import (
     blowup_pn_along_linear,
@@ -161,6 +163,29 @@ class TestAnalyze:
         code, out, _ = run(["analyze", str(path), "--json"], capsys)
         assert code == 0
         assert json.loads(out)["unstable_codim"] == 3
+
+    def test_max_neighborly_matches_the_search(self, corpus, tmp_path, capsys):
+        # The corpus, the analyze benchmark's products (all but bl4_1 x
+        # bl4_1, whose analyze is slow) and (P^1)^2..(P^1)^5, the
+        # half-plane fan, which is not complete, and a one-cone fan,
+        # whose irrelevant ideal is the unit ideal, against the search
+        # for the largest m.
+        by_name = dict(corpus)
+        fans = [f for _, f in corpus]
+        fans += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS if (a, b) != ("bl4_1", "bl4_1")]
+        power = by_name["p1"]
+        for _ in range(4):
+            power = product_fan(power, by_name["p1"])
+            fans.append(power)
+        fans.append(fan_from_json({"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "max_cones": [[0, 1], [1, 2]]}))
+        fans.append(fan_from_json({"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}))
+        path = tmp_path / "fan.json"
+        for fan in fans:
+            path.write_text(json.dumps(fan_to_json(fan)), encoding="utf-8")
+            code, out, _ = run(["analyze", str(path), "--json"], capsys)
+            assert code == 0
+            assert json.loads(out)["max_neighborly_m"] == _max_neighborly(fan)
+        assert _max_neighborly(fans[-1]) == 2  # the unit ideal: both rays span its one cone
 
     def test_json_matches_certified_reference(self, tmp_path, capsys):
         # Every fan of the analyze benchmark, with every cache cleared

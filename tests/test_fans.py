@@ -52,7 +52,7 @@ from toricgit.fans import (
     star_subdivision,
     validate,
 )
-from toricgit.linalg import primitive
+from toricgit.linalg import _dot, det, primitive
 
 
 def p1():
@@ -198,6 +198,29 @@ class TestJson:
     def test_rejects_bool_entries(self):
         with pytest.raises(FanError, match="integer"):
             fan_from_json({"dim": 2, "rays": [[True, 0]], "max_cones": [[0]]})
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"dim": True}, "dim must be an integer, got True"),
+            ({"dim": 1.0}, "dim must be an integer, got 1.0"),
+            ({"dim": "1"}, "dim must be an integer, got '1'"),
+            ({"rays": [[1, 0], [True, 1]]}, "ray entry must be an integer, got True"),
+            ({"rays": [[1, 0], [1.0, 1]]}, "ray entry must be an integer, got 1.0"),
+            ({"rays": [[1, 0], ["1", 1]]}, "ray entry must be an integer, got '1'"),
+            ({"max_cones": [[0, True]]}, "cone index must be an integer, got True"),
+            ({"max_cones": [[0, 1.0]]}, "cone index must be an integer, got 1.0"),
+            ({"max_cones": [[0, "1"]]}, "cone index must be an integer, got '1'"),
+            ({"rays": [[2, 0], [0, 1]]}, "ray (2, 0) is not primitive"),
+            ({"rays": [[0, 0], [0, 1]]}, "zero vector is not a ray"),
+        ],
+    )
+    def test_entry_errors_name_the_entry(self, data, message):
+        # one bad entry in an otherwise valid fan, so its error is the first
+        fan = {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]], **data}
+        with pytest.raises(FanError) as exc:
+            fan_from_json(fan)
+        assert str(exc.value) == message
 
     def test_rejects_missing_keys(self):
         with pytest.raises(FanError, match="missing"):
@@ -377,11 +400,10 @@ class TestWallCertificate:
             assert set(fans._walls(fan)) == want
 
     def test_p1_power_12_from_json_within_budget(self):
-        # 4,096 cones and 24,576 ridges: each wall row is read off the
-        # rows of the cone's inverse that the opposite ray reads, one
-        # here, where dense dot products with the inverse's columns took
-        # about 1.4 s on a 2-core machine.  Best of three cold runs, so
-        # a busy host does not decide it.
+        # 4,096 cones and 24,576 ridges: each wall row is 12 dot
+        # products of the cone's facet normals with the opposite ray;
+        # the whole validate takes 0.45-0.75 s on a busy 2-core machine.
+        # Best of three cold runs, so a busy host does not decide it.
         f = p1()
         for _ in range(11):
             f = product_fan(f, p1())
@@ -939,6 +961,24 @@ class TestBrionPath:
             assert count_sections(f, div) == 0
         walk.assert_called_once()
         assert walk_sections(f, div) == 0
+
+    def test_cone_inverses_are_facet_normals(self, corpus):
+        # each stored normal u_i pairs to d with its own ray and to 0
+        # with the others, and d is the cone's index: on the corpus and
+        # on the chamber fan that count_sections builds for D_3 on
+        # subdivision15
+        with mock.patch.object(fans, "_check_fan_axiom", wraps=fans._check_fan_axiom) as cert:
+            count_sections(dict(corpus)["subdivision15"], TorusInvariantDivisor((0, 0, 0, 1, 0, 0, 0)))
+        chamber = cert.call_args.args[0]
+        checked = 0
+        for fan in [f for _, f in corpus] + [chamber]:
+            for cone, (normals, d) in fans._cone_inverses(fan).items():
+                rays = fan.cone_rays(cone)
+                assert d == abs(det(rays))
+                for i, u in enumerate(normals):
+                    assert [_dot(u, v) for v in rays] == [d * (i == j) for j in range(len(rays))]
+                checked += 1
+        assert checked == sum(len(c) == f.dim for f in [f for _, f in corpus] + [chamber] for c in f.max_cones)
 
     def test_cone_inverses_are_shared_and_read_only(self):
         f = blowup_pn_along_linear(3, 0)
