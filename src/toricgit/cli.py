@@ -3,10 +3,10 @@
 Exit codes: 0 success (or property true, checks passed), 1 property
 false or check failed, 2 malformed or unsupported input (an unbounded
 section polytope), a simplex pivot limit, or a computation past its
-budget (a section count's cone index, the chamber cell search).  Every
-verb but construct accepts --json for machine output, and the text
-reports are a rendering of the same data; construct always prints its
-fan as JSON.
+budget (a section count's cone index, the chamber cell search, the
+entries a construction would print).  Every verb but construct accepts
+--json for machine output, and the text reports are a rendering of the
+same data; construct always prints its fan as JSON.
 """
 
 from __future__ import annotations
@@ -223,12 +223,26 @@ def _as_int(text):
         raise ValueError(f"expected an integer argument, got {text!r}")
 
 
+# Ray coordinates plus cone indices that construct pn or blowup-linear
+# may print: their output grows with the square of the dimension.
+MAX_CONSTRUCT_ENTRIES = 1_000_000
+
+
+def _refuse_oversized(n, n_rays, n_cones):
+    """Refuse, before it is built, a fan in dimension n past the limit."""
+    entries = n * (n_rays + n_cones)
+    if n > 0 and entries > MAX_CONSTRUCT_ENTRIES:
+        raise ValueError(f"construct would print {entries} ray and cone entries, past the limit of {MAX_CONSTRUCT_ENTRIES}")
+
+
 def _cmd_construct(args):
     kind, params = args.kind, args.params
     if kind == "pn":
         if len(params) != 1:
             raise ValueError("construct pn takes one argument: the dimension")
-        fan = projective_space_fan(_as_int(params[0]))
+        n = _as_int(params[0])
+        _refuse_oversized(n, n + 1, n + 1)
+        fan = projective_space_fan(n)
     elif kind == "product":
         if len(params) != 2:
             raise ValueError("construct product takes two fan files")
@@ -238,7 +252,9 @@ def _cmd_construct(args):
             raise ValueError(
                 "construct blowup-linear takes the ambient dimension and the center dimension"
             )
-        fan = blowup_pn_along_linear(_as_int(params[0]), _as_int(params[1]))
+        n, m = map(_as_int, params)
+        _refuse_oversized(n, n + 2, (m + 2) * (n - m))  # m + 1 cones split into n - m each
+        fan = blowup_pn_along_linear(n, m)
     elif kind == "bundle":
         if len(params) < 3:
             raise ValueError(

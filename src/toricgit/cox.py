@@ -29,7 +29,7 @@ class DegreeMap:
     Z^cl_free_rank; degrees_torsion[i] collects its residues modulo the
     invariant factors in `torsion`.  Coordinates depend on the Smith
     basis, so callers should test relations and cone memberships, not
-    raw vectors.
+    raw vectors.  Its hash is computed once, as is SquarefreeIdeal's.
     """
 
     n_rays: int
@@ -37,6 +37,13 @@ class DegreeMap:
     torsion: tuple
     degrees_free: tuple
     degrees_torsion: tuple
+
+    def __post_init__(self):
+        key = (self.n_rays, self.cl_free_rank, self.torsion, self.degrees_free, self.degrees_torsion)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
     def divisor_class(self, coefficients):
         """Class of sum(a_i * D_i) in free coordinates plus residues."""
@@ -105,9 +112,12 @@ class SquarefreeIdeal:
                 raise ValueError("empty generator support")
             if s[0] < 0 or s[-1] >= self.n_vars:
                 raise ValueError(f"support {s} out of range")
-        if not _is_antichain(supports):
+        if not _is_antichain(tuple(map(_mask, supports))):
             raise ValueError("generator supports must be an antichain")
         object.__setattr__(self, "generator_supports", supports)
+        object.__setattr__(self, "_hash", hash((self.n_vars, supports)))
+
+    __hash__ = DegreeMap.__hash__
 
 
 @lru_cache(maxsize=1024)

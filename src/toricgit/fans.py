@@ -63,9 +63,9 @@ class TorusInvariantDivisor:
 
 
 class Fan:
-    """Immutable simplicial fan in Z^dim."""
+    """Immutable simplicial fan in Z^dim; keeps its hash and cone masks."""
 
-    __slots__ = ("dim", "rays", "max_cones")
+    __slots__ = ("dim", "rays", "max_cones", "_masks", "_hash")
 
     def __init__(self, dim, rays, max_cones, _trusted=False):
         dim = int(dim)
@@ -97,18 +97,21 @@ class Fan:
                 raise FanError(f"repeated ray index in cone {c}")
             if c[0] < 0 or c[-1] >= len(rays):
                 raise FanError(f"cone {c} references a missing ray")
-        if not _is_antichain(cones):
+        ordered = tuple(sorted(cones))
+        masks = tuple(map(_mask, ordered))
+        if not _is_antichain(masks):
             # name the first nested pair in the order of the pair loop
             a, b = next(
                 (a, b) for a in cones for b in cones if a != b and set(a) <= set(b)
             )
             raise FanError(f"cone {a} is contained in cone {b}")
-        used = set(i for c in cones for i in c)
-        if used != set(range(len(rays))):
+        if len(set().union(*cones)) < len(rays):
             raise FanError("every ray must appear in some maximal cone")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", tuple(sorted(cones)))
+        object.__setattr__(self, "max_cones", ordered)
+        object.__setattr__(self, "_masks", masks)  # in the order of max_cones
+        object.__setattr__(self, "_hash", hash((dim, rays, ordered)))
         if not _trusted:
             _check_fan_axiom(self)
 
@@ -131,7 +134,7 @@ class Fan:
         )
 
     def __hash__(self):
-        return hash((self.dim, self.rays, self.max_cones))
+        return self._hash
 
     def __repr__(self):
         return (
@@ -147,18 +150,17 @@ def _mask(indices) -> int:
     return m
 
 
-def _is_antichain(sets) -> bool:
-    """Does no set lie inside another?
+def _is_antichain(masks) -> bool:
+    """Does no set, given as a bitmask, lie inside another?
 
     Distinct sets of one size never contain each other, so each set is
-    tested only against the smaller ones, as bitmasks grouped by size.
-    Two tuples over the same set contain each other.  Fan and the
-    squarefree ideals of cox share it.
+    tested only against the smaller ones, grouped by size.  A set given
+    twice contains itself.  Fan and the squarefree ideals of cox share it.
     """
     by_size = {}
-    for m in {_mask(s) for s in sets}:
+    for m in set(masks):
         by_size.setdefault(m.bit_count(), []).append(m)
-    if sum(map(len, by_size.values())) < len(sets):
+    if sum(map(len, by_size.values())) < len(masks):
         return False
     smaller = []
     for size in sorted(by_size):
@@ -412,18 +414,20 @@ def is_m_neighborly(fan, m) -> bool:
     """Does every m-element set of rays span a cone of the fan?
 
     For a simplicial fan any subset of a cone's generators spans a face,
-    so it suffices that each m-subset of rays lies inside some maximal
-    cone.  m above the ray count returns False.
+    so it suffices that each m-subset of rays, as a bitmask, lies inside
+    one of the fan's cone masks.  m above the ray count returns False.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if m > fan.n_rays:
         return False
-    cone_sets = [set(c) for c in fan.max_cones]
-    return all(
-        any(set(sub) <= cs for cs in cone_sets)
-        for sub in combinations(range(fan.n_rays), m)
-    )
+    for sub in map(sum, combinations([1 << i for i in range(fan.n_rays)], m)):
+        for c in fan._masks:
+            if sub & c == sub:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

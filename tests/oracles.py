@@ -56,9 +56,11 @@ toricgit.linalg._bareiss reads them off one elimination.
 smallest_hitting_set_size scans the subsets of the variables by
 increasing size for one that meets every generator support, sharing no
 code with the bitmask search of toricgit.cox.zero_locus_codim.
-_max_neighborly raises m while every (m + 1)-set of rays lies in a
-maximal cone, against which the max_neighborly_m that toricgit.cli
-reads off that codimension is held.
+is_m_neighborly tests each m-set of rays against every maximal cone as
+Python sets, where toricgit.fans tests bitmasks against the masks a Fan
+keeps.  _max_neighborly raises m while every (m + 1)-set of rays lies
+in a maximal cone, by that oracle, against which the max_neighborly_m
+that toricgit.cli reads off that codimension is held.
 _minimal_hitting_sets lists every minimal hitting set by branching on
 the first unhit support; stanley_reisner takes their complements as the
 facets of the Stanley-Reisner complex (a FaceComplex),
@@ -91,7 +93,7 @@ from toricgit.cones import _combine, cone_from_generators, cone_from_inequalitie
 from toricgit.linalg import _dot, _pivot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import cox, vgit
-from toricgit.fans import Fan, _is_antichain, is_m_neighborly, validate
+from toricgit.fans import Fan, _is_antichain, _mask, validate
 from toricgit.lp import PivotLimit, _identity, _simplex_core, scaled_inverse
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
@@ -837,6 +839,19 @@ def smallest_hitting_set_size(ideal):
     raise AssertionError("the set of all variables meets every support")
 
 
+def is_m_neighborly(fan, m):
+    """Does every m-set of rays lie in some maximal cone, as Python sets?"""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if m > fan.n_rays:
+        return False
+    cone_sets = [set(c) for c in fan.max_cones]
+    return all(
+        any(set(sub) <= cs for cs in cone_sets)
+        for sub in combinations(range(fan.n_rays), m)
+    )
+
+
 def _max_neighborly(fan):
     m = 1
     while m < fan.n_rays and is_m_neighborly(fan, m + 1):
@@ -859,7 +874,7 @@ class FaceComplex:
 
     def __post_init__(self):
         facets = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
-        if not _is_antichain(facets):
+        if not _is_antichain(tuple(map(_mask, facets))):
             raise ValueError("facets must be an antichain")
         object.__setattr__(self, "facets", facets)
 

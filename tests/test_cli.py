@@ -418,6 +418,52 @@ class TestConstruct:
         assert fan.dim == 3
         assert fan.n_rays == 5
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["pn", "1"], "8fa552bd04a93a2a"),
+            (["pn", "3"], "284978cceb1333de"),
+            (["pn", "40"], "3a81a4867b793d9c"),
+            (["blowup-linear", "2", "0"], "46a8eb3c039f1d45"),
+            (["blowup-linear", "4", "1"], "3a1205f7d926aad2"),
+            (["blowup-linear", "7", "3"], "daae84847e46b246"),
+            (["blowup-linear", "30", "12"], "99c7a7b70b617c70"),
+        ],
+    )
+    def test_output_pinned(self, argv, digest, capsys):
+        # sha256 prefixes of the output from before the size limit
+        code, out, _ = run(["construct", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_oversized_construction_exits_two_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["construct", "pn", "100000"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: construct would print 20000200000 ray and cone entries, "
+            "past the limit of 1000000\n"
+        )
+        code, out, err = run(["construct", "blowup-linear", "100000", "50000"], capsys)
+        assert code == 2 and out == "" and "past the limit" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["pn", "5"], ["blowup-linear", "6", "0"], ["blowup-linear", "6", "2"], ["blowup-linear", "6", "4"]]
+    )
+    def test_limit_counts_the_printed_entries(self, argv, capsys, monkeypatch):
+        # exactly the entries of the output pass the limit; one fewer refuses
+        _, out, _ = run(["construct", *argv], capsys)
+        data = json.loads(out)
+        entries = sum(map(len, data["rays"])) + sum(map(len, data["max_cones"]))
+        monkeypatch.setattr(cli, "MAX_CONSTRUCT_ENTRIES", entries)
+        assert run(["construct", *argv], capsys)[1] == out
+        monkeypatch.setattr(cli, "MAX_CONSTRUCT_ENTRIES", entries - 1)
+        code, out, err = run(["construct", *argv], capsys)
+        assert code == 2 and out == ""
+        assert f"print {entries} ray and cone entries" in err
+
     def test_bad_params(self, capsys):
         code, _, err = run(["construct", "pn", "0"], capsys)
         assert code == 2

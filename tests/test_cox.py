@@ -139,6 +139,38 @@ class TestDegreeMap:
         assert free1 == dm.degrees_free[0]
 
 
+class TestCacheKeys:
+    # DegreeMap and SquarefreeIdeal key caches and hash once, at
+    # construction, with the value of the dataclass hash they replaced.
+
+    def test_hash_is_the_field_tuple_hash(self, corpus):
+        for _, f in corpus:
+            dm = degree_map(f)
+            fields = (dm.n_rays, dm.cl_free_rank, dm.torsion, dm.degrees_free, dm.degrees_torsion)
+            assert hash(dm) == hash(fields)
+            ideal = irrelevant_ideal(f)
+            assert hash(ideal) == hash((ideal.n_vars, ideal.generator_supports))
+
+    def test_equal_objects_built_apart_are_equal_and_hash_equal(self, corpus):
+        for _, f in corpus:
+            dm = degree_map(f)
+            twin = DegreeMap(
+                n_rays=dm.n_rays,
+                cl_free_rank=dm.cl_free_rank,
+                torsion=tuple(dm.torsion),
+                degrees_free=tuple(tuple(d) for d in dm.degrees_free),
+                degrees_torsion=tuple(tuple(d) for d in dm.degrees_torsion),
+            )
+            assert twin is not dm and twin == dm and hash(twin) == hash(dm)
+            ideal = irrelevant_ideal(f)
+            shuffled = [tuple(reversed(s)) for s in reversed(ideal.generator_supports)]
+            other = SquarefreeIdeal(ideal.n_vars, tuple(shuffled))
+            assert other is not ideal and other == ideal and hash(other) == hash(ideal)
+        assert SquarefreeIdeal(3, ((0,),)) != SquarefreeIdeal(3, ((1,),))
+        dm = degree_map(projective_space_fan(2))
+        assert DegreeMap(3, 1, (), ((1,), (1,), (2,)), ((),) * 3) != dm
+
+
 class TestIrrelevantIdeal:
     def test_projective_plane(self):
         ideal = irrelevant_ideal(projective_space_fan(2))

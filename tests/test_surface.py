@@ -399,8 +399,8 @@ def test_only_the_four_constructors_trust_their_fans():
 
 def test_every_limit_is_named():
     # The inventory of what refuses input: the work budgets, the pivot
-    # limit, the class-count guard on the 2**k-bit membership sets and
-    # the hitting-set cap.  Each is a module-level int that exactly one
+    # limit, the class-count guard on the 2**k-bit membership sets, the
+    # hitting-set cap and the size of a printed construction.  Each is a module-level int that exactly one
     # function of src/ reads, so a new cap fails here until it is named;
     # an inline one, a size compared with a literal, fails below.
     trees = src_trees()
@@ -427,6 +427,7 @@ def test_every_limit_is_named():
         "_MAX_PIVOTS": ["lp.py:_pivot_rule"],
         "MAX_DEGREE_CLASSES": ["vgit.py:_basis_table"],
         "MAX_HITTING_SET_VARS": ["cox.py:zero_locus_codim"],
+        "MAX_CONSTRUCT_ENTRIES": ["cli.py:_refuse_oversized"],
     }
 
     def literal(node):
