@@ -12,7 +12,7 @@ in run_all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -470,10 +470,6 @@ def builtin_corpus():
     return tuple(entries)
 
 
-def _renamed(result, name):
-    return replace(result, name=name)
-
-
 def run_all():
     """The full suite: every entry must pass for a green run.
 
@@ -483,34 +479,21 @@ def run_all():
     passes.
     """
     results = []
+
+    def add(name, result):
+        # each result is built once more, under its name in the suite
+        results.append(CheckResult(name, result.passed, result.witness))
+
     corpus = builtin_corpus()
     by_name = dict(corpus)
     for name, fan in corpus:
-        results.append(
-            _renamed(check_two_neighborly_equivalence(fan), f"two-neighborly-equivalence[{name}]")
-        )
+        add(f"two-neighborly-equivalence[{name}]", check_two_neighborly_equivalence(fan))
         for m in range(1, 5):
-            results.append(
-                _renamed(
-                    check_neighborly_codim_equivalence(fan, m),
-                    f"neighborly-codim-equivalence[{name},m={m}]",
-                )
-            )
-        results.append(
-            _renamed(check_quotient_properties(fan), f"quotient-properties[{name}]")
-        )
-        results.append(
-            _renamed(
-                check_unstable_inclusion_forces_nef(fan),
-                f"unstable-inclusion-forces-nef[{name}]",
-            )
-        )
-    results.append(
-        _renamed(check_small_unstable_locus(by_name["bl4_1"]), "small-unstable-locus[bl4_1]")
-    )
-    results.append(
-        _renamed(check_small_unstable_locus(by_name["p4"]), "small-unstable-locus[p4]")
-    )
+            add(f"neighborly-codim-equivalence[{name},m={m}]", check_neighborly_codim_equivalence(fan, m))
+        add(f"quotient-properties[{name}]", check_quotient_properties(fan))
+        add(f"unstable-inclusion-forces-nef[{name}]", check_unstable_inclusion_forces_nef(fan))
+    add("small-unstable-locus[bl4_1]", check_small_unstable_locus(by_name["bl4_1"]))
+    add("small-unstable-locus[p4]", check_small_unstable_locus(by_name["p4"]))
     caveat = check_small_unstable_locus(by_name["p1xp3"])
     results.append(
         CheckResult(
@@ -520,37 +503,17 @@ def run_all():
         )
     )
     for n in range(2, 6):
-        results.append(
-            _renamed(
-                check_rank_one_unstable_origin(by_name[f"p{n}"]),
-                f"rank-one-unstable-origin[p{n}]",
-            )
-        )
+        add(f"rank-one-unstable-origin[p{n}]", check_rank_one_unstable_origin(by_name[f"p{n}"]))
     floor = check_rank_one_unstable_origin(by_name["p1"])
     results.append(
         CheckResult("rank-one-dimension-floor[p1]", not floor.passed, floor.witness)
     )
     for a, b in PRODUCT_PAIRS:
-        results.append(
-            _renamed(
-                check_product_unstable_locus(by_name[a], by_name[b]),
-                f"product-unstable-locus[{a},{b}]",
-            )
-        )
+        add(f"product-unstable-locus[{a},{b}]", check_product_unstable_locus(by_name[a], by_name[b]))
     base, divisors = _bundle_over_blowup_data()
-    results.append(
-        _renamed(
-            check_bundle_unstable_locus(base, divisors),
-            "bundle-unstable-locus[bl4_1;exceptional+2hyperplanes]",
-        )
-    )
+    add("bundle-unstable-locus[bl4_1;exceptional+2hyperplanes]", check_bundle_unstable_locus(base, divisors))
     p2 = by_name["p2"]
     zero = TorusInvariantDivisor((0,) * p2.n_rays)
-    results.append(
-        _renamed(
-            check_bundle_unstable_locus(p2, (zero, zero, zero)),
-            "bundle-unstable-locus[p2;trivial]",
-        )
-    )
+    add("bundle-unstable-locus[p2;trivial]", check_bundle_unstable_locus(p2, (zero, zero, zero)))
     results.append(check_moving_vs_nef_example())
     return results

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fans import _is_antichain, _mask, validate
-from .linalg import cokernel, det
+from .fans import _cokernel, _is_antichain, _mask, validate
+from .linalg import det
 
 # The hitting-set search branches over subsets of the variables.
 MAX_HITTING_SET_VARS = 20
@@ -66,11 +66,12 @@ def degree_map(fan) -> DegreeMap:
     """Cokernel grading of the fan's ray matrix.
 
     Only complete fans are accepted: the rank formula
-    cl_free_rank = n_rays - dim needs the rays to span.
+    cl_free_rank = n_rays - dim needs the rays to span.  The Smith form
+    is the fan's one, fans._cokernel, which section counts read too.
     """
     if not validate(fan).complete:
         raise ValueError("degree map needs a complete fan")
-    data = cokernel(fan.rays)
+    data = _cokernel(fan)
     degrees_free = tuple(
         tuple(data.projection[k][i] for k in range(data.free_rank))
         for i in range(fan.n_rays)

@@ -7,27 +7,30 @@ source (fan_from_json, a direct call) is then certified: its cones must
 be simplicial and meet in common faces.  The trusted constructors skip
 that certification, since their cones are independent and form a fan by
 construction.  Each full-dimensional maximal cone is eliminated once,
-into the facet normals that the certificate, validate, Brion's formula
-and the chamber walk read.  One cached wall pass over the ridges proves
+into the facet normals that the certificate, validate and Brion's
+formula read.  One cached wall pass over the ridges proves
 a complete fan (every ridge joins two cones on opposite sides, one
 generic probe lies in one cone), and its wall rows cut out Brion's nef
 test and the nef cone that validate and vgit.nef_cone read; any other
 input falls back to intersecting every pair of maximal cones.  Brion's
-formula counts every section, on the fan or on a chamber fan.
+formula counts every section, on the fan or on a chamber fan, which the
+basis table of the rays' classes picks (cones._basis_table).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, product
 from math import comb, factorial, gcd, lcm, perm, prod
+from operator import and_, or_
 from types import MappingProxyType
 
+from .cones import _basis_table, _bits, _least_members
 from .cones import cone_from_generators, cone_from_inequalities, cones_equal, duals_from_inequalities
-from .linalg import matrix_rank, primitive, smith_normal_form
-from .linalg import _dot, _pivot
-from .lp import _simplex_core, scaled_inverse
+from .linalg import cokernel, matrix_rank, primitive, smith_normal_form
+from .linalg import _dot
+from .lp import scaled_inverse
 
 
 class FanError(ValueError):
@@ -552,8 +555,8 @@ def bundle_o1_divisor(divisors, d=1) -> TorusInvariantDivisor:
 
 # Lattice points that the half-open parallelepipeds of one fan's maximal
 # cones may hold in all, their summed index (a smooth cone holds one),
-# and bases the chamber walk may visit.  A count on a fan at the budget
-# takes about 0.85 s (Python 3.11, 2 cores).
+# and cones of one chamber fan.  A count on a fan at the budget takes
+# about 0.85 s (Python 3.11, 2 cores).
 _INDEX_BUDGET = 200_000
 
 
@@ -561,11 +564,11 @@ def count_sections(fan, div) -> int:
     """Number of lattice points of P_D = {u : <u, v_rho> >= -a_rho}.
 
     One engine counts: Brion's formula, on a complete fan on which D is
-    nef: the fan itself, or with D less the fixed part that
-    _chamber_bases finds, or else its chamber fan, which Fan certifies.
-    An empty P_D counts 0.  ValueError for a divisor of the wrong
-    length, an unbounded P_D and a count past _INDEX_BUDGET, which
-    bounds the work in every dimension.
+    nef: the fan itself, or with D less the fixed part that _chamber
+    finds, or else D's chamber fan, which Fan certifies.  An empty P_D
+    counts 0.  ValueError for a divisor of the wrong length, an
+    unbounded P_D, a count past _INDEX_BUDGET, which bounds the work in
+    every dimension, and a basis table past cones._TABLE_BUDGET.
     """
     a = div.coefficients
     if len(a) != fan.n_rays:
@@ -573,104 +576,134 @@ def count_sections(fan, div) -> int:
     brion = _brion_data(fan)
     count = brion and _brion_count(brion, a)
     if count is None:
-        walk = _chamber_bases(fan, a)
-        if walk is None:
+        chamber = _chamber(fan, a)
+        if chamber is None:
             return 0
-        bases, fixed = walk
-        count = brion and _brion_count(brion, tuple(x - f for x, f in zip(a, fixed)))
+        masks, fixed = chamber
+        if any(fixed):
+            count = brion and _brion_count(brion, tuple(x - f for x, f in zip(a, fixed)))
     if count is None:
-        used = sorted({i for c in bases for i in c})
-        pos = {i: k for k, i in enumerate(used)}
-        chamber = Fan(fan.dim, [fan.rays[i] for i in used], [[pos[i] for i in c] for c in bases])
-        brion = _brion_data(chamber)
+        used, brion = _chamber_fan(fan, masks)
         count = brion and _brion_count(brion, tuple(a[i] for i in used))
     if count is None:
         raise AssertionError("a chamber fan is not complete, or the divisor not nef on it")
     return count
 
 
-def _chamber_bases(fan, a):
-    """(bases, fixed) of D's chamber fan, or None when P_D is empty.
+def _chamber(fan, a):
+    """(masks, fixed) of D's chamber, or None when P_D is empty.
 
-    bases span the vertices of P_a', a' = Q^n a + (Q^(n-1), ..., Q, 1),
-    Q above twice every maximal minor of the rays: each slack is Q^n
-    times D's plus a nonzero term below Q^n / 2, so P_a' is simple, its
-    vertices' bases are vertices of P_D, and D is nef on their fan, the
-    normal fan of P_a' (the GIT chamber of D's class, nudged; Hu and
-    Keel, 2000).  Rays no basis holds bound P_D by implied inequalities.
-    A basis keeps a tableau on the scale det of its scaled inverse
-    (columns w_k): row k holds <v_r, w_k>, the last row the slacks
-    det * a'_r - sum_k <v_r, w_k> a'_k.  Phase 1 is lp._simplex_core on
-    the dual LP, min a'.y over y >= 0 with sum_r y_r v_r the sum of the
-    rays of _start's cone, whose reduced costs are those slacks.  Then
-    each edge, leaving slot k for the ray of least slack ratio, is one
-    linalg._pivot.  fixed[r] is the least ceiling of D's slack at r over
-    the vertices, which every lattice point of P_D meets.
+    By Gale duality, d rays sigma span a vertex of P_D exactly when the
+    classes of the rays off sigma form a basis B of Cl (x) Q with [D] in
+    cone(B), and the vertex's slacks are the coordinates of [D] in B
+    (Cox, Little and Schenck, Toric Varieties, ch. 14-15).  Nudged to
+    D' = Q^n D + (Q^(n-1), ..., Q, 1), Q large, [D'] lies on no wall, so
+    P_D' is simple, its vertices are vertices of P_D, and D is nef on
+    their fan, the normal fan of P_D' (the GIT chamber of D's class,
+    nudged; Hu and Keel, 2000).  For a normal nu of the classes' basis
+    table, <nu, [D']> has the sign of <nu, [D]>, or where that is 0 the
+    sign ties[nu] of the first ray off nu's hyperplane, a symbolic
+    perturbation (Edelsbrunner and Mucke, Simulation of Simplicity,
+    1990).  So one dot product per normal, read by _least_members, gives
+    masks, the class bases whose cones hold [D'], and _chamber_fan
+    expands them to cones.  A ray in none of those cones is the one ray
+    of a class in every basis, and P_D meets its inequality with slack
+    at least fixed[r], the least ceiling of the coordinate of [D] at
+    that class over the bases; fixed is 0 on every other ray.  Rays that
+    do not span take one double description instead.
     """
-    n, d, start = fan.n_rays, fan.dim, _start(fan)
-    if start is None:
+    gale = _gale(fan)
+    if gale is None:
         # the rays do not span, so P_D holds a line: empty or unbounded
+        d = fan.dim
         rows = [(*r, c) for r, c in zip(fan.rays, a)] + [(0,) * d + (1,)]
         if any(x[-1] > 0 for x in duals_from_inequalities(d + 1, rows)[1]):
             raise ValueError("unbounded divisor polytope; is the fan complete?")
         return None
-    cone, big, pows, det, rows = start
-    a = [x * big + p for x, p in zip(a, pows)] + [0]
-    tab, ac = [list(row) for row in rows], [a[i] for i in cone]
-    slack = [det * x - _dot(col, ac) for x, col in zip(a, zip(*tab))]
-    basis = list(cone)
-    det = _simplex_core(tab, basis, slack, det)
-    if det is None:
+    projection, classes, members, (normals, _, table), ties, bounded = gale
+    cls = [_dot(row, a) for row in projection]
+    dots = [_dot(nu, cls) for nu in normals]
+    masks = tuple(_least_members(table, [x or t for x, t in zip(dots, ties)]))
+    if not masks:
         return None
-    seen, slacks = {frozenset(basis)}, []
-    todo = [(tuple(basis), det, [row[:n] for row in tab] + [slack[:n]], d)]
-    while todo:
-        cone, det, tab, back = todo.pop()  # leaving slot back returns to the parent
-        slack = tab[d]
-        slacks.append((det, slack))
-        for k in range(d):
-            if k == back:
-                continue
-            best = None
-            for r, c in enumerate(tab[k]):
-                if c < 0 and (best is None or slack[r] * bc > sb * c):
-                    best, bc, sb = r, c, slack[r]
-            if best is None:
-                raise ValueError("unbounded divisor polytope; is the fan complete?")
-            nxt = cone[:k] + (best,) + cone[k + 1 :]
-            key = frozenset(nxt)
-            if key not in seen:
-                seen.add(key)
-                _charge(len(seen))  # each basis is a cone of the chamber fan
-                new = [list(row) for row in tab]
-                todo.append((nxt, _pivot(new, det, k, best), new, k))
-    # D's slack at a vertex is its slack over big, rounded; a ray tight
-    # at a vertex has fixed 0
-    used, half = set().union(*seen), big // 2
-    fixed = [0 if r in used else min(-(-((s[r] + half) // big) // t) for t, s in slacks) for r in range(n)]
-    return [tuple(sorted(c)) for c in seen], fixed
+    if not bounded:
+        raise ValueError("unbounded divisor polytope; is the fan complete?")
+    fixed = [0] * fan.n_rays
+    alone = [c for c in _bits(reduce(and_, masks)) if len(members[c]) == 1]
+    if alone:
+        least, chosen = {}, set(masks)
+        for mask, idx in table:
+            if mask in chosen:
+                for c in alone:
+                    # the row of class c in this basis, and its coordinate
+                    j = idx[(mask & ((1 << c) - 1)).bit_count()] % len(normals)
+                    up = -(-dots[j] // _dot(normals[j], classes[c]))
+                    least[c] = min(least.get(c, up), up)
+        for c, up in least.items():
+            fixed[members[c][0]] = up
+    return masks, fixed
 
 
 @lru_cache(maxsize=1024)
-def _start(fan):
-    """(cone, Q^n, (Q^(n-1), ..., Q, 1), det, rows) that start the
-    chamber walk, or None when the rays do not span: the first
-    full-dimensional cone (else d independent rays), the perturbation,
-    Q 1 plus twice Hadamard's bound on the maximal minors, and the
-    tableau rows without the slacks, facet normal w_k on every ray."""
-    n, d = fan.n_rays, fan.dim
-    cone = next((c for c in fan.max_cones if len(c) == d), ())
-    for i in range(n):  # only a fan with no full-dimensional cone
-        if len(cone) < d and matrix_rank(fan.cone_rays(cone + (i,))) > len(cone):
-            cone += (i,)
-    if len(cone) < d:
+def _cokernel(fan):
+    """linalg.cokernel of the rays: the fan's one Smith form, which
+    cox.degree_map and the section counts share."""
+    return cokernel(fan.rays)
+
+
+@lru_cache(maxsize=1024)
+def _gale(fan):
+    """(projection, classes, members, table, ties, bounded) of the Gale
+    dual of the rays, or None when they do not span.
+
+    The class of a divisor a is projection . a, from _cokernel.  classes
+    are the distinct classes of the rays, sorted as vgit._degree_classes
+    sorts them, so a grading and its fan share cones._basis_table(classes),
+    table here; members[c] lists the rays of class c.  ties[j] is the
+    sign of <nu_j, deg r> for the first ray r off the hyperplane of the
+    table's normal nu_j, which exists, as the classes span.  bounded
+    says whether the rays positively span, so that every P_D is bounded:
+    by Gale duality, whether the classes are acyclic, that is, none is 0
+    and their cone is pointed, so that the facet normals that the
+    table's side marks span.
+    """
+    data = _cokernel(fan)
+    if data.free_rank != fan.n_rays - fan.dim:
         return None
-    normals, det = _cone_inverses(fan).get(cone) or _facet_normals(fan.cone_rays(cone))
-    q = 1 + 2 * max(sum(map(abs, r)) for r in fan.rays) ** d
-    # column n: the sum of the start's rays, the dual LP's right-hand side
-    vecs = fan.rays + (tuple(map(sum, zip(*fan.cone_rays(cone)))),)
-    rows = tuple(tuple(_dot(v, w) for v in vecs) for w in normals)
-    return cone, q**n, tuple(q ** (n - 1 - r) for r in range(n)), det, rows
+    groups = {}
+    for r, deg in enumerate(zip(*data.projection) if data.free_rank else [()] * fan.n_rays):
+        groups.setdefault(deg, []).append(r)
+    classes = tuple(sorted(groups))
+    members = tuple(tuple(groups[v]) for v in classes)
+    normals, side, table = _basis_table(classes)
+    first = sorted(classes, key=lambda v: groups[v][0])
+    ties = []
+    for nu in normals:
+        x = next(x for x in (_dot(nu, v) for v in first) if x)
+        ties.append(1 if x > 0 else -1)
+    facets = [nu for nu, s in zip(normals, side) if s]
+    bounded = all(map(any, classes)) and matrix_rank(facets) == data.free_rank
+    return data.projection, classes, members, (normals, side, table), tuple(ties), bounded
+
+
+@lru_cache(maxsize=1024)
+def _chamber_fan(fan, masks):
+    """(used, Brion data) of the chamber fan of _chamber's class bases
+    masks, used its rays in the fan's order.  Each basis expands to one
+    cone per choice of one ray in each of its classes, the complement of
+    the choice, and each cone is charged to _INDEX_BUDGET, as Brion's
+    formula will sum over it.  Fan certifies the chamber fan as it
+    would any other input."""
+    members, full = _gale(fan)[2], (1 << fan.n_rays) - 1
+    cones = []
+    for mask in masks:
+        for choice in product(*(members[c] for c in _bits(mask))):
+            cones.append(full ^ _mask(choice))
+            _charge(len(cones))
+    used = tuple(_bits(reduce(or_, cones)))
+    pos = {i: k for k, i in enumerate(used)}
+    chamber = Fan(fan.dim, [fan.rays[i] for i in used], [[pos[i] for i in _bits(c)] for c in cones])
+    return used, _brion_data(chamber)
 
 
 def _charge(index):

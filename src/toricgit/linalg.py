@@ -5,8 +5,8 @@ rows.  The Smith normal form returns its unimodular transforms, so that
 cokernels come with an explicit projection onto the free part.  One
 fraction-free (Bareiss) pivot, _pivot, is the only elimination step in
 the package: it gives ranks and determinants here, the scaled inverse
-and both simplex loops in lp, and the hyperplane search of vgit's basis
-table.  No floating point anywhere.
+and the dual simplex in lp, and the hyperplane search of the basis table
+in cones.  No floating point anywhere.
 """
 
 from __future__ import annotations

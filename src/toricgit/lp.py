@@ -1,26 +1,26 @@
 """Exact linear programming and integer matrix inversion.
 
-Two simplex loops on fraction-free integer tableaux.  SlackTableau,
-the feasibility LP rows.x >= 1 with no objective, serves only vgit's
-chamber cell search.  with_rows adds rows to a copy, each in terms of
-the current basis, and restores a nonnegative rhs by dual simplex
-pivots; solve() is with_rows on the empty tableau, so the search runs
-no primal solve, its root included (Avis and Fukuda 1996).  The primal
-loop, _simplex_core, is the phase 1 of fans' chamber walk.  Each row is
-the rational row times one positive scale d, the absolute value of the
+One simplex loop, the dual simplex, on fraction-free integer tableaux.
+SlackTableau, the feasibility LP rows.x >= 1 with no objective, serves
+only vgit's chamber cell search.  with_rows adds rows to a copy, each in
+terms of the current basis, and restores a nonnegative rhs by dual
+simplex pivots; solve() is with_rows on the empty tableau, so the search
+runs no primal solve, its root included (Avis and Fukuda 1996), and
+nothing in the package runs the primal simplex.  Each row is the
+rational row times one positive scale d, the absolute value of the
 basis determinant, so the Bareiss update (p*x - f*y) // d of
-linalg._pivot is exact (Bareiss 1968; lrs, Avis 2000); a cost row goes
-to _pivot as one more row of the tableau.  Entries on one scale compare
-as the rational ones do, so the pivots are those of the rational
-tableau, and a solution is read off scaled, as integers.  Both loops
-pivot by Dantzig's rule with an automatic switch to Bland's rule after
-enough iterations, which keeps runs fast in practice and terminating in
-theory, under one iteration limit that raises PivotLimit.  Exact solves
-use scaled_inverse, Gauss-Jordan through the same _pivot, which also
-gives linalg its ranks and determinants and vgit its arrangement
-normals, so there is no second elimination engine.  No LP decides cone
-membership (vgit reads it off the signs of those normals, by
-Caratheodory) or projectivity (fans reads it off the nef cone's double
+linalg._pivot is exact (Bareiss 1968; lrs, Avis 2000).  Entries on one
+scale compare as the rational ones do, so the pivots are those of the
+rational tableau, and a solution is read off scaled, as integers.  The
+loop pivots by Dantzig's rule with an automatic switch to Bland's rule
+after enough iterations, which keeps runs fast in practice and
+terminating in theory, under one iteration limit that raises
+PivotLimit.  Exact solves use scaled_inverse, Gauss-Jordan through the
+same _pivot, which also gives linalg its ranks and determinants and the
+basis table of cones its arrangement normals, so there is no second
+elimination engine.  No LP decides cone membership or a divisor's
+chamber (both read the signs of those normals, by Caratheodory and Gale
+duality) or projectivity (fans reads it off the nef cone's double
 description).  Scale here is tiny (dozens of rows), exactness is the
 whole point.
 """
@@ -49,61 +49,15 @@ def _pivot_rule(m, n):
     raise PivotLimit("simplex did not terminate")
 
 
-def _simplex_core(tab, basis, cost, d):
-    """Minimize an LP over the integer tableau in place.
-
-    tab: m rows of length n+1 (last entry the rhs) on the scale d, basis
-    columns d times identity; basis[i] labels row i's basic column, which
-    may lie past n and go unstored, and then never enters again.  cost:
-    length n+1 reduced-cost row on a positive multiple of d (last entry
-    -objective), pivoted with the tableau as its last row.  Returns the
-    final scale d, or None when the LP is unbounded.  Its one caller is
-    fans._chamber_bases, the phase 1 of the chamber walk.
-    """
-    m = len(tab)
-    n = len(cost) - 1
-    rows = tab + [cost]
-    for dantzig in _pivot_rule(m, n):
-        enter = None
-        if dantzig:
-            best = 0
-            for j in range(n):
-                if cost[j] < best:
-                    best = cost[j]
-                    enter = j
-        else:
-            for j in range(n):
-                if cost[j] < 0:
-                    enter = j
-                    break
-        if enter is None:
-            return d
-        leave = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                # ratio test by cross-multiplication
-                lhs = tab[i][-1] * tab[leave][enter]
-                rhs = tab[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave is None:
-            return None
-        d = _pivot(rows, d, leave, enter)
-        basis[leave] = enter
-
-
 def _dual_simplex(tab, basis, d):
     """Restore a nonnegative rhs to a tableau with no objective, in
     place; returns the final scale d, or None when the rows are
     infeasible.
 
-    The layout is _simplex_core's, with no cost row.  With no objective
-    every basis is dual feasible and every ratio test ties, so each
-    pivot leaves on a row with a negative rhs (the most negative, or
+    tab: m rows of length n+1 (last entry the rhs) on the scale d, basis
+    columns d times identity; basis[i] labels row i's basic column.
+    With no objective every basis is dual feasible and every ratio test
+    ties, so each pivot leaves on a row with a negative rhs (the most negative, or
     under Bland's rule the smallest basic index) and enters that row's
     first negative entry.  A row with a negative rhs and no negative
     entry proves the rows infeasible (Farkas).

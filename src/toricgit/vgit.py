@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .cones import RationalCone, cone_from_generators, cone_from_inequalities
+from .cones import RationalCone, _basis_table, _bits, _least_members, cone_from_generators, cone_from_inequalities
 from .fans import _nef_off
-from .linalg import _bareiss, _dot, _pivot, matrix_rank, primitive, sign_normalized
-from .lp import SlackTableau, _identity
+from .linalg import _dot, matrix_rank, primitive
+from .lp import SlackTableau
 
 MAX_DEGREE_CLASSES = 16
 
@@ -67,6 +67,29 @@ def _degree_classes(dm):
     return tuple((vec, tuple(idx)) for vec, idx in sorted(groups.items()))
 
 
+def _table(dm):
+    """cones._basis_table of the grading's degree classes, the one table
+    that section counts on its fan read too."""
+    return _basis_table(tuple(vec for vec, _ in _degree_classes(dm)))
+
+
+def _bit_set_classes(dm):
+    """The degree classes, for a reader that builds sets of 2**k bits
+    over them: ValueError past MAX_DEGREE_CLASSES."""
+    classes = _degree_classes(dm)
+    if len(classes) > MAX_DEGREE_CLASSES:
+        raise ValueError(f"too many distinct degree vectors ({len(classes)} > {MAX_DEGREE_CLASSES})")
+    return classes
+
+
+def _bit_set(masks):
+    """The 2**k-bit set of the class masks."""
+    bits = 0
+    for mask in masks:
+        bits |= 1 << mask
+    return bits
+
+
 @lru_cache(maxsize=32)
 def _class_membership(dm, chi):
     """For every subset of degree classes: does its cone contain chi?
@@ -84,36 +107,12 @@ def _class_membership(dm, chi):
     is in no cone.  No LP runs.  The cache is small because one entry
     holds up to 2**MAX_DEGREE_CLASSES bits.
     """
-    classes = _degree_classes(dm)
-    normals, _, table = _basis_table(dm)
-    if not _spans(dm) and matrix_rank([*(v for v, _ in classes), chi]) > len(table[0][1]):
+    classes = _bit_set_classes(dm)
+    normals, _, table = _table(dm)
+    rank = len(table[0][1])  # below cl_free_rank when the classes do not span
+    if rank < dm.cl_free_rank and matrix_rank([*(v for v, _ in classes), chi]) > rank:
         return classes, 0
-    return classes, _superset_closure(len(classes), _least_members(table, [_dot(n, chi) for n in normals]))
-
-
-def _least_members(table, dots):
-    """The 2**k-bit set of the supports of the nonnegative coordinate
-    vectors of a point over the bases of table, given its dot product
-    dots[j] with each normal j of _basis_table: for a point in the span
-    of the classes, cone(S) holds it exactly when S holds one of them.
-    The signed indices negative on the point, and those zero on it, are
-    two sets, so a basis whose cone holds it off its walls costs two
-    isdisjoint tests."""
-    n = len(dots)
-    negative = {j if x < 0 else j + n for j, x in enumerate(dots) if x}
-    zero = {j + h for j, x in enumerate(dots) if not x for h in (0, n)}
-    least = 0
-    for mask, idx in table:
-        if negative.isdisjoint(idx):  # no coordinate is negative
-            support = mask if zero.isdisjoint(idx) else sum(1 << c for c, i in zip(_bits(mask), idx) if i not in zero)
-            least |= 1 << support
-    return least
-
-
-def _bits(x):
-    """Positions of the set bits of x, ascending.  The '0b' prefix of
-    bin(x) ends the reversed string and holds no '1'."""
-    return [i for i, b in enumerate(reversed(bin(x))) if b == "1"]
+    return classes, _superset_closure(len(classes), _bit_set(_least_members(table, [_dot(n, chi) for n in normals])))
 
 
 def _mask_support(classes, mask):
@@ -229,91 +228,9 @@ def _masks_below(k, size):
     )
 
 
-@lru_cache(maxsize=256)
-def _basis_table(dm):
-    """(normals, side, table) of the classes, their chirotope (Bjorner,
-    Las Vergnas, Sturmfels, White and Ziegler, Oriented Matroids, ch. 3).
-
-    normals holds the N distinct normals of _hyperplanes, sorted; every
-    wall of every support cone lies on one of their hyperplanes.  side[j]
-    is 0 when classes lie on both sides of normals[j], whose hyperplane
-    then crosses the effective cone, and else the sign of the side that
-    holds them: signed by it, the others are the effective cone's facet
-    normals when the classes span, as every facet is spanned by rank - 1
-    independent classes.  table holds (class mask, signed indices) per
-    basis T of the span of the classes, masks in lexicographic order:
-    for chi in that span, cone(T) = {chi : rows . chi >= 0}, index j
-    standing for the row normals[j] and N + j for -normals[j].  The row
-    of class c is the normal of T less c, signed positive on c; a zero
-    there, or a dependent T less c, means T is no basis.  When the
-    classes span, these are the primitive rows of inv(M_T), with M_T the
-    matrix whose columns are T.  Membership and chamber keys, both read
-    from here by _least_members, are sets of 2**k bits over the k
-    classes: ValueError past MAX_DEGREE_CLASSES."""
-    vectors = [vec for vec, _ in _degree_classes(dm)]
-    if len(vectors) > MAX_DEGREE_CLASSES:
-        raise ValueError(f"too many distinct degree vectors ({len(vectors)} > {MAX_DEGREE_CLASSES})")
-    hyperplanes = _hyperplanes(vectors, dm.cl_free_rank)
-    normals = tuple(sorted(set(hyperplanes.values())))
-    ids = list(range(2 * len(normals)))  # one shared int per signed index
-    # per normal, each class's signed index, None on the hyperplane
-    sides = {
-        n: [ids[j] if x > 0 else ids[j + len(normals)] if x < 0 else None for x in (_dot(n, v) for v in vectors)]
-        for j, n in enumerate(normals)
-    }
-    side = tuple((j + len(normals) not in s) - (j not in s) for j, s in enumerate(sides.values()))
-    rows = {mask: sides[n] for mask, n in hyperplanes.items()}
-    absent = [None] * len(vectors)
-    table = []
-    for basis in combinations(range(len(vectors)), matrix_rank(vectors)):
-        mask = sum(1 << c for c in basis)
-        idx = tuple(rows.get(mask ^ 1 << c, absent)[c] for c in basis)
-        if None not in idx:
-            table.append((mask, idx))
-    return normals, side, tuple(table)
-
-
-def _hyperplanes(vectors, dim):
-    """{mask: normal} over the independent sets of rank - 1 of the
-    integer dim-vectors, rank being theirs: the sign-normalized primitive
-    normal, within their span, of the hyperplane that the set spans.
-
-    One fraction-free search on the tableau [A | I], pivoted by _pivot,
-    with the vectors as the columns of A and one row per coordinate that
-    _bareiss picks as independent on their span, so each normal is zero
-    off those coordinates.  Adding a vector pivots its column on the
-    first free row where it is nonzero; a column zero on all of them lies
-    in the span of those picked, and the branch ends.  Each child keeps
-    only the columns of the later vectors and the I block.  After rank -
-    1 pivots the one free row vanishes on the picked vectors, so its I
-    block is the normal."""
-    coords = _bareiss(vectors)[0]
-    k = len(vectors)
-    hyperplanes = {}
-
-    def rec(lo, tab, d, free, mask):
-        # tab's columns: vectors lo..k-1, then the I block; vector lo is
-        # the last one picked, if any
-        if len(free) == 1:
-            hyperplanes[mask] = sign_normalized(tab[free[0]][k - lo :])
-            return
-        for c in range(lo + bool(mask), k - len(free) + 2):
-            j = c - lo
-            p = next((i for i in free if tab[i][j]), None)
-            if p is None:
-                continue  # vectors[c] lies in the span of those picked
-            child = [row[j:] for row in tab]
-            rec(c, child, _pivot(child, d, p, 0), [i for i in free if i != p], mask | 1 << c)
-
-    identity = _identity(dim)
-    rec(0, [[*(v[i] for v in vectors), *identity[i]] for i in coords], 1, list(range(len(coords))), 0)
-    del rec  # rec's closure holds rec, a cycle that would keep its tableaux alive until a collection
-    return hyperplanes
-
-
 def _spans(dm):
     """Whether the degree classes span Cl (x) Q, by the size of a basis."""
-    return len(_basis_table(dm)[2][0][1]) == dm.cl_free_rank
+    return len(_table(dm)[2][0][1]) == dm.cl_free_rank
 
 
 @lru_cache(maxsize=256)
@@ -363,12 +280,12 @@ def _chamber_keys(dm):
     as whole bases: the key is the 2**k-bit set of their class masks.
     Cells sharing a key are one chamber.
     """
-    classes = _degree_classes(dm)
-    _, side, table = _basis_table(dm)
+    classes = _bit_set_classes(dm)
+    _, side, table = _table(dm)
     chambers = {}
     for signs in _enumerate_cells(dm):
         crossing = iter(signs)
-        key = _least_members(table, [s or next(crossing) for s in side])
+        key = _bit_set(_least_members(table, [s or next(crossing) for s in side]))
         if key not in chambers:
             # a character off every hyperplane is in cone(S) exactly when S
             # holds one of the basis cones that contain it (Caratheodory)
@@ -392,11 +309,12 @@ def enumerate_chambers(dm):
     ample_character uses for the nef cone.  It takes one double
     description per chamber, so it is built only where it is printed.
     """
-    normals, _, table = _basis_table(dm)
+    keys = _chamber_keys(dm)
+    normals, _, table = _table(dm)
     signed = normals + tuple(tuple(-v for v in n) for n in normals)
     indices = dict(table)
     chambers = []
-    for key, sig in _chamber_keys(dm):
+    for key, sig in keys:
         rows = [signed[i] for mask in _bits(key) for i in indices[mask]]
         rays = cone_from_inequalities(dm.cl_free_rank, rows).rays
         chambers.append((tuple(sum(r[i] for r in rays) for i in range(dm.cl_free_rank)), sig))
@@ -430,7 +348,7 @@ def _enumerate_cells(dm):
     """
     if not _spans(dm):
         raise ValueError("degrees do not span the class group; the effective cone has no interior")
-    arrangement, side, _ = _basis_table(dm)
+    arrangement, side, _ = _table(dm)
     eff_rows = sorted(n if s > 0 else tuple(-v for v in n) for n, s in zip(arrangement, side) if s)
     normals = [n for n, s in zip(arrangement, side) if not s]
     if not eff_rows:

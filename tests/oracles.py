@@ -5,11 +5,12 @@ no code with the fraction-free integer pivot in toricgit.lp.
 rational_solve_nonneg is the two-phase simplex with an objective over
 Fraction, with the pivot rules of toricgit.lp, and simplex_max poses
 free variables and inequalities on it; toricgit.lp itself keeps only
-the feasibility tableau and the primal loop of the chamber walk.
-in_cone is a phase-1 verdict on its integer simplex core, and
-solve_nonneg is that phase 1 on integer or Fraction entries with its
-basic solution read off; nonneg_combination poses cone membership on
-it, against which in_cone is held.
+the feasibility tableau and its dual simplex.  simplex_core is the
+integer primal loop on linalg._pivot, with the pivot rules of
+toricgit.lp, which the library no longer runs.  in_cone is a phase-1
+verdict on it, and solve_nonneg is that phase 1 on integer or Fraction
+entries with its basic solution read off; nonneg_combination poses cone
+membership on it, against which in_cone is held.
 cox_ring_sections counts sections in the Cox ring, sharing no code with
 Brion's formula in toricgit.fans, nor with the Smith form behind
 toricgit.cox.  walk_sections counts the lattice points of the divisor
@@ -94,7 +95,7 @@ from toricgit.linalg import _dot, _pivot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import cox, vgit
 from toricgit.fans import Fan, _is_antichain, _mask, validate
-from toricgit.lp import PivotLimit, _identity, _simplex_core, scaled_inverse
+from toricgit.lp import PivotLimit, _identity, _pivot_rule, scaled_inverse
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24
@@ -345,6 +346,53 @@ def canonical_form(lin, rays):
     return basis, tuple(sorted(out))
 
 
+def simplex_core(tab, basis, cost, d):
+    """Minimize an LP over the integer tableau in place.
+
+    tab: m rows of length n+1 (last entry the rhs) on the scale d, basis
+    columns d times identity; basis[i] labels row i's basic column, which
+    may lie past n and go unstored, and then never enters again.  cost:
+    length n+1 reduced-cost row on a positive multiple of d (last entry
+    -objective), pivoted with the tableau as its last row.  Returns the
+    final scale d, or None when the LP is unbounded.  Each pivot is one
+    linalg._pivot, chosen by toricgit.lp's _pivot_rule.
+    """
+    m = len(tab)
+    n = len(cost) - 1
+    rows = tab + [cost]
+    for dantzig in _pivot_rule(m, n):
+        enter = None
+        if dantzig:
+            best = 0
+            for j in range(n):
+                if cost[j] < best:
+                    best = cost[j]
+                    enter = j
+        else:
+            for j in range(n):
+                if cost[j] < 0:
+                    enter = j
+                    break
+        if enter is None:
+            return d
+        leave = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio test by cross-multiplication
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            return None
+        d = _pivot(rows, d, leave, enter)
+        basis[leave] = enter
+
+
 def rational_simplex_core(tab, basis, cost):
     """Minimize over a Fraction tableau in place, with the pivot rules
     of toricgit.lp: Dantzig's rule, then Bland's after 8 (m + n) + 64
@@ -462,7 +510,7 @@ def solve_nonneg(a_rows, b):
     """Some x >= 0 with a_rows.x == b (exact), or None if there is none.
 
     Entries are integers or Fractions; x is a list of Fractions.  This is
-    phase 1 alone on toricgit.lp's integer simplex: x is the basic
+    phase 1 alone on the integer simplex_core: x is the basic
     solution it ends at, and an artificial left basic at zero (on a
     redundant row) is ignored.
     """
@@ -481,7 +529,7 @@ def solve_nonneg(a_rows, b):
     basis = [n + i for i in range(m)]
     cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
     cost.append(-sum(row[-1] for row in tab))
-    d = _simplex_core(tab, basis, cost, d)
+    d = simplex_core(tab, basis, cost, d)
     if cost[-1] < 0:
         return None
     x = [_ZERO] * n
@@ -512,7 +560,7 @@ def in_cone(vectors, target):
     ]
     n = len(vectors)
     cost = [-sum(col) for col in zip(*tab)]
-    _simplex_core(tab, list(range(n, n + len(target))), cost, 1)
+    simplex_core(tab, list(range(n, n + len(target))), cost, 1)
     return cost[-1] >= 0
 
 
@@ -574,7 +622,7 @@ def crossing_normals(dm):
     and never branch."""
     dual = vgit.effective_cone(dm).dual()
     crossing = []
-    for n in vgit._basis_table(dm)[0]:
+    for n in vgit._table(dm)[0]:
         t, _ = max_strict_slack(list(dual.rays), eq_rows=[n, *dual.lin])
         if t > 0:
             crossing.append(n)

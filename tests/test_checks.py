@@ -326,10 +326,11 @@ class TestRunAll:
     def test_one_scratch_solve_per_root_and_fan(self, monkeypatch, inverse_raises):
         # The only LPs a cold run_all solves from the empty tableau are
         # the roots of the chamber cell searches, one per distinct
-        # grading, and none of them runs the primal simplex: membership
-        # and projectivity run no LP, and no integer inverse raises on a
-        # dependent set of degree classes.
-        calls = {"scratch": 0, "roots": 0, "primal": 0}
+        # grading, and none of them can run the primal simplex, which lp
+        # no longer holds: membership, projectivity and section counts
+        # run no LP, and no integer inverse raises on a dependent set of
+        # degree classes.
+        calls = {"scratch": 0, "roots": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -340,7 +341,6 @@ class TestRunAll:
 
         scratch = staticmethod(counting("scratch", lp.SlackTableau.solve))
         monkeypatch.setattr(lp.SlackTableau, "solve", scratch)
-        monkeypatch.setattr(lp, "_simplex_core", counting("primal", lp._simplex_core))
         monkeypatch.setattr(vgit, "_enumerate_cells", counting("roots", vgit._enumerate_cells))
         clear_caches()
         try:
@@ -349,7 +349,7 @@ class TestRunAll:
             clear_caches()
         assert inverse_raises == []
         assert calls["scratch"] == calls["roots"] == 54
-        assert calls["primal"] == 0
+        assert not hasattr(lp, "_simplex_core")
 
     def test_everything_passes(self):
         results = run_all()

@@ -137,7 +137,9 @@ def test_dual_simplex_warm_start_matches_two_phase(data):
 
 def test_max_strict_slack_runs_no_phase_one(monkeypatch):
     # no primal solve at all: solve() is one dual simplex from the slack
-    # basis of the empty tableau on scale 1, with no objective
+    # basis of the empty tableau on scale 1, with no objective, and lp
+    # keeps no primal loop that could run (its copy is the oracle
+    # simplex_core)
     starts = []
     real = lp._dual_simplex
 
@@ -145,12 +147,9 @@ def test_max_strict_slack_runs_no_phase_one(monkeypatch):
         starts.append((list(basis), d))
         return real(tab, basis, d)
 
-    def refuse(*args):
-        raise AssertionError("SlackTableau ran the primal simplex")
-
-    monkeypatch.setattr(lp, "_simplex_core", refuse)
     monkeypatch.setattr(lp, "_dual_simplex", spy)
     assert not hasattr(lp, "in_cone") and not hasattr(lp, "max_strict_slack")
+    assert not hasattr(lp, "_simplex_core")
     assert [f.name for f in fields(SlackTableau)] == ["n", "tab", "basis", "d"]
     assert SlackTableau.solve([(1, 0), (0, 1), (1, 0)]) is not None
     assert SlackTableau.solve([(1, 1), (-1, -1), (0, 0)]) is None
@@ -378,16 +377,17 @@ def test_simplex_max_matches_sympy(lp, n_ub):
 # the same pivots, so it ends at the same point on every LP.
 
 
-def pivot_signs(monkeypatch):
-    """Record the sign of every pivot entry lp hands linalg._pivot."""
+def pivot_signs(monkeypatch, module=lp):
+    """Record the sign of every pivot entry the module (lp, or the
+    oracles' integer simplex_core) hands linalg._pivot."""
     signs = []
-    real = lp._pivot
+    real = module._pivot
 
     def recording(rows, d, leave, enter):
         signs.append(rows[leave][enter] > 0)
         return real(rows, d, leave, enter)
 
-    monkeypatch.setattr(lp, "_pivot", recording)
+    monkeypatch.setattr(module, "_pivot", recording)
     return signs
 
 
@@ -446,8 +446,8 @@ def test_cycling_lp_runs_past_bland_after(monkeypatch):
     tab = [[int(4 * v) for v in row] for row in true_rows]
     cost = [4 * v for v in objective]
     basis = [4, 5, 6]
-    signs = pivot_signs(monkeypatch)
-    d = lp._simplex_core(tab, basis, cost, 4)
+    signs = pivot_signs(monkeypatch, oracles)
+    d = oracles.simplex_core(tab, basis, cost, 4)
     assert len(signs) > 8 * (3 + 7) + 64
     assert basis == ref_basis
     assert [[Fraction(v, d) for v in row] for row in tab] == ref_tab
@@ -456,9 +456,12 @@ def test_cycling_lp_runs_past_bland_after(monkeypatch):
 
 
 def test_pivot_limit_still_raised(monkeypatch):
-    # a pivot that changes nothing makes the simplex choose it for ever
+    # a pivot that changes nothing makes the simplex choose it for ever:
+    # the oracles' primal simplex_core and lp's dual simplex, which share
+    # lp's pivot rule
     tableau = SlackTableau.solve([(1, 0), (0, 1)])
-    monkeypatch.setattr(lp, "_pivot", lambda rows, d, leave, enter: d)
+    for module in (lp, oracles):
+        monkeypatch.setattr(module, "_pivot", lambda rows, d, leave, enter: d)
     with pytest.raises(PivotLimit):
         solve_nonneg([[1, 1]], [1])
     # -x - y >= 1 is refuted (Farkas) with no pivot at all, but after

@@ -1,6 +1,7 @@
 """Source-level rules: no dead public names, nothing unreachable from
 cli.main, no bare asserts, no unbounded caches, no floats, no LP in the
-cone-duality layer, one Bareiss update, every limit named.
+cone-duality layer, no primal simplex, one Bareiss update, every limit
+named, one layer list.
 
 The public surface follows the rule the benchmark tracer wraps by: every
 name without a leading underscore that a layer module defines, and every
@@ -165,17 +166,17 @@ def test_no_assert_statements_in_src():
 
 
 def test_no_fraction_in_the_simplex_inner_loop():
-    # The simplex, primal and dual, the scaled inverse and the
-    # hyperplane search of the basis table pivot on integer tableaux
-    # through linalg._pivot, and a solution is read off scaled, so none
-    # of them names a Fraction.  A name that is Fraction itself or a
-    # module-level Fraction constant (such as lp._ZERO) counts as a use.
+    # The dual simplex, the scaled inverse and the hyperplane search of
+    # the basis table pivot on integer tableaux through linalg._pivot,
+    # and a solution is read off scaled, so none of them names a
+    # Fraction.  A name that is Fraction itself or a module-level
+    # Fraction constant (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
     inner = {
         "linalg": {"_pivot"},
-        "lp": {"_simplex_core", "_dual_simplex", "scaled_inverse"},
-        "vgit": {"_hyperplanes"},
+        "lp": {"_dual_simplex", "scaled_inverse"},
+        "cones": {"_hyperplanes"},
     }
     trees = src_trees()
     functions = [
@@ -297,8 +298,10 @@ def test_no_floats_in_src():
 
 
 def test_cones_uses_no_lp():
-    # Double description decides adjacency from tight sets, so cones
-    # needs no LP; the integer scaled inverse is its only use of lp.
+    # Double description decides adjacency from tight sets, and the
+    # basis table signs its normals by dot products, so cones needs no
+    # LP; the integer scaled inverse and the cached identity that the
+    # hyperplane search starts from are its only uses of lp.
     trees = src_trees()
     lp_names = set()
     for node in trees["lp.py"].body:
@@ -315,14 +318,13 @@ def test_cones_uses_no_lp():
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-    assert used & lp_names == {"scaled_inverse"}
+    assert used & lp_names == {"scaled_inverse", "_identity"}
 
 
 def test_projectivity_runs_no_lp():
     # validate and vgit.nef_cone read one double description of the
     # wall rows, fans._nef_off: no module names the strict-slack LP's
-    # old entry point, fans takes from lp only the scaled inverse and the
-    # simplex loop that starts the section count's chamber walk, and
+    # old entry point, fans takes from lp only the scaled inverse, and
     # vgit reads neither the wall rows nor an inverse of its own.
     trees = src_trees()
     names = {
@@ -338,24 +340,30 @@ def test_projectivity_runs_no_lp():
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
     }
-    assert imports[("fans.py", "lp")] == {"_simplex_core", "scaled_inverse"}
+    assert imports[("fans.py", "lp")] == {"scaled_inverse"}
     assert imports[("vgit.py", "fans")] == {"_nef_off"}
     assert "scaled_inverse" not in imports[("vgit.py", "lp")]
 
 
-def test_only_the_chamber_walk_runs_the_primal_simplex():
-    # lp._simplex_core is the phase 1 of fans' chamber walk and nothing
-    # else: no other module outside lp names it, and no SlackTableau
-    # method does, so the chamber cell search stays a dual simplex from
-    # the slack basis and cannot drift back to a primal phase.
-    def named(node):
+def test_no_primal_simplex_in_src():
+    # A section count reads its divisor's chamber off the basis table,
+    # so nothing in src/ runs the primal simplex: no module defines or
+    # names lp's old primal loop, _simplex_core (its copy is the oracle
+    # simplex_core), the one loop that follows the pivot rule is the
+    # dual simplex, and no SlackTableau method names anything else, so
+    # the chamber cell search cannot drift back to a primal phase.
+    def named(node, name):
         names, attrs = references([node])
-        return "_simplex_core" in names | attrs
+        return name in names | attrs
 
     trees = src_trees()
-    assert sorted(name for name, tree in trees.items() if name != "lp.py" and named(tree)) == [
-        "fans.py"
+    assert [name for name, tree in trees.items() if named(tree, "_simplex_core")] == []
+    loops = [
+        node.name
+        for node in trees["lp.py"].body
+        if isinstance(node, ast.FunctionDef) and named(node, "_pivot_rule")
     ]
+    assert loops == ["_dual_simplex"]
     tableau = next(
         node
         for node in trees["lp.py"].body
@@ -363,7 +371,7 @@ def test_only_the_chamber_walk_runs_the_primal_simplex():
     )
     methods = [m for m in tableau.body if isinstance(m, ast.FunctionDef)]
     assert {"solve", "with_rows", "scaled_solution"} <= {m.name for m in methods}
-    assert [m.name for m in methods if named(m)] == []
+    assert [m.name for m in methods if named(m, "_pivot_rule")] == []
 
 
 def test_only_the_four_constructors_trust_their_fans():
@@ -398,9 +406,11 @@ def test_only_the_four_constructors_trust_their_fans():
 
 
 def test_every_limit_is_named():
-    # The inventory of what refuses input: the work budgets, the pivot
-    # limit, the class-count guard on the 2**k-bit membership sets, the
-    # hitting-set cap and the size of a printed construction.  Each is a module-level int that exactly one
+    # The inventory of what refuses input: the work budgets (the basis
+    # table's among them), the pivot limit, the class-count guard of the
+    # readers that build 2**k-bit sets (membership and chamber keys,
+    # through one helper), the hitting-set cap and the size of a printed
+    # construction.  Each is a module-level int that exactly one
     # function of src/ reads, so a new cap fails here until it is named;
     # an inline one, a size compared with a literal, fails below.
     trees = src_trees()
@@ -425,7 +435,8 @@ def test_every_limit_is_named():
         "_INDEX_BUDGET": ["fans.py:_charge"],
         "_TABLEAU_BUDGET": ["vgit.py:_enumerate_cells"],
         "_MAX_PIVOTS": ["lp.py:_pivot_rule"],
-        "MAX_DEGREE_CLASSES": ["vgit.py:_basis_table"],
+        "_TABLE_BUDGET": ["cones.py:_basis_table"],
+        "MAX_DEGREE_CLASSES": ["vgit.py:_bit_set_classes"],
         "MAX_HITTING_SET_VARS": ["cox.py:zero_locus_codim"],
         "MAX_CONSTRUCT_ENTRIES": ["cli.py:_refuse_oversized"],
     }
@@ -442,3 +453,25 @@ def test_every_limit_is_named():
         if (isinstance(op, ast.Gt) and literal(right)) or (isinstance(op, ast.Lt) and literal(left))
     ]
     assert found == []
+
+
+def test_one_layer_list():
+    # The layer list of tests/conftest.py, of this file and of the
+    # benchmark's tracer (read here, not imported) is the module set of
+    # src/toricgit/: the tracer clears the caches of the modules it
+    # lists between passes, so a cache in a module outside the list
+    # would stay warm and its timings would come from warm caches.
+    def layers(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+        )
+
+    root = SRC.parent.parent
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    conftest = layers(root / "tests" / "conftest.py")
+    assert set(conftest) == modules and len(conftest) == len(modules)
+    assert layers(root / "bench" / "tracer.py") == conftest == LAYERS

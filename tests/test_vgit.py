@@ -115,7 +115,7 @@ def split_normals(dm):
     """(facets, crossing) read off the basis table's side: the normals
     it puts every class on one side of, signed so they are nonnegative
     on the classes and sorted, and those its hyperplane crosses."""
-    normals, side, _ = vgit._basis_table(dm)
+    normals, side, _ = vgit._table(dm)
     facets = sorted(n if s > 0 else tuple(-v for v in n) for n, s in zip(normals, side) if s)
     return tuple(facets), tuple(n for n, s in zip(normals, side) if not s)
 
@@ -367,7 +367,7 @@ class TestMembership:
         for dm in dms:
             vectors = [v for v, _ in vgit._degree_classes(dm)]
             rank = matrix_rank(vectors)
-            normals, _, table = vgit._basis_table(dm)
+            normals, _, table = vgit._table(dm)
             assert vgit._spans(dm) == (rank == dm.cl_free_rank)
             assert list(normals) == sorted({sign_normalized(n) for n in normals})
             assert [mask for mask, _ in table] == [
@@ -409,7 +409,7 @@ class TestMembership:
             for dm in dms:
                 orthogonal, normals, table = oracles.basis_table(dm)
                 assert orthogonal == () and vgit._spans(dm)
-                got_normals, _, got_table = vgit._basis_table(dm)
+                got_normals, _, got_table = vgit._table(dm)
                 assert (got_normals, got_table) == (normals, table), dm
         finally:
             clear_vgit_caches()
@@ -429,7 +429,7 @@ class TestMembership:
         dm = graded_by(gens)
         vectors = [v for v, _ in vgit._degree_classes(dm)]
         orthogonal, inverses = oracles.basis_inverses(vectors, r)
-        normals, _, table = vgit._basis_table(dm)
+        normals, _, table = vgit._table(dm)
         assert vgit._spans(dm) == (not orthogonal)
         assert [mask for mask, _ in table] == [sum(1 << c for c in basis) for basis, _ in inverses]
         signed = normals + tuple(tuple(-v for v in n) for n in normals)
@@ -466,7 +466,7 @@ class TestMembership:
 
             return wrapper
 
-        monkeypatch.setattr(lp, "_simplex_core", refuse("_simplex_core"))
+        assert not hasattr(lp, "_simplex_core")  # lp keeps no primal loop
         monkeypatch.setattr(lp, "_dual_simplex", refuse("_dual_simplex"))
         clear_vgit_caches()
         n_queries = n_codims = 0
@@ -527,7 +527,7 @@ class TestMembership:
             nxt = unstable_supports(dm, tuple(x + 1 for x in chi))
             on_wall = is_boundary_character(dm, chi)
             second = time.perf_counter() - start
-            n_bases = len(vgit._basis_table(dm)[2])
+            n_bases = len(vgit._table(dm)[2])
         finally:
             clear_vgit_caches()
         assert n_bases == 12776
@@ -550,7 +550,7 @@ class TestMembership:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            n_bases = len(vgit._basis_table(dm)[2])
+            n_bases = len(vgit._table(dm)[2])
             peak, held = tracemalloc.get_traced_memory()[::-1]
         finally:
             tracemalloc.stop()
@@ -648,19 +648,15 @@ class TestCones:
         # A cold validate and ample_character share one double
         # description of the wall rows and run no simplex.
         family = [(name, f, degree_map(f)) for name, f in projectivity_fans(corpus)]
-        dds, scratch = [], []
-        real_dd, real_core = cones.duals_from_inequalities, lp._simplex_core
+        dds = []
+        real_dd = cones.duals_from_inequalities
 
         def counting_dd(*args):
             dds.append(args)
             return real_dd(*args)
 
-        def counting_core(*args):
-            scratch.append(args)
-            return real_core(*args)
-
         monkeypatch.setattr(cones, "duals_from_inequalities", counting_dd)
-        monkeypatch.setattr(lp, "_simplex_core", counting_core)
+        assert not hasattr(lp, "_simplex_core")  # lp keeps no primal loop
         for name, f, dm in family:
             for cached in (fans._cone_inverses, fans._walls, fans._nef_off, validate, nef_cone):
                 cached.cache_clear()
@@ -671,7 +667,6 @@ class TestCones:
                 with pytest.raises(ValueError, match="not projective"):
                     ample_character(f, dm)
             assert len(dds) - before == 1, name
-        assert scratch == []
 
     def test_nef_cone_of_an_incomplete_fan_is_a_value_error(self):
         f = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
@@ -776,7 +771,7 @@ class TestChambers:
         assert (code, out) == (2, "")
         assert err == "error: too many distinct degree vectors (17 > 16)\n"
         dm = degree_map(fan)
-        with mock.patch.object(vgit, "_hyperplanes", side_effect=AssertionError("the hyperplanes were searched")):
+        with mock.patch.object(cones, "_hyperplanes", side_effect=AssertionError("the hyperplanes were searched")):
             for query in (unstable_supports, is_boundary_character):
                 with pytest.raises(ValueError, match="too many distinct degree vectors"):
                     query(dm, (1,))
@@ -1170,12 +1165,13 @@ class TestCanonicalWitnesses:
         assert len(dms) == 61
 
     def test_cell_search_runs_no_phase_one(self, corpus, monkeypatch):
-        # lp has no phase-1 LP left, and the search runs no primal
-        # simplex at all: the root LP of each fan, like every other, is
-        # a dual simplex from the slack basis
+        # lp has no phase-1 LP left, and no primal loop at all: the root
+        # LP of each fan, like every other, is a dual simplex from the
+        # slack basis
         assert not hasattr(lp, "in_cone") and not hasattr(vgit, "in_cone")
+        assert not hasattr(lp, "_simplex_core")
         fans = chamber_fans(corpus)
-        calls = {"scratch": 0, "reoptimise": 0}
+        calls = {"reoptimise": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -1184,7 +1180,6 @@ class TestCanonicalWitnesses:
 
             return wrapper
 
-        monkeypatch.setattr(lp, "_simplex_core", counting("scratch", lp._simplex_core))
         monkeypatch.setattr(lp, "_dual_simplex", counting("reoptimise", lp._dual_simplex))
         dms = {dm for _, _, dm in fans}  # fans may share a grading
         clear_vgit_caches()
@@ -1194,7 +1189,6 @@ class TestCanonicalWitnesses:
         finally:
             clear_vgit_caches()
         assert len(dms) == 54
-        assert calls["scratch"] == 0
         assert calls["reoptimise"] > len(dms)
 
     def test_cells_match_from_scratch_oracle(self, corpus):
@@ -1251,7 +1245,7 @@ class TestCanonicalWitnesses:
         dms += [degree_map(product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS]
         for dm in dms:
             if dm.cl_free_rank > 1:  # the kernel oracle skips the empty set's normal
-                assert vgit._basis_table(dm)[0] == oracles.arrangement_normals(dm)
+                assert vgit._table(dm)[0] == oracles.arrangement_normals(dm)
             assert split_normals(dm)[1] == oracles.crossing_normals(dm)
 
     def test_effective_facets_match_double_description(self, corpus):
@@ -1273,7 +1267,7 @@ class TestCanonicalWitnesses:
             facets = split_normals(dm)[0]
             assert facets == effective_cone(dm).facet_normals, dm
             n_spanning += 1
-            n_flipped += any(f not in vgit._basis_table(dm)[0] for f in facets)
+            n_flipped += any(f not in vgit._table(dm)[0] for f in facets)
         assert (n_spanning, n_flipped) == (298, 188)
 
     def test_signatures_run_no_double_description(self, corpus, monkeypatch):
@@ -1314,7 +1308,7 @@ class TestCanonicalWitnesses:
     def test_arrangement_normals_match_kernel_oracle(self, gens):
         assume(matrix_rank(gens) == len(gens[0]))
         dm = graded_by(gens)
-        assert vgit._basis_table(dm)[0] == oracles.arrangement_normals(dm)
+        assert vgit._table(dm)[0] == oracles.arrangement_normals(dm)
 
 
 def test_recursive_searches_leave_no_reference_cycles(corpus):
@@ -1338,12 +1332,12 @@ def test_recursive_searches_leave_no_reference_cycles(corpus):
 
     calls = {
         "basis_inverses": lambda: oracles.basis_inverses(vectors, dm.cl_free_rank),
-        "hyperplane search": lambda: vgit._hyperplanes(vectors, dm.cl_free_rank),
+        "hyperplane search": lambda: cones._hyperplanes(vectors, dm.cl_free_rank),
         "cell search": lambda: vgit._enumerate_cells(dm),
         "stopped cell search": stopped_cell_search,
         "zero_locus_codim": lambda: cox.zero_locus_codim(ideal),
     }
-    vgit._basis_table(dm)  # the cached table the cell search reads
+    vgit._table(dm)  # the cached table the cell search reads
     gc.collect()
     gc.disable()
     try:
