@@ -26,11 +26,13 @@ from .linalg import _bareiss, _pivot, matrix_rank, primitive, sign_normalized
 from .linalg import _dot
 from .lp import _identity, scaled_inverse
 
-# Hyperplane sets and bases one basis table may search: C(k, r - 1) +
-# C(k, r) for k distinct vectors of rank r.  The rank-8, 16-class probe
-# of the tests needs 24,310 and builds in about 0.55 s, 18 classes in
-# rank 8 need 75,582 and take about 1.6 s (Python 3.11, 2 cores).
-_TABLE_BUDGET = 100_000
+# Tableau entries one basis table may write, by _table_work's bound on
+# the cheaper of its two hyperplane routes: about 0.1 us each (Python
+# 3.11, 2 cores), so about 2 s at the budget.  The rank-8, 16-class
+# probe of the tests needs 5.9e6 (0.5 s), 18 classes in rank 8 1.7e7
+# (1.6 s), the 58 classes of a surface with 60 rays 2.0e7 (1.5 s); 20
+# classes in rank 10 would need 1.3e8 (11 s).
+_TABLE_BUDGET = 20_000_000
 
 
 def _combine(u, cu, v, cv):
@@ -218,27 +220,27 @@ def _basis_table(vectors):
     positive on c; a zero there, or a dependent T less c, means T is no
     basis.  When the vectors span, these are the primitive rows of
     inv(M_T), with M_T the matrix whose columns are T.  ValueError when
-    the search would pass _TABLE_BUDGET hyperplane sets and bases."""
-    rank = matrix_rank(vectors)
-    work = comb(len(vectors), rank) + (rank and comb(len(vectors), rank - 1))
+    _table_work passes _TABLE_BUDGET, before any search."""
+    k, dim, rank = len(vectors), len(vectors[0]), matrix_rank(vectors)
+    work, _ = _table_work(k, rank, dim)
     if work > _TABLE_BUDGET:
         raise ValueError(
-            f"basis table of {len(vectors)} distinct degree vectors in rank {rank} "
-            f"needs more than {_TABLE_BUDGET} hyperplane sets and bases"
+            f"basis table of {k} distinct degree vectors in rank {rank} "
+            f"needs more than {_TABLE_BUDGET} tableau entries"
         )
-    hyperplanes = _hyperplanes(vectors, len(vectors[0]))
-    normals = tuple(sorted(set(hyperplanes.values())))
+    hyperplanes, dots = _hyperplanes(vectors, dim)
+    normals = tuple(sorted(dots))
     ids = list(range(2 * len(normals)))  # one shared int per signed index
     # per normal, each vector's signed index, None on the hyperplane
     sides = {
-        n: [ids[j] if x > 0 else ids[j + len(normals)] if x < 0 else None for x in (_dot(n, v) for v in vectors)]
+        n: [ids[j] if x > 0 else ids[j + len(normals)] if x < 0 else None for x in dots[n]]
         for j, n in enumerate(normals)
     }
     side = tuple((j + len(normals) not in s) - (j not in s) for j, s in enumerate(sides.values()))
     rows = {mask: sides[n] for mask, n in hyperplanes.items()}
-    absent = [None] * len(vectors)
+    absent = [None] * k
     table = []
-    for basis in combinations(range(len(vectors)), rank):
+    for basis in combinations(range(k), rank):
         mask = sum(1 << c for c in basis)
         idx = tuple(rows.get(mask ^ 1 << c, absent)[c] for c in basis)
         if None not in idx:
@@ -246,22 +248,50 @@ def _basis_table(vectors):
     return normals, side, tuple(table)
 
 
-def _hyperplanes(vectors, dim):
-    """{mask: normal} over the independent sets of rank - 1 of the
-    integer dim-vectors, rank being theirs: the sign-normalized primitive
-    normal, within their span, of the hyperplane that the set spans.
+def _table_work(k, rank, dim):
+    """(work, circuits): a bound on the tableau entries that a basis
+    table of k vectors of the given rank in Q^dim writes, and whether
+    _circuits is the cheaper of the two routes to its hyperplanes.
+    _search pivots up to C(k + 1, rank - 1) tableaux of rank rows and k
+    + dim columns, then dots each normal with the vectors; _circuits
+    pivots, per set, a block of s rows, s = min(rank, k - rank + 1), and
+    sums s rows of k + dim entries.  The bases add C(k, rank) * rank.
+    The Python calls of a tableau cost about 30 entries, and those of a
+    set about 100 (timed on the corpus gradings and the tests' probes)."""
+    sets = comb(k, rank - 1) if rank else 0
+    s = min(rank, k - rank + 1)
+    search = comb(k + 1, rank - 1) * (30 + rank * (k + dim)) + sets * k * dim if rank else 0
+    circuits = sets * (100 + 2 * s**3 + s * (k + dim) + k)
+    return min(search, circuits) + comb(k, rank) * rank, circuits < search
 
-    One fraction-free search on the tableau [A | I], pivoted by _pivot,
-    with the vectors as the columns of A and one row per coordinate that
-    _bareiss picks as independent on their span, so each normal is zero
-    off those coordinates.  Adding a vector pivots its column on the
-    first free row where it is nonzero; a column zero on all of them lies
-    in the span of those picked, and the branch ends.  Each child keeps
-    only the columns of the later vectors and the I block.  After rank -
-    1 pivots the one free row vanishes on the picked vectors, so its I
-    block is the normal."""
+
+def _hyperplanes(vectors, dim):
+    """(hyperplanes, dots): hyperplanes maps each independent set of
+    rank - 1 of the integer dim-vectors, rank being theirs, as a mask,
+    to the sign-normalized primitive normal, within their span, of the
+    hyperplane that the set spans; dots[normal] is a positive multiple
+    of its dot product with each vector.
+
+    Both routes pivot, fraction-free, the tableau [A | I] with the
+    vectors as the columns of A and one row per coordinate that _bareiss
+    picks as independent on their span, so each row is (u . A | u) for
+    some u, and each normal is zero off those coordinates."""
     coords = _bareiss(vectors)[0]
-    k = len(vectors)
+    k, identity = len(vectors), _identity(dim)
+    tab = [[*(v[i] for v in vectors), *identity[i]] for i in coords]
+    if _table_work(k, len(coords), dim)[1]:
+        return _circuits(tab, k)
+    hyperplanes = _search(tab, k)
+    return hyperplanes, {n: tuple(_dot(n, v) for v in vectors) for n in set(hyperplanes.values())}
+
+
+def _search(tab, k):
+    """{mask: normal} of _hyperplanes by one search on tab.  Adding a
+    vector pivots its column on the first free row where it is nonzero;
+    a column zero on all of them lies in the span of those picked, and
+    the branch ends.  Each child keeps only the columns of the later
+    vectors and the I block.  After rank - 1 pivots the one free row
+    vanishes on the picked vectors, so its I block is the normal."""
     hyperplanes = {}
 
     def rec(lo, tab, d, free, mask):
@@ -278,10 +308,40 @@ def _hyperplanes(vectors, dim):
             child = [row[j:] for row in tab]
             rec(c, child, _pivot(child, d, p, 0), [i for i in free if i != p], mask | 1 << c)
 
-    identity = _identity(dim)
-    rec(0, [[*(v[i] for v in vectors), *identity[i]] for i in coords], 1, list(range(len(coords))), 0)
+    rec(0, tab, 1, list(range(len(tab))), 0)
     del rec  # rec's closure holds rec, a cycle that would keep its tableaux alive until a collection
     return hyperplanes
+
+
+def _circuits(tab, k):
+    """_hyperplanes by Gale duality, for few more vectors than their
+    rank: the complement of a set H of rank - 1 vectors is a circuit of
+    the Gale dual, and the normal of H is read off one basis B.  tab is
+    first pivoted onto B, so that its rows are (d inv(M_B) A | d
+    inv(M_B)), row i zero on B but at its own vector.  The normal of H
+    is the combination of the s rows of B off H that vanishes on the s -
+    1 vectors of H off B, its coefficients the normal of those s - 1
+    columns by _search; none means H is dependent.  The A block of the
+    combination holds the normal's dot product with each vector."""
+    d, basis = 1, []
+    for i, row in enumerate(tab):
+        basis.append(next(c for c in range(k) if row[c]))
+        d = _pivot(tab, d, i, basis[-1])
+    row_of = {c: i for i, c in enumerate(basis)}
+    off = [c for c in range(k) if c not in row_of]
+    hyperplanes, dots, every = {}, {}, (1 << k) - 1
+    for out in combinations(range(k), k - len(tab) + 1):
+        rows = [tab[row_of[c]] for c in out if c in row_of]
+        block = [[*(row[c] for c in off if c not in out), *e] for row, e in zip(rows, _identity(len(rows)))]
+        for y in _search(block, len(rows) - 1).values():
+            full = [0] * len(tab[0])
+            for x, row in zip(y, rows):
+                full = [f + x * e for f, e in zip(full, row)]
+            normal = sign_normalized(full[k:])
+            sign = 1 if next(x for x in full[k:] if x) > 0 else -1
+            hyperplanes[every ^ sum(1 << c for c in out)] = normal
+            dots[normal] = tuple(sign * x for x in full[:k])
+    return hyperplanes, dots
 
 
 def _least_members(table, dots):

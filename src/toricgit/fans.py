@@ -620,7 +620,8 @@ def _chamber(fan, a):
         if any(x[-1] > 0 for x in duals_from_inequalities(d + 1, rows)[1]):
             raise ValueError("unbounded divisor polytope; is the fan complete?")
         return None
-    projection, classes, members, (normals, _, table), ties, bounded = gale
+    projection, classes, members, ties, bounded = gale
+    normals, _, table = _basis_table(classes)
     cls = [_dot(row, a) for row in projection]
     dots = [_dot(nu, cls) for nu in normals]
     masks = tuple(_least_members(table, [x or t for x, t in zip(dots, ties)]))
@@ -653,19 +654,19 @@ def _cokernel(fan):
 
 @lru_cache(maxsize=1024)
 def _gale(fan):
-    """(projection, classes, members, table, ties, bounded) of the Gale
-    dual of the rays, or None when they do not span.
+    """(projection, classes, members, ties, bounded) of the Gale dual of
+    the rays, or None when they do not span.
 
     The class of a divisor a is projection . a, from _cokernel.  classes
     are the distinct classes of the rays, sorted as vgit._degree_classes
     sorts them, so a grading and its fan share cones._basis_table(classes),
-    table here; members[c] lists the rays of class c.  ties[j] is the
-    sign of <nu_j, deg r> for the first ray r off the hyperplane of the
-    table's normal nu_j, which exists, as the classes span.  bounded
-    says whether the rays positively span, so that every P_D is bounded:
-    by Gale duality, whether the classes are acyclic, that is, none is 0
-    and their cone is pointed, so that the facet normals that the
-    table's side marks span.
+    the one cache that holds the table; members[c] lists the rays of
+    class c.  ties[j] is the sign of <nu_j, deg r> for the first ray r
+    off the hyperplane of the table's normal nu_j, which exists, as the
+    classes span.  bounded says whether the rays positively span, so
+    that every P_D is bounded: by Gale duality, whether the classes are
+    acyclic, that is, none is 0 and their cone is pointed, so that the
+    facet normals that the table's side marks span.
     """
     data = _cokernel(fan)
     if data.free_rank != fan.n_rays - fan.dim:
@@ -676,14 +677,19 @@ def _gale(fan):
     classes = tuple(sorted(groups))
     members = tuple(tuple(groups[v]) for v in classes)
     normals, side, table = _basis_table(classes)
-    first = sorted(classes, key=lambda v: groups[v][0])
-    ties = []
-    for nu in normals:
-        x = next(x for x in (_dot(nu, v) for v in first) if x)
-        ties.append(1 if x > 0 else -1)
+    order = sorted(range(len(classes)), key=lambda c: members[c][0])
+    ties = [0] * len(normals)
+    for mask, idx in table:
+        for c, i in zip(_bits(mask), idx):
+            # each normal is the row of class c of some basis, and lies
+            # on the basis' other classes h, so only the rest are dotted
+            j, h = i % len(normals), mask ^ 1 << c
+            if not ties[j]:
+                x = next(x for x in (_dot(normals[j], classes[o]) for o in order if not h >> o & 1) if x)
+                ties[j] = 1 if x > 0 else -1
     facets = [nu for nu, s in zip(normals, side) if s]
     bounded = all(map(any, classes)) and matrix_rank(facets) == data.free_rank
-    return data.projection, classes, members, (normals, side, table), tuple(ties), bounded
+    return data.projection, classes, members, tuple(ties), bounded
 
 
 @lru_cache(maxsize=1024)
@@ -693,7 +699,8 @@ def _chamber_fan(fan, masks):
     cone per choice of one ray in each of its classes, the complement of
     the choice, and each cone is charged to _INDEX_BUDGET, as Brion's
     formula will sum over it.  Fan certifies the chamber fan as it
-    would any other input."""
+    would any other input; the cache spares a repeated count that
+    certification, about 50 of 85 us warm on subdivision15."""
     members, full = _gale(fan)[2], (1 << fan.n_rays) - 1
     cones = []
     for mask in masks:

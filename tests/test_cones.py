@@ -10,11 +10,13 @@ in oracles.py.
 
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import oracles
 from oracles import in_cone, rational_solve
+from toricgit import cones
 from toricgit.cones import (
     _canonical_form,
     cone_from_generators,
@@ -22,7 +24,7 @@ from toricgit.cones import (
     cone_from_inequalities,
     cones_equal,
 )
-from toricgit.linalg import det, matrix_rank
+from toricgit.linalg import _dot, det, matrix_rank
 
 
 def ray_sum(cone):
@@ -259,3 +261,29 @@ def test_canonical_basis_is_echelon_and_spans(case):
     for r in reduced:
         assert all(r[p] == 0 for p in pivots)
         assert matrix_rank(lin + [r]) > len(lin)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda d: st.lists(vecs(d, -2, 2), min_size=1, max_size=9, unique=True)))
+def test_hyperplane_routes_agree(vectors):
+    # The search and the circuits of the Gale dual find the same
+    # hyperplane sets and normals, each normal with the side of every
+    # vector, whether the vectors span or not, and whichever route
+    # _table_work would pick.
+    vectors = tuple(vectors)
+    rank = matrix_rank(vectors)
+    event(f"corank {len(vectors) - rank}")
+    found = []
+    for circuits in (False, True):
+        with mock.patch.object(cones, "_table_work", return_value=(0, circuits)):
+            hyperplanes, dots = cones._hyperplanes(vectors, len(vectors[0]))
+        found.append((hyperplanes, {n: tuple((x > 0) - (x < 0) for x in t) for n, t in dots.items()}))
+    assert found[0] == found[1]
+    hyperplanes, signs = found[0]
+    assert set(signs) == set(hyperplanes.values())
+    for mask, normal in hyperplanes.items():
+        picked = [v for c, v in enumerate(vectors) if mask >> c & 1]
+        assert len(picked) == rank - 1 == matrix_rank(picked)
+        assert not any(_dot(normal, v) for v in picked)
+    for normal, sign in signs.items():
+        assert sign == tuple((x > 0) - (x < 0) for x in (_dot(normal, v) for v in vectors))

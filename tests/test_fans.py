@@ -799,7 +799,9 @@ class TestSectionCounts:
         # distinct degree classes in rank 18, past the 16 classes of the
         # 2**k-bit membership sets, which the count does not build.  Its
         # basis table (1,123 normals, 189 bases) is the cold cost, about
-        # 0.15 s on 2 cores; warm, a count takes about 1 ms.
+        # 0.04 s on 2 cores from the circuits of the Gale dual, against
+        # 0.15 s from the hyperplane search; warm, a count takes about
+        # 1 ms.
         f = p2()
         for j in range(17):
             f = star_subdivision(f, (f.rays.index((1, j)), f.rays.index((0, 1))))
@@ -812,9 +814,33 @@ class TestSectionCounts:
         start = time.perf_counter()
         count = count_sections(f, d)
         elapsed = time.perf_counter() - start
-        assert len(fans._gale(f)[3][2]) == 189
+        assert len(cones._basis_table(fans._gale(f)[1])[2]) == 189
         assert count == lattice_points_by_box_scan(f, d) == walk_sections(f, d)
         assert elapsed < 2, elapsed
+
+    def test_forty_rays_count_a_non_nef_divisor(self):
+        # 40 rays, 40 classes in rank 38.  The hyperplane search would
+        # pivot up to C(41, 37) = 101,270 tableaux of 38 rows, 3.2e8
+        # entries by cones._table_work, past the budget; the circuits of
+        # the Gale dual read the C(40, 3) = 9,880 hyperplane sets off one
+        # basis, 4.3e6 entries.  Cold, the count takes about 0.5 s on 2
+        # cores.
+        f = p2()
+        for j in range(37):
+            f = star_subdivision(f, (f.rays.index((1, j)), f.rays.index((0, 1))))
+        assert len(set(degree_map(f).degrees_free)) == 40
+        work, circuits = cones._table_work(40, 38, 38)
+        assert circuits and work < cones._TABLE_BUDGET
+        coeffs = (0, 0, 3) + (2,) * 37
+        assert fans._brion_count(fans._brion_data(f), coeffs) is None
+        d = TorusInvariantDivisor(coeffs)
+        for fn in (fans._cokernel, fans._gale, fans._chamber_fan, cones._basis_table):
+            fn.cache_clear()
+        start = time.perf_counter()
+        count = count_sections(f, d)
+        elapsed = time.perf_counter() - start
+        assert count == lattice_points_by_box_scan(f, d) == walk_sections(f, d)
+        assert elapsed < 5, elapsed
 
     def test_dimension_nine_stops_at_index_budget(self, tmp_path, capsys):
         # P(1, ..., 1, 300000): the cone off the last ray has index
@@ -834,9 +860,10 @@ class TestSectionCounts:
     def test_table_past_its_budget_exits_two(self, tmp_path, capsys):
         # 20 rays of dimension 10, each its own cone: e_1..e_10 and ten
         # others with distinct classes, which span, so a count reads the
-        # basis table of 20 classes in rank 10, C(20, 9) + C(20, 10) =
-        # 352,716 hyperplane sets and bases.  The budget refuses it before
-        # the hyperplane search.
+        # basis table of 20 classes in rank 10: 1.3e8 tableau entries by
+        # cones._table_work, which the search needs (the circuits, 4.1e8)
+        # and which would take about 11 s on 2 cores.  The budget refuses
+        # it before the hyperplane search.
         rng = random.Random(3)
         rays = [[int(i == j) for j in range(10)] for i in range(10)]
         while len(rays) < 20:
@@ -854,7 +881,7 @@ class TestSectionCounts:
         assert (code, out) == (2, "")
         assert err == (
             "error: basis table of 20 distinct degree vectors in rank 10 needs more "
-            "than 100000 hyperplane sets and bases\n"
+            "than 20000000 tableau entries\n"
         )
         assert elapsed < 5, elapsed
 
@@ -1282,7 +1309,8 @@ class TestChamberRoute:
         f = dict(corpus)["subdivision13"]
         coeffs = (2, 3, 1, 1, 1, 0)
         assert fans._brion_count(fans._brion_data(f), coeffs) is None
-        projection, _, _, (normals, _, _), _, _ = fans._gale(f)
+        projection, classes, _, _, _ = fans._gale(f)
+        normals = cones._basis_table(classes)[0]
         cls = [_dot(row, coeffs) for row in projection]
         assert 0 in [_dot(n, cls) for n in normals]
         count = count_sections(f, TorusInvariantDivisor(coeffs))

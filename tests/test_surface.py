@@ -166,17 +166,18 @@ def test_no_assert_statements_in_src():
 
 
 def test_no_fraction_in_the_simplex_inner_loop():
-    # The dual simplex, the scaled inverse and the hyperplane search of
-    # the basis table pivot on integer tableaux through linalg._pivot,
-    # and a solution is read off scaled, so none of them names a
-    # Fraction.  A name that is Fraction itself or a module-level
+    # The dual simplex, the scaled inverse and both hyperplane routes of
+    # the basis table (the search, and the circuits of the Gale dual)
+    # pivot on integer tableaux through
+    # linalg._pivot, and a solution is read off scaled, so none of them
+    # names a Fraction.  A name that is Fraction itself or a module-level
     # Fraction constant (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
     inner = {
         "linalg": {"_pivot"},
         "lp": {"_dual_simplex", "scaled_inverse"},
-        "cones": {"_hyperplanes"},
+        "cones": {"_hyperplanes", "_search", "_circuits"},
     }
     trees = src_trees()
     functions = [
