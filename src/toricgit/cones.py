@@ -26,12 +26,11 @@ from .linalg import _bareiss, _pivot, matrix_rank, primitive, sign_normalized
 from .linalg import _dot
 from .lp import _identity, scaled_inverse
 
-# Tableau entries one basis table may write, by _table_work's bound on
-# the cheaper of its two hyperplane routes: about 0.1 us each (Python
-# 3.11, 2 cores), so about 2 s at the budget.  The rank-8, 16-class
-# probe of the tests needs 5.9e6 (0.5 s), 18 classes in rank 8 1.7e7
-# (1.6 s), the 58 classes of a surface with 60 rays 2.0e7 (1.5 s); 20
-# classes in rank 10 would need 1.3e8 (11 s).
+# Tableau entries one basis table may write, charged as its hyperplane
+# search runs: 50 to 120 ns each (Python 3.11, 2 cores), so 1 to 2.4 s
+# at the budget.  A surface with 40 rays charges 6.6e6 (0.34 s), one
+# with 50 rays 1.7e7 (0.8 s); the rank-8, 16-class probe of the tests
+# 1.9e6 (0.17 s), 18 classes in rank 8 5.5e6 (0.64 s).
 _TABLE_BUDGET = 20_000_000
 
 
@@ -220,15 +219,10 @@ def _basis_table(vectors):
     positive on c; a zero there, or a dependent T less c, means T is no
     basis.  When the vectors span, these are the primitive rows of
     inv(M_T), with M_T the matrix whose columns are T.  ValueError when
-    _table_work passes _TABLE_BUDGET, before any search."""
-    k, dim, rank = len(vectors), len(vectors[0]), matrix_rank(vectors)
-    work, _ = _table_work(k, rank, dim)
-    if work > _TABLE_BUDGET:
-        raise ValueError(
-            f"basis table of {k} distinct degree vectors in rank {rank} "
-            f"needs more than {_TABLE_BUDGET} tableau entries"
-        )
-    hyperplanes, dots = _hyperplanes(vectors, dim)
+    the work passes _TABLE_BUDGET."""
+    k, rank = len(vectors), matrix_rank(vectors)
+    # the loop over the bases below is charged up front
+    hyperplanes, dots = _hyperplanes(vectors, len(vectors[0]), comb(k, rank) * rank)
     normals = tuple(sorted(dots))
     ids = list(range(2 * len(normals)))  # one shared int per signed index
     # per normal, each vector's signed index, None on the hyperplane
@@ -248,99 +242,71 @@ def _basis_table(vectors):
     return normals, side, tuple(table)
 
 
-def _table_work(k, rank, dim):
-    """(work, circuits): a bound on the tableau entries that a basis
-    table of k vectors of the given rank in Q^dim writes, and whether
-    _circuits is the cheaper of the two routes to its hyperplanes.
-    _search pivots up to C(k + 1, rank - 1) tableaux of rank rows and k
-    + dim columns, then dots each normal with the vectors; _circuits
-    pivots, per set, a block of s rows, s = min(rank, k - rank + 1), and
-    sums s rows of k + dim entries.  The bases add C(k, rank) * rank.
-    The Python calls of a tableau cost about 30 entries, and those of a
-    set about 100 (timed on the corpus gradings and the tests' probes)."""
-    sets = comb(k, rank - 1) if rank else 0
-    s = min(rank, k - rank + 1)
-    search = comb(k + 1, rank - 1) * (30 + rank * (k + dim)) + sets * k * dim if rank else 0
-    circuits = sets * (100 + 2 * s**3 + s * (k + dim) + k)
-    return min(search, circuits) + comb(k, rank) * rank, circuits < search
-
-
-def _hyperplanes(vectors, dim):
+def _hyperplanes(vectors, dim, charged=0):
     """(hyperplanes, dots): hyperplanes maps each independent set of
     rank - 1 of the integer dim-vectors, rank being theirs, as a mask,
     to the sign-normalized primitive normal, within their span, of the
     hyperplane that the set spans; dots[normal] is a positive multiple
     of its dot product with each vector.
 
-    Both routes pivot, fraction-free, the tableau [A | I] with the
-    vectors as the columns of A and one row per coordinate that _bareiss
-    picks as independent on their span, so each row is (u . A | u) for
-    some u, and each normal is zero off those coordinates."""
+    One fraction-free search on the tableau [A | I], with the vectors as
+    the columns of A and one row per coordinate that _bareiss picks as
+    independent on their span, so each row is (u . A | u) for some u and
+    each normal is zero off those coordinates.  The tableau is first
+    pivoted onto a basis, each row on the last column where it is
+    nonzero, its own vector: every row then holds the scale d at its own
+    vector and 0 at the others', and keeps that through any later pivot
+    on another row.  Adding a vector drops one row: with no pivot the row
+    of the vector itself, if left, and otherwise, after a _pivot on the
+    vector's column, the row nonzero there whose own vector comes first,
+    so that few vectors still to come lose their rows.  A column zero on
+    every row left lies in the span of those picked, and the branch ends.
+    Rows are copied only to pivot.  After rank - 1 vectors the one row
+    left vanishes on them: its I block is the normal, its A block the
+    normal's dot products with the vectors.  Each branch is charged its
+    rows, each pivot twice its rows times its columns (the copy and the
+    pivot), and each normal its columns, on top of charged: ValueError
+    past _TABLE_BUDGET."""
     coords = _bareiss(vectors)[0]
     k, identity = len(vectors), _identity(dim)
     tab = [[*(v[i] for v in vectors), *identity[i]] for i in coords]
-    if _table_work(k, len(coords), dim)[1]:
-        return _circuits(tab, k)
-    hyperplanes = _search(tab, k)
-    return hyperplanes, {n: tuple(_dot(n, v) for v in vectors) for n in set(hyperplanes.values())}
-
-
-def _search(tab, k):
-    """{mask: normal} of _hyperplanes by one search on tab.  Adding a
-    vector pivots its column on the first free row where it is nonzero;
-    a column zero on all of them lies in the span of those picked, and
-    the branch ends.  Each child keeps only the columns of the later
-    vectors and the I block.  After rank - 1 pivots the one free row
-    vanishes on the picked vectors, so its I block is the normal."""
-    hyperplanes = {}
-
-    def rec(lo, tab, d, free, mask):
-        # tab's columns: vectors lo..k-1, then the I block; vector lo is
-        # the last one picked, if any
-        if len(free) == 1:
-            hyperplanes[mask] = sign_normalized(tab[free[0]][k - lo :])
-            return
-        for c in range(lo + bool(mask), k - len(free) + 2):
-            j = c - lo
-            p = next((i for i in free if tab[i][j]), None)
-            if p is None:
-                continue  # vectors[c] lies in the span of those picked
-            child = [row[j:] for row in tab]
-            rec(c, child, _pivot(child, d, p, 0), [i for i in free if i != p], mask | 1 << c)
-
-    rec(0, tab, 1, list(range(len(tab))), 0)
-    del rec  # rec's closure holds rec, a cycle that would keep its tableaux alive until a collection
-    return hyperplanes
-
-
-def _circuits(tab, k):
-    """_hyperplanes by Gale duality, for few more vectors than their
-    rank: the complement of a set H of rank - 1 vectors is a circuit of
-    the Gale dual, and the normal of H is read off one basis B.  tab is
-    first pivoted onto B, so that its rows are (d inv(M_B) A | d
-    inv(M_B)), row i zero on B but at its own vector.  The normal of H
-    is the combination of the s rows of B off H that vanishes on the s -
-    1 vectors of H off B, its coefficients the normal of those s - 1
-    columns by _search; none means H is dependent.  The A block of the
-    combination holds the normal's dot product with each vector."""
-    d, basis = 1, []
+    d, own, width = 1, [], k + dim
     for i, row in enumerate(tab):
-        basis.append(next(c for c in range(k) if row[c]))
-        d = _pivot(tab, d, i, basis[-1])
-    row_of = {c: i for i, c in enumerate(basis)}
-    off = [c for c in range(k) if c not in row_of]
-    hyperplanes, dots, every = {}, {}, (1 << k) - 1
-    for out in combinations(range(k), k - len(tab) + 1):
-        rows = [tab[row_of[c]] for c in out if c in row_of]
-        block = [[*(row[c] for c in off if c not in out), *e] for row, e in zip(rows, _identity(len(rows)))]
-        for y in _search(block, len(rows) - 1).values():
-            full = [0] * len(tab[0])
-            for x, row in zip(y, rows):
-                full = [f + x * e for f, e in zip(full, row)]
-            normal = sign_normalized(full[k:])
-            sign = 1 if next(x for x in full[k:] if x) > 0 else -1
-            hyperplanes[every ^ sum(1 << c for c in out)] = normal
-            dots[normal] = tuple(sign * x for x in full[:k])
+        own.append(next(c for c in reversed(range(k)) if row[c]))
+        d = _pivot(tab, d, i, own[-1])
+    hyperplanes, dots, work = {}, {}, charged + len(tab) ** 2 * width
+
+    def rec(lo, rows, own, d, mask):
+        nonlocal work
+        if len(rows) == 1:
+            work += width
+            normal = sign_normalized(rows[0][k:])
+            hyperplanes[mask] = normal
+            if normal not in dots:
+                sign = 1 if next(x for x in rows[0][k:] if x) > 0 else -1
+                dots[normal] = tuple(sign * x for x in rows[0][:k])
+            return
+        for c in range(lo, k - len(rows) + 2):
+            work += 30 + len(rows)  # the scan of column c, and the Python calls of a branch
+            if c in own:
+                p, child, e = own.index(c), rows, d
+            else:
+                nonzero = [i for i, row in enumerate(rows) if row[c]]
+                if not nonzero:
+                    continue  # vectors[c] lies in the span of those picked
+                p, child = min(nonzero, key=own.__getitem__), [row[:] for row in rows]
+                e, work = _pivot(child, d, p, c), work + 2 * len(rows) * width
+            if work > _TABLE_BUDGET:
+                raise ValueError(
+                    f"basis table of {k} distinct degree vectors in rank {len(tab)} "
+                    f"needs more than {_TABLE_BUDGET} tableau entries"
+                )
+            rec(c + 1, child[:p] + child[p + 1 :], own[:p] + own[p + 1 :], e, mask | 1 << c)
+
+    try:
+        rec(0, tab, own, d, 0)
+    finally:
+        del rec  # rec's closure holds rec, a cycle that would keep its tableaux alive until a collection
     return hyperplanes, dots
 
 

@@ -10,7 +10,6 @@ in oracles.py.
 
 from fractions import Fraction
 from itertools import combinations
-from unittest import mock
 
 from hypothesis import event, given, settings, strategies as st
 
@@ -24,7 +23,7 @@ from toricgit.cones import (
     cone_from_inequalities,
     cones_equal,
 )
-from toricgit.linalg import _dot, det, matrix_rank
+from toricgit.linalg import _bareiss, _dot, det, matrix_rank, sign_normalized
 
 
 def ray_sum(cone):
@@ -265,25 +264,23 @@ def test_canonical_basis_is_echelon_and_spans(case):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=5).flatmap(lambda d: st.lists(vecs(d, -2, 2), min_size=1, max_size=9, unique=True)))
-def test_hyperplane_routes_agree(vectors):
-    # The search and the circuits of the Gale dual find the same
-    # hyperplane sets and normals, each normal with the side of every
-    # vector, whether the vectors span or not, and whichever route
-    # _table_work would pick.
+def test_hyperplanes_match_the_definition(vectors):
+    # One mask per independent set of rank - 1 vectors, whether the
+    # vectors span or not, its normal zero on the set and primitive,
+    # sign-normalized and zero off the coordinates _bareiss picks; and
+    # each normal's dots carry the sign of its dot product with every
+    # vector.
     vectors = tuple(vectors)
     rank = matrix_rank(vectors)
     event(f"corank {len(vectors) - rank}")
-    found = []
-    for circuits in (False, True):
-        with mock.patch.object(cones, "_table_work", return_value=(0, circuits)):
-            hyperplanes, dots = cones._hyperplanes(vectors, len(vectors[0]))
-        found.append((hyperplanes, {n: tuple((x > 0) - (x < 0) for x in t) for n, t in dots.items()}))
-    assert found[0] == found[1]
-    hyperplanes, signs = found[0]
-    assert set(signs) == set(hyperplanes.values())
+    hyperplanes, dots = cones._hyperplanes(vectors, len(vectors[0]))
+    sets = [s for s in combinations(range(len(vectors)), max(rank - 1, 0)) if matrix_rank([vectors[c] for c in s]) == rank - 1]
+    assert sorted(hyperplanes) == sorted(sum(1 << c for c in s) for s in sets)
+    coords = set(_bareiss(vectors)[0])
     for mask, normal in hyperplanes.items():
-        picked = [v for c, v in enumerate(vectors) if mask >> c & 1]
-        assert len(picked) == rank - 1 == matrix_rank(picked)
-        assert not any(_dot(normal, v) for v in picked)
-    for normal, sign in signs.items():
-        assert sign == tuple((x > 0) - (x < 0) for x in (_dot(normal, v) for v in vectors))
+        assert normal == sign_normalized(normal)
+        assert all(not x for i, x in enumerate(normal) if i not in coords)
+        assert not any(_dot(normal, v) for c, v in enumerate(vectors) if mask >> c & 1)
+    assert set(dots) == set(hyperplanes.values())
+    for normal, row in dots.items():
+        assert [(x > 0) - (x < 0) for x in row] == [(x > 0) - (x < 0) for x in (_dot(normal, v) for v in vectors)]

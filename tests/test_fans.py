@@ -799,9 +799,8 @@ class TestSectionCounts:
         # distinct degree classes in rank 18, past the 16 classes of the
         # 2**k-bit membership sets, which the count does not build.  Its
         # basis table (1,123 normals, 189 bases) is the cold cost, about
-        # 0.04 s on 2 cores from the circuits of the Gale dual, against
-        # 0.15 s from the hyperplane search; warm, a count takes about
-        # 1 ms.
+        # 0.03 s on 2 cores (0.15 s when the search pivoted at every
+        # branch); warm, a count takes about 1 ms.
         f = p2()
         for j in range(17):
             f = star_subdivision(f, (f.rays.index((1, j)), f.rays.index((0, 1))))
@@ -819,18 +818,17 @@ class TestSectionCounts:
         assert elapsed < 2, elapsed
 
     def test_forty_rays_count_a_non_nef_divisor(self):
-        # 40 rays, 40 classes in rank 38.  The hyperplane search would
-        # pivot up to C(41, 37) = 101,270 tableaux of 38 rows, 3.2e8
-        # entries by cones._table_work, past the budget; the circuits of
-        # the Gale dual read the C(40, 3) = 9,880 hyperplane sets off one
-        # basis, 4.3e6 entries.  Cold, the count takes about 0.5 s on 2
+        # 40 rays, 40 classes in rank 38: C(40, 3) = 9,880 hyperplane
+        # sets.  A search that pivoted a tableau of 38 rows at each of its
+        # C(41, 37) = 101,270 branches would write about 3e8 entries; on
+        # the tableau pivoted onto a basis first, a branch that picks a
+        # vector of that basis drops its row with no pivot, and the
+        # search charges 6.6e6.  Cold, the count takes about 0.5 s on 2
         # cores.
         f = p2()
         for j in range(37):
             f = star_subdivision(f, (f.rays.index((1, j)), f.rays.index((0, 1))))
         assert len(set(degree_map(f).degrees_free)) == 40
-        work, circuits = cones._table_work(40, 38, 38)
-        assert circuits and work < cones._TABLE_BUDGET
         coeffs = (0, 0, 3) + (2,) * 37
         assert fans._brion_count(fans._brion_data(f), coeffs) is None
         d = TorusInvariantDivisor(coeffs)
@@ -860,10 +858,8 @@ class TestSectionCounts:
     def test_table_past_its_budget_exits_two(self, tmp_path, capsys):
         # 20 rays of dimension 10, each its own cone: e_1..e_10 and ten
         # others with distinct classes, which span, so a count reads the
-        # basis table of 20 classes in rank 10: 1.3e8 tableau entries by
-        # cones._table_work, which the search needs (the circuits, 4.1e8)
-        # and which would take about 11 s on 2 cores.  The budget refuses
-        # it before the hyperplane search.
+        # basis table of 20 classes in rank 10, whose search would take
+        # about 4 s on 2 cores.  The budget stops it midway.
         rng = random.Random(3)
         rays = [[int(i == j) for j in range(10)] for i in range(10)]
         while len(rays) < 20:
@@ -873,10 +869,9 @@ class TestSectionCounts:
         fan = {"dim": 10, "rays": rays, "max_cones": [[i] for i in range(20)]}
         (tmp_path / "fan.json").write_text(json.dumps(fan), encoding="utf-8")
         (tmp_path / "div.json").write_text(json.dumps({"coefficients": [1] * 20}), encoding="utf-8")
-        with mock.patch.object(cones, "_hyperplanes", side_effect=AssertionError("the hyperplanes were searched")):
-            start = time.perf_counter()
-            code = main(["sections", str(tmp_path / "fan.json"), str(tmp_path / "div.json")])
-            elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        code = main(["sections", str(tmp_path / "fan.json"), str(tmp_path / "div.json")])
+        elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err == (

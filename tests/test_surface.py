@@ -166,18 +166,17 @@ def test_no_assert_statements_in_src():
 
 
 def test_no_fraction_in_the_simplex_inner_loop():
-    # The dual simplex, the scaled inverse and both hyperplane routes of
-    # the basis table (the search, and the circuits of the Gale dual)
-    # pivot on integer tableaux through
-    # linalg._pivot, and a solution is read off scaled, so none of them
-    # names a Fraction.  A name that is Fraction itself or a module-level
+    # The dual simplex, the scaled inverse and the hyperplane search of
+    # the basis table pivot on integer tableaux through linalg._pivot,
+    # and a solution is read off scaled, so none of them names a
+    # Fraction.  A name that is Fraction itself or a module-level
     # Fraction constant (such as lp._ZERO) counts as a use.
     from fractions import Fraction
 
     inner = {
         "linalg": {"_pivot"},
         "lp": {"_dual_simplex", "scaled_inverse"},
-        "cones": {"_hyperplanes", "_search", "_circuits"},
+        "cones": {"_hyperplanes"},
     }
     trees = src_trees()
     functions = [
@@ -436,7 +435,7 @@ def test_every_limit_is_named():
         "_INDEX_BUDGET": ["fans.py:_charge"],
         "_TABLEAU_BUDGET": ["vgit.py:_enumerate_cells"],
         "_MAX_PIVOTS": ["lp.py:_pivot_rule"],
-        "_TABLE_BUDGET": ["cones.py:_basis_table"],
+        "_TABLE_BUDGET": ["cones.py:_hyperplanes"],
         "MAX_DEGREE_CLASSES": ["vgit.py:_bit_set_classes"],
         "MAX_HITTING_SET_VARS": ["cox.py:zero_locus_codim"],
         "MAX_CONSTRUCT_ENTRIES": ["cli.py:_refuse_oversized"],

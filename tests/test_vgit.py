@@ -1316,7 +1316,8 @@ def test_recursive_searches_leave_no_reference_cycles(corpus):
     # the search frees it, every list it closes over waits for the cyclic
     # collector; on the rank-8, 16-class probe that was about 31 MB of
     # basis rows.  With automatic collection off, each call must leave
-    # the collector nothing, the cell search also when its budget stops it.
+    # the collector nothing, the cell and hyperplane searches also when
+    # their budgets stop them.
     fan = dict(corpus)["bl4_1"]
     dm = degree_map(fan)
     vectors = [vec for vec, _ in vgit._degree_classes(dm)]
@@ -1330,9 +1331,18 @@ def test_recursive_searches_leave_no_reference_cycles(corpus):
                 return
         raise AssertionError("the cell search ran past a budget of 0")
 
+    def stopped_hyperplane_search():
+        with mock.patch.object(cones, "_TABLE_BUDGET", 0):
+            try:
+                cones._hyperplanes(vectors, dm.cl_free_rank)
+            except ValueError:
+                return
+        raise AssertionError("the hyperplane search ran past a budget of 0")
+
     calls = {
         "basis_inverses": lambda: oracles.basis_inverses(vectors, dm.cl_free_rank),
         "hyperplane search": lambda: cones._hyperplanes(vectors, dm.cl_free_rank),
+        "stopped hyperplane search": stopped_hyperplane_search,
         "cell search": lambda: vgit._enumerate_cells(dm),
         "stopped cell search": stopped_cell_search,
         "zero_locus_codim": lambda: cox.zero_locus_codim(ideal),
