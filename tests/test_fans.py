@@ -799,8 +799,7 @@ class TestSectionCounts:
         # distinct degree classes in rank 18, past the 16 classes of the
         # 2**k-bit membership sets, which the count does not build.  Its
         # basis table (1,123 normals, 189 bases) is the cold cost, about
-        # 0.03 s on 2 cores (0.15 s when the search pivoted at every
-        # branch); warm, a count takes about 1 ms.
+        # 0.03 s on 2 cores; warm, a count takes about 1 ms.
         f = p2()
         for j in range(17):
             f = star_subdivision(f, (f.rays.index((1, j)), f.rays.index((0, 1))))
