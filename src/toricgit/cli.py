@@ -223,8 +223,9 @@ def _as_int(text):
         raise ValueError(f"expected an integer argument, got {text!r}")
 
 
-# Ray coordinates plus cone indices that construct pn or blowup-linear
-# may print: their output grows with the square of the dimension.
+# Ray coordinates plus cone indices that one construct may print: pn
+# and blowup-linear grow with the square of the dimension, product and
+# bundle with the product of their inputs' cone counts.
 MAX_CONSTRUCT_ENTRIES = 1_000_000
 
 
@@ -246,7 +247,9 @@ def _cmd_construct(args):
     elif kind == "product":
         if len(params) != 2:
             raise ValueError("construct product takes two fan files")
-        fan = product_fan(_load_fan(params[0]), _load_fan(params[1]))
+        f1, f2 = map(_load_fan, params)
+        _refuse_oversized(f1.dim + f2.dim, f1.n_rays + f2.n_rays, len(f1.max_cones) * len(f2.max_cones))
+        fan = product_fan(f1, f2)
     elif kind == "blowup-linear":
         if len(params) != 2:
             raise ValueError(
@@ -262,6 +265,8 @@ def _cmd_construct(args):
             )
         base = _load_fan(params[0])
         divisors = [divisor_from_json(_load_json(p), base) for p in params[1:]]
+        k = len(divisors)
+        _refuse_oversized(base.dim + k - 1, base.n_rays + k, len(base.max_cones) * k)
         fan = projective_bundle_fan(base, divisors)
     else:
         raise ValueError(f"unknown construction kind {kind!r}")

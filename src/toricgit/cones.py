@@ -197,6 +197,16 @@ def cones_equal(c1, c2):
     )
 
 
+def _classes(vectors):
+    """(classes, members): the distinct vectors, sorted, and the positions
+    of each.  The one grouping that keys _basis_table, for vgit and fans."""
+    groups = {}
+    for i, v in enumerate(vectors):
+        groups.setdefault(v, []).append(i)
+    classes = tuple(sorted(groups))
+    return classes, tuple(tuple(groups[v]) for v in classes)
+
+
 @lru_cache(maxsize=256)
 def _basis_table(vectors):
     """(normals, side, table) of a tuple of distinct integer vectors,

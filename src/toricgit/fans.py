@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import and_, or_
+from operator import and_, index, or_
 from types import MappingProxyType
 
-from .cones import _basis_table, _bits, _least_members
-from .cones import cone_from_generators, cone_from_inequalities, cones_equal, duals_from_inequalities
+from .cones import _basis_table, _bits, _classes, _least_members
+from .cones import cone_from_generators, cone_from_inequalities, cones_equal
 from .linalg import cokernel, matrix_rank, primitive, smith_normal_form
 from .linalg import _dot
 from .lp import scaled_inverse
@@ -53,7 +53,7 @@ class TorusInvariantDivisor:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coefficients", tuple(int(c) for c in self.coefficients)
+            self, "coefficients", tuple(map(index, self.coefficients))
         )
 
     def scale(self, m):
@@ -71,10 +71,10 @@ class Fan:
     __slots__ = ("dim", "rays", "max_cones", "_masks", "_hash")
 
     def __init__(self, dim, rays, max_cones, _trusted=False):
-        dim = int(dim)
+        dim = index(dim)
         if dim < 1:
             raise FanError("fan dimension must be at least 1")
-        rays = tuple(tuple(map(int, r)) for r in rays)
+        rays = tuple(tuple(map(index, r)) for r in rays)
         if not rays:
             raise FanError("a fan needs at least one ray")
         for r in rays:
@@ -86,7 +86,7 @@ class Fan:
                 raise FanError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise FanError("duplicate rays")
-        cones = tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
+        cones = tuple(tuple(sorted(map(index, c))) for c in max_cones)
         if not cones:
             raise FanError("a fan needs at least one maximal cone")
         seen = set()
@@ -566,9 +566,10 @@ def count_sections(fan, div) -> int:
     One engine counts: Brion's formula, on a complete fan on which D is
     nef: the fan itself, or with D less the fixed part that _chamber
     finds, or else D's chamber fan, which Fan certifies.  An empty P_D
-    counts 0.  ValueError for a divisor of the wrong length, an
-    unbounded P_D, a count past _INDEX_BUDGET, which bounds the work in
-    every dimension, and a basis table past cones._TABLE_BUDGET.
+    counts 0.  Any fan, spanning or not, takes _chamber's one route.
+    ValueError for a divisor of the wrong length, an unbounded P_D, a
+    count past _INDEX_BUDGET, which bounds the work in every dimension,
+    and a basis table past cones._TABLE_BUDGET.
     """
     a = div.coefficients
     if len(a) != fan.n_rays:
@@ -602,25 +603,17 @@ def _chamber(fan, a):
     their fan, the normal fan of P_D' (the GIT chamber of D's class,
     nudged; Hu and Keel, 2000).  For a normal nu of the classes' basis
     table, <nu, [D']> has the sign of <nu, [D]>, or where that is 0 the
-    sign ties[nu] of the first ray off nu's hyperplane, a symbolic
-    perturbation (Edelsbrunner and Mucke, Simulation of Simplicity,
-    1990).  So one dot product per normal, read by _least_members, gives
-    masks, the class bases whose cones hold [D'], and _chamber_fan
+    sign ties[nu] of _gale's probe class, that of the first ray off nu's
+    hyperplane, a symbolic perturbation (Edelsbrunner and Mucke,
+    Simulation of Simplicity, 1990).  So one dot product per normal,
+    read by _least_members, gives masks, the class bases whose cones
+    hold [D'], none exactly when P_D is empty (Farkas), and _chamber_fan
     expands them to cones.  A ray in none of those cones is the one ray
     of a class in every basis, and P_D meets its inequality with slack
     at least fixed[r], the least ceiling of the coordinate of [D] at
-    that class over the bases; fixed is 0 on every other ray.  Rays that
-    do not span take one double description instead.
+    that class over the bases; fixed is 0 on every other ray.
     """
-    gale = _gale(fan)
-    if gale is None:
-        # the rays do not span, so P_D holds a line: empty or unbounded
-        d = fan.dim
-        rows = [(*r, c) for r, c in zip(fan.rays, a)] + [(0,) * d + (1,)]
-        if any(x[-1] > 0 for x in duals_from_inequalities(d + 1, rows)[1]):
-            raise ValueError("unbounded divisor polytope; is the fan complete?")
-        return None
-    projection, classes, members, ties, bounded = gale
+    projection, classes, members, ties, bounded = _gale(fan)
     normals, _, table = _basis_table(classes)
     cls = [_dot(row, a) for row in projection]
     dots = [_dot(nu, cls) for nu in normals]
@@ -655,41 +648,32 @@ def _cokernel(fan):
 @lru_cache(maxsize=1024)
 def _gale(fan):
     """(projection, classes, members, ties, bounded) of the Gale dual of
-    the rays, or None when they do not span.
+    the rays, spanning or not.
 
-    The class of a divisor a is projection . a, from _cokernel.  classes
-    are the distinct classes of the rays, sorted as vgit._degree_classes
-    sorts them, so a grading and its fan share cones._basis_table(classes),
-    the one cache that holds the table; members[c] lists the rays of
-    class c.  ties[j] is the sign of <nu_j, deg r> for the first ray r
-    off the hyperplane of the table's normal nu_j, which exists, as the
-    classes span.  bounded says whether the rays positively span, so
-    that every P_D is bounded: by Gale duality, whether the classes are
-    acyclic, that is, none is 0 and their cone is pointed, so that the
-    facet normals that the table's side marks span.
+    The class of a divisor a is projection . a, from _cokernel; classes
+    and members are cones._classes of the rays' classes, so a grading
+    and its fan share one cones._basis_table.  ties[j] is the sign of
+    <nu_j, w>, w = sum_i q^(k-1-i) c_i the probe class, c_i the classes
+    by first ray: q is above every |<nu_j, c_i>|, so the first class off
+    nu_j's hyperplane outweighs the rest.  bounded says whether every
+    P_D is bounded: whether the rays span, and by Gale duality
+    positively, their classes acyclic (none 0, their cone pointed) so
+    that the facet normals that the table's side marks span.
     """
     data = _cokernel(fan)
-    if data.free_rank != fan.n_rays - fan.dim:
-        return None
-    groups = {}
-    for r, deg in enumerate(zip(*data.projection) if data.free_rank else [()] * fan.n_rays):
-        groups.setdefault(deg, []).append(r)
-    classes = tuple(sorted(groups))
-    members = tuple(tuple(groups[v]) for v in classes)
-    normals, side, table = _basis_table(classes)
-    order = sorted(range(len(classes)), key=lambda c: members[c][0])
-    ties = [0] * len(normals)
-    for mask, idx in table:
-        for c, i in zip(_bits(mask), idx):
-            # each normal is the row of class c of some basis, and lies
-            # on the basis' other classes h, so only the rest are dotted
-            j, h = i % len(normals), mask ^ 1 << c
-            if not ties[j]:
-                x = next(x for x in (_dot(normals[j], classes[o]) for o in order if not h >> o & 1) if x)
-                ties[j] = 1 if x > 0 else -1
+    degrees = [tuple(row[r] for row in data.projection) for r in range(fan.n_rays)]
+    classes, members = _classes(degrees)
+    normals, side, _ = _basis_table(classes)
+    longest = max((sum(map(abs, nu)) for nu in normals), default=0)
+    q = 1 + longest * max((abs(x) for c in classes for x in c), default=0)
+    w = [0] * data.free_rank
+    for c in dict.fromkeys(degrees):  # the classes by first ray
+        w = [q * x + y for x, y in zip(w, c)]
+    ties = tuple(1 if _dot(nu, w) > 0 else -1 for nu in normals)
     facets = [nu for nu, s in zip(normals, side) if s]
-    bounded = all(map(any, classes)) and matrix_rank(facets) == data.free_rank
-    return data.projection, classes, members, tuple(ties), bounded
+    spans = data.free_rank == fan.n_rays - fan.dim
+    bounded = spans and all(map(any, classes)) and matrix_rank(facets) == data.free_rank
+    return data.projection, classes, members, ties, bounded
 
 
 @lru_cache(maxsize=1024)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from operator import index
 
-from .cones import RationalCone, _basis_table, _bits, _least_members, cone_from_generators, cone_from_inequalities
+from .cones import RationalCone, _basis_table, _bits, _classes, _least_members, cone_from_generators, cone_from_inequalities
 from .fans import _nef_off
 from .linalg import _dot, matrix_rank, primitive
 from .lp import SlackTableau
@@ -49,7 +49,7 @@ class ChamberSignature:
 
 
 def _check_character(dm, chi):
-    chi = tuple(int(x) for x in chi)
+    chi = tuple(map(index, chi))
     if len(chi) != dm.cl_free_rank:
         raise ValueError(
             f"character has {len(chi)} coordinates, class group free rank "
@@ -60,11 +60,8 @@ def _check_character(dm, chi):
 
 @lru_cache(maxsize=8192)
 def _degree_classes(dm):
-    """Rays grouped by their free degree vector, deterministic order."""
-    groups = {}
-    for i, d in enumerate(dm.degrees_free):
-        groups.setdefault(d, []).append(i)
-    return tuple((vec, tuple(idx)) for vec, idx in sorted(groups.items()))
+    """(free degree vector, its rays) per class, in cones._classes' order."""
+    return tuple(zip(*_classes(dm.degrees_free)))
 
 
 def _table(dm):
@@ -92,15 +89,16 @@ def _bit_set(masks):
 
 @lru_cache(maxsize=32)
 def _class_membership(dm, chi):
-    """For every subset of degree classes: does its cone contain chi?
+    """(classes, least, member): for every subset of degree classes, does
+    its cone contain chi?
 
-    Masks are bit sets over the class list, and the answers come back
-    as one int used as a 2**k-bit set, bit mask set when cone(mask)
-    contains chi.  By Caratheodory chi is in cone(S) exactly when it is
-    in cone(T) for some linearly independent T within S, and T extends
-    to a basis B of the span of the classes; the coordinates of chi in
-    B are then nonnegative and vanish off T.  So, for chi in that span,
-    the members are the supersets of the supports of the nonnegative
+    Masks are bit sets over the class list, and member is one int used
+    as a 2**k-bit set, bit mask set when cone(mask) contains chi.  By
+    Caratheodory chi is in cone(S) exactly when it is in cone(T) for
+    some linearly independent T within S, and T extends to a basis B of
+    the span of the classes; the coordinates of chi in B are then
+    nonnegative and vanish off T.  So, for chi in that span, the members
+    are the supersets of least, the supports of the nonnegative
     coordinate vectors over the bases of _basis_table, which
     _least_members reads off one dot product per normal, and one
     superset closure sets them all.  A chi off the span (one rank test)
@@ -111,8 +109,9 @@ def _class_membership(dm, chi):
     normals, _, table = _table(dm)
     rank = len(table[0][1])  # below cl_free_rank when the classes do not span
     if rank < dm.cl_free_rank and matrix_rank([*(v for v, _ in classes), chi]) > rank:
-        return classes, 0
-    return classes, _superset_closure(len(classes), _bit_set(_least_members(table, [_dot(n, chi) for n in normals])))
+        return classes, (), 0
+    least = tuple(_least_members(table, [_dot(n, chi) for n in normals]))
+    return classes, least, _superset_closure(len(classes), _bit_set(least))
 
 
 def _mask_support(classes, mask):
@@ -133,7 +132,7 @@ def unstable_supports(dm, chi) -> ChamberSignature:
     full set as its single facet.
     """
     chi = _check_character(dm, chi)
-    classes, member = _class_membership(dm, chi)
+    classes, _, member = _class_membership(dm, chi)
     if not member:  # up-closed, so empty exactly when the full mask is out
         return ChamberSignature(
             facets=(tuple(range(dm.n_rays)),), outside_effective=True
@@ -210,22 +209,13 @@ def is_boundary_character(dm, chi) -> bool:
     Caratheodory chi then lies in the cone of fewer than cl_free_rank
     independent classes; conversely such a cone is a lower-dimensional
     support cone containing chi.  So chi is on a wall exactly when some
-    member mask has fewer than cl_free_rank classes: one AND of the
-    membership bits with the set of those masks.
+    member mask has fewer than cl_free_rank classes, and as every member
+    holds a least mask, exactly when some least mask of
+    _class_membership does.
     """
     chi = _check_character(dm, chi)
-    classes, member = _class_membership(dm, chi)
-    return bool(member & _masks_below(len(classes), dm.cl_free_rank))
-
-
-@lru_cache(maxsize=256)
-def _masks_below(k, size):
-    """The 2**k-bit set of class masks with fewer than size classes."""
-    return sum(
-        1 << sum(1 << c for c in subset)
-        for n in range(min(size, k + 1))
-        for subset in combinations(range(k), n)
-    )
+    least = _class_membership(dm, chi)[1]
+    return any(mask.bit_count() < dm.cl_free_rank for mask in least)
 
 
 def _spans(dm):
@@ -400,11 +390,11 @@ def stable_base_locus_codim(fan, dm, chi):
     ample GIT quotient and descend to X with the same codimension.
     """
     chi = _check_character(dm, chi)
-    classes, member = _class_membership(dm, chi)
+    classes, _, member = _class_membership(dm, chi)
     if not member:
         raise ValueError(f"character {chi} is outside the effective cone")
     ample = ample_character(fan, dm)
-    _, ample_member = _class_membership(dm, ample)
+    ample_member = _class_membership(dm, ample)[2]
     # the largest support lies on a maximal mask, weighed by class sizes
     top = _bits(_maximal(len(classes), ample_member & ~member))
     sizes = [sum(len(classes[c][1]) for c in _bits(mask)) for mask in top]

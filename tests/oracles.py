@@ -45,7 +45,9 @@ containing a character by one in_cone LP per set of at most rank
 classes, where toricgit.vgit runs a sign test on the basis inverses.
 stable_base_locus_codim takes the support of every mask that the ample
 character's membership has and chi's lacks, where toricgit.vgit weighs
-only the maximal ones.
+only the maximal ones.  table_ties decodes the tie sign of each normal
+of a basis table from its signed indices, where toricgit.fans._gale
+reads the signs off one probe class.
 chamber_closure intersects the cones of its member masks, against which
 the witness toricgit.vgit reads off the basis cones of a chamber is
 held.  is_boundary_character builds one cone by double description per
@@ -90,7 +92,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from toricgit.cones import _combine, cone_from_generators, cone_from_inequalities, cones_equal
+from toricgit.cones import _basis_table, _bits, _combine, cone_from_generators, cone_from_inequalities, cones_equal
 from toricgit.linalg import _dot, _pivot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import cox, vgit
@@ -825,14 +827,32 @@ def stable_base_locus_codim(fan, dm, chi):
     for the ample character and not for chi, None when there is none,
     where toricgit.vgit weighs only the maximal such masks by the sizes
     of their degree classes."""
-    classes, member = vgit._class_membership(dm, tuple(chi))
-    _, ample_member = vgit._class_membership(dm, vgit.ample_character(fan, dm))
+    classes, _, member = vgit._class_membership(dm, tuple(chi))
+    ample_member = vgit._class_membership(dm, vgit.ample_character(fan, dm))[2]
     sizes = [
         len(vgit._mask_support(classes, mask))
         for mask in range(1 << len(classes))
         if (ample_member & ~member) >> mask & 1
     ]
     return dm.n_rays - max(sizes) if sizes else None
+
+
+def table_ties(classes, members):
+    """The tie sign of each normal of cones._basis_table(classes),
+    decoded from the table's signed indices: each normal is the row of
+    a class c of some basis and lies on the basis' other classes, and
+    its sign is that of <nu, x> for the first class x by first ray off
+    its hyperplane, where toricgit.fans._gale reads one probe class."""
+    normals, _, table = _basis_table(classes)
+    order = sorted(range(len(classes)), key=lambda c: members[c][0])
+    ties = [0] * len(normals)
+    for mask, idx in table:
+        for c, i in zip(_bits(mask), idx):
+            j, h = i % len(normals), mask ^ 1 << c
+            if not ties[j]:
+                x = next(x for x in (_dot(normals[j], classes[o]) for o in order if not h >> o & 1) if x)
+                ties[j] = 1 if x > 0 else -1
+    return tuple(ties)
 
 
 def chamber_closure(dm, chi):

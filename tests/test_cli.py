@@ -464,6 +464,50 @@ class TestConstruct:
         assert code == 2 and out == ""
         assert f"print {entries} ray and cone entries" in err
 
+    def test_oversized_product_is_refused_before_it_is_built(self, write, capsys, monkeypatch):
+        # (P^1)^8 with itself would print 16 * (32 + 65,536) entries
+        f = projective_space_fan(1)
+        for _ in range(7):
+            f = product_fan(f, projective_space_fan(1))
+        path = write(fan_to_json(f), "p1_8.json")
+
+        def refuse(*args):
+            raise AssertionError("the product was built")
+
+        monkeypatch.setattr(cli, "product_fan", refuse)
+        code, out, err = run(["construct", "product", path, path], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: construct would print 1049088 ray and cone entries, "
+            "past the limit of 1000000\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["product", "bundle"])
+    def test_product_and_bundle_limits_count_the_printed_entries(
+        self, kind, p2_file, f1_file, write, capsys, monkeypatch
+    ):
+        # the printed entries pass the limit; one fewer refuses before the
+        # constructor runs
+        if kind == "product":
+            argv, constructor = ["product", p2_file, f1_file], "product_fan"
+        else:
+            zero = write({"coefficients": [0, 0, 0]}, "zero.json")
+            argv, constructor = ["bundle", p2_file, zero, zero, zero], "projective_bundle_fan"
+        _, out, _ = run(["construct", *argv], capsys)
+        data = json.loads(out)
+        entries = sum(map(len, data["rays"])) + sum(map(len, data["max_cones"]))
+        monkeypatch.setattr(cli, "MAX_CONSTRUCT_ENTRIES", entries)
+        assert run(["construct", *argv], capsys)[1] == out
+
+        def refuse(*args):
+            raise AssertionError("the fan was built")
+
+        monkeypatch.setattr(cli, "MAX_CONSTRUCT_ENTRIES", entries - 1)
+        monkeypatch.setattr(cli, constructor, refuse)
+        code, out, err = run(["construct", *argv], capsys)
+        assert code == 2 and out == ""
+        assert f"print {entries} ray and cone entries" in err
+
     def test_bad_params(self, capsys):
         code, _, err = run(["construct", "pn", "0"], capsys)
         assert code == 2

@@ -153,6 +153,12 @@ class TestFanConstructor:
         with pytest.raises(FanError, match="overlap"):
             Fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
 
+    @pytest.mark.parametrize("bad", [-1.7, Fraction(-17, 10), "-1"])
+    def test_rejects_a_ray_entry_that_is_not_an_integer(self, bad):
+        # int() would truncate -1.7 to the ray (-1, -1), a valid P^2
+        with pytest.raises(TypeError):
+            Fan(2, [(1, 0), (0, 1), (-1, bad)], [(0, 1), (1, 2), (0, 2)])
+
     def test_rejects_double_cover(self):
         # A pentagram: every ridge joins two cones on opposite sides of
         # it, but the cones wind twice around the origin, so the probe
@@ -743,6 +749,12 @@ class TestConstructors:
 
 
 class TestSectionCounts:
+    @pytest.mark.parametrize("bad", [1.9, Fraction(19, 10), "1"])
+    def test_rejects_a_coefficient_that_is_not_an_integer(self, bad):
+        # int() would truncate 1.9 to 1 and count the 3 sections of O(1)
+        with pytest.raises(TypeError):
+            TorusInvariantDivisor((bad, 0, 0))
+
     @pytest.mark.parametrize(
         "m,expected", [(0, 1), (1, 3), (2, 6), (3, 10), (-1, 0), (-5, 0)]
     )
@@ -1311,33 +1323,57 @@ class TestChamberRoute:
         assert count == 32 == walk_sections(f, TorusInvariantDivisor(coeffs))
         assert count == cox_ring_sections(f.rays, f.max_cones, coeffs)
 
-    def test_rays_that_do_not_span_take_the_double_description(self):
+    def test_rays_that_do_not_span_take_the_gale_route(self):
         # (1, 0) and (-1, 0) leave u_2 free, so P_D holds a line: it is
-        # unbounded unless empty, which one double description of the
-        # homogenized rows decides, with no class group and no table
+        # unbounded unless empty.  Their classes key a basis table like
+        # any fan's, which holds the class of D exactly when P_D is not
+        # empty (Farkas), and bounded is False, so no double description
+        # runs: the count answers with it refused, from cold caches
         f = Fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
-        assert fans._gale(f) is None
-        with mock.patch.object(fans, "_basis_table", side_effect=AssertionError("the table was read")):
+        for fn in (fans._cokernel, fans._gale, fans._brion_data, cones._basis_table):
+            fn.cache_clear()
+        refuse = AssertionError("a double description ran")
+        with mock.patch.object(cones, "duals_from_inequalities", side_effect=refuse):
+            assert fans._gale(f)[-1] is False
             with pytest.raises(ValueError, match="unbounded divisor polytope"):
                 count_sections(f, TorusInvariantDivisor((0, 0)))
             assert count_sections(f, TorusInvariantDivisor((-1, -1))) == 0
 
+    def test_probe_ties_match_the_table_decoding_on_the_corpus(self, corpus):
+        # one probe class per fan gives each normal the sign of the first
+        # class, by first ray, off its hyperplane: the ties that decoding
+        # the table's signed indices gives
+        for name, f in corpus:
+            _, classes, members, ties, _ = fans._gale(f)
+            assert ties == oracles.table_ties(classes, members), name
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_probe_ties_match_the_table_decoding(self, data):
+        # rays that need not span, with repeated and zero classes
+        dim = data.draw(st.integers(1, 3))
+        vec = st.tuples(*[st.integers(-3, 3)] * dim).filter(lambda v: gcd(*v) == 1)
+        rays = data.draw(st.lists(vec, min_size=1, max_size=dim + 4, unique=True))
+        _, classes, members, ties, _ = fans._gale(Fan(dim, rays, [(i,) for i in range(len(rays))]))
+        event(f"{len(classes)} classes")
+        assert ties == oracles.table_ties(classes, members)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
     def test_bounded_exactly_when_the_rays_positively_span(self, data):
-        # Rays that span but do not positively span leave every nonempty
-        # P_D unbounded.  _gale tells them apart by Gale duality: their
-        # classes are acyclic, none 0 and their cone pointed, so that the
-        # facet normals that the table's side marks span.  Held against
-        # the cone of the rays by double description, the whole space
-        # exactly when they positively span.  P_D of D = (1, ..., 1)
-        # holds 0, so it is counted, or refused as unbounded.
+        # Rays that do not positively span, whether they span or not,
+        # leave every nonempty P_D unbounded.  _gale tells them apart by
+        # Gale duality: they span and their classes are acyclic, none 0
+        # and their cone pointed, so that the facet normals that the
+        # table's side marks span.  Held against the cone of the rays by
+        # double description, the whole space exactly when they
+        # positively span.  P_D of D = (1, ..., 1) holds 0, so it is
+        # counted, or refused as unbounded.
         dim = data.draw(st.integers(1, 3))
         vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(lambda v: gcd(*v) == 1)
         rays = data.draw(st.lists(vec, min_size=dim, max_size=2 if dim == 1 else dim + 3, unique=True))
         fan = Fan(dim, rays, [(i,) for i in range(len(rays))])
         gale = fans._gale(fan)
-        assume(gale is not None)  # the rays span
         positive = len(cones.cone_from_generators(dim, rays).lin) == dim
         event("positively spanning" if positive else "not positively spanning")
         assert gale[-1] == positive

@@ -345,6 +345,23 @@ def test_projectivity_runs_no_lp():
     assert "scaled_inverse" not in imports[("vgit.py", "lp")]
 
 
+def test_section_counts_run_no_double_description():
+    # Every section count, over rays that span or not, reads its
+    # divisor's chamber off the basis table of the rays' classes: fans
+    # does not import the double description's routine, and neither the
+    # count nor the two functions of its route name it.
+    tree = src_trees()["fans.py"]
+    imported = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "duals_from_inequalities" not in imported
+    route = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_chamber", "_gale", "count_sections")
+    ]
+    assert len(route) == 3
+    assert [node.name for node in route if "duals_from_inequalities" in set.union(*references([node]))] == []
+
+
 def test_no_primal_simplex_in_src():
     # A section count reads its divisor's chamber off the basis table,
     # so nothing in src/ runs the primal simplex: no module defines or

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -255,6 +256,14 @@ class TestUnstableSupports:
         assert unstable_supports(dm, amp).facets == ((0, 1), (2, 3))
         assert unstable_codim(dm, amp) == 2
 
+    @pytest.mark.parametrize("query", [unstable_supports, is_boundary_character])
+    def test_rejects_a_character_that_is_not_an_integer(self, query):
+        # int() would truncate 5/2 to 2 and answer for the character 2
+        dm = degree_map(projective_space_fan(2))
+        for bad in (Fraction(5, 2), 2.5, "2"):
+            with pytest.raises(TypeError):
+                query(dm, (bad,))
+
     def test_p1_x_p3_ample_codim_two(self):
         f = product_fan(projective_space_fan(1), projective_space_fan(3))
         dm = degree_map(f)
@@ -348,7 +357,7 @@ class TestMembership:
             chi = tuple(x + y for x, y in zip(a, b))
         else:
             chi = data.draw(vec)
-        classes, member = vgit._class_membership(graded_by(gens), chi)
+        classes, _, member = vgit._class_membership(graded_by(gens), chi)
         k = len(classes)
         vectors = [v for v, _ in classes]
         assert 0 <= member < 1 << (1 << k)
