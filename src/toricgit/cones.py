@@ -8,8 +8,9 @@ method: each inequality either eats one lineality direction or splits
 the current ray set Fourier-Motzkin style, combining only adjacent
 positive/negative pairs, so no redundant ray ever appears and no LP is
 needed.  Both descriptions of a cone are therefore available
-exactly, and containment, intersection and equality reduce to integer
-dot products.
+exactly: containment is integer dot products with the dual's
+generators, and an intersection is one double description over the
+inequality rows of its cones.
 
 The basis table of a vector configuration lives here too: which cones
 of its bases hold a given point, the question that vgit asks of a
@@ -21,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import index
 
 from .linalg import _bareiss, _pivot, matrix_rank, primitive, sign_normalized
 from .linalg import _dot
@@ -156,19 +158,12 @@ class RationalCone:
     def dim_of(self):
         return matrix_rank(list(self.rays) + list(self.lin))
 
-    def intersect(self, other):
-        if self.dim != other.dim:
-            raise ValueError("ambient dimension mismatch")
-        normals = tuple(self.facet_normals) + tuple(other.facet_normals)
-        lin, rays = duals_from_inequalities(self.dim, normals)
-        return RationalCone(self.dim, rays, lin)
-
     def __repr__(self):
         return f"RationalCone(dim={self.dim}, rays={list(self.rays)}, lin={list(self.lin)})"
 
 
 def cone_from_generators(dim, gens):
-    gens = [tuple(int(x) for x in g) for g in gens]
+    gens = [tuple(map(index, g)) for g in gens]
     if any(len(g) != dim for g in gens):
         raise ValueError("generator of wrong dimension")
     lin, rays = duals_from_inequalities(dim, gens)  # this is the dual cone
@@ -181,20 +176,11 @@ def cone_from_generators(dim, gens):
 
 
 def cone_from_inequalities(dim, normals):
-    normals = [tuple(int(x) for x in n) for n in normals]
+    normals = [tuple(map(index, n)) for n in normals]
     if any(len(n) != dim for n in normals):
         raise ValueError("normal of wrong dimension")
     lin, rays = duals_from_inequalities(dim, normals)
     return RationalCone(dim, rays, lin)
-
-
-def cones_equal(c1, c2):
-    """Equality as point sets, via mutual containment of generators."""
-    if c1.dim != c2.dim:
-        return False
-    return all(c2.contains(g) for g in c1.generators) and all(
-        c1.contains(g) for g in c2.generators
-    )
 
 
 def _classes(vectors):

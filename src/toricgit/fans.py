@@ -12,9 +12,9 @@ formula read.  One cached wall pass over the ridges proves
 a complete fan (every ridge joins two cones on opposite sides, one
 generic probe lies in one cone), and its wall rows cut out Brion's nef
 test and the nef cone that validate and vgit.nef_cone read; any other
-input falls back to intersecting every pair of maximal cones.  Brion's
-formula counts every section, on the fan or on a chamber fan, which the
-basis table of the rays' classes picks (cones._basis_table).
+input falls back to one double description per pair of maximal cones.
+Brion's formula counts every section, on the fan or on a chamber fan,
+which the basis table of the rays' classes picks (cones._basis_table).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import and_, index, or_
 from types import MappingProxyType
 
 from .cones import _basis_table, _bits, _classes, _least_members
-from .cones import cone_from_generators, cone_from_inequalities, cones_equal
+from .cones import cone_from_inequalities
 from .linalg import cokernel, matrix_rank, primitive, smith_normal_form
 from .linalg import _dot
 from .lp import scaled_inverse
@@ -174,11 +174,6 @@ def _is_antichain(masks) -> bool:
     return True
 
 
-@lru_cache(maxsize=8192)
-def _subset_cone(fan, idx):
-    return cone_from_generators(fan.dim, [fan.rays[i] for i in idx])
-
-
 def _check_fan_axiom(fan):
     """Certify a fan that no trusted constructor built: simplicial
     cones meeting in common faces.
@@ -186,19 +181,26 @@ def _check_fan_axiom(fan):
     A cone that is not full-dimensional takes a rank test; the others
     take their one elimination into facet normals, _cone_inverses, which
     rejects dependent rays.  The wall pass proves the axiom for a complete fan.
-    Anything else (an incomplete fan, or invalid input) intersects every
-    pair of maximal cones by double description.
+    Anything else (an incomplete fan, or invalid input) takes one double
+    description per maximal cone, whose dual's generators are the cone's
+    inequality rows, and one per pair of cones, over both cones' rows.
+    The common face F lies in the intersection, and F's rays are
+    primitive fan rays, so the intersection is F exactly when it is
+    pointed and each of its rays is a ray of F.
     """
     for c in fan.max_cones:
         if len(c) != fan.dim and matrix_rank(fan.cone_rays(c)) != len(c):
             raise FanError(f"cone {c} is not simplicial (dependent rays)")
     if _walls(fan) is not None:
         return
+    rows = {
+        c: cone_from_inequalities(fan.dim, fan.cone_rays(c)).generators
+        for c in fan.max_cones
+    }
     for a, b in combinations(fan.max_cones, 2):
         common = tuple(sorted(set(a) & set(b)))
-        inter = _subset_cone(fan, a).intersect(_subset_cone(fan, b))
-        want = _subset_cone(fan, common)
-        if not cones_equal(inter, want):
+        inter = cone_from_inequalities(fan.dim, rows[a] + rows[b])
+        if inter.lin or not set(inter.rays) <= set(fan.cone_rays(common)):
             raise FanError(
                 f"cones {a} and {b} overlap beyond their common face {common}"
             )
@@ -466,7 +468,7 @@ def star_subdivision(fan, face) -> Fan:
     dimension at least 2 (subdividing a single ray would be a no-op and
     is rejected).
     """
-    face = tuple(sorted(set(int(i) for i in face)))
+    face = tuple(sorted(set(map(index, face))))
     if len(face) < 2:
         raise ValueError("star subdivision needs a face of dimension >= 2")
     if not any(set(face) <= set(c) for c in fan.max_cones):

@@ -122,16 +122,20 @@ def _mask_support(classes, mask):
     return tuple(sorted(idx))
 
 
-@lru_cache(maxsize=8192)
 def unstable_supports(dm, chi) -> ChamberSignature:
     """Maximal supports S with chi outside cone(deg over S).
 
     Membership depends only on which degree classes S touches, so the
     search runs over class masks.  A character outside the effective
     cone has every support unstable; that comes back flagged with the
-    full set as its single facet.
+    full set as its single facet.  chi is checked before the cache is
+    read, so (2.0,) is refused even when (2,) was asked first.
     """
-    chi = _check_character(dm, chi)
+    return _unstable_supports(dm, _check_character(dm, chi))
+
+
+@lru_cache(maxsize=8192)
+def _unstable_supports(dm, chi):
     classes, _, member = _class_membership(dm, chi)
     if not member:  # up-closed, so empty exactly when the full mask is out
         return ChamberSignature(
@@ -151,22 +155,23 @@ def effective_cone(dm):
 
 
 def moving_cone(dm):
-    """Intersection over each variable of the cone omitting its degree.
+    """The classes that lie, for each variable, in the cone of the other
+    degrees: one double description over the effective cone's facet
+    normals and the inequality rows of each cone that leaves out a
+    singleton class, the generators of that cone's dual.
 
     Dropping one ray of a degree class with multiplicity two or more
-    leaves the generating set unchanged, so only singleton classes cut
-    the intersection down.
+    leaves the generating set unchanged, so only singleton classes add
+    rows.
     """
-    acc = effective_cone(dm)
+    rank = dm.cl_free_rank
     classes = _degree_classes(dm)
+    rows = list(effective_cone(dm).facet_normals)
     for c, (_, members) in enumerate(classes):
-        if len(members) > 1:
-            continue
-        gens = [
-            vec for cc, (vec, _) in enumerate(classes) if cc != c
-        ]
-        acc = acc.intersect(cone_from_generators(dm.cl_free_rank, gens))
-    return acc
+        if len(members) == 1:
+            others = [vec for cc, (vec, _) in enumerate(classes) if cc != c]
+            rows.extend(cone_from_inequalities(rank, others).generators)
+    return cone_from_inequalities(rank, rows)
 
 
 @lru_cache(maxsize=8192)

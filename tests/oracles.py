@@ -50,7 +50,11 @@ of a basis table from its signed indices, where toricgit.fans._gale
 reads the signs off one probe class.
 chamber_closure intersects the cones of its member masks, against which
 the witness toricgit.vgit reads off the basis cones of a chamber is
-held.  is_boundary_character builds one cone by double description per
+held; intersect and cones_equal are the chain of double descriptions
+and the mutual containment it is read by.  moving_cone_by_intersections
+intersects the effective cone with the cone of the other classes, one
+singleton class at a time, where toricgit.vgit.moving_cone takes one
+double description over all their inequality rows.  is_boundary_character builds one cone by double description per
 member mask and tests strictly_contains, relative-interior membership
 read off the dual, where toricgit.vgit counts the classes of the masks.
 greedy_pivot_columns picks each column that raises the rank of the
@@ -92,7 +96,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from toricgit.cones import _basis_table, _bits, _combine, cone_from_generators, cone_from_inequalities, cones_equal
+from toricgit.cones import _basis_table, _bits, _combine, cone_from_generators, cone_from_inequalities
 from toricgit.linalg import _dot, _pivot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import cox, vgit
@@ -865,7 +869,42 @@ def chamber_closure(dm, chi):
     acc = cone_from_inequalities(dm.cl_free_rank, [])
     for mask in sorted(members):
         gens = [vectors[c] for c in range(len(classes)) if (mask >> c) & 1]
-        acc = acc.intersect(cone_from_generators(dm.cl_free_rank, gens))
+        acc = intersect(acc, cone_from_generators(dm.cl_free_rank, gens))
+    return acc
+
+
+def intersect(cone, other):
+    """The intersection of two cones, one double description over both
+    cones' facet normals."""
+    if cone.dim != other.dim:
+        raise ValueError("ambient dimension mismatch")
+    normals = tuple(cone.facet_normals) + tuple(other.facet_normals)
+    return cone_from_inequalities(cone.dim, normals)
+
+
+def cones_equal(c1, c2):
+    """Equality as point sets, via mutual containment of generators."""
+    if c1.dim != c2.dim:
+        return False
+    return all(c2.contains(g) for g in c1.generators) and all(
+        c1.contains(g) for g in c2.generators
+    )
+
+
+def moving_cone_by_intersections(dm):
+    """The moving cone as a chain of intersections, starting from the
+    effective cone, with the cone of the other classes for each
+    singleton class, where toricgit.vgit.moving_cone takes one double
+    description over all their inequality rows."""
+    acc = vgit.effective_cone(dm)
+    classes = vgit._degree_classes(dm)
+    for c, (_, members) in enumerate(classes):
+        if len(members) > 1:
+            continue
+        gens = [
+            vec for cc, (vec, _) in enumerate(classes) if cc != c
+        ]
+        acc = intersect(acc, cone_from_generators(dm.cl_free_rank, gens))
     return acc
 
 

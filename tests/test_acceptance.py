@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from oracles import ample_signature_matches_irrelevant_ideal, chamber_closure
+from oracles import ample_signature_matches_irrelevant_ideal, chamber_closure, cones_equal
 from toricgit.checks import (
     PRODUCT_PAIRS,
     check_bundle_unstable_locus,
@@ -25,7 +25,7 @@ from toricgit.checks import (
     check_two_neighborly_equivalence,
     _bundle_over_blowup_data,
 )
-from toricgit.cones import cone_from_generators, cones_equal
+from toricgit.cones import cone_from_generators
 from toricgit.cox import degree_map
 from toricgit.linalg import det, smith_normal_form
 from toricgit.vgit import (

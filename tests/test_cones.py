@@ -11,17 +11,17 @@ in oracles.py.
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import oracles
-from oracles import in_cone, rational_solve
+from oracles import cones_equal, in_cone, intersect, rational_solve
 from toricgit import cones
 from toricgit.cones import (
     _canonical_form,
     cone_from_generators,
     duals_from_inequalities,
     cone_from_inequalities,
-    cones_equal,
 )
 from toricgit.linalg import _bareiss, _dot, det, matrix_rank, sign_normalized
 
@@ -84,10 +84,24 @@ def test_zero_cone_and_full_space():
     assert f.facet_normals == ()
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"])
+def test_generators_that_are_not_integers_are_refused(bad):
+    # int() would truncate 1.5 to 1 and return the ray (1, 0)
+    with pytest.raises(TypeError):
+        cone_from_generators(2, [(bad, 0)])
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"])
+def test_normals_that_are_not_integers_are_refused(bad):
+    # int() would truncate 1.5 to 1 and return the half-plane x >= 0
+    with pytest.raises(TypeError):
+        cone_from_inequalities(2, [(bad, 0)])
+
+
 def test_intersect_frozen_example():
     quad = cone_from_generators(2, [(1, 0), (0, 1)])
     below_diag = cone_from_inequalities(2, [(1, -1)])
-    got = quad.intersect(below_diag)
+    got = intersect(quad, below_diag)
     want = cone_from_generators(2, [(1, 0), (1, 1)])
     assert cones_equal(got, want)
     assert got.rays == ((1, 0), (1, 1))
@@ -148,10 +162,10 @@ def test_contains_agrees_with_lp_and_caratheodory(gens, v):
 def test_intersect_commutative_and_sound(g1, g2):
     a = cone_from_generators(3, g1)
     b = cone_from_generators(3, g2)
-    ab = a.intersect(b)
-    ba = b.intersect(a)
+    ab = intersect(a, b)
+    ba = intersect(b, a)
     assert cones_equal(ab, ba)
-    assert cones_equal(ab, ab.intersect(a))
+    assert cones_equal(ab, intersect(ab, a))
     for g in ab.generators:
         assert a.contains(g) and b.contains(g)
 

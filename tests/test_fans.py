@@ -382,27 +382,50 @@ def complete_fans():
 
 class TestWallCertificate:
     def test_complete_fans_never_reach_the_pairwise_check(self, monkeypatch):
-        def refuse(fan, idx):
+        def refuse(dim, normals):
             raise AssertionError("complete fan reached the pairwise check")
 
-        monkeypatch.setattr(fans, "_subset_cone", refuse)
+        monkeypatch.setattr(fans, "cone_from_inequalities", refuse)
         for fan in complete_fans():
             assert fan_from_json(fan_to_json(fan)) == fan
 
     def test_incomplete_fan_takes_the_pairwise_check(self, monkeypatch):
         calls = []
-        subset_cone = fans._subset_cone
+        cone_from_inequalities = fans.cone_from_inequalities
 
-        def counting(fan, idx):
-            calls.append(idx)
-            return subset_cone(fan, idx)
+        def counting(dim, normals):
+            calls.append(normals)
+            return cone_from_inequalities(dim, normals)
 
-        monkeypatch.setattr(fans, "_subset_cone", counting)
+        monkeypatch.setattr(fans, "cone_from_inequalities", counting)
         f = fan_from_json(
             {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "max_cones": [[0, 1], [1, 2]]}
         )
         assert calls
         assert not validate(f).complete
+
+    def test_pairwise_check_takes_one_double_description_per_pair(self, monkeypatch):
+        # one per maximal cone for its inequality rows, one per pair for
+        # the intersection
+        power = p1()
+        for _ in range(2):
+            power = product_fan(power, p1())
+        half_plane = Fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)], _trusted=True)
+        cut = Fan(3, power.rays, power.max_cones[1:], _trusted=True)
+        calls = []
+        cone_from_inequalities = fans.cone_from_inequalities
+
+        def counting(dim, normals):
+            calls.append(normals)
+            return cone_from_inequalities(dim, normals)
+
+        monkeypatch.setattr(fans, "cone_from_inequalities", counting)
+        for f, n_cones in ((half_plane, 2), (cut, 7)):
+            assert len(f.max_cones) == n_cones
+            calls.clear()
+            fans._check_fan_axiom(f)
+            assert len(calls) == n_cones + comb(n_cones, 2)
+            assert not validate(f).complete
 
     def test_wall_rows_match_rational_coordinates(self):
         # a ridge's row is the relation v_r2 = sum x_i v_i over the rays
@@ -682,6 +705,12 @@ class TestConstructors:
     def test_star_subdivision_rejects_single_ray(self):
         with pytest.raises(ValueError, match="dimension >= 2"):
             star_subdivision(p2(), (0,))
+
+    @pytest.mark.parametrize("bad", [1.7, Fraction(17, 10), "1"])
+    def test_star_subdivision_rejects_an_index_that_is_not_an_integer(self, bad):
+        # int() would truncate 1.7 to 1 and subdivide the face (0, 1)
+        with pytest.raises(TypeError):
+            star_subdivision(p2(), (0, bad))
 
     def test_star_subdivision_rejects_non_face(self):
         with pytest.raises(ValueError, match="does not span"):

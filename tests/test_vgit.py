@@ -26,10 +26,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import cones_equal, intersect
 from toricgit import cones, cox, fans, lp, vgit
 from toricgit.checks import PRODUCT_PAIRS
 from toricgit.cli import main
-from toricgit.cones import cone_from_generators, cone_from_inequalities, cones_equal
+from toricgit.cones import cone_from_generators, cone_from_inequalities
 from toricgit.cox import degree_map
 from toricgit.fans import (
     Fan,
@@ -75,7 +76,7 @@ def intersection_chain_nef(fan, dm):
     acc = cone_from_inequalities(dm.cl_free_rank, [])
     for c in fan.max_cones:
         off = [dm.degrees_free[i] for i in range(fan.n_rays) if i not in c]
-        acc = acc.intersect(cone_from_generators(dm.cl_free_rank, off))
+        acc = intersect(acc, cone_from_generators(dm.cl_free_rank, off))
     return acc
 
 
@@ -263,6 +264,14 @@ class TestUnstableSupports:
         for bad in (Fraction(5, 2), 2.5, "2"):
             with pytest.raises(TypeError):
                 query(dm, (bad,))
+
+    def test_a_cached_character_does_not_answer_a_float(self):
+        # the cache is keyed by chi, and (2.0,) == (2,): the check runs
+        # before the lookup, so the float is refused warm as it is cold
+        dm = degree_map(projective_space_fan(2))
+        assert not unstable_supports(dm, (2,)).outside_effective
+        with pytest.raises(TypeError):
+            unstable_supports(dm, (2.0,))
 
     def test_p1_x_p3_ample_codim_two(self):
         f = product_fan(projective_space_fan(1), projective_space_fan(3))
@@ -592,6 +601,27 @@ class TestCones:
         assert not cones_equal(nef, effective_cone(dm))
         for g in nef.generators:
             assert effective_cone(dm).contains(g)
+
+    def test_moving_cone_matches_intersection_chain(self, corpus):
+        # one double description over every cone's inequality rows
+        # gives the canonical cone the chain of intersections gave
+        by_name = dict(corpus)
+        dms = {degree_map(f) for _, f in corpus}
+        assert len(dms) == 54
+        dms |= {degree_map(product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS}
+        for dm in dms:
+            got, want = moving_cone(dm), oracles.moving_cone_by_intersections(dm)
+            assert cones_equal(got, want), dm
+            assert (got.rays, got.lin) == (want.rays, want.lin), dm
+
+    def test_moving_cone_reads_the_rows_of_a_cone_that_does_not_span(self):
+        # leaving out the singleton class e1 leaves e2 and e3, whose
+        # cone spans a plane: its rows hold the lineality pair +-e1
+        dm = graded_by([(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)])
+        assert cone_from_inequalities(3, [(0, 1, 0), (0, 0, 1)]).lin
+        got, want = moving_cone(dm), oracles.moving_cone_by_intersections(dm)
+        assert (got.rays, got.lin) == (want.rays, want.lin)
+        assert (got.rays, got.lin) == (((0, 0, 1), (0, 1, 0)), ())
 
     def test_nef_interior_has_stable_signature(self):
         f = f1()
