@@ -54,9 +54,10 @@ held; intersect and cones_equal are the chain of double descriptions
 and the mutual containment it is read by.  moving_cone_by_intersections
 intersects the effective cone with the cone of the other classes, one
 singleton class at a time, where toricgit.vgit.moving_cone takes one
-double description over all their inequality rows.  is_boundary_character builds one cone by double description per
-member mask and tests strictly_contains, relative-interior membership
-read off the dual, where toricgit.vgit counts the classes of the masks.
+double description over all their inequality rows.
+is_boundary_character builds one cone by double description per member
+mask and tests strictly_contains, relative-interior membership read off
+the dual, where toricgit.vgit counts the classes of the masks.
 greedy_pivot_columns picks each column that raises the rank of the
 columns picked so far, one matrix_rank per column, where
 toricgit.linalg._bareiss reads them off one elimination.
