@@ -97,9 +97,10 @@ def check_small_unstable_locus(fan) -> CheckResult:
 def check_two_neighborly_equivalence(fan) -> CheckResult:
     """2-neighborliness decides codim >= 3, by two independent routes.
 
-    Neighborliness is tested by pairwise cone containment; the
-    codimension is the size of a smallest set of rays meeting every
-    generator support of the irrelevant ideal (a smallest hitting set).
+    Neighborliness is a bitmask test of each pair of rays against the
+    masks of the maximal cones; the codimension is the size of a
+    smallest set of rays meeting every generator support of the
+    irrelevant ideal (a smallest hitting set).
     Neither side touches the GIT layer.
     """
     _require_projective(fan)

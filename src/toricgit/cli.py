@@ -52,7 +52,10 @@ from .vgit import (
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"JSON in {path} nests too deeply to read") from None
 
 
 def _load_fan(path):
@@ -179,6 +182,8 @@ def _cmd_chambers(args):
 def _cmd_nef(args):
     fan = _load_fan(args.fan)
     dm = degree_map(fan)
+    # a bad --char is a usage error (exit 2) even on a fan with no nef cone
+    chi = None if args.char is None else _parse_character(args.char, dm)
     try:
         nef = nef_cone(fan, dm)
     except ValueError as exc:
@@ -187,8 +192,7 @@ def _cmd_nef(args):
         else:
             print(str(exc))
         return 1
-    if args.char is not None:
-        chi = _parse_character(args.char, dm)
+    if chi is not None:
         inside = nef.contains(chi)
         if args.json:
             _emit({"character": list(chi), "nef": inside}, True)

@@ -1,9 +1,11 @@
 """Rational polyhedral cones with exact dual descriptions.
 
-A cone is stored canonically as (lineality basis, extremal rays reduced
-modulo the lineality space): the basis is the primitive rows of the
-reduced row echelon form of the lineality space, and each ray is zero on
-its pivot columns.  Duality is computed by the double description
+A cone is stored as the double description leaves it: an independent
+basis of its lineality space and its extremal rays modulo that space,
+primitive, distinct and sorted.  A pointed cone has no basis and its
+rays are its extremal rays, so the form is canonical there; with
+lineality it depends on the presentation, and cones are compared by
+containment.  Duality is computed by the double description
 method: each inequality either eats one lineality direction or splits
 the current ray set Fourier-Motzkin style, combining only adjacent
 positive/negative pairs, so no redundant ray ever appears and no LP is
@@ -24,9 +26,8 @@ from itertools import combinations
 from math import comb
 from operator import index
 
-from .linalg import _bareiss, _pivot, matrix_rank, primitive, sign_normalized
+from .linalg import _bareiss, _identity, _pivot, matrix_rank, primitive, sign_normalized
 from .linalg import _dot
-from .lp import _identity, scaled_inverse
 
 # Tableau entries one basis table may write, charged as its hyperplane
 # search runs: 50 to 120 ns each (Python 3.11, 2 cores), so 1 to 2.4 s
@@ -39,34 +40,6 @@ _TABLE_BUDGET = 20_000_000
 def _combine(u, cu, v, cv):
     """Integer combination cu*u + cv*v, made primitive."""
     return primitive(tuple(cu * x + cv * y for x, y in zip(u, v)))
-
-
-def _canonical_form(lin, rays):
-    """(basis, rays): a canonical form of the cone rays + span(lin).
-
-    lin must be linearly independent, as double description leaves it.
-    The pivot columns are those of lin's row echelon form, each the
-    first that raises the rank of the columns before it; with (inv, d)
-    the scaled inverse of lin on them, inv . lin is the reduced
-    row echelon form of span(lin) times d, and its primitive rows are
-    the basis: each positive in its own pivot column and zero in the
-    others.  Each ray is reduced by those rows to zero on the pivot
-    columns and made primitive; the rays come back sorted, distinct and
-    nonzero.  Both depend only on the cone, not on the presentation.
-    """
-    piv = _bareiss(lin)[0]
-    inv, _ = scaled_inverse([[l[c] for c in piv] for l in lin])
-    basis = tuple(
-        primitive(tuple(_dot(row, col) for col in zip(*lin))) for row in inv
-    )
-    out = set()
-    for r in rays:
-        for j, b in zip(piv, basis):
-            if r[j]:
-                r = _combine(r, b[j], b, -r[j])
-        if any(r):
-            out.add(primitive(r))
-    return basis, tuple(sorted(out))
 
 
 def duals_from_inequalities(dim, normals):
@@ -83,6 +56,8 @@ def duals_from_inequalities(dim, normals):
     al. 1953; Fukuda and Prodon 1996).  Each ray carries that tight set
     as a bitmask over the normals processed so far.  The intermediate
     rays are then exactly the extremal ones modulo the lineality.
+    The rays come back primitive, distinct and sorted, and the basis as
+    the elimination leaves it, independent and primitive.
     """
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays = {}  # ray -> bitmask of the processed normals it is tight on
@@ -114,11 +89,12 @@ def duals_from_inequalities(dim, normals):
                 common = zp & zn
                 if sum(z & common == common for z in masks) == 2:
                     rays[_combine(p, -dn, n, dp)] = common | bit
-    return _canonical_form(lin, rays)
+    return tuple(lin), tuple(sorted(rays))
 
 
 class RationalCone:
-    """Canonical rational cone: lineality rows plus extremal rays."""
+    """Rational cone: lineality rows plus extremal rays, as the double
+    description leaves them."""
 
     __slots__ = ("dim", "rays", "lin", "_dual")
 
@@ -166,13 +142,7 @@ def cone_from_generators(dim, gens):
     gens = [tuple(map(index, g)) for g in gens]
     if any(len(g) != dim for g in gens):
         raise ValueError("generator of wrong dimension")
-    lin, rays = duals_from_inequalities(dim, gens)  # this is the dual cone
-    dual = RationalCone(dim, rays, lin)
-    lin2, rays2 = duals_from_inequalities(dim, dual.generators)
-    cone = RationalCone(dim, rays2, lin2)
-    cone._dual = dual
-    dual._dual = cone
-    return cone
+    return cone_from_inequalities(dim, gens).dual()  # gens are the normals of the dual
 
 
 def cone_from_inequalities(dim, normals):

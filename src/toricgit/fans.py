@@ -364,8 +364,7 @@ def _nef_off(fan):
     if walls is None:
         return None
     off = [i for i in range(fan.n_rays) if i not in fan.max_cones[0]]
-    normals = {primitive(tuple(-w[i] for i in off)) for w in walls}
-    return cone_from_inequalities(len(off), normals)
+    return cone_from_inequalities(len(off), [tuple(-w[i] for i in off) for w in walls])
 
 
 def _probe(dim, normals):

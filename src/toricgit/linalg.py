@@ -6,12 +6,14 @@ cokernels come with an explicit projection onto the free part.  One
 fraction-free (Bareiss) pivot, _pivot, is the only elimination step in
 the package: it gives ranks and determinants here, the scaled inverse
 and the dual simplex in lp, and the hyperplane search of the basis table
-in cones.  No floating point anywhere.
+in cones.  The scaled inverse and that search start their tableaux from
+the cached _identity.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -62,6 +64,12 @@ def _pivot(rows, d, leave, enter):
             continue
         row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
     return p
+
+
+@lru_cache(maxsize=64)
+def _identity(n):
+    """The n x n identity as a tuple of rows; callers copy what they pivot."""
+    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
 
 
 def _mul(a, b):

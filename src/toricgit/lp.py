@@ -28,9 +28,8 @@ whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .linalg import _pivot
+from .linalg import _identity, _pivot
 
 _MAX_PIVOTS = 100000
 
@@ -133,12 +132,6 @@ class SlackTableau:
         n = self.n
         z = {j: row[-1] for j, row in zip(self.basis, self.tab) if j < 2 * n}
         return [z.get(j, 0) - z.get(n + j, 0) for j in range(n)]
-
-
-@lru_cache(maxsize=64)
-def _identity(n):
-    """The n x n identity as a tuple of rows; callers copy what they pivot."""
-    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
 
 
 def scaled_inverse(rows):

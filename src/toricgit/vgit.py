@@ -336,7 +336,9 @@ def _enumerate_cells(dm):
     added since; every other child adds those rows and its own to that
     tableau by dual simplex, and is an empty cell when they have no
     point.  No LP runs the primal simplex, the root's included (reverse
-    search, Avis and Fukuda 1996).  Each re-optimisation charges the
+    search, Avis and Fukuda 1996).  The search runs on an explicit stack,
+    the witness's side popped first, so its depth is not bounded by the
+    recursion limit.  Each re-optimisation charges the
     entries of the tableau it pivots, and a search past _TABLEAU_BUDGET
     entries raises ValueError, so the budget bounds time even as the
     tableaux grow.
@@ -351,38 +353,35 @@ def _enumerate_cells(dm):
     root = SlackTableau.solve(eff_rows)
     cells = []
     entries = 0
-
-    def rec(signs, tableau, pending, witness):
-        nonlocal entries
-        # witness is the tableau's x times its scale, which is positive,
-        # so it has the signs of x
-        if len(signs) == len(normals):
-            cells.append(tuple(signs))
-            return
-        n = normals[len(signs)]
-        d = _dot(n, witness)
-        first = 1 if d >= 0 else -1
-        for s in (first, -first):
-            row = tuple(s * v for v in n)
-            if s == first and d != 0:
-                rec(signs + [s], tableau, pending + [row], witness)
-                continue
-            rows = pending + [row]
-            m = len(tableau.tab) + len(rows)
+    # (signs, tableau, rows added since it, witness); witness is the
+    # tableau's x times its scale, which is positive, so it has the
+    # signs of x, and None when the rows still need a re-optimisation
+    stack = [([], root, [], root.scaled_solution())]
+    while stack:
+        signs, tableau, pending, witness = stack.pop()
+        if witness is None:
+            m = len(tableau.tab) + len(pending)
             entries += m * (2 * tableau.n + m + 1)
             if entries > _TABLEAU_BUDGET:
                 raise ValueError(
                     f"chamber cell search needs more than {_TABLEAU_BUDGET} "
                     "simplex tableau entries"
                 )
-            child = tableau.with_rows(rows)
-            if child is not None:
-                rec(signs + [s], child, [], child.scaled_solution())
-
-    try:
-        rec([], root, [], root.scaled_solution())
-    finally:
-        del rec  # rec's closure holds rec, a cycle that would keep cells alive until a collection
+            tableau = tableau.with_rows(pending)
+            if tableau is None:
+                continue
+            pending, witness = [], tableau.scaled_solution()
+        if len(signs) == len(normals):
+            cells.append(tuple(signs))
+            continue
+        n = normals[len(signs)]
+        d = _dot(n, witness)
+        first = 1 if d >= 0 else -1
+        # the witness's side is pushed last, so its subtree runs first
+        for s in (-first, first):
+            row = tuple(s * v for v in n)
+            keep = witness if s == first and d != 0 else None
+            stack.append((signs + [s], tableau, pending + [row], keep))
     return tuple(sorted(cells))
 
 

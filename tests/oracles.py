@@ -20,8 +20,10 @@ those of the box scan in the tests.
 duals_from_inequalities is the double description with every pos x neg
 pair combined and redundant rays pruned by one LP each, against which
 the adjacency-filtered toricgit.cones routine is held; the two share
-only the integer helpers, and canonical_form is this file's own, by
-Gauss-Jordan over Fraction.
+only the integer helpers.  canonical_form, this file's own, by
+Gauss-Jordan over Fraction, puts both outputs in one form that depends
+only on the cone, as toricgit.cones keeps a lineality basis as its
+elimination leaves it.
 max_strict_slack poses t > 0 as the phase-1 problem rows.x - s == 1,
 eq_rows.x == 0 on solve_nonneg, against which the feasibility tableau
 of toricgit.lp and the projectivity that toricgit.fans.validate reads
@@ -98,11 +100,11 @@ from itertools import combinations
 from math import lcm, prod
 
 from toricgit.cones import _basis_table, _bits, _combine, cone_from_generators, cone_from_inequalities
-from toricgit.linalg import _dot, _pivot, matrix_rank, primitive
+from toricgit.linalg import _dot, _identity, _pivot, matrix_rank, primitive
 from toricgit.linalg import sign_normalized, smith_normal_form
 from toricgit import cox, vgit
 from toricgit.fans import Fan, _is_antichain, _mask, validate
-from toricgit.lp import PivotLimit, _identity, _pivot_rule, scaled_inverse
+from toricgit.lp import PivotLimit, _pivot_rule, scaled_inverse
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24
@@ -319,8 +321,9 @@ def duals_from_inequalities(dim, normals):
 
 
 def canonical_form(lin, rays):
-    """(basis, rays) in the canonical form of toricgit.cones, by
-    Gauss-Jordan over Fraction.
+    """(basis, rays), a form of the cone rays + span(lin) that depends
+    only on the cone, by Gauss-Jordan over Fraction; lin must be
+    linearly independent.
 
     The basis is the reduced row echelon form of span(lin), each row
     made a primitive integer row.  Each ray is zeroed on the pivot

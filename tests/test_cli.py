@@ -102,6 +102,15 @@ class TestValidate:
         assert code == 2
         assert "line" in err and "column" in err
 
+    def test_deeply_nested_json_exits_two(self, write, capsys):
+        # json.load recurses once per array; past the recursion limit it
+        # raises RecursionError, which must not leak as a traceback
+        path = write("[" * 100_000 + "]" * 100_000, "deep.json")
+        code, _, err = run(["validate", path], capsys)
+        assert code == 2
+        assert "nests too deeply" in err
+        assert "Traceback" not in err
+
     def test_non_simplicial_cone_named(self, write, capsys):
         path = write(
             {
@@ -327,6 +336,18 @@ class TestNef:
         code, out, _ = run(["nef", path], capsys)
         assert code == 1
         assert "not projective" in out
+
+    @pytest.mark.parametrize("char", ["abc", "1,2"])
+    def test_bad_char_on_non_projective_fan_exits_two(self, write, capsys, char):
+        # --char is parsed before the nef cone is built, so a usage
+        # error is not reported as the verdict "false"
+        path = write(NON_PROJECTIVE, "np.json")
+        code, out, err = run(["nef", path, "--char", char], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--char" in err
+        if char == "abc":
+            assert "--char expects" in err
 
 
 class TestSections:

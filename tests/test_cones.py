@@ -18,12 +18,12 @@ import oracles
 from oracles import cones_equal, in_cone, intersect, rational_solve
 from toricgit import cones
 from toricgit.cones import (
-    _canonical_form,
+    RationalCone,
     cone_from_generators,
     duals_from_inequalities,
     cone_from_inequalities,
 )
-from toricgit.linalg import _bareiss, _dot, det, matrix_rank, sign_normalized
+from toricgit.linalg import _bareiss, _dot, det, matrix_rank, primitive, sign_normalized
 
 
 def ray_sum(cone):
@@ -223,7 +223,36 @@ def inequality_systems(draw):
 @given(inequality_systems())
 def test_duals_match_pairwise_pruned_oracle(system):
     dim, normals = system
-    assert duals_from_inequalities(dim, normals) == oracles.duals_from_inequalities(dim, normals)
+    got = oracles.canonical_form(*duals_from_inequalities(dim, normals))
+    assert got == oracles.duals_from_inequalities(dim, normals)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inequality_systems())
+def test_duals_are_stored_as_the_double_description_leaves_them(system):
+    # rays primitive, distinct and sorted, none in the span of an
+    # independent primitive lineality basis; the same cone as the
+    # oracle's pairwise-pruned double description
+    dim, normals = system
+    lin, rays = duals_from_inequalities(dim, normals)
+    event(f"lineality {len(lin)}")
+    assert all(any(r) and r == primitive(r) for r in rays)
+    assert list(rays) == sorted(set(rays))
+    assert all(l == primitive(l) for l in lin)
+    assert matrix_rank(list(lin)) == len(lin)
+    assert all(matrix_rank([*lin, r]) > len(lin) for r in rays)
+    lin2, rays2 = oracles.duals_from_inequalities(dim, normals)
+    assert cones_equal(RationalCone(dim, rays, lin), RationalCone(dim, rays2, lin2))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(st.just(d), st.lists(vecs(d, -3, 3), max_size=6))))
+def test_cone_from_generators_is_the_dual_of_its_inequalities(case):
+    dim, gens = case
+    c = cone_from_generators(dim, gens)
+    d = cone_from_inequalities(dim, gens).dual()
+    assert (c.rays, c.lin) == (d.rays, d.lin)
+    assert c.dual().dual() is c
 
 
 @st.composite
@@ -257,14 +286,14 @@ def lineality_presentations(draw):
 @given(lineality_presentations())
 def test_canonical_form_ignores_presentation(case):
     lin, rays, lin2, rays2 = case
-    assert _canonical_form(lin, rays) == _canonical_form(lin2, rays2)
+    assert oracles.canonical_form(lin, rays) == oracles.canonical_form(lin2, rays2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(lineality_presentations())
 def test_canonical_basis_is_echelon_and_spans(case):
     lin, rays, _, _ = case
-    basis, reduced = _canonical_form(lin, rays)
+    basis, reduced = oracles.canonical_form(lin, rays)
     pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
     assert pivots == sorted(set(pivots))
     for b, p in zip(basis, pivots):

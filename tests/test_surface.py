@@ -298,10 +298,10 @@ def test_no_floats_in_src():
 
 
 def test_cones_uses_no_lp():
-    # Double description decides adjacency from tight sets, and the
-    # basis table signs its normals by dot products, so cones needs no
-    # LP; the integer scaled inverse and the cached identity that the
-    # hyperplane search starts from are its only uses of lp.
+    # Double description decides adjacency from tight sets and keeps
+    # the lineality basis its elimination leaves, and the basis table
+    # signs its normals by dot products, so cones needs nothing of lp:
+    # the hyperplane search takes its cached identity from linalg.
     trees = src_trees()
     lp_names = set()
     for node in trees["lp.py"].body:
@@ -318,7 +318,9 @@ def test_cones_uses_no_lp():
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-    assert used & lp_names == {"scaled_inverse", "_identity"}
+    assert used & lp_names == set()
+    package = {n.module for n in trees["cones.py"].body if isinstance(n, ast.ImportFrom) and n.level}
+    assert package == {"linalg"}
 
 
 def test_projectivity_runs_no_lp():

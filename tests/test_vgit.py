@@ -1241,6 +1241,27 @@ class TestCanonicalWitnesses:
             n_fans += 1
         assert n_fans == 75
 
+    def test_cell_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # 25 crossing normals, 100 chambers: a search that recursed once
+        # per crossing normal would pass a limit 20 frames above here
+        dm = graded_by([
+            (1, 1, -1), (1, 2, -1), (1, 3, 2), (1, 2, 1), (1, -3, 3),
+            (1, 0, 3), (1, -2, 2), (1, -3, -2), (1, -3, -1),
+        ])
+        assert vgit._table(dm)[1].count(0) == 25
+        want = vgit._enumerate_cells(dm)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 20)
+        try:
+            got = vgit._enumerate_cells(dm)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+        assert len(vgit.chamber_signatures(dm)) == 100
+
     def test_cell_sign_vectors_pinned(self, corpus):
         # The digest was recorded from the cells of the search that also
         # returned an integer witness per cell, with the witnesses dropped.
