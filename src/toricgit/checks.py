@@ -29,8 +29,7 @@ from .fans import (
     star_subdivision,
     validate,
 )
-from .linalg import _bareiss, _dot
-from .lp import scaled_inverse
+from .linalg import _bareiss, _dot, scaled_inverse
 from .vgit import (
     ample_character,
     chamber_signatures,

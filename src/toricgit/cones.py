@@ -299,3 +299,12 @@ def _bits(x):
     """Positions of the set bits of x, ascending.  The '0b' prefix of
     bin(x) ends the reversed string and holds no '1'."""
     return [i for i, b in enumerate(reversed(bin(x))) if b == "1"]
+
+
+def _mask(indices):
+    """The int with the bits at indices set, the inverse of _bits: a set
+    of rays or classes, or a set of such masks as a 2**k-bit set."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m

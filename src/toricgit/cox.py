@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fans import _cokernel, _is_antichain, _mask, validate
+from .cones import _mask
+from .fans import _cokernel, _is_antichain, validate
 from .linalg import det
 
 # The hitting-set search branches over subsets of the variables.

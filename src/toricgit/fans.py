@@ -26,15 +26,21 @@ from math import comb, factorial, gcd, lcm, perm, prod
 from operator import and_, index, or_
 from types import MappingProxyType
 
-from .cones import _basis_table, _bits, _classes, _least_members
+from .cones import _basis_table, _bits, _classes, _least_members, _mask
 from .cones import cone_from_inequalities
-from .linalg import cokernel, matrix_rank, primitive, smith_normal_form
+from .linalg import cokernel, matrix_rank, primitive, scaled_inverse, smith_normal_form
 from .linalg import _dot
-from .lp import scaled_inverse
 
 
 class FanError(ValueError):
     """Structurally invalid fan input."""
+
+
+def _shown(x):
+    """repr(x) for an error message, cut to its first 100 characters and
+    an ellipsis: an entry, ray or cone of the input can be any size."""
+    text = repr(x)
+    return f"{text[:100]}..." if text[100:] else text
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,11 @@ class Fan:
             raise FanError("a fan needs at least one ray")
         for r in rays:
             if len(r) != dim:
-                raise FanError(f"ray {r} has wrong dimension")
+                raise FanError(f"ray {_shown(r)} has wrong dimension")
             if not any(r):
                 raise FanError("zero vector is not a ray")
             if gcd(*r) != 1:
-                raise FanError(f"ray {r} is not primitive")
+                raise FanError(f"ray {_shown(r)} is not primitive")
         if len(set(rays)) != len(rays):
             raise FanError("duplicate rays")
         cones = tuple(tuple(sorted(map(index, c))) for c in max_cones)
@@ -94,12 +100,12 @@ class Fan:
             if not c:
                 raise FanError("empty cone listed as maximal")
             if c in seen:
-                raise FanError(f"duplicate maximal cone {c}")
+                raise FanError(f"duplicate maximal cone {_shown(c)}")
             seen.add(c)
             if len(set(c)) != len(c):
-                raise FanError(f"repeated ray index in cone {c}")
+                raise FanError(f"repeated ray index in cone {_shown(c)}")
             if c[0] < 0 or c[-1] >= len(rays):
-                raise FanError(f"cone {c} references a missing ray")
+                raise FanError(f"cone {_shown(c)} references a missing ray")
         ordered = tuple(sorted(cones))
         masks = tuple(map(_mask, ordered))
         if not _is_antichain(masks):
@@ -107,7 +113,7 @@ class Fan:
             a, b = next(
                 (a, b) for a in cones for b in cones if a != b and set(a) <= set(b)
             )
-            raise FanError(f"cone {a} is contained in cone {b}")
+            raise FanError(f"cone {_shown(a)} is contained in cone {_shown(b)}")
         if len(set().union(*cones)) < len(rays):
             raise FanError("every ray must appear in some maximal cone")
         object.__setattr__(self, "dim", dim)
@@ -144,13 +150,6 @@ class Fan:
             f"Fan(dim={self.dim}, n_rays={self.n_rays}, "
             f"n_max_cones={len(self.max_cones)})"
         )
-
-
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def _is_antichain(masks) -> bool:
@@ -190,7 +189,7 @@ def _check_fan_axiom(fan):
     """
     for c in fan.max_cones:
         if len(c) != fan.dim and matrix_rank(fan.cone_rays(c)) != len(c):
-            raise FanError(f"cone {c} is not simplicial (dependent rays)")
+            raise FanError(f"cone {_shown(c)} is not simplicial (dependent rays)")
     if _walls(fan) is not None:
         return
     rows = {
@@ -202,7 +201,7 @@ def _check_fan_axiom(fan):
         inter = cone_from_inequalities(fan.dim, rows[a] + rows[b])
         if inter.lin or not set(inter.rays) <= set(fan.cone_rays(common)):
             raise FanError(
-                f"cones {a} and {b} overlap beyond their common face {common}"
+                f"cones {_shown(a)} and {_shown(b)} overlap beyond their common face {_shown(common)}"
             )
 
 
@@ -215,7 +214,7 @@ def fan_from_json(data):
 
     def as_int(x, what):
         if isinstance(x, bool) or not isinstance(x, int):
-            raise FanError(f"{what} must be an integer, got {x!r}")
+            raise FanError(f"{what} must be an integer, got {_shown(x)}")
         return x
 
     def as_list(x, what):
@@ -260,7 +259,7 @@ def divisor_from_json(data, fan):
         )
     for c in coeffs:
         if isinstance(c, bool) or not isinstance(c, int):
-            raise FanError(f"divisor coefficient must be an integer, got {c!r}")
+            raise FanError(f"divisor coefficient must be an integer, got {_shown(c)}")
     return TorusInvariantDivisor(tuple(coeffs))
 
 
@@ -271,7 +270,8 @@ def divisor_from_json(data, fan):
 @lru_cache(maxsize=1024)
 def _cone_inverses(fan):
     """(normals, d) of each full-dimensional maximal cone, d its index:
-    <normals[i], v_j> is d if i == j else 0, the facets' inward normals.
+    <normals[i], v_j> is d if i == j else 0, the facets' inward normals,
+    which are the columns of the rays' scaled inverse.
 
     This is the one elimination of each such cone, and its simplicial
     test: a cone with dependent rays raises FanError.  Read-only, since
@@ -281,17 +281,12 @@ def _cone_inverses(fan):
     for c in fan.max_cones:
         if len(c) == fan.dim:
             try:
-                out[c] = _facet_normals(fan.cone_rays(c))
+                inv, d = scaled_inverse(fan.cone_rays(c))
             except ValueError:
-                msg = f"cone {c} is not simplicial (dependent rays)"
+                msg = f"cone {_shown(c)} is not simplicial (dependent rays)"
                 raise FanError(msg) from None
+            out[c] = tuple(zip(*inv)), d
     return MappingProxyType(out)
-
-
-def _facet_normals(rays):
-    """(normals, |det|) of independent rays, the scaled inverse's columns."""
-    inv, d = scaled_inverse(rays)
-    return tuple(zip(*inv)), d
 
 
 @lru_cache(maxsize=1024)
@@ -471,7 +466,7 @@ def star_subdivision(fan, face) -> Fan:
     if len(face) < 2:
         raise ValueError("star subdivision needs a face of dimension >= 2")
     if not any(set(face) <= set(c) for c in fan.max_cones):
-        raise ValueError(f"{face} does not span a cone of the fan")
+        raise ValueError(f"{_shown(face)} does not span a cone of the fan")
     new_ray = primitive(
         tuple(sum(fan.rays[i][j] for i in face) for j in range(fan.dim))
     )

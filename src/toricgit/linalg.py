@@ -1,13 +1,15 @@
 """Exact integer linear algebra on arbitrary-precision integers.
 
 Everything here works over Z with Python ints, on plain lists of integer
-rows.  The Smith normal form returns its unimodular transforms, so that
-cokernels come with an explicit projection onto the free part.  One
-fraction-free (Bareiss) pivot, _pivot, is the only elimination step in
-the package: it gives ranks and determinants here, the scaled inverse
-and the dual simplex in lp, and the hyperplane search of the basis table
-in cones.  The scaled inverse and that search start their tableaux from
-the cached _identity.  No floating point anywhere.
+rows.  One fraction-free (Bareiss) pivot, _pivot, is the one elimination
+step behind the ranks and determinants of _bareiss, the scaled inverse,
+the dual simplex of lp's chamber LP and the hyperplane search of the
+basis table in cones; the scaled inverse and that search start their
+tableaux from the cached _identity.  The Smith normal form is the one
+elimination that does not pivot through _pivot: it clears rows and
+columns by its own unimodular steps, division with remainder, and
+returns those transforms, so that cokernels come with an explicit
+projection onto the free part.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -70,6 +72,25 @@ def _pivot(rows, d, leave, enter):
 def _identity(n):
     """The n x n identity as a tuple of rows; callers copy what they pivot."""
     return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+
+
+def scaled_inverse(rows):
+    """(inv, d) with rows . inv == d * I and d = |det(rows)| > 0.
+
+    Gauss-Jordan on the integer matrix [rows | I] through _pivot, so the
+    left block ends as d * I and the right block is inv.  Raises
+    ValueError on a singular matrix.
+    """
+    n = len(rows)
+    tab = [[*row, *unit] for row, unit in zip(rows, _identity(n))]
+    d = 1
+    for j in range(n):
+        p = next((i for i in range(j, n) if tab[i][j]), None)
+        if p is None:
+            raise ValueError("singular matrix has no scaled inverse")
+        tab[j], tab[p] = tab[p], tab[j]
+        d = _pivot(tab, d, j, j)
+    return [row[n:] for row in tab], d
 
 
 def _mul(a, b):

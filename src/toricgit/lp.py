@@ -1,4 +1,4 @@
-"""Exact linear programming and integer matrix inversion.
+"""Exact linear programming: the feasibility LP of the chamber cell search.
 
 One simplex loop, the dual simplex, on fraction-free integer tableaux.
 SlackTableau, the feasibility LP rows.x >= 1 with no objective, serves
@@ -15,13 +15,7 @@ rational tableau, and a solution is read off scaled, as integers.  The
 loop pivots by Dantzig's rule with an automatic switch to Bland's rule
 after enough iterations, which keeps runs fast in practice and
 terminating in theory, under one iteration limit that raises
-PivotLimit.  Exact solves use scaled_inverse, Gauss-Jordan through the
-same _pivot, which also gives linalg its ranks and determinants and the
-basis table of cones its arrangement normals, so there is no second
-elimination engine.  No LP decides cone membership or a divisor's
-chamber (both read the signs of those normals, by Caratheodory and Gale
-duality) or projectivity (fans reads it off the nef cone's double
-description).  Scale here is tiny (dozens of rows), exactness is the
+PivotLimit.  Scale here is tiny (dozens of rows), exactness is the
 whole point.
 """
 
@@ -29,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import _identity, _pivot
+from .linalg import _pivot
 
 _MAX_PIVOTS = 100000
 
@@ -132,22 +126,3 @@ class SlackTableau:
         n = self.n
         z = {j: row[-1] for j, row in zip(self.basis, self.tab) if j < 2 * n}
         return [z.get(j, 0) - z.get(n + j, 0) for j in range(n)]
-
-
-def scaled_inverse(rows):
-    """(inv, d) with rows . inv == d * I and d = |det(rows)| > 0.
-
-    Gauss-Jordan on the integer matrix [rows | I] through _pivot, so the
-    left block ends as d * I and the right block is inv.  Raises
-    ValueError on a singular matrix.
-    """
-    n = len(rows)
-    tab = [[*row, *unit] for row, unit in zip(rows, _identity(n))]
-    d = 1
-    for j in range(n):
-        p = next((i for i in range(j, n) if tab[i][j]), None)
-        if p is None:
-            raise ValueError("singular matrix has no scaled inverse")
-        tab[j], tab[p] = tab[p], tab[j]
-        d = _pivot(tab, d, j, j)
-    return [row[n:] for row in tab], d

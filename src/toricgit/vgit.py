@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 
-from .cones import RationalCone, _basis_table, _bits, _classes, _least_members, cone_from_generators, cone_from_inequalities
+from .cones import RationalCone, _basis_table, _bits, _classes, _least_members, _mask, cone_from_generators, cone_from_inequalities
 from .fans import _nef_off
 from .linalg import _dot, matrix_rank, primitive
 from .lp import SlackTableau
@@ -79,14 +79,6 @@ def _bit_set_classes(dm):
     return classes
 
 
-def _bit_set(masks):
-    """The 2**k-bit set of the class masks."""
-    bits = 0
-    for mask in masks:
-        bits |= 1 << mask
-    return bits
-
-
 @lru_cache(maxsize=32)
 def _class_membership(dm, chi):
     """(classes, least, member): for every subset of degree classes, does
@@ -111,7 +103,7 @@ def _class_membership(dm, chi):
     if rank < dm.cl_free_rank and matrix_rank([*(v for v, _ in classes), chi]) > rank:
         return classes, (), 0
     least = tuple(_least_members(table, [_dot(n, chi) for n in normals]))
-    return classes, least, _superset_closure(len(classes), _bit_set(least))
+    return classes, least, _superset_closure(len(classes), _mask(least))
 
 
 def _mask_support(classes, mask):
@@ -280,7 +272,7 @@ def _chamber_keys(dm):
     chambers = {}
     for signs in _enumerate_cells(dm):
         crossing = iter(signs)
-        key = _bit_set(_least_members(table, [s or next(crossing) for s in side]))
+        key = _mask(_least_members(table, [s or next(crossing) for s in side]))
         if key not in chambers:
             # a character off every hyperplane is in cone(S) exactly when S
             # holds one of the basis cones that contain it (Caratheodory)

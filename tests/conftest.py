@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-from toricgit import lp
+from toricgit import linalg
 from toricgit.checks import builtin_corpus
 
 LAYERS = ("linalg", "lp", "cones", "fans", "cox", "vgit", "checks", "cli")
@@ -15,10 +15,10 @@ def corpus():
 
 @pytest.fixture()
 def inverse_raises(monkeypatch):
-    """lp.scaled_inverse wrapped wherever a layer imported it: the list
+    """linalg.scaled_inverse wrapped wherever a layer imported it: the list
     holds the matrices of the calls that raised."""
     raised = []
-    real = lp.scaled_inverse
+    real = linalg.scaled_inverse
 
     def recording(rows):
         try:

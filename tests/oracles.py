@@ -1,7 +1,7 @@
 """Independent oracles the tests hold the library against.
 
 rational_solve is plain Gauss-Jordan elimination over Fraction, sharing
-no code with the fraction-free integer pivot in toricgit.lp.
+no code with the fraction-free integer pivot in toricgit.linalg.
 rational_solve_nonneg is the two-phase simplex with an objective over
 Fraction, with the pivot rules of toricgit.lp, and simplex_max poses
 free variables and inequalities on it; toricgit.lp itself keeps only
@@ -99,12 +99,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from toricgit.cones import _basis_table, _bits, _combine, cone_from_generators, cone_from_inequalities
+from toricgit.cones import _basis_table, _bits, _combine, _mask, cone_from_generators, cone_from_inequalities
 from toricgit.linalg import _dot, _identity, _pivot, matrix_rank, primitive
-from toricgit.linalg import sign_normalized, smith_normal_form
+from toricgit.linalg import scaled_inverse, sign_normalized, smith_normal_form
 from toricgit import cox, vgit
-from toricgit.fans import Fan, _is_antichain, _mask, validate
-from toricgit.lp import PivotLimit, _pivot_rule, scaled_inverse
+from toricgit.fans import Fan, _is_antichain, validate
+from toricgit.lp import PivotLimit, _pivot_rule
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
 _PRUNE_THRESHOLD = 24

@@ -130,6 +130,31 @@ class TestValidate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "case", ["ray entry", "divisor coefficient", "ray dimension", "cone index"]
+    )
+    def test_oversized_entry_is_not_echoed_in_full(self, case, p2_file, write, capsys):
+        # an entry, ray or cone that an error message names is cut to a
+        # prefix, so a megabyte of bad input gives one short line on
+        # stderr, not megabytes
+        big = "x" * 1_000_000
+        fan, div = p2_file, None
+        if case == "ray entry":
+            fan = write({"dim": 2, "rays": [[big, 0]], "max_cones": [[0]]}, "f.json")
+            said = "ray entry must be an integer, got '" + "x" * 99 + "..."
+        elif case == "divisor coefficient":
+            div = write({"coefficients": [big, 0, 0]}, "d.json")
+            said = "divisor coefficient must be an integer, got '" + "x" * 99 + "..."
+        elif case == "ray dimension":
+            fan = write({"dim": 1, "rays": [[1] * 1_000_000], "max_cones": [[0]]}, "f.json")
+            said = "ray (1, 1, 1, "
+        else:
+            fan = write({"dim": 1, "rays": [[1], [-1]], "max_cones": [list(range(1_000_001))]}, "f.json")
+            said = "cone (0, 1, 2, "
+        code, out, err = run(["validate", fan] if div is None else ["sections", fan, div], capsys)
+        assert code == 2 and out == ""
+        assert said in err and len(err.encode()) < 1024
+
 
 class TestAnalyze:
     def test_f1_report(self, f1_file, capsys):

@@ -4,16 +4,18 @@ The Smith form is cross-checked against the determinant-divisor
 characterization (k-th divisor = gcd of all k x k minors, computed here
 by brute force with cofactor determinants, independently of the library
 code under test) on tiny matrices, and against sympy's invariant factors
-up to 6 x 8.
+up to 6 x 8.  The scaled inverse is held against Gauss-Jordan over
+Fraction (oracles.rational_solve).
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import greedy_pivot_columns, kernel_basis
+from oracles import greedy_pivot_columns, kernel_basis, rational_solve
 from toricgit.linalg import (
     _bareiss,
     _dot,
@@ -21,6 +23,7 @@ from toricgit.linalg import (
     det,
     matrix_rank,
     primitive,
+    scaled_inverse,
     sign_normalized,
     smith_normal_form,
 )
@@ -271,3 +274,46 @@ def test_det_rejects_a_non_square_matrix():
     with pytest.raises(ValueError):
         det([[1, 2], [3]])
     assert det([]) == 1
+
+
+def test_scaled_inverse_frozen_examples():
+    assert scaled_inverse([[2, 0], [1, 1]]) == ([[1, 0], [-1, 2]], 2)
+    # det -2: d stays positive, so inv is minus the adjugate
+    assert scaled_inverse([[1, 2], [3, 4]]) == ([[-4, 2], [3, -1]], 2)
+    # a zero leading entry needs a row swap
+    assert scaled_inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
+    assert scaled_inverse([]) == ([], 1)
+
+
+def test_scaled_inverse_rejects_a_singular_matrix():
+    with pytest.raises(ValueError):
+        scaled_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        scaled_inverse([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+
+
+square = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=150)
+@given(square)
+def test_scaled_inverse_matches_fraction_oracle(rows):
+    n = len(rows)
+    determinant = det(rows)
+    if determinant == 0:
+        with pytest.raises(ValueError):
+            scaled_inverse(rows)
+        return
+    inv, d = scaled_inverse(rows)
+    assert d == abs(determinant)
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in rows]
+    assert product == [[d * (i == j) for j in range(n)] for i in range(n)]
+    for j, col in enumerate(zip(*inv)):
+        e_j = [int(i == j) for i in range(n)]
+        assert [Fraction(x, d) for x in col] == rational_solve(rows, e_j)

@@ -8,8 +8,7 @@ import oracles
 from oracles import in_cone, nonneg_combination, rational_simplex_core, rational_solve
 from oracles import rational_solve_nonneg, simplex_max, solve_nonneg
 from toricgit import lp
-from toricgit.linalg import det
-from toricgit.lp import PivotLimit, SlackTableau, scaled_inverse
+from toricgit.lp import PivotLimit, SlackTableau
 
 
 def solution(tableau):
@@ -169,49 +168,6 @@ def test_rational_solve():
     x = rational_solve([[2, 0], [1, 1]], [1, 1])
     assert x == [Fraction(1, 2), Fraction(1, 2)]
     assert rational_solve([[1, 1], [2, 2]], [1, 3]) is None
-
-
-def test_scaled_inverse_frozen_examples():
-    assert scaled_inverse([[2, 0], [1, 1]]) == ([[1, 0], [-1, 2]], 2)
-    # det -2: d stays positive, so inv is minus the adjugate
-    assert scaled_inverse([[1, 2], [3, 4]]) == ([[-4, 2], [3, -1]], 2)
-    # a zero leading entry needs a row swap
-    assert scaled_inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
-    assert scaled_inverse([]) == ([], 1)
-
-
-def test_scaled_inverse_rejects_a_singular_matrix():
-    with pytest.raises(ValueError):
-        scaled_inverse([[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
-        scaled_inverse([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
-
-
-square = st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
-        min_size=n,
-        max_size=n,
-    )
-)
-
-
-@settings(max_examples=150)
-@given(square)
-def test_scaled_inverse_matches_fraction_oracle(rows):
-    n = len(rows)
-    determinant = det(rows)
-    if determinant == 0:
-        with pytest.raises(ValueError):
-            scaled_inverse(rows)
-        return
-    inv, d = scaled_inverse(rows)
-    assert d == abs(determinant)
-    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in rows]
-    assert product == [[d * (i == j) for j in range(n)] for i in range(n)]
-    for j, col in enumerate(zip(*inv)):
-        e_j = [int(i == j) for i in range(n)]
-        assert [Fraction(x, d) for x in col] == rational_solve(rows, e_j)
 
 
 vec3 = st.tuples(*[st.integers(min_value=-5, max_value=5)] * 3)

@@ -174,8 +174,8 @@ def test_no_fraction_in_the_simplex_inner_loop():
     from fractions import Fraction
 
     inner = {
-        "linalg": {"_pivot"},
-        "lp": {"_dual_simplex", "scaled_inverse"},
+        "linalg": {"_pivot", "scaled_inverse"},
+        "lp": {"_dual_simplex"},
         "cones": {"_hyperplanes"},
     }
     trees = src_trees()
@@ -208,8 +208,8 @@ def test_no_fraction_in_the_simplex_inner_loop():
 def test_one_bareiss_update():
     # The fraction-free update (p * x - f * y) // d, a floor division of
     # a difference of two products, is written once: in linalg._pivot,
-    # behind ranks, determinants, the scaled inverse and both simplex
-    # loops.
+    # behind ranks, determinants, the scaled inverse, the dual simplex
+    # and the basis table's hyperplane search.
     def is_update(node):
         diff = getattr(node, "left", None)
         return (
@@ -301,7 +301,8 @@ def test_cones_uses_no_lp():
     # Double description decides adjacency from tight sets and keeps
     # the lineality basis its elimination leaves, and the basis table
     # signs its normals by dot products, so cones needs nothing of lp:
-    # the hyperplane search takes its cached identity from linalg.
+    # the hyperplane search takes its cached identity from linalg.  lp
+    # defines the chamber LP and its pivot limit, nothing else.
     trees = src_trees()
     lp_names = set()
     for node in trees["lp.py"].body:
@@ -309,7 +310,7 @@ def test_cones_uses_no_lp():
             lp_names.add(node.name)
         elif isinstance(node, ast.Assign):
             lp_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert {"scaled_inverse", "SlackTableau", "PivotLimit"} <= lp_names
+    assert lp_names == {"SlackTableau", "_dual_simplex", "_pivot_rule", "_MAX_PIVOTS", "PivotLimit"}
     used = set()
     for node in ast.walk(trees["cones.py"]):
         if isinstance(node, ast.Name):
@@ -326,8 +327,8 @@ def test_cones_uses_no_lp():
 def test_projectivity_runs_no_lp():
     # validate and vgit.nef_cone read one double description of the
     # wall rows, fans._nef_off: no module names the strict-slack LP's
-    # old entry point, fans takes from lp only the scaled inverse, and
-    # vgit reads neither the wall rows nor an inverse of its own.
+    # old entry point, and vgit reads neither the wall rows nor an
+    # inverse of its own.
     trees = src_trees()
     names = {
         name: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -342,9 +343,32 @@ def test_projectivity_runs_no_lp():
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
     }
-    assert imports[("fans.py", "lp")] == {"scaled_inverse"}
     assert imports[("vgit.py", "fans")] == {"_nef_off"}
-    assert "scaled_inverse" not in imports[("vgit.py", "lp")]
+    assert [key for key, names in imports.items() if key[0] == "vgit.py" and "scaled_inverse" in names] == []
+
+
+def test_only_the_chamber_lp_and_its_limit_import_lp():
+    # lp keeps the feasibility LP of the chamber cell search, and exact
+    # elimination, the scaled inverse included, lives in linalg: vgit
+    # imports the tableau, cli the pivot limit it turns into exit 2, and
+    # no other module imports lp, at module level or inside a function.
+    def from_lp(node):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module if node.level else (node.module or "").removeprefix("toricgit.")
+            if module == "lp":
+                return {a.name for a in node.names}
+            if module in ("", "toricgit", None):
+                return {"lp" for a in node.names if a.name == "lp"}
+        if isinstance(node, ast.Import):
+            return {"lp" for a in node.names if a.name == "toricgit.lp"}
+        return set()
+
+    found = {}
+    for name, tree in src_trees().items():
+        for node in ast.walk(tree):
+            if from_lp(node):
+                found.setdefault(name, set()).update(from_lp(node))
+    assert found == {"vgit.py": {"SlackTableau"}, "cli.py": {"PivotLimit"}}
 
 
 def test_section_counts_run_no_double_description():

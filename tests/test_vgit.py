@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import cones_equal, intersect
-from toricgit import cones, cox, fans, lp, vgit
+from toricgit import cones, cox, fans, linalg, lp, vgit
 from toricgit.checks import PRODUCT_PAIRS
 from toricgit.cli import main
 from toricgit.cones import cone_from_generators, cone_from_inequalities
@@ -651,13 +651,13 @@ class TestCones:
         # fans._nef_off, into the class group: no inverse of the degrees
         assert not hasattr(vgit, "scaled_inverse")
         calls = []
-        real = lp.scaled_inverse
+        real = linalg.scaled_inverse
 
         def counting(rows):
             calls.append(rows)
             return real(rows)
 
-        for module in (lp, cones, fans):
+        for module in (linalg, cones, fans):
             if vars(module).get("scaled_inverse") is real:
                 monkeypatch.setattr(module, "scaled_inverse", counting)
         for name, f in nef_fans(corpus):
