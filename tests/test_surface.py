@@ -353,21 +353,24 @@ def test_only_the_chamber_lp_and_its_limit_import_lp():
     # imports the tableau, cli the pivot limit it turns into exit 2, and
     # no other module imports lp, at module level or inside a function.
     def from_lp(node):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module if node.level else (node.module or "").removeprefix("toricgit.")
-            if module == "lp":
-                return {a.name for a in node.names}
-            if module in ("", "toricgit", None):
-                return {"lp" for a in node.names if a.name == "lp"}
+        # the names imported from lp, or {"lp"} for the module itself
         if isinstance(node, ast.Import):
             return {"lp" for a in node.names if a.name == "toricgit.lp"}
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "toricgit").removeprefix("toricgit.")
+            names = {a.name for a in node.names}
+            if module == "lp":
+                return names
+            if module == "toricgit":
+                return names & {"lp"}
         return set()
 
     found = {}
     for name, tree in src_trees().items():
         for node in ast.walk(tree):
-            if from_lp(node):
-                found.setdefault(name, set()).update(from_lp(node))
+            names = from_lp(node)
+            if names:
+                found.setdefault(name, set()).update(names)
     assert found == {"vgit.py": {"SlackTableau"}, "cli.py": {"PivotLimit"}}
 
 
