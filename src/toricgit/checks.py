@@ -96,11 +96,11 @@ def check_small_unstable_locus(fan) -> CheckResult:
 def check_two_neighborly_equivalence(fan) -> CheckResult:
     """2-neighborliness decides codim >= 3, by two independent routes.
 
-    Neighborliness is a bitmask test of each pair of rays against the
-    masks of the maximal cones; the codimension is the size of a
-    smallest set of rays meeting every generator support of the
-    irrelevant ideal (a smallest hitting set).
-    Neither side touches the GIT layer.
+    Neighborliness compares the fan's number of two-ray cones, read off
+    its h-vector (fans._face_numbers), with C(n_rays, 2); the
+    codimension is the size of a smallest set of rays meeting every
+    generator support of the irrelevant ideal (a smallest hitting set).
+    The two share no code, and neither side touches the GIT layer.
     """
     _require_projective(fan)
     neighborly = is_m_neighborly(fan, 2)
@@ -113,7 +113,11 @@ def check_two_neighborly_equivalence(fan) -> CheckResult:
 
 
 def check_neighborly_codim_equivalence(fan, m) -> CheckResult:
-    """m-neighborliness is equivalent to unstable codimension >= m+1."""
+    """m-neighborliness is equivalent to unstable codimension >= m+1.
+
+    The same two routes as the two-neighborly check: the number of cones
+    with m rays against C(n_rays, m), and the smallest hitting set.
+    """
     _require_projective(fan)
     neighborly = is_m_neighborly(fan, m)
     codim = zero_locus_codim(irrelevant_ideal(fan))

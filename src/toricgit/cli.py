@@ -4,9 +4,10 @@ Exit codes: 0 success (or property true, checks passed), 1 property
 false or check failed, 2 malformed or unsupported input (an unbounded
 section polytope), a simplex pivot limit, or a computation past its
 budget (a section count's cone index, the chamber cell search, the
-entries a construction would print).  Every verb but construct accepts
---json for machine output, and the text reports are a rendering of the
-same data; construct always prints its fan as JSON.
+m-sets of a fan that is not complete, the entries a construction would
+print).  Every verb but construct accepts --json for machine output,
+and the text reports are a rendering of the same data; construct always
+prints its fan as JSON.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .checks import (
 )
 from .cox import degree_map, irrelevant_ideal, zero_locus_codim
 from .fans import (
+    _shown,
     blowup_pn_along_linear,
     count_sections,
     divisor_from_json,
@@ -66,7 +68,7 @@ def _parse_character(text, dm):
     try:
         chi = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"--char expects comma-separated integers, got {text!r}")
+        raise ValueError(f"--char expects comma-separated integers, got {_shown(text)}")
     if len(chi) != dm.cl_free_rank:
         raise ValueError(
             f"--char has {len(chi)} coordinates, class group free rank is "
@@ -224,7 +226,7 @@ def _as_int(text):
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"expected an integer argument, got {text!r}")
+        raise ValueError(f"expected an integer argument, got {_shown(text)}")
 
 
 # Ray coordinates plus cone indices that one construct may print: pn

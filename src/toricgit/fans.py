@@ -11,8 +11,10 @@ into the facet normals that the certificate, validate and Brion's
 formula read.  One cached wall pass over the ridges proves
 a complete fan (every ridge joins two cones on opposite sides, one
 generic probe lies in one cone), and its wall rows cut out Brion's nef
-test and the nef cone that validate and vgit.nef_cone read; any other
-input falls back to one double description per pair of maximal cones.
+test and the nef cone that validate and vgit.nef_cone read, and the
+signs of its facet normals on the probe give the h-vector, whose face
+numbers decide m-neighborliness; any other input falls back to one
+double description per pair of maximal cones.
 Brion's formula counts every section, on the fan or on a chamber fan,
 which the basis table of the rays' classes picks (cones._basis_table).
 """
@@ -109,10 +111,12 @@ class Fan:
         ordered = tuple(sorted(cones))
         masks = tuple(map(_mask, ordered))
         if not _is_antichain(masks):
-            # name the first nested pair in the order of the pair loop
-            a, b = next(
-                (a, b) for a in cones for b in cones if a != b and set(a) <= set(b)
-            )
+            # name the first nested pair of the input order, each cone
+            # tested only against the larger ones (no cone is repeated)
+            given = [(c, _mask(c)) for c in cones]
+            sizes = {len(c) for c in cones}
+            larger = {k: [(b, mb) for b, mb in given if len(b) > k] for k in sizes}
+            a, b = next((a, b) for a, ma in given for b, mb in larger[len(a)] if ma & mb == ma)
             raise FanError(f"cone {_shown(a)} is contained in cone {_shown(b)}")
         if len(set().union(*cones)) < len(rays):
             raise FanError("every ray must appear in some maximal cone")
@@ -409,24 +413,67 @@ def validate(fan) -> FanReport:
 # neighborliness
 
 
+# Mask tests that the m-set loop of is_m_neighborly may make on a fan
+# that the wall pass does not prove complete: 0.15 to 0.3 s (Python
+# 3.11, 2 cores), the longer with longer m-sets.
+_NEIGHBORLY_BUDGET = 1_000_000
+
+
 def is_m_neighborly(fan, m) -> bool:
     """Does every m-element set of rays span a cone of the fan?
 
     For a simplicial fan any subset of a cone's generators spans a face,
-    so it suffices that each m-subset of rays, as a bitmask, lies inside
-    one of the fan's cone masks.  m above the ray count returns False.
+    so the fan is m-neighborly exactly when it has C(n_rays, m) cones of
+    m rays.  A complete fan reads that number off _face_numbers (no
+    cone has more than dim rays).  Any other fan tests each m-subset of
+    rays, as a bitmask, against the fan's cone masks, and raises
+    ValueError past _NEIGHBORLY_BUDGET mask tests.  m above the ray
+    count returns False.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if m > fan.n_rays:
         return False
+    faces = _face_numbers(fan)
+    if faces is not None:
+        return m <= fan.dim and faces[1][m] == comb(fan.n_rays, m)
+    work = 0
     for sub in map(sum, combinations([1 << i for i in range(fan.n_rays)], m)):
         for c in fan._masks:
+            work += 1
             if sub & c == sub:
                 break
         else:
             return False
+        if work > _NEIGHBORLY_BUDGET:
+            raise ValueError(
+                f"{m}-neighborliness of a fan that is not complete needs more "
+                f"than {_NEIGHBORLY_BUDGET} tests of {m} rays against a cone"
+            )
     return True
+
+
+@lru_cache(maxsize=1024)
+def _face_numbers(fan):
+    """(h, f) of a complete fan, f[k] its number of cones with k rays
+    (f[0] = 1, the origin), or None when _walls is None.
+
+    With w the wall pass's probe, h[i] counts the maximal cones that have
+    exactly i inward facet normals negative on w, and the cones with k
+    rays number f[k] = sum_(i <= k) C(d - i, k - i) h[i] (Fulton,
+    Introduction to Toric Varieties, ch. 5.6; Ziegler, Lectures on
+    Polytopes, ch. 8.3).  The sign of <n, w> is that of n's last
+    nonzero entry, by _probe's own argument, so the one pass over the
+    stored normals takes no product.  h is symmetric (Dehn-Sommerville).
+    """
+    if _walls(fan) is None:
+        return None
+    d = fan.dim
+    h = [0] * (d + 1)
+    for normals, _ in _cone_inverses(fan).values():
+        h[sum(next(filter(None, reversed(n))) < 0 for n in normals)] += 1
+    f = tuple(sum(comb(d - i, k - i) * h[i] for i in range(k + 1)) for k in range(d + 1))
+    return tuple(h), f
 
 
 # ---------------------------------------------------------------------------

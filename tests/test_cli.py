@@ -260,6 +260,32 @@ class TestNeighborly:
         code, _, err = run(["neighborly", "--m", "0", f1_file], capsys)
         assert code == 2
 
+    def test_p30_answers_m15_within_a_second(self, write, capsys):
+        # C(31, 15) m-sets, which the complete fan's face numbers count
+        # without listing; every cache is cleared, as in a fresh process
+        path = write(fan_to_json(projective_space_fan(30)), "p30.json")
+        for module in package_modules():
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == module.__name__:
+                    fn.cache_clear()
+        start = time.perf_counter()
+        code, out, err = run(["neighborly", "--m", "15", path], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, "true\n", "")
+
+    def test_incomplete_fan_past_the_budget_exits_two(self, write, capsys):
+        # P^22 less one maximal cone takes the m-set loop, whose 11-sets
+        # pass fans._NEIGHBORLY_BUDGET
+        data = fan_to_json(projective_space_fan(22))
+        data["max_cones"] = data["max_cones"][1:]
+        path = write(data, "p22_less_one.json")
+        code, out, err = run(["neighborly", "--m", "11", path], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: 11-neighborliness of a fan that is not complete needs more "
+            "than 1000000 tests of 11 rays against a cone\n"
+        )
+
 
 class TestChambers:
     def test_f1_lists_two(self, f1_file, capsys):
@@ -375,6 +401,16 @@ class TestNef:
             assert "--char expects" in err
 
 
+    @pytest.mark.parametrize("char", ["x" * 100_000, "1" * 100_000])
+    def test_oversized_char_is_not_echoed_in_full(self, f1_file, capsys, char):
+        # the message names --char and a prefix of the argument, not all
+        # of it
+        code, out, err = run(["nef", f1_file, "--char", char], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --char expects comma-separated integers, got '" + char[:99] + "...")
+        assert len(err.encode()) < 300
+
+
 class TestSections:
     def test_count(self, p2_file, write, capsys):
         div = write({"coefficients": [1, 1, 1]}, "d.json")
@@ -481,6 +517,12 @@ class TestConstruct:
         code, out, _ = run(["construct", *argv], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_oversized_integer_argument_is_not_echoed_in_full(self, capsys):
+        code, out, err = run(["construct", "pn", "x" * 100_000], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: expected an integer argument, got '" + "x" * 99 + "...")
+        assert len(err.encode()) < 300
 
     def test_oversized_construction_exits_two_fast(self, capsys):
         start = time.perf_counter()

@@ -190,6 +190,30 @@ class TestFanConstructor:
         nested = any(a != b and set(a) <= set(b) for a in cones for b in cones)
         assert fans._is_antichain(tuple(map(fans._mask, cones))) == (not nested)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 5), min_size=1), min_size=2, max_size=8, unique=True))
+    def test_nested_pair_message_names_the_pair_loop_first_match(self, sets):
+        # the first pair (a, b) of the input order with a inside b
+        cones = [tuple(sorted(c)) for c in sets]
+        pairs = [(a, b) for a in cones for b in cones if a != b and set(a) <= set(b)]
+        assume(pairs)
+        a, b = pairs[0]
+        rays = [(1, i) for i in range(6)]
+        with pytest.raises(FanError) as info:
+            Fan(2, rays, cones, _trusted=True)
+        assert str(info.value) == f"cone {a} is contained in cone {b}"
+
+    def test_nested_pair_among_many_cones_is_named_fast(self):
+        # 3,000 one-ray cones with the nested pair last: each cone is
+        # tested only against the larger ones
+        rays = [(1, i) for i in range(3001)]
+        cones = [(i,) for i in range(3000)] + [(2999, 3000)]
+        start = time.perf_counter()
+        with pytest.raises(FanError) as info:
+            Fan(2, rays, cones)
+        assert time.perf_counter() - start < 0.2
+        assert str(info.value) == "cone (2999,) is contained in cone (2999, 3000)"
+
     def test_accepts_proper_subdivision(self):
         f = Fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
         assert f.n_rays == 3
@@ -305,6 +329,31 @@ def twisted_cube_fan():
     return Fan(3, rays, cones)
 
 
+def cyclic_face_fan(n):
+    """The face fan of the cyclic polytope C(n, 4), complete, simplicial
+    and projective, 2-neighborly but not 3-neighborly.
+
+    Rays: the points (t, t^2, t^3, t^4), t = i - (n - 1)/2 for i < n,
+    less their centroid, times 4, rounded, each divided by the gcd of
+    its entries.  Cones: the facets of the polytope, the 4-sets S for
+    which any two indices off S have an even number of S between them
+    (Gale's evenness condition; Ziegler, Lectures on Polytopes, 0.7).
+    """
+    ts = [Fraction(2 * i - (n - 1), 2) for i in range(n)]
+    points = [[t**k for k in range(1, 5)] for t in ts]
+    centroid = [sum(column) / n for column in zip(*points)]
+    rays = []
+    for point in points:
+        r = [round(4 * (x - c)) for x, c in zip(point, centroid)]
+        rays.append([x // gcd(*r) for x in r])
+    cones = [
+        s
+        for s in combinations(range(n), 4)
+        if all(sum(i < k < j for k in s) % 2 == 0 for i, j in combinations(sorted(set(range(n)) - set(s)), 2))
+    ]
+    return Fan(4, rays, cones)
+
+
 class TestValidate:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_projective_space_all_flags(self, n):
@@ -367,6 +416,19 @@ class TestValidate:
 
 # ---------------------------------------------------------------------------
 # the wall certificate against the pairwise fan-axiom check
+
+
+def assert_face_numbers_route(f):
+    """A complete fan answers is_m_neighborly from its face numbers, as
+    the set oracle does, and takes no m-set loop; its h-vector is
+    symmetric and its face numbers count the faces of its cones."""
+    h, faces = fans._face_numbers(f)
+    assert h == h[::-1], (f, h)  # Dehn-Sommerville
+    cones = {s for c in f.max_cones for k in range(len(c) + 1) for s in combinations(c, k)}
+    assert faces == tuple(sum(len(s) == k for s in cones) for k in range(f.dim + 1)), f
+    with mock.patch.object(fans, "combinations", side_effect=AssertionError):
+        answers = [is_m_neighborly(f, m) for m in range(1, f.n_rays + 2)]
+    assert answers == [oracles.is_m_neighborly(f, m) for m in range(1, f.n_rays + 2)], f
 
 
 def complete_fans():
@@ -649,22 +711,29 @@ class TestNeighborly:
 
     def test_bitmasks_match_the_set_oracle(self, corpus):
         # The corpus, the products of the analyze benchmark (all of
-        # PRODUCT_PAIRS), (P^1)^2..(P^1)^5, the half-plane fan, which is
-        # not complete, and P^2 and a subdivided plane given with
-        # unsorted cone tuples, for every m from 0 to n_rays + 1.
+        # PRODUCT_PAIRS), (P^1)^2..(P^1)^6, the non-projective twisted
+        # cube, the cyclic face fans C(n, 4) for n = 9..11, the
+        # half-plane fan, which is not complete, and P^2 and a
+        # subdivided plane given with unsorted cone tuples, for every m
+        # from 0 to n_rays + 1.  Every fan but the half-plane is
+        # complete and takes the face-number route.
         by_name = dict(corpus)
         fans_ = [f for _, f in corpus]
         fans_ += [product_fan(by_name[a], by_name[b]) for a, b in PRODUCT_PAIRS]
         power = p1()
-        for _ in range(4):
+        for _ in range(5):
             power = product_fan(power, p1())
             fans_.append(power)
+        fans_ += [twisted_cube_fan(), *map(cyclic_face_fan, range(9, 12))]
         fans_.append(Fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)]))
         fans_.append(Fan(2, [(1, 0), (0, 1), (-1, -1)], [(2, 1), (2, 0), (1, 0)]))
         fans_.append(Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(3, 2), (1, 0), (2, 1), (0, 3)]))
-        checked = 0
+        checked = complete = 0
         for f in fans_:
             assert f._masks == tuple(sum(1 << i for i in c) for c in f.max_cones)
+            if fans._face_numbers(f) is not None:
+                assert_face_numbers_route(f)
+                complete += 1
             for m in range(f.n_rays + 2):
                 if m == 0:
                     for test in (is_m_neighborly, oracles.is_m_neighborly):
@@ -674,8 +743,51 @@ class TestNeighborly:
                 assert is_m_neighborly(f, m) == oracles.is_m_neighborly(f, m), (f, m)
                 checked += 1
         assert checked == sum(f.n_rays + 1 for f in fans_)
+        assert complete == len(fans_) - 1
         assert not is_m_neighborly(fans_[-3], 2)  # the half-plane: rays 0 and 2
         assert is_m_neighborly(fans_[-2], 2) and not is_m_neighborly(fans_[-2], 3)
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_cyclic_face_fans_are_two_but_not_three_neighborly(self, n):
+        f = cyclic_face_fan(n)
+        assert validate(f).complete and validate(f).projective
+        h, faces = fans._face_numbers(f)
+        assert h == (1, n - 4, comb(n - 3, 2), n - 4, 1)
+        assert faces == (1, n, comb(n, 2), n * (n - 3), n * (n - 3) // 2)
+        assert is_m_neighborly(f, 2) and not is_m_neighborly(f, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_star_subdivisions_match_the_set_oracle(self, data):
+        bases = [f for _, f in builtin_corpus() if 2 <= f.dim <= 3] + [twisted_cube_fan()]
+        f = data.draw(st.sampled_from(bases))
+        for _ in range(data.draw(st.integers(1, 3))):
+            cone = data.draw(st.sampled_from(f.max_cones))
+            face = data.draw(st.lists(st.sampled_from(cone), min_size=2, unique=True))
+            with contextlib.suppress(ValueError):  # barycenter already a ray
+                f = star_subdivision(f, face)
+        assert_face_numbers_route(f)
+
+    def test_incomplete_fan_charges_each_mask_test(self, monkeypatch):
+        # the half-plane fan, m = 1: ray 0 and ray 1 lie in the first
+        # cone (one test each), ray 2 only in the second (two tests)
+        f = Fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+        assert fans._face_numbers(f) is None
+        monkeypatch.setattr(fans, "_NEIGHBORLY_BUDGET", 4)
+        assert is_m_neighborly(f, 1)
+        monkeypatch.setattr(fans, "_NEIGHBORLY_BUDGET", 3)
+        with pytest.raises(ValueError, match="more than 3 tests of 1 rays against a cone"):
+            is_m_neighborly(f, 1)
+
+    def test_incomplete_fan_past_the_budget_raises(self):
+        # P^22 less one maximal cone is 11-neighborly, but its C(23, 11)
+        # 11-sets take more mask tests than the budget allows
+        p = projective_space_fan(22)
+        f = Fan(22, p.rays, p.max_cones[1:], _trusted=True)
+        assert fans._face_numbers(f) is None
+        assert is_m_neighborly(f, 3)
+        with pytest.raises(ValueError, match="11-neighborliness of a fan that is not complete"):
+            is_m_neighborly(f, 11)
 
 
 # ---------------------------------------------------------------------------

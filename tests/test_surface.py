@@ -324,6 +324,33 @@ def test_cones_uses_no_lp():
     assert package == {"linalg"}
 
 
+def test_neighborliness_reads_nothing_of_cox():
+    # neighborly-codim-equivalence holds is_m_neighborly against cox's
+    # smallest hitting set, so the face count must stay a second route:
+    # neither it, _face_numbers nor any function of fans they reach
+    # names a function, class or constant that cox defines.
+    trees = src_trees()
+    cox_names = set()
+    for node in trees["cox.py"].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            cox_names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            cox_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    functions = {n.name: n for n in trees["fans.py"].body if isinstance(n, ast.FunctionDef)}
+    reached, todo, used = set(), ["is_m_neighborly", "_face_numbers"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        names, attrs = references([functions[name]])
+        used |= names | attrs
+        todo.extend(names & functions.keys())
+    assert {"is_m_neighborly", "_face_numbers", "_walls", "_cone_inverses", "_probe"} <= reached
+    assert used & cox_names == set()
+    assert "cox" not in {n.module for n in trees["fans.py"].body if isinstance(n, ast.ImportFrom)}
+
+
 def test_projectivity_runs_no_lp():
     # validate and vgit.nef_cone read one double description of the
     # wall rows, fans._nef_off: no module names the strict-slack LP's
@@ -479,6 +506,7 @@ def test_every_limit_is_named():
     }
     assert readers == {
         "_INDEX_BUDGET": ["fans.py:_charge"],
+        "_NEIGHBORLY_BUDGET": ["fans.py:is_m_neighborly"],
         "_TABLEAU_BUDGET": ["vgit.py:_enumerate_cells"],
         "_MAX_PIVOTS": ["lp.py:_pivot_rule"],
         "_TABLE_BUDGET": ["cones.py:_hyperplanes"],
