@@ -97,8 +97,8 @@ def check_two_neighborly_equivalence(fan) -> CheckResult:
     """2-neighborliness decides codim >= 3, by two independent routes.
 
     Neighborliness compares the fan's number of two-ray cones, read off
-    its h-vector (fans._face_numbers), with C(n_rays, 2); the
-    codimension is the size of a smallest set of rays meeting every
+    the face numbers of its wall pass (fans._walls), with C(n_rays, 2);
+    the codimension is the size of a smallest set of rays meeting every
     generator support of the irrelevant ideal (a smallest hitting set).
     The two share no code, and neither side touches the GIT layer.
     """

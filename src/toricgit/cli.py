@@ -42,7 +42,6 @@ from .fans import (
     projective_space_fan,
     validate,
 )
-from .lp import PivotLimit
 from .vgit import (
     ample_character,
     enumerate_chambers,
@@ -434,12 +433,19 @@ def _build_parser():
         description="Exact GIT and chamber computations for simplicial toric fans.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    def bounded_int(text):  # argparse's own int error would echo text whole
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
     for name, (helptext, handler, positionals, *options) in _VERBS.items():
         p = sub.add_parser(name, help=helptext)
         for pos, text, choices, many in positionals:
             p.add_argument(pos, help=text, choices=choices, nargs="*" if many else None)
         for flag, kind, default, required, text in options:
-            how = {"action": "store_true"} if kind is bool else {"type": kind}
+            how = {"action": "store_true"} if kind is bool else {"type": bounded_int if kind is int else kind}
             p.add_argument(flag, default=default, required=required, help=text, **how)
         p.set_defaults(handler=handler)
     return parser
@@ -451,13 +457,11 @@ def main(argv=None):
     args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except (ValueError, OSError, PivotLimit) as exc:
+    except (ValueError, OSError) as exc:
+        if isinstance(exc, json.JSONDecodeError):
+            exc = f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        elif isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

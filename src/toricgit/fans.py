@@ -8,13 +8,13 @@ be simplicial and meet in common faces.  The trusted constructors skip
 that certification, since their cones are independent and form a fan by
 construction.  Each full-dimensional maximal cone is eliminated once,
 into the facet normals that the certificate, validate and Brion's
-formula read.  One cached wall pass over the ridges proves
-a complete fan (every ridge joins two cones on opposite sides, one
-generic probe lies in one cone), and its wall rows cut out Brion's nef
-test and the nef cone that validate and vgit.nef_cone read, and the
-signs of its facet normals on the probe give the h-vector, whose face
-numbers decide m-neighborliness; any other input falls back to one
-double description per pair of maximal cones.
+formula read.  One cached wall pass over the ridges and the normals
+proves a complete fan (every ridge joins two cones on opposite sides,
+and one generic point lies in one cone, h[0] = 1 of the h-vector that
+the normals' signs give).  Its wall rows cut out Brion's nef test and
+the nef cone that validate and vgit.nef_cone read, and its face numbers
+decide m-neighborliness; any other input falls back to one double
+description per pair of maximal cones.
 Brion's formula counts every section, on the fan or on a chamber fan,
 which the basis table of the rays' classes picks (cones._basis_table).
 """
@@ -295,12 +295,12 @@ def _cone_inverses(fan):
 
 @lru_cache(maxsize=1024)
 def _walls(fan):
-    """The distinct wall rows of a complete fan, or None when this one
-    pass over the ridges does not prove the fan complete.
+    """(rows, faces) of a complete fan, or None when this one pass over
+    the ridges and the facet normals does not prove the fan complete.
 
     The proof is a pseudomanifold certificate: every maximal cone is
     full-dimensional, every ridge lies in exactly two, on opposite sides
-    of it, and one generic probe lies in exactly one cone (De Loera,
+    of it, and a generic point lies in exactly one cone (De Loera,
     Rambau and Santos, Triangulations, 2010, ch. 4).  It proves the fan
     axiom too; None proves nothing.  A ridge with sides (c1, r1) and
     (c2, r2) gives the row d * (coordinates of v_r2 in the basis of c1)
@@ -308,13 +308,18 @@ def _walls(fan):
     the wall (Cox, Little and Schenck, Toric Varieties, ch. 6); its
     entry at r1 is negative iff the sides are opposite.  Its entry at
     the i-th ray of c1 is <u_i, v_r2>, u_i the i-th facet normal of c1.
-    The ridges are taken in any order, since no reader depends on the
-    order of the rows.  Walls repeat rows (bl4_1 x bl4_1: 324 rows, 6
-    distinct), so only distinct rows are kept.  A row vanishes on
-    principal divisors, and a divisor D with coefficients a is nef
-    exactly when w.a <= 0 for every row w.  Cached, since three callers
-    read it: the fan-axiom certificate, Brion's nef test in _brion_data,
-    and _nef_off, the nef cone that validate and vgit.nef_cone read.
+    rows holds the distinct rows in any order (bl4_1 x bl4_1: 324 rows,
+    6 distinct).  A row vanishes on principal divisors, and a divisor D
+    with coefficients a is nef exactly when w.a <= 0 for every row w.
+    On the generic point (eps^(dim-1), ..., eps, 1), eps -> 0+, a normal
+    has the sign of its last nonzero entry (Edelsbrunner and Mucke,
+    Simulation of Simplicity, 1990).  h[i] counts the cones with exactly
+    i normals negative there, so h[0] counts the cones that hold it, and
+    faces[k] = sum_(i <= k) C(dim - i, k - i) h[i] is the number of
+    cones with k rays, faces[0] = 1 (Fulton, Introduction to Toric
+    Varieties, ch. 5.6; Ziegler, Lectures on Polytopes, ch. 8.3).
+    Cached for its four readers: the fan-axiom certificate, _nef_off,
+    _brion_data and is_m_neighborly.
     """
     inverses = _cone_inverses(fan)
     if len(inverses) != len(fan.max_cones):
@@ -336,13 +341,14 @@ def _walls(fan):
         if row[r1] >= 0:
             return None
         rows.append(primitive(row))
-    # The probe lies on no facet hyperplane, so it is interior to each
-    # cone it hits.
-    normals = [ns for ns, _ in inverses.values()]
-    w = _probe(fan.dim, normals)
-    if sum(all(_dot(n, w) > 0 for n in ns) for ns in normals) != 1:
+    dim = fan.dim
+    h = [0] * (dim + 1)
+    for normals, _ in inverses.values():
+        h[sum(next(filter(None, reversed(n))) < 0 for n in normals)] += 1
+    if h[0] != 1:
         return None
-    return tuple(dict.fromkeys(rows))
+    faces = tuple(sum(comb(dim - i, k - i) * h[i] for i in range(k + 1)) for k in range(dim + 1))
+    return tuple(dict.fromkeys(rows)), faces
 
 
 @lru_cache(maxsize=1024)
@@ -363,18 +369,7 @@ def _nef_off(fan):
     if walls is None:
         return None
     off = [i for i in range(fan.n_rays) if i not in fan.max_cones[0]]
-    return cone_from_inequalities(len(off), [tuple(-w[i] for i in off) for w in walls])
-
-
-def _probe(dim, normals):
-    """w = (1, q, ..., q^(dim-1)) with q above every normal's entry sum.
-
-    Every nonzero normal n has _dot(n, w) != 0: each |n_i| < q, so its
-    last nonzero term outweighs all the earlier ones together.  normals
-    is an iterable of lists of vectors.
-    """
-    q = 1 + max(sum(map(abs, n)) for ns in normals for n in ns)
-    return [q**i for i in range(dim)]
+    return cone_from_inequalities(len(off), [tuple(-w[i] for i in off) for w in walls[0]])
 
 
 @lru_cache(maxsize=8192)
@@ -424,19 +419,19 @@ def is_m_neighborly(fan, m) -> bool:
 
     For a simplicial fan any subset of a cone's generators spans a face,
     so the fan is m-neighborly exactly when it has C(n_rays, m) cones of
-    m rays.  A complete fan reads that number off _face_numbers (no
-    cone has more than dim rays).  Any other fan tests each m-subset of
-    rays, as a bitmask, against the fan's cone masks, and raises
-    ValueError past _NEIGHBORLY_BUDGET mask tests.  m above the ray
-    count returns False.
+    m rays.  A complete fan reads that number off the face numbers of
+    its wall pass, _walls (no cone has more than dim rays).  Any other
+    fan tests each m-subset of rays, as a bitmask, against the fan's
+    cone masks, and raises ValueError past _NEIGHBORLY_BUDGET mask
+    tests.  m above the ray count returns False.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if m > fan.n_rays:
         return False
-    faces = _face_numbers(fan)
-    if faces is not None:
-        return m <= fan.dim and faces[1][m] == comb(fan.n_rays, m)
+    walls = _walls(fan)
+    if walls is not None:
+        return m <= fan.dim and walls[1][m] == comb(fan.n_rays, m)
     work = 0
     for sub in map(sum, combinations([1 << i for i in range(fan.n_rays)], m)):
         for c in fan._masks:
@@ -451,29 +446,6 @@ def is_m_neighborly(fan, m) -> bool:
                 f"than {_NEIGHBORLY_BUDGET} tests of {m} rays against a cone"
             )
     return True
-
-
-@lru_cache(maxsize=1024)
-def _face_numbers(fan):
-    """(h, f) of a complete fan, f[k] its number of cones with k rays
-    (f[0] = 1, the origin), or None when _walls is None.
-
-    With w the wall pass's probe, h[i] counts the maximal cones that have
-    exactly i inward facet normals negative on w, and the cones with k
-    rays number f[k] = sum_(i <= k) C(d - i, k - i) h[i] (Fulton,
-    Introduction to Toric Varieties, ch. 5.6; Ziegler, Lectures on
-    Polytopes, ch. 8.3).  The sign of <n, w> is that of n's last
-    nonzero entry, by _probe's own argument, so the one pass over the
-    stored normals takes no product.  h is symmetric (Dehn-Sommerville).
-    """
-    if _walls(fan) is None:
-        return None
-    d = fan.dim
-    h = [0] * (d + 1)
-    for normals, _ in _cone_inverses(fan).values():
-        h[sum(next(filter(None, reversed(n))) < 0 for n in normals)] += 1
-    f = tuple(sum(comb(d - i, k - i) * h[i] for i in range(k + 1)) for k in range(d + 1))
-    return tuple(h), f
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +618,8 @@ def _chamber(fan, a):
     their fan, the normal fan of P_D' (the GIT chamber of D's class,
     nudged; Hu and Keel, 2000).  For a normal nu of the classes' basis
     table, <nu, [D']> has the sign of <nu, [D]>, or where that is 0 the
-    sign ties[nu] of _gale's probe class, that of the first ray off nu's
-    hyperplane, a symbolic perturbation (Edelsbrunner and Mucke,
+    sign ties[nu] that _gale reads off the class of the first ray off
+    nu's hyperplane, a symbolic perturbation (Edelsbrunner and Mucke,
     Simulation of Simplicity, 1990).  So one dot product per normal,
     read by _least_members, gives masks, the class bases whose cones
     hold [D'], none exactly when P_D is empty (Farkas), and _chamber_fan
@@ -696,9 +668,9 @@ def _gale(fan):
     The class of a divisor a is projection . a, from _cokernel; classes
     and members are cones._classes of the rays' classes, so a grading
     and its fan share one cones._basis_table.  ties[j] is the sign of
-    <nu_j, w>, w = sum_i q^(k-1-i) c_i the probe class, c_i the classes
-    by first ray: q is above every |<nu_j, c_i>|, so the first class off
-    nu_j's hyperplane outweighs the rest.  bounded says whether every
+    the first nonzero <nu_j, c> over the classes c by first ray, that of
+    nu_j on the nudged class [D'] of _chamber where [D] lies on nu_j's
+    hyperplane, or -1 when every class does.  bounded says whether every
     P_D is bounded: whether the rays span, and by Gale duality
     positively, their classes acyclic (none 0, their cone pointed) so
     that the facet normals that the table's side marks span.
@@ -707,12 +679,8 @@ def _gale(fan):
     degrees = [tuple(row[r] for row in data.projection) for r in range(fan.n_rays)]
     classes, members = _classes(degrees)
     normals, side, _ = _basis_table(classes)
-    longest = max((sum(map(abs, nu)) for nu in normals), default=0)
-    q = 1 + longest * max((abs(x) for c in classes for x in c), default=0)
-    w = [0] * data.free_rank
-    for c in dict.fromkeys(degrees):  # the classes by first ray
-        w = [q * x + y for x, y in zip(w, c)]
-    ties = tuple(1 if _dot(nu, w) > 0 else -1 for nu in normals)
+    firsts = tuple(dict.fromkeys(degrees))  # the classes by first ray
+    ties = tuple(1 if next(filter(None, (_dot(nu, c) for c in firsts)), -1) > 0 else -1 for nu in normals)
     facets = [nu for nu, s in zip(normals, side) if s]
     spans = data.free_rank == fan.n_rays - fan.dim
     bounded = spans and all(map(any, classes)) and matrix_rank(facets) == data.free_rank
@@ -750,15 +718,17 @@ def _charge(index):
 
 @lru_cache(maxsize=256)
 def _brion_data(fan):
-    """(den, walls, cones) of Brion's formula, or None when _walls does
-    not prove the fan complete.
+    """(den, rows, cones) of Brion's formula, rows those of _walls, or
+    None when _walls does not prove the fan complete.
 
     A cone's vertex u solves <u, v_i> = -a_i, its tangent cone is
     spanned by the primitive edges g_j of its facet normals w_j (index
     det), and its lattice points are u plus the points p of the
     half-open parallelepiped of the g_j (Brion, 1988; Beck and
-    Robins, Computing the Continuous Discretely, ch. 3).  With lam the
-    wall pass's probe, b_j = <lam, g_j> and alpha = <lam, p>, the cone
+    Robins, Computing the Continuous Discretely, ch. 3).  With lam =
+    (1, q, ..., q^(d-1)), q above every normal's entry sum, on no facet
+    hyperplane, as the last nonzero term of each <w_j, lam> outweighs
+    the others, b_j = <lam, g_j> and alpha = <lam, p>, the cone
     adds the constant term at t = 0 of sum_p e^(t alpha) / prod_j
     (1 - e^(t b_j)) = (-1)^d / prod_j b_j * sum_p sum_k s_k
     alpha^(d-k) / (d-k)!, s_k those of the Todd series prod_j T(t b_j)
@@ -778,7 +748,8 @@ def _brion_data(fan):
         return None
     d, inverses = fan.dim, _cone_inverses(fan)
     _charge(sum(det > 1 and det ** (d - 1) // prod(gcd(*w) for w in ws) or 1 for ws, det in inverses.values()))
-    lam = _probe(d, [ws for ws, _ in inverses.values()])
+    q = 1 + max(sum(map(abs, w)) for ws, _ in inverses.values() for w in ws)
+    lam = [q**i for i in range(d)]
     scale, weights, horner = _todd(d)
     cones = []
     for cone, (ws, det) in inverses.items():
@@ -798,7 +769,7 @@ def _brion_data(fan):
         g = gcd(den, *num) * (1 if den > 0 else -1)
         cones.append((cone, tuple(b), [x // g for x in num], den // g, group))
     common = lcm(*(den for _, _, _, den, _ in cones))
-    return common, walls, tuple(
+    return common, walls[0], tuple(
         (cone, b, tuple(x * (common // den) for x in num), group)
         for cone, b, num, den, group in cones
     )
@@ -843,8 +814,8 @@ def _brion_count(brion, coefficients):
     D is nef exactly when its support function is convex across every
     wall, that is w.a <= 0 for each wall row w; tested before any sum.
     """
-    den, walls, cones = brion
-    if any(_dot(w, coefficients) > 0 for w in walls):
+    den, rows, cones = brion
+    if any(_dot(w, coefficients) > 0 for w in rows):
         return None
     total = 0
     for cone, b, poly, group in cones:

@@ -28,7 +28,7 @@ from .linalg import _pivot
 _MAX_PIVOTS = 100000
 
 
-class PivotLimit(RuntimeError):
+class PivotLimit(ValueError):
     pass
 
 

@@ -48,8 +48,14 @@ classes, where toricgit.vgit runs a sign test on the basis inverses.
 stable_base_locus_codim takes the support of every mask that the ample
 character's membership has and chi's lacks, where toricgit.vgit weighs
 only the maximal ones.  table_ties decodes the tie sign of each normal
-of a basis table from its signed indices, where toricgit.fans._gale
-reads the signs off one probe class.
+of a basis table from its signed indices, and q_weighted_ties reads
+them off one big-integer probe class, the classes weighted by falling
+powers of a bound q, where toricgit.fans._gale takes the first nonzero
+dot product.  wall_certificate is the pseudomanifold certificate with
+facet normals by Fraction elimination and a big-integer probe (1, q,
+..., q^(dim-1)) tested against every cone by dot products, where
+toricgit.fans._walls counts the cones whose normals' last nonzero
+entries are all positive.
 chamber_closure intersects the cones of its member masks, against which
 the witness toricgit.vgit reads off the basis cones of a chamber is
 held; intersect and cones_equal are the chain of double descriptions
@@ -103,7 +109,7 @@ from toricgit.cones import _basis_table, _bits, _combine, _mask, cone_from_gener
 from toricgit.linalg import _dot, _identity, _pivot, matrix_rank, primitive
 from toricgit.linalg import scaled_inverse, sign_normalized, smith_normal_form
 from toricgit import cox, vgit
-from toricgit.fans import Fan, _is_antichain, validate
+from toricgit.fans import Fan, _gale, _is_antichain, validate
 from toricgit.lp import PivotLimit, _pivot_rule
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
@@ -850,7 +856,8 @@ def table_ties(classes, members):
     decoded from the table's signed indices: each normal is the row of
     a class c of some basis and lies on the basis' other classes, and
     its sign is that of <nu, x> for the first class x by first ray off
-    its hyperplane, where toricgit.fans._gale reads one probe class."""
+    its hyperplane, where toricgit.fans._gale takes the first nonzero
+    dot product over the classes."""
     normals, _, table = _basis_table(classes)
     order = sorted(range(len(classes)), key=lambda c: members[c][0])
     ties = [0] * len(normals)
@@ -861,6 +868,55 @@ def table_ties(classes, members):
                 x = next(x for x in (_dot(normals[j], classes[o]) for o in order if not h >> o & 1) if x)
                 ties[j] = 1 if x > 0 else -1
     return tuple(ties)
+
+
+def q_weighted_ties(fan):
+    """The tie sign of each normal nu of the basis table of the fan's
+    ray classes: the sign of <nu, w>, -1 at 0, w = sum_i q^(k-1-i) c_i
+    the probe class of the k classes c_i by first ray, with q above
+    every |<nu, c_i>|, so that the first class off nu's hyperplane
+    outweighs the rest."""
+    projection, classes = _gale(fan)[:2]
+    normals = _basis_table(classes)[0]
+    longest = max((sum(map(abs, nu)) for nu in normals), default=0)
+    q = 1 + longest * max((abs(x) for c in classes for x in c), default=0)
+    w = [0] * len(projection)
+    for c in dict.fromkeys(zip(*projection)):  # the classes by first ray
+        w = [q * x + y for x, y in zip(w, c)]
+    return tuple(1 if _dot(nu, w) > 0 else -1 for nu in normals)
+
+
+def wall_certificate(fan):
+    """Is the fan a pseudomanifold with one cone over a generic probe?
+    Every maximal cone is full-dimensional with independent rays, every
+    ridge lies in exactly two cones, whose opposite rays lie on opposite
+    sides of it, and the probe (1, q, ..., q^(dim-1)), q above every
+    entry sum of the cones' integer facet normals, has positive dot
+    products with the normals of exactly one cone.  The normals are the
+    columns of each cone's inverse by rational_solve, scaled to
+    integers."""
+    normals = {}
+    for c in fan.max_cones:
+        rays = [list(r) for r in fan.cone_rays(c)]
+        if len(c) != fan.dim:
+            return False
+        columns = [rational_solve(rays, [int(i == j) for i in range(fan.dim)]) for j in range(fan.dim)]
+        if None in columns:
+            return False  # dependent rays
+        normals[c] = [[int(x * lcm(*(y.denominator for y in col))) for x in col] for col in columns]
+    ridges = {}
+    for c in fan.max_cones:
+        for r in c:
+            ridges.setdefault(tuple(i for i in c if i != r), []).append((c, r))
+    for sides in ridges.values():
+        if len(sides) != 2:
+            return False
+        (c1, r1), (_, r2) = sides
+        if _dot(normals[c1][c1.index(r1)], fan.rays[r2]) >= 0:
+            return False  # r2 on r1's side of the ridge
+    q = 1 + max(sum(map(abs, n)) for ns in normals.values() for n in ns)
+    w = [q**i for i in range(fan.dim)]
+    return sum(all(_dot(n, w) > 0 for n in ns) for ns in normals.values()) == 1
 
 
 def chamber_closure(dm, chi):

@@ -155,6 +155,17 @@ class TestValidate:
         assert code == 2 and out == ""
         assert said in err and len(err.encode()) < 1024
 
+    @pytest.mark.parametrize("which", ["fan", "divisor"])
+    def test_oversized_path_is_not_echoed_in_full(self, which, p2_file, capsys):
+        # a path that cannot be opened comes back cut, after the errno
+        # and its text: "[Errno 36] File name too long: 'xxx..."
+        path = "x" * 100_000
+        argv = ["validate", path] if which == "fan" else ["sections", p2_file, path]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(": '" + "x" * 99 + "...\n")
+        assert len(err.encode()) < 300
+
 
 class TestAnalyze:
     def test_f1_report(self, f1_file, capsys):
@@ -272,6 +283,18 @@ class TestNeighborly:
         code, out, err = run(["neighborly", "--m", "15", path], capsys)
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (0, "true\n", "")
+
+    @pytest.mark.parametrize("argv", [["neighborly", "f.json", "--m"], ["check", "bundle", "--m-max"]], ids=" ".join)
+    def test_oversized_int_option_is_not_echoed_in_full(self, argv, capsys):
+        # argparse reports an invalid int value after the verb's usage;
+        # the value is cut (check's usage lists its ten names, 290 B)
+        value = "x" * 100_000
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"error: argument {argv[-1]}: invalid int value: '" + "x" * 99 + "...\n")
+        assert len(err.encode()) < (300 if argv[0] == "neighborly" else 600)
 
     def test_incomplete_fan_past_the_budget_exits_two(self, write, capsys):
         # P^22 less one maximal cone takes the m-set loop, whose 11-sets

@@ -418,11 +418,23 @@ class TestValidate:
 # the wall certificate against the pairwise fan-axiom check
 
 
+def h_vector(faces):
+    """h[i] = sum_(k <= i) (-1)^(i-k) C(d - k, i - k) faces[k], d =
+    len(faces) - 1: the inverse of faces[k] = sum_(i <= k) C(d - i, k -
+    i) h[i], which the wall pass sums."""
+    d = len(faces) - 1
+    return tuple(
+        sum((-1) ** (i - k) * comb(d - k, i - k) * faces[k] for k in range(i + 1)) for i in range(d + 1)
+    )
+
+
 def assert_face_numbers_route(f):
-    """A complete fan answers is_m_neighborly from its face numbers, as
-    the set oracle does, and takes no m-set loop; its h-vector is
-    symmetric and its face numbers count the faces of its cones."""
-    h, faces = fans._face_numbers(f)
+    """A complete fan answers is_m_neighborly from the face numbers of
+    its wall pass, as the set oracle does, and takes no m-set loop; the
+    face numbers count the faces of its cones, and the h-vector they
+    give is symmetric."""
+    faces = fans._walls(f)[1]
+    h = h_vector(faces)
     assert h == h[::-1], (f, h)  # Dehn-Sommerville
     cones = {s for c in f.max_cones for k in range(len(c) + 1) for s in combinations(c, k)}
     assert faces == tuple(sum(len(s) == k for s in cones) for k in range(f.dim + 1)), f
@@ -509,7 +521,7 @@ class TestWallCertificate:
                     row[r2] = -1
                     scale = lcm(*(v.denominator for v in row if v))
                     want.add(primitive(tuple(int(v * scale) for v in row)))
-            assert set(fans._walls(fan)) == want
+            assert set(fans._walls(fan)[0]) == want
 
     def test_p1_power_12_from_json_within_budget(self):
         # 4,096 cones and 24,576 ridges: each wall row is 12 dot
@@ -529,6 +541,28 @@ class TestWallCertificate:
             best = min(best, time.perf_counter() - start)
         assert report == fans.FanReport(True, True, True, True)
         assert best < 1.2, best
+
+    def test_certificate_matches_the_probe_oracle(self):
+        # The wall pass proves a fan complete exactly when the
+        # pseudomanifold checks and the big-integer probe of the oracle
+        # pass: h[0] == 1 is the probe test.  Complete fans, fans that
+        # are not, and a pseudomanifold that winds twice around the
+        # origin, a cycle of six cones whose ridges all pass but which
+        # covers each generic point twice (h[0] = 2).
+        rays = [(1, 0), (-1, 2), (-1, -2), (1, 1), (-1, 0), (1, -2)]
+        twice = Fan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], _trusted=True)
+        cut = product_fan(product_fan(p1(), p1()), p1())
+        cut = Fan(3, cut.rays, cut.max_cones[1:], _trusted=True)
+        not_complete = [
+            Fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)]),
+            Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (2, 3)]),
+            cut,
+            twice,
+        ]
+        complete = [*complete_fans(), twisted_cube_fan(), *map(cyclic_face_fan, range(9, 12))]
+        for f in complete + not_complete:
+            assert (fans._walls(f) is not None) == oracles.wall_certificate(f) == (f in complete), f
+        assert not validate(twice).complete
 
     def test_one_certificate_per_fan(self):
         # The constructor and validate share one cached certificate.
@@ -559,6 +593,7 @@ class TestWallCertificate:
         except FanError:  # a zero or repeated ray, or dependent rays
             assume(False)
         event(f"certificate accepts: {accepted}")
+        assert accepted == oracles.wall_certificate(f)
         if accepted:
             # the pairwise check alone: raises FanError if the cones overlap
             with mock.patch.object(fans, "_walls", lambda *_: None):
@@ -731,7 +766,7 @@ class TestNeighborly:
         checked = complete = 0
         for f in fans_:
             assert f._masks == tuple(sum(1 << i for i in c) for c in f.max_cones)
-            if fans._face_numbers(f) is not None:
+            if fans._walls(f) is not None:
                 assert_face_numbers_route(f)
                 complete += 1
             for m in range(f.n_rays + 2):
@@ -751,8 +786,8 @@ class TestNeighborly:
     def test_cyclic_face_fans_are_two_but_not_three_neighborly(self, n):
         f = cyclic_face_fan(n)
         assert validate(f).complete and validate(f).projective
-        h, faces = fans._face_numbers(f)
-        assert h == (1, n - 4, comb(n - 3, 2), n - 4, 1)
+        faces = fans._walls(f)[1]
+        assert h_vector(faces) == (1, n - 4, comb(n - 3, 2), n - 4, 1)
         assert faces == (1, n, comb(n, 2), n * (n - 3), n * (n - 3) // 2)
         assert is_m_neighborly(f, 2) and not is_m_neighborly(f, 3)
 
@@ -772,7 +807,7 @@ class TestNeighborly:
         # the half-plane fan, m = 1: ray 0 and ray 1 lie in the first
         # cone (one test each), ray 2 only in the second (two tests)
         f = Fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
-        assert fans._face_numbers(f) is None
+        assert fans._walls(f) is None
         monkeypatch.setattr(fans, "_NEIGHBORLY_BUDGET", 4)
         assert is_m_neighborly(f, 1)
         monkeypatch.setattr(fans, "_NEIGHBORLY_BUDGET", 3)
@@ -784,7 +819,7 @@ class TestNeighborly:
         # 11-sets take more mask tests than the budget allows
         p = projective_space_fan(22)
         f = Fan(22, p.rays, p.max_cones[1:], _trusted=True)
-        assert fans._face_numbers(f) is None
+        assert fans._walls(f) is None
         assert is_m_neighborly(f, 3)
         with pytest.raises(ValueError, match="11-neighborliness of a fan that is not complete"):
             is_m_neighborly(f, 11)
@@ -1481,12 +1516,28 @@ class TestChamberRoute:
             assert count_sections(f, TorusInvariantDivisor((-1, -1))) == 0
 
     def test_probe_ties_match_the_table_decoding_on_the_corpus(self, corpus):
-        # one probe class per fan gives each normal the sign of the first
-        # class, by first ray, off its hyperplane: the ties that decoding
-        # the table's signed indices gives
+        # the first nonzero dot product of each normal with the classes,
+        # by first ray, is the sign of the first class off its
+        # hyperplane: the ties that decoding the table's signed indices
+        # gives, and the sign on the big-integer probe class, which
+        # weighs the classes by falling powers of q
         for name, f in corpus:
             _, classes, members, ties, _ = fans._gale(f)
-            assert ties == oracles.table_ties(classes, members), name
+            assert ties == oracles.table_ties(classes, members) == oracles.q_weighted_ties(f), name
+
+    @pytest.mark.parametrize("n_rays", [20, 36, 52])
+    def test_ties_match_the_probe_class_on_many_rays(self, n_rays):
+        # Seeded star subdivisions of P^2 with n distinct classes, so the
+        # probe class weighs the first by q^(n-1).  It is largest at 52
+        # rays, past which the basis table refuses; the 52-ray table
+        # takes about 3.5 s cold on 2 cores.
+        rng = random.Random(n_rays)
+        f = p2()
+        while f.n_rays < n_rays:
+            f = star_subdivision(f, rng.choice(f.max_cones))
+        _, classes, _, ties, _ = fans._gale(f)
+        assert len(classes) == n_rays
+        assert ties == oracles.q_weighted_ties(f)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())

@@ -327,8 +327,9 @@ def test_cones_uses_no_lp():
 def test_neighborliness_reads_nothing_of_cox():
     # neighborly-codim-equivalence holds is_m_neighborly against cox's
     # smallest hitting set, so the face count must stay a second route:
-    # neither it, _face_numbers nor any function of fans they reach
-    # names a function, class or constant that cox defines.
+    # neither it, the wall pass that counts the faces, nor any function
+    # of fans they reach names a function, class or constant that cox
+    # defines.
     trees = src_trees()
     cox_names = set()
     for node in trees["cox.py"].body:
@@ -337,7 +338,7 @@ def test_neighborliness_reads_nothing_of_cox():
         elif isinstance(node, ast.Assign):
             cox_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
     functions = {n.name: n for n in trees["fans.py"].body if isinstance(n, ast.FunctionDef)}
-    reached, todo, used = set(), ["is_m_neighborly", "_face_numbers"], set()
+    reached, todo, used = set(), ["is_m_neighborly", "_walls"], set()
     while todo:
         name = todo.pop()
         if name in reached:
@@ -346,7 +347,7 @@ def test_neighborliness_reads_nothing_of_cox():
         names, attrs = references([functions[name]])
         used |= names | attrs
         todo.extend(names & functions.keys())
-    assert {"is_m_neighborly", "_face_numbers", "_walls", "_cone_inverses", "_probe"} <= reached
+    assert {"is_m_neighborly", "_walls", "_cone_inverses"} <= reached
     assert used & cox_names == set()
     assert "cox" not in {n.module for n in trees["fans.py"].body if isinstance(n, ast.ImportFrom)}
 
@@ -377,8 +378,9 @@ def test_projectivity_runs_no_lp():
 def test_only_the_chamber_lp_and_its_limit_import_lp():
     # lp keeps the feasibility LP of the chamber cell search, and exact
     # elimination, the scaled inverse included, lives in linalg: vgit
-    # imports the tableau, cli the pivot limit it turns into exit 2, and
-    # no other module imports lp, at module level or inside a function.
+    # imports the tableau, and no other module imports lp, at module
+    # level or inside a function; the pivot limit is a ValueError, which
+    # cli.main turns into exit 2 with every other.
     def from_lp(node):
         # the names imported from lp, or {"lp"} for the module itself
         if isinstance(node, ast.Import):
@@ -398,7 +400,36 @@ def test_only_the_chamber_lp_and_its_limit_import_lp():
             names = from_lp(node)
             if names:
                 found.setdefault(name, set()).update(names)
-    assert found == {"vgit.py": {"SlackTableau"}, "cli.py": {"PivotLimit"}}
+    assert found == {"vgit.py": {"SlackTableau"}}
+
+
+def test_no_probe_in_the_wall_pass_or_the_ties():
+    # The wall pass reads h from the sign of each facet normal's last
+    # nonzero entry and _gale its ties from the first nonzero dot product
+    # over the classes, Simulation of Simplicity with no big-integer
+    # probe: neither body raises to a power or names a probe helper, and
+    # _gale multiplies nothing (its old probe class took Horner steps
+    # q * x + y).  Only the two bodies are read, not what they reach:
+    # cones._hyperplanes charges len(tab) ** 2 to its budget.  Of all of
+    # fans, only _brion_data builds a generic vector, lam = [q**i ...],
+    # which Brion's formula does need.
+    def ops(node, kind):
+        return [n for n in ast.walk(node) if isinstance(n, ast.BinOp) and isinstance(n.op, kind)]
+
+    functions = {n.name: n for n in src_trees()["fans.py"].body if isinstance(n, ast.FunctionDef)}
+    for name in ("_walls", "_gale"):
+        names, attrs = references([functions[name]])
+        assert ops(functions[name], ast.Pow) == [], name
+        assert [x for x in names | attrs if "probe" in x.lower()] == [], name
+    assert ops(functions["_gale"], ast.Mult) == []
+    assert [name for name in functions if "probe" in name.lower()] == []
+    powers_of_q = {
+        name
+        for name, node in functions.items()
+        for n in ops(node, ast.Pow)
+        if isinstance(n.left, ast.Name) and n.left.id == "q"
+    }
+    assert powers_of_q == {"_brion_data"}
 
 
 def test_section_counts_run_no_double_description():

@@ -675,7 +675,7 @@ class TestCones:
         # projective
         verdicts = []
         for name, f in projectivity_fans(corpus):
-            rows = list(fans._walls(f))
+            rows = list(fans._walls(f)[0])
             want = oracles.max_strict_slack(rows)[0] > 0
             rep = validate(f)
             assert rep.complete, name
