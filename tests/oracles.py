@@ -897,9 +897,9 @@ def wall_certificate(fan):
     integers."""
     normals = {}
     for c in fan.max_cones:
-        rays = [list(r) for r in fan.cone_rays(c)]
         if len(c) != fan.dim:
             return False
+        rays = [list(r) for r in fan.cone_rays(c)]
         columns = [rational_solve(rays, [int(i == j) for i in range(fan.dim)]) for j in range(fan.dim)]
         if None in columns:
             return False  # dependent rays
