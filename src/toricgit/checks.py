@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .cox import _acts_freely, degree_map, irrelevant_ideal, zero_locus_codim
@@ -94,29 +95,26 @@ def check_small_unstable_locus(fan) -> CheckResult:
 
 
 def check_two_neighborly_equivalence(fan) -> CheckResult:
-    """2-neighborliness decides codim >= 3, by two independent routes.
-
-    Neighborliness compares the fan's number of two-ray cones, read off
-    the face numbers of its wall pass (fans._walls), with C(n_rays, 2);
-    the codimension is the size of a smallest set of rays meeting every
-    generator support of the irrelevant ideal (a smallest hitting set).
-    The two share no code, and neither side touches the GIT layer.
-    """
-    _require_projective(fan)
-    neighborly = is_m_neighborly(fan, 2)
-    codim = zero_locus_codim(irrelevant_ideal(fan))
+    """2-neighborliness decides codim >= 3: check_neighborly_codim_equivalence
+    at m = 2, under its own name and witness keys."""
+    r = check_neighborly_codim_equivalence(fan, 2)
     return CheckResult(
         "two-neighborly-equivalence",
-        neighborly == (codim >= 3),
-        {"two_neighborly": neighborly, "irrelevant_codim": codim},
+        r.passed,
+        {"two_neighborly": r.witness["m_neighborly"], "irrelevant_codim": r.witness["irrelevant_codim"]},
     )
 
 
 def check_neighborly_codim_equivalence(fan, m) -> CheckResult:
-    """m-neighborliness is equivalent to unstable codimension >= m+1.
+    """m-neighborliness is equivalent to unstable codimension >= m+1, by
+    two independent routes.
 
-    The same two routes as the two-neighborly check: the number of cones
-    with m rays against C(n_rays, m), and the smallest hitting set.
+    Neighborliness compares the fan's number of cones with m rays, read
+    off the face numbers of its wall pass (fans._walls), with
+    C(n_rays, m); the codimension is the size of a smallest set of rays
+    meeting every generator support of the irrelevant ideal (a smallest
+    hitting set).  The two share no code, and neither side touches the
+    GIT layer.
     """
     _require_projective(fan)
     neighborly = is_m_neighborly(fan, m)
@@ -242,15 +240,6 @@ def check_product_unstable_locus(f1, f2) -> CheckResult:
     )
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _divisor_combination(divisors, coefficients):
     acc = TorusInvariantDivisor((0,) * len(divisors[0].coefficients))
     for d, a in zip(divisors, coefficients):
@@ -298,7 +287,8 @@ def check_bundle_unstable_locus(base, divisors, m_max=8) -> CheckResult:
             left = count_sections(bundle, bundle_o1_divisor(scaled, d))
             right = sum(
                 count_sections(base, _divisor_combination(scaled, a))
-                for a in _compositions(d, k)
+                for a in product(range(d + 1), repeat=k)
+                if sum(a) == d
             )
             counts.append({"d": d, "bundle": left, "base_sum": right})
             sections_ok = sections_ok and left == right

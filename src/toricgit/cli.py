@@ -428,7 +428,12 @@ def _build_parser():
     only on what _parse declines: every help, usage and error text."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse echoes a bad argument whole
+            words = (f"{w[:100]}..." if w[100:] else w for w in message.split(" "))
+            super().error(" ".join(words))
+
+    parser = Parser(
         prog="toricgit",
         description="Exact GIT and chamber computations for simplicial toric fans.",
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import _mask
-from .fans import _cokernel, _is_antichain, validate
+from .fans import _cokernel, _nested_pair, validate
 from .linalg import det
 
 # The hitting-set search branches over subsets of the variables.
@@ -114,7 +114,8 @@ class SquarefreeIdeal:
                 raise ValueError("empty generator support")
             if s[0] < 0 or s[-1] >= self.n_vars:
                 raise ValueError(f"support {s} out of range")
-        if not _is_antichain(tuple(map(_mask, supports))):
+        masks = tuple(map(_mask, supports))  # (0, 0, 1) and (0, 1) are one set
+        if len(set(masks)) < len(masks) or _nested_pair(masks) is not None:
             raise ValueError("generator supports must be an antichain")
         object.__setattr__(self, "generator_supports", supports)
         object.__setattr__(self, "_hash", hash((self.n_vars, supports)))

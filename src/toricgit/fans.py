@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import and_, index, or_
+from operator import and_, index, itemgetter, or_
 from types import MappingProxyType
 
 from .cones import _basis_table, _bits, _classes, _least_members, _mask
@@ -108,18 +108,14 @@ class Fan:
                 raise FanError(f"repeated ray index in cone {_shown(c)}")
             if c[0] < 0 or c[-1] >= len(rays):
                 raise FanError(f"cone {_shown(c)} references a missing ray")
-        ordered = tuple(sorted(cones))
-        masks = tuple(map(_mask, ordered))
-        if not _is_antichain(masks):
-            # name the first nested pair of the input order, each cone
-            # tested only against the larger ones (no cone is repeated)
-            given = [(c, _mask(c)) for c in cones]
-            sizes = {len(c) for c in cones}
-            larger = {k: [(b, mb) for b, mb in given if len(b) > k] for k in sizes}
-            a, b = next((a, b) for a, ma in given for b, mb in larger[len(a)] if ma & mb == ma)
+        given = tuple(map(_mask, cones))
+        nested = _nested_pair(given)
+        if nested is not None:
+            a, b = (cones[i] for i in nested)
             raise FanError(f"cone {_shown(a)} is contained in cone {_shown(b)}")
         if len(set().union(*cones)) < len(rays):
             raise FanError("every ray must appear in some maximal cone")
+        ordered, masks = zip(*sorted(zip(cones, given), key=itemgetter(0)))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", ordered)
@@ -156,25 +152,18 @@ class Fan:
         )
 
 
-def _is_antichain(masks) -> bool:
-    """Does no set, given as a bitmask, lie inside another?
-
-    Distinct sets of one size never contain each other, so each set is
-    tested only against the smaller ones, grouped by size.  A set given
-    twice contains itself.  Fan and the squarefree ideals of cox share it.
+def _nested_pair(masks):
+    """(i, j) with the set masks[i], a bitmask, inside the larger
+    masks[j], the first such pair of the given order; None for an
+    antichain.  The sets must be distinct: then sets of one size never
+    contain each other, so each set is tested only against the larger
+    ones, listed once per size.  Fan and the squarefree ideals of cox
+    share it.
     """
-    by_size = {}
-    for m in set(masks):
-        by_size.setdefault(m.bit_count(), []).append(m)
-    if sum(map(len, by_size.values())) < len(masks):
-        return False
-    smaller = []
-    for size in sorted(by_size):
-        group = by_size[size]
-        if any(m & b == b for m in group for b in smaller):
-            return False
-        smaller.extend(group)
-    return True
+    sizes = [m.bit_count() for m in masks]
+    larger = {k: [(j, m) for j, m in enumerate(masks) if sizes[j] > k] for k in set(sizes)}
+    pairs = ((i, j) for i, a in enumerate(masks) for j, b in larger[sizes[i]] if a & b == a)
+    return next(pairs, None)
 
 
 def _check_fan_axiom(fan):

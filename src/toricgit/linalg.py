@@ -4,12 +4,13 @@ Everything here works over Z with Python ints, on plain lists of integer
 rows.  One fraction-free (Bareiss) pivot, _pivot, is the one elimination
 step behind the ranks and determinants of _bareiss, the scaled inverse,
 the dual simplex of lp's chamber LP and the hyperplane search of the
-basis table in cones; the scaled inverse and that search start their
-tableaux from the cached _identity.  The Smith normal form is the one
-elimination that does not pivot through _pivot: it clears rows and
-columns by its own unimodular steps, division with remainder, and
-returns those transforms, so that cokernels come with an explicit
-projection onto the free part.  No floating point anywhere.
+basis table in cones.  The Smith normal form is the one elimination
+that does not pivot through _pivot: it clears rows and columns by
+division with remainder on one tableau, [rows | I] over [I | 0], which
+carries both unimodular transforms, and returns them, so that cokernels
+come with an explicit projection onto the free part.  The scaled
+inverse, that search and the Smith form start their tableaux from the
+cached _identity.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _pivot(rows, d, leave, enter):
 @lru_cache(maxsize=64)
 def _identity(n):
     """The n x n identity as a tuple of rows; callers copy what they pivot."""
-    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
 def scaled_inverse(rows):
@@ -98,24 +99,6 @@ def _mul(a, b):
     return [[_dot(row, col) for col in cols] for row in a]
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _add_row(a, dst, src, q):
-    a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(a, dst, src, q):
-    for row in a:
-        row[dst] = row[dst] - q * row[src]
-
-
 def smith_normal_form(rows):
     """(left, factors, right) with left . rows . right diagonal.
 
@@ -125,55 +108,52 @@ def smith_normal_form(rows):
     nonzero entry of the working submatrix to the pivot, clear its row
     and column by division with remainder, then repair divisibility by
     folding in any offending entry.  Terminates because the pivot's
-    absolute value strictly drops whenever a remainder survives.
+    absolute value strictly drops whenever a remainder survives.  The
+    steps run on one tableau, the rows of [rows | I] over those of
+    [I | 0]: a row step on the top rows moves left with the working
+    matrix, and a column step on the left columns moves right with it.
     """
     nr, nc = len(rows), len(rows[0]) if rows else 0
-    a = [list(row) for row in rows]
-    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def pivot_search(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        return best
+    zeros = (0,) * nr
+    tab = [[*row, *unit] for row, unit in zip(rows, _identity(nr))]
+    tab += [[*unit, *zeros] for unit in _identity(nc)]
 
     for t in range(min(nr, nc)):
-        found = pivot_search(t)
+        # the first absolutely smallest nonzero entry of the working submatrix
+        found = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                v = abs(tab[i][j])
+                if v and (found is None or v < found[0]):
+                    found = (v, i, j)
         if found is None:
             break
         _, pi, pj = found
-        _swap_rows(a, t, pi)
-        _swap_rows(left, t, pi)
-        _swap_cols(a, t, pj)
-        _swap_cols(right, t, pj)
+        tab[t], tab[pi] = tab[pi], tab[t]
+        for row in tab:
+            row[t], row[pj] = row[pj], row[t]
 
         while True:
             # clear column t
             dirty = False
             for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, i, t, q)
-                    _add_row(left, i, t, q)
-                    if a[i][t]:
-                        _swap_rows(a, t, i)
-                        _swap_rows(left, t, i)
+                if tab[i][t]:
+                    q = tab[i][t] // tab[t][t]
+                    tab[i] = [x - q * y for x, y in zip(tab[i], tab[t])]
+                    if tab[i][t]:
+                        tab[t], tab[i] = tab[i], tab[t]
                         dirty = True
             if dirty:
                 continue
             # clear row t
             for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    _add_col(a, j, t, q)
-                    _add_col(right, j, t, q)
-                    if a[t][j]:
-                        _swap_cols(a, t, j)
-                        _swap_cols(right, t, j)
+                if tab[t][j]:
+                    q = tab[t][j] // tab[t][t]
+                    for row in tab:
+                        row[j] -= q * row[t]
+                    if tab[t][j]:
+                        for row in tab:
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
             if dirty:
                 continue
@@ -181,20 +161,21 @@ def smith_normal_form(rows):
             offender = None
             for i in range(t + 1, nr):
                 for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
+                    if tab[i][j] % tab[t][t]:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            _add_row(a, t, offender, -1)
-            _add_row(left, t, offender, -1)
+            tab[t] = [x + y for x, y in zip(tab[t], tab[offender])]
 
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
+        if tab[t][t] < 0:
+            tab[t] = [-x for x in tab[t]]
 
+    a = [row[:nc] for row in tab[:nr]]
+    left = [row[nc:] for row in tab[:nr]]
+    right = [row[:nc] for row in tab[nr:]]
     if _mul(_mul(left, rows), right) != a:
         raise AssertionError("Smith normal form failed its self-check")
     return left, tuple(a[i][i] for i in range(min(nr, nc))), right

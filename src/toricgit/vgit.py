@@ -58,25 +58,26 @@ def _check_character(dm, chi):
     return chi
 
 
-@lru_cache(maxsize=8192)
-def _degree_classes(dm):
-    """(free degree vector, its rays) per class, in cones._classes' order."""
-    return tuple(zip(*_classes(dm.degrees_free)))
+@lru_cache(maxsize=256)
+def _grading(dm):
+    """(classes, normals, side, table, rank) of a grading, kept once: one
+    (free degree vector, its rays) per class in cones._classes' order,
+    their cones._basis_table, which section counts on the fan read too,
+    and the size of a basis, below cl_free_rank when they do not span.
+    Every reader builds sets of 2**k bits over the classes or serves one
+    that does, so _bit_set_classes refuses them before the table is
+    built.  Sized like the cache of _basis_table, whose tables it holds."""
+    vectors, members = _classes(dm.degrees_free)
+    normals, side, table = _basis_table(_bit_set_classes(vectors))
+    return tuple(zip(vectors, members)), normals, side, table, len(table[0][1])
 
 
-def _table(dm):
-    """cones._basis_table of the grading's degree classes, the one table
-    that section counts on its fan read too."""
-    return _basis_table(tuple(vec for vec, _ in _degree_classes(dm)))
-
-
-def _bit_set_classes(dm):
-    """The degree classes, for a reader that builds sets of 2**k bits
-    over them: ValueError past MAX_DEGREE_CLASSES."""
-    classes = _degree_classes(dm)
-    if len(classes) > MAX_DEGREE_CLASSES:
-        raise ValueError(f"too many distinct degree vectors ({len(classes)} > {MAX_DEGREE_CLASSES})")
-    return classes
+def _bit_set_classes(vectors):
+    """The degree class vectors, for a reader that builds sets of 2**k
+    bits over them: ValueError past MAX_DEGREE_CLASSES."""
+    if len(vectors) > MAX_DEGREE_CLASSES:
+        raise ValueError(f"too many distinct degree vectors ({len(vectors)} > {MAX_DEGREE_CLASSES})")
+    return vectors
 
 
 @lru_cache(maxsize=32)
@@ -97,9 +98,7 @@ def _class_membership(dm, chi):
     is in no cone.  No LP runs.  The cache is small because one entry
     holds up to 2**MAX_DEGREE_CLASSES bits.
     """
-    classes = _bit_set_classes(dm)
-    normals, _, table = _table(dm)
-    rank = len(table[0][1])  # below cl_free_rank when the classes do not span
+    classes, normals, _, table, rank = _grading(dm)
     if rank < dm.cl_free_rank and matrix_rank([*(v for v, _ in classes), chi]) > rank:
         return classes, (), 0
     least = tuple(_least_members(table, [_dot(n, chi) for n in normals]))
@@ -157,11 +156,11 @@ def moving_cone(dm):
     rows.
     """
     rank = dm.cl_free_rank
-    classes = _degree_classes(dm)
+    vectors, members = _classes(dm.degrees_free)
     rows = list(effective_cone(dm).facet_normals)
-    for c, (_, members) in enumerate(classes):
-        if len(members) == 1:
-            others = [vec for cc, (vec, _) in enumerate(classes) if cc != c]
+    for c, rays in enumerate(members):
+        if len(rays) == 1:
+            others = vectors[:c] + vectors[c + 1 :]
             rows.extend(cone_from_inequalities(rank, others).generators)
     return cone_from_inequalities(rank, rows)
 
@@ -215,11 +214,6 @@ def is_boundary_character(dm, chi) -> bool:
     return any(mask.bit_count() < dm.cl_free_rank for mask in least)
 
 
-def _spans(dm):
-    """Whether the degree classes span Cl (x) Q, by the size of a basis."""
-    return len(_table(dm)[2][0][1]) == dm.cl_free_rank
-
-
 @lru_cache(maxsize=256)
 def _without_class(k, c):
     """The 2**k-bit set of class masks that leave out class c."""
@@ -267,8 +261,7 @@ def _chamber_keys(dm):
     as whole bases: the key is the 2**k-bit set of their class masks.
     Cells sharing a key are one chamber.
     """
-    classes = _bit_set_classes(dm)
-    _, side, table = _table(dm)
+    classes, _, side, table, _ = _grading(dm)
     chambers = {}
     for signs in _enumerate_cells(dm):
         crossing = iter(signs)
@@ -297,7 +290,7 @@ def enumerate_chambers(dm):
     description per chamber, so it is built only where it is printed.
     """
     keys = _chamber_keys(dm)
-    normals, _, table = _table(dm)
+    _, normals, _, table, _ = _grading(dm)
     signed = normals + tuple(tuple(-v for v in n) for n in normals)
     indices = dict(table)
     chambers = []
@@ -335,9 +328,9 @@ def _enumerate_cells(dm):
     entries raises ValueError, so the budget bounds time even as the
     tableaux grow.
     """
-    if not _spans(dm):
+    _, arrangement, side, _, rank = _grading(dm)
+    if rank < dm.cl_free_rank:
         raise ValueError("degrees do not span the class group; the effective cone has no interior")
-    arrangement, side, _ = _table(dm)
     eff_rows = sorted(n if s > 0 else tuple(-v for v in n) for n, s in zip(arrangement, side) if s)
     normals = [n for n, s in zip(arrangement, side) if not s]
     if not eff_rows:

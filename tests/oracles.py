@@ -30,6 +30,11 @@ of toricgit.lp and the projectivity that toricgit.fans.validate reads
 off the nef cone's double description are held, and crossing_normals decides
 by one such LP with an equality per arrangement normal what
 toricgit.vgit reads off the signs of integer dot products.
+smith_normal_form is the Smith form on three separate matrices, each
+row step applied to the working matrix and the left transform and each
+column step to it and the right transform, against which the one
+tableau of toricgit.linalg is held, byte for byte; kernel_basis and
+acts_freely_by_smith read it.
 arrangement_normals takes one integer kernel, from the Smith form's
 right transform, per rank-1 subset of the degree classes, where
 toricgit.vgit reads the free row of a search stopped one pivot short of
@@ -46,8 +51,8 @@ cone.  lp_membership decides which sets of degree classes have a cone
 containing a character by one in_cone LP per set of at most rank
 classes, where toricgit.vgit runs a sign test on the basis inverses.
 stable_base_locus_codim takes the support of every mask that the ample
-character's membership has and chi's lacks, where toricgit.vgit weighs
-only the maximal ones.  table_ties decodes the tie sign of each normal
+character's lp_membership has and chi's lacks, where toricgit.vgit
+weighs only the maximal masks of its sign test.  table_ties decodes the tie sign of each normal
 of a basis table from its signed indices, and q_weighted_ties reads
 them off one big-integer probe class, the classes weighted by falling
 powers of a bound q, where toricgit.fans._gale takes the first nonzero
@@ -102,14 +107,15 @@ determinant.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 
-from toricgit.cones import _basis_table, _bits, _combine, _mask, cone_from_generators, cone_from_inequalities
-from toricgit.linalg import _dot, _identity, _pivot, matrix_rank, primitive
-from toricgit.linalg import scaled_inverse, sign_normalized, smith_normal_form
+from toricgit.cones import _basis_table, _bits, _combine, cone_from_generators, cone_from_inequalities
+from toricgit.linalg import _dot, _identity, _mul, _pivot, matrix_rank, primitive
+from toricgit.linalg import scaled_inverse, sign_normalized
 from toricgit import cox, vgit
-from toricgit.fans import Fan, _gale, _is_antichain, validate
+from toricgit.fans import Fan, _gale, validate
 from toricgit.lp import PivotLimit, _pivot_rule
 
 # Prune redundant rays by LP once an intermediate ray set grows past this.
@@ -638,7 +644,7 @@ def crossing_normals(dm):
     and never branch."""
     dual = vgit.effective_cone(dm).dual()
     crossing = []
-    for n in vgit._table(dm)[0]:
+    for n in vgit._grading(dm)[1]:
         t, _ = max_strict_slack(list(dual.rays), eq_rows=[n, *dual.lin])
         if t > 0:
             crossing.append(n)
@@ -676,6 +682,104 @@ def enumerate_cells(dm):
     return tuple(sorted(cells))
 
 
+def _swap_rows(a, i, j):
+    a[i], a[j] = a[j], a[i]
+
+
+def _add_row(a, dst, src, q):
+    a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
+
+
+def _swap_cols(a, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_col(a, dst, src, q):
+    for row in a:
+        row[dst] = row[dst] - q * row[src]
+
+
+def smith_normal_form(rows):
+    """(left, factors, right) with left . rows . right diagonal, by the
+    steps of toricgit.linalg.smith_normal_form in their order, each
+    applied to three separate matrices: a row step to the working matrix
+    and to left, a column step to the working matrix and to right.  The
+    library runs the same steps on one tableau, so the two must agree
+    entry for entry."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    a = [list(row) for row in rows]
+    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def pivot_search(t):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                v = abs(a[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        return best
+
+    for t in range(min(nr, nc)):
+        found = pivot_search(t)
+        if found is None:
+            break
+        _, pi, pj = found
+        _swap_rows(a, t, pi)
+        _swap_rows(left, t, pi)
+        _swap_cols(a, t, pj)
+        _swap_cols(right, t, pj)
+
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    _add_row(a, i, t, q)
+                    _add_row(left, i, t, q)
+                    if a[i][t]:
+                        _swap_rows(a, t, i)
+                        _swap_rows(left, t, i)
+                        dirty = True
+            if dirty:
+                continue
+            # clear row t
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    _add_col(a, j, t, q)
+                    _add_col(right, j, t, q)
+                    if a[t][j]:
+                        _swap_cols(a, t, j)
+                        _swap_cols(right, t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # divisibility of the trailing block
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _add_row(a, t, offender, -1)
+            _add_row(left, t, offender, -1)
+
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+
+    if _mul(_mul(left, rows), right) != a:
+        raise AssertionError("Smith normal form failed its self-check")
+    return left, tuple(a[i][i] for i in range(min(nr, nc))), right
+
+
 def kernel_basis(m):
     """Basis of the saturated integer kernel of m, as a list of vectors.
 
@@ -691,7 +795,7 @@ def kernel_basis(m):
 def arrangement_normals(dm):
     """Hyperplanes spanned by rank-1-deficient subsets of the degrees."""
     rank = dm.cl_free_rank
-    vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+    vectors = [vec for vec, _ in vgit._grading(dm)[0]]
     normals = set()
     for sub in combinations(vectors, rank - 1):
         if matrix_rank(sub) != rank - 1:
@@ -766,7 +870,7 @@ def basis_table(dm):
     normals holds the distinct sign-normalized rows of the inverses,
     sorted, and table holds (class mask, signed indices) per basis, j
     standing for normals[j] and N + j for -normals[j]."""
-    vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+    vectors = [vec for vec, _ in vgit._grading(dm)[0]]
     orthogonal, bases = basis_inverses(vectors, dm.cl_free_rank)
     normals = tuple(sorted({sign_normalized(row) for _, rows in bases for row in rows}))
     index = {n: j for j, n in enumerate(normals)}
@@ -818,7 +922,7 @@ def lp_membership(dm, chi):
     toricgit.vgit reads signs off the basis inverses.  A mask with a
     non-member immediate superset is a non-member without an LP, and
     every superset of a member is a member."""
-    classes = vgit._degree_classes(dm)
+    classes = vgit._grading(dm)[0]
     k = len(classes)
     vectors = [vec for vec, _ in classes]
     top = min(dm.cl_free_rank, k)
@@ -832,21 +936,29 @@ def lp_membership(dm, chi):
                 continue
             if in_cone([vectors[c] for c in subset], tuple(chi)):
                 tested.add(mask)
-    members = {m for m in range(2**k) if any(m & t == t for t in tested)}
+    members = set(tested)
+    for c in range(k):  # every superset of a member, one class at a time
+        members |= {m | 1 << c for m in members}
     return classes, members
+
+
+@lru_cache(maxsize=64)
+def _ample_members(dm, ample):
+    """lp_membership's masks for an ample character, which
+    stable_base_locus_codim asks about once per chi."""
+    return frozenset(lp_membership(dm, ample)[1])
 
 
 def stable_base_locus_codim(fan, dm, chi):
     """n_rays minus the largest support over every mask that is a member
-    for the ample character and not for chi, None when there is none,
-    where toricgit.vgit weighs only the maximal such masks by the sizes
-    of their degree classes."""
-    classes, _, member = vgit._class_membership(dm, tuple(chi))
-    ample_member = vgit._class_membership(dm, vgit.ample_character(fan, dm))[2]
+    for the ample character and not for chi, both by lp_membership, None
+    when there is none, where toricgit.vgit weighs only the maximal such
+    masks of its sign test by the sizes of their degree classes."""
+    classes, member = lp_membership(dm, chi)
+    ample_member = _ample_members(dm, vgit.ample_character(fan, dm))
     sizes = [
-        len(vgit._mask_support(classes, mask))
-        for mask in range(1 << len(classes))
-        if (ample_member & ~member) >> mask & 1
+        sum(len(rays) for c, (_, rays) in enumerate(classes) if mask >> c & 1)
+        for mask in ample_member - member
     ]
     return dm.n_rays - max(sizes) if sizes else None
 
@@ -957,7 +1069,7 @@ def moving_cone_by_intersections(dm):
     singleton class, where toricgit.vgit.moving_cone takes one double
     description over all their inequality rows."""
     acc = vgit.effective_cone(dm)
-    classes = vgit._degree_classes(dm)
+    classes = vgit._grading(dm)[0]
     for c, (_, members) in enumerate(classes):
         if len(members) > 1:
             continue
@@ -1034,14 +1146,15 @@ def contains_monomial(ideal, support):
 
 @dataclass(frozen=True)
 class FaceComplex:
-    """Simplicial complex on n_verts vertices, stored by its facets."""
+    """Simplicial complex on n_verts vertices, stored by its facets, an
+    antichain tested pair by pair as Python sets."""
 
     n_verts: int
     facets: tuple
 
     def __post_init__(self):
         facets = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
-        if not _is_antichain(tuple(map(_mask, facets))):
+        if any(set(a) < set(b) for a in facets for b in facets):
             raise ValueError("facets must be an antichain")
         object.__setattr__(self, "facets", facets)
 

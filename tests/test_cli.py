@@ -296,6 +296,27 @@ class TestNeighborly:
         assert err.endswith(f"error: argument {argv[-1]}: invalid int value: '" + "x" * 99 + "...\n")
         assert len(err.encode()) < (300 if argv[0] == "neighborly" else 600)
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["check"], "argument name: invalid choice: '" + "x" * 99 + "... (choose from 'all', "),
+            (["construct"], "argument kind: invalid choice: '" + "x" * 99 + "... (choose from 'pn', "),
+            (["validate", "a.json"], "unrecognized arguments: " + "x" * 100 + "...\n"),
+        ],
+        ids=["check", "construct", "validate"],
+    )
+    def test_oversized_word_is_not_echoed_in_full(self, argv, named, capsys, monkeypatch):
+        # an invalid choice and an extra word come back cut, each word
+        # of argparse's message past 100 characters; check's usage and
+        # choices list its ten names (474 B with the name "bogus")
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "x" * 100_000])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert named in err
+        assert len(err.encode()) < (600 if argv[0] == "check" else 300)
+
     def test_incomplete_fan_past_the_budget_exits_two(self, write, capsys):
         # P^22 less one maximal cone takes the m-set loop, whose 11-sets
         # pass fans._NEIGHBORLY_BUDGET

@@ -187,8 +187,8 @@ class TestFanConstructor:
     @given(st.lists(st.frozensets(st.integers(0, 5), min_size=1), min_size=1, max_size=8, unique=True))
     def test_antichain_check_matches_pair_loop(self, sets):
         cones = [tuple(sorted(c)) for c in sets]
-        nested = any(a != b and set(a) <= set(b) for a in cones for b in cones)
-        assert fans._is_antichain(tuple(map(fans._mask, cones))) == (not nested)
+        pairs = [(i, j) for i, a in enumerate(cones) for j, b in enumerate(cones) if a != b and set(a) <= set(b)]
+        assert fans._nested_pair(tuple(map(fans._mask, cones))) == (pairs[0] if pairs else None)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.frozensets(st.integers(0, 5), min_size=1), min_size=2, max_size=8, unique=True))

@@ -4,18 +4,29 @@ The Smith form is cross-checked against the determinant-divisor
 characterization (k-th divisor = gcd of all k x k minors, computed here
 by brute force with cofactor determinants, independently of the library
 code under test) on tiny matrices, and against sympy's invariant factors
-up to 6 x 8.  The scaled inverse is held against Gauss-Jordan over
+up to 6 x 8.  Its transforms are held, entry for entry, against
+oracles.smith_normal_form, the same steps on three separate matrices,
+on drawn matrices and on the ray matrices the library reads.  The scaled inverse is held against Gauss-Jordan over
 Fraction (oracles.rational_solve).
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import greedy_pivot_columns, kernel_basis, rational_solve
+from test_fans import cyclic_face_fan
+from toricgit.checks import PRODUCT_PAIRS, _bundle_over_blowup_data, builtin_corpus
+from toricgit.fans import TorusInvariantDivisor, product_fan, projective_bundle_fan
+from toricgit import linalg
 from toricgit.linalg import (
     _bareiss,
     _dot,
@@ -178,6 +189,60 @@ def test_snf_transforms_are_unimodular_witnesses(entries):
         for j, x in enumerate(row):
             if i != j:
                 assert x == 0
+
+
+@st.composite
+def smith_matrices(draw):
+    """Up to 8 x 8, entries -9..9, with zero rows and columns and a
+    dependent last row; no rows, or rows of no entries, or one column."""
+    nr = draw(st.integers(min_value=0, max_value=8))
+    nc = draw(st.integers(min_value=0, max_value=8))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if nr > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=nr - 1, max_size=nr - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(nc)]
+    zero_rows = draw(st.sets(st.integers(0, max(nr - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(nc - 1, 0))))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_matrices())
+def test_snf_tableau_equals_the_lockstep_reference(entries):
+    assert smith_normal_form(entries) == oracles.smith_normal_form(entries)
+
+
+def test_snf_tableau_equals_the_lockstep_reference_on_ray_matrices():
+    # the rays and the maximal cones' rays of the corpus, of the product
+    # fans and bundle fans of check all, and of the cyclic face fans
+    # C(9..11, 4), whose entries reach the thousands
+    corpus = dict(builtin_corpus())
+    fans = list(corpus.values())
+    fans += [product_fan(corpus[a], corpus[b]) for a, b in PRODUCT_PAIRS]
+    zero = TorusInvariantDivisor((0,) * corpus["p2"].n_rays)
+    for base, divisors in (_bundle_over_blowup_data(), (corpus["p2"], (zero,) * 3)):
+        fans += [projective_bundle_fan(base, [d.scale(m) for d in divisors]) for m in range(1, 9)]
+    fans += [cyclic_face_fan(n) for n in range(9, 12)]
+    matrices = [fan.rays for fan in fans] + [fan.cone_rays(c) for fan in fans for c in fan.max_cones]
+    assert max(abs(x) for m in matrices for row in m for x in row) > 1000
+    for m in matrices:
+        assert smith_normal_form(m) == oracles.smith_normal_form(m), m
+
+
+def test_snf_self_check_raises_under_optimization():
+    # the check is a raise, not an assert, so python -O keeps it
+    code = (
+        "from toricgit import linalg\n"
+        "linalg._mul = lambda a, b: [[1]]\n"
+        "try:\n"
+        "    linalg.smith_normal_form([[2, 0], [0, 3]])\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(linalg.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Smith normal form failed its self-check\n"
 
 
 def test_kernel_of_projective_plane_ray_matrix():

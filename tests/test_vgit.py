@@ -117,7 +117,7 @@ def split_normals(dm):
     """(facets, crossing) read off the basis table's side: the normals
     it puts every class on one side of, signed so they are nonnegative
     on the classes and sorted, and those its hyperplane crosses."""
-    normals, side, _ = vgit._table(dm)
+    normals, side, _ = vgit._grading(dm)[1:4]
     facets = sorted(n if s > 0 else tuple(-v for v in n) for n, s in zip(normals, side) if s)
     return tuple(facets), tuple(n for n, s in zip(normals, side) if not s)
 
@@ -383,10 +383,10 @@ class TestMembership:
         dms = [degree_map(fan) for _, fan in corpus] + [probe_grading(10, 2)]
         sizes = []
         for dm in dms:
-            vectors = [v for v, _ in vgit._degree_classes(dm)]
+            vectors = [v for v, _ in vgit._grading(dm)[0]]
             rank = matrix_rank(vectors)
-            normals, _, table = vgit._table(dm)
-            assert vgit._spans(dm) == (rank == dm.cl_free_rank)
+            normals, _, table = vgit._grading(dm)[1:4]
+            assert vgit._grading(dm)[4] == rank
             assert list(normals) == sorted({sign_normalized(n) for n in normals})
             assert [mask for mask, _ in table] == [
                 sum(1 << c for c in subset)
@@ -426,8 +426,8 @@ class TestMembership:
         try:
             for dm in dms:
                 orthogonal, normals, table = oracles.basis_table(dm)
-                assert orthogonal == () and vgit._spans(dm)
-                got_normals, _, got_table = vgit._table(dm)
+                assert orthogonal == () and vgit._grading(dm)[4] == dm.cl_free_rank
+                got_normals, _, got_table = vgit._grading(dm)[1:4]
                 assert (got_normals, got_table) == (normals, table), dm
         finally:
             clear_vgit_caches()
@@ -445,10 +445,10 @@ class TestMembership:
         if r > 1 and data.draw(st.booleans()):
             gens = [g[:-1] + (0,) for g in gens]  # every degree in one hyperplane
         dm = graded_by(gens)
-        vectors = [v for v, _ in vgit._degree_classes(dm)]
+        vectors = [v for v, _ in vgit._grading(dm)[0]]
         orthogonal, inverses = oracles.basis_inverses(vectors, r)
-        normals, _, table = vgit._table(dm)
-        assert vgit._spans(dm) == (not orthogonal)
+        normals, _, table = vgit._grading(dm)[1:4]
+        assert (vgit._grading(dm)[4] == r) == (not orthogonal)
         assert [mask for mask, _ in table] == [sum(1 << c for c in basis) for basis, _ in inverses]
         signed = normals + tuple(tuple(-v for v in n) for n in normals)
         rows = [[signed[i] for i in idx] for _, idx in table]
@@ -490,7 +490,7 @@ class TestMembership:
         n_queries = n_codims = 0
         try:
             for dm, fan in dms:
-                degrees = [v for v, _ in vgit._degree_classes(dm)]
+                degrees = [v for v, _ in vgit._grading(dm)[0]]
                 characters = [(0,) * dm.cl_free_rank, tuple(map(sum, zip(*degrees)))]
                 characters += degrees[:3] + [tuple(range(-1, dm.cl_free_rank - 1))]
                 if fan is not None:
@@ -545,7 +545,7 @@ class TestMembership:
             nxt = unstable_supports(dm, tuple(x + 1 for x in chi))
             on_wall = is_boundary_character(dm, chi)
             second = time.perf_counter() - start
-            n_bases = len(vgit._table(dm)[2])
+            n_bases = len(vgit._grading(dm)[3])
         finally:
             clear_vgit_caches()
         assert n_bases == 12776
@@ -563,12 +563,11 @@ class TestMembership:
         # about 10 MB.
         dm = probe_grading(16, 2, rank=8)
         clear_vgit_caches()
-        vgit._degree_classes(dm)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            n_bases = len(vgit._table(dm)[2])
+            n_bases = len(vgit._grading(dm)[3])
             peak, held = tracemalloc.get_traced_memory()[::-1]
         finally:
             tracemalloc.stop()
@@ -841,7 +840,7 @@ class TestChambers:
         seen = {True: 0, False: 0}
         for fan in fans:
             dm = degree_map(fan)
-            vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+            vectors = [vec for vec, _ in vgit._grading(dm)[0]]
             for trial in range(40):
                 if trial % 4:
                     weights = [rng.randint(1, 3) if rng.random() < 0.5 else 0 for _ in vectors]
@@ -925,7 +924,7 @@ class TestStableBaseLocus:
         rng = random.Random(30)
 
         def combinations_of(dm, n):
-            vectors = [v for v, _ in vgit._degree_classes(dm)]
+            vectors = [v for v, _ in vgit._grading(dm)[0]]
             out = []
             for _ in range(n):
                 w = [rng.randint(0, 2) for _ in vectors]
@@ -1248,7 +1247,7 @@ class TestCanonicalWitnesses:
             (1, 1, -1), (1, 2, -1), (1, 3, 2), (1, 2, 1), (1, -3, 3),
             (1, 0, 3), (1, -2, 2), (1, -3, -2), (1, -3, -1),
         ])
-        assert vgit._table(dm)[1].count(0) == 25
+        assert vgit._grading(dm)[2].count(0) == 25
         want = vgit._enumerate_cells(dm)
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -1290,7 +1289,7 @@ class TestCanonicalWitnesses:
             eff_rows = effective_cone(dm).facet_normals
             normals = split_normals(dm)[1]
             cells = set(vgit._enumerate_cells(dm))
-            vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+            vectors = [vec for vec, _ in vgit._grading(dm)[0]]
             for _ in range(1500):
                 weights = [rng.randint(1, 20) if rng.random() < 0.5 else 0 for _ in vectors]
                 chi = [sum(w * v[i] for w, v in zip(weights, vectors)) for i in range(dm.cl_free_rank)]
@@ -1305,7 +1304,7 @@ class TestCanonicalWitnesses:
         dms += [degree_map(product_fan(by_name[a], by_name[b])) for a, b in PRODUCT_PAIRS]
         for dm in dms:
             if dm.cl_free_rank > 1:  # the kernel oracle skips the empty set's normal
-                assert vgit._table(dm)[0] == oracles.arrangement_normals(dm)
+                assert vgit._grading(dm)[1] == oracles.arrangement_normals(dm)
             assert split_normals(dm)[1] == oracles.crossing_normals(dm)
 
     def test_effective_facets_match_double_description(self, corpus):
@@ -1322,12 +1321,12 @@ class TestCanonicalWitnesses:
         dms.add(graded_by([(1, 0), (-1, 0), (0, 1)]))  # a half-plane
         n_spanning = n_flipped = 0
         for dm in dms:
-            if not vgit._spans(dm):
+            if vgit._grading(dm)[4] < dm.cl_free_rank:
                 continue  # no interior, and the cell search refuses it first
             facets = split_normals(dm)[0]
             assert facets == effective_cone(dm).facet_normals, dm
             n_spanning += 1
-            n_flipped += any(f not in vgit._table(dm)[0] for f in facets)
+            n_flipped += any(f not in vgit._grading(dm)[1] for f in facets)
         assert (n_spanning, n_flipped) == (298, 188)
 
     def test_signatures_run_no_double_description(self, corpus, monkeypatch):
@@ -1360,7 +1359,7 @@ class TestCanonicalWitnesses:
         dm = graded_by(gens)
         facets, crossing = split_normals(dm)
         assert crossing == oracles.crossing_normals(dm), gens
-        if vgit._spans(dm):
+        if vgit._grading(dm)[4] == dm.cl_free_rank:
             assert facets == effective_cone(dm).facet_normals, gens
 
     @settings(max_examples=100, deadline=None)
@@ -1368,7 +1367,7 @@ class TestCanonicalWitnesses:
     def test_arrangement_normals_match_kernel_oracle(self, gens):
         assume(matrix_rank(gens) == len(gens[0]))
         dm = graded_by(gens)
-        assert vgit._table(dm)[0] == oracles.arrangement_normals(dm)
+        assert vgit._grading(dm)[1] == oracles.arrangement_normals(dm)
 
 
 def test_recursive_searches_leave_no_reference_cycles(corpus):
@@ -1380,7 +1379,7 @@ def test_recursive_searches_leave_no_reference_cycles(corpus):
     # their budgets stop them.
     fan = dict(corpus)["bl4_1"]
     dm = degree_map(fan)
-    vectors = [vec for vec, _ in vgit._degree_classes(dm)]
+    vectors = [vec for vec, _ in vgit._grading(dm)[0]]
     ideal = cox.irrelevant_ideal(fan)
 
     def stopped_cell_search():
@@ -1407,7 +1406,7 @@ def test_recursive_searches_leave_no_reference_cycles(corpus):
         "stopped cell search": stopped_cell_search,
         "zero_locus_codim": lambda: cox.zero_locus_codim(ideal),
     }
-    vgit._table(dm)  # the cached table the cell search reads
+    vgit._grading(dm)  # the cached table the cell search reads
     gc.collect()
     gc.disable()
     try:
