@@ -52,13 +52,14 @@ containing a character by one in_cone LP per set of at most rank
 classes, where toricgit.vgit runs a sign test on the basis inverses.
 stable_base_locus_codim takes the support of every mask that the ample
 character's lp_membership has and chi's lacks, where toricgit.vgit
-weighs only the maximal masks of its sign test.  table_ties decodes the tie sign of each normal
-of a basis table from its signed indices, and q_weighted_ties reads
-them off one big-integer probe class, the classes weighted by falling
-powers of a bound q, where toricgit.fans._gale takes the first nonzero
-dot product.  wall_certificate is the pseudomanifold certificate with
-facet normals by Fraction elimination and a big-integer probe (1, q,
-..., q^(dim-1)) tested against every cone by dot products, where
+weighs only the maximal masks of its sign test.  table_ties decodes
+the tie sign of each normal of a basis table from its signed indices,
+and q_weighted_ties reads them off one big-integer probe class, the
+classes weighted by falling powers of a bound q, where
+toricgit.fans._gale takes the first nonzero dot product.
+wall_certificate is the pseudomanifold certificate with facet normals
+by Fraction elimination and a big-integer probe (1, q, ..., q^(dim-1))
+tested against every cone by dot products, where
 toricgit.fans._walls counts the cones whose normals' last nonzero
 entries are all positive.
 chamber_closure intersects the cones of its member masks, against which
